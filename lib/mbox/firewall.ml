@@ -80,11 +80,13 @@ let evaluate t (p : Packet.t) =
   scan (rules t)
 
 let process t (p : Packet.t) ~side_effects =
-  let entry, _created =
-    State_table.find_or_create_words t.table ~pa:(Five_tuple.word_a_packet p)
-      ~pb:(Five_tuple.word_b_packet p)
-      ~tuple:(fun () -> Five_tuple.of_packet p)
-      ~default:(fun () -> evaluate t p)
+  let entry =
+    match
+      State_table.find_words t.table ~pa:(Five_tuple.word_a_packet p)
+        ~pb:(Five_tuple.word_b_packet p)
+    with
+    | Some e -> e
+    | None -> State_table.add_missing t.table (Five_tuple.of_packet p) (evaluate t p)
   in
   (* Shared reporting counters merge by addition on scale-down; replays
      must not double-count (§4.1.3). *)
@@ -127,11 +129,13 @@ let receive_batch t b =
         let p = Packet_batch.get b i in
         (* Probe straight from the batch's key columns; the tuple is
            only built for first-seen flows. *)
-        let entry, _created =
-          State_table.find_or_create_words t.table ~pa:(Array.unsafe_get ka i)
-            ~pb:(Array.unsafe_get kb i)
-            ~tuple:(fun () -> Five_tuple.of_packet p)
-            ~default:(fun () -> eval p)
+        let entry =
+          match
+            State_table.find_words t.table ~pa:(Array.unsafe_get ka i)
+              ~pb:(Array.unsafe_get kb i)
+          with
+          | Some e -> e
+          | None -> State_table.add_missing t.table (Five_tuple.of_packet p) (eval p)
         in
         (match entry.value with
         | Allow -> incr allowed

@@ -80,20 +80,24 @@ let pick_backend t (p : Packet.t) =
     t.backends.(h mod Array.length t.backends)
 
 let process t (p : Packet.t) ~side_effects =
-  let entry, created =
-    State_table.find_or_create_words t.table ~pa:(Five_tuple.word_a_packet p)
-      ~pb:(Five_tuple.word_b_packet p)
-      ~tuple:(fun () -> Five_tuple.of_packet p)
-      ~default:(fun () -> pick_backend t p)
+  let entry =
+    match
+      State_table.find_words t.table ~pa:(Five_tuple.word_a_packet p)
+        ~pb:(Five_tuple.word_b_packet p)
+    with
+    | Some e -> e
+    | None ->
+      let e = State_table.add_missing t.table (Five_tuple.of_packet p) (pick_backend t p) in
+      if side_effects then
+        Mb_base.raise_event t.base
+          (Event.Introspect
+             {
+               code = "lb.new_assignment";
+               key = e.key;
+               info = Json.Assoc [ ("backend", Json.String (Addr.to_string e.value)) ];
+             });
+      e
   in
-  if created && side_effects then
-    Mb_base.raise_event t.base
-      (Event.Introspect
-         {
-           code = "lb.new_assignment";
-           key = entry.key;
-           info = Json.Assoc [ ("backend", Json.String (Addr.to_string entry.value)) ];
-         });
   if entry.moved then
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
   if side_effects then Some { p with dst_ip = entry.value } else None

@@ -5,10 +5,10 @@ open Openmb_core
 
 type flow_record = {
   fr_first : float;
-  fr_last : float;
-  fr_pkts : int;
-  fr_bytes : int;
-  fr_service : string;
+  mutable fr_last : float;
+  mutable fr_pkts : int;
+  mutable fr_bytes : int;
+  mutable fr_service : string;
 }
 
 type totals = {
@@ -70,50 +70,51 @@ let service_of_known known port =
     | 25 -> "smtp"
     | _ -> "tcp-" ^ string_of_int port
 
-(* Per-flow record update for one packet.  [known] supplies the service
-   port list — the scalar path reads the config tree on demand (only
-   first packets of a flow classify), the batch path hoists one read per
-   batch.  Returns [(created, body_bytes)] for the caller's shared-totals
-   accounting. *)
-let touch t (p : Packet.t) ~known ~side_effects =
-  let ts = Time.to_seconds p.ts in
-  (* Word-level probe: the per-flow record resolves without building a
-     tuple; one is only materialized when the flow is first seen. *)
+(* Per-flow record update for one packet, in place: a seen flow's
+   packet allocates nothing.  [body] is the packet's body size, which
+   the caller also needs for the shared totals.  [known] supplies the
+   service port list: the scalar path reads the config tree on demand
+   (only packets of a still-unclassified flow classify), the batch path
+   hoists one read per batch.  Returns whether the flow was first seen
+   here. *)
+let touch t (p : Packet.t) ~body ~known ~side_effects =
   let entry, created =
-    State_table.find_or_create_words t.table ~pa:(Five_tuple.word_a_packet p)
-      ~pb:(Five_tuple.word_b_packet p)
-      ~tuple:(fun () -> Five_tuple.of_packet p)
-      ~default:(fun () ->
-        { fr_first = ts; fr_last = ts; fr_pkts = 0; fr_bytes = 0; fr_service = "" })
+    match
+      State_table.find_words t.table ~pa:(Five_tuple.word_a_packet p)
+        ~pb:(Five_tuple.word_b_packet p)
+    with
+    | Some e -> (e, false)
+    | None ->
+      ( State_table.add_missing t.table (Five_tuple.of_packet p)
+          { fr_first = p.ts; fr_last = p.ts; fr_pkts = 0; fr_bytes = 0; fr_service = "" },
+        true )
   in
-  let body = Packet.body_bytes p in
-  let service =
-    if entry.value.fr_service = "" then service_of_known (known ()) p.dst_port
-    else entry.value.fr_service
-  in
-  let newly_detected = entry.value.fr_service = "" && service <> "" in
-  entry.value <-
-    {
-      fr_first = entry.value.fr_first;
-      fr_last = Float.max entry.value.fr_last ts;
-      fr_pkts = entry.value.fr_pkts + 1;
-      fr_bytes = entry.value.fr_bytes + body;
-      fr_service = service;
-    };
-  if newly_detected && side_effects then
-    Mb_base.raise_event t.base
-      (Event.Introspect
-         {
-           code = "monitor.new_asset";
-           key = entry.key;
-           info = Json.Assoc [ ("service", Json.String service) ];
-         });
+  let r = entry.value in
+  (* [p.ts] is stored as is: no fresh float is boxed. *)
+  if p.ts > r.fr_last then r.fr_last <- p.ts;
+  r.fr_pkts <- r.fr_pkts + 1;
+  r.fr_bytes <- r.fr_bytes + body;
+  if r.fr_service = "" then begin
+    let service = service_of_known (known t) p.dst_port in
+    if service <> "" then begin
+      r.fr_service <- service;
+      if side_effects then
+        Mb_base.raise_event t.base
+          (Event.Introspect
+             {
+               code = "monitor.new_asset";
+               key = entry.key;
+               info = Json.Assoc [ ("service", Json.String service) ];
+             })
+    end
+  end;
   if entry.moved then
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-  (created, body)
+  created
 
 let process t (p : Packet.t) ~side_effects =
-  let created, body = touch t p ~known:(fun () -> known_service_ports t) ~side_effects in
+  let body = Packet.body_bytes p in
+  let created = touch t p ~body ~known:known_service_ports ~side_effects in
   (* Shared reporting state is merged between instances when flows
      consolidate (§4.1.3); a re-processed packet must not also bump
      these counters or the merged totals would double-count it.  Only
@@ -142,7 +143,7 @@ let receive t p =
 let receive_batch t b =
   Mb_base.inject_batch t.base b ~side_effects:true ~work:(fun b ->
       let known = lazy (known_service_ports t) in
-      let known () = Lazy.force known in
+      let known _ = Lazy.force known in
       let n = Packet_batch.length b in
       let pkts = ref 0
       and bytes = ref 0
@@ -152,7 +153,8 @@ let receive_batch t b =
       and new_flows = ref 0 in
       for i = 0 to n - 1 do
         let p = Packet_batch.get b i in
-        let created, body = touch t p ~known ~side_effects:true in
+        let body = Packet.body_bytes p in
+        let created = touch t p ~body ~known ~side_effects:true in
         incr pkts;
         bytes := !bytes + body;
         (match p.proto with
@@ -319,7 +321,9 @@ let impl t =
 
 let totals t = t.shared
 
+(* Copies, not the live records: those change under every packet. *)
 let flow_records t =
-  State_table.fold t.table ~init:[] ~f:(fun acc e -> (e.key, e.value) :: acc)
+  State_table.fold t.table ~init:[] ~f:(fun acc e ->
+      (e.key, { e.value with fr_pkts = e.value.fr_pkts }) :: acc)
 
 let tracked_flows t = State_table.size t.table

@@ -16,11 +16,13 @@ type t
 
 type flow_record = {
   fr_first : float;
-  fr_last : float;
-  fr_pkts : int;
-  fr_bytes : int;
-  fr_service : string;  (** Detected service, [""] if none yet. *)
+  mutable fr_last : float;
+  mutable fr_pkts : int;
+  mutable fr_bytes : int;
+  mutable fr_service : string;  (** Detected service, [""] if none yet. *)
 }
+(** The mutable fields are updated in place by every packet of the
+    flow. *)
 
 type totals = {
   tot_pkts : int;
@@ -59,6 +61,7 @@ val totals : t -> totals
 (** Current shared counters of this instance. *)
 
 val flow_records : t -> (Openmb_net.Hfl.t * flow_record) list
-(** Per-flow reporting records currently resident here. *)
+(** Copies of the per-flow reporting records currently resident here:
+    later packets do not change them. *)
 
 val tracked_flows : t -> int

@@ -10,7 +10,7 @@ type mapping = {
   m_ext_port : int;
   m_proto : Packet.proto;
   m_created : float;
-  m_last_active : float;
+  mutable m_last_active : float;
 }
 
 (* Ports 20000..65000 inclusive per external IP. *)
@@ -102,53 +102,59 @@ let allocate_external t =
 
 let is_outbound t (p : Packet.t) = Addr.in_prefix p.src_ip t.internal_prefix
 
+(* First packet of an outbound flow, after the table probe missed:
+   allocate the external slot, index it for the reverse path and
+   announce the mapping. *)
+let new_mapping t (p : Packet.t) ~side_effects =
+  let ext_ip, ext_port = allocate_external t in
+  let m =
+    {
+      m_int_ip = p.src_ip;
+      m_int_port = p.src_port;
+      m_ext_ip = ext_ip;
+      m_ext_port = ext_port;
+      m_proto = p.proto;
+      m_created = p.ts;
+      m_last_active = p.ts;
+    }
+  in
+  let entry = State_table.add_missing t.table (Five_tuple.of_packet p) m in
+  ext_set t ext_ip ext_port entry.key;
+  if side_effects then
+    Mb_base.raise_event t.base
+      (Event.Introspect
+         {
+           code = "nat.new_mapping";
+           key = entry.key;
+           info =
+             Json.Assoc
+               [
+                 ("int_ip", Json.String (Addr.to_string m.m_int_ip));
+                 ("int_port", Json.Int m.m_int_port);
+                 ("ext_port", Json.Int m.m_ext_port);
+                 ("proto", Json.String (Packet.proto_to_string m.m_proto));
+               ];
+         });
+  entry
+
+(* The mapping is updated in place: a seen flow's packet allocates
+   nothing here but its translated copy.  [p.ts] is stored as is, so
+   the timer write does not box a fresh float. *)
 let process t (p : Packet.t) ~side_effects =
-  let ts = Time.to_seconds p.ts in
   if is_outbound t p then begin
-    let entry, created =
-      State_table.find_or_create_words t.table ~pa:(Five_tuple.word_a_packet p)
-        ~pb:(Five_tuple.word_b_packet p)
-        ~tuple:(fun () -> Five_tuple.of_packet p)
-        ~default:(fun () ->
-          let ext_ip, ext_port = allocate_external t in
-          {
-            m_int_ip = p.src_ip;
-            m_int_port = p.src_port;
-            m_ext_ip = ext_ip;
-            m_ext_port = ext_port;
-            m_proto = p.proto;
-            m_created = ts;
-            m_last_active = ts;
-          })
+    let entry =
+      match
+        State_table.find_words t.table ~pa:(Five_tuple.word_a_packet p)
+          ~pb:(Five_tuple.word_b_packet p)
+      with
+      | Some e -> e
+      | None -> new_mapping t p ~side_effects
     in
-    if created then begin
-      ext_set t entry.value.m_ext_ip entry.value.m_ext_port entry.key;
-      if side_effects then
-        Mb_base.raise_event t.base
-          (Event.Introspect
-             {
-               code = "nat.new_mapping";
-               key = entry.key;
-               info =
-                 Json.Assoc
-                   [
-                     ("int_ip", Json.String (Addr.to_string entry.value.m_int_ip));
-                     ("int_port", Json.Int entry.value.m_int_port);
-                     ("ext_port", Json.Int entry.value.m_ext_port);
-                     ("proto", Json.String (Packet.proto_to_string entry.value.m_proto));
-                   ];
-             })
-    end;
-    entry.value <- { entry.value with m_last_active = ts };
+    let m = entry.value in
+    m.m_last_active <- p.ts;
     if entry.moved then
       Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-    if side_effects then
-      Some
-        {
-          p with
-          src_ip = entry.value.m_ext_ip;
-          src_port = entry.value.m_ext_port;
-        }
+    if side_effects then Some { p with src_ip = m.m_ext_ip; src_port = m.m_ext_port }
     else None
   end
   else begin
@@ -162,11 +168,11 @@ let process t (p : Packet.t) ~side_effects =
     | Some key -> (
       match State_table.find_key t.table key with
       | Some entry ->
-        entry.value <- { entry.value with m_last_active = ts };
+        let m = entry.value in
+        m.m_last_active <- p.ts;
         if entry.moved then
           Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-        if side_effects then
-          Some { p with dst_ip = entry.value.m_int_ip; dst_port = entry.value.m_int_port }
+        if side_effects then Some { p with dst_ip = m.m_int_ip; dst_port = m.m_int_port }
         else None
       | None ->
         t.dropped <- t.dropped + 1;
@@ -328,7 +334,11 @@ let impl t =
               ignore (process t p ~side_effects:false)));
   }
 
-let mappings t = State_table.fold t.table ~init:[] ~f:(fun acc e -> e.value :: acc)
+(* Accessors hand out copies: the live records change under every
+   packet, and a caller keeping a snapshot (a failover checkpoint) must
+   not see it move. *)
+let copy m = { m with m_last_active = m.m_last_active }
+let mappings t = State_table.fold t.table ~init:[] ~f:(fun acc e -> copy e.value :: acc)
 let mapping_count t = State_table.size t.table
 
 let lookup_external t ~ext_port =
@@ -341,7 +351,7 @@ let lookup_external t ~ext_port =
       | None -> go (i + 1)
       | Some key -> (
         match State_table.find_key t.table key with
-        | Some e -> Some e.value
+        | Some e -> Some (copy e.value)
         | None -> None)
   in
   go 0

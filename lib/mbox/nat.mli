@@ -21,7 +21,9 @@ type mapping = {
   m_ext_port : int;
   m_proto : Openmb_net.Packet.proto;
   m_created : float;
-  m_last_active : float;  (** Non-critical; reset on failover import. *)
+  mutable m_last_active : float;
+      (** Non-critical; reset on failover import.  Updated in place by
+          every packet of the flow. *)
 }
 
 val create :
@@ -53,10 +55,13 @@ val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
     batch; unmatched inbound packets are compacted out. *)
 
 val mappings : t -> mapping list
+(** Copies of the current mappings: later packets do not change them. *)
+
 val mapping_count : t -> int
 
 val lookup_external : t -> ext_port:int -> mapping option
-(** Reverse-path lookup used by inbound translation. *)
+(** Reverse-path lookup used by inbound translation; returns a copy, as
+    {!mappings} does. *)
 
 val packets_dropped : t -> int
 (** Inbound packets with no matching mapping. *)

@@ -168,21 +168,32 @@ let find t tup =
     Flat_table.find ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb)
   | None -> Hashtbl.find_opt t.by_key (Hfl.to_string (key_of t tup))
 
+(* Forward-then-reverse probe of the flat index by a tuple's packed
+   words.  A hit returns the table's pre-wrapped [Some], so this
+   allocates nothing. *)
+let flat_bidir t ftbl ~wa ~wb =
+  let pa = wa land t.pa_mask and pb = wb land t.pb_mask in
+  match Flat_table.find ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) with
+  | Some _ as hit -> hit
+  | None ->
+    let rpa = rev_pa ~pb:wb land t.pa_mask and rpb = rev_pb ~pa:wa ~pb:wb land t.pb_mask in
+    Flat_table.find ftbl ~pa:rpa ~pb:rpb ~h:(Five_tuple.hash_words ~pa:rpa ~pb:rpb)
+
+let string_bidir t tup =
+  match find t tup with Some _ as hit -> hit | None -> find t (Five_tuple.reverse tup)
+
 let find_bidir t tup =
   match t.packed with
-  | Some ftbl -> (
-    let wa = Five_tuple.word_a tup and wb = Five_tuple.word_b tup in
-    let pa = wa land t.pa_mask and pb = wb land t.pb_mask in
-    match Flat_table.find ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) with
-    | Some _ as hit -> hit
-    | None ->
-      let rpa = rev_pa ~pb:wb land t.pa_mask
-      and rpb = rev_pb ~pa:wa ~pb:wb land t.pb_mask in
-      Flat_table.find ftbl ~pa:rpa ~pb:rpb ~h:(Five_tuple.hash_words ~pa:rpa ~pb:rpb))
-  | None -> (
-    match find t tup with
-    | Some e -> Some e
-    | None -> find t (Five_tuple.reverse tup))
+  | Some ftbl -> flat_bidir t ftbl ~wa:(Five_tuple.word_a tup) ~wb:(Five_tuple.word_b tup)
+  | None -> string_bidir t tup
+
+(* The packet paths probe with the words a [Packet_batch] already
+   carries (or {!Five_tuple.word_a_packet}); only the string layout has
+   to rebuild the tuple. *)
+let find_words t ~pa ~pb =
+  match t.packed with
+  | Some ftbl -> flat_bidir t ftbl ~wa:pa ~wb:pb
+  | None -> string_bidir t (Five_tuple.unpack (Five_tuple.pack_words ~pa ~pb))
 
 (* State created while a covering move is in progress belongs to the
    destination: flag it immediately so its packets are re-processed
@@ -191,40 +202,25 @@ let find_bidir t tup =
    from scratch). *)
 let born_moved t key = List.exists (fun f -> Hfl.subsumes f key) t.move_filters
 
-(* Word-level find-or-create: the batch paths probe with the key
-   columns a [Packet_batch] already carries and only materialize the
-   tuple (and its Hfl key) on a miss. *)
-let find_or_create_words t ~pa:wa ~pb:wb ~tuple ~default =
-  match t.packed with
-  | Some ftbl -> (
-    let pa = wa land t.pa_mask and pb = wb land t.pb_mask in
-    match Flat_table.find ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) with
-    | Some e -> (e, false)
-    | None -> (
-      let rpa = rev_pa ~pb:wb land t.pa_mask
-      and rpb = rev_pb ~pa:wa ~pb:wb land t.pb_mask in
-      match Flat_table.find ftbl ~pa:rpa ~pb:rpb ~h:(Five_tuple.hash_words ~pa:rpa ~pb:rpb) with
-      | Some e -> (e, false)
-      | None ->
-        let key = key_of t (tuple ()) in
-        let e = mk_entry key (default ()) (born_moved t key) in
-        Flat_table.replace ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) e;
-        index_add t e;
-        (e, true)))
-  | None -> (
-    let tup = tuple () in
-    match find_bidir t tup with
-    | Some e -> (e, false)
-    | None ->
-      let key = key_of t tup in
-      let e = mk_entry key (default ()) (born_moved t key) in
-      Hashtbl.replace t.by_key (Hfl.to_string key) e;
-      index_add t e;
-      (e, true))
+(* Miss-only create: the caller has just probed and missed, so the
+   entry is placed without a second probe, keyed on the tuple as
+   given. *)
+let add_missing t tup value =
+  let key = key_of t tup in
+  let e = mk_entry key value (born_moved t key) in
+  (match t.packed with
+  | Some ftbl ->
+    let pa = Five_tuple.word_a tup land t.pa_mask
+    and pb = Five_tuple.word_b tup land t.pb_mask in
+    Flat_table.replace ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) e
+  | None -> Hashtbl.replace t.by_key (Lazy.force e.id) e);
+  index_add t e;
+  e
 
 let find_or_create t tup ~default =
-  find_or_create_words t ~pa:(Five_tuple.word_a tup) ~pb:(Five_tuple.word_b tup)
-    ~tuple:(fun () -> tup) ~default
+  match find_bidir t tup with
+  | Some e -> (e, false)
+  | None -> (add_missing t tup (default ()), true)
 
 let insert_string t ~key value =
   let id = Hfl.to_string key in

@@ -63,20 +63,22 @@ val find_bidir : 'a t -> Openmb_net.Five_tuple.t -> 'a entry option
 val find_or_create :
   'a t -> Openmb_net.Five_tuple.t -> default:(unit -> 'a) -> 'a entry * bool
 (** Bidirectional find; on miss, creates an entry keyed on the tuple as
-    given.  The boolean is [true] when the entry was created. *)
+    given ({!add_missing}).  The boolean is [true] when the entry was
+    created. *)
 
-val find_or_create_words :
-  'a t ->
-  pa:int ->
-  pb:int ->
-  tuple:(unit -> Openmb_net.Five_tuple.t) ->
-  default:(unit -> 'a) ->
-  'a entry * bool
-(** {!find_or_create} probing directly with the tuple's two packed
-    words ({!Openmb_net.Five_tuple.word_a}/[word_b]) — the batch paths
-    pass a {!Openmb_net.Packet_batch}'s key columns and only
-    materialize the tuple (via [tuple ()]) when an entry must be
-    created, so the hit path allocates nothing. *)
+val find_words : 'a t -> pa:int -> pb:int -> 'a entry option
+(** {!find_bidir} probing directly with the tuple's two packed words
+    ({!Openmb_net.Five_tuple.word_a}/[word_b]), as the packet paths
+    hold them: a {!Openmb_net.Packet_batch}'s key columns or
+    {!Openmb_net.Five_tuple.word_a_packet}.  On the packed layout a hit
+    returns the stored option and allocates nothing. *)
+
+val add_missing : 'a t -> Openmb_net.Five_tuple.t -> 'a -> 'a entry
+(** [add_missing t tup v] creates the entry for a flow that
+    {!find_words} (or {!find_bidir}) has just missed, keyed on [tup] as
+    given, and returns it.  The entry is born [moved] when a registered
+    move filter covers its key (see {!add_move_filter}).  It does not
+    probe again, so it is only valid right after that miss. *)
 
 val find_key : 'a t -> Openmb_net.Hfl.t -> 'a entry option
 (** Exact lookup under a stored key (the key as {!insert} would store

@@ -163,78 +163,79 @@ let remove t ~cookie = filter_rules t (fun r -> r.cookie <> cookie) > 0
 
 let remove_matching t hfl = filter_rules t (fun r -> not (Hfl.equal r.match_ hfl))
 
-(* Scan the wildcard rows against one packet's header ints.  Rows below
-   [cutoff] (the exact candidate's priority) cannot win, so the scan
-   stops there (ties still need the cookie comparison in [combine]).
-   Generic rows — HFLs inexpressible as one mask/value per dimension —
-   need the full packet record, obtained via [pkt_of x]: the scalar path
-   passes the packet itself, the batch path the member's payload-slot
-   accessor. *)
-let scan_wild w ~src ~sp ~dst ~dp ~pr ~cutoff pkt_of x =
-  let n = Array.length w.wrules in
-  let rec scan j =
-    if j >= n || Array.unsafe_get w.wprio j < cutoff then None
+(* Index of the first wildcard row at or after [j] that matches one
+   packet's header ints, or [-1].  Rows below [cutoff] (the exact
+   candidate's priority) cannot win, so the scan stops there (ties
+   still need the cookie comparison in [classify]).  Generic rows —
+   HFLs inexpressible as one mask/value per dimension — need the full
+   packet record [p]; no other row dereferences it.  A top-level loop
+   taking everything as arguments, like {!Flat_table}'s probe: an inner
+   [let rec] would heap a closure per packet. *)
+let rec scan_wild w ~src ~sp ~dst ~dp ~pr ~cutoff (p : Packet.t) j =
+  if j >= Array.length w.wrules || Array.unsafe_get w.wprio j < cutoff then -1
+  else
+    let matched =
+      if Array.unsafe_get w.wgeneric j then
+        Hfl.matches_packet (Array.unsafe_get w.wrules j).match_ p
+      else
+        src land Array.unsafe_get w.wsmask j = Array.unsafe_get w.wsbase j
+        && dst land Array.unsafe_get w.wdmask j = Array.unsafe_get w.wdbase j
+        && (let x = Array.unsafe_get w.wsport j in
+            x < 0 || x = sp)
+        && (let x = Array.unsafe_get w.wdport j in
+            x < 0 || x = dp)
+        &&
+        let x = Array.unsafe_get w.wproto j in
+        x < 0 || x = pr
+    in
+    if matched then j else scan_wild w ~src ~sp ~dst ~dp ~pr ~cutoff p (j + 1)
+
+(* Returned by [classify] on a table miss, so that neither lookup wraps
+   its result in an option.  Never counted, never installed. *)
+let no_rule =
+  { cookie = -1; priority = min_int; match_ = Hfl.any; action = Drop; packets = 0; bytes = 0 }
+
+(* The classification both lookups share, from the packet's packed key
+   words ([h] is their hash; unused when the table has no exact rules):
+   the exact candidate, then the wildcard rows that can still beat or
+   tie it.  The header ints for the scan are decoded from the words;
+   only generic rows read [p]. *)
+let classify t ~pa ~pb ~h p =
+  let exact =
+    if t.exact_count = 0 then no_rule
     else
-      let matched =
-        if Array.unsafe_get w.wgeneric j then
-          Hfl.matches_packet (Array.unsafe_get w.wrules j).match_ (pkt_of x)
-        else
-          src land Array.unsafe_get w.wsmask j = Array.unsafe_get w.wsbase j
-          && dst land Array.unsafe_get w.wdmask j = Array.unsafe_get w.wdbase j
-          && (let x = Array.unsafe_get w.wsport j in
-              x < 0 || x = sp)
-          && (let x = Array.unsafe_get w.wdport j in
-              x < 0 || x = dp)
-          &&
-          let x = Array.unsafe_get w.wproto j in
-          x < 0 || x = pr
-      in
-      if matched then Some (Array.unsafe_get w.wrules j) else scan (j + 1)
+      match Flat_table.find t.exact ~pa ~pb ~h with
+      | Some (r :: _) -> r
+      | Some [] | None -> no_rule
   in
-  scan 0
-
-let combine exact_hit wild_hit =
-  match (exact_hit, wild_hit) with
-  | Some a, Some b -> if rule_order a b <= 0 then Some a else Some b
-  | (Some _ as h), None | None, (Some _ as h) -> h
-  | None, None -> None
-
-let exact_probe t ~pa ~pb ~h =
-  match Flat_table.find t.exact ~pa ~pb ~h with
-  | Some (r :: _) -> Some r
-  | Some [] | None -> None
+  let w = t.wild in
+  if Array.length w.wrules = 0 then exact
+  else
+    let j =
+      scan_wild w ~src:(pa lsr 16) ~sp:(pa land 0xFFFF) ~dst:(pb lsr 18)
+        ~dp:((pb lsr 2) land 0xFFFF) ~pr:(pb land 3) ~cutoff:exact.priority p 0
+    in
+    if j < 0 then exact
+    else
+      let wild = Array.unsafe_get w.wrules j in
+      if exact != no_rule && rule_order exact wild <= 0 then exact else wild
 
 let lookup t p =
-  let exact_hit =
-    if t.exact_count = 0 then None
-    else
-      let tup = Five_tuple.of_packet p in
-      let pa = Five_tuple.word_a tup and pb = Five_tuple.word_b tup in
-      exact_probe t ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb)
-  in
-  let wild_hit =
-    if Array.length t.wild.wrules = 0 then None
-    else
-      let cutoff = match exact_hit with Some re -> re.priority | None -> min_int in
-      scan_wild t.wild ~src:(Addr.to_int p.src_ip) ~sp:p.src_port
-        ~dst:(Addr.to_int p.dst_ip) ~dp:p.dst_port ~pr:(proto_code p.proto)
-        ~cutoff
-        (fun (p : Packet.t) -> p)
-        p
-  in
-  match combine exact_hit wild_hit with
-  | Some r ->
+  let pa = Five_tuple.word_a_packet p and pb = Five_tuple.word_b_packet p in
+  let h = if t.exact_count = 0 then 0 else Five_tuple.hash_words ~pa ~pb in
+  let r = classify t ~pa ~pb ~h p in
+  if r == no_rule then None
+  else begin
     r.packets <- r.packets + 1;
     r.bytes <- r.bytes + Packet.wire_bytes p;
     Some r.action
-  | None -> None
+  end
 
 (* One classification pass over a whole batch, filling [actions.(i)] for
-   each member.  The exact fast path probes straight from the batch's
-   packed-key word columns — no [Packet.t] is touched when the table has
-   no wildcard rules.  With wildcard rules present, the header ints for
-   the scan are still decoded from the key words; only generic rows fall
-   out to the member's payload slot. *)
+   each member straight from the batch's packed-key word columns.  A
+   slot that already holds the winning action (the switch reuses one
+   scratch array, and consecutive batches mostly hit the same rules) is
+   left alone, so a steady stream allocates nothing per packet. *)
 let lookup_batch t b actions =
   let n = Packet_batch.length b in
   if Array.length actions < n then
@@ -242,35 +243,19 @@ let lookup_batch t b actions =
   let ka = Packet_batch.key_a b and kb = Packet_batch.key_b b in
   let kh = Packet_batch.key_hash b in
   let sizes = Packet_batch.sizes b in
-  let have_exact = t.exact_count > 0 in
-  let w = t.wild in
-  let nw = Array.length w.wrules in
-  let getp i = Packet_batch.get b i in
   for i = 0 to n - 1 do
-    let pa = Array.unsafe_get ka i and pb = Array.unsafe_get kb i in
-    let exact_hit =
-      if not have_exact then None
-      else exact_probe t ~pa ~pb ~h:(Array.unsafe_get kh i)
+    let r =
+      classify t ~pa:(Array.unsafe_get ka i) ~pb:(Array.unsafe_get kb i)
+        ~h:(Array.unsafe_get kh i) (Packet_batch.get b i)
     in
-    let hit =
-      if nw = 0 then exact_hit
-      else begin
-        let cutoff =
-          match exact_hit with Some re -> re.priority | None -> min_int
-        in
-        let wild_hit =
-          scan_wild w ~src:(pa lsr 16) ~sp:(pa land 0xFFFF) ~dst:(pb lsr 18)
-            ~dp:((pb lsr 2) land 0xFFFF) ~pr:(pb land 3) ~cutoff getp i
-        in
-        combine exact_hit wild_hit
-      end
-    in
-    match hit with
-    | Some r ->
+    if r == no_rule then Array.unsafe_set actions i None
+    else begin
       r.packets <- r.packets + 1;
       r.bytes <- r.bytes + Array.unsafe_get sizes i;
-      Array.unsafe_set actions i (Some r.action)
-    | None -> Array.unsafe_set actions i None
+      match Array.unsafe_get actions i with
+      | Some a when a == r.action -> ()
+      | Some _ | None -> Array.unsafe_set actions i (Some r.action)
+    end
   done
 
 let rules t =

@@ -122,6 +122,8 @@ let pending t = Wheel.size t.w - t.tombstones
 
 let executed t = t.executed
 
+let next_at t = Wheel.next_at t.w
+
 let pool_stats t =
   let capacity = Wheel.capacity t.w in
   let queued = Wheel.in_use t.w in

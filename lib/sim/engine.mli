@@ -85,6 +85,12 @@ val executed : t -> int
 (** Total events dispatched since [create] (cancelled events are
     discarded, not dispatched). *)
 
+val next_at : t -> Time.t
+(** Time of the earliest queued event, or [infinity] when none is
+    queued.  Cancelled events not yet discarded count, so this is a
+    lower bound on the next event {!run} will execute.  Does not
+    advance the queue. *)
+
 val pool_stats : t -> pool_stats
 (** Event-cell pool occupancy; [capacity = free + queued] always. *)
 

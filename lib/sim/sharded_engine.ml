@@ -15,9 +15,14 @@
      identically however many domains ran the epoch.
 
    - The epoch grid itself is domain-independent: horizons are
-     epoch * k for integer k, and the idle-skip stride evolves as a
-     function of (events executed, messages moved) per round — both
-     deterministic quantities.
+     epoch * k for integer k, and each round's k is the epoch holding
+     the earliest queued event across all shards — read while every
+     worker is parked, so a deterministic quantity.  Rounds therefore
+     skip empty epochs but never span two non-empty ones: an event
+     always runs in the round whose horizon closes its own epoch, and a
+     cross-shard post it makes is clamped to that horizon.  Events that
+     only observe (a telemetry scraper's ticks) add rounds of their own
+     but cannot move any other event's horizon.
 
    Hence the run's outcome is a function of (shards, seed, epoch,
    workload) only; [domains] changes wall-clock time, never results.
@@ -37,7 +42,6 @@ type t = {
   mutable epoch_idx : int; (* horizons reached: epoch * epoch_idx *)
   mutable rounds : int;
   mutable moved_total : int;
-  mutable last_exec : int;
 }
 
 let create ?slot_us ?(domains = 1) ?(epoch = Time.ms 1.0) ?(seed = 0) ?span_capacity
@@ -59,7 +63,7 @@ let create ?slot_us ?(domains = 1) ?(epoch = Time.ms 1.0) ?(seed = 0) ?span_capa
     Array.init shards (fun i ->
         Shard.create ?slot_us ?span_capacity ~id:i ~shards ~prng:streams.(i) ())
   in
-  { sh; epoch; n_domains; epoch_idx = 0; rounds = 0; moved_total = 0; last_exec = 0 }
+  { sh; epoch; n_domains; epoch_idx = 0; rounds = 0; moved_total = 0 }
 
 let shards t = Array.length t.sh
 let domains t = t.n_domains
@@ -162,7 +166,18 @@ let worker t sync d () =
     end
   done
 
-let max_stride = 1 lsl 16
+let horizon_of t k = Time.seconds (Time.to_seconds t.epoch *. float_of_int k)
+
+(* First epoch index after [t.epoch_idx] whose horizon reaches [at]. *)
+let epoch_reaching t at =
+  let lo = t.epoch_idx + 1 in
+  if at = infinity then lo
+  else begin
+    let k = ref (max lo (int_of_float (Float.ceil (Time.to_seconds at /. Time.to_seconds t.epoch)))) in
+    while Time.compare (horizon_of t !k) at < 0 do incr k done;
+    while !k > lo && Time.compare (horizon_of t (!k - 1)) at >= 0 do decr k done;
+    !k
+  end
 
 let run ?until t =
   (* Keep the grid strictly ahead of the clock so repeated runs resume
@@ -196,11 +211,13 @@ let run ?until t =
     end
   in
   let body () =
-    t.last_exec <- executed t;
-    let stride = ref 1 in
     let continue_ = ref (pending t > 0) in
     while !continue_ do
-      let raw = Time.seconds (Time.to_seconds t.epoch *. float_of_int (t.epoch_idx + !stride)) in
+      let next =
+        Array.fold_left (fun m s -> Time.min m (Engine.next_at (Shard.engine s))) infinity t.sh
+      in
+      let k = epoch_reaching t next in
+      let raw = horizon_of t k in
       let horizon, at_limit =
         match until with
         | Some u when Time.compare raw u >= 0 -> (u, true)
@@ -209,17 +226,13 @@ let run ?until t =
       run_all horizon;
       let moved = exchange t ~horizon in
       t.rounds <- t.rounds + 1;
-      let exec = executed t in
-      let idle = moved = 0 && exec = t.last_exec in
-      t.last_exec <- exec;
       if at_limit then
         (* Horizon pinned at [until]: keep flushing barrier deliveries
            that land at or before the limit, then stop with later
            events left pending. *)
         continue_ := moved > 0
       else begin
-        t.epoch_idx <- t.epoch_idx + !stride;
-        stride := (if idle then min (!stride * 2) max_stride else 1);
+        t.epoch_idx <- k;
         continue_ := pending t > 0
       end
     done

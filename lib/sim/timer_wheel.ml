@@ -480,6 +480,39 @@ let peek t =
     if w = nil then h else if cmp_cells t w h <= 0 then w else h
   end
 
+(* Earliest timestamp over a slot chain (chains are unsorted). *)
+let rec chain_min t i m =
+  if i = nil then m else chain_min t (A.unsafe_get t.next_ i) (Float.min m (A.unsafe_get t.at_ i))
+
+(* What [peek] would find, without advancing: the drain head, else the
+   minimum of the first occupied slot's chain — the slot [ensure_drain]
+   would cascade, which the highest-differing-byte rule makes the
+   earliest — and the overflow head. *)
+let next_at t =
+  let w =
+    if t.drain <> nil then A.unsafe_get t.at_ t.drain
+    else if t.wheel_count = 0 then infinity
+    else begin
+      let s0 = find_bit_from t 0 (t.current land slot_mask) in
+      if s0 >= 0 then chain_min t (A.unsafe_get (A.unsafe_get t.slot_head 0) s0) infinity
+      else begin
+        let rec climb l =
+          if l >= levels then
+            invalid_arg "Timer_wheel: occupancy bitmaps inconsistent with count"
+          else begin
+            let il = (t.current lsr (l * slot_bits)) land slot_mask in
+            let j = find_bit_from t l (il + 1) in
+            if j >= 0 then chain_min t (A.unsafe_get (A.unsafe_get t.slot_head l) j) infinity
+            else climb (l + 1)
+          end
+        in
+        climb 1
+      end
+    end
+  in
+  if Heap.is_empty t.overflow then w
+  else Float.min w (A.unsafe_get t.at_ (Heap.peek_exn t.overflow))
+
 let pop t =
   let c = peek t in
   if c <> nil then begin

@@ -34,6 +34,12 @@ val peek : t -> int
 (** Index of the next cell in (timestamp, sequence) order, or [-1].
     Advances the wheel's internal position but removes nothing. *)
 
+val next_at : t -> Time.t
+(** Timestamp of the cell {!peek} would return, or [infinity] when
+    empty.  Unlike {!peek} it never advances the wheel (it scans one
+    slot chain instead of cascading it), so probing far ahead costs
+    later inserts nothing. *)
+
 val pop : t -> int
 (** Remove and return the next cell's index, or [-1] if empty.  The
     caller must {!release} the cell after reading its payload. *)

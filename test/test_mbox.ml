@@ -251,8 +251,11 @@ let prop_state_table_masked_equivalence =
       let a = mk_tab true and b = mk_tab false in
       let key (e : int State_table.entry) = Hfl.to_string e.key in
       let probe t tup =
+        let r = Five_tuple.reverse tup in
         ( Option.map key (State_table.find t tup),
-          Option.map key (State_table.find_bidir t (Five_tuple.reverse tup)) )
+          Option.map key (State_table.find_bidir t r),
+          Option.map key
+            (State_table.find_words t ~pa:(Five_tuple.word_a r) ~pb:(Five_tuple.word_b r)) )
       in
       let lookups_agree =
         List.for_all (fun flow -> probe a (tuple_of flow) = probe b (tuple_of flow)) flows
@@ -930,6 +933,127 @@ let test_nat_static_mapping_restore () =
     Alcotest.(check (float 1e-9)) "timer reset to default" 0.0 m.Nat.m_last_active
   | None -> Alcotest.fail "static mapping not installed"
 
+(* Accessors copy: the per-flow records are updated in place, so a
+   snapshot taken before more traffic (a failover checkpoint) must not
+   follow the live state. *)
+let test_snapshots_are_copies () =
+  let engine = Engine.create () in
+  let nat = make_nat engine in
+  Mb_base.set_egress (Nat.base nat) (fun _ -> ());
+  let mon = Monitor.create engine ~name:"prads1" () in
+  let send at id =
+    let p = mk_packet ~id ~ts:at () in
+    ignore
+      (Engine.schedule_at engine (Time.seconds at) (fun () ->
+           Nat.receive nat p;
+           Monitor.receive mon p))
+  in
+  send 0.0 1;
+  run_all engine;
+  let mappings = Nat.mappings nat in
+  let by_port = Nat.lookup_external nat ~ext_port:20000 in
+  let records = Monitor.flow_records mon in
+  send 1.0 2;
+  send 2.0 3;
+  run_all engine;
+  let last_active = List.map (fun (m : Nat.mapping) -> m.m_last_active) in
+  Alcotest.(check (list (float 0.0))) "mapping snapshot unchanged" [ 0.0 ] (last_active mappings);
+  Alcotest.(check (list (float 0.0))) "live mapping moved on" [ 2.0 ]
+    (last_active (Nat.mappings nat));
+  Alcotest.(check (list (float 0.0))) "lookup_external snapshot unchanged" [ 0.0 ]
+    (last_active (Option.to_list by_port));
+  let counts = List.map (fun (_, (r : Monitor.flow_record)) -> (r.fr_pkts, r.fr_last)) in
+  Alcotest.(check (list (pair int (float 0.0)))) "flow record snapshot unchanged" [ (1, 0.0) ]
+    (counts records);
+  Alcotest.(check (list (pair int (float 0.0)))) "live flow record moved on" [ (3, 2.0) ]
+    (counts (Monitor.flow_records mon))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets of the batch path                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Steady state — a second pass of 64-packet batches over flows already
+   seen — must not allocate per packet beyond what a stage emits: the
+   flow-table pass and the monitor nothing (at most a word of per-batch
+   overhead spread over the members), the NAT only its translated packet
+   copy (11 words) and the [Some] around it. *)
+let budget_flows = 256
+let budget_batch = 64
+
+let budget_packets ~pass =
+  List.init budget_flows (fun i ->
+      mk_packet ~id:((pass * budget_flows) + i) ~ts:(float_of_int pass)
+        ~src:(Printf.sprintf "10.0.%d.%d" (i / 200) (1 + (i mod 200)))
+        ~sport:(1024 + i) ())
+
+let budget_batches pool ~pass =
+  let rec split acc cur n = function
+    | [] -> List.rev (if n = 0 then acc else cur :: acc)
+    | p :: rest ->
+      let cur = if n = 0 then Packet_batch.alloc pool else cur in
+      Packet_batch.push cur p;
+      if n + 1 = budget_batch then split (cur :: acc) cur 0 rest else split acc cur (n + 1) rest
+  in
+  split [] (Packet_batch.create ()) 0 (budget_packets ~pass)
+
+(* Minor words per packet spent in [work] over the second pass's
+   batches (built before the count starts), after a first pass over the
+   same flows.  [receive] hands each batch in uncounted: an MB's receive
+   only queues the batch on its data-path clock, and [work] then runs
+   the processing up to the egress. *)
+let steady_words_per_packet ?(receive = ignore) work =
+  let pool = Packet_batch.pool () in
+  List.iter
+    (fun b ->
+      receive b;
+      work b)
+    (budget_batches pool ~pass:0);
+  let words =
+    List.fold_left
+      (fun acc b ->
+        receive b;
+        let w0 = Gc.minor_words () in
+        work b;
+        acc +. (Gc.minor_words () -. w0))
+      0.0
+      (budget_batches pool ~pass:1)
+  in
+  words /. float_of_int budget_flows
+
+let check_budget what budget words =
+  if words > budget then
+    Alcotest.failf "%s allocates %.2f minor words/packet, budget %.0f" what words budget
+
+let test_budget_flow_table () =
+  let t = Flow_table.create () in
+  ignore
+    (Flow_table.install t ~priority:20
+       ~match_:(Hfl.of_string "nw_src=10.0.0.1/32,nw_dst=1.1.1.5/32,tp_src=1024,tp_dst=80,proto=tcp")
+       ~action:(Flow_table.Forward "exact"));
+  ignore (Flow_table.install t ~priority:10 ~match_:(Hfl.of_string "tp_dst=9999") ~action:Flow_table.Drop);
+  ignore (Flow_table.install t ~priority:1 ~match_:Hfl.any ~action:(Flow_table.Forward "mb"));
+  let actions = Array.make budget_batch None in
+  check_budget "Flow_table.lookup_batch" 1.0
+    (steady_words_per_packet (fun b ->
+         Flow_table.lookup_batch t b actions;
+         Packet_batch.release b))
+
+let test_budget_monitor () =
+  let engine = Engine.create () in
+  let mon = Monitor.create engine ~name:"prads1" () in
+  Mb_base.set_egress_batch (Monitor.base mon) Packet_batch.release;
+  check_budget "Monitor.receive_batch" 1.0
+    (steady_words_per_packet ~receive:(Monitor.receive_batch mon) (fun _ -> run_all engine));
+  Alcotest.(check int) "every packet counted" (2 * budget_flows) (Monitor.totals mon).tot_pkts
+
+let test_budget_nat () =
+  let engine = Engine.create () in
+  let nat = make_nat engine in
+  Mb_base.set_egress_batch (Nat.base nat) Packet_batch.release;
+  check_budget "Nat.receive_batch" 14.0
+    (steady_words_per_packet ~receive:(Nat.receive_batch nat) (fun _ -> run_all engine));
+  Alcotest.(check int) "one mapping per flow" budget_flows (Nat.mapping_count nat)
+
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1164,6 +1288,13 @@ let () =
           Alcotest.test_case "granularity" `Quick test_nat_granularity;
           Alcotest.test_case "move preserves mapping" `Quick test_nat_move_preserves_mapping;
           Alcotest.test_case "static mapping restore" `Quick test_nat_static_mapping_restore;
+          Alcotest.test_case "snapshots are copies" `Quick test_snapshots_are_copies;
+        ] );
+      ( "alloc_budget",
+        [
+          Alcotest.test_case "flow table lookup_batch" `Quick test_budget_flow_table;
+          Alcotest.test_case "monitor receive_batch" `Quick test_budget_monitor;
+          Alcotest.test_case "nat receive_batch" `Quick test_budget_nat;
         ] );
       ( "load_balancer",
         [

@@ -858,33 +858,52 @@ let test_batch_builder_triggers () =
     [ (0.002, [ 0; 1; 2 ]); (0.030, [ 3 ]); (0.036, [ 4; 5 ]) ]
     (List.rev !emitted)
 
+(* Install the same rules into two tables, classify [pkts] one by one
+   in the first and as one batch in the second, and check that the
+   actions and every rule counter agree; returns the batch's actions. *)
+let batch_vs_scalar install_rules pkts =
+  let ta = Flow_table.create () and tb = Flow_table.create () in
+  install_rules ta;
+  install_rules tb;
+  let b = Packet_batch.create () in
+  List.iter (Packet_batch.push b) pkts;
+  let actions = Array.make (Packet_batch.length b) None in
+  Flow_table.lookup_batch tb b actions;
+  List.iteri
+    (fun i p ->
+      Alcotest.(check (option action))
+        (Printf.sprintf "member %d action agrees" i)
+        (Flow_table.lookup ta p) actions.(i))
+    pkts;
+  List.iter2
+    (fun (ra : Flow_table.rule) (rb : Flow_table.rule) ->
+      Alcotest.(check int) "rule packet counter agrees" ra.packets rb.packets;
+      Alcotest.(check int) "rule byte counter agrees" ra.bytes rb.bytes)
+    (Flow_table.rules ta) (Flow_table.rules tb);
+  Array.to_list actions
+
 let test_flow_table_batch_matches_scalar () =
   (* One classification pass over a batch must agree with per-packet
      lookups — same winning actions, same per-rule counters — across
      the exact fast path, the wildcard sidecar, their priority
      interplay, and misses. *)
+  let exact sport =
+    Hfl.of_string
+      (Printf.sprintf "nw_src=10.0.0.1/32,nw_dst=1.1.1.5/32,tp_src=%d,tp_dst=80,proto=tcp" sport)
+  in
   let install_rules t =
-    ignore
-      (Flow_table.install t ~priority:10
-         ~match_:
-           (Hfl.of_string "nw_src=10.0.0.1/32,nw_dst=1.1.1.5/32,tp_src=1000,tp_dst=80,proto=tcp")
-         ~action:(Flow_table.Forward "exact"));
+    ignore (Flow_table.install t ~priority:10 ~match_:(exact 1000) ~action:(Flow_table.Forward "exact"));
     ignore
       (Flow_table.install t ~priority:15 ~match_:(Hfl.of_string "tp_src=1001")
          ~action:(Flow_table.Forward "wild-wins"));
     ignore
-      (Flow_table.install t ~priority:10
-         ~match_:
-           (Hfl.of_string "nw_src=10.0.0.1/32,nw_dst=1.1.1.5/32,tp_src=1001,tp_dst=80,proto=tcp")
+      (Flow_table.install t ~priority:10 ~match_:(exact 1001)
          ~action:(Flow_table.Forward "exact-shadowed"));
     ignore
       (Flow_table.install t ~priority:20 ~match_:(Hfl.of_string "tp_dst=443")
          ~action:(Flow_table.Forward "wild"));
     ignore (Flow_table.install t ~priority:5 ~match_:(Hfl.of_string "tp_dst=22") ~action:Flow_table.Drop)
   in
-  let ta = Flow_table.create () and tb = Flow_table.create () in
-  install_rules ta;
-  install_rules tb;
   let pkts =
     [
       mk_packet ~id:0 ~sport:1000 ~dport:80 () (* exact fast path *);
@@ -895,22 +914,40 @@ let test_flow_table_batch_matches_scalar () =
       mk_packet ~id:5 ~sport:1000 ~dport:80 ~proto:Packet.Udp () (* near-miss on proto *);
     ]
   in
-  let b = Packet_batch.create () in
-  List.iter (Packet_batch.push b) pkts;
-  let actions = Array.make (Packet_batch.length b) None in
-  Flow_table.lookup_batch tb b actions;
-  List.iteri
-    (fun i p ->
-      Alcotest.(check bool)
-        (Printf.sprintf "member %d action agrees" i)
-        true
-        (Flow_table.lookup ta p = actions.(i)))
-    pkts;
-  List.iter2
-    (fun (ra : Flow_table.rule) (rb : Flow_table.rule) ->
-      Alcotest.(check int) "rule packet counter agrees" ra.packets rb.packets;
-      Alcotest.(check int) "rule byte counter agrees" ra.bytes rb.bytes)
-    (Flow_table.rules ta) (Flow_table.rules tb)
+  ignore (batch_vs_scalar install_rules pkts : Flow_table.action option list);
+  (* An exact and a wildcard rule at equal priority: the lower cookie
+     (earlier install) wins on both paths, whichever kind came first.
+     The repeated members also revisit a slot that already holds its
+     action. *)
+  let tie_pkts =
+    [
+      mk_packet ~id:0 ~sport:1000 ~dport:80 ();
+      mk_packet ~id:1 ~sport:1000 ~dport:80 ();
+      mk_packet ~id:2 ~sport:1001 ~dport:80 ();
+      mk_packet ~id:3 ~sport:1000 ~dport:80 ();
+    ]
+  in
+  let fwd p = Some (Flow_table.Forward p) in
+  Alcotest.(check (list (option action)))
+    "exact installed first wins the tie"
+    [ fwd "exact"; fwd "exact"; fwd "wild"; fwd "exact" ]
+    (batch_vs_scalar
+       (fun t ->
+         ignore (Flow_table.install t ~priority:7 ~match_:(exact 1000) ~action:(Flow_table.Forward "exact"));
+         ignore
+           (Flow_table.install t ~priority:7 ~match_:(Hfl.of_string "tp_dst=80")
+              ~action:(Flow_table.Forward "wild")))
+       tie_pkts);
+  Alcotest.(check (list (option action)))
+    "wildcard installed first wins the tie"
+    [ fwd "wild"; fwd "wild"; fwd "wild"; fwd "wild" ]
+    (batch_vs_scalar
+       (fun t ->
+         ignore
+           (Flow_table.install t ~priority:7 ~match_:(Hfl.of_string "tp_dst=80")
+              ~action:(Flow_table.Forward "wild"));
+         ignore (Flow_table.install t ~priority:7 ~match_:(exact 1000) ~action:(Flow_table.Forward "exact")))
+       tie_pkts)
 
 let test_switch_batch_uniform_fast_path () =
   let e = Engine.create () in

@@ -454,6 +454,19 @@ let prop_scrape_neutral =
 (* Directed smokes                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A seed that once broke scrape neutrality: the coordinator used to
+   double an idle-skip stride only while no event ran, so scraper ticks
+   kept the stride at one epoch while the scrape-free run stretched it,
+   and a cross-shard post made during a long stride was clamped to a
+   later horizon.  The controller then saw a different message count. *)
+let test_scrape_neutral_seed_132272 () =
+  let seed = 132272 in
+  let oracle = run_scenario ~domains:1 ~seed () in
+  let scraped = run_scenario ~scrape:true ~domains:1 ~seed () in
+  Alcotest.(check bool) "scraper sampled" true (scraped.fp_ticks > 0);
+  Alcotest.(check string) "application state unchanged by scraping" oracle.fp_app scraped.fp_app
+
+
 (* A ring of posts around 4 shards on 4 real domains: every hop is
    cross-shard, so this exercises outboxes, barrier merge and horizon
    clamping with genuine parallelism. *)
@@ -543,6 +556,8 @@ let () =
           Alcotest.test_case "4-domain ring" `Quick test_ring_4_domains;
           Alcotest.test_case "remote move" `Quick test_remote_move;
           Alcotest.test_case "canonical hash" `Quick test_canonical_hash;
+          Alcotest.test_case "scrape neutral at seed 132272" `Quick
+            test_scrape_neutral_seed_132272;
         ]
         @ List.map QCheck_alcotest.to_alcotest
             [
