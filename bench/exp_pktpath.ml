@@ -3,20 +3,25 @@
    Pushes the same trace through the switch -> NAT -> monitor chain at
    several batching factors and reports end-to-end packets per second of
    wall time, so the BENCH_micro.json history tracks what the
-   Packet_batch data path buys over the scalar one.
+   batching factor buys on the one packet path.
 
-   --batch 1 runs the true scalar path: one engine event per packet at
-   every hop (Trace.replay into Switch.receive, scalar links, scalar MB
-   injection).  --batch N (N > 1) runs the batch path: the trace is
-   grouped through a size-or-deadline window, the switch classifies each
-   batch in one flow-table pass, and NAT and monitor use their
-   vectorized receive_batch hooks, so the whole chain costs one engine
-   event per batch per hop.
+   There is one packet path; the factor only sets how many packets
+   travel together.  --batch 1 replays the trace one packet per event
+   through the per-packet entry points (Trace.replay into
+   Switch.receive, Nat.receive, Monitor.receive), each of which wraps
+   its packet as a 1-member batch, so every hop costs one engine event
+   per packet.  --batch N (N > 1) groups the trace through a
+   size-or-deadline window, so the whole chain costs one engine event
+   per batch per hop.
 
    bench pktpath [--batch N]... sweeps the requested factors (default
-   1, 16, 64, 256), appending one "pktpath-bN" row per factor.  With
-   --min-speedup S the run fails unless the best batched factor reaches
-   S x the batch-1 packet rate — the perf gate for the batch path. *)
+   1, 16, 64, 256), appending one "pktpath-bN" row per factor, and fails
+   when one of those four factors misses its absolute floors: a packet
+   rate (wall time on a loaded single-core machine swings by tens of
+   percent, so the floor only catches a collapse) and a
+   minor-words-per-packet ceiling (allocation is deterministic, so that
+   gate is tight).  The factors are not gated against each other: batch
+   1 is the same path, so a ratio would penalize making it faster. *)
 
 open Openmb_sim
 open Openmb_net
@@ -24,10 +29,8 @@ open Openmb_core
 open Openmb_mbox
 open Openmb_traffic
 
-(* Set by the driver (bench pktpath --batch N [--batch N...]
-   / --min-speedup S). *)
+(* Set from the command line (bench pktpath --batch N [--batch N...]). *)
 let batches : int list ref = ref []
-let min_speedup : float option ref = ref None
 
 let default_batches = [ 1; 16; 64; 256 ]
 let packets = 200_000
@@ -35,6 +38,17 @@ let flow_count = 4_096
 let inter_arrival = Time.us 1.0
 let window = Time.us 500.0
 let internal_prefix = "10.0.0.0/8"
+
+(* The gates of the recorded factors: minimum packets/sec, maximum
+   minor words/packet (measured 90.1, 32.7, 27.7 and 26.5).  Other
+   factors are reported ungated. *)
+let floors =
+  [
+    (1, (100_000.0, 95.0));
+    (16, (300_000.0, 36.0));
+    (64, (300_000.0, 31.0));
+    (256, (300_000.0, 30.0));
+  ]
 
 let fast_cost base = { base with Southbound.per_packet = Time.us 1.0 }
 
@@ -64,7 +78,7 @@ type result = {
   r_pps : float;
   r_wall : float;
   r_events : int;
-  r_occupancy : float;  (* mean members per switch batch (1.0 scalar) *)
+  r_occupancy : float;  (* mean members per switch batch *)
   r_pool_hw : int;  (* peak outstanding batches across the run's pools *)
   r_minor_words : float;
 }
@@ -192,19 +206,21 @@ let run () =
              ("minor_words_per_packet", Json.Float (r.r_minor_words /. float_of_int packets));
            ]))
     results;
-  match !min_speedup with
-  | None -> ()
-  | Some gate -> (
-    match base with
-    | None -> failwith "pktpath: --min-speedup needs --batch 1 in the sweep"
-    | Some b ->
-      let best =
-        List.fold_left
-          (fun acc r -> if r.r_batch > 1 then Float.max acc (r.r_pps /. b) else acc)
-          0.0 results
-      in
-      if best < gate then
-        failwith
-          (Printf.sprintf "pktpath: best batched speedup %.2fx below the --min-speedup %.2fx gate"
-             best gate)
-      else Util.row "  [gate] best batched speedup %.2fx >= %.2fx\n" best gate)
+  let failed =
+    List.filter
+      (fun r ->
+        match List.assoc_opt r.r_batch floors with
+        | None -> false
+        | Some (min_pps, max_words) ->
+          let words = r.r_minor_words /. float_of_int packets in
+          let ok = r.r_pps >= min_pps && words <= max_words in
+          Util.row "  [gate] batch %-4d %10.0f pkts/s (floor %.0f)  %6.1f words/pkt (ceiling %.0f)  %s\n"
+            r.r_batch r.r_pps min_pps words max_words
+            (if ok then "ok" else "FAIL");
+          not ok)
+      results
+  in
+  if failed <> [] then
+    failwith
+      (Printf.sprintf "pktpath: batch %s below its floors"
+         (String.concat ", " (List.map (fun r -> string_of_int r.r_batch) failed)))

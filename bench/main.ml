@@ -79,7 +79,7 @@ let experiments : (string * string * (unit -> unit)) list =
       "overhead of a live registry on the tracked scheduler rows",
       Exp_micro.run_telemetry );
     ( "pktpath",
-      "batched vs. scalar packet path through switch+NAT+monitor",
+      "packet path through switch+NAT+monitor at batch sizes 1-256",
       Exp_pktpath.run );
     ( "statetable",
       "flat open-addressing flow-state core vs. Hashtbl, 10k and 1M entries",
@@ -175,15 +175,13 @@ let () =
       | "--min-speedup" :: factor :: rest when float_of_string_opt factor <> None ->
         (match float_of_string_opt factor with
         | Some s when s > 0.0 ->
-          (* The floor applies to whichever gated experiment runs. *)
-          Exp_pktpath.min_speedup := Some s;
           Exp_statetable.min_speedup := Some s
         | _ ->
-          Printf.eprintf "usage: pktpath|statetable --min-speedup S (S > 0)\n";
+          Printf.eprintf "usage: statetable --min-speedup S (S > 0)\n";
           exit 2);
         strip rest
       | "--min-speedup" :: _ ->
-        Printf.eprintf "usage: pktpath|statetable --min-speedup S\n";
+        Printf.eprintf "usage: statetable --min-speedup S\n";
         exit 2
       | "--min-events-per-sec" :: rate :: rest when float_of_string_opt rate <> None ->
         (match float_of_string_opt rate with

@@ -18,9 +18,10 @@
 #   4. sharded-scale smoke: the 8-shard engine on 4 domains at reduced
 #      flow count, with a modest absolute events/sec floor (the full
 #      10M-flow sweep is recorded in BENCH_micro.json, not rerun here)
-#   5. batch-path gate: the pktpath macro at batching factors 1 and 64
-#      must show the vectorized path at least 5x the scalar packet rate
-#      (the full 1/16/64/256 sweep is recorded in BENCH_micro.json, not
+#   5. packet-path gate: the pktpath macro at batching factors 1 and 64
+#      must meet its absolute floors per factor — a conservative
+#      packets/sec floor and an exact minor-words/packet ceiling (the
+#      full 1/16/64/256 sweep is recorded in BENCH_micro.json, not
 #      rerun here)
 #   5b. flow-state-core gate: the flat open-addressing table must beat
 #      the Hashtbl baseline by at least 1.3x on 1M-entry find hits (it
@@ -60,7 +61,7 @@ trap 'rm -rf "$tmp"' EXIT
 # core that collapsed (orders of magnitude), not scheduler noise on a
 # loaded or single-core machine.
 (cd "$tmp" && "$bench" scale --flows 20000 --domains 4 --min-events-per-sec 50000)
-(cd "$tmp" && "$bench" pktpath --batch 1 --batch 64 --min-speedup 5)
+(cd "$tmp" && "$bench" pktpath --batch 1 --batch 64)
 (cd "$tmp" && "$bench" statetable --min-speedup 1.3)
 (cd "$tmp" && "$bench" micro-telemetry --gate 5 --json --label micro-telemetry)
 (cd "$tmp" && "$bench" obs --gate 3)

@@ -41,14 +41,11 @@ let sink t = t.sink
 let attach_mb_agent ?receive_batch t ~port ~receive ~base ~impl =
   let to_mb = Link.create t.engine ~name:("s1-" ^ port) ~dst:receive () in
   (* With a batch receiver, batches arriving on the ingress link stay
-     whole; the egress link also carries batches onward (the sink is
-     batch-unaware, so the link drains them member-by-member there). *)
+     whole; without one, each member enters the MB on its own. *)
   Option.iter (Link.set_dst_batch to_mb) receive_batch;
   Switch.attach_port t.switch ~port to_mb;
   let to_sink = Link.create t.engine ~name:(port ^ "-sink") ~dst:(Host.receive t.sink) () in
-  Mb_base.set_egress base (Link.send to_sink);
-  if receive_batch <> None then
-    Mb_base.set_egress_batch base (Link.send_batch to_sink);
+  Mb_base.set_egress_batch base (Link.send_batch to_sink);
   let agent = Mb_agent.create t.engine ?recorder:t.recorder ~telemetry:t.tel ~impl () in
   Controller.connect t.ctrl agent;
   agent

@@ -55,9 +55,8 @@ val attach_mb :
     [receive]; the MB's egress leads to the sink; the MB connects to
     the MB controller via a fresh agent (shared recorder).  With
     [?receive_batch] (the MB's [receive_batch]), batches arriving on the
-    ingress link stay whole and the MB's egress forwards batches to the
-    sink link (which drains them scalar into the batch-unaware
-    sink). *)
+    ingress link stay whole; without it each member enters through
+    [receive]. *)
 
 val attach_mb_agent :
   ?receive_batch:(Openmb_net.Packet_batch.t -> unit) ->

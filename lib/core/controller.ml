@@ -203,9 +203,10 @@ let create engine ?(config = default_config) ?recorder ?faults ?telemetry () =
 
 let telemetry t = t.tel
 
+(* [detail] is built only when a recorder is attached. *)
 let record t ~kind ~detail =
   match t.recorder with
-  | Some r -> Recorder.record r ~actor:"controller" ~kind ~detail
+  | Some r -> Recorder.record r ~actor:"controller" ~kind ~detail:(detail ())
   | None -> ()
 
 (* Charge the (serial) controller CPU for a message of [bytes] bytes,
@@ -227,7 +228,7 @@ let cpu t bytes k =
 let fence t =
   if not t.fenced then begin
     t.fenced <- true;
-    record t ~kind:"fenced" ~detail:"controller fenced (lease expired)"
+    record t ~kind:"fenced" ~detail:(fun () -> "controller fenced (lease expired)")
   end
 
 let is_fenced t = t.fenced
@@ -276,7 +277,7 @@ let rec check_timeout t conn op po () =
         ~a0:po.po_attempts ();
       record t ~kind:"op-retry"
         ~detail:
-          (Printf.sprintf "op=%d attempt=%d %s" op po.po_attempts
+          (fun () -> Printf.sprintf "op=%d attempt=%d %s" op po.po_attempts
              (Message.describe_request po.po_req));
       transmit t conn op po.po_tid po.po_req;
       ignore
@@ -290,7 +291,7 @@ let rec check_timeout t conn op po () =
       Telemetry.span_end t.tel ~now po.po_span;
       Telemetry.observe t.h_op Time.(to_seconds (now - po.po_started));
       record t ~kind:"op-timeout"
-        ~detail:(Printf.sprintf "op=%d %s" op (Message.describe_request po.po_req));
+        ~detail:(fun () -> Printf.sprintf "op=%d %s" op (Message.describe_request po.po_req));
       ignore
         (po.po_handler
            (Message.Op_error (Errors.Timeout (Message.describe_request po.po_req))))
@@ -356,7 +357,8 @@ let forward_reprocess t transfer ev =
       transfer.events_fwd <- transfer.events_fwd + 1;
       Telemetry.incr t.c_evt_fwd;
       record t ~kind:"event-fwd"
-        ~detail:(Printf.sprintf "%s->%s %s" transfer.src transfer.dst (Event.describe ev));
+        ~detail:(fun () ->
+          Printf.sprintf "%s->%s %s" transfer.src transfer.dst (Event.describe ev));
       op_send_ignore t dst_conn (Message.Reprocess_packet { key; packet }))
   | Event.Introspect _ -> ()
 
@@ -719,7 +721,7 @@ let clone_config t ~src ~dst ~key ~on_done =
 let finalize_transfer t transfer =
   t.transfers <- List.filter (fun tr -> tr.t_id <> transfer.t_id) t.transfers;
   record t ~kind:"transfer-final"
-    ~detail:(Printf.sprintf "#%d %s->%s" transfer.t_id transfer.src transfer.dst);
+    ~detail:(fun () -> Printf.sprintf "#%d %s->%s" transfer.t_id transfer.src transfer.dst);
   match transfer.kind with
   | T_move -> (
     (* Deferred delete of the moved state at the source (Fig. 5). *)
@@ -761,7 +763,7 @@ let maybe_return t transfer =
     transfer.last_event <- Engine.now t.engine;
     record t ~kind:"transfer-done"
       ~detail:
-        (Printf.sprintf "#%d %s->%s chunks=%d" transfer.t_id transfer.src transfer.dst
+        (fun () -> Printf.sprintf "#%d %s->%s chunks=%d" transfer.t_id transfer.src transfer.dst
            transfer.chunks);
     transfer.on_done
       (Ok
@@ -812,7 +814,7 @@ let abort_transfer t transfer err =
     transfer.buffered_count <- 0;
     record t ~kind:"transfer-abort"
       ~detail:
-        (Printf.sprintf "#%d %s->%s: %s" transfer.t_id transfer.src transfer.dst
+        (fun () -> Printf.sprintf "#%d %s->%s: %s" transfer.t_id transfer.src transfer.dst
            (Errors.to_string err));
     let err =
       match err with
@@ -1071,7 +1073,7 @@ let start_transfer t ~kind ~src ~dst ~hfl ~gets ~on_done =
         t.transfers <- transfer :: t.transfers;
         record t ~kind:"transfer-start"
           ~detail:
-            (Printf.sprintf "#%d %s %s->%s %s" transfer.t_id kind_name src dst
+            (fun () -> Printf.sprintf "#%d %s %s->%s %s" transfer.t_id kind_name src dst
                (Hfl.to_string hfl));
         (* Gets are retryable, and retransmission doubles as the stream's
            ARQ: the agent replays a completed op's cached replies under

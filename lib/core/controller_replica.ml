@@ -127,9 +127,10 @@ type t = {
 
 let update_lag t = Telemetry.set_gauge t.g_lag (Hashtbl.length t.unacked)
 
+(* [detail] is built only when a recorder is attached. *)
 let record t ~kind ~detail =
   match t.recorder with
-  | Some r -> Recorder.record r ~actor:"replica" ~kind ~detail
+  | Some r -> Recorder.record r ~actor:"replica" ~kind ~detail:(detail ())
   | None -> ()
 
 let partner t m = if m == t.a then t.b else t.a
@@ -360,7 +361,7 @@ and handle_move_result t lsn f res =
       (Log_move_done { lsn = alloc_lsn t; start_lsn = lsn; ok = true });
     record t ~kind:"move-done"
       ~detail:
-        (Printf.sprintf "lsn=%d %s->%s attempts=%d" lsn f.f_intent.i_src
+        (fun () -> Printf.sprintf "lsn=%d %s->%s attempts=%d" lsn f.f_intent.i_src
            f.f_intent.i_dst (f.f_attempts + 1));
     schedule_settle t lsn;
     f.f_on_done (Ok mv)
@@ -372,7 +373,7 @@ and handle_move_result t lsn f res =
       append_log t
         (Log_move_done { lsn = alloc_lsn t; start_lsn = lsn; ok = false });
       record t ~kind:"move-failed"
-        ~detail:(Printf.sprintf "lsn=%d %s" lsn (Errors.to_string e));
+        ~detail:(fun () -> Printf.sprintf "lsn=%d %s" lsn (Errors.to_string e));
       f.f_on_done (Error e)
     end
     else begin
@@ -446,7 +447,7 @@ let rec promote t m =
   m.role <- Leader;
   m.ctrl <- Some ctrl;
   record t ~kind:"takeover"
-    ~detail:(Printf.sprintf "%s epoch=%d" m.m_name t.epoch);
+    ~detail:(fun () -> Printf.sprintf "%s epoch=%d" m.m_name t.epoch);
   (* Re-adopt every agent.  The agents did not crash: their dedup
      caches still hold the old leader's op and sequence numbers, so the
      new connection numbers from an epoch-shifted base; the plan's
@@ -626,14 +627,14 @@ let move t ~src ~dst ~key ~on_done =
       { f_intent = intent; f_on_done = on_done; f_attempts = 0; f_state = Running };
     append_log t (Log_move_start intent);
     record t ~kind:"move-submit"
-      ~detail:(Printf.sprintf "lsn=%d %s->%s" lsn src dst);
+      ~detail:(fun () -> Printf.sprintf "lsn=%d %s->%s" lsn src dst);
     start_attempt t lsn
   end
 
 let kill t ~name =
   let m = member_named t name in
   if m.role <> Down then begin
-    record t ~kind:"kill" ~detail:name;
+    record t ~kind:"kill" ~detail:(fun () -> name);
     (match m.ctrl with Some c -> Controller.fence c | None -> ());
     m.ctrl <- None;
     cancel_timer m.det_timer;
@@ -652,7 +653,7 @@ let kill t ~name =
 let revive t ~name =
   let m = member_named t name in
   if m.role = Down && not t.stopped then begin
-    record t ~kind:"revive" ~detail:name;
+    record t ~kind:"revive" ~detail:(fun () -> name);
     match leader_member t with
     | None ->
       (* Cold start: the revived process promotes itself on whatever

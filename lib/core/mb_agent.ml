@@ -58,9 +58,10 @@ let ft_replace tbl k v = Openmb_net.Flat_table.replace tbl ~pa:k ~pb:0 ~h:(ihash
 let ft_remove tbl k =
   ignore (Openmb_net.Flat_table.remove tbl ~pa:k ~pb:0 ~h:(ihash k) : bool)
 
+(* [detail] is built only when a recorder is attached. *)
 let record t ~kind ~detail =
   match t.recorder with
-  | Some r -> Recorder.record r ~actor:t.impl.name ~kind ~detail
+  | Some r -> Recorder.record r ~actor:t.impl.name ~kind ~detail:(detail ())
   | None -> ()
 
 let not_attached _ = failwith "Mb_agent: not attached to a controller"
@@ -109,7 +110,7 @@ let create engine ?recorder ?telemetry ~impl () =
       if (not t.crashed) && Event.Filter.admits t.filter ev then begin
         t.events_raised <- t.events_raised + 1;
         Telemetry.incr t.c_events;
-        record t ~kind:"event-raise" ~detail:(Event.describe ev);
+        record t ~kind:"event-raise" ~detail:(fun () -> Event.describe ev);
         t.send_event (Message.Event_msg ev)
       end);
   t
@@ -141,14 +142,14 @@ let crash t =
     Openmb_net.Flat_table.clear t.applied_seq;
     Openmb_net.Flat_table.clear t.op_spans;
     t.impl.on_crash ();
-    record t ~kind:"crash" ~detail:""
+    record t ~kind:"crash" ~detail:(fun () -> "")
   end
 
 let restart t =
   if t.crashed then begin
     t.crashed <- false;
     t.cpu_free_at <- Engine.now t.engine;
-    record t ~kind:"restart" ~detail:""
+    record t ~kind:"restart" ~detail:(fun () -> "")
   end
 
 (* Charge [cost] of serial control-thread CPU, then run [k].  The MB
@@ -226,7 +227,7 @@ let reply_result t op = function
    matching chunk in turn, then the end-of-state marker carrying the
    chunk count. *)
 let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
-  record t ~kind:"get-start" ~detail:what;
+  record t ~kind:"get-start" ~detail:(fun () -> what);
   exec t (scan_cost t) (fun () ->
       match fetch () with
       | Error e -> reply t op (Message.Op_error e)
@@ -239,31 +240,31 @@ let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
             exec t cost (fun () -> reply t op (Message.State_chunk chunk)))
           chunks;
         exec t Time.zero (fun () ->
-            record t ~kind:"get-end" ~detail:(Printf.sprintf "%s count=%d" what count);
+            record t ~kind:"get-end" ~detail:(fun () -> Printf.sprintf "%s count=%d" what count);
             reply t op (Message.End_of_state { count })))
 
 (* Shared-state gets return zero or one chunk and skip the scan. *)
 let handle_get_shared t op ~what (fetch : unit -> (Chunk.t option, Errors.t) result) =
-  record t ~kind:"get-start" ~detail:what;
+  record t ~kind:"get-start" ~detail:(fun () -> what);
   exec t Time.zero (fun () ->
       match fetch () with
       | Error e -> reply t op (Message.Op_error e)
       | Ok None ->
-        record t ~kind:"get-end" ~detail:(what ^ " count=0");
+        record t ~kind:"get-end" ~detail:(fun () -> what ^ " count=0");
         reply t op (Message.End_of_state { count = 0 })
       | Ok (Some chunk) ->
         let cost = chunk_serialize_cost t.impl.cost chunk in
         Telemetry.observe t.h_serialize (Time.to_seconds cost);
         exec t cost (fun () ->
             reply t op (Message.State_chunk chunk);
-            record t ~kind:"get-end" ~detail:(what ^ " count=1");
+            record t ~kind:"get-end" ~detail:(fun () -> what ^ " count=1");
             reply t op (Message.End_of_state { count = 1 })))
 
 let handle_put t op ~what ~seq chunk (store : Chunk.t -> (unit, Errors.t) result) =
   let cost = chunk_deserialize_cost t.impl.cost chunk in
   Telemetry.observe t.h_apply (Time.to_seconds cost);
   exec t cost (fun () ->
-      record t ~kind:"put" ~detail:what;
+      record t ~kind:"put" ~detail:(fun () -> what);
       let r =
         match store chunk with Ok () -> Message.Ack | Error e -> Message.Op_error e
       in
@@ -274,7 +275,7 @@ let handle_del t op (remove : unit -> (int, Errors.t) result) =
   exec t (scan_cost t) (fun () ->
       match remove () with
       | Ok n ->
-        record t ~kind:"del" ~detail:(Printf.sprintf "removed=%d" n);
+        record t ~kind:"del" ~detail:(fun () -> Printf.sprintf "removed=%d" n);
         reply t op Message.Ack
       | Error e -> reply t op (Message.Op_error e))
 
@@ -361,13 +362,13 @@ let execute t op req =
           chunks;
         let errors = List.rev !errors in
         record t ~kind:"put-batch"
-          ~detail:(Printf.sprintf "n=%d errors=%d" count (List.length errors));
+          ~detail:(fun () -> Printf.sprintf "n=%d errors=%d" count (List.length errors));
         let r = Message.Batch_ack { seq; count; errors } in
         ft_replace t.applied_seq seq r;
         reply t op r)
   | Message.Abort_perflow hfl ->
     exec t config_op_cost (fun () ->
-        record t ~kind:"abort-perflow" ~detail:(Openmb_net.Hfl.to_string hfl);
+        record t ~kind:"abort-perflow" ~detail:(fun () -> Openmb_net.Hfl.to_string hfl);
         i.abort_perflow hfl;
         reply t op Message.Ack)
   | Message.Reprocess_packet { key; packet } ->
@@ -377,19 +378,19 @@ let execute t op req =
        the controller's retry machinery know the event landed. *)
     record t ~kind:"event-proc"
       ~detail:
-        (Printf.sprintf "%s %s" (Openmb_net.Hfl.to_string key)
+        (fun () -> Printf.sprintf "%s %s" (Openmb_net.Hfl.to_string key)
            (Openmb_net.Packet.flow_label packet));
     i.process_packet packet ~side_effects:false;
     reply t op Message.Ack
 
 let handle_request t { Message.op; tid; req } =
   if t.crashed then
-    record t ~kind:"drop" ~detail:("crashed: " ^ Message.describe_request req)
+    record t ~kind:"drop" ~detail:(fun () -> "crashed: " ^ Message.describe_request req)
   else if op asr 40 < t.ctrl_epoch then
     (* Fenced-out straggler from a deposed leader (see [ctrl_epoch]);
        its issuer is already silenced, so no reply is owed either. *)
     record t ~kind:"drop"
-      ~detail:(Printf.sprintf "stale epoch op=%d: %s" op (Message.describe_request req))
+      ~detail:(fun () -> Printf.sprintf "stale epoch op=%d: %s" op (Message.describe_request req))
   else begin
     if op asr 40 > t.ctrl_epoch then t.ctrl_epoch <- op asr 40;
     t.ops_handled <- t.ops_handled + 1;
@@ -407,7 +408,7 @@ let handle_request t { Message.op; tid; req } =
          replay the recorded outcome under the incoming op id without
          touching state. *)
       Telemetry.incr t.c_dedup;
-      record t ~kind:"dedup" ~detail:(Printf.sprintf "seq=%d" seq);
+      record t ~kind:"dedup" ~detail:(fun () -> Printf.sprintf "seq=%d" seq);
       exec t Time.zero (fun () -> send_reply_raw t op r)
     | None -> (
       (* One probe decides all three op-id cases: unseen (entry absent),
@@ -416,9 +417,9 @@ let handle_request t { Message.op; tid; req } =
       match ft_find t.ops op with
       | Some (_ :: _ as replies) ->
         Telemetry.incr t.c_dedup;
-        record t ~kind:"dedup" ~detail:(Printf.sprintf "op=%d" op);
+        record t ~kind:"dedup" ~detail:(fun () -> Printf.sprintf "op=%d" op);
         exec t Time.zero (fun () -> List.iter (send_reply_raw t op) (List.rev replies))
-      | Some [] -> record t ~kind:"dedup-drop" ~detail:(Printf.sprintf "op=%d" op)
+      | Some [] -> record t ~kind:"dedup-drop" ~detail:(fun () -> Printf.sprintf "op=%d" op)
       | None ->
         ft_replace t.ops op [];
         begin_op_span t op tid req;

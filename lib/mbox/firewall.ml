@@ -46,20 +46,6 @@ let rule_of_json j =
     rl_action = action_of_string (Json.get_string (Json.member "action" j));
   }
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(rules = []) ?(default_action = Allow)
-    ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"fw" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "rules" ] (List.map rule_to_json rules);
-  Config_tree.set (Mb_base.config base) [ "default" ]
-    [ Json.String (action_to_string default_action) ];
-  {
-    base;
-    table = State_table.create ~granularity:Hfl.full_granularity ();
-    allowed = 0;
-    denied = 0;
-    shared_exported = false;
-  }
-
 let base t = t.base
 
 let rules t =
@@ -72,85 +58,73 @@ let default_action t =
   | [ { values = Json.String s :: _; _ } ] -> action_of_string s
   | _ -> Allow
 
-let evaluate t (p : Packet.t) =
-  let rec scan = function
-    | [] -> default_action t
-    | r :: rest -> if Hfl.matches_packet r.rl_match p then r.rl_action else scan rest
+(* The rule list and default action are parsed from the config JSON at
+   most once per batch, and only when a member misses the verdict cache.
+   Denied members are compacted out in place.  Shared reporting counters
+   merge by addition on scale-down, so re-processing (no side effects)
+   must not count (§4.1.3). *)
+let work t ~side_effects b =
+  let hoisted = lazy (rules t, default_action t) in
+  let evaluate p =
+    let rls, dflt = Lazy.force hoisted in
+    let rec scan = function
+      | [] -> dflt
+      | r :: rest -> if Hfl.matches_packet r.rl_match p then r.rl_action else scan rest
+    in
+    scan rls
   in
-  scan (rules t)
-
-let process t (p : Packet.t) ~side_effects =
-  let entry =
-    match
-      State_table.find_words t.table ~pa:(Five_tuple.word_a_packet p)
-        ~pb:(Five_tuple.word_b_packet p)
-    with
-    | Some e -> e
-    | None -> State_table.add_missing t.table (Five_tuple.of_packet p) (evaluate t p)
-  in
-  (* Shared reporting counters merge by addition on scale-down; replays
-     must not double-count (§4.1.3). *)
+  let n = Packet_batch.length b in
+  let ka = Packet_batch.key_a b and kb = Packet_batch.key_b b in
+  let allowed = ref 0 and denied = ref 0 in
+  for i = 0 to n - 1 do
+    let p = Packet_batch.get b i in
+    (* Probe straight from the batch's key columns; the tuple is only
+       built for first-seen flows. *)
+    let entry =
+      match
+        State_table.find_words t.table ~pa:(Array.unsafe_get ka i) ~pb:(Array.unsafe_get kb i)
+      with
+      | Some e -> e
+      | None -> State_table.add_missing t.table (Five_tuple.of_packet p) (evaluate p)
+    in
+    (match entry.value with
+    | Allow -> incr allowed
+    | Deny ->
+      incr denied;
+      Packet_batch.drop b i);
+    if entry.moved then
+      Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
+    if t.shared_exported then
+      Mb_base.raise_event t.base (Event.Reprocess { key = Hfl.any; packet = p })
+  done;
   if side_effects then begin
-    match entry.value with
-    | Allow -> t.allowed <- t.allowed + 1
-    | Deny -> t.denied <- t.denied + 1
-  end;
-  if entry.moved then
-    Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-  if t.shared_exported then
-    Mb_base.raise_event t.base (Event.Reprocess { key = Hfl.any; packet = p });
-  if side_effects && entry.value = Allow then Some p else None
+    t.allowed <- t.allowed + !allowed;
+    t.denied <- t.denied + !denied;
+    ignore (Packet_batch.compact b : int);
+    Mb_base.forward_batch t.base b
+  end
+  else Packet_batch.release b
 
-let receive t p =
-  Mb_base.inject t.base p ~side_effects:true ~work:(fun p ->
-      match process t p ~side_effects:true with
-      | Some allowed -> Mb_base.forward t.base allowed
-      | None -> ())
+let create engine ?recorder ?telemetry ?(cost = default_cost) ?(rules = []) ?(default_action = Allow)
+    ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"fw" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "rules" ] (List.map rule_to_json rules);
+  Config_tree.set (Mb_base.config base) [ "default" ]
+    [ Json.String (action_to_string default_action) ];
+  let t =
+    {
+      base;
+      table = State_table.create ~granularity:Hfl.full_granularity ();
+      allowed = 0;
+      denied = 0;
+      shared_exported = false;
+    }
+  in
+  Mb_base.set_work base (work t);
+  t
 
-(* Vectorized batch path: the rule list and default action — parsed
-   from the config JSON on every verdict-cache miss by the scalar path —
-   are hoisted lazily to at most one parse per batch.  Denied members
-   are compacted out in place. *)
-let receive_batch t b =
-  Mb_base.inject_batch t.base b ~side_effects:true ~work:(fun b ->
-      let hoisted = lazy (rules t, default_action t) in
-      let eval p =
-        let rls, dflt = Lazy.force hoisted in
-        let rec scan = function
-          | [] -> dflt
-          | r :: rest -> if Hfl.matches_packet r.rl_match p then r.rl_action else scan rest
-        in
-        scan rls
-      in
-      let n = Packet_batch.length b in
-      let ka = Packet_batch.key_a b and kb = Packet_batch.key_b b in
-      let allowed = ref 0 and denied = ref 0 in
-      for i = 0 to n - 1 do
-        let p = Packet_batch.get b i in
-        (* Probe straight from the batch's key columns; the tuple is
-           only built for first-seen flows. *)
-        let entry =
-          match
-            State_table.find_words t.table ~pa:(Array.unsafe_get ka i)
-              ~pb:(Array.unsafe_get kb i)
-          with
-          | Some e -> e
-          | None -> State_table.add_missing t.table (Five_tuple.of_packet p) (eval p)
-        in
-        (match entry.value with
-        | Allow -> incr allowed
-        | Deny ->
-          incr denied;
-          Packet_batch.drop b i);
-        if entry.moved then
-          Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-        if t.shared_exported then
-          Mb_base.raise_event t.base (Event.Reprocess { key = Hfl.any; packet = p })
-      done;
-      t.allowed <- t.allowed + !allowed;
-      t.denied <- t.denied + !denied;
-      ignore (Packet_batch.compact b : int);
-      Mb_base.forward_batch t.base b)
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* ------------------------------------------------------------------ *)
 (* Southbound implementation                                           *)
@@ -238,12 +212,6 @@ let impl t =
     get_report_shared = get_report_shared t;
     put_report_shared = put_report_shared t;
     stats = stats t;
-    process_packet =
-      (fun p ~side_effects ->
-        if side_effects then receive t p
-        else
-          Mb_base.inject t.base p ~side_effects:false ~work:(fun p ->
-              ignore (process t p ~side_effects:false)));
   }
 
 let allowed t = t.allowed

@@ -28,9 +28,10 @@ val impl : t -> Openmb_core.Southbound.impl
 val base : t -> Mb_base.t
 
 val receive : t -> Openmb_net.Packet.t -> unit
+(** {!receive_batch} of a 1-member batch. *)
 
 val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
-(** Batch entry point: verdicts evaluated per member (rule parsing
+(** The data path: verdicts evaluated per member (rule parsing
     hoisted to once per batch), denied members compacted out, survivors
     forwarded as one batch. *)
 

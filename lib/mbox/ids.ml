@@ -229,28 +229,6 @@ let scan_merge_from_json scan j =
       fields
   | _ -> invalid_arg "Ids.scan_merge_from_json: not an object"
 
-(* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"bro" ~cost () in
-  let config = Mb_base.config base in
-  Config_tree.set config [ "signatures" ]
-    [ Json.String "cmd.exe"; Json.String "/etc/passwd"; Json.String "../.." ];
-  Config_tree.set config [ "scan"; "threshold" ] [ Json.Int 20 ];
-  Config_tree.set config [ "http"; "ports" ] [ Json.Int 80; Json.Int 8080 ];
-  {
-    base;
-    table = State_table.create ~granularity:Hfl.full_granularity ();
-    scan = Hashtbl.create 64;
-    scan_cloned = false;
-    conn_log_rev = [];
-    http_log_rev = [];
-    alerts_rev = [];
-    anomalies = 0;
-  }
-
 let base t = t.base
 
 (* ------------------------------------------------------------------ *)
@@ -409,15 +387,39 @@ let process t (p : Packet.t) ~side_effects =
   if t.scan_cloned && p.flags.syn && not p.flags.ack then
     Mb_base.raise_event t.base (Event.Reprocess { key = Hfl.any; packet = p })
 
-let receive t p =
-  Mb_base.inject t.base p ~side_effects:true ~work:(fun p ->
-      process t p ~side_effects:true;
-      Mb_base.forward t.base p)
+(* The analyzer never rewrites or drops: every packet passes on. *)
+let pass t p ~side_effects =
+  process t p ~side_effects;
+  Some p
 
-let receive_batch t b =
-  Mb_base.process_batch t.base b ~side_effects:true ~process:(fun p ->
-      process t p ~side_effects:true;
-      Some p)
+(* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"bro" ~cost () in
+  let config = Mb_base.config base in
+  Config_tree.set config [ "signatures" ]
+    [ Json.String "cmd.exe"; Json.String "/etc/passwd"; Json.String "../.." ];
+  Config_tree.set config [ "scan"; "threshold" ] [ Json.Int 20 ];
+  Config_tree.set config [ "http"; "ports" ] [ Json.Int 80; Json.Int 8080 ];
+  let t =
+    {
+      base;
+      table = State_table.create ~granularity:Hfl.full_granularity ();
+      scan = Hashtbl.create 64;
+      scan_cloned = false;
+      conn_log_rev = [];
+      http_log_rev = [];
+      alerts_rev = [];
+      anomalies = 0;
+    }
+  in
+  Mb_base.set_work base (Mb_base.process_batch base pass t);
+  t
+
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* ------------------------------------------------------------------ *)
 (* Southbound implementation                                           *)
@@ -505,12 +507,6 @@ let impl t =
     get_support_shared = get_support_shared t;
     put_support_shared = put_support_shared t;
     stats = stats t;
-    process_packet =
-      (fun p ~side_effects ->
-        if side_effects then receive t p
-        else
-          Mb_base.inject t.base p ~side_effects:false ~work:(fun p ->
-              process t p ~side_effects:false));
   }
 
 (* ------------------------------------------------------------------ *)

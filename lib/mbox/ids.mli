@@ -61,12 +61,11 @@ val impl : t -> Openmb_core.Southbound.impl
 val base : t -> Mb_base.t
 
 val receive : t -> Openmb_net.Packet.t -> unit
-(** Network entry point: process with side effects and forward on the
-    egress. *)
+(** Network entry point: {!receive_batch} of a 1-member batch. *)
 
 val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
-(** Batch entry point: the scalar analysis runs per member, the batch
-    is forwarded whole. *)
+(** The data path: the analysis runs per member, the batch is
+    forwarded whole. *)
 
 val conn_log : t -> conn_entry list
 (** Completed-connection log, in emission order. *)

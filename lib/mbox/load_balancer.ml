@@ -31,22 +31,6 @@ let policy_to_string = function
   | Least_conn -> "least_conn"
   | Source_hash -> "source_hash"
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(policy = Round_robin) ~backends
-    ~name () =
-  if backends = [] then invalid_arg "Load_balancer.create: no backends";
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"lb" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "backends" ]
-    (List.map (fun a -> Json.String (Addr.to_string a)) backends);
-  Config_tree.set (Mb_base.config base) [ "policy" ]
-    [ Json.String (policy_to_string policy) ];
-  {
-    base;
-    policy;
-    table = State_table.create ~granularity:lb_granularity ();
-    backends = Array.of_list backends;
-    rr_next = 0;
-  }
-
 let base t = t.base
 
 let backend_load t =
@@ -102,15 +86,28 @@ let process t (p : Packet.t) ~side_effects =
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
   if side_effects then Some { p with dst_ip = entry.value } else None
 
-let receive t p =
-  Mb_base.inject t.base p ~side_effects:true ~work:(fun p ->
-      match process t p ~side_effects:true with
-      | Some rewritten -> Mb_base.forward t.base rewritten
-      | None -> ())
+let create engine ?recorder ?telemetry ?(cost = default_cost) ?(policy = Round_robin) ~backends
+    ~name () =
+  if backends = [] then invalid_arg "Load_balancer.create: no backends";
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"lb" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "backends" ]
+    (List.map (fun a -> Json.String (Addr.to_string a)) backends);
+  Config_tree.set (Mb_base.config base) [ "policy" ]
+    [ Json.String (policy_to_string policy) ];
+  let t =
+    {
+      base;
+      policy;
+      table = State_table.create ~granularity:lb_granularity ();
+      backends = Array.of_list backends;
+      rr_next = 0;
+    }
+  in
+  Mb_base.set_work base (Mb_base.process_batch base process t);
+  t
 
-let receive_batch t b =
-  Mb_base.process_batch t.base b ~side_effects:true
-    ~process:(fun p -> process t p ~side_effects:true)
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* ------------------------------------------------------------------ *)
 (* Southbound implementation                                           *)
@@ -198,12 +195,6 @@ let impl t =
     put_support_perflow = put_support_perflow t;
     del_support_perflow = del_support_perflow t;
     stats = stats t;
-    process_packet =
-      (fun p ~side_effects ->
-        if side_effects then receive t p
-        else
-          Mb_base.inject t.base p ~side_effects:false ~work:(fun p ->
-              ignore (process t p ~side_effects:false)));
   }
 
 let assignments t = State_table.fold t.table ~init:[] ~f:(fun acc e -> (e.key, e.value) :: acc)

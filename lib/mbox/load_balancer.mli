@@ -33,9 +33,10 @@ val impl : t -> Openmb_core.Southbound.impl
 val base : t -> Mb_base.t
 
 val receive : t -> Openmb_net.Packet.t -> unit
+(** {!receive_batch} of a 1-member batch. *)
 
 val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
-(** Batch entry point: members are rewritten in place and forwarded as
+(** The data path: members are rewritten in place and forwarded as
     one batch. *)
 
 val assignments : t -> (Openmb_net.Hfl.t * Openmb_net.Addr.t) list

@@ -1,5 +1,6 @@
 open Openmb_sim
 open Openmb_core
+module Packet_batch = Openmb_net.Packet_batch
 
 type t = {
   engine : Engine.t;
@@ -9,8 +10,18 @@ type t = {
   cost : Southbound.cost_model;
   config : Config_tree.t;
   mutable event_sink : Event.t -> unit;
-  mutable egress : (Openmb_net.Packet.t -> unit) option;
-  mutable egress_batch : (Openmb_net.Packet_batch.t -> unit) option;
+  mutable egress : Packet_batch.t -> unit;
+  mutable work : side_effects:bool -> Packet_batch.t -> unit;
+  pool : Packet_batch.pool;  (* 1-member batches of [inject] *)
+  (* Batches waiting for the data path, in a power-of-two ring.  Their
+     dispatch events fire in the order they were queued (dp_free_at
+     never decreases and the engine keeps same-instant FIFO), so the
+     ring needs no per-batch closure to remember whose turn it is. *)
+  mutable q_batch : Packet_batch.t array;
+  mutable q_arrival : float array;
+  mutable q_flags : int array;  (* bit 0 during_op, bit 1 side_effects *)
+  mutable q_head : int;
+  mutable q_len : int;
   mutable op_active : bool;
   mutable dp_free_at : Time.t;
   latency : Stats.t;
@@ -20,6 +31,9 @@ type t = {
   h_pkt : Telemetry.histogram;
   h_occ : Telemetry.histogram;
 }
+
+let empty_batch = Packet_batch.create ~capacity:1 ()
+let no_work ~side_effects:_ b = Packet_batch.release b
 
 let create engine ?recorder ?telemetry ~name ~kind ~cost () =
   let c_pkts, h_pkt, h_occ =
@@ -38,8 +52,14 @@ let create engine ?recorder ?telemetry ~name ~kind ~cost () =
     cost;
     config = Config_tree.create ();
     event_sink = (fun _ -> ());
-    egress = None;
-    egress_batch = None;
+    egress = Packet_batch.release;
+    work = no_work;
+    pool = Packet_batch.pool ();
+    q_batch = Array.make 16 empty_batch;
+    q_arrival = Array.make 16 0.0;
+    q_flags = Array.make 16 0;
+    q_head = 0;
+    q_len = 0;
     op_active = false;
     dp_free_at = Time.zero;
     latency = Stats.create ();
@@ -72,22 +92,13 @@ let name t = t.name
 let kind t = t.kind
 let config t = t.config
 let now t = Engine.now t.engine
-let set_egress t f = t.egress <- Some f
-let set_egress_batch t f = t.egress_batch <- Some f
-let forward t p = match t.egress with Some f -> f p | None -> ()
+let set_egress t f = t.egress <- (fun b -> Packet_batch.drain b f)
+let set_egress_batch t f = t.egress <- f
+let set_work t f = t.work <- f
 
-(* Emit a whole batch on the egress.  Without a batch egress, drain
-   through the scalar one so batch-mode middleboxes compose with
-   batch-unaware downstream components. *)
 let forward_batch t b =
-  if Openmb_net.Packet_batch.length b = 0 then Openmb_net.Packet_batch.release b
-  else
-    match t.egress_batch with
-    | Some f -> f b
-    | None -> (
-      match t.egress with
-      | Some f -> Openmb_net.Packet_batch.drain b f
-      | None -> Openmb_net.Packet_batch.release b)
+  if Packet_batch.length b = 0 then Packet_batch.release b else t.egress b
+
 let raise_event t ev = t.event_sink ev
 let set_op_active t b = t.op_active <- b
 let op_active t = t.op_active
@@ -97,77 +108,90 @@ let record t ~kind ~detail =
   | Some r -> Recorder.record r ~actor:t.name ~kind ~detail
   | None -> ()
 
-let inject t p ~side_effects ~work =
-  let arrival = Engine.now t.engine in
-  let during_op = t.op_active in
-  let cost =
-    if during_op then
-      Time.seconds (Time.to_seconds t.cost.per_packet *. t.cost.op_slowdown)
-    else t.cost.per_packet
-  in
-  let start = Time.max arrival t.dp_free_at in
-  t.dp_free_at <- Time.(start + cost);
-  Engine.call_at t.engine t.dp_free_at
-    (fun () ->
-      t.pkts <- t.pkts + 1;
-      Telemetry.incr t.c_pkts;
-      let lat = Time.to_seconds Time.(Engine.now t.engine - arrival) in
-      Stats.add t.latency lat;
-      Telemetry.observe t.h_pkt lat;
-      if during_op then Stats.add t.latency_during_op lat;
-      if side_effects then
-        record t ~kind:"pkt" ~detail:(Openmb_net.Packet.flow_label p);
-      work p)
-    ()
+let grow_queue t =
+  let cap = Array.length t.q_batch in
+  let batch = Array.make (2 * cap) empty_batch in
+  let arrival = Array.make (2 * cap) 0.0 in
+  let flags = Array.make (2 * cap) 0 in
+  for k = 0 to t.q_len - 1 do
+    let i = (t.q_head + k) land (cap - 1) in
+    batch.(k) <- t.q_batch.(i);
+    arrival.(k) <- t.q_arrival.(i);
+    flags.(k) <- t.q_flags.(i)
+  done;
+  t.q_batch <- batch;
+  t.q_arrival <- arrival;
+  t.q_flags <- flags;
+  t.q_head <- 0
 
-(* Batch data path: the whole batch is charged [n × per-packet cost] on
-   the serial data-path clock as one event, and the per-packet
-   accounting (counters, latency stats, histogram) is amortized into
-   single weighted updates — this is where the batch path's speedup
-   comes from.  [work] receives the batch at dispatch time and takes
-   ownership of it. *)
-let inject_batch t b ~side_effects ~work =
-  let n = Openmb_net.Packet_batch.length b in
-  if n = 0 then Openmb_net.Packet_batch.release b
+(* The data-path event of the batch at the head of the queue: the
+   per-packet accounting (counters, latency stats, histogram) is done
+   once with weight [n], then the MB's work takes ownership. *)
+let dispatch t =
+  let i = t.q_head in
+  let b = t.q_batch.(i) in
+  let arrival = t.q_arrival.(i) in
+  let flags = t.q_flags.(i) in
+  t.q_batch.(i) <- empty_batch;
+  t.q_head <- (i + 1) land (Array.length t.q_batch - 1);
+  t.q_len <- t.q_len - 1;
+  let n = Packet_batch.length b in
+  t.pkts <- t.pkts + n;
+  Telemetry.add t.c_pkts n;
+  let lat = Engine.now t.engine -. arrival in
+  Stats.add_n t.latency lat ~n;
+  Telemetry.observe_n t.h_pkt lat ~n;
+  Telemetry.observe_count t.h_occ n;
+  if flags land 1 <> 0 then Stats.add_n t.latency_during_op lat ~n;
+  let side_effects = flags land 2 <> 0 in
+  (match t.recorder with
+  | Some r when side_effects ->
+    for k = 0 to n - 1 do
+      Recorder.record r ~actor:t.name ~kind:"pkt"
+        ~detail:(Openmb_net.Packet.flow_label (Packet_batch.get b k))
+    done
+  | Some _ | None -> ());
+  t.work ~side_effects b
+
+(* The whole batch is charged [n × per-packet cost] on the serial
+   data-path clock as one event; for a 1-member batch that is exactly a
+   lone packet's charge, op slowdown included.  The clock arithmetic is
+   on raw floats ([Time.t] is seconds): a call into [Time] would box each
+   intermediate. *)
+let inject_batch t b ~side_effects =
+  let n = Packet_batch.length b in
+  if n = 0 then Packet_batch.release b
   else begin
     let arrival = Engine.now t.engine in
     let during_op = t.op_active in
     let per =
-      if during_op then Time.to_seconds t.cost.per_packet *. t.cost.op_slowdown
-      else Time.to_seconds t.cost.per_packet
+      if during_op then t.cost.per_packet *. t.cost.op_slowdown else t.cost.per_packet
     in
-    let start = Time.max arrival t.dp_free_at in
-    t.dp_free_at <- Time.(start + Time.seconds (per *. float_of_int n));
-    Engine.call_at t.engine t.dp_free_at
-      (fun () ->
-        t.pkts <- t.pkts + n;
-        Telemetry.add t.c_pkts n;
-        let lat = Time.to_seconds Time.(Engine.now t.engine - arrival) in
-        Stats.add_n t.latency lat ~n;
-        Telemetry.observe_n t.h_pkt lat ~n;
-        Telemetry.observe_count t.h_occ n;
-        if during_op then Stats.add_n t.latency_during_op lat ~n;
-        if side_effects then record t ~kind:"pktbatch" ~detail:(string_of_int n);
-        work b)
-      ()
+    let start = Float.max arrival t.dp_free_at in
+    t.dp_free_at <- start +. (per *. float_of_int n);
+    if t.q_len = Array.length t.q_batch then grow_queue t;
+    let j = (t.q_head + t.q_len) land (Array.length t.q_batch - 1) in
+    t.q_batch.(j) <- b;
+    t.q_arrival.(j) <- arrival;
+    t.q_flags.(j) <- (if during_op then 1 else 0) lor if side_effects then 2 else 0;
+    t.q_len <- t.q_len + 1;
+    Engine.call_at t.engine t.dp_free_at dispatch t
   end
 
-(* Default batch hook: loop the MB's scalar per-packet function over the
-   members, compact out the drops, and forward the survivors as one
-   batch.  Middleboxes with a vectorized pass call {!inject_batch}
-   directly instead. *)
-let process_batch t b ~side_effects ~process =
-  inject_batch t b ~side_effects ~work:(fun b ->
-      let n = Openmb_net.Packet_batch.length b in
-      for i = 0 to n - 1 do
-        let p = Openmb_net.Packet_batch.get b i in
-        match process p with
-        | Some p' -> if p' != p then Openmb_net.Packet_batch.set b i p'
-        | None -> Openmb_net.Packet_batch.drop b i
-      done;
-      ignore (Openmb_net.Packet_batch.compact b : int);
-      if side_effects then forward_batch t b
-      else Openmb_net.Packet_batch.release b)
+let inject t p ~side_effects = inject_batch t (Packet_batch.singleton t.pool p) ~side_effects
+
+let process_batch t process mb ~side_effects b =
+  for i = 0 to Packet_batch.length b - 1 do
+    let p = Packet_batch.get b i in
+    match process mb p ~side_effects with
+    | Some p' -> if p' != p then Packet_batch.set b i p'
+    | None -> Packet_batch.drop b i
+  done;
+  if side_effects then begin
+    ignore (Packet_batch.compact b : int);
+    forward_batch t b
+  end
+  else Packet_batch.release b
 
 let latency_stats t = t.latency
 let latency_during_op_stats t = t.latency_during_op
@@ -242,7 +266,7 @@ let default_impl t ~table_entries : Southbound.impl =
     abort_perflow = (fun _ -> ());
     on_crash = (fun () -> ());
     stats = (fun _ -> Southbound.empty_stats);
-    process_packet = (fun _ ~side_effects:_ -> ());
+    process_packet = (fun p ~side_effects -> inject t p ~side_effects);
     set_event_sink = (fun sink -> t.event_sink <- sink);
     set_op_active = set_op_active t;
   }

@@ -28,15 +28,12 @@ val config : t -> Openmb_core.Config_tree.t
 val now : t -> Openmb_sim.Time.t
 
 val set_egress : t -> (Openmb_net.Packet.t -> unit) -> unit
-(** Where processed packets are forwarded (the MB's egress link). *)
+(** Forward processed packets to a per-packet receiver: each outgoing
+    batch is drained member by member. *)
 
 val set_egress_batch : t -> (Openmb_net.Packet_batch.t -> unit) -> unit
-(** Where processed batches are forwarded.  Without one, batch
-    forwarding drains through the scalar egress. *)
-
-val forward : t -> Openmb_net.Packet.t -> unit
-(** Emit a packet on the egress (drops silently when none is set —
-    sink deployments). *)
+(** Forward processed batches to a batch receiver (the MB's egress
+    link).  Replaces any earlier egress. *)
 
 val forward_batch : t -> Openmb_net.Packet_batch.t -> unit
 (** Emit a whole batch on the egress (ownership passes on; the batch is
@@ -51,44 +48,39 @@ val set_op_active : t -> bool -> unit
 
 val op_active : t -> bool
 
-val inject :
-  t ->
-  Openmb_net.Packet.t ->
-  side_effects:bool ->
-  work:(Openmb_net.Packet.t -> unit) ->
-  unit
-(** Run [work] on the packet after data-path queueing and the modelled
-    per-packet processing cost.  [work] performs the MB's state updates
-    and (only when [side_effects] is true) any forwarding/alerting.
-    Records per-packet latency including queueing, and the ["pkt"]
-    timeline entry. *)
+val set_work : t -> (side_effects:bool -> Openmb_net.Packet_batch.t -> unit) -> unit
+(** Install the MB's packet pass, run on each batch once it has been
+    through data-path queueing.  It performs the MB's state updates and
+    (only when [side_effects] is true) any forwarding or alerting, and
+    takes ownership of the batch.  The default releases every batch. *)
 
-val inject_batch :
-  t ->
-  Openmb_net.Packet_batch.t ->
-  side_effects:bool ->
-  work:(Openmb_net.Packet_batch.t -> unit) ->
-  unit
-(** Batch form of {!inject}: the whole batch is charged
-    [n × per-packet cost] on the serial data-path clock as a single
-    event, and counters / latency stats / histograms are updated once
-    with weight [n] instead of per packet.  Batch sizes feed the
-    ["mb.batch_occupancy"] count histogram.  [work] receives the batch
-    at dispatch time and owns it.  An empty batch is released without
-    scheduling anything. *)
+val inject_batch : t -> Openmb_net.Packet_batch.t -> side_effects:bool -> unit
+(** The data path: the batch waits for the serial data-path clock, is
+    charged [n × per-packet cost] (times [cost.op_slowdown] while an op
+    is active) as a single event, and is then handed to the installed
+    work.  Counters, latency stats (including queueing) and histograms
+    are updated once with weight [n]; batch sizes feed the
+    ["mb.batch_occupancy"] count histogram.  With a recorder and
+    [side_effects], each member also logs a ["pkt"] timeline entry.  An
+    empty batch is released without scheduling anything. *)
+
+val inject : t -> Openmb_net.Packet.t -> side_effects:bool -> unit
+(** {!inject_batch} of a 1-member batch from the base's pool; it charges
+    and records exactly what a lone packet costs. *)
 
 val process_batch :
   t ->
-  Openmb_net.Packet_batch.t ->
+  ('mb -> Openmb_net.Packet.t -> side_effects:bool -> Openmb_net.Packet.t option) ->
+  'mb ->
   side_effects:bool ->
-  process:(Openmb_net.Packet.t -> Openmb_net.Packet.t option) ->
+  Openmb_net.Packet_batch.t ->
   unit
-(** Default batch hook: {!inject_batch}, then loop [process] over the
-    members — [Some p'] rewrites the member in place (key columns
-    refreshed), [None] drops it — compact, and {!forward_batch} the
-    survivors.  A middlebox whose scalar path is [process]-shaped gets
-    batch support in one line; vectorized middleboxes use
-    {!inject_batch} directly. *)
+(** The work of a middlebox whose pass is per-packet:
+    [set_work base (process_batch base process mb)] loops [process mb]
+    over the members — [Some p'] rewrites the member in place (key
+    columns refreshed), [None] drops it — then compacts and
+    {!forward_batch}es the survivors, or releases the batch when
+    [side_effects] is false. *)
 
 val register_series : t -> Openmb_sim.Timeseries.t -> unit
 (** Register this MB's per-instance scrape set on a {!Openmb_sim.Timeseries}
@@ -143,6 +135,7 @@ val unseal_raw : t -> Openmb_core.Chunk.t -> (string, Openmb_core.Errors.t) resu
 val default_impl : t -> table_entries:(unit -> int) -> Openmb_core.Southbound.impl
 (** A southbound impl with this base's name/kind/cost wired in, config
     ops backed by {!config}, granularity {!Openmb_net.Hfl.full_granularity},
-    and every state operation returning
-    [Error (Illegal_operation _)] and packet processing doing nothing —
-    middleboxes override the operations they support. *)
+    every state operation returning [Error (Illegal_operation _)] —
+    middleboxes override the operations they support — and
+    [process_packet] wired to {!inject}, so re-processing runs the
+    installed work on a 1-member batch. *)

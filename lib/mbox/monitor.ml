@@ -12,21 +12,30 @@ type flow_record = {
 }
 
 type totals = {
-  tot_pkts : int;
-  tot_bytes : int;
-  tot_tcp : int;
-  tot_udp : int;
-  tot_icmp : int;
-  tot_new_flows : int;
+  mutable tot_pkts : int;
+  mutable tot_bytes : int;
+  mutable tot_tcp : int;
+  mutable tot_udp : int;
+  mutable tot_icmp : int;
+  mutable tot_new_flows : int;
 }
 
-let zero_totals =
-  { tot_pkts = 0; tot_bytes = 0; tot_tcp = 0; tot_udp = 0; tot_icmp = 0; tot_new_flows = 0 }
+let add_totals s ~pkts ~bytes ~tcp ~udp ~icmp ~new_flows =
+  s.tot_pkts <- s.tot_pkts + pkts;
+  s.tot_bytes <- s.tot_bytes + bytes;
+  s.tot_tcp <- s.tot_tcp + tcp;
+  s.tot_udp <- s.tot_udp + udp;
+  s.tot_icmp <- s.tot_icmp + icmp;
+  s.tot_new_flows <- s.tot_new_flows + new_flows
 
 type t = {
   base : Mb_base.t;
   table : flow_record State_table.t;
-  mutable shared : totals;
+  (* The [service/ports] config, parsed: every packet of a flow that is
+     still unclassified consults it.  Refreshed by every config write
+     through the southbound interface. *)
+  mutable known_ports : int list;
+  shared : totals;  (* updated in place *)
   mutable shared_moved : bool;  (* shared reporting exported for merge *)
 }
 
@@ -39,17 +48,6 @@ let default_cost : Southbound.cost_model =
     serialize_per_byte = Time.us 0.05;
     deserialize_per_chunk = Time.us 40.0;
     deserialize_per_byte = Time.us 0.01;
-  }
-
-let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"prads" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "service"; "ports" ]
-    [ Json.Int 80; Json.Int 443; Json.Int 22; Json.Int 53; Json.Int 25 ];
-  {
-    base;
-    table = State_table.create ~granularity:Hfl.full_granularity ();
-    shared = zero_totals;
-    shared_moved = false;
   }
 
 let base t = t.base
@@ -72,12 +70,9 @@ let service_of_known known port =
 
 (* Per-flow record update for one packet, in place: a seen flow's
    packet allocates nothing.  [body] is the packet's body size, which
-   the caller also needs for the shared totals.  [known] supplies the
-   service port list: the scalar path reads the config tree on demand
-   (only packets of a still-unclassified flow classify), the batch path
-   hoists one read per batch.  Returns whether the flow was first seen
-   here. *)
-let touch t (p : Packet.t) ~body ~known ~side_effects =
+   the caller also needs for the shared totals.  Returns whether the
+   flow was first seen here. *)
+let touch t (p : Packet.t) ~body ~side_effects =
   let entry, created =
     match
       State_table.find_words t.table ~pa:(Five_tuple.word_a_packet p)
@@ -95,7 +90,7 @@ let touch t (p : Packet.t) ~body ~known ~side_effects =
   r.fr_pkts <- r.fr_pkts + 1;
   r.fr_bytes <- r.fr_bytes + body;
   if r.fr_service = "" then begin
-    let service = service_of_known (known t) p.dst_port in
+    let service = service_of_known t.known_ports p.dst_port in
     if service <> "" then begin
       r.fr_service <- service;
       if side_effects then
@@ -112,67 +107,51 @@ let touch t (p : Packet.t) ~body ~known ~side_effects =
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
   created
 
-let process t (p : Packet.t) ~side_effects =
-  let body = Packet.body_bytes p in
-  let created = touch t p ~body ~known:known_service_ports ~side_effects in
-  (* Shared reporting state is merged between instances when flows
-     consolidate (§4.1.3); a re-processed packet must not also bump
-     these counters or the merged totals would double-count it.  Only
-     the state the event identifies — the per-flow record above — is
-     replayed. *)
-  if side_effects then
-    t.shared <-
-      {
-        tot_pkts = t.shared.tot_pkts + 1;
-        tot_bytes = t.shared.tot_bytes + body;
-        tot_tcp = (t.shared.tot_tcp + match p.proto with Packet.Tcp -> 1 | _ -> 0);
-        tot_udp = (t.shared.tot_udp + match p.proto with Packet.Udp -> 1 | _ -> 0);
-        tot_icmp = (t.shared.tot_icmp + match p.proto with Packet.Icmp -> 1 | _ -> 0);
-        tot_new_flows = (t.shared.tot_new_flows + if created then 1 else 0);
-      }
+(* The shared totals are accumulated in locals and written back once per
+   batch.  Shared reporting state is merged between instances when flows
+   consolidate (§4.1.3); a re-processed packet must not also bump these
+   counters or the merged totals would double-count it.  Only the state
+   the event identifies — the per-flow record — is replayed. *)
+let work t ~side_effects b =
+  let n = Packet_batch.length b in
+  let bytes = ref 0 and tcp = ref 0 and udp = ref 0 and icmp = ref 0 and new_flows = ref 0 in
+  for i = 0 to n - 1 do
+    let p = Packet_batch.get b i in
+    let body = Packet.body_bytes p in
+    if touch t p ~body ~side_effects then incr new_flows;
+    bytes := !bytes + body;
+    match p.proto with
+    | Packet.Tcp -> incr tcp
+    | Packet.Udp -> incr udp
+    | Packet.Icmp -> incr icmp
+  done;
+  if side_effects then begin
+    add_totals t.shared ~pkts:n ~bytes:!bytes ~tcp:!tcp ~udp:!udp ~icmp:!icmp
+      ~new_flows:!new_flows;
+    Mb_base.forward_batch t.base b
+  end
+  else Packet_batch.release b
 
-let receive t p =
-  Mb_base.inject t.base p ~side_effects:true ~work:(fun p ->
-      process t p ~side_effects:true;
-      Mb_base.forward t.base p)
+let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"prads" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "service"; "ports" ]
+    [ Json.Int 80; Json.Int 443; Json.Int 22; Json.Int 53; Json.Int 25 ];
+  let t =
+    {
+      base;
+      table = State_table.create ~granularity:Hfl.full_granularity ();
+      known_ports = [];
+      shared =
+        { tot_pkts = 0; tot_bytes = 0; tot_tcp = 0; tot_udp = 0; tot_icmp = 0; tot_new_flows = 0 };
+      shared_moved = false;
+    }
+  in
+  t.known_ports <- known_service_ports t;
+  Mb_base.set_work base (work t);
+  t
 
-(* Vectorized batch path: the service-port config read is hoisted to
-   once per batch, and the shared totals record — immutable, so the
-   scalar path rebuilds it per packet — is accumulated in locals and
-   written back once. *)
-let receive_batch t b =
-  Mb_base.inject_batch t.base b ~side_effects:true ~work:(fun b ->
-      let known = lazy (known_service_ports t) in
-      let known _ = Lazy.force known in
-      let n = Packet_batch.length b in
-      let pkts = ref 0
-      and bytes = ref 0
-      and tcp = ref 0
-      and udp = ref 0
-      and icmp = ref 0
-      and new_flows = ref 0 in
-      for i = 0 to n - 1 do
-        let p = Packet_batch.get b i in
-        let body = Packet.body_bytes p in
-        let created = touch t p ~body ~known ~side_effects:true in
-        incr pkts;
-        bytes := !bytes + body;
-        (match p.proto with
-        | Packet.Tcp -> incr tcp
-        | Packet.Udp -> incr udp
-        | Packet.Icmp -> incr icmp);
-        if created then incr new_flows
-      done;
-      t.shared <-
-        {
-          tot_pkts = t.shared.tot_pkts + !pkts;
-          tot_bytes = t.shared.tot_bytes + !bytes;
-          tot_tcp = t.shared.tot_tcp + !tcp;
-          tot_udp = t.shared.tot_udp + !udp;
-          tot_icmp = t.shared.tot_icmp + !icmp;
-          tot_new_flows = t.shared.tot_new_flows + !new_flows;
-        };
-      Mb_base.forward_batch t.base b)
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* ------------------------------------------------------------------ *)
 (* Serialization: a single flat structure per flow, like PRADS'        *)
@@ -274,16 +253,9 @@ let put_report_shared t (chunk : Chunk.t) =
     | Error e -> Error e
     | Ok json -> (
       match totals_of_json json with
-      | other ->
-        t.shared <-
-          {
-            tot_pkts = t.shared.tot_pkts + other.tot_pkts;
-            tot_bytes = t.shared.tot_bytes + other.tot_bytes;
-            tot_tcp = t.shared.tot_tcp + other.tot_tcp;
-            tot_udp = t.shared.tot_udp + other.tot_udp;
-            tot_icmp = t.shared.tot_icmp + other.tot_icmp;
-            tot_new_flows = t.shared.tot_new_flows + other.tot_new_flows;
-          };
+      | o ->
+        add_totals t.shared ~pkts:o.tot_pkts ~bytes:o.tot_bytes ~tcp:o.tot_tcp ~udp:o.tot_udp
+          ~icmp:o.tot_icmp ~new_flows:o.tot_new_flows;
         Ok ()
       | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
 
@@ -303,23 +275,24 @@ let impl t =
   let default =
     Mb_base.default_impl t.base ~table_entries:(fun () -> State_table.size t.table)
   in
+  let reread r =
+    t.known_ports <- known_service_ports t;
+    r
+  in
   {
     default with
+    set_config = (fun path values -> reread (default.set_config path values));
+    del_config = (fun path -> reread (default.del_config path));
     get_report_perflow = get_report_perflow t;
     put_report_perflow = put_report_perflow t;
     del_report_perflow = del_report_perflow t;
     get_report_shared = get_report_shared t;
     put_report_shared = put_report_shared t;
     stats = stats t;
-    process_packet =
-      (fun p ~side_effects ->
-        if side_effects then receive t p
-        else
-          Mb_base.inject t.base p ~side_effects:false ~work:(fun p ->
-              process t p ~side_effects:false));
   }
 
-let totals t = t.shared
+(* A copy: the live block changes under every batch. *)
+let totals t = { t.shared with tot_pkts = t.shared.tot_pkts }
 
 (* Copies, not the live records: those change under every packet. *)
 let flow_records t =

@@ -25,14 +25,14 @@ type flow_record = {
     flow. *)
 
 type totals = {
-  tot_pkts : int;
-  tot_bytes : int;
-  tot_tcp : int;
-  tot_udp : int;
-  tot_icmp : int;
-  tot_new_flows : int;
+  mutable tot_pkts : int;
+  mutable tot_bytes : int;
+  mutable tot_tcp : int;
+  mutable tot_udp : int;
+  mutable tot_icmp : int;
+  mutable tot_new_flows : int;
 }
-(** The shared [prads_stat] block. *)
+(** The shared [prads_stat] block, updated in place by every batch. *)
 
 val create :
   Openmb_sim.Engine.t ->
@@ -51,14 +51,15 @@ val impl : t -> Openmb_core.Southbound.impl
 val base : t -> Mb_base.t
 
 val receive : t -> Openmb_net.Packet.t -> unit
+(** {!receive_batch} of a 1-member batch. *)
 
 val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
-(** Batch entry point: vectorized — the service-port config read is
-    hoisted to once per batch and the shared totals are accumulated
-    once per batch instead of per packet. *)
+(** The data path: the shared totals are accumulated once per batch.
+    The service-port list is the [service/ports] config as last written
+    through {!impl}'s config operations. *)
 
 val totals : t -> totals
-(** Current shared counters of this instance. *)
+(** A copy of the current shared counters of this instance. *)
 
 val flow_records : t -> (Openmb_net.Hfl.t * flow_record) list
 (** Copies of the per-flow reporting records currently resident here:

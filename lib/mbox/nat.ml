@@ -64,23 +64,6 @@ let default_cost : Southbound.cost_model =
     deserialize_per_byte = Time.us 0.005;
   }
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(external_ips = []) ~external_ip
-    ~internal_prefix ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"nat" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "external_ip" ]
-    [ Json.String (Addr.to_string external_ip) ];
-  Config_tree.set (Mb_base.config base) [ "timeout"; "tcp" ] [ Json.Int 300 ];
-  Config_tree.set (Mb_base.config base) [ "timeout"; "udp" ] [ Json.Int 60 ];
-  {
-    base;
-    ext_ips = Array.of_list (external_ip :: external_ips);
-    internal_prefix;
-    table = State_table.create ~granularity:nat_granularity ();
-    by_external = Flat_table.create ~capacity:64 ();
-    next_slot = 0;
-    dropped = 0;
-  }
-
 let base t = t.base
 
 let allocate_external t =
@@ -179,18 +162,32 @@ let process t (p : Packet.t) ~side_effects =
         None)
   end
 
-let receive t p =
-  Mb_base.inject t.base p ~side_effects:true ~work:(fun p ->
-      match process t p ~side_effects:true with
-      | Some translated -> Mb_base.forward t.base translated
-      | None -> ())
+let create engine ?recorder ?telemetry ?(cost = default_cost) ?(external_ips = []) ~external_ip
+    ~internal_prefix ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"nat" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "external_ip" ]
+    [ Json.String (Addr.to_string external_ip) ];
+  Config_tree.set (Mb_base.config base) [ "timeout"; "tcp" ] [ Json.Int 300 ];
+  Config_tree.set (Mb_base.config base) [ "timeout"; "udp" ] [ Json.Int 60 ];
+  let t =
+    {
+      base;
+      ext_ips = Array.of_list (external_ip :: external_ips);
+      internal_prefix;
+      table = State_table.create ~granularity:nat_granularity ();
+      by_external = Flat_table.create ~capacity:64 ();
+      next_slot = 0;
+      dropped = 0;
+    }
+  in
+  (* Members are translated in index order: external-port allocation is
+     cursor-based, so processing order is part of the NAT's observable
+     state. *)
+  Mb_base.set_work base (Mb_base.process_batch base process t);
+  t
 
-(* Batch path: members are translated in index order — external-port
-   allocation is cursor-based, so processing order is part of the NAT's
-   observable state and must match the scalar path's. *)
-let receive_batch t b =
-  Mb_base.process_batch t.base b ~side_effects:true
-    ~process:(fun p -> process t p ~side_effects:true)
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -326,12 +323,6 @@ let impl t =
     put_support_perflow = put_support_perflow t;
     del_support_perflow = del_support_perflow t;
     stats = stats t;
-    process_packet =
-      (fun p ~side_effects ->
-        if side_effects then receive t p
-        else
-          Mb_base.inject t.base p ~side_effects:false ~work:(fun p ->
-              ignore (process t p ~side_effects:false)));
   }
 
 (* Accessors hand out copies: the live records change under every

@@ -48,9 +48,10 @@ val impl : t -> Openmb_core.Southbound.impl
 val base : t -> Mb_base.t
 
 val receive : t -> Openmb_net.Packet.t -> unit
+(** {!receive_batch} of a 1-member batch. *)
 
 val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
-(** Batch entry point: members are translated in index order (the
+(** The data path: members are translated in index order (the
     external-port cursor makes order observable) and forwarded as one
     batch; unmatched inbound packets are compacted out. *)
 

@@ -36,24 +36,6 @@ let default_cost : Southbound.cost_model =
     deserialize_per_byte = Time.us 0.25;
   }
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
-    ?(mode = Re_encoder.Explicit) ?(cache_id = 0) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"re-decoder" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "CacheId" ] [ Json.Int cache_id ];
-  Config_tree.set (Mb_base.config base) [ "SyncEvents" ] [ Json.Bool true ];
-  {
-    base;
-    mode;
-    rings = Hashtbl.create 4;
-    capacity = capacity_tokens;
-    id = cache_id;
-    cloned = false;
-    decoded_bytes = 0;
-    undecodable_bytes = 0;
-    ok_pkts = 0;
-    failed_pkts = 0;
-  }
-
 let base t = t.base
 
 let ring t cid =
@@ -162,15 +144,30 @@ let decode t (p : Packet.t) ~side_effects =
       None
     end
 
-let receive t p =
-  Mb_base.inject t.base p ~side_effects:true ~work:(fun p ->
-      match decode t p ~side_effects:true with
-      | Some decoded -> Mb_base.forward t.base decoded
-      | None -> ())
+let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
+    ?(mode = Re_encoder.Explicit) ?(cache_id = 0) ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"re-decoder" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "CacheId" ] [ Json.Int cache_id ];
+  Config_tree.set (Mb_base.config base) [ "SyncEvents" ] [ Json.Bool true ];
+  let t =
+    {
+      base;
+      mode;
+      rings = Hashtbl.create 4;
+      capacity = capacity_tokens;
+      id = cache_id;
+      cloned = false;
+      decoded_bytes = 0;
+      undecodable_bytes = 0;
+      ok_pkts = 0;
+      failed_pkts = 0;
+    }
+  in
+  Mb_base.set_work base (Mb_base.process_batch base decode t);
+  t
 
-let receive_batch t b =
-  Mb_base.process_batch t.base b ~side_effects:true
-    ~process:(fun p -> decode t p ~side_effects:true)
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* ------------------------------------------------------------------ *)
 (* Southbound implementation                                           *)
@@ -223,12 +220,6 @@ let impl t =
           Southbound.empty_stats with
           shared_support_bytes = String.length (Re_cache.serialize (cache t));
         });
-    process_packet =
-      (fun p ~side_effects ->
-        if side_effects then receive t p
-        else
-          Mb_base.inject t.base p ~side_effects:false ~work:(fun p ->
-              ignore (decode t p ~side_effects:false)));
   }
 
 let decoded_bytes t = t.decoded_bytes

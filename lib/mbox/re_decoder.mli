@@ -37,9 +37,10 @@ val impl : t -> Openmb_core.Southbound.impl
 val base : t -> Mb_base.t
 
 val receive : t -> Openmb_net.Packet.t -> unit
+(** {!receive_batch} of a 1-member batch. *)
 
 val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
-(** Batch entry point: undecodable members are compacted out. *)
+(** The data path: undecodable members are compacted out. *)
 
 val cache : t -> Re_cache.t
 

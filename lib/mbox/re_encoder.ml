@@ -44,20 +44,6 @@ let clone_ctx c =
     ctx_encoded_bytes = c.ctx_encoded_bytes;
   }
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
-    ?(mode = Explicit) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"re-encoder" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "NumCaches" ] [ Json.Int 1 ];
-  Config_tree.set (Mb_base.config base) [ "CacheFlows" ] [];
-  {
-    base;
-    mode;
-    capacity = capacity_tokens;
-    ctxs = [| new_ctx capacity_tokens |];
-    flows = [];
-    total_payload = 0;
-  }
-
 let base t = t.base
 let num_caches t = Array.length t.ctxs
 
@@ -145,13 +131,28 @@ let encode t (p : Packet.t) =
       { p with body = Packet.Encoded { cache_id = idx; append_base; segments; orig = payload } }
     end
 
-let receive t p =
-  Mb_base.inject t.base p ~side_effects:true ~work:(fun p ->
-      Mb_base.forward t.base (encode t p))
+let encode_member t p ~side_effects:_ = Some (encode t p)
 
-let receive_batch t b =
-  Mb_base.process_batch t.base b ~side_effects:true
-    ~process:(fun p -> Some (encode t p))
+let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
+    ?(mode = Explicit) ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"re-encoder" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "NumCaches" ] [ Json.Int 1 ];
+  Config_tree.set (Mb_base.config base) [ "CacheFlows" ] [];
+  let t =
+    {
+      base;
+      mode;
+      capacity = capacity_tokens;
+      ctxs = [| new_ctx capacity_tokens |];
+      flows = [];
+      total_payload = 0;
+    }
+  in
+  Mb_base.set_work base (Mb_base.process_batch base encode_member t);
+  t
+
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* ------------------------------------------------------------------ *)
 (* Configuration hooks                                                 *)
@@ -274,12 +275,6 @@ let impl t =
           Southbound.empty_stats with
           shared_support_bytes = String.length (serialize_all t);
         });
-    process_packet =
-      (fun p ~side_effects ->
-        if side_effects then receive t p
-        else
-          Mb_base.inject t.base p ~side_effects:false ~work:(fun p ->
-              ignore (encode t p)));
   }
 
 let encoded_bytes t = Array.fold_left (fun acc c -> acc + c.ctx_encoded_bytes) 0 t.ctxs

@@ -39,9 +39,10 @@ val impl : t -> Openmb_core.Southbound.impl
 val base : t -> Mb_base.t
 
 val receive : t -> Openmb_net.Packet.t -> unit
+(** {!receive_batch} of a 1-member batch. *)
 
 val receive_batch : t -> Openmb_net.Packet_batch.t -> unit
-(** Batch entry point: members are encoded in index order (shared
+(** The data path: members are encoded in index order (shared
     cache state makes order observable). *)
 
 val num_caches : t -> int

@@ -3,12 +3,12 @@ open Openmb_sim
 type t = {
   name : string;
   engine : Engine.t;
-  channel : Packet.t Channel.t;
+  (* Only the serialization clock: deliveries are scheduled here. *)
+  channel : unit Channel.t;
   faults : Faults.link option;
-  dst : Packet.t -> unit;
-  (* Batch receiver; links whose destination is batch-unaware fall back
-     to draining arriving batches through the scalar [dst]. *)
-  mutable dst_batch : (Packet_batch.t -> unit) option;
+  mutable deliver : Packet_batch.t -> unit;
+  (* 1-member batches for [send] and for members that split off. *)
+  pool : Packet_batch.pool;
   mutable packets : int;
   mutable bytes : int;
 }
@@ -19,37 +19,30 @@ let create engine ?faults ?(latency = Time.us 50.0) ?(bandwidth_bps = 1e9) ~name
   {
     name;
     engine;
-    channel = Channel.create engine ?faults ~latency ~bytes_per_sec ~deliver:dst ();
+    channel = Channel.create engine ~latency ~bytes_per_sec ~deliver:ignore ();
     faults;
-    dst;
-    dst_batch = None;
+    deliver = (fun b -> Packet_batch.drain b dst);
+    pool = Packet_batch.pool ();
     packets = 0;
     bytes = 0;
   }
 
-let set_dst_batch t f = t.dst_batch <- Some f
-
-let send t p =
-  let bytes = Packet.wire_bytes p in
-  t.packets <- t.packets + 1;
-  t.bytes <- t.bytes + bytes;
-  Channel.send t.channel ~bytes p
-
-let deliver_batch t b =
-  match t.dst_batch with
-  | Some f -> f b
-  | None -> Packet_batch.drain b t.dst
+let set_dst_batch t f = t.deliver <- f
+let deliver_batch t b = t.deliver b
+let deliver_one t p = t.deliver (Packet_batch.singleton t.pool p)
 
 (* A whole batch crosses the wire as one message: one reservation on the
-   channel's serialization clock (so it queues FIFO behind scalar sends
-   on the same link) and one delivery event.  Ownership of [b] passes to
-   the receiver.
+   channel's serialization clock and one delivery event.  Ownership of
+   [b] passes to the receiver.
 
    Per-link faults apply to batch members individually: a dropped member
-   is compacted out; a delayed member leaves the batch and arrives as a
-   scalar delivery at its jittered time ("split on reorder"); duplicate
-   copies also travel scalar.  Survivors stay in arrival order, so the
-   fault-free members of a batch are never reordered among themselves. *)
+   is compacted out; a delayed member leaves the batch and arrives alone
+   at its jittered time ("split on reorder"); duplicate copies also
+   travel alone.  Survivors stay in arrival order, so the fault-free
+   members of a batch are never reordered among themselves.  The batch's
+   own delivery is scheduled when its first on-time member is met, so a
+   1-member batch schedules its deliveries in the order a lone packet's
+   fault decisions list them. *)
 let send_batch t b =
   let n = Packet_batch.length b in
   if n = 0 then Packet_batch.release b
@@ -63,29 +56,29 @@ let send_batch t b =
     | Some link ->
       let now = Engine.now t.engine in
       let sizes = Packet_batch.sizes b in
+      let scheduled = ref false in
       for i = 0 to n - 1 do
         match Faults.deliveries link ~now ~bytes:sizes.(i) with
         | [] -> Packet_batch.drop b i
         | first :: dups ->
+          let p = Packet_batch.get b i in
           if first <> Time.zero then begin
-            (* Jittered member: overtakes or falls behind the batch. *)
             Packet_batch.drop b i;
-            Engine.call_at t.engine
-              Time.(arrival + first)
-              t.dst (Packet_batch.get b i)
+            Engine.call2_at t.engine Time.(arrival + first) deliver_one t p
+          end
+          else if not !scheduled then begin
+            scheduled := true;
+            Engine.call2_at t.engine arrival deliver_batch t b
           end;
           List.iter
-            (fun extra ->
-              Engine.call_at t.engine
-                Time.(arrival + extra)
-                t.dst (Packet_batch.get b i))
+            (fun extra -> Engine.call2_at t.engine Time.(arrival + extra) deliver_one t p)
             dups
       done;
       ignore (Packet_batch.compact b : int);
-      if Packet_batch.length b = 0 then Packet_batch.release b
-      else Engine.call2_at t.engine arrival deliver_batch t b
+      if not !scheduled then Packet_batch.release b
   end
 
+let send t p = send_batch t (Packet_batch.singleton t.pool p)
 let name t = t.name
 let packets_sent t = t.packets
 let bytes_sent t = t.bytes

@@ -6,10 +6,10 @@
     window: packets already on the wire keep arriving at the old
     middlebox after a routing update.
 
-    Links also carry whole {!Packet_batch.t} vectors: a batch crosses as
-    a single message (its serialization time is the sum of its members'
-    wire bytes, on the same channel clock as scalar sends) and lands as
-    one delivery event at the receiver. *)
+    Links carry whole {!Packet_batch.t} vectors: a batch crosses as a
+    single message (its serialization time is the sum of its members'
+    wire bytes) and lands as one delivery event at the receiver.  A
+    single packet is a 1-member batch. *)
 
 type t
 
@@ -24,19 +24,18 @@ val create :
   t
 (** [create engine ~name ~dst ()] is a link delivering to [dst].
     [latency] defaults to 50 µs (one LAN hop); [bandwidth_bps] to
-    1 Gbit/s, matching the paper's testbed NICs.  With [?faults], every
-    scalar send consults the fault stream (drop / duplicate / delay per
-    packet), and batch sends apply the same per-packet decisions to each
-    member individually — drops are compacted out, delayed members and
-    duplicate copies split off as scalar deliveries. *)
+    1 Gbit/s, matching the paper's testbed NICs.  With [?faults], each
+    batch member consults the fault stream individually (drop /
+    duplicate / delay per packet) — drops are compacted out, delayed
+    members and duplicate copies split off as 1-member deliveries. *)
 
 val set_dst_batch : t -> (Packet_batch.t -> unit) -> unit
-(** Attach a batch receiver.  Without one, arriving batches are drained
-    member-by-member through the scalar [dst], so batch-unaware
-    components keep working behind a batching sender. *)
+(** Attach a batch receiver in place of [dst].  Without one, arriving
+    batches are drained member-by-member through [dst]. *)
 
 val send : t -> Packet.t -> unit
-(** Put a packet on the wire. *)
+(** Put a packet on the wire: {!send_batch} of a 1-member batch from the
+    link's pool. *)
 
 val send_batch : t -> Packet_batch.t -> unit
 (** Put a whole batch on the wire as one message.  Ownership of the

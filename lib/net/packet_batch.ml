@@ -17,7 +17,9 @@ open Openmb_sim
    sender's free list. *)
 
 type pool = {
-  mutable free_list : b list;
+  (* Free batches as an array stack: a release allocates nothing. *)
+  mutable free : b array;
+  mutable n_free : int;
   mutable created : int;  (* batches ever built by this pool *)
   mutable outstanding : int;  (* allocated and not yet released *)
   mutable high_water : int;
@@ -181,17 +183,18 @@ let pool ?telemetry () =
     | Some tel -> Telemetry.gauge tel "batch.pool_outstanding"
     | None -> Telemetry.null_gauge
   in
-  { free_list = []; created = 0; outstanding = 0; high_water = 0; hw_gauge }
+  { free = [||]; n_free = 0; created = 0; outstanding = 0; high_water = 0; hw_gauge }
 
 let alloc ?capacity p =
   let b =
-    match p.free_list with
-    | b :: rest ->
-      p.free_list <- rest;
-      b
-    | [] ->
+    if p.n_free > 0 then begin
+      p.n_free <- p.n_free - 1;
+      p.free.(p.n_free)
+    end
+    else begin
       p.created <- p.created + 1;
       make ?capacity (Some p)
+    end
   in
   p.outstanding <- p.outstanding + 1;
   if p.outstanding > p.high_water then p.high_water <- p.outstanding;
@@ -207,7 +210,18 @@ let release b =
   | Some p ->
     p.outstanding <- p.outstanding - 1;
     Telemetry.set_gauge p.hw_gauge p.outstanding;
-    p.free_list <- b :: p.free_list
+    if p.n_free = Array.length p.free then begin
+      let grown = Array.make (max 8 (2 * p.n_free)) b in
+      Array.blit p.free 0 grown 0 p.n_free;
+      p.free <- grown
+    end;
+    p.free.(p.n_free) <- b;
+    p.n_free <- p.n_free + 1
+
+let singleton p pkt =
+  let b = alloc p in
+  push b pkt;
+  b
 
 let drain b f =
   iter b f;

@@ -39,6 +39,10 @@ val alloc : ?capacity:int -> pool -> t
 (** Take a cleared batch from the pool's free list, or build a fresh one
     ([capacity] applies only when building). *)
 
+val singleton : pool -> Packet.t -> t
+(** A pooled batch holding one packet: how a scalar entry point joins
+    the batch path. *)
+
 val release : t -> unit
 (** Clear the batch (dropping all packet references) and return it to
     its home pool.  No-op beyond the clear for unpooled or {!detach}ed

@@ -14,7 +14,7 @@ type t = {
   c_drop : Telemetry.counter;
   c_punt : Telemetry.counter;
   h_occ : Telemetry.histogram;
-  (* Staging pool for batches the switch splits across output ports. *)
+  (* Pool for split batches and for the 1-member batches of [receive]. *)
   pool : Packet_batch.pool;
   mutable actions : Flow_table.action option array;  (* classification scratch *)
 }
@@ -61,28 +61,46 @@ let punt t p =
   Telemetry.incr t.c_punt;
   match t.miss_handler with Some f -> f p | None -> drop t
 
-let forward_now t p =
-  match Flow_table.lookup t.table p with
-  | Some (Flow_table.Forward port) -> (
-    match Hashtbl.find_opt t.ports port with
-    | Some link -> Link.send link p
-    | None -> drop t)
-  | Some Flow_table.Drop -> drop t
-  | Some Flow_table.To_controller | None -> punt t p
+(* Whether members [i, n) all forward to [port]. *)
+let rec forwards_to actions port i n =
+  i >= n
+  ||
+  match actions.(i) with
+  | Some (Flow_table.Forward p') when String.equal p' port -> forwards_to actions port (i + 1) n
+  | _ -> false
 
-let receive t p =
-  t.received <- t.received + 1;
-  Telemetry.incr t.c_recv;
-  (* Closure-free: the switch and packet ride in a pooled event cell,
-     so the per-packet pipeline delay allocates nothing. *)
-  Engine.call2_after t.engine t.switching_delay forward_now t p
+(* Mixed verdicts: walk the members in original index order (preserving
+   per-arrival FIFO even when the batch splits between forward, drop and
+   punt), staging each output port's survivors into a pool batch that is
+   flushed once per port. *)
+let split t b actions n =
+  let staged = ref [] in
+  for i = 0 to n - 1 do
+    match actions.(i) with
+    | Some (Flow_table.Forward port) -> (
+      let stage =
+        match List.find_opt (fun (p, _, _) -> String.equal p port) !staged with
+        | Some _ as s -> s
+        | None -> (
+          match Hashtbl.find_opt t.ports port with
+          | Some link ->
+            let s = (port, link, Packet_batch.alloc t.pool) in
+            staged := s :: !staged;
+            Some s
+          | None -> None)
+      in
+      match stage with
+      | Some (_, _, sb) -> Packet_batch.push sb (Packet_batch.get b i)
+      | None -> drop t)
+    | Some Flow_table.Drop -> drop t
+    | Some Flow_table.To_controller | None -> punt t (Packet_batch.get b i)
+  done;
+  List.iter (fun (_, link, sb) -> Link.send_batch link sb) (List.rev !staged);
+  Packet_batch.release b
 
 (* Classify a whole batch with one flow-table pass, then forward.  The
    common case — every member forwards to the same port — hands the
-   batch onward intact, zero copies.  Mixed verdicts walk the members in
-   original index order (preserving per-arrival FIFO even when the batch
-   splits between forward, drop and punt), staging each output port's
-   survivors into a pool batch that is flushed once per port. *)
+   batch onward intact, zero copies and no allocation. *)
 let forward_batch_now t b =
   let n = Packet_batch.length b in
   if n = 0 then Packet_batch.release b
@@ -95,47 +113,12 @@ let forward_batch_now t b =
       else t.actions
     in
     Flow_table.lookup_batch t.table b actions;
-    let uniform =
-      match actions.(0) with
-      | Some (Flow_table.Forward port) ->
-        let rec same i =
-          i >= n
-          ||
-          match actions.(i) with
-          | Some (Flow_table.Forward p') when String.equal p' port -> same (i + 1)
-          | _ -> false
-        in
-        if same 1 then Hashtbl.find_opt t.ports port else None
-      | _ -> None
-    in
-    match uniform with
-    | Some link -> Link.send_batch link b
-    | None ->
-      let staged = ref [] in
-      for i = 0 to n - 1 do
-        match actions.(i) with
-        | Some (Flow_table.Forward port) -> (
-          let stage =
-            match
-              List.find_opt (fun (p, _, _) -> String.equal p port) !staged
-            with
-            | Some _ as s -> s
-            | None -> (
-              match Hashtbl.find_opt t.ports port with
-              | Some link ->
-                let s = (port, link, Packet_batch.alloc t.pool) in
-                staged := s :: !staged;
-                Some s
-              | None -> None)
-          in
-          match stage with
-          | Some (_, _, sb) -> Packet_batch.push sb (Packet_batch.get b i)
-          | None -> drop t)
-        | Some Flow_table.Drop -> drop t
-        | Some Flow_table.To_controller | None -> punt t (Packet_batch.get b i)
-      done;
-      List.iter (fun (_, link, sb) -> Link.send_batch link sb) (List.rev !staged);
-      Packet_batch.release b
+    match actions.(0) with
+    | Some (Flow_table.Forward port) when forwards_to actions port 1 n -> (
+      match Hashtbl.find t.ports port with
+      | link -> Link.send_batch link b
+      | exception Not_found -> split t b actions n)
+    | _ -> split t b actions n
   end
 
 let receive_batch t b =
@@ -144,6 +127,8 @@ let receive_batch t b =
   Telemetry.add t.c_recv n;
   Telemetry.observe_count t.h_occ n;
   Engine.call2_after t.engine t.switching_delay forward_batch_now t b
+
+let receive t p = receive_batch t (Packet_batch.singleton t.pool p)
 
 let packets_received t = t.received
 let packets_dropped t = t.dropped

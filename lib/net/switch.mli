@@ -36,7 +36,8 @@ val on_miss : t -> (Packet.t -> unit) -> unit
     counts. *)
 
 val receive : t -> Packet.t -> unit
-(** Packet arrival on any ingress port. *)
+(** Packet arrival on any ingress port: {!receive_batch} of a 1-member
+    batch from the switch's pool. *)
 
 val receive_batch : t -> Packet_batch.t -> unit
 (** Batch arrival: the whole batch is classified with one flow-table
@@ -49,8 +50,8 @@ val receive_batch : t -> Packet_batch.t -> unit
     ["switch.batch_occupancy"] count histogram. *)
 
 val batch_pool : t -> Packet_batch.pool
-(** The switch's staging pool (for split batches) — exposed for pool
-    high-water reporting. *)
+(** The switch's pool (split batches and {!receive}'s 1-member
+    batches) — exposed for pool high-water reporting. *)
 
 val packets_received : t -> int
 val packets_dropped : t -> int

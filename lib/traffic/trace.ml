@@ -27,8 +27,8 @@ let replay engine t ~into =
 
 let replay_batched engine t ?pool ~batch ~window ~into () =
   (* Accumulate the trace through a size-or-deadline window and schedule
-     one injection event per emitted batch: the scalar path's
-     event-per-packet becomes an event per batch. *)
+     one injection event per emitted batch: [replay]'s event per
+     packet becomes an event per batch. *)
   let bld =
     Packet_batch.Builder.create ?pool ~size:batch ~window
       ~emit:(fun ~at b -> Engine.call_at engine at into b)

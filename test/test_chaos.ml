@@ -492,8 +492,8 @@ let prop_seq_reply_roundtrip =
 
 (* Per-link faults must act on batch members individually: a dropped
    member is compacted out in place, a delayed member splits off to a
-   scalar delivery (so later batches can overtake it), a duplicate's
-   extra copy travels scalar — and on-time survivors still arrive in
+   delivery of its own (so later batches can overtake it), a duplicate's
+   extra copy travels alone — and on-time survivors still arrive in
    batch order.  Checked by conservation against the injector's own
    accounting, by a fault-free oracle over the same batched traffic,
    and by same-seed reproducibility. *)
@@ -577,6 +577,46 @@ let test_batch_link_faults () =
     Alcotest.(check bool) "some members delayed out of their batch" true (!delayed_total > 0)
   end
 
+(* A packet sent alone is a 1-member batch.  Under the same fault plan
+   it must be delivered exactly as a per-message channel send of the
+   packet is: the same drops and duplicates at the same times, in the
+   same order. *)
+let deliveries_per_packet plan ~batch =
+  let engine = Engine.create () in
+  let faults = Faults.create engine plan in
+  let l = Faults.link faults ~name:"wire" () in
+  let got = ref [] in
+  let record (p : Packet.t) = got := (Int64.bits_of_float (Engine.now engine), p.id) :: !got in
+  let send =
+    if batch then Link.send (Link.create engine ~faults:l ~name:"wire" ~dst:record ())
+    else
+      let ch =
+        Channel.create engine ~faults:l ~latency:(Time.us 50.0) ~bytes_per_sec:(1e9 /. 8.0)
+          ~deliver:record ()
+      in
+      fun p -> Channel.send ch ~bytes:(Packet.wire_bytes p) p
+  in
+  for i = 0 to batch_faults_pkts - 1 do
+    let p =
+      Packet.make ~id:i ~ts:(Time.us (float_of_int (100 + (i * 7))))
+        ~src_ip:(Addr.of_string "10.0.0.1") ~dst_ip:(Addr.of_string "1.1.1.5")
+        ~src_port:(1_024 + (i mod 9)) ~dst_port:443 ~proto:Packet.Tcp ()
+    in
+    Engine.call_at engine p.ts send p
+  done;
+  Engine.run engine;
+  List.rev !got
+
+let test_singleton_link_faults () =
+  for i = 0 to max 1 (chaos_iters / 4) - 1 do
+    let seed = base_seed + (11 * i) in
+    let plan = Faults.random_plan ~seed ~mbs:[] ~horizon:(Time.ms 20.0) in
+    Alcotest.(check (list (pair int64 int)))
+      (Printf.sprintf "seed %d: 1-member batches follow the per-message schedule" seed)
+      (deliveries_per_packet plan ~batch:false)
+      (deliveries_per_packet plan ~batch:true)
+  done
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -595,6 +635,9 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d impairment plans vs oracle" (max 1 (chaos_iters / 2)))
             `Slow test_impairment_plans;
+          Alcotest.test_case
+            (Printf.sprintf "%d 1-member link fault plans vs channel" (max 1 (chaos_iters / 4)))
+            `Slow test_singleton_link_faults;
         ] );
       ( "crash",
         [

@@ -288,8 +288,8 @@ let test_mb_base_queueing_latency () =
   let base = Mb_base.create engine ~name:"mb" ~kind:"t" ~cost () in
   (* Two packets arriving together: the second queues behind the
      first. *)
-  Mb_base.inject base (mk_packet ~id:1 ()) ~side_effects:true ~work:(fun _ -> ());
-  Mb_base.inject base (mk_packet ~id:2 ()) ~side_effects:true ~work:(fun _ -> ());
+  Mb_base.inject base (mk_packet ~id:1 ()) ~side_effects:true;
+  Mb_base.inject base (mk_packet ~id:2 ()) ~side_effects:true;
   run_all engine;
   let s = Mb_base.latency_stats base in
   Alcotest.(check int) "two processed" 2 (Stats.count s);
@@ -301,10 +301,67 @@ let test_mb_base_op_slowdown () =
   let cost = { Southbound.default_cost with per_packet = Time.ms 1.0; op_slowdown = 1.5 } in
   let base = Mb_base.create engine ~name:"mb" ~kind:"t" ~cost () in
   Mb_base.set_op_active base true;
-  Mb_base.inject base (mk_packet ()) ~side_effects:true ~work:(fun _ -> ());
+  Mb_base.inject base (mk_packet ()) ~side_effects:true;
   run_all engine;
   Alcotest.(check (float 1e-6)) "slowed per-packet cost" 0.0015
     (Stats.max_value (Mb_base.latency_stats base))
+
+(* A 1-member batch is charged exactly what a lone packet was on the
+   serial data-path clock: dispatch at [max arrival busy + per-packet
+   cost] (times [op_slowdown] while an op is active), latency sample =
+   dispatch - arrival.  Irregular costs and arrivals, with queueing, so
+   a rounding difference would show; compared bit for bit. *)
+let test_mb_base_singleton_charge () =
+  let engine = Engine.create () in
+  let cost = { Southbound.default_cost with per_packet = Time.us 0.7; op_slowdown = 1.02 } in
+  let base = Mb_base.create engine ~name:"mb" ~kind:"t" ~cost () in
+  let dispatched = ref [] in
+  Mb_base.set_work base (fun ~side_effects:_ b ->
+      dispatched := Engine.now engine :: !dispatched;
+      Packet_batch.release b);
+  (* The lone-packet charge, as the per-packet path computed it. *)
+  let busy = ref Time.zero and expected = ref [] and expected_op = ref [] in
+  let arrive at ~op =
+    ignore
+      (Engine.schedule_at engine at (fun () ->
+           Mb_base.set_op_active base op;
+           let c =
+             if op then Time.seconds (Time.to_seconds cost.per_packet *. cost.op_slowdown)
+             else cost.per_packet
+           in
+           busy := Time.(max at !busy + c);
+           let lat = Time.to_seconds Time.(!busy - at) in
+           expected := (!busy, lat) :: !expected;
+           if op then expected_op := lat :: !expected_op;
+           Mb_base.inject base (mk_packet ()) ~side_effects:true))
+  in
+  List.iter
+    (fun (us, op) -> arrive (Time.us us) ~op)
+    [ (1.3, false); (1.3, false); (1.9, true); (2.05, true); (7.77, false); (7.9, true) ];
+  run_all engine;
+  let bits = List.map Int64.bits_of_float in
+  let expected = List.rev !expected in
+  Alcotest.(check (list int64)) "dispatch times" (bits (List.map fst expected))
+    (bits (List.rev !dispatched));
+  (* Count, sum (in dispatch order), min and max of the samples. *)
+  let summary l =
+    ( List.length l,
+      bits
+        [
+          List.fold_left ( +. ) 0.0 l;
+          List.fold_left Float.min infinity l;
+          List.fold_left Float.max 0.0 l;
+        ] )
+  in
+  let of_stats st =
+    (Stats.count st, bits [ Stats.total st; Stats.min_value st; Stats.max_value st ])
+  in
+  Alcotest.(check (pair int (list int64))) "latency samples"
+    (summary (List.map snd expected))
+    (of_stats (Mb_base.latency_stats base));
+  Alcotest.(check (pair int (list int64))) "latency samples during an op"
+    (summary (List.rev !expected_op))
+    (of_stats (Mb_base.latency_during_op_stats base))
 
 let test_mb_base_seal_roundtrip () =
   let engine = Engine.create () in
@@ -550,6 +607,22 @@ let test_monitor_asset_event () =
   | [ Event.Introspect { code; _ } ] ->
     Alcotest.(check string) "asset event" "monitor.new_asset" code
   | _ -> Alcotest.fail "expected one introspection event"
+
+(* The service-port list is cached: a port added through the config
+   interface after a flow started classifies that flow on its next
+   packet. *)
+let test_monitor_port_added_later () =
+  let engine = Engine.create () in
+  let mon = Monitor.create engine ~name:"prads1" () in
+  let services () = List.map (fun (_, r) -> r.Monitor.fr_service) (Monitor.flow_records mon) in
+  feed_monitor mon [ mk_packet ~id:1 ~dport:8080 () ];
+  Alcotest.(check (list string)) "unknown port: unclassified" [ "" ] (services ());
+  let impl = Monitor.impl mon in
+  (match impl.Southbound.set_config [ "service"; "ports" ] [ Json.Int 80; Json.Int 8080 ] with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "set_config: %s" (Errors.to_string e));
+  feed_monitor mon [ mk_packet ~id:2 ~ts:0.01 ~dport:8080 () ];
+  Alcotest.(check (list string)) "classified on the next packet" [ "http" ] (services ())
 
 let test_monitor_move_report () =
   let engine = Engine.create () in
@@ -1054,6 +1127,29 @@ let test_budget_nat () =
     (steady_words_per_packet ~receive:(Nat.receive_batch nat) (fun _ -> run_all engine));
   Alcotest.(check int) "one mapping per flow" budget_flows (Nat.mapping_count nat)
 
+(* The per-packet entry points at batch size 1: NAT into monitor, one
+   packet per call, as a scalar trace replay drives them.  Counted over
+   everything — wrapping each packet as a batch, queueing, the engine
+   and both MBs' work.  What remains is the NAT's translated copy and
+   [Some] (13 words), the engine's own cost per event, and the clock
+   and latency floats each data-path event boxes; 68 words measured. *)
+let test_budget_nat_monitor_b1 () =
+  let engine = Engine.create () in
+  let nat = make_nat engine in
+  let mon = Monitor.create engine ~name:"prads1" () in
+  Mb_base.set_egress (Nat.base nat) (Monitor.receive mon);
+  let pass pkts =
+    List.iter (Nat.receive nat) pkts;
+    run_all engine
+  in
+  pass (budget_packets ~pass:0);
+  let second = budget_packets ~pass:1 in
+  let w0 = Gc.minor_words () in
+  pass second;
+  let words = (Gc.minor_words () -. w0) /. float_of_int budget_flows in
+  check_budget "Nat.receive -> Monitor.receive at batch size 1" 72.0 words;
+  Alcotest.(check int) "every packet counted" (2 * budget_flows) (Monitor.totals mon).tot_pkts
+
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1235,6 +1331,7 @@ let () =
           Alcotest.test_case "queueing latency" `Quick test_mb_base_queueing_latency;
           Alcotest.test_case "op slowdown" `Quick test_mb_base_op_slowdown;
           Alcotest.test_case "seal roundtrip" `Quick test_mb_base_seal_roundtrip;
+          Alcotest.test_case "1-member batch charge" `Quick test_mb_base_singleton_charge;
         ] );
       ( "ids",
         [
@@ -1257,6 +1354,7 @@ let () =
           Alcotest.test_case "move report" `Quick test_monitor_move_report;
           Alcotest.test_case "shared merge adds" `Quick test_monitor_shared_merge_adds;
           Alcotest.test_case "wrong chunk class" `Quick test_monitor_rejects_wrong_chunk_class;
+          Alcotest.test_case "port added later" `Quick test_monitor_port_added_later;
         ] );
       ( "re_cache",
         [
@@ -1295,6 +1393,7 @@ let () =
           Alcotest.test_case "flow table lookup_batch" `Quick test_budget_flow_table;
           Alcotest.test_case "monitor receive_batch" `Quick test_budget_monitor;
           Alcotest.test_case "nat receive_batch" `Quick test_budget_nat;
+          Alcotest.test_case "nat+monitor batch size 1" `Quick test_budget_nat_monitor_b1;
         ] );
       ( "load_balancer",
         [

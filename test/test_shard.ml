@@ -237,21 +237,23 @@ let run_scenario ?(scrape = false) ~domains ~seed () =
   { fp_app; fp_sched; fp_full = fp_app ^ fp_sched; fp_ts; fp_ticks }
 
 (* ------------------------------------------------------------------ *)
-(* Batch-vs-scalar equivalence across the sharded pipeline             *)
+(* Batch-size invariance across the sharded pipeline                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The vectorized batch path must be an optimization, not a semantic
-   change: the same trace, pushed through switch → NAT (shard 0) →
-   monitor (shard 3) → firewall (shard 5) → sink, must leave
-   bit-identical middlebox state, telemetry counters and drop decisions
-   whether packets travel one per event or batched — and whether the
-   batch run is scheduled on 1, 2, 4 or 8 domains (batches cross the
-   epoch-barrier mailboxes as single records).  The fingerprint
-   deliberately excludes time-of-dispatch observables (latency stats,
-   channel message counts, engine event counts): batching legitimately
-   amortizes those.  Everything derived from packet content, packet
-   timestamps and processing order must match exactly. *)
-let run_pipeline ~domains ~batched ~seed =
+(* Batching must be an optimization, not a semantic change: the same
+   trace, pushed through switch → NAT (shard 0) → monitor (shard 3) →
+   firewall (shard 5) → sink in batches of 1, 16, 64 or 256 packets,
+   must leave bit-identical middlebox state, telemetry counters and drop
+   decisions — and whether the run is scheduled on 1, 2, 4 or 8 domains
+   (batches cross the epoch-barrier mailboxes as single records).  Size
+   1 enters through the per-packet entry points ([Switch.receive],
+   [Nat.receive], ...), which wrap each packet as a 1-member batch.  The
+   fingerprint deliberately excludes time-of-dispatch observables
+   (latency stats, channel message counts, engine event counts):
+   batching legitimately amortizes those.  Everything derived from
+   packet content, packet timestamps and processing order must match
+   exactly. *)
+let run_pipeline ~domains ~batch ~seed =
   let se = Sharded_engine.create ~domains ~epoch ~seed ~shards () in
   let sh = Array.init shards (Sharded_engine.shard se) in
   let s0 = sh.(0) and s3 = sh.(3) and s5 = sh.(5) in
@@ -276,7 +278,6 @@ let run_pipeline ~domains ~batched ~seed =
   (* Switch port "mb" leads to the NAT; tp_dst=9999 traffic is dropped
      at the switch so batches split between fast path and drop. *)
   let to_nat = Link.create (Shard.engine s0) ~name:"s1-mb" ~dst:(Nat.receive nat) () in
-  if batched then Link.set_dst_batch to_nat (Nat.receive_batch nat);
   Switch.attach_port sw ~port:"mb" to_nat;
   ignore
     (Flow_table.install (Switch.table sw) ~priority:10 ~match_:(Hfl.of_string "tp_dst=9999")
@@ -285,24 +286,27 @@ let run_pipeline ~domains ~batched ~seed =
     (Flow_table.install (Switch.table sw) ~priority:1 ~match_:Hfl.any
        ~action:(Flow_table.Forward "mb"));
   (* Cross-shard hops: each MB's egress posts into the next shard's
-     mailbox — scalar packets one per post, batches as one record
-     (detached first: pools are single-domain). *)
-  let hop_scalar src ~dst recv (p : Packet.t) =
-    Shard.post src ~dst ~at:(Engine.now (Shard.engine src)) recv p
-  in
-  let hop_batch src ~dst recv b =
-    Packet_batch.detach b;
-    Shard.post src ~dst ~at:(Engine.now (Shard.engine src)) recv b
-  in
-  Mb_base.set_egress (Nat.base nat) (hop_scalar s0 ~dst:3 (Monitor.receive mon));
-  Mb_base.set_egress (Monitor.base mon) (hop_scalar s3 ~dst:5 (Firewall.receive fw));
-  Mb_base.set_egress (Firewall.base fw) sink_recv;
-  if batched then begin
-    Mb_base.set_egress_batch (Nat.base nat) (hop_batch s0 ~dst:3 (Monitor.receive_batch mon));
-    Mb_base.set_egress_batch (Monitor.base mon) (hop_batch s3 ~dst:5 (Firewall.receive_batch fw));
+     mailbox — packets one per post, batches as one record (detached
+     first: pools are single-domain). *)
+  if batch = 1 then begin
+    let hop src ~dst recv (p : Packet.t) =
+      Shard.post src ~dst ~at:(Engine.now (Shard.engine src)) recv p
+    in
+    Mb_base.set_egress (Nat.base nat) (hop s0 ~dst:3 (Monitor.receive mon));
+    Mb_base.set_egress (Monitor.base mon) (hop s3 ~dst:5 (Firewall.receive fw));
+    Mb_base.set_egress (Firewall.base fw) sink_recv
+  end
+  else begin
+    let hop src ~dst recv b =
+      Packet_batch.detach b;
+      Shard.post src ~dst ~at:(Engine.now (Shard.engine src)) recv b
+    in
+    Link.set_dst_batch to_nat (Nat.receive_batch nat);
+    Mb_base.set_egress_batch (Nat.base nat) (hop s0 ~dst:3 (Monitor.receive_batch mon));
+    Mb_base.set_egress_batch (Monitor.base mon) (hop s3 ~dst:5 (Firewall.receive_batch fw));
     Mb_base.set_egress_batch (Firewall.base fw) (fun b -> Packet_batch.drain b sink_recv)
   end;
-  (* -- the trace, pre-grouped identically for both modes ------------ *)
+  (* -- the trace, cut into batches of [batch] in arrival order ------- *)
   let gen = Prng.create ~seed:(seed lxor 0xba7c4) in
   let dports = [| 80; 443; 22; 9999; 53 |] in
   let pkts =
@@ -316,35 +320,19 @@ let run_pipeline ~domains ~batched ~seed =
           ~proto:(if Prng.int gen 4 = 0 then Packet.Udp else Packet.Tcp)
           ())
   in
-  let rec group = function
-    | [] -> []
-    | pkts ->
-      let n = 1 + Prng.int gen 8 in
-      let rec take k = function
-        | p :: rest when k > 0 ->
-          let g, rest = take (k - 1) rest in
-          (p :: g, rest)
-        | rest -> ([], rest)
-      in
-      let g, rest = take n pkts in
-      g :: group rest
-  in
-  let groups = group pkts in
   let pool = Packet_batch.pool ~telemetry:(Shard.telemetry s0) () in
-  List.iter
-    (fun g ->
-      let at = (List.nth g (List.length g - 1)).Packet.ts in
-      if batched then begin
-        let b = Packet_batch.alloc pool in
-        List.iter (Packet_batch.push b) g;
-        ignore
-          (Engine.schedule_at (Shard.engine s0) at (fun () -> Switch.receive_batch sw b))
-      end
-      else
-        ignore
-          (Engine.schedule_at (Shard.engine s0) at (fun () ->
-               List.iter (Switch.receive sw) g)))
-    groups;
+  let engine = Shard.engine s0 in
+  if batch = 1 then
+    List.iter (fun (p : Packet.t) -> Engine.call2_at engine p.ts Switch.receive sw p) pkts
+  else begin
+    let bld =
+      Packet_batch.Builder.create ~pool ~size:batch ~window:(Time.seconds 1.0)
+        ~emit:(fun ~at b -> Engine.call2_at engine at Switch.receive_batch sw b)
+        ()
+    in
+    List.iter (Packet_batch.Builder.add bld) pkts;
+    Packet_batch.Builder.flush bld
+  end;
   Sharded_engine.run se;
   (* -- the fingerprint ---------------------------------------------- *)
   let buf = Buffer.create 4_096 in
@@ -382,24 +370,27 @@ let run_pipeline ~domains ~batched ~seed =
     [ "mb.pkts"; "switch.received"; "switch.dropped" ];
   Buffer.contents buf
 
-let prop_batch_scalar_equivalence =
-  QCheck2.Test.make ~name:"batch path is scalar-equivalent across domain counts"
+let prop_batch_size_invariance =
+  QCheck2.Test.make ~name:"batch path is batch-size invariant across domain counts"
     ~count:prop_count
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
-      let oracle = run_pipeline ~domains:1 ~batched:false ~seed in
+      let oracle = run_pipeline ~domains:1 ~batch:1 ~seed in
       List.for_all
-        (fun d ->
-          let o = run_pipeline ~domains:d ~batched:true ~seed in
+        (fun (batch, d) ->
+          let o = run_pipeline ~domains:d ~batch ~seed in
           String.equal o oracle
           || QCheck2.Test.fail_reportf
-               "seed %d: batched domains=%d diverged from scalar oracle\n\
-                --- scalar oracle ---\n\
+               "seed %d: batch %d at domains=%d diverged from the batch-1 oracle\n\
+                --- batch 1, domains=1 ---\n\
                 %s\n\
-                --- batched domains=%d ---\n\
+                --- batch %d, domains=%d ---\n\
                 %s"
-               seed d oracle d o)
-        [ 1; 2; 4; 8 ])
+               seed batch d oracle batch d o)
+        (List.concat_map
+           (fun batch -> List.map (fun d -> (batch, d)) [ 1; 2; 4; 8 ])
+           [ 1; 16; 64; 256 ]
+        |> List.tl))
 
 (* ------------------------------------------------------------------ *)
 (* The determinism property                                            *)
@@ -562,7 +553,7 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest
             [
               prop_domain_invariance;
-              prop_batch_scalar_equivalence;
+              prop_batch_size_invariance;
               prop_scrape_neutral;
             ] );
     ]
