@@ -204,6 +204,148 @@ let test_event_filter_key_scope () =
 (* Messages                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The fixed message corpus: every constructor of every message type,
+   and every packet shape a re-process message can carry. *)
+
+let corpus_packets () =
+  let payload = Payload.of_tokens_trailing [| 1; -5; 1 lsl 40; 0 |] ~trailing:17 in
+  [
+    mk_packet ();
+    (* RE-encoded body (Table 3): literals and shims into a decoder cache. *)
+    Packet.make ~id:41 ~ts:(Time.ms 12.5) ~src_ip:(Addr.of_string "192.168.7.9")
+      ~dst_ip:(Addr.of_string "10.200.0.1") ~src_port:53 ~dst_port:65535 ~proto:Packet.Udp
+      ~body:
+        (Packet.Encoded
+           {
+             cache_id = 3;
+             append_base = 4096;
+             segments =
+               [
+                 Packet.Literal (Payload.of_tokens [| 9; 10 |]);
+                 Packet.Shim { offset = 100; len = 4 };
+                 Packet.Literal Payload.empty;
+               ];
+             orig = payload;
+           })
+      ();
+    (* HTTP request and response, as the IDS analyzer sees them. *)
+    Packet.make ~id:42 ~ts:(Time.seconds 3.25) ~src_ip:(Addr.of_string "10.0.0.2")
+      ~dst_ip:(Addr.of_string "1.1.1.5") ~src_port:40_000 ~dst_port:80 ~proto:Packet.Tcp
+      ~flags:Packet.syn_flags
+      ~app:(Packet.Http_request { method_ = "GET"; host = "example.org"; uri = "/a?b=\"c\"" })
+      ~body:(Packet.Raw payload) ();
+    Packet.make ~id:43 ~ts:(Time.us 7.0) ~src_ip:(Addr.of_string "1.1.1.5")
+      ~dst_ip:(Addr.of_string "10.0.0.2") ~src_port:80 ~dst_port:40_000 ~proto:Packet.Tcp
+      ~flags:Packet.fin_flags ~app:(Packet.Http_response { status = 404 }) ();
+    Packet.make ~id:44 ~ts:(Time.ms 1.0) ~src_ip:(Addr.of_string "0.0.0.0")
+      ~dst_ip:(Addr.of_string "255.255.255.255") ~src_port:0 ~dst_port:0 ~proto:Packet.Icmp
+      ~flags:{ Packet.syn = true; ack = true; fin = true; rst = true } ();
+  ]
+
+let all_requests () =
+  let key = Hfl.of_string "nw_src=10.0.0.0/24,tp_dst=80" in
+  let chunk kind =
+    Chunk.seal ~mb_kind:kind ~role:Taxonomy.Reporting ~partition:Taxonomy.Per_flow ~key
+      ~plain:"some\nbinary\x01payload"
+  in
+  [
+    Message.Get_config [ "rules"; "http" ];
+    Message.Get_config [];
+    Message.Set_config ([ "cache" ], [ Json.Int 500; Json.String "lru"; Json.Null ]);
+    Message.Del_config [ "rules" ];
+    Message.Get_support_perflow key;
+    Message.Get_support_perflow
+      (Hfl.of_string "nw_dst=1.1.1.0/24,tp_src=99,proto=udp,nw_src=0.0.0.0/0");
+    Message.Put_support_perflow { seq = 0; chunk = chunk "bro" };
+    Message.Put_support_perflow
+      {
+        seq = 9;
+        chunk =
+          Chunk.seal ~mb_kind:"bro" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
+            ~key ~plain:"some\nbinary\x01payload";
+      };
+    Message.Del_support_perflow key;
+    Message.Get_support_shared;
+    Message.Put_support_shared { seq = 123456; chunk = chunk "re-encoder" };
+    Message.Put_support_shared
+      {
+        seq = 10;
+        chunk =
+          Chunk.seal ~mb_kind:"re-decoder" ~role:Taxonomy.Configuring
+            ~partition:Taxonomy.Shared ~key:Hfl.any ~plain:"cache";
+      };
+    Message.Put_batch { seq = 7; chunks = [ chunk "bro"; chunk "bro"; chunk "bro" ] };
+    Message.Put_batch { seq = 8; chunks = [] };
+    Message.Abort_perflow key;
+    Message.Abort_perflow Hfl.any;
+    Message.Get_report_perflow key;
+    Message.Put_report_perflow { seq = 1; chunk = chunk "prads" };
+    Message.Del_report_perflow Hfl.any;
+    Message.Get_report_shared;
+    Message.Put_report_shared { seq = 2; chunk = chunk "prads" };
+    Message.Get_stats key;
+    Message.Enable_events { codes = [ "nat.new"; "lb.assign" ]; key };
+    Message.Disable_events { codes = [] };
+    Message.Disable_events { codes = [ "nat.new" ] };
+  ]
+  @ List.map (fun packet -> Message.Reprocess_packet { key; packet }) (corpus_packets ())
+
+let all_replies () =
+  [
+    Message.State_chunk
+      (Chunk.seal ~mb_kind:"prads" ~role:Taxonomy.Reporting ~partition:Taxonomy.Per_flow
+         ~key:(Hfl.of_string "tp_src=99") ~plain:"rec");
+    Message.End_of_state { count = 42 };
+    Message.Ack;
+    Message.Batch_ack { seq = 0; count = 16; errors = [] };
+    Message.Batch_ack { seq = 8; count = 3; errors = [ (1, Errors.Bad_chunk "mac") ] };
+    Message.Batch_ack
+      { seq = 99; count = 2; errors = [ (0, Errors.Op_failed "x"); (1, Errors.Timeout "y") ] };
+    Message.Config_values [];
+    Message.Config_values
+      [
+        { Config_tree.path = [ "a"; "b" ]; values = [ Json.Int 1 ] };
+        {
+          Config_tree.path = [ "c" ];
+          values =
+            [
+              Json.List [ Json.Bool true; Json.Bool false; Json.Float 2.5; Json.Float (-1e-300) ];
+              Json.Assoc [ ("k", Json.Null); ("s", Json.String "q\"\\\n\x01") ];
+              Json.Int min_int;
+            ];
+        };
+      ];
+    Message.Stats_reply
+      {
+        Southbound.perflow_support_chunks = 1;
+        perflow_report_chunks = 2;
+        perflow_support_bytes = 300;
+        perflow_report_bytes = 400;
+        shared_support_bytes = 5;
+        shared_report_bytes = 6;
+      };
+    Message.Op_error Errors.Granularity_too_fine;
+    Message.Op_error (Errors.Unknown_mb "x");
+    Message.Op_error (Errors.Illegal_operation "move shared");
+    Message.Op_error (Errors.Unknown_config_key "a.b");
+    Message.Op_error (Errors.Bad_chunk "mac");
+    Message.Op_error (Errors.Op_failed "boom");
+    Message.Op_error (Errors.Timeout "op=3 putBatch[16]");
+    Message.Op_error (Errors.Move_aborted "timed out: getSupportPerflow");
+  ]
+
+let all_events () =
+  Event.Introspect
+    {
+      code = "nat.new_mapping";
+      key = Hfl.of_string "nw_src=10.0.0.1/32";
+      info = Json.Assoc [ ("ext_port", Json.Int 4242) ];
+    }
+  :: Event.Introspect { code = "lb.assign"; key = Hfl.any; info = Json.Null }
+  :: List.map
+       (fun packet -> Event.Reprocess { key = Hfl.of_string "tp_dst=80"; packet })
+       (corpus_packets ())
+
 let roundtrip_request req =
   let msg = { Message.op = 7; tid = 0; req } in
   let j = Message.request_to_json msg in
@@ -233,90 +375,26 @@ let test_message_tid_roundtrip () =
         [ Framing.Json; Framing.Binary ])
     [ 0; 1; 77; 123_456_789 ]
 
-let test_message_request_roundtrips () =
-  let key = Hfl.of_string "nw_src=10.0.0.0/24,tp_dst=80" in
-  let chunk =
-    Chunk.seal ~mb_kind:"bro" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow ~key
-      ~plain:"some\nbinary\x01payload"
-  in
-  List.iter roundtrip_request
-    [
-      Message.Get_config [ "rules"; "http" ];
-      Message.Set_config ([ "cache" ], [ Json.Int 500; Json.String "lru" ]);
-      Message.Del_config [ "rules" ];
-      Message.Get_support_perflow key;
-      Message.Put_support_perflow { seq = 9; chunk };
-      Message.Del_support_perflow key;
-      Message.Get_support_shared;
-      Message.Put_support_shared
-        {
-          seq = 10;
-          chunk =
-            Chunk.seal ~mb_kind:"re-decoder" ~role:Taxonomy.Supporting
-              ~partition:Taxonomy.Shared ~key:Hfl.any ~plain:"cache";
-        };
-      Message.Put_batch { seq = 11; chunks = [ chunk; chunk ] };
-      Message.Abort_perflow key;
-      Message.Get_report_perflow key;
-      Message.Del_report_perflow key;
-      Message.Get_report_shared;
-      Message.Get_stats key;
-      Message.Enable_events { codes = [ "nat.new" ]; key };
-      Message.Disable_events { codes = [] };
-      Message.Reprocess_packet { key; packet = mk_packet () };
-    ]
+let test_message_request_roundtrips () = List.iter roundtrip_request (all_requests ())
 
-let roundtrip_reply reply =
-  let msg = Message.Reply { op = 3; reply } in
+let roundtrip_from_mb msg =
   let j = Message.from_mb_to_json msg in
-  let back = Message.from_mb_of_json (Json.of_string (Json.to_string j)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "reply roundtrip: %s" (Message.describe_reply reply))
-    true (back = msg)
+  Alcotest.(check bool) "from-MB roundtrip" true
+    (Message.from_mb_of_json (Json.of_string (Json.to_string j)) = msg)
 
 let test_message_reply_roundtrips () =
-  List.iter roundtrip_reply
-    [
-      Message.State_chunk
-        (Chunk.seal ~mb_kind:"prads" ~role:Taxonomy.Reporting ~partition:Taxonomy.Per_flow
-           ~key:(Hfl.of_string "tp_src=99") ~plain:"rec");
-      Message.End_of_state { count = 42 };
-      Message.Ack;
-      Message.Batch_ack
-        { seq = 8; count = 3; errors = [ (1, Errors.Bad_chunk "mac") ] };
-      Message.Config_values
-        [ { Config_tree.path = [ "a"; "b" ]; values = [ Json.Int 1 ] } ];
-      Message.Stats_reply
-        {
-          Southbound.perflow_support_chunks = 1;
-          perflow_report_chunks = 2;
-          perflow_support_bytes = 300;
-          perflow_report_bytes = 400;
-          shared_support_bytes = 5;
-          shared_report_bytes = 6;
-        };
-      Message.Op_error Errors.Granularity_too_fine;
-      Message.Op_error (Errors.Unknown_mb "x");
-    ]
+  List.iter
+    (fun reply ->
+      let msg = Message.Reply { op = 3; reply } in
+      Alcotest.(check bool)
+        (Printf.sprintf "reply roundtrip: %s" (Message.describe_reply reply))
+        true
+        (Message.from_mb_of_json (Json.of_string (Json.to_string (Message.from_mb_to_json msg)))
+        = msg))
+    (all_replies ())
 
 let test_message_event_roundtrips () =
-  let events =
-    [
-      Event.Reprocess { key = Hfl.of_string "tp_dst=80"; packet = mk_packet () };
-      Event.Introspect
-        {
-          code = "nat.new_mapping";
-          key = Hfl.of_string "nw_src=10.0.0.1/32";
-          info = Json.Assoc [ ("ext_port", Json.Int 4242) ];
-        };
-    ]
-  in
-  List.iter
-    (fun ev ->
-      let msg = Message.Event_msg ev in
-      let back = Message.from_mb_of_json (Json.of_string (Json.to_string (Message.from_mb_to_json msg))) in
-      Alcotest.(check bool) "event roundtrip" true (back = msg))
-    events
+  List.iter (fun ev -> roundtrip_from_mb (Message.Event_msg ev)) (all_events ())
 
 let test_message_wire_bytes_chunked () =
   let chunk =
@@ -328,87 +406,88 @@ let test_message_wire_bytes_chunked () =
     (Message.request_wire_bytes msg >= 1000)
 
 (* ------------------------------------------------------------------ *)
-(* Binary codec equivalence                                            *)
+(* Wire pinning                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let all_requests () =
-  let key = Hfl.of_string "nw_src=10.0.0.0/24,tp_dst=80" in
-  let chunk kind =
-    Chunk.seal ~mb_kind:kind ~role:Taxonomy.Reporting ~partition:Taxonomy.Per_flow ~key
-      ~plain:"some\nbinary\x01payload"
+(* Every corpus message's bytes under both framings and the sizes the
+   controller charges for it, against a recorded golden file.  A codec
+   change that moves one byte or one charged size fails here; the
+   observed lines land in message_wire.actual next to the test binary
+   so an intended format change can be reviewed and re-recorded. *)
+
+let hex s = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let wire_pin_line label ~json ~binary ~json_bytes ~binary_bytes =
+  Printf.sprintf "%s\tjson_bytes=%d\tbinary_bytes=%d\tjson=%S\tbinary=%s" label json_bytes
+    binary_bytes json (hex binary)
+
+let wire_pin_lines () =
+  let requests =
+    List.concat_map
+      (fun tid ->
+        List.mapi
+          (fun i req ->
+            let msg = { Message.op = 11; tid; req } in
+            wire_pin_line
+              (Printf.sprintf "request %02d tid=%d" i tid)
+              ~json:(Message.request_to_wire ~framing:Framing.Json msg)
+              ~binary:(Message.request_to_wire ~framing:Framing.Binary msg)
+              ~json_bytes:(Message.request_wire_bytes ~framing:Framing.Json msg)
+              ~binary_bytes:(Message.request_wire_bytes ~framing:Framing.Binary msg))
+          (all_requests ()))
+      [ 0; 123_456_789 ]
   in
-  [
-    Message.Get_config [ "rules"; "http" ];
-    Message.Get_config [];
-    Message.Set_config ([ "cache" ], [ Json.Int 500; Json.String "lru"; Json.Null ]);
-    Message.Del_config [ "rules" ];
-    Message.Get_support_perflow key;
-    Message.Put_support_perflow { seq = 0; chunk = chunk "bro" };
-    Message.Del_support_perflow key;
-    Message.Get_support_shared;
-    Message.Put_support_shared { seq = 123456; chunk = chunk "re-encoder" };
-    Message.Put_batch { seq = 7; chunks = [ chunk "bro"; chunk "bro"; chunk "bro" ] };
-    Message.Put_batch { seq = 8; chunks = [] };
-    Message.Abort_perflow key;
-    Message.Abort_perflow Hfl.any;
-    Message.Get_report_perflow key;
-    Message.Put_report_perflow { seq = 1; chunk = chunk "prads" };
-    Message.Del_report_perflow Hfl.any;
-    Message.Get_report_shared;
-    Message.Put_report_shared { seq = 2; chunk = chunk "prads" };
-    Message.Get_stats key;
-    Message.Enable_events { codes = [ "nat.new"; "lb.assign" ]; key };
-    Message.Disable_events { codes = [] };
-    Message.Reprocess_packet { key; packet = mk_packet ~id:77 () };
-  ]
+  let from_mb label msg =
+    wire_pin_line label
+      ~json:(Message.from_mb_to_wire ~framing:Framing.Json msg)
+      ~binary:(Message.from_mb_to_wire ~framing:Framing.Binary msg)
+      ~json_bytes:(Message.reply_wire_bytes ~framing:Framing.Json msg)
+      ~binary_bytes:(Message.reply_wire_bytes ~framing:Framing.Binary msg)
+  in
+  requests
+  @ List.mapi
+      (fun i reply -> from_mb (Printf.sprintf "reply %02d" i) (Message.Reply { op = 3; reply }))
+      (all_replies ())
+  @ List.mapi (fun i ev -> from_mb (Printf.sprintf "event %02d" i) (Message.Event_msg ev))
+      (all_events ())
 
-let all_replies () =
-  [
-    Message.State_chunk
-      (Chunk.seal ~mb_kind:"prads" ~role:Taxonomy.Reporting ~partition:Taxonomy.Per_flow
-         ~key:(Hfl.of_string "tp_src=99") ~plain:"rec");
-    Message.End_of_state { count = 42 };
-    Message.Ack;
-    Message.Batch_ack { seq = 0; count = 16; errors = [] };
-    Message.Batch_ack
-      { seq = 99; count = 2; errors = [ (0, Errors.Op_failed "x"); (1, Errors.Timeout "y") ] };
-    Message.Config_values
-      [
-        { Config_tree.path = [ "a"; "b" ]; values = [ Json.Int 1 ] };
-        {
-          Config_tree.path = [ "c" ];
-          values = [ Json.List [ Json.Bool true; Json.Float 2.5 ]; Json.Assoc [ ("k", Json.Null) ] ];
-        };
-      ];
-    Message.Stats_reply
-      {
-        Southbound.perflow_support_chunks = 1;
-        perflow_report_chunks = 2;
-        perflow_support_bytes = 300;
-        perflow_report_bytes = 400;
-        shared_support_bytes = 5;
-        shared_report_bytes = 6;
-      };
-    Message.Op_error Errors.Granularity_too_fine;
-    Message.Op_error (Errors.Unknown_mb "x");
-    Message.Op_error (Errors.Illegal_operation "move shared");
-    Message.Op_error (Errors.Unknown_config_key "a.b");
-    Message.Op_error (Errors.Bad_chunk "mac");
-    Message.Op_error (Errors.Op_failed "boom");
-    Message.Op_error (Errors.Timeout "op=3 putBatch[16]");
-    Message.Op_error (Errors.Move_aborted "timed out: getSupportPerflow");
-  ]
+let read_lines path =
+  let ic = open_in_bin path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
 
-let all_events () =
-  [
-    Event.Reprocess { key = Hfl.of_string "tp_dst=80"; packet = mk_packet () };
-    Event.Introspect
-      {
-        code = "nat.new_mapping";
-        key = Hfl.of_string "nw_src=10.0.0.1/32";
-        info = Json.Assoc [ ("ext_port", Json.Int 4242) ];
-      };
-  ]
+let test_message_wire_pinning () =
+  let actual = wire_pin_lines () in
+  let oc = open_out_bin "message_wire.actual" in
+  List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+  close_out oc;
+  let expected = read_lines "message_wire.golden" in
+  Alcotest.(check int) "pinned message count" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "pinned wire line" e a) expected actual;
+  (* The JSON charge for an event follows its payload: a re-process
+     event pays at least for the packet copy it carries, a bare
+     introspection event stays small. *)
+  List.iter
+    (fun ev ->
+      let charged = Message.reply_wire_bytes (Message.Event_msg ev) in
+      match ev with
+      | Event.Reprocess { packet; _ } ->
+        Alcotest.(check bool) "reprocess carries the packet" true
+          (charged >= Packet.wire_bytes packet)
+      | Event.Introspect { info = Json.Null; _ } ->
+        Alcotest.(check bool) "introspection is small" true (charged < 100)
+      | Event.Introspect _ -> ())
+    (all_events ())
+
+(* ------------------------------------------------------------------ *)
+(* Binary codec equivalence                                            *)
+(* ------------------------------------------------------------------ *)
 
 let test_request_codec_equivalence () =
   List.iter
@@ -859,16 +938,6 @@ let test_move_empty_key_range () =
   | _ -> Alcotest.fail "empty move failed");
   Alcotest.(check int) "source untouched" 5 (Openmb_apps.Dummy_mb.chunk_count r.src)
 
-let test_event_wire_bytes () =
-  let reprocess = Event.Reprocess { key = Hfl.any; packet = mk_packet () } in
-  Alcotest.(check bool) "reprocess carries the packet" true
-    (Event.wire_bytes reprocess >= Packet.wire_bytes (mk_packet ()));
-  let intro =
-    Event.Introspect
-      { code = "nat.new_mapping"; key = Hfl.of_string "tp_src=1"; info = Json.Assoc [] }
-  in
-  Alcotest.(check bool) "introspection is small" true (Event.wire_bytes intro < 100)
-
 let test_buffered_peak_tracked () =
   (* Chunks serialize slowly while events pour in: the controller must
      buffer them (peak > 0) and forward every one afterwards. *)
@@ -1114,6 +1183,7 @@ let () =
           Alcotest.test_case "reply roundtrips" `Quick test_message_reply_roundtrips;
           Alcotest.test_case "event roundtrips" `Quick test_message_event_roundtrips;
           Alcotest.test_case "chunk wire bytes" `Quick test_message_wire_bytes_chunked;
+          Alcotest.test_case "wire pinning" `Quick test_message_wire_pinning;
           Alcotest.test_case "request codec equivalence" `Quick
             test_request_codec_equivalence;
           Alcotest.test_case "reply codec equivalence" `Quick test_reply_codec_equivalence;
@@ -1149,7 +1219,6 @@ let () =
           Alcotest.test_case "disconnect mid-move" `Quick test_disconnect_mid_move;
           Alcotest.test_case "corrupt chunk rejected" `Quick test_corrupt_chunk_rejected;
           Alcotest.test_case "move empty key range" `Quick test_move_empty_key_range;
-          Alcotest.test_case "event wire bytes" `Quick test_event_wire_bytes;
           Alcotest.test_case "buffered peak tracked" `Quick test_buffered_peak_tracked;
           Alcotest.test_case "duplicate connect" `Quick test_duplicate_connect_rejected;
           Alcotest.test_case "move under binary framing" `Quick
