@@ -135,7 +135,7 @@ let message_encode_json () =
   let msg = put_chunk_msg () in
   Test.make ~name:"message.encode (put chunk, json)"
     (Staged.stage (fun () ->
-         ignore (Openmb_wire.Json.to_string (Openmb_core.Message.request_to_json msg))))
+         ignore (Openmb_core.Message.request_to_wire ~framing:Openmb_wire.Framing.Json msg)))
 
 let message_encode_binary () =
   let msg = put_chunk_msg () in

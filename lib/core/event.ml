@@ -4,15 +4,6 @@ type t =
   | Reprocess of { key : Hfl.t; packet : Packet.t }
   | Introspect of { code : string; key : Hfl.t; info : Openmb_wire.Json.t }
 
-let framing_bytes = 32
-
-let wire_bytes = function
-  | Reprocess { packet; _ } -> framing_bytes + Packet.wire_bytes packet
-  | Introspect { code; key; info } ->
-    framing_bytes + String.length code
-    + String.length (Hfl.to_string key)
-    + Openmb_wire.Json.wire_size info
-
 let key = function Reprocess { key; _ } -> key | Introspect { key; _ } -> key
 
 let describe = function

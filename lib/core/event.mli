@@ -20,10 +20,6 @@ type t =
       info : Openmb_wire.Json.t;  (** Additional MB-specific values. *)
     }
 
-val wire_bytes : t -> int
-(** Modelled wire size: re-process events carry the packet copy plus
-    framing; introspection events carry their JSON body. *)
-
 val key : t -> Openmb_net.Hfl.t
 (** The state key the event concerns. *)
 

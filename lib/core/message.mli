@@ -2,11 +2,26 @@
 
     The controller and middleboxes exchange JSON messages to invoke
     operations, send and receive state, and raise and forward events
-    (§7).  Every message has a faithful JSON encoding (used by the
-    tests and available for logging); transfer costs on the simulated
-    channels use {!request_wire_bytes}/{!reply_wire_bytes}, which agree
-    with the encoded size without materializing the JSON on the hot
-    path. *)
+    (§7); a compact binary framing can be negotiated per channel
+    instead.
+
+    Each message type is described once, as an {!Openmb_wire.Codec}
+    description: its fields, each constructor's JSON name and binary
+    tag.  Both framings' encoders and decoders and the exact binary
+    size are derived from that description, so the two framings cannot
+    drift apart.  Decoding either framing raises
+    [Openmb_wire.Binary.Decode_error] and nothing else on malformed
+    input.
+
+    Transfer costs on the simulated channels come from
+    {!request_wire_bytes}/{!reply_wire_bytes}.  Binary sizes are exact.
+    JSON sizes are exact except for state- and packet-bearing messages
+    (puts, [putBatch], [stateChunk], re-process messages and events),
+    which are charged the prototype's calibrated estimate: a fixed
+    48-byte envelope plus the opaque body and its key (events add 32
+    bytes of framing).  That estimate is the cost model behind
+    Figs 8 and 10; the exact JSON text escapes cipher bytes and runs
+    about 1.5x larger. *)
 
 type op_id = int
 (** Correlates replies with requests within one MB connection. *)
@@ -74,16 +89,6 @@ type from_mb =
   | Reply of { op : op_id; reply : reply }
   | Event_msg of Event.t  (** MB-initiated, not tied to an op. *)
 
-val request_to_json : to_mb -> Openmb_wire.Json.t
-val request_of_json : Openmb_wire.Json.t -> to_mb
-(** Raises [Invalid_argument] on messages not produced by
-    {!request_to_json}. *)
-
-val from_mb_to_json : from_mb -> Openmb_wire.Json.t
-val from_mb_of_json : Openmb_wire.Json.t -> from_mb
-(** Raises [Invalid_argument] on messages not produced by
-    {!from_mb_to_json}. *)
-
 (** {1 Wire strings}
 
     Each message also has a compact binary encoding
@@ -97,24 +102,21 @@ val request_to_wire : ?framing:Openmb_wire.Framing.t -> to_mb -> string
 (** Encode under the given framing (default [Json]). *)
 
 val request_of_wire : string -> to_mb
-(** Decode either framing.  Raises [Openmb_wire.Binary.Decode_error] on
-    malformed binary input and [Invalid_argument] /
-    [Openmb_wire.Json.Parse_error] on malformed JSON. *)
+(** Decode either framing.  Raises [Openmb_wire.Binary.Decode_error],
+    and nothing else, on malformed input: truncated or trailing bytes,
+    unknown tags, counts larger than the input, out-of-range values,
+    JSON that does not parse or lacks a field. *)
 
 val from_mb_to_wire : ?framing:Openmb_wire.Framing.t -> from_mb -> string
+
 val from_mb_of_wire : string -> from_mb
-
-val chunk_to_wire : Chunk.t -> string
-(** Standalone length-prefixed binary frame for one state chunk (bulk
-    state streams). *)
-
-val chunk_of_wire : string -> Chunk.t
+(** Like {!request_of_wire}. *)
 
 val request_wire_bytes : ?framing:Openmb_wire.Framing.t -> to_mb -> int
-(** Wire size of the message; dominated by chunk/packet bodies for
-    state-bearing messages.  JSON sizes are the prototype's estimates;
-    binary sizes are exact (computed against a counting sink, including
-    the frame's length prefix). *)
+(** Bytes the simulated channel charges for the message.  Binary: the
+    exact encoding plus its frame's 4-byte length prefix.  JSON: the
+    exact text, except the calibrated estimate for state- and
+    packet-bearing messages described above. *)
 
 val reply_wire_bytes : ?framing:Openmb_wire.Framing.t -> from_mb -> int
 

@@ -69,7 +69,8 @@ let get_u32 r =
   let a = get_u16 r in
   (a lsl 16) lor get_u16 r
 
-let get_uvarint r =
+(* The raw 63-bit pattern: a zigzag varint may use the sign bit. *)
+let get_base128 r =
   let rec go shift acc =
     if shift > 62 then fail "Binary: varint overflow at byte %d" r.pos;
     let b = get_u8 r in
@@ -78,8 +79,13 @@ let get_uvarint r =
   in
   go 0 0
 
+let get_uvarint r =
+  let v = get_base128 r in
+  if v < 0 then fail "Binary: uvarint overflow at byte %d" r.pos;
+  v
+
 let get_varint r =
-  let u = get_uvarint r in
+  let u = get_base128 r in
   (u lsr 1) lxor (0 - (u land 1))
 
 let get_f64 r =
@@ -91,26 +97,8 @@ let get_f64 r =
 
 let get_str r =
   let n = get_uvarint r in
-  if r.pos + n > String.length r.src then
+  if n > String.length r.src - r.pos then
     fail "Binary: string of %d bytes exceeds input at byte %d" n r.pos;
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-(* ------------------------------------------------------------------ *)
-(* Length-prefixed frames                                              *)
-(* ------------------------------------------------------------------ *)
-
-let frame body =
-  let buf = Buffer.create (String.length body + 4) in
-  u32 (buffer_sink buf) (String.length body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
-
-let unframe r =
-  let n = get_u32 r in
-  if r.pos + n > String.length r.src then
-    fail "Binary: frame of %d bytes exceeds input at byte %d" n r.pos;
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s

@@ -2,8 +2,7 @@
 
     Building blocks of the binary protocol framing: big-endian fixed
     ints, LEB128 varints (zigzag for signed values), IEEE-754 doubles
-    and length-prefixed strings, plus [u32]-length-prefixed frames for
-    stream transport.  Encoders write through a {!sink} so the exact
+    and length-prefixed strings.  Encoders write through a {!sink} so the exact
     wire size can be computed with {!counting_sink} without
     materializing the bytes. *)
 
@@ -44,12 +43,8 @@ val get_u8 : reader -> int
 val get_u16 : reader -> int
 val get_u32 : reader -> int
 val get_uvarint : reader -> int
+(** Rejects encodings wider than a non-negative [int]. *)
+
 val get_varint : reader -> int
 val get_f64 : reader -> float
 val get_str : reader -> string
-
-val frame : string -> string
-(** [u32] byte length followed by the body. *)
-
-val unframe : reader -> string
-(** Inverse of {!frame}: reads one length-prefixed body. *)

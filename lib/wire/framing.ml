@@ -1,10 +1,1 @@
 type t = Json | Binary
-
-let to_string = function Json -> "json" | Binary -> "binary"
-
-let of_string = function
-  | "json" -> Json
-  | "binary" -> Binary
-  | s -> invalid_arg (Printf.sprintf "Framing.of_string: %S" s)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -7,10 +7,3 @@
     so a JSON peer keeps working against a binary-capable one. *)
 
 type t = Json | Binary
-
-val to_string : t -> string
-
-val of_string : string -> t
-(** Raises [Invalid_argument] on unknown names. *)
-
-val pp : Format.formatter -> t -> unit

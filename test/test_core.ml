@@ -348,8 +348,7 @@ let all_events () =
 
 let roundtrip_request req =
   let msg = { Message.op = 7; tid = 0; req } in
-  let j = Message.request_to_json msg in
-  let back = Message.request_of_json (Json.of_string (Json.to_string j)) in
+  let back = Message.request_of_wire (Message.request_to_wire msg) in
   Alcotest.(check bool)
     (Printf.sprintf "request roundtrip: %s" (Message.describe_request req))
     true (back = msg)
@@ -359,7 +358,7 @@ let roundtrip_request req =
    wire format) and round-trips under both framings otherwise. *)
 let test_message_tid_roundtrip () =
   let req = Message.Get_support_perflow (Hfl.of_string "nw_src=10.0.0.0/24") in
-  (match Message.request_to_json { Message.op = 3; tid = 0; req } with
+  (match Json.of_string (Message.request_to_wire { Message.op = 3; tid = 0; req }) with
   | Json.Assoc fields ->
     Alcotest.(check bool) "tid omitted when 0" false (List.mem_assoc "tid" fields)
   | _ -> Alcotest.fail "request did not encode to an object");
@@ -377,24 +376,22 @@ let test_message_tid_roundtrip () =
 
 let test_message_request_roundtrips () = List.iter roundtrip_request (all_requests ())
 
-let roundtrip_from_mb msg =
-  let j = Message.from_mb_to_json msg in
-  Alcotest.(check bool) "from-MB roundtrip" true
-    (Message.from_mb_of_json (Json.of_string (Json.to_string j)) = msg)
+let roundtrip_from_mb what msg =
+  Alcotest.(check bool) what true
+    (Message.from_mb_of_wire (Message.from_mb_to_wire msg) = msg)
 
 let test_message_reply_roundtrips () =
   List.iter
     (fun reply ->
-      let msg = Message.Reply { op = 3; reply } in
-      Alcotest.(check bool)
+      roundtrip_from_mb
         (Printf.sprintf "reply roundtrip: %s" (Message.describe_reply reply))
-        true
-        (Message.from_mb_of_json (Json.of_string (Json.to_string (Message.from_mb_to_json msg)))
-        = msg))
+        (Message.Reply { op = 3; reply }))
     (all_replies ())
 
 let test_message_event_roundtrips () =
-  List.iter (fun ev -> roundtrip_from_mb (Message.Event_msg ev)) (all_events ())
+  List.iter
+    (fun ev -> roundtrip_from_mb ("event roundtrip: " ^ Event.describe ev) (Message.Event_msg ev))
+    (all_events ())
 
 let test_message_wire_bytes_chunked () =
   let chunk =
@@ -523,15 +520,6 @@ let test_reply_codec_equivalence () =
       Alcotest.(check int) "binary wire bytes are exact" (4 + String.length bin)
         (Message.reply_wire_bytes ~framing:Framing.Binary msg))
     msgs
-
-let test_chunk_wire_roundtrip () =
-  let c =
-    Chunk.seal ~mb_kind:"bro" ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
-      ~key:(Hfl.of_string "nw_dst=1.1.1.0/24,proto=udp")
-      ~plain:"shared\x00cache"
-  in
-  Alcotest.(check bool) "chunk frame round-trips" true
-    (Message.chunk_of_wire (Message.chunk_to_wire c) = c)
 
 let test_binary_decode_rejects_garbage () =
   let fails s =
@@ -1187,7 +1175,6 @@ let () =
           Alcotest.test_case "request codec equivalence" `Quick
             test_request_codec_equivalence;
           Alcotest.test_case "reply codec equivalence" `Quick test_reply_codec_equivalence;
-          Alcotest.test_case "chunk wire roundtrip" `Quick test_chunk_wire_roundtrip;
           Alcotest.test_case "binary decode rejects garbage" `Quick
             test_binary_decode_rejects_garbage;
         ] );

@@ -230,7 +230,7 @@ let test_binary_varint_sizes () =
         (Binary.get_varint (Binary.reader (encode (fun k -> Binary.varint k v)))))
     [ 0; 1; -1; 63; -64; 123456; -987654; max_int; min_int ]
 
-let test_binary_f64_str_frame () =
+let test_binary_f64_str () =
   List.iter
     (fun v ->
       let got = Binary.get_f64 (Binary.reader (encode (fun k -> Binary.f64 k v))) in
@@ -241,11 +241,7 @@ let test_binary_f64_str_frame () =
     (fun s ->
       Alcotest.(check string) "str round-trip" s
         (Binary.get_str (Binary.reader (encode (fun k -> Binary.str k s)))))
-    [ ""; "x"; "some\x00binary\xffdata"; String.make 500 'q' ];
-  let body = "hello frame" in
-  let r = Binary.reader (Binary.frame body) in
-  Alcotest.(check string) "frame round-trip" body (Binary.unframe r);
-  Alcotest.(check int) "frame fully consumed" (String.length (Binary.frame body)) r.Binary.pos
+    [ ""; "x"; "some\x00binary\xffdata"; String.make 500 'q' ]
 
 let test_binary_counting_sink () =
   let write k =
@@ -271,9 +267,7 @@ let test_binary_truncated () =
   fails "uvarint with dangling continuation" (fun () ->
       Binary.get_uvarint (Binary.reader "\x80"));
   fails "uvarint too wide" (fun () ->
-      Binary.get_uvarint (Binary.reader "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01"));
-  fails "unframe truncated body" (fun () ->
-      Binary.unframe (Binary.reader "\x00\x00\x00\x05ab"))
+      Binary.get_uvarint (Binary.reader "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01"))
 
 let prop_varint_roundtrip =
   QCheck2.Test.make ~name:"varint round-trip on full int range" ~count:500
@@ -331,7 +325,7 @@ let () =
         [
           Alcotest.test_case "fixed-width round-trips" `Quick test_binary_fixed_roundtrip;
           Alcotest.test_case "varint sizes and values" `Quick test_binary_varint_sizes;
-          Alcotest.test_case "f64/str/frame" `Quick test_binary_f64_str_frame;
+          Alcotest.test_case "f64/str" `Quick test_binary_f64_str;
           Alcotest.test_case "counting sink" `Quick test_binary_counting_sink;
           Alcotest.test_case "truncated input" `Quick test_binary_truncated;
         ]
