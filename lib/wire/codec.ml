@@ -23,11 +23,7 @@ let uvarint = int "uvarint" 0 max_int Binary.uvarint Binary.get_uvarint
 let varint = int "varint" min_int max_int Binary.varint Binary.get_varint
 
 let float =
-  let of_json = function
-    | Json.Float v when Float.is_finite v -> v
-    | Json.Int v -> float_of_int v
-    | j -> mismatch "a finite number" j
-  in
+  let of_json = function Json.Float v -> v | Json.Int v -> float_of_int v | j -> mismatch "a number" j in
   { to_json = (fun v -> Json.Float v); of_json; write = Binary.f64; read = Binary.get_f64 }
 
 let bool =

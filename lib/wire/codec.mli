@@ -36,7 +36,7 @@ val varint : int t
 
 val float : float t
 (** IEEE-754 bits in binary (exact, NaN and infinities included); a
-    finite JSON number. *)
+    JSON number. *)
 
 val bool : bool t
 (** One byte, 0 or 1, in binary; a JSON boolean. *)

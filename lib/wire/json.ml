@@ -236,12 +236,13 @@ let parse_number st =
     | Some i -> Int i
     | None -> (
       match float_of_string_opt lit with
-      | Some f -> Float f
-      | None -> fail st "invalid number")
+      | Some f when Float.is_finite f -> Float f
+      | _ -> fail st "invalid number")
   else
+    (* A literal that overflows a double has no JSON value to stand for. *)
     match float_of_string_opt lit with
-    | Some f -> Float f
-    | None -> fail st "invalid number"
+    | Some f when Float.is_finite f -> Float f
+    | _ -> fail st "invalid number"
 
 let rec parse_value st =
   skip_ws st;

@@ -5,7 +5,8 @@
     package installed, so this module provides the value type, a
     printer and a parser.  It supports the full JSON grammar except
     that numbers are split into [Int] and [Float] on parse ([Int] when
-    the literal has no fraction/exponent and fits in an OCaml [int]). *)
+    the literal has no fraction/exponent and fits in an OCaml [int]),
+    and that a literal too large for a double is rejected. *)
 
 type t =
   | Null

@@ -20,6 +20,7 @@
    base seed from CHAOS_SEED. *)
 
 open Openmb_sim
+open Openmb_wire
 open Openmb_net
 open Openmb_core
 open Openmb_mbox
@@ -486,6 +487,266 @@ let prop_seq_reply_roundtrip =
           Message.from_mb_of_wire (Message.from_mb_to_wire ~framing msg) = msg)
         replies)
 
+(* One generator per message direction that reaches every constructor
+   and every packet shape, for the malformed-frame property below. *)
+
+let gen_hfl =
+  QCheck2.Gen.(
+    let prefix = map2 (fun a len -> Addr.prefix (Addr.of_int a) len) (int_bound 0xFFFF_FFFF) (int_bound 32) in
+    list_size (int_range 0 4)
+      (oneof
+         [
+           map (fun p -> Hfl.Src_ip p) prefix;
+           map (fun p -> Hfl.Dst_ip p) prefix;
+           map (fun v -> Hfl.Src_port v) (int_bound 0xFFFF);
+           map (fun v -> Hfl.Dst_port v) (int_bound 0xFFFF);
+           map (fun v -> Hfl.Proto v) (oneofl Packet.[ Tcp; Udp; Icmp ]);
+         ]))
+
+let gen_text = QCheck2.Gen.string_size (QCheck2.Gen.int_range 0 12)
+
+let gen_json =
+  QCheck2.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) (float_range (-1e9) 1e9);
+                 map (fun s -> Json.String s) gen_text;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map (fun l -> Json.List l) (list_size (int_bound 3) (self (n - 1)));
+                 map (fun l -> Json.Assoc l) (list_size (int_bound 3) (pair gen_text (self (n - 1))));
+               ]))
+
+let gen_payload =
+  QCheck2.Gen.map2
+    (fun tokens trailing -> Payload.of_tokens_trailing (Array.of_list tokens) ~trailing)
+    QCheck2.Gen.(list_size (int_bound 4) int)
+    (QCheck2.Gen.int_bound 63)
+
+let gen_packet =
+  QCheck2.Gen.(
+    let app =
+      oneof
+        [
+          return Packet.Plain;
+          map3 (fun method_ host uri -> Packet.Http_request { method_; host; uri }) gen_text gen_text gen_text;
+          map (fun status -> Packet.Http_response { status }) (int_bound 999);
+        ]
+    in
+    let segment =
+      oneof
+        [
+          map (fun p -> Packet.Literal p) gen_payload;
+          map2 (fun offset len -> Packet.Shim { offset; len }) nat nat;
+        ]
+    in
+    let body =
+      oneof
+        [
+          map (fun p -> Packet.Raw p) gen_payload;
+          map4
+            (fun cache_id append_base segments orig ->
+              Packet.Encoded { cache_id; append_base; segments; orig })
+            int int (list_size (int_bound 3) segment) gen_payload;
+        ]
+    in
+    let* id = nat and* ts = float_bound_inclusive 100.0 in
+    let* src_ip = int_bound 0xFFFF_FFFF and* dst_ip = int_bound 0xFFFF_FFFF in
+    let* src_port = int_bound 0xFFFF and* dst_port = int_bound 0xFFFF in
+    let* proto = oneofl Packet.[ Tcp; Udp; Icmp ] in
+    let* syn = bool and* ack = bool and* fin = bool and* rst = bool in
+    let* app = app and* body = body in
+    return
+      {
+        Packet.id;
+        ts;
+        src_ip = Addr.of_int src_ip;
+        dst_ip = Addr.of_int dst_ip;
+        src_port;
+        dst_port;
+        proto;
+        flags = { Packet.syn; ack; fin; rst };
+        app;
+        body;
+      })
+
+let gen_request =
+  QCheck2.Gen.(
+    let path = list_size (int_bound 3) (string_size ~gen:(char_range 'a' 'z') (int_range 1 5)) in
+    let seq = int_bound 0xFFFFFF in
+    oneof
+      [
+        map (fun p -> Message.Get_config p) path;
+        map2 (fun p vs -> Message.Set_config (p, vs)) path (list_size (int_bound 3) gen_json);
+        map (fun p -> Message.Del_config p) path;
+        map (fun h -> Message.Get_support_perflow h) gen_hfl;
+        map2 (fun seq chunk -> Message.Put_support_perflow { seq; chunk }) seq gen_chunk;
+        map (fun h -> Message.Del_support_perflow h) gen_hfl;
+        return Message.Get_support_shared;
+        map2 (fun seq chunk -> Message.Put_support_shared { seq; chunk }) seq gen_chunk;
+        map (fun h -> Message.Get_report_perflow h) gen_hfl;
+        map2 (fun seq chunk -> Message.Put_report_perflow { seq; chunk }) seq gen_chunk;
+        map (fun h -> Message.Del_report_perflow h) gen_hfl;
+        return Message.Get_report_shared;
+        map2 (fun seq chunk -> Message.Put_report_shared { seq; chunk }) seq gen_chunk;
+        map (fun h -> Message.Get_stats h) gen_hfl;
+        map2 (fun codes key -> Message.Enable_events { codes; key }) (list_size (int_bound 3) gen_text) gen_hfl;
+        map (fun codes -> Message.Disable_events { codes }) (list_size (int_bound 3) gen_text);
+        map2 (fun key packet -> Message.Reprocess_packet { key; packet }) gen_hfl gen_packet;
+        map2 (fun seq chunks -> Message.Put_batch { seq; chunks }) seq (list_size (int_bound 3) gen_chunk);
+        map (fun h -> Message.Abort_perflow h) gen_hfl;
+      ])
+
+let gen_to_mb =
+  QCheck2.Gen.map3
+    (fun op tid req -> { Message.op; tid; req })
+    QCheck2.Gen.nat
+    QCheck2.Gen.(oneof [ return 0; nat ])
+    gen_request
+
+let gen_from_mb =
+  QCheck2.Gen.(
+    let error =
+      oneof
+        [
+          return Errors.Granularity_too_fine;
+          map (fun s -> Errors.Unknown_mb s) gen_text;
+          map (fun s -> Errors.Unknown_config_key s) gen_text;
+          map (fun s -> Errors.Illegal_operation s) gen_text;
+          map (fun s -> Errors.Bad_chunk s) gen_text;
+          map (fun s -> Errors.Op_failed s) gen_text;
+          map (fun s -> Errors.Timeout s) gen_text;
+          map (fun s -> Errors.Move_aborted s) gen_text;
+        ]
+    in
+    let entry =
+      map2 (fun path values -> { Config_tree.path; values })
+        (list_size (int_range 1 3) (string_size ~gen:(char_range 'a' 'z') (int_range 1 5)))
+        (list_size (int_bound 3) gen_json)
+    in
+    let stats =
+      map (fun l ->
+          match l with
+          | [ a; b; c; d; e; f ] ->
+            {
+              Southbound.perflow_support_chunks = a;
+              perflow_report_chunks = b;
+              perflow_support_bytes = c;
+              perflow_report_bytes = d;
+              shared_support_bytes = e;
+              shared_report_bytes = f;
+            }
+          | _ -> assert false)
+        (list_repeat 6 nat)
+    in
+    let reply =
+      oneof
+        [
+          map (fun c -> Message.State_chunk c) gen_chunk;
+          map (fun count -> Message.End_of_state { count }) nat;
+          return Message.Ack;
+          map (fun es -> Message.Config_values es) (list_size (int_bound 3) entry);
+          map (fun s -> Message.Stats_reply s) stats;
+          map (fun e -> Message.Op_error e) error;
+          map3
+            (fun seq count errors -> Message.Batch_ack { seq; count; errors })
+            nat nat
+            (list_size (int_bound 3) (pair nat error));
+        ]
+    in
+    oneof
+      [
+        map2 (fun op reply -> Message.Reply { op; reply }) nat reply;
+        map2 (fun key packet -> Message.Event_msg (Event.Reprocess { key; packet })) gen_hfl gen_packet;
+        map3
+          (fun code key info -> Message.Event_msg (Event.Introspect { code; key; info }))
+          gen_text gen_hfl gen_json;
+      ])
+
+(* The generators reach every constructor, and each request's name is
+   the one its JSON frame carries. *)
+let test_generators_reach_every_constructor () =
+  let rand = Random.State.make [| 0x5EED |] in
+  let requests = Hashtbl.create 19 and from_mb = Hashtbl.create 9 in
+  for _ = 1 to 2000 do
+    let m = QCheck2.Gen.generate1 ~rand gen_to_mb in
+    let name = Message.request_name m.req in
+    Alcotest.(check string) "request_name is the JSON type" name
+      (Json.get_string (Json.member "type" (Json.of_string (Message.request_to_wire m))));
+    Hashtbl.replace requests name ();
+    let first_word s = List.hd (String.split_on_char ' ' s) in
+    Hashtbl.replace from_mb
+      (match QCheck2.Gen.generate1 ~rand gen_from_mb with
+      | Message.Reply { reply; _ } -> first_word (Message.describe_reply reply)
+      | Message.Event_msg ev -> first_word (Event.describe ev))
+      ()
+  done;
+  Alcotest.(check int) "all 19 requests" 19 (Hashtbl.length requests);
+  Alcotest.(check int) "all 7 replies and 2 events" 9 (Hashtbl.length from_mb)
+
+(* A frame damaged in transit — truncated, bit-flipped, or replaced by
+   random bytes — either raises Decode_error or decodes to a message
+   whose re-encoding is a fixed point.  Bytes are compared, not values:
+   a flipped f64 can decode to NaN. *)
+let gen_damage =
+  QCheck2.Gen.(
+    let flip = map2 (fun i bit -> `Flip (i, bit)) nat (int_bound 7) in
+    oneof
+      [
+        map (fun i -> `Truncate i) nat;
+        map (fun flips -> `Flips flips) (list_size (int_range 1 3) flip);
+        map2 (fun lead rest -> `Random (lead ^ rest)) (oneofl [ "B"; "{"; "" ]) (string_size (int_bound 40));
+      ])
+
+let damage frame = function
+  | `Truncate i -> String.sub frame 0 (i mod (String.length frame + 1))
+  | `Flips flips ->
+    let b = Bytes.of_string frame in
+    List.iter
+      (fun (`Flip (i, bit)) ->
+        let i = i mod Bytes.length b in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+      flips;
+    Bytes.to_string b
+  | `Random s -> s
+
+let rejected_or_fixed_point decode encode input =
+  match decode input with
+  | exception Openmb_wire.Binary.Decode_error _ -> true
+  | v ->
+    let framing =
+      if String.length input > 0 && input.[0] = 'B' then Openmb_wire.Framing.Binary
+      else Openmb_wire.Framing.Json
+    in
+    let once = encode ~framing v in
+    String.equal once (encode ~framing (decode once))
+
+let prop_damaged_frames name gen decode encode =
+  QCheck2.Test.make ~name ~count:1000
+    QCheck2.Gen.(triple gen bool gen_damage)
+    (fun (msg, binary, dmg) ->
+      let framing = if binary then Openmb_wire.Framing.Binary else Openmb_wire.Framing.Json in
+      rejected_or_fixed_point decode encode (damage (encode ~framing msg) dmg))
+
+let prop_damaged_requests =
+  prop_damaged_frames "damaged request frames: Decode_error or a fixed point" gen_to_mb
+    Message.request_of_wire (fun ~framing m -> Message.request_to_wire ~framing m)
+
+let prop_damaged_from_mb =
+  prop_damaged_frames "damaged reply/event frames: Decode_error or a fixed point" gen_from_mb
+    Message.from_mb_of_wire (fun ~framing m -> Message.from_mb_to_wire ~framing m)
+
 (* ------------------------------------------------------------------ *)
 (* Link faults against batch members                                   *)
 (* ------------------------------------------------------------------ *)
@@ -651,5 +912,14 @@ let () =
           Alcotest.test_case "re-process after delete does not resurrect" `Quick
             test_reprocess_after_delete_no_resurrect;
         ] );
-      ("codec", qcheck [ prop_seq_request_roundtrip; prop_seq_reply_roundtrip ]);
+      ( "codec",
+        Alcotest.test_case "generators reach every constructor" `Quick
+          test_generators_reach_every_constructor
+        :: qcheck
+             [
+               prop_seq_request_roundtrip;
+               prop_seq_reply_roundtrip;
+               prop_damaged_requests;
+               prop_damaged_from_mb;
+             ] );
     ]

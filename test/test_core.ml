@@ -535,6 +535,55 @@ let test_binary_decode_rejects_garbage () =
   fails (String.sub bin 0 (String.length bin - 1));
   fails (bin ^ "\x00")
 
+(* Malformed frames that escaped as other exceptions before both
+   framings shared one decoder: a count taken off the wire as an
+   allocation size, values a constructor rejects, a missing field. *)
+let test_malformed_frames_raise_decode_error () =
+  let rejects what decode s =
+    match decode s with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Binary.Decode_error _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let uvarint n =
+    let buf = Buffer.create 10 in
+    Binary.uvarint (Binary.buffer_sink buf) n;
+    Buffer.contents buf
+  in
+  let cut s n = String.sub s 0 (String.length s - n) in
+  let ends_with what suffix s =
+    Alcotest.(check string) what suffix (String.sub s (String.length s - String.length suffix) (String.length suffix))
+  in
+  (* A packet whose body is a one-token raw payload: the frame ends with
+     the token count 1, the token 5 (zigzag 0x0a) and trailing 0. *)
+  let packet =
+    Packet.make ~id:1 ~ts:Time.zero ~src_ip:(Addr.of_string "10.0.0.1")
+      ~dst_ip:(Addr.of_string "1.1.1.1") ~src_port:1 ~dst_port:2 ~proto:Packet.Tcp
+      ~body:(Packet.Raw (Payload.of_tokens [| 5 |])) ()
+  in
+  let reprocess =
+    Message.request_to_wire ~framing:Framing.Binary
+      { Message.op = 1; tid = 0; req = Message.Reprocess_packet { key = Hfl.any; packet } }
+  in
+  ends_with "reprocess frame ends with its payload" "\x01\x0a\x00" reprocess;
+  rejects "token count 2^45" Message.request_of_wire (cut reprocess 3 ^ uvarint (1 lsl 45) ^ "\x0a\x00");
+  rejects "trailing 100" Message.request_of_wire (cut reprocess 1 ^ uvarint 100);
+  let event =
+    Message.from_mb_to_wire ~framing:Framing.Binary
+      (Message.Event_msg (Event.Reprocess { key = Hfl.any; packet }))
+  in
+  ends_with "event frame ends with its payload" "\x01\x0a\x00" event;
+  rejects "event token count 2^45" Message.from_mb_of_wire (cut event 3 ^ uvarint (1 lsl 45) ^ "\x0a\x00");
+  (* An hfl prefix field ends with its mask length. *)
+  let get =
+    Message.request_to_wire ~framing:Framing.Binary
+      { Message.op = 1; tid = 0; req = Message.Get_support_perflow (Hfl.of_string "nw_src=10.0.0.0/24") }
+  in
+  ends_with "get frame ends with the mask length" "\x18" get;
+  rejects "prefix length 33" Message.request_of_wire (cut get 1 ^ "\x21");
+  rejects "JSON without key" Message.request_of_wire {|{"op":1,"type":"getSupportPerflow"}|};
+  rejects "JSON reply without op" Message.from_mb_of_wire {|{"type":"ack"}|}
+
 (* ------------------------------------------------------------------ *)
 (* Controller end-to-end                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1177,6 +1226,8 @@ let () =
           Alcotest.test_case "reply codec equivalence" `Quick test_reply_codec_equivalence;
           Alcotest.test_case "binary decode rejects garbage" `Quick
             test_binary_decode_rejects_garbage;
+          Alcotest.test_case "malformed frames raise Decode_error" `Quick
+            test_malformed_frames_raise_decode_error;
         ] );
       ( "controller",
         [
