@@ -59,12 +59,12 @@ let hfl =
     record Addr.prefix |> field "base" addr Addr.prefix_base |> field "len" u8 Addr.prefix_len
   in
   let hfl_field =
-    union "field" (fun src dst sport dport proto_ -> function
+    union "field" (fun Select.[ src; dst; sport; dport; proto_ ] -> Dispatch (function
       | Hfl.Src_ip p -> src p
       | Dst_ip p -> dst p
       | Src_port v -> sport v
       | Dst_port v -> dport v
-      | Proto v -> proto_ v)
+      | Proto v -> proto_ v))
     |> case 0 "nw_src" prefix (fun p -> Hfl.Src_ip p)
     |> case 1 "nw_dst" prefix (fun p -> Hfl.Dst_ip p)
     |> case 2 "tp_src" (obj1 "value" u16) (fun v -> Hfl.Src_port v)
@@ -115,10 +115,10 @@ let app =
   let open Codec in
   json_null Packet.Plain
     (obj
-       (union "t" (fun plain req resp -> function
+       (union "t" (fun Select.[ plain; req; resp ] -> Dispatch (function
          | Packet.Plain -> plain ()
          | Http_request { method_; host; uri } -> req (method_, host, uri)
-         | Http_response { status } -> resp status)
+         | Http_response { status } -> resp status))
        |> case 0 "plain" (record ()) (fun () -> Packet.Plain)
        |> case 1 "req" (obj3 "method" string "host" string "uri" string)
             (fun (method_, host, uri) -> Packet.Http_request { method_; host; uri })
@@ -135,9 +135,9 @@ let payload =
 let segment =
   let open Codec in
   obj
-    (union "t" (fun lit shim -> function
+    (union "t" (fun Select.[ lit; shim ] -> Dispatch (function
        | Packet.Literal p -> lit p
-       | Shim { offset; len } -> shim (offset, len))
+       | Shim { offset; len } -> shim (offset, len)))
     |> case 0 "lit" (obj1 "payload" payload) (fun p -> Packet.Literal p)
     |> case 1 "shim" (obj2 "offset" uvarint "len" uvarint) (fun (offset, len) ->
            Packet.Shim { offset; len })
@@ -146,10 +146,10 @@ let segment =
 let body =
   let open Codec in
   obj
-    (union "t" (fun raw enc -> function
+    (union "t" (fun Select.[ raw; enc ] -> Dispatch (function
        | Packet.Raw p -> raw p
        | Encoded { cache_id; append_base; segments; orig } ->
-         enc (cache_id, append_base, segments, orig))
+         enc (cache_id, append_base, segments, orig)))
     |> case 0 "raw" (obj1 "payload" payload) (fun p -> Packet.Raw p)
     |> case 1 "enc"
          (record (fun c b s o -> (c, b, s, o))
@@ -182,47 +182,52 @@ let request_cases =
   let key c = obj1 "key" c in
   let put = obj2 "seq" uvarint "chunk" chunk in
   union "type"
-    (fun get_config set_config del_config get_sp put_sp del_sp get_ss put_ss get_rp put_rp
-         del_rp get_rs put_rs get_stats enable disable reprocess put_batch abort -> function
+    (fun
+      Select.
+        [
+          get_config; set_config; del_config; get_sp; put_sp; del_sp; get_ss; put_ss; get_rp;
+          put_rp; del_rp; get_rs; put_rs; get_stats; enable; disable; reprocess; put_batch; abort;
+        ]
+    -> Dispatch (function
     | Get_config p -> get_config p
-    | Set_config (p, vs) -> set_config (p, vs)
+    | Set_config (p, vs) -> set_config p vs
     | Del_config p -> del_config p
     | Get_support_perflow h -> get_sp h
-    | Put_support_perflow { seq; chunk } -> put_sp (seq, chunk)
+    | Put_support_perflow { seq; chunk } -> put_sp seq chunk
     | Del_support_perflow h -> del_sp h
     | Get_support_shared -> get_ss ()
-    | Put_support_shared { seq; chunk } -> put_ss (seq, chunk)
+    | Put_support_shared { seq; chunk } -> put_ss seq chunk
     | Get_report_perflow h -> get_rp h
-    | Put_report_perflow { seq; chunk } -> put_rp (seq, chunk)
+    | Put_report_perflow { seq; chunk } -> put_rp seq chunk
     | Del_report_perflow h -> del_rp h
     | Get_report_shared -> get_rs ()
-    | Put_report_shared { seq; chunk } -> put_rs (seq, chunk)
+    | Put_report_shared { seq; chunk } -> put_rs seq chunk
     | Get_stats h -> get_stats h
-    | Enable_events { codes; key } -> enable (codes, key)
+    | Enable_events { codes; key } -> enable codes key
     | Disable_events { codes } -> disable codes
-    | Reprocess_packet { key; packet } -> reprocess (key, packet)
-    | Put_batch { seq; chunks } -> put_batch (seq, chunks)
-    | Abort_perflow h -> abort h)
+    | Reprocess_packet { key; packet } -> reprocess key packet
+    | Put_batch { seq; chunks } -> put_batch seq chunks
+    | Abort_perflow h -> abort h))
   |> case 0 "getConfig" (key path) (fun p -> Get_config p)
-  |> case 1 "setConfig" (obj2 "key" path "values" (list json)) (fun (p, vs) -> Set_config (p, vs))
+  |> case2 1 "setConfig" (obj2 "key" path "values" (list json)) (fun p vs -> Set_config (p, vs))
   |> case 2 "delConfig" (key path) (fun p -> Del_config p)
   |> case 3 "getSupportPerflow" (key hfl) (fun h -> Get_support_perflow h)
-  |> case 4 "putSupportPerflow" put (fun (seq, chunk) -> Put_support_perflow { seq; chunk })
+  |> case2 4 "putSupportPerflow" put (fun seq chunk -> Put_support_perflow { seq; chunk })
   |> case 5 "delSupportPerflow" (key hfl) (fun h -> Del_support_perflow h)
   |> case 6 "getSupportShared" (record ()) (fun () -> Get_support_shared)
-  |> case 7 "putSupportShared" put (fun (seq, chunk) -> Put_support_shared { seq; chunk })
+  |> case2 7 "putSupportShared" put (fun seq chunk -> Put_support_shared { seq; chunk })
   |> case 8 "getReportPerflow" (key hfl) (fun h -> Get_report_perflow h)
-  |> case 9 "putReportPerflow" put (fun (seq, chunk) -> Put_report_perflow { seq; chunk })
+  |> case2 9 "putReportPerflow" put (fun seq chunk -> Put_report_perflow { seq; chunk })
   |> case 10 "delReportPerflow" (key hfl) (fun h -> Del_report_perflow h)
   |> case 11 "getReportShared" (record ()) (fun () -> Get_report_shared)
-  |> case 12 "putReportShared" put (fun (seq, chunk) -> Put_report_shared { seq; chunk })
+  |> case2 12 "putReportShared" put (fun seq chunk -> Put_report_shared { seq; chunk })
   |> case 13 "getStats" (key hfl) (fun h -> Get_stats h)
-  |> case 14 "enableEvents" (obj2 "codes" (list string) "key" hfl) (fun (codes, key) ->
+  |> case2 14 "enableEvents" (obj2 "codes" (list string) "key" hfl) (fun codes key ->
          Enable_events { codes; key })
   |> case 15 "disableEvents" (obj1 "codes" (list string)) (fun codes -> Disable_events { codes })
-  |> case 16 "reprocessPacket" (obj2 "key" hfl "packet" packet) (fun (key, packet) ->
+  |> case2 16 "reprocessPacket" (obj2 "key" hfl "packet" packet) (fun key packet ->
          Reprocess_packet { key; packet })
-  |> case 17 "putBatch" (obj2 "seq" uvarint "chunks" (list chunk)) (fun (seq, chunks) ->
+  |> case2 17 "putBatch" (obj2 "seq" uvarint "chunks" (list chunk)) (fun seq chunks ->
          Put_batch { seq; chunks })
   |> case 18 "abortPerflow" (key hfl) (fun h -> Abort_perflow h)
 
@@ -231,19 +236,18 @@ let request_cases =
 let to_mb =
   let open Codec in
   obj
-    (record (fun op (tid, req) -> { op; tid; req })
+    (record (fun op tid req -> { op; tid; req })
     |> field "op" uvarint (fun m -> m.op)
-    |> splice
-         (after_tag (record Fun.id |> field_or 0 "tid" uvarint Fun.id) (variant request_cases))
-         (fun m -> (m.tid, m.req)))
+    |> splice_after_tag (obj1_or 0 "tid" uvarint) (fun m -> m.tid) (variant request_cases) (fun m ->
+           m.req))
 
 let error =
   let open Codec in
   let arg = obj1 "arg" string in
   obj
     (union "code"
-       (fun granularity unknown_mb unknown_key illegal bad_chunk op_failed timeout aborted ->
-       function
+       (fun Select.[ granularity; unknown_mb; unknown_key; illegal; bad_chunk; op_failed; timeout; aborted ]
+       -> Dispatch (function
        | Errors.Granularity_too_fine -> granularity ()
        | Unknown_mb s -> unknown_mb s
        | Unknown_config_key s -> unknown_key s
@@ -251,7 +255,7 @@ let error =
        | Bad_chunk s -> bad_chunk s
        | Op_failed s -> op_failed s
        | Timeout s -> timeout s
-       | Move_aborted s -> aborted s)
+       | Move_aborted s -> aborted s))
     |> case 0 "granularity"
          (record (fun (_ : string) -> ()) |> field "arg" string (fun () -> ""))
          (fun () -> Errors.Granularity_too_fine)
@@ -292,15 +296,16 @@ let entry =
 
 let reply_cases =
   let open Codec in
-  union "type" (fun state_chunk end_of_state ack config_values stats_reply op_error batch_ack ->
-    function
+  union "type"
+    (fun Select.[ state_chunk; end_of_state; ack; config_values; stats_reply; op_error; batch_ack ]
+    -> Dispatch (function
     | State_chunk c -> state_chunk c
     | End_of_state { count } -> end_of_state count
     | Ack -> ack ()
     | Config_values es -> config_values es
     | Stats_reply s -> stats_reply s
     | Op_error e -> op_error e
-    | Batch_ack { seq; count; errors } -> batch_ack (seq, count, errors))
+    | Batch_ack { seq; count; errors } -> batch_ack (seq, count, errors)))
   |> case 0 "stateChunk" (obj1 "chunk" chunk) (fun c -> State_chunk c)
   |> case 1 "endOfState" (obj1 "count" uvarint) (fun count -> End_of_state { count })
   |> case 2 "ack" (record ()) (fun () -> Ack)
@@ -314,9 +319,9 @@ let reply_cases =
 let event =
   let open Codec in
   obj
-    (union "t" (fun reprocess introspect -> function
+    (union "t" (fun Select.[ reprocess; introspect ] -> Dispatch (function
        | Event.Reprocess { key; packet } -> reprocess (key, packet)
-       | Introspect { code; key; info } -> introspect (code, key, info))
+       | Introspect { code; key; info } -> introspect (code, key, info)))
     |> case 0 "reprocess" (obj2 "key" hfl "packet" packet) (fun (key, packet) ->
            Event.Reprocess { key; packet })
     |> case 1 "introspect" (obj3 "code" string "key" hfl "info" json) (fun (code, key, info) ->
@@ -328,9 +333,9 @@ let event =
 let from_mb =
   let open Codec in
   obj
-    (union "type" (fun reply_ event_ -> function
+    (union "type" (fun Select.[ reply_; event_ ] -> Dispatch (function
        | Reply { op; reply } -> reply_ (op, reply)
-       | Event_msg ev -> event_ ev)
+       | Event_msg ev -> event_ ev))
     |> untagged 0
          (record (fun op r -> (op, r)) |> field "op" uvarint fst |> splice (variant reply_cases) snd)
          (fun (op, reply) -> Reply { op; reply })

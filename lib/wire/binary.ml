@@ -2,27 +2,23 @@ exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
-type sink = { put_char : char -> unit; put_string : string -> unit }
+type sink = Bytes_to of Buffer.t | Count of int ref
 
-let buffer_sink buf =
-  { put_char = Buffer.add_char buf; put_string = Buffer.add_string buf }
+let buffer_sink buf = Bytes_to buf
 
 let counting_sink () =
   let n = ref 0 in
-  ( { put_char = (fun _ -> incr n); put_string = (fun s -> n := !n + String.length s) },
-    fun () -> !n )
+  (Count n, fun () -> !n)
 
-let u8 k v = k.put_char (Char.unsafe_chr (v land 0xFF))
+let put_char k c = match k with Bytes_to b -> Buffer.add_char b c | Count n -> incr n
 
-let u16 k v =
-  u8 k (v lsr 8);
-  u8 k v
+let put_string k s =
+  match k with Bytes_to b -> Buffer.add_string b s | Count n -> n := !n + String.length s
 
-let u32 k v =
-  u8 k (v lsr 24);
-  u8 k (v lsr 16);
-  u8 k (v lsr 8);
-  u8 k v
+let u8 k v = put_char k (Char.unsafe_chr (v land 0xFF))
+
+let u16 k v = match k with Bytes_to b -> Buffer.add_uint16_be b (v land 0xFFFF) | Count n -> n := !n + 2
+let u32 k v = match k with Bytes_to b -> Buffer.add_int32_be b (Int32.of_int v) | Count n -> n := !n + 4
 
 (* Base-128 emitter over the raw (two's-complement) bit pattern; [lsr]
    makes the loop terminate for any int. *)
@@ -41,15 +37,11 @@ let uvarint k v =
 let varint k v = base128 k ((v lsl 1) lxor (v asr 62))
 
 let f64 k v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    k.put_char
-      (Char.unsafe_chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xFF))
-  done
+  match k with Bytes_to b -> Buffer.add_int64_be b (Int64.bits_of_float v) | Count n -> n := !n + 8
 
 let str k s =
   uvarint k (String.length s);
-  k.put_string s
+  put_string k s
 
 type reader = { src : string; mutable pos : int }
 

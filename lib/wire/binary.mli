@@ -9,7 +9,8 @@
 exception Decode_error of string
 (** Raised by every [get_*] on malformed or truncated input. *)
 
-type sink = { put_char : char -> unit; put_string : string -> unit }
+type sink
+(** Where encoders write: a buffer, or a byte counter. *)
 
 val buffer_sink : Buffer.t -> sink
 val counting_sink : unit -> sink * (unit -> int)

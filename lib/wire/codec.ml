@@ -42,9 +42,11 @@ let read_list item (r : Binary.reader) =
   if n > String.length r.src - r.pos then fail "Codec: count %d exceeds the input" n;
   List.init n (fun _ -> item r)
 
+let rec write_items item k = function [] -> () | x :: rest -> item k x; write_items item k rest
+
 let write_list item k l =
   Binary.uvarint k (List.length l);
-  List.iter (item k) l
+  write_items item k l
 
 let rec write_json k = function
   | Json.Null -> Binary.u8 k 0
@@ -72,7 +74,7 @@ let json = { to_json = Fun.id; of_json = Fun.id; write = write_json; read = read
 
 let enum name values =
   let values = Array.of_list values in
-  let rec index v i = if values.(i) = v then i else index v (i + 1) in
+  let rec index v i = if values.(i) == v then i else index v (i + 1) in
   let of_json = function
     | Json.String s as j -> (
       match Array.find_opt (fun v -> name v = s) values with Some v -> v | None -> mismatch "a name" j)
@@ -119,13 +121,15 @@ type ('r, 'k) fields = {
 
 type 'r obj = ('r, 'r) fields
 
-let record make =
-  { emit = (fun _ rest -> rest); parse = (fun _ -> make); put = (fun _ _ -> ()); take = (fun _ -> make) }
+let nothing _ _ = ()
+let record make = { emit = (fun _ rest -> rest); parse = (fun _ -> make); put = nothing; take = (fun _ -> make) }
 
+(* A record's first field skips the call to the empty writer before it. *)
 let splice (o : 'a obj) get f =
+  let put, put_first = (f.put, o.put) in
   { emit = (fun v rest -> f.emit v (o.emit (get v) rest));
     parse = (fun fs -> let make = f.parse fs in make (o.parse fs));
-    put = (fun k v -> f.put k v; o.put k (get v));
+    put = (if put == nothing then fun k v -> put_first k (get v) else fun k v -> put k v; o.put k (get v));
     take = (fun r -> let make = f.take r in make (o.take r)) }
 
 let member name fs = Option.value (List.assoc_opt name fs) ~default:Json.Null
@@ -136,15 +140,17 @@ let one name c =
 
 let field name c get = splice (one name c) get
 
-let field_or default name c get =
+let obj1_or default name c =
   let o = one name c in
-  splice
-    { o with emit = (fun v rest -> if v = default then rest else o.emit v rest);
-             parse = (fun fs -> if List.mem_assoc name fs then o.parse fs else default) }
-    get
+  { o with emit = (fun v rest -> if v = default then rest else o.emit v rest);
+           parse = (fun fs -> if List.mem_assoc name fs then o.parse fs else default) }
 
-let obj1 n1 c1 = record Fun.id |> field n1 c1 Fun.id
-let obj2 n1 c1 n2 c2 = record (fun a b -> (a, b)) |> field n1 c1 fst |> field n2 c2 snd
+let obj1 = one
+let obj2 n1 c1 n2 c2 =
+  { emit = (fun (a, b) rest -> (n1, c1.to_json a) :: (n2, c2.to_json b) :: rest);
+    parse = (fun fs -> let a = c1.of_json (member n1 fs) in (a, c2.of_json (member n2 fs)));
+    put = (fun k (a, b) -> c1.write k a; c2.write k b);
+    take = (fun r -> let a = c1.read r in (a, c2.read r)) }
 
 let obj3 n1 c1 n2 c2 n3 c3 =
   record (fun a b c -> (a, b, c))
@@ -174,26 +180,57 @@ type 'a any_case = Any : ('a, 'b) case -> 'a any_case
    encoding, the case alone when only its name is wanted. *)
 type 'a selected = Value : ('a, 'b) case * 'b -> 'a selected | Case : ('a, 'b) case -> 'a selected
 
-(* The destructor is fed two sets of selectors as cases are added:
-   [select]'s build the payload-carrying [Value], [classify]'s return
-   a preallocated [Case], so naming a value allocates nothing. *)
-type ('a, 'k) cases = { union_tag : string; all : 'a any_case list; select : 'k; classify : 'k }
+module Select = struct
+  type _ t = [] : unit t | ( :: ) : 'a * 'b t -> ('a * 'b) t
+end
 
-let union union_tag destruct = { union_tag; all = []; select = destruct; classify = destruct }
+(* The destructor gets one selector per case, all at once, and returns
+   the match as a closure over them (the constructor keeps OCaml from
+   fusing the two into one function that re-reads the list on every
+   call).  It is fed two selector lists: [select]'s build the
+   payload-carrying [Value], [classify]'s return a preallocated [Case],
+   so naming a value allocates nothing. *)
+type 'a dispatch = Dispatch of ('a -> 'a selected) [@@unboxed]
 
-let add_case c u =
-  let only = Case c in
-  { union_tag = u.union_tag; all = Any c :: u.all; select = u.select (fun x -> Value (c, x));
-    classify = u.classify (fun _ -> only) }
+type ('a, 'all, 'rest) cases = {
+  union_tag : string;
+  all : 'a any_case list;
+  destruct : 'all Select.t -> 'a dispatch;
+  select : 'rest Select.t -> 'all Select.t;
+  classify : 'rest Select.t -> 'all Select.t;
+}
+
+let union union_tag destruct = { union_tag; all = []; destruct; select = Fun.id; classify = Fun.id }
+
+let add_case c sel name u =
+  { u with all = Any c :: u.all; select = (fun rest -> u.select Select.(sel :: rest));
+           classify = (fun rest -> u.classify Select.(name :: rest)) }
+
+let tagged u tag name body make = { tag; name; tag_field = Some (u.union_tag, Json.String name); body; make }
 
 let case tag name body make u =
-  add_case { tag; name; tag_field = Some (u.union_tag, Json.String name); body; make } u
+  let c = tagged u tag name body make in
+  let only = Case c in
+  add_case c (fun x -> Value (c, x)) (fun _ -> only) u
 
-let untagged tag body make u = add_case { tag; name = ""; tag_field = None; body; make } u
-let case_name u v = match u.classify v with Case c -> c.name | Value (c, _) -> c.name
+let case2 tag name body make u =
+  let c = tagged u tag name body (fun (a, b) -> make a b) in
+  let only = Case c in
+  add_case c (fun a b -> Value (c, (a, b))) (fun _ _ -> only) u
+
+let untagged tag body make u =
+  let c = { tag; name = ""; tag_field = None; body; make } in
+  let only = Case c in
+  add_case c (fun x -> Value (c, x)) (fun _ -> only) u
+
+let case_name u =
+  let (Dispatch classify) = u.destruct (u.classify Select.[]) in
+  fun v -> match classify v with Case c -> c.name | Value (c, _) -> c.name
+
 let bare_case () = invalid_arg "Codec: a union selector returned no payload"
 
 let variant u =
+  let (Dispatch select) = u.destruct (u.select Select.[]) in
   let by_tag = Array.make 256 None in
   List.iter (fun (Any c as any) -> by_tag.(c.tag) <- Some any) u.all;
   let untagged = List.find_opt (fun (Any c) -> c.tag_field = None) u.all in
@@ -205,14 +242,14 @@ let variant u =
   in
   { emit =
       (fun v rest ->
-        match u.select v with
+        match select v with
         | Value ({ tag_field = Some t; _ } as c, x) -> t :: c.body.emit x rest
         | Value (c, x) -> c.body.emit x rest
         | Case _ -> bare_case ());
     parse = (fun fs -> let (Any c) = parse_case fs in c.make (c.body.parse fs));
     put =
       (fun k v ->
-        match u.select v with
+        match select v with
         | Value (c, x) -> Binary.u8 k c.tag; c.body.put k x
         | Case _ -> bare_case ());
     take =
@@ -221,13 +258,16 @@ let variant u =
         | Some (Any c) -> c.make (c.body.take r)
         | None -> fail "Codec: unknown %s tag" u.union_tag) }
 
-let after_tag (h : 'h obj) (o : 'a obj) =
+let splice_after_tag (h : 'h obj) hget (u : 'a obj) uget f =
   { emit =
-      (fun (hv, v) rest ->
-        match o.emit v rest with tag :: fields -> tag :: h.emit hv fields | [] -> h.emit hv rest);
-    parse = (fun fs -> (h.parse fs, o.parse fs));
-    put = (fun k (hv, v) -> h.put k hv; o.put k v);
-    take = (fun r -> let hv = h.take r in (hv, o.take r)) }
+      (fun v rest ->
+        f.emit v
+          (match u.emit (uget v) rest with
+          | tag :: fields -> tag :: h.emit (hget v) fields
+          | [] -> h.emit (hget v) rest));
+    parse = (fun fs -> let make = f.parse fs in make (h.parse fs) (u.parse fs));
+    put = (fun k v -> f.put k v; h.put k (hget v); u.put k (uget v));
+    take = (fun r -> let make = f.take r in let hv = h.take r in make hv (u.take r)) }
 
 (* ------------------------------------------------------------------ *)
 (* Framings                                                            *)

@@ -49,7 +49,7 @@ val json : Json.t t
 
 val enum : ('a -> string) -> 'a list -> 'a t
 (** [enum name values]: a JSON string [name v]; in binary one byte,
-    [v]'s position in [values]. *)
+    [v]'s position in [values], which are constant constructors. *)
 
 (** {1 Combinators} *)
 
@@ -86,16 +86,17 @@ val record : 'k -> ('r, 'k) fields
 val field : string -> 'a t -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
 (** [field name c get] adds one field. *)
 
-val field_or : 'a -> string -> 'a t -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
-(** [field_or default name c get] is {!field}, except that JSON leaves
-    the field out while it holds [default] and reads [default] when it
-    is absent.  Binary always carries it. *)
-
 val splice : 'a obj -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
 (** [splice o get] adds all of [o]'s fields in place, e.g. a union
     whose tag sits in the enclosing object. *)
 
 val obj1 : string -> 'a t -> 'a obj
+
+val obj1_or : 'a -> string -> 'a t -> 'a obj
+(** [obj1_or default name c] is [obj1 name c], except that JSON leaves
+    the field out while it holds [default] and reads [default] when it
+    is absent.  Binary always carries it. *)
+
 val obj2 : string -> 'a t -> string -> 'b t -> ('a * 'b) obj
 
 val obj3 : string -> 'a t -> string -> 'b t -> string -> 'c t -> ('a * 'b * 'c) obj
@@ -107,40 +108,56 @@ val obj : 'a obj -> 'a t
 
 (** {1 Tagged unions} *)
 
-type ('a, 'k) cases
-(** A union over ['a] under construction; ['k] is the part of its
-    destructor not yet given a case. *)
-
 type 'a selected
 
-val union : string -> 'k -> ('a, 'k) cases
+(** The list a union's destructor receives: one selector per case, in
+    the order the cases are added. *)
+module Select : sig
+  type _ t = [] : unit t | ( :: ) : 'a * 'b t -> ('a * 'b) t
+end
+
+type 'a dispatch = Dispatch of ('a -> 'a selected) [@@unboxed]
+
+type ('a, 'all, 'rest) cases
+(** A union over ['a] under construction; ['rest] are the selectors of
+    the cases still to be added. *)
+
+val union : string -> ('all Select.t -> 'a dispatch) -> ('a, 'all, 'all) cases
 (** [union tag destruct] starts a union whose JSON tag field is named
-    [tag].  [destruct] takes one selector per case, in the order the
-    cases are added, and maps each value to the selector of its case
-    applied to the case's payload. *)
+    [tag].  [destruct Select.[s1; s2; ...]] is a [Dispatch] mapping
+    each value to its case's selector applied to the case's payload. *)
 
 val case :
-  int -> string -> 'b obj -> ('b -> 'a) -> ('a, ('b -> 'a selected) -> 'k) cases -> ('a, 'k) cases
+  int -> string -> 'b obj -> ('b -> 'a) ->
+  ('a, 'all, ('b -> 'a selected) * 'rest) cases -> ('a, 'all, 'rest) cases
 (** [case tag name body make]: binary tag [tag], JSON tag value [name],
     payload fields [body], rebuilt by [make]. *)
 
+val case2 :
+  int -> string -> ('b * 'c) obj -> ('b -> 'c -> 'a) ->
+  ('a, 'all, ('b -> 'c -> 'a selected) * 'rest) cases -> ('a, 'all, 'rest) cases
+(** {!case} for a two-part payload, passed to the selector curried so
+    that naming the value builds no pair. *)
+
 val untagged :
-  int -> 'b obj -> ('b -> 'a) -> ('a, ('b -> 'a selected) -> 'k) cases -> ('a, 'k) cases
+  int -> 'b obj -> ('b -> 'a) ->
+  ('a, 'all, ('b -> 'a selected) * 'rest) cases -> ('a, 'all, 'rest) cases
 (** A case that JSON writes without a tag of its own: its body carries
     the tag field itself (an inner union spliced in).  A JSON tag value
     that names no other case selects it. *)
 
-val variant : ('a, 'a -> 'a selected) cases -> 'a obj
+val variant : ('a, 'all, unit) cases -> 'a obj
 (** The complete union. *)
 
-val case_name : ('a, 'a -> 'a selected) cases -> 'a -> string
+val case_name : ('a, 'all, unit) cases -> 'a -> string
 (** The JSON tag value of a value's case, as given to {!case};
     allocates nothing. *)
 
-val after_tag : 'h obj -> 'a obj -> ('h * 'a) obj
-(** [after_tag h u] carries [h]'s fields with union [u]: JSON writes
-    them right after [u]'s tag field, binary right before its tag
-    byte. *)
+val splice_after_tag :
+  'h obj -> ('r -> 'h) -> 'a obj -> ('r -> 'a) -> ('r, 'h -> 'a -> 'k) fields -> ('r, 'k) fields
+(** [splice_after_tag h hget u uget] splices union [u] together with
+    [h]'s fields: JSON writes them right after [u]'s tag field, binary
+    right before its tag byte. *)
 
 (** {1 Framings} *)
 
