@@ -38,10 +38,7 @@ type to_mb = { op : op_id; tid : int; req : request }
 type from_mb = Reply of { op : op_id; reply : reply } | Event_msg of Event.t
 
 (* ------------------------------------------------------------------ *)
-(* The description                                                     *)
-(*                                                                     *)
-(* Every message type is described once; Codec derives the JSON and   *)
-(* binary encoders and decoders and the binary sizer from it.          *)
+(* One description per message type                                   *)
 (* ------------------------------------------------------------------ *)
 
 let addr =

@@ -3,25 +3,19 @@
     The controller and middleboxes exchange JSON messages to invoke
     operations, send and receive state, and raise and forward events
     (§7); a compact binary framing can be negotiated per channel
-    instead.
-
-    Each message type is described once, as an {!Openmb_wire.Codec}
-    description: its fields, each constructor's JSON name and binary
-    tag.  Both framings' encoders and decoders and the exact binary
-    size are derived from that description, so the two framings cannot
-    drift apart.  Decoding either framing raises
-    [Openmb_wire.Binary.Decode_error] and nothing else on malformed
-    input.
+    instead.  Each message type is described once, as an
+    {!Openmb_wire.Codec} description of its fields and of each
+    constructor's JSON name and binary tag, and both framings' encoders
+    and decoders and the exact binary size derive from it.
 
     Transfer costs on the simulated channels come from
     {!request_wire_bytes}/{!reply_wire_bytes}.  Binary sizes are exact.
     JSON sizes are exact except for state- and packet-bearing messages
     (puts, [putBatch], [stateChunk], re-process messages and events),
-    which are charged the prototype's calibrated estimate: a fixed
-    48-byte envelope plus the opaque body and its key (events add 32
-    bytes of framing).  That estimate is the cost model behind
-    Figs 8 and 10; the exact JSON text escapes cipher bytes and runs
-    about 1.5x larger. *)
+    which are charged the prototype's calibrated estimate: a 48-byte
+    envelope plus the opaque body and its key, and 32 bytes more for
+    an event.  That estimate is the cost model behind Figs 8 and 10;
+    exact JSON escapes cipher bytes and runs about 1.5x larger. *)
 
 type op_id = int
 (** Correlates replies with requests within one MB connection. *)
@@ -91,26 +85,18 @@ type from_mb =
 
 (** {1 Wire strings}
 
-    Each message also has a compact binary encoding
-    ({!Openmb_wire.Framing.Binary}): a [0x42] tag byte followed by
-    varint/fixed-width fields ({!Openmb_wire.Binary}).  The decoders
-    accept either encoding — binary bodies are recognized by their tag
-    byte, anything else is parsed as JSON — so a channel that never
-    negotiated binary framing keeps working. *)
+    A binary body starts with a [0x42] tag byte and a JSON text with
+    ['{'], so the decoders accept either framing and a channel that
+    never negotiated binary framing keeps working.  Decoding raises
+    [Openmb_wire.Binary.Decode_error], and nothing else, on malformed
+    input under either framing. *)
 
 val request_to_wire : ?framing:Openmb_wire.Framing.t -> to_mb -> string
 (** Encode under the given framing (default [Json]). *)
 
 val request_of_wire : string -> to_mb
-(** Decode either framing.  Raises [Openmb_wire.Binary.Decode_error],
-    and nothing else, on malformed input: truncated or trailing bytes,
-    unknown tags, counts larger than the input, out-of-range values,
-    JSON that does not parse or lacks a field. *)
-
 val from_mb_to_wire : ?framing:Openmb_wire.Framing.t -> from_mb -> string
-
 val from_mb_of_wire : string -> from_mb
-(** Like {!request_of_wire}. *)
 
 val request_wire_bytes : ?framing:Openmb_wire.Framing.t -> to_mb -> int
 (** Bytes the simulated channel charges for the message.  Binary: the

@@ -72,21 +72,6 @@ let rec read_json r =
 
 let json = { to_json = Fun.id; of_json = Fun.id; write = write_json; read = read_json }
 
-let enum name values =
-  let values = Array.of_list values in
-  let rec index v i = if values.(i) == v then i else index v (i + 1) in
-  let of_json = function
-    | Json.String s as j -> (
-      match Array.find_opt (fun v -> name v = s) values with Some v -> v | None -> mismatch "a name" j)
-    | j -> mismatch "a name" j
-  in
-  let read r =
-    let i = Binary.get_u8 r in
-    if i >= Array.length values then fail "Codec: enum tag %d" i;
-    values.(i)
-  in
-  { to_json = (fun v -> Json.String (name v)); of_json; write = (fun k v -> Binary.u8 k (index v 0)); read }
-
 (* ------------------------------------------------------------------ *)
 (* Combinators                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -105,6 +90,16 @@ let split ~json ~binary = { json with write = binary.write; read = binary.read }
 let json_null v c =
   { c with to_json = (fun x -> if x = v then Json.Null else c.to_json x);
            of_json = (function Json.Null -> v | j -> c.of_json j) }
+
+let enum name values =
+  let values = Array.of_list values in
+  let rec index v i = if values.(i) == v then i else index v (i + 1) in
+  let named s =
+    match List.find_opt (fun v -> name v = s) (Array.to_list values) with
+    | Some v -> v
+    | None -> invalid_arg ("Codec.enum: unknown name " ^ s)
+  in
+  split ~json:(conv name named string) ~binary:(conv (fun v -> index v 0) (Array.get values) u8)
 
 (* ------------------------------------------------------------------ *)
 (* Objects                                                             *)
@@ -231,8 +226,6 @@ let bare_case () = invalid_arg "Codec: a union selector returned no payload"
 
 let variant u =
   let (Dispatch select) = u.destruct (u.select Select.[]) in
-  let by_tag = Array.make 256 None in
-  List.iter (fun (Any c as any) -> by_tag.(c.tag) <- Some any) u.all;
   let untagged = List.find_opt (fun (Any c) -> c.tag_field = None) u.all in
   let parse_case fs =
     let tag = member u.union_tag fs in
@@ -254,9 +247,10 @@ let variant u =
         | Case _ -> bare_case ());
     take =
       (fun r ->
-        match by_tag.(Binary.get_u8 r) with
+        let tag = Binary.get_u8 r in
+        match List.find_opt (fun (Any c) -> c.tag = tag) u.all with
         | Some (Any c) -> c.make (c.body.take r)
-        | None -> fail "Codec: unknown %s tag" u.union_tag) }
+        | None -> fail "Codec: unknown %s tag %d" u.union_tag tag) }
 
 let splice_after_tag (h : 'h obj) hget (u : 'a obj) uget f =
   { emit =

@@ -1,19 +1,13 @@
 (** Wire descriptions with two framings.
 
     A ['a t] describes once how a value travels on the wire; the JSON
-    encoder and decoder, the binary writer and reader, and the exact
-    binary size are all derived from that one description.  Each
-    primitive carries both forms (an [int] is a JSON number and a
-    fixed-width or varint binary field), and the combinators build
-    objects of named fields and tagged unions from them:
+    and binary encoders and decoders and the exact binary size are all
+    derived from it.  JSON writes an object's fields by name in
+    description order, a union's tag field first; binary writes the
+    same fields in the same order without names, a union's one-byte tag
+    first.
 
-    - JSON writes an object's fields by name in description order; a
-      union adds its tag field (["type"], ["t"], …) in front of the
-      case's fields.
-    - Binary writes the same fields in the same order without names;
-      a union writes its case's one-byte tag in front of the case.
-
-    Decoders raise {!Binary.Decode_error} and nothing else on
+    Decoders raise {!Binary.Decode_error}, and nothing else, on
     malformed input under either framing: wrong JSON shapes, unknown
     tags, truncated or trailing bytes, counts larger than the bytes
     left, and values the description's constructors reject. *)
@@ -25,50 +19,40 @@ type 'a t
 val u8 : int t
 val u16 : int t
 val u32 : int t
-(** Big-endian fixed-width unsigned ints in binary; JSON numbers,
-    range-checked on decode. *)
-
 val uvarint : int t
-(** LEB128 in binary; a non-negative JSON number. *)
 
 val varint : int t
-(** Zigzag LEB128 in binary; a JSON number. *)
+(** Big-endian fixed-width unsigned ints, LEB128 and zigzag LEB128 in
+    binary; JSON numbers, range-checked on decode. *)
 
 val float : float t
-(** IEEE-754 bits in binary (exact, NaN and infinities included); a
-    JSON number. *)
+(** IEEE-754 bits in binary (exact, NaN included); a JSON number. *)
 
 val bool : bool t
-(** One byte, 0 or 1, in binary; a JSON boolean. *)
-
 val string : string t
-(** Length-prefixed bytes in binary; a JSON string. *)
 
 val json : Json.t t
 (** Any JSON value: itself in JSON, a tagged tree in binary. *)
 
 val enum : ('a -> string) -> 'a list -> 'a t
-(** [enum name values]: a JSON string [name v]; in binary one byte,
-    [v]'s position in [values], which are constant constructors. *)
+(** [enum name values]: the JSON string [name v]; in binary one byte,
+    [v]'s position in [values] (constant constructors). *)
 
 (** {1 Combinators} *)
 
 val list : 'a t -> 'a list t
-(** A JSON array; in binary a count then the items.  Every item takes
-    at least one byte, so a count larger than the bytes left is
-    rejected before anything is allocated. *)
+(** In binary a count, then the items; a count larger than the bytes
+    left is rejected before anything is allocated. *)
 
 val conv : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
-(** [conv encode decode c] carries ['a] as [c]'s ['b].  [decode] may
-    reject a value with [Invalid_argument] or [Failure]. *)
+(** [conv encode decode c]; [decode] may reject a value with
+    [Invalid_argument] or [Failure]. *)
 
 val split : json:'a t -> binary:'a t -> 'a t
-(** A value whose two forms differ in shape, e.g. a header-field list
-    that JSON renders as one string and binary as tagged fields. *)
+(** A value whose two forms differ in shape. *)
 
 val json_null : 'a -> 'a t -> 'a t
-(** [json_null v c]: JSON writes [v] as [null] and reads [null] as
-    [v]; everything else, and the whole binary form, is [c]'s. *)
+(** [json_null v c] is [c] except that JSON writes [v] as [null]. *)
 
 (** {1 Objects} *)
 
@@ -77,31 +61,26 @@ type ('r, 'k) fields
     part ['k] of ['r]'s constructor they have not yet fed. *)
 
 type 'r obj = ('r, 'r) fields
-(** A complete object. *)
 
 val record : 'k -> ('r, 'k) fields
-(** [record make] starts an object whose fields, added in order with
-    [|>], are the arguments of [make]. *)
+(** [record make |> field ... |> field ...]: the fields are [make]'s
+    arguments, in order. *)
 
 val field : string -> 'a t -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
-(** [field name c get] adds one field. *)
 
 val splice : 'a obj -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
-(** [splice o get] adds all of [o]'s fields in place, e.g. a union
-    whose tag sits in the enclosing object. *)
+(** All of an object's fields in place, e.g. a union whose tag sits in
+    the enclosing object. *)
 
 val obj1 : string -> 'a t -> 'a obj
-
-val obj1_or : 'a -> string -> 'a t -> 'a obj
-(** [obj1_or default name c] is [obj1 name c], except that JSON leaves
-    the field out while it holds [default] and reads [default] when it
-    is absent.  Binary always carries it. *)
-
 val obj2 : string -> 'a t -> string -> 'b t -> ('a * 'b) obj
 
 val obj3 : string -> 'a t -> string -> 'b t -> string -> 'c t -> ('a * 'b * 'c) obj
-(** Objects of one, two or three named fields, carried as tuples:
-    the payloads of constructors with inline records. *)
+(** Objects of one, two or three named fields, carried as tuples. *)
+
+val obj1_or : 'a -> string -> 'a t -> 'a obj
+(** [obj1_or default]: JSON leaves the field out while it holds
+    [default] and reads [default] when it is absent. *)
 
 val obj : 'a obj -> 'a t
 (** A JSON object; in binary its fields back to back. *)
@@ -110,8 +89,7 @@ val obj : 'a obj -> 'a t
 
 type 'a selected
 
-(** The list a union's destructor receives: one selector per case, in
-    the order the cases are added. *)
+(** One selector per case, in the order the cases are added. *)
 module Select : sig
   type _ t = [] : unit t | ( :: ) : 'a * 'b t -> ('a * 'b) t
 end
@@ -119,56 +97,48 @@ end
 type 'a dispatch = Dispatch of ('a -> 'a selected) [@@unboxed]
 
 type ('a, 'all, 'rest) cases
-(** A union over ['a] under construction; ['rest] are the selectors of
-    the cases still to be added. *)
+(** A union over ['a]; ['rest] are the selectors of cases to come. *)
 
 val union : string -> ('all Select.t -> 'a dispatch) -> ('a, 'all, 'all) cases
-(** [union tag destruct] starts a union whose JSON tag field is named
-    [tag].  [destruct Select.[s1; s2; ...]] is a [Dispatch] mapping
-    each value to its case's selector applied to the case's payload. *)
+(** [union tag destruct]: JSON names the tag field [tag];
+    [destruct Select.[s1; ...]] maps each value to its case's selector
+    applied to the case's payload. *)
 
 val case :
   int -> string -> 'b obj -> ('b -> 'a) ->
   ('a, 'all, ('b -> 'a selected) * 'rest) cases -> ('a, 'all, 'rest) cases
-(** [case tag name body make]: binary tag [tag], JSON tag value [name],
-    payload fields [body], rebuilt by [make]. *)
+(** [case tag name body make]: binary tag, JSON tag value, payload
+    fields, and how to rebuild the value. *)
 
 val case2 :
   int -> string -> ('b * 'c) obj -> ('b -> 'c -> 'a) ->
   ('a, 'all, ('b -> 'c -> 'a selected) * 'rest) cases -> ('a, 'all, 'rest) cases
-(** {!case} for a two-part payload, passed to the selector curried so
-    that naming the value builds no pair. *)
+(** A two-part payload, passed curried so naming builds no pair. *)
 
 val untagged :
   int -> 'b obj -> ('b -> 'a) ->
   ('a, 'all, ('b -> 'a selected) * 'rest) cases -> ('a, 'all, 'rest) cases
-(** A case that JSON writes without a tag of its own: its body carries
-    the tag field itself (an inner union spliced in).  A JSON tag value
-    that names no other case selects it. *)
+(** A case whose JSON carries no tag of its own (its body splices an
+    inner union); JSON tag values no other case names select it. *)
 
 val variant : ('a, 'all, unit) cases -> 'a obj
-(** The complete union. *)
 
 val case_name : ('a, 'all, unit) cases -> 'a -> string
-(** The JSON tag value of a value's case, as given to {!case};
-    allocates nothing. *)
+(** The JSON tag value of a value's case; allocates nothing. *)
 
 val splice_after_tag :
   'h obj -> ('r -> 'h) -> 'a obj -> ('r -> 'a) -> ('r, 'h -> 'a -> 'k) fields -> ('r, 'k) fields
-(** [splice_after_tag h hget u uget] splices union [u] together with
-    [h]'s fields: JSON writes them right after [u]'s tag field, binary
-    right before its tag byte. *)
+(** [splice_after_tag h _ u _] splices union [u] with [h]'s fields:
+    JSON writes them right after [u]'s tag field, binary right before
+    its tag byte. *)
 
 (** {1 Framings} *)
 
 val encode : Framing.t -> 'a t -> 'a -> string
-(** The value as JSON text, or as a binary body behind a [0x42] tag
-    byte (JSON text starts with ['{']). *)
+(** JSON text, or a binary body behind a [0x42] tag byte. *)
 
 val decode : 'a t -> string -> 'a
-(** Decode either framing, told apart by the first byte.  Raises
-    {!Binary.Decode_error} on any malformed input. *)
+(** Either framing, told apart by the first byte. *)
 
 val binary_size : 'a t -> 'a -> int
-(** [String.length (encode Binary c v)], computed without building the
-    bytes. *)
+(** [String.length (encode Binary c v)], without building the bytes. *)
