@@ -121,26 +121,25 @@ let record make = { emit = (fun _ rest -> rest); parse = (fun _ -> make); put = 
 
 (* A record's first field skips the call to the empty writer before it. *)
 let splice (o : 'a obj) get f =
-  let put, put_first = (f.put, o.put) in
+  let fput = f.put and oput = o.put in
   { emit = (fun v rest -> f.emit v (o.emit (get v) rest));
     parse = (fun fs -> let make = f.parse fs in make (o.parse fs));
-    put = (if put == nothing then fun k v -> put_first k (get v) else fun k v -> put k v; o.put k (get v));
+    put = (if fput == nothing then fun k v -> oput k (get v) else fun k v -> fput k v; oput k (get v));
     take = (fun r -> let make = f.take r in make (o.take r)) }
 
 let member name fs = Option.value (List.assoc_opt name fs) ~default:Json.Null
 
-let one name c =
+let obj1 name c =
   { emit = (fun v rest -> (name, c.to_json v) :: rest); parse = (fun fs -> c.of_json (member name fs));
     put = c.write; take = c.read }
 
-let field name c get = splice (one name c) get
+let field name c get = splice (obj1 name c) get
 
 let obj1_or default name c =
-  let o = one name c in
+  let o = obj1 name c in
   { o with emit = (fun v rest -> if v = default then rest else o.emit v rest);
            parse = (fun fs -> if List.mem_assoc name fs then o.parse fs else default) }
 
-let obj1 = one
 let obj2 n1 c1 n2 c2 =
   { emit = (fun (a, b) rest -> (n1, c1.to_json a) :: (n2, c2.to_json b) :: rest);
     parse = (fun fs -> let a = c1.of_json (member n1 fs) in (a, c2.of_json (member n2 fs)));
