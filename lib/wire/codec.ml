@@ -99,7 +99,8 @@ let enum name values =
     | Some v -> v
     | None -> invalid_arg ("Codec.enum: unknown name " ^ s)
   in
-  split ~json:(conv name named string) ~binary:(conv (fun v -> index v 0) (Array.get values) u8)
+  { (conv name named string) with write = (fun k v -> Binary.u8 k (index v 0));
+                                  read = (fun r -> values.(Binary.get_u8 r)) }
 
 (* ------------------------------------------------------------------ *)
 (* Objects                                                             *)
@@ -272,7 +273,7 @@ let encode (framing : Framing.t) c v =
   match framing with
   | Json -> Json.to_string (c.to_json v)
   | Binary ->
-    let buf = Buffer.create 128 in
+    let buf = Buffer.create 256 in
     Buffer.add_char buf binary_tag;
     c.write (Binary.buffer_sink buf) v;
     Buffer.contents buf
