@@ -2,8 +2,8 @@
 
     Building blocks of the binary protocol framing: big-endian fixed
     ints, LEB128 varints (zigzag for signed values), IEEE-754 doubles
-    and length-prefixed strings.  Encoders write through a {!sink} so the exact
-    wire size can be computed with {!counting_sink} without
+    and length-prefixed strings.  Encoders write through a {!sink} so
+    the exact wire size can be computed with {!counting_sink} without
     materializing the bytes. *)
 
 exception Decode_error of string
