@@ -6,7 +6,8 @@
     instead.  Each message type is described once, as an
     {!Openmb_wire.Codec} description of its fields and of each
     constructor's JSON name and binary tag, and both framings' encoders
-    and decoders and the exact binary size derive from it.
+    and decoders and the exact binary size derive from it.  Decoding
+    raises only [Openmb_wire.Binary.Decode_error] on malformed input.
 
     Transfer costs on the simulated channels come from
     {!request_wire_bytes}/{!reply_wire_bytes}.  Binary sizes are exact.
@@ -87,9 +88,7 @@ type from_mb =
 
     A binary body starts with a [0x42] tag byte and a JSON text with
     ['{'], so the decoders accept either framing and a channel that
-    never negotiated binary framing keeps working.  Decoding raises
-    [Openmb_wire.Binary.Decode_error], and nothing else, on malformed
-    input under either framing. *)
+    never negotiated binary framing keeps working. *)
 
 val request_to_wire : ?framing:Openmb_wire.Framing.t -> to_mb -> string
 (** Encode under the given framing (default [Json]). *)
