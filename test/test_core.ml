@@ -483,6 +483,82 @@ let test_message_wire_pinning () =
     (all_events ())
 
 (* ------------------------------------------------------------------ *)
+(* Compression and sealing pinning                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The LZSS encoding and the sealed bytes of a fixed corpus, against a
+   recorded golden file: a compressor or keystream rewrite that moves
+   one output byte fails here.  The observed lines land in
+   compress_seal.actual next to the test binary. *)
+
+let seeded_bytes ~seed n =
+  let g = Prng.create ~seed in
+  String.init n (fun _ -> Char.chr (Prng.int g 256))
+
+let pin_corpus () =
+  let blob =
+    let d = Openmb_apps.Dummy_mb.create (Engine.create ()) ~name:"pin" () in
+    Openmb_apps.Dummy_mb.populate d ~n:8;
+    snd (List.nth (Openmb_apps.Dummy_mb.support_entries d) 3)
+  in
+  (* Many candidates share each 3-byte hash, so the match finder's
+     chain walk hits its try limit. *)
+  let chains =
+    let g = Prng.create ~seed:11 in
+    String.concat "" (List.init 300 (fun _ -> Printf.sprintf "seq=%04x;" (Prng.int g 0x10000)))
+  in
+  let repeats =
+    String.concat ""
+      (List.init 12 (fun i -> Printf.sprintf "state-record-%02d:abcdefghijklmnop;" (i mod 3)))
+  in
+  [
+    ("empty", "");
+    ("1 byte", "a");
+    ("2 bytes", "ab");
+    ("3 bytes", "aaa");
+    ("dummy blob", blob);
+    ("4 KiB seeded random", seeded_bytes ~seed:7 4096);
+    ("10 KiB run", String.make 10240 'x');
+    ("repeats of 18+ bytes", repeats);
+    ("hash chains", chains);
+  ]
+
+let compress_seal_pin_lines () =
+  let corpus = pin_corpus () in
+  let line label s = Printf.sprintf "%s\tlen=%d\thex=%s" label (String.length s) (hex s) in
+  let compressed =
+    List.map (fun (label, s) -> line ("compress " ^ label) (Compress.compress s)) corpus
+  in
+  let sealed =
+    Fun.protect
+      ~finally:(fun () -> Chunk.compression_enabled := false)
+      (fun () ->
+        Chunk.compression_enabled := true;
+        List.concat_map
+          (fun kind ->
+            List.map
+              (fun (label, plain) ->
+                let c =
+                  Chunk.seal ~mb_kind:kind ~role:Taxonomy.Supporting
+                    ~partition:Taxonomy.Per_flow ~key:Hfl.any ~plain
+                in
+                line (Printf.sprintf "seal %s %s" kind label) c.cipher)
+              (("7 bytes", "abcdefg") :: ("1 KiB seeded random", seeded_bytes ~seed:5 1027)
+              :: List.filter (fun (l, _) -> l <> "4 KiB seeded random") corpus))
+          [ "dummy"; "bro" ])
+  in
+  compressed @ sealed
+
+let test_compress_seal_pinning () =
+  let actual = compress_seal_pin_lines () in
+  let oc = open_out_bin "compress_seal.actual" in
+  List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+  close_out oc;
+  let expected = read_lines "compress_seal.golden" in
+  Alcotest.(check int) "pinned line count" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "pinned bytes" e a) expected actual
+
+(* ------------------------------------------------------------------ *)
 (* Binary codec equivalence                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1206,6 +1282,7 @@ let () =
           Alcotest.test_case "seal/unseal" `Quick test_chunk_seal_unseal;
           Alcotest.test_case "opacity" `Quick test_chunk_opacity;
           Alcotest.test_case "compression" `Quick test_chunk_compression;
+          Alcotest.test_case "compress and seal pinning" `Quick test_compress_seal_pinning;
         ]
         @ qcheck [ prop_chunk_roundtrip ] );
       ( "event",
