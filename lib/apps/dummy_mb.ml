@@ -123,9 +123,10 @@ let get_perflow t table ~role hfl =
        the transfer aborts, the rollback clears the marks and the
        re-run exports everything. *)
     let dirty = ref false in
-    State_table.iter_matching table hfl (fun (e : string State_table.entry) ->
-        if e.moved then dirty := true);
-    if !dirty && t.export_suspect then
+    if t.export_suspect then
+      State_table.iter_matching table hfl (fun (e : string State_table.entry) ->
+          if e.moved then dirty := true);
+    if !dirty then
       Error (Errors.Illegal_operation "export possibly lost in a crash for this range")
     else begin
       (* One pass: skip already-exported entries, mark and seal the

@@ -9,34 +9,9 @@ type t = {
 let magic = "OMB1"
 
 (* Keystream: SplitMix64 seeded from a hash of the MB kind, standing in
-   for a per-vendor symmetric key.  The stream is consumed LSB-first,
-   so eight consecutive stream bytes are exactly one [bits64] output
-   read little-endian — the in-place XOR below applies whole 64-bit
-   blocks and only falls back to per-byte work for the tail, producing
-   the same bytes as the original byte-at-a-time loop. *)
+   for a per-vendor symmetric key, applied in place. *)
 let xor_inplace ~mb_kind buf =
-  let g = Openmb_sim.Prng.create ~seed:(Hashtbl.hash ("vendor-secret:" ^ mb_kind)) in
-  let n = Bytes.length buf in
-  let blocks = n / 8 in
-  for b = 0 to blocks - 1 do
-    let k = Openmb_sim.Prng.bits64 g in
-    let off = b * 8 in
-    Bytes.set_int64_le buf off (Int64.logxor (Bytes.get_int64_le buf off) k)
-  done;
-  if n land 7 <> 0 then begin
-    let block = ref (Openmb_sim.Prng.bits64 g) in
-    for i = blocks * 8 to n - 1 do
-      let k = Int64.to_int (Int64.logand !block 0xFFL) in
-      block := Int64.shift_right_logical !block 8;
-      Bytes.unsafe_set buf i
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get buf i) lxor k))
-    done
-  end
-
-let xor_keystream ~mb_kind s =
-  let buf = Bytes.of_string s in
-  xor_inplace ~mb_kind buf;
-  Bytes.unsafe_to_string buf
+  Openmb_sim.Prng.xor_stream ~seed:(Hashtbl.hash ("vendor-secret:" ^ mb_kind)) buf
 
 let compression_enabled = ref false
 
@@ -68,15 +43,21 @@ let seal ~mb_kind ~role ~partition ~key ~plain =
   in
   { mb_kind; role; partition; key; cipher }
 
+(* [magic] starts [buf]; checked in place. *)
+let rec magic_at buf i = i = magic_len || (Bytes.get buf i = magic.[i] && magic_at buf (i + 1))
+
+(* Decrypt into one buffer, check the framing there, and read the body
+   straight out of it. *)
 let unseal ~mb_kind t =
-  let plain = xor_keystream ~mb_kind t.cipher in
-  let ml = magic_len in
-  if String.length plain >= ml + 1 && String.sub plain 0 ml = magic then begin
-    let body = String.sub plain (ml + 1) (String.length plain - ml - 1) in
-    match plain.[ml] with
-    | 'R' -> Ok body
+  let buf = Bytes.of_string t.cipher in
+  xor_inplace ~mb_kind buf;
+  if Bytes.length buf > magic_len && magic_at buf 0 then begin
+    let plain = Bytes.unsafe_to_string buf in
+    let body = magic_len + 1 in
+    match plain.[magic_len] with
+    | 'R' -> Ok (String.sub plain body (String.length plain - body))
     | 'C' -> (
-      match Openmb_wire.Compress.decompress body with
+      match Openmb_wire.Compress.decompress_from plain ~pos:body with
       | s -> Ok s
       | exception Invalid_argument _ ->
         Error (Errors.Bad_chunk "corrupt compressed chunk body"))

@@ -112,16 +112,16 @@ type transfer = {
   mutable chunks : int;
   mutable bytes : int;
   mutable events_fwd : int;
-  acked : (string, unit) Hashtbl.t;
-  putting : (string, int) Hashtbl.t;
+  acked : (Hfl.t, unit) Hashtbl.t;
+  putting : (Hfl.t, int) Hashtbl.t;
       (* Outstanding put count per key: a flow with both a supporting
          and a reporting chunk is only [acked] — and its buffered
          events only flushed — once every chunk under the key has been
          acknowledged. *)
-  buffered : (string, Event.t Queue.t) Hashtbl.t;
+  buffered : (Hfl.t, Event.t Queue.t) Hashtbl.t;
   mutable buffered_count : int;
   mutable last_event : Time.t;
-  put_started : (string, Time.t) Hashtbl.t;
+  put_started : (Hfl.t, Time.t) Hashtbl.t;
       (* First time a chunk for the key was received from the get
          stream; the gap to the key's completing ack is the per-flow
          serialization window (the paper's Fig. 7 metric). *)
@@ -339,12 +339,13 @@ let fail_async t err on_done =
 (* Event handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let shared_key_id = ""
-
+(* Per-key bookkeeping is keyed by the HFL value itself, under the
+   polymorphic hash and structural equality: equal exactly when the
+   keys' text forms are, constraint order included (unlike
+   [Hfl.equal]), and nothing is rendered per chunk.  Shared state and
+   whole clone/merge transfers are keyed [Hfl.any]. *)
 let transfer_key_id transfer key =
-  match transfer.kind with
-  | T_move -> Hfl.to_string key
-  | T_clone | T_merge -> shared_key_id
+  match transfer.kind with T_move -> key | T_clone | T_merge -> Hfl.any
 
 let forward_reprocess t transfer ev =
   if not t.cfg.forward_events then Telemetry.incr t.c_evt_dropped
@@ -825,9 +826,7 @@ let abort_transfer t transfer err =
   end
 
 let chunk_key_id (chunk : Chunk.t) =
-  match chunk.partition with
-  | Taxonomy.Per_flow -> Hfl.to_string chunk.key
-  | Taxonomy.Shared -> shared_key_id
+  match chunk.partition with Taxonomy.Per_flow -> chunk.key | Taxonomy.Shared -> Hfl.any
 
 (* Track a chunk the moment it is received from the get stream: it is
    now this transfer's responsibility, events on its key must buffer

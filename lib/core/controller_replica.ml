@@ -45,7 +45,7 @@ type log_entry =
 
 let intent_bytes i =
   32 + String.length i.i_src + String.length i.i_dst
-  + String.length (Hfl.to_string i.i_key)
+  + Hfl.text_length i.i_key
 
 let entry_bytes = function
   | Log_snapshot { pending; recent_done; _ } ->

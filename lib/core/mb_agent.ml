@@ -225,9 +225,10 @@ let reply_result t op = function
 
 (* Execute a streaming get: linear scan, then serialize and send each
    matching chunk in turn, then the end-of-state marker carrying the
-   chunk count. *)
+   chunk count.  [what] names the range for the recorder, built only
+   when one is attached. *)
 let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
-  record t ~kind:"get-start" ~detail:(fun () -> what);
+  record t ~kind:"get-start" ~detail:what;
   exec t (scan_cost t) (fun () ->
       match fetch () with
       | Error e -> reply t op (Message.Op_error e)
@@ -240,7 +241,8 @@ let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
             exec t cost (fun () -> reply t op (Message.State_chunk chunk)))
           chunks;
         exec t Time.zero (fun () ->
-            record t ~kind:"get-end" ~detail:(fun () -> Printf.sprintf "%s count=%d" what count);
+            record t ~kind:"get-end"
+              ~detail:(fun () -> Printf.sprintf "%s count=%d" (what ()) count);
             reply t op (Message.End_of_state { count })))
 
 (* Shared-state gets return zero or one chunk and skip the scan. *)
@@ -308,7 +310,7 @@ let execute t op req =
     exec t config_op_cost (fun () -> reply_result t op (i.del_config path))
   | Message.Get_support_perflow hfl ->
     handle_get t op
-      ~what:("support " ^ Openmb_net.Hfl.to_string hfl)
+      ~what:(fun () -> "support " ^ Openmb_net.Hfl.to_string hfl)
       (fun () -> i.get_support_perflow hfl)
   | Message.Put_support_perflow { seq; chunk } ->
     handle_put t op ~what:"support" ~seq chunk i.put_support_perflow
@@ -320,7 +322,7 @@ let execute t op req =
     handle_put t op ~what:"support-shared" ~seq chunk i.put_support_shared
   | Message.Get_report_perflow hfl ->
     handle_get t op
-      ~what:("report " ^ Openmb_net.Hfl.to_string hfl)
+      ~what:(fun () -> "report " ^ Openmb_net.Hfl.to_string hfl)
       (fun () -> i.get_report_perflow hfl)
   | Message.Put_report_perflow { seq; chunk } ->
     handle_put t op ~what:"report" ~seq chunk i.put_report_perflow

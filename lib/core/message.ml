@@ -357,13 +357,15 @@ let from_mb_of_wire s = Codec.decode from_mb s
    packet-bearing messages, which are charged the prototype's
    calibrated estimate instead of their escaped text: a fixed envelope
    (op id, type tag, punctuation) plus the opaque body and its key.
-   Events add their own framing to the envelope. *)
+   Events add their own framing to the envelope.  A key is charged its
+   text length, [Hfl.text_length], which is exact and renders nothing:
+   a move sizes every chunk it carries, twice on the reply path. *)
 let frame_prefix = 4
 let json_overhead = 48
 let event_framing = 32
 
 let chunk_charge (c : Chunk.t) =
-  json_overhead + Chunk.size_bytes c + String.length (Hfl.to_string c.key)
+  json_overhead + Chunk.size_bytes c + Hfl.text_length c.key
 
 let request_wire_bytes ?(framing = Framing.Json) m =
   match framing with
@@ -381,7 +383,7 @@ let request_wire_bytes ?(framing = Framing.Json) m =
          saves exactly N-1 envelopes on the simulated channel. *)
       List.fold_left (fun acc c -> acc + chunk_charge c) json_overhead chunks
     | Reprocess_packet { key; packet } ->
-      json_overhead + Packet.wire_bytes packet + String.length (Hfl.to_string key)
+      json_overhead + Packet.wire_bytes packet + Hfl.text_length key
     | Get_config _ | Set_config _ | Del_config _ | Get_support_perflow _
     | Del_support_perflow _ | Get_support_shared | Get_report_perflow _
     | Del_report_perflow _ | Get_report_shared | Get_stats _ | Enable_events _
@@ -398,7 +400,7 @@ let reply_wire_bytes ?(framing = Framing.Json) m =
       json_overhead + event_framing + Packet.wire_bytes packet
     | Event_msg (Event.Introspect { code; key; info }) ->
       json_overhead + event_framing + String.length code
-      + String.length (Hfl.to_string key)
+      + Hfl.text_length key
       + Json.wire_size info
     | Reply
         {

@@ -222,12 +222,14 @@ let find_or_create t tup ~default =
   | Some e -> (e, false)
   | None -> (add_missing t tup (default ()), true)
 
+(* The entry keeps the id rendered here, so removing it later does not
+   render the key again. *)
 let insert_string t ~key value =
   let id = Hfl.to_string key in
   (match Hashtbl.find_opt t.by_key id with
   | Some old -> index_remove t old
   | None -> ());
-  let e = mk_entry key value false in
+  let e = { key; id = Lazy.from_val id; value; moved = false } in
   Hashtbl.replace t.by_key id e;
   index_add t e
 
@@ -285,11 +287,14 @@ let fold_entries t ~init ~f =
   in
   Hashtbl.fold (fun _ e acc -> f acc e) t.by_key acc
 
-let matching t hfl =
+(* The entries [hfl] covers that [keep] accepts, in one pass. *)
+let select t hfl keep =
+  let hit e = Hfl.subsumes hfl e.key && keep e in
   match indexed_candidates t hfl with
-  | Some candidates -> List.filter (fun e -> Hfl.subsumes hfl e.key) candidates
-  | None ->
-    fold_entries t ~init:[] ~f:(fun acc e -> if Hfl.subsumes hfl e.key then e :: acc else acc)
+  | Some candidates -> List.filter hit candidates
+  | None -> fold_entries t ~init:[] ~f:(fun acc e -> if hit e then e :: acc else acc)
+
+let matching t hfl = select t hfl (fun _ -> true)
 
 (* Visit matching entries without materializing the hit list — the
    bulk-export path (a get streaming thousands of chunks) folds each
@@ -322,7 +327,7 @@ let remove_matching t hfl =
    survive — otherwise a move back to this instance races the delete
    and loses state. *)
 let remove_moved_matching t hfl =
-  let hits = List.filter (fun e -> e.moved) (matching t hfl) in
+  let hits = select t hfl (fun e -> e.moved) in
   List.iter (remove_entry t) hits;
   hits
 

@@ -112,14 +112,88 @@ let key_of_tuple g (tup : Five_tuple.t) =
       | Dim_proto -> Some (Proto tup.proto))
     g
 
-let field_to_string = function
-  | Src_ip p -> "nw_src=" ^ Addr.prefix_to_string p
-  | Dst_ip p -> "nw_dst=" ^ Addr.prefix_to_string p
-  | Src_port p -> "tp_src=" ^ string_of_int p
-  | Dst_port p -> "tp_dst=" ^ string_of_int p
-  | Proto p -> "proto=" ^ Packet.proto_to_string p
+(* Text form, e.g. "nw_src=10.0.0.0/24,tp_dst=80": sized by arithmetic,
+   then written into one buffer of exactly that size.  Digits are
+   counted and written on the non-positive side, where [min_int] has a
+   magnitude. *)
 
-let to_string hfl = String.concat "," (List.map field_to_string hfl)
+let field_name = function
+  | Src_ip _ -> "nw_src="
+  | Dst_ip _ -> "nw_dst="
+  | Src_port _ -> "tp_src="
+  | Dst_port _ -> "tp_dst="
+  | Proto _ -> "proto="
+
+let rec neg_digits m k = if m > -10 then k else neg_digits (m / 10) (k + 1)
+let dec_length n = if n < 0 then neg_digits n 2 else neg_digits (-n) 1
+
+let octet a shift = (Addr.to_int a lsr shift) land 0xFF
+
+let prefix_length p =
+  let a = Addr.prefix_base p in
+  dec_length (octet a 24) + dec_length (octet a 16) + dec_length (octet a 8)
+  + dec_length (octet a 0)
+  + 4 + dec_length (Addr.prefix_len p)
+
+let value_length = function
+  | Src_ip p | Dst_ip p -> prefix_length p
+  | Src_port v | Dst_port v -> dec_length v
+  | Proto p -> String.length (Packet.proto_to_string p)
+
+let field_length f = String.length (field_name f) + value_length f
+
+let rec text_length = function
+  | [] -> 0
+  | [ f ] -> field_length f
+  | f :: rest -> field_length f + 1 + text_length rest
+
+(* Write [n] ending just before [stop]; [m] is [n] or [-n], whichever is
+   not positive. *)
+let rec write_neg b stop m =
+  Bytes.set b (stop - 1) (Char.unsafe_chr (48 - (m mod 10)));
+  if m <= -10 then write_neg b (stop - 1) (m / 10)
+
+let write_dec b pos n =
+  let stop = pos + dec_length n in
+  if n < 0 then begin
+    Bytes.set b pos '-';
+    write_neg b stop n
+  end
+  else write_neg b stop (-n);
+  stop
+
+let write_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let write_char b pos c =
+  Bytes.set b pos c;
+  pos + 1
+
+let write_prefix b pos p =
+  let a = Addr.prefix_base p in
+  let pos = write_char b (write_dec b pos (octet a 24)) '.' in
+  let pos = write_char b (write_dec b pos (octet a 16)) '.' in
+  let pos = write_char b (write_dec b pos (octet a 8)) '.' in
+  let pos = write_char b (write_dec b pos (octet a 0)) '/' in
+  write_dec b pos (Addr.prefix_len p)
+
+let write_field b pos f =
+  let pos = write_string b pos (field_name f) in
+  match f with
+  | Src_ip p | Dst_ip p -> write_prefix b pos p
+  | Src_port v | Dst_port v -> write_dec b pos v
+  | Proto p -> write_string b pos (Packet.proto_to_string p)
+
+let rec write_fields b pos = function
+  | [] -> ()
+  | [ f ] -> ignore (write_field b pos f : int)
+  | f :: rest -> write_fields b (write_char b (write_field b pos f) ',') rest
+
+let to_string hfl =
+  let b = Bytes.create (text_length hfl) in
+  write_fields b 0 hfl;
+  Bytes.unsafe_to_string b
 
 let field_of_string s =
   match String.index_opt s '=' with

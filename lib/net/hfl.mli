@@ -87,6 +87,10 @@ val to_string : t -> string
 (** OpenFlow-style rendering, e.g.
     ["nw_src=1.1.1.0/24,tp_dst=80"]; [""] for {!any}. *)
 
+val text_length : t -> int
+(** [text_length h] is [String.length (to_string h)], computed without
+    rendering. *)
+
 val of_string : string -> t
 (** Inverse of {!to_string}.  Raises [Invalid_argument] on malformed
     input. *)

@@ -6,7 +6,7 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -18,6 +18,29 @@ let bits64 g =
   mix g.state
 
 let split g = { state = mix (bits64 g) }
+
+(* The stream of [create ~seed] consumed LSB-first, so eight stream
+   bytes are one [bits64] output read little-endian.  The state is a
+   local [int64] the compiler keeps unboxed, where [bits64] boxes its
+   result and the stored state on every step. *)
+let xor_stream ~seed buf =
+  let state = ref (mix (Int64.of_int seed)) in
+  let n = Bytes.length buf in
+  let blocks = n / 8 in
+  for b = 0 to blocks - 1 do
+    state := Int64.add !state golden_gamma;
+    let off = b * 8 in
+    Bytes.set_int64_le buf off (Int64.logxor (Bytes.get_int64_le buf off) (mix !state))
+  done;
+  if n land 7 <> 0 then begin
+    state := Int64.add !state golden_gamma;
+    let block = ref (mix !state) in
+    for i = blocks * 8 to n - 1 do
+      Bytes.set buf i
+        (Char.unsafe_chr (Char.code (Bytes.get buf i) lxor (Int64.to_int !block land 0xFF)));
+      block := Int64.shift_right_logical !block 8
+    done
+  end
 
 let int g bound =
   assert (bound > 0);

@@ -19,6 +19,12 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val xor_stream : seed:int -> Bytes.t -> unit
+(** [xor_stream ~seed buf] XORs [buf] in place with the byte stream of
+    [create ~seed]: each {!bits64} output in turn, eight bytes
+    little-endian, the last one cut to [buf]'s length.  Allocates
+    nothing. *)
+
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound] must be
     positive. *)

@@ -37,130 +37,154 @@ let create_workspace () =
     group = Buffer.create 17;
   }
 
+let[@inline] head_get ws h = if ws.stamp.(h) = ws.epoch then ws.head.(h) else -1
+
+(* Link [pos] into its hash chain, if three bytes from it remain. *)
+let insert ws input n pos =
+  if pos + min_match <= n then begin
+    let h = hash3 input pos land 32767 in
+    ws.prev.(pos land (window_size - 1)) <- head_get ws h;
+    ws.head.(h) <- pos;
+    ws.stamp.(h) <- ws.epoch
+  end
+
+(* The longest match for [pos] among the last 32 chain positions in the
+   window, packed as [offset lsl 5 lor length]; 0 when none reaches
+   [min_match].  A packed int, not an option of a pair, so a match
+   allocates nothing. *)
+let find_match ws input n pos =
+  if pos + min_match > n then 0
+  else begin
+    let h = hash3 input pos land 32767 in
+    let limit = pos - window_size in
+    let max_here = min max_match (n - pos) in
+    let best_len = ref 0 and best_off = ref 0 in
+    let candidate = ref (head_get ws h) in
+    let tries = ref 32 in
+    while !candidate >= 0 && !candidate > limit && !tries > 0 do
+      let cand = !candidate in
+      let len = ref 0 in
+      while !len < max_here && input.[cand + !len] = input.[pos + !len] do
+        incr len
+      done;
+      if !len > !best_len then begin
+        best_len := !len;
+        best_off := pos - cand
+      end;
+      candidate := ws.prev.(cand land (window_size - 1));
+      decr tries
+    done;
+    if !best_len >= min_match then (!best_off lsl 5) lor !best_len else 0
+  end
+
+let flush_group ws flags =
+  Buffer.add_char ws.out (Char.chr flags);
+  Buffer.add_buffer ws.out ws.group;
+  Buffer.clear ws.group
+
 (* [compress_to ws input] encodes [input] into [ws.out] (cleared
    first) and leaves the result there; the [compress*] entry points
-   below decide whether to materialize it. *)
+   below decide whether to materialize it.  The helpers above are
+   top-level functions, not closures over this call, so encoding
+   allocates nothing but buffer growth. *)
 let compress_to ws input =
   let n = String.length input in
   Buffer.clear ws.out;
-  if n > 0 then begin
-    let { head; stamp; prev; out; group; _ } = ws in
-    ws.epoch <- ws.epoch + 1;
-    let epoch = ws.epoch in
-    let head_get h = if stamp.(h) = epoch then head.(h) else -1 in
-    let insert pos =
-      if pos + min_match <= n then begin
-        let h = hash3 input pos land 32767 in
-        prev.(pos land (window_size - 1)) <- head_get h;
-        head.(h) <- pos;
-        stamp.(h) <- epoch
-      end
-    in
-    let find_match pos =
-      if pos + min_match > n then None
-      else begin
-        let h = hash3 input pos land 32767 in
-        let limit = pos - window_size in
-        let best_len = ref 0 and best_off = ref 0 in
-        let candidate = ref (head_get h) in
-        let tries = ref 32 in
-        while !candidate >= 0 && !candidate > limit && !tries > 0 do
-          let cand = !candidate in
-          let max_here = min max_match (n - pos) in
-          let len = ref 0 in
-          while !len < max_here && input.[cand + !len] = input.[pos + !len] do
-            incr len
-          done;
-          if !len > !best_len then begin
-            best_len := !len;
-            best_off := pos - cand
-          end;
-          candidate := prev.(cand land (window_size - 1));
-          decr tries
-        done;
-        if !best_len >= min_match then Some (!best_off, !best_len) else None
-      end
-    in
-    let pos = ref 0 in
-    let flags = ref 0 and flag_count = ref 0 in
-    Buffer.clear group;
-    let flush_group () =
-      if !flag_count > 0 then begin
-        Buffer.add_char out (Char.chr !flags);
-        Buffer.add_buffer out group;
-        Buffer.clear group;
-        flags := 0;
-        flag_count := 0
-      end
-    in
-    while !pos < n do
-      (match find_match !pos with
-      | Some (off, len) ->
-        flags := !flags lor (1 lsl !flag_count);
-        (* 12-bit offset (1..4095), 4-bit length - min_match. *)
-        let b1 = (off lsr 4) land 0xFF in
-        let b2 = ((off land 0xF) lsl 4) lor (len - min_match) in
-        Buffer.add_char group (Char.chr b1);
-        Buffer.add_char group (Char.chr b2);
-        for k = 0 to len - 1 do
-          insert (!pos + k)
-        done;
-        pos := !pos + len
-      | None ->
-        Buffer.add_char group input.[!pos];
-        insert !pos;
-        incr pos);
-      incr flag_count;
-      if !flag_count = 8 then flush_group ()
-    done;
-    flush_group ()
-  end
+  Buffer.clear ws.group;
+  ws.epoch <- ws.epoch + 1;
+  let pos = ref 0 and flags = ref 0 and count = ref 0 in
+  while !pos < n do
+    let m = find_match ws input n !pos in
+    if m <> 0 then begin
+      let off = m lsr 5 and len = m land 31 in
+      flags := !flags lor (1 lsl !count);
+      (* 12-bit offset (1..4095), 4-bit length - min_match. *)
+      Buffer.add_char ws.group (Char.chr ((off lsr 4) land 0xFF));
+      Buffer.add_char ws.group (Char.chr (((off land 0xF) lsl 4) lor (len - min_match)));
+      for k = 0 to len - 1 do
+        insert ws input n (!pos + k)
+      done;
+      pos := !pos + len
+    end
+    else begin
+      Buffer.add_char ws.group input.[!pos];
+      insert ws input n !pos;
+      incr pos
+    end;
+    incr count;
+    if !count = 8 then begin
+      flush_group ws !flags;
+      flags := 0;
+      count := 0
+    end
+  done;
+  if !count > 0 then flush_group ws !flags
 
 let compress_with ws input =
   compress_to ws input;
   Buffer.contents ws.out
 
-(* Shared workspace for the plain entry points.  Created on first use
-   so modules that never compress pay nothing. *)
-let global = lazy (create_workspace ())
+(* The plain entry points' workspace, one per domain: a workspace is
+   scratch state that one call rewrites throughout, so two domains
+   compressing at once must not share one.  Created on a domain's first
+   use, so code that never compresses pays nothing. *)
+let default_workspace = Domain.DLS.new_key create_workspace
 
-let compress input = compress_with (Lazy.force global) input
+let compress input = compress_with (Domain.DLS.get default_workspace) input
 
-let decompress input =
+let compressed_size s =
+  let ws = Domain.DLS.get default_workspace in
+  compress_to ws s;
+  Buffer.length ws.out
+
+let truncated () = invalid_arg "Compress.decompress: truncated input"
+
+(* Length of the text that the token groups from [pos] decode to.
+   Raises on a back-reference cut off by the end of the input. *)
+let rec decoded_length input pos acc =
+  if pos >= String.length input then acc
+  else group_length input (Char.code input.[pos]) 0 (pos + 1) acc
+
+and group_length input flags k pos acc =
+  if k = 8 || pos >= String.length input then decoded_length input pos acc
+  else if flags land (1 lsl k) = 0 then group_length input flags (k + 1) (pos + 1) (acc + 1)
+  else if pos + 1 >= String.length input then truncated ()
+  else
+    group_length input flags (k + 1) (pos + 2)
+      (acc + (Char.code input.[pos + 1] land 0xF) + min_match)
+
+(* Sized first, then decoded into a string of exactly that length: one
+   allocation per call. *)
+let decompress_from input ~pos =
   let n = String.length input in
-  let out = Buffer.create (n * 2) in
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= n then invalid_arg "Compress.decompress: truncated input";
-    let c = input.[!pos] in
-    incr pos;
-    c
-  in
+  let out = Bytes.create (decoded_length input pos 0) in
+  let pos = ref pos and o = ref 0 in
   while !pos < n do
-    let flags = Char.code (byte ()) in
+    let flags = Char.code input.[!pos] in
+    incr pos;
     let k = ref 0 in
     while !k < 8 && !pos < n do
       if flags land (1 lsl !k) <> 0 then begin
-        let b1 = Char.code (byte ()) in
-        let b2 = Char.code (byte ()) in
+        let b1 = Char.code input.[!pos] and b2 = Char.code input.[!pos + 1] in
+        pos := !pos + 2;
         let off = (b1 lsl 4) lor (b2 lsr 4) in
-        let len = (b2 land 0xF) + min_match in
-        if off = 0 || off > Buffer.length out then
-          invalid_arg "Compress.decompress: bad back-reference";
-        let start = Buffer.length out - off in
-        for i = 0 to len - 1 do
-          Buffer.add_char out (Buffer.nth out (start + i))
+        if off = 0 || off > !o then invalid_arg "Compress.decompress: bad back-reference";
+        for _ = 1 to (b2 land 0xF) + min_match do
+          Bytes.set out !o (Bytes.get out (!o - off));
+          incr o
         done
       end
-      else Buffer.add_char out (byte ());
+      else begin
+        Bytes.set out !o input.[!pos];
+        incr pos;
+        incr o
+      end;
       incr k
     done
   done;
-  Buffer.contents out
+  Bytes.unsafe_to_string out
 
-let compressed_size s =
-  compress_to (Lazy.force global) s;
-  Buffer.length (Lazy.force global).out
+let decompress input = decompress_from input ~pos:0
 
 let ratio s =
   let n = String.length s in

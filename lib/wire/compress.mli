@@ -13,7 +13,9 @@ type workspace
     workspace makes repeated calls allocation-free apart from the
     result string — resetting between inputs is O(1) (an epoch bump),
     not a 32 K-word clear — which is what lets a 1000-chunk transfer
-    compress every chunk without re-paying the table setup. *)
+    compress every chunk without re-paying the table setup.  One
+    workspace serves one call at a time: domains compressing at once
+    each need their own. *)
 
 val create_workspace : unit -> workspace
 
@@ -24,13 +26,17 @@ val compress_with : workspace -> string -> string
     side of a transfer may reuse or not reuse workspaces freely. *)
 
 val compress : string -> string
-(** [compress s] is an LZSS encoding of [s], using a shared internal
-    workspace.  Worst case it is slightly larger than the input (one
-    flag bit per literal byte). *)
+(** [compress s] is an LZSS encoding of [s], using the calling domain's
+    own internal workspace.  Worst case it is slightly larger than the
+    input (one flag bit per literal byte). *)
 
 val decompress : string -> string
 (** Inverse of {!compress}.  Raises [Invalid_argument] on input that
     was not produced by {!compress}. *)
+
+val decompress_from : string -> pos:int -> string
+(** [decompress_from s ~pos] is [decompress] of the suffix of [s] from
+    byte [pos], read in place. *)
 
 val compressed_size : string -> int
 (** [compressed_size s] is [String.length (compress s)] without

@@ -1150,6 +1150,40 @@ let test_budget_nat_monitor_b1 () =
   check_budget "Nat.receive -> Monitor.receive at batch size 1" 72.0 words;
   Alcotest.(check int) "every packet counted" (2 * budget_flows) (Monitor.totals mon).tot_pkts
 
+(* A 1,000-chunk move between two dummy MBs, compressed and JSON-framed
+   (the default framing), counted end to end per chunk: get, seal and
+   compress, message sizing, channels, controller bookkeeping, put and
+   the deferred delete.  323 words measured.  The budget leaves less
+   than one key render's worth of slack: rendering a key with Printf
+   once more per chunk (+161 words — a string-keyed controller table,
+   or a charge sized by [String.length (Hfl.to_string key)]) fails it. *)
+let test_budget_move () =
+  let n = 1_000 in
+  let engine = Engine.create () in
+  let ctrl = Controller.create engine () in
+  let src = Openmb_apps.Dummy_mb.create engine ~name:"src" () in
+  let dst = Openmb_apps.Dummy_mb.create engine ~name:"dst" () in
+  Openmb_apps.Dummy_mb.populate src ~n;
+  Controller.connect ctrl (Mb_agent.create engine ~impl:(Openmb_apps.Dummy_mb.impl src) ());
+  Controller.connect ctrl (Mb_agent.create engine ~impl:(Openmb_apps.Dummy_mb.impl dst) ());
+  let moved = ref 0 in
+  let words =
+    Fun.protect
+      ~finally:(fun () -> Chunk.compression_enabled := false)
+      (fun () ->
+        Chunk.compression_enabled := true;
+        let w0 = Gc.minor_words () in
+        Controller.move_internal ctrl ~src:"src" ~dst:"dst" ~key:Hfl.any ~on_done:(function
+          | Ok r -> moved := r.Controller.chunks_moved
+          | Error e -> Alcotest.failf "move failed: %s" (Errors.to_string e));
+        run_all engine;
+        (Gc.minor_words () -. w0) /. float_of_int n)
+  in
+  Alcotest.(check int) "every chunk moved" n !moved;
+  Alcotest.(check int) "source emptied" 0 (Openmb_apps.Dummy_mb.chunk_count src);
+  if words > 450.0 then
+    Alcotest.failf "a move allocates %.2f minor words/chunk, budget 450" words
+
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1394,6 +1428,7 @@ let () =
           Alcotest.test_case "monitor receive_batch" `Quick test_budget_monitor;
           Alcotest.test_case "nat receive_batch" `Quick test_budget_nat;
           Alcotest.test_case "nat+monitor batch size 1" `Quick test_budget_nat_monitor_b1;
+          Alcotest.test_case "move 1k chunks, compressed JSON" `Quick test_budget_move;
         ] );
       ( "load_balancer",
         [

@@ -413,6 +413,58 @@ let test_hfl_well_formed () =
     (Hfl.well_formed (Hfl.of_string "tp_dst=80,tp_dst=81"));
   Alcotest.(check bool) "ok" true (Hfl.well_formed (Hfl.of_string "tp_dst=80,tp_src=1"))
 
+(* The String.concat/Printf rendering that [Hfl.to_string] replaced,
+   kept as the byte-for-byte reference for the text form. *)
+let reference_hfl_text hfl =
+  let prefix p =
+    let a = Addr.to_int (Addr.prefix_base p) in
+    Printf.sprintf "%d.%d.%d.%d/%d" ((a lsr 24) land 0xFF) ((a lsr 16) land 0xFF)
+      ((a lsr 8) land 0xFF) (a land 0xFF) (Addr.prefix_len p)
+  in
+  String.concat ","
+    (List.map
+       (function
+         | Hfl.Src_ip p -> "nw_src=" ^ prefix p
+         | Hfl.Dst_ip p -> "nw_dst=" ^ prefix p
+         | Hfl.Src_port v -> "tp_src=" ^ string_of_int v
+         | Hfl.Dst_port v -> "tp_dst=" ^ string_of_int v
+         | Hfl.Proto p -> "proto=" ^ Packet.proto_to_string p)
+       hfl)
+
+let prop_hfl_text =
+  let gen =
+    QCheck2.Gen.(
+      let addr =
+        frequency [ (1, oneofl [ 0; 0xFFFFFFFF; 0x0A000001 ]); (4, int_bound 0xFFFFFFFF) ]
+      in
+      let prefix = map2 (fun a len -> Addr.prefix (Addr.of_int a) len) addr (int_range 0 32) in
+      let port =
+        frequency
+          [
+            (1, oneofl [ min_int; max_int; min_int + 1; 0; -1; 9; 10; -10; 65535 ]);
+            (3, int);
+            (3, int_range (-100_000) 100_000);
+          ]
+      in
+      let field =
+        oneof
+          [
+            map (fun p -> Hfl.Src_ip p) prefix;
+            map (fun p -> Hfl.Dst_ip p) prefix;
+            map (fun v -> Hfl.Src_port v) port;
+            map (fun v -> Hfl.Dst_port v) port;
+            map (fun p -> Hfl.Proto p) (oneofl Packet.[ Tcp; Udp; Icmp ]);
+          ]
+      in
+      frequency [ (1, return Hfl.any); (9, list_size (int_range 1 6) field) ])
+  in
+  QCheck2.Test.make ~name:"text form: reference bytes, length, inverse" ~count:1000
+    ~print:reference_hfl_text gen (fun h ->
+      let text = Hfl.to_string h in
+      String.equal text (reference_hfl_text h)
+      && Hfl.text_length h = String.length text
+      && Hfl.of_string text = h)
+
 let prop_hfl_subsumes_implies_match =
   (* If a subsumes b, any tuple matching b matches a. *)
   let gen =
@@ -1084,7 +1136,8 @@ let () =
           Alcotest.test_case "equality" `Quick test_hfl_equal_order_insensitive;
           Alcotest.test_case "to_tuple" `Quick test_hfl_to_tuple;
         ]
-        @ qcheck [ prop_hfl_subsumes_implies_match; prop_hfl_packet_matches_tuple ] );
+        @ qcheck
+            [ prop_hfl_subsumes_implies_match; prop_hfl_packet_matches_tuple; prop_hfl_text ] );
       ( "flow_table",
         [
           Alcotest.test_case "priority" `Quick test_flow_table_priority;

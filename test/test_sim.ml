@@ -100,6 +100,31 @@ let test_prng_float_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 0.5" true (Float.abs (mean -. 0.5) < 0.02)
 
+(* [xor_stream] applies the generator's own stream, eight bytes per
+   [bits64] little-endian, including a cut final block, and allocates
+   nothing. *)
+let test_prng_xor_stream () =
+  List.iter
+    (fun (seed, n) ->
+      let plain = Bytes.init n (fun i -> Char.chr ((i * 37) land 0xFF)) in
+      let g = Prng.create ~seed in
+      let expected = Bytes.copy plain in
+      let block = ref 0L in
+      for i = 0 to n - 1 do
+        if i land 7 = 0 then block := Prng.bits64 g;
+        let k = Int64.to_int (Int64.logand !block 0xFFL) in
+        block := Int64.shift_right_logical !block 8;
+        Bytes.set expected i (Char.chr (Char.code (Bytes.get expected i) lxor k))
+      done;
+      let actual = Bytes.copy plain in
+      let w0 = Gc.minor_words () in
+      Prng.xor_stream ~seed actual;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check string) (Printf.sprintf "seed %d, %d bytes" seed n)
+        (Bytes.to_string expected) (Bytes.to_string actual);
+      Alcotest.(check (float 0.0)) "allocation-free" 0.0 words)
+    [ (0, 0); (1, 1); (7, 7); (-3, 8); (42, 9); (max_int, 64); (min_int, 1027) ]
+
 let test_dist_exponential_mean () =
   let g = Prng.create ~seed:8 in
   let n = 20000 in
@@ -1498,6 +1523,7 @@ let () =
           Alcotest.test_case "split independent" `Quick test_prng_split_independent;
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "float mean" `Quick test_prng_float_mean;
+          Alcotest.test_case "xor stream" `Quick test_prng_xor_stream;
         ] );
       ( "dist",
         [

@@ -130,6 +130,37 @@ let test_compress_shrinks_redundant () =
 let test_compress_ratio_empty () =
   Alcotest.(check (float 1e-9)) "empty ratio" 0.0 (Compress.ratio "")
 
+(* Two domains compressing through the plain entry points at once must
+   each get what a private workspace produces.  A workspace shared by
+   the whole process has both domains rewriting one set of hash chains
+   and one output buffer mid-call: outputs come out wrong and some
+   calls raise. *)
+let test_compress_two_domains () =
+  let inputs ~seed =
+    let rng = Random.State.make [| seed |] in
+    Array.init 4000 (fun _ ->
+        String.init (Random.State.int rng 600) (fun _ -> Char.chr (97 + Random.State.int rng 4)))
+  in
+  let expected inputs =
+    let ws = Compress.create_workspace () in
+    Array.map (Compress.compress_with ws) inputs
+  in
+  let run inputs expected () =
+    let bad = ref 0 in
+    Array.iteri
+      (fun i s ->
+        match (Compress.compress s, Compress.compressed_size s) with
+        | c, size ->
+          if not (String.equal c expected.(i) && size = String.length c) then incr bad
+        | exception _ -> incr bad)
+      inputs;
+    !bad
+  in
+  let a = inputs ~seed:1 and b = inputs ~seed:2 in
+  let da = Domain.spawn (run a (expected a)) and db = Domain.spawn (run b (expected b)) in
+  let bad_a = Domain.join da and bad_b = Domain.join db in
+  Alcotest.(check (pair int int)) "calls differing from a private workspace" (0, 0) (bad_a, bad_b)
+
 let prop_json_parse_total =
   (* Parsing arbitrary bytes either yields a value or raises
      Parse_error — never anything else. *)
@@ -314,6 +345,7 @@ let () =
           Alcotest.test_case "roundtrip basics" `Quick test_compress_roundtrip_basic;
           Alcotest.test_case "shrinks redundant input" `Quick test_compress_shrinks_redundant;
           Alcotest.test_case "empty ratio" `Quick test_compress_ratio_empty;
+          Alcotest.test_case "two domains" `Quick test_compress_two_domains;
         ]
         @ qcheck
             [
