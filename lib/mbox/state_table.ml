@@ -289,7 +289,7 @@ let fold_entries t ~init ~f =
 
 (* The entries [hfl] covers that [keep] accepts, in one pass. *)
 let select t hfl keep =
-  let hit e = Hfl.subsumes hfl e.key && keep e in
+  let hit e = keep e && Hfl.subsumes hfl e.key in
   match indexed_candidates t hfl with
   | Some candidates -> List.filter hit candidates
   | None -> fold_entries t ~init:[] ~f:(fun acc e -> if hit e then e :: acc else acc)

@@ -58,8 +58,11 @@ let field_subsumes fa fb =
   | Proto a, Proto b -> a = b
   | (Src_ip _ | Dst_ip _ | Src_port _ | Dst_port _ | Proto _), _ -> false
 
-let subsumes a b =
-  List.for_all (fun fa -> List.exists (fun fb -> field_subsumes fa fb) b) a
+(* Written out rather than as [List.for_all]/[List.exists] over
+   closures: scans call this once per stored entry. *)
+let rec implied fa = function [] -> false | fb :: rest -> field_subsumes fa fb || implied fa rest
+
+let rec subsumes a b = match a with [] -> true | fa :: rest -> implied fa b && subsumes rest b
 
 let well_formed hfl =
   let dims = List.map dim_of_field hfl in
@@ -133,7 +136,8 @@ let prefix_length p =
   let a = Addr.prefix_base p in
   dec_length (octet a 24) + dec_length (octet a 16) + dec_length (octet a 8)
   + dec_length (octet a 0)
-  + 4 + dec_length (Addr.prefix_len p)
+  + 4 (* three dots and the slash *)
+  + dec_length (Addr.prefix_len p)
 
 let value_length = function
   | Src_ip p | Dst_ip p -> prefix_length p

@@ -1153,7 +1153,7 @@ let test_budget_nat_monitor_b1 () =
 (* A 1,000-chunk move between two dummy MBs, compressed and JSON-framed
    (the default framing), counted end to end per chunk: get, seal and
    compress, message sizing, channels, controller bookkeeping, put and
-   the deferred delete.  323 words measured.  The budget leaves less
+   the deferred delete.  315 words measured.  The budget leaves less
    than one key render's worth of slack: rendering a key with Printf
    once more per chunk (+161 words — a string-keyed controller table,
    or a charge sized by [String.length (Hfl.to_string key)]) fails it. *)
