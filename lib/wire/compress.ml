@@ -137,8 +137,6 @@ let compressed_size s =
   compress_to ws s;
   Buffer.length ws.out
 
-let truncated () = invalid_arg "Compress.decompress: truncated input"
-
 (* Length of the text that the token groups from [pos] decode to.
    Raises on a back-reference cut off by the end of the input. *)
 let rec decoded_length input pos acc =
@@ -148,7 +146,7 @@ let rec decoded_length input pos acc =
 and group_length input flags k pos acc =
   if k = 8 || pos >= String.length input then decoded_length input pos acc
   else if flags land (1 lsl k) = 0 then group_length input flags (k + 1) (pos + 1) (acc + 1)
-  else if pos + 1 >= String.length input then truncated ()
+  else if pos + 1 >= String.length input then invalid_arg "Compress.decompress: truncated input"
   else
     group_length input flags (k + 1) (pos + 2)
       (acc + (Char.code input.[pos + 1] land 0xF) + min_match)

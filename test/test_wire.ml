@@ -185,6 +185,18 @@ let prop_compress_roundtrip_redundant =
       let s = String.concat "" (List.init reps (fun _ -> unit_)) in
       Compress.decompress (Compress.compress s) = s)
 
+let prop_decompress_total =
+  (* Any bytes either decode or raise Invalid_argument, and decoding a
+     suffix in place equals decoding its copy. *)
+  QCheck2.Test.make ~name:"LZSS decompress is total; decompress_from reads a suffix"
+    ~count:500
+    QCheck2.Gen.(pair (string_size (int_range 0 64)) (int_range 0 8))
+    (fun (s, pos) ->
+      let pos = min pos (String.length s) in
+      let outcome f = match f () with d -> Ok d | exception Invalid_argument _ -> Error () in
+      outcome (fun () -> Compress.decompress_from s ~pos)
+      = outcome (fun () -> Compress.decompress (String.sub s pos (String.length s - pos))))
+
 let prop_compress_workspace_equivalent =
   (* A long-lived workspace reused across many inputs (the controller's
      transfer pipeline) must behave exactly like compressing each input
@@ -352,6 +364,7 @@ let () =
               prop_compress_roundtrip;
               prop_compress_roundtrip_redundant;
               prop_compress_workspace_equivalent;
+              prop_decompress_total;
             ] );
       ( "binary",
         [
