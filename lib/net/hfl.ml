@@ -139,12 +139,13 @@ let prefix_length p =
   + 4 (* three dots and the slash *)
   + dec_length (Addr.prefix_len p)
 
-let value_length = function
+let field_length f =
+  String.length (field_name f)
+  +
+  match f with
   | Src_ip p | Dst_ip p -> prefix_length p
   | Src_port v | Dst_port v -> dec_length v
   | Proto p -> String.length (Packet.proto_to_string p)
-
-let field_length f = String.length (field_name f) + value_length f
 
 let rec text_length = function
   | [] -> 0
