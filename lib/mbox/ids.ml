@@ -262,7 +262,7 @@ let emit_alert t ~kind ~source ~detail =
       al_detail = detail;
     }
     :: t.alerts_rev;
-  Mb_base.record t.base ~kind:"alert" ~detail:(kind ^ " " ^ detail)
+  Mb_base.record t.base ~kind:"alert" ~detail:(fun () -> kind ^ " " ^ detail)
 
 let signatures t =
   match Config_tree.get (Mb_base.config t.base) [ "signatures" ] with

@@ -103,9 +103,10 @@ let raise_event t ev = t.event_sink ev
 let set_op_active t b = t.op_active <- b
 let op_active t = t.op_active
 
+(* [detail] is built only when a recorder is attached. *)
 let record t ~kind ~detail =
   match t.recorder with
-  | Some r -> Recorder.record r ~actor:t.name ~kind ~detail
+  | Some r -> Recorder.record r ~actor:t.name ~kind ~detail:(detail ())
   | None -> ()
 
 let grow_queue t =

@@ -101,8 +101,9 @@ val latency_during_op_stats : t -> Openmb_sim.Stats.t
 
 val packets_processed : t -> int
 
-val record : t -> kind:string -> detail:string -> unit
-(** Log a timeline entry under this MB's name. *)
+val record : t -> kind:string -> detail:(unit -> string) -> unit
+(** Log a timeline entry under this MB's name.  [detail] is called
+    only when a recorder is attached. *)
 
 (** {1 Chunk helpers} *)
 

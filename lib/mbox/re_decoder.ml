@@ -140,7 +140,7 @@ let decode t (p : Packet.t) ~side_effects =
       t.failed_pkts <- t.failed_pkts + 1;
       t.undecodable_bytes <- t.undecodable_bytes + shim_bytes;
       Mb_base.record t.base ~kind:"undecodable"
-        ~detail:(Printf.sprintf "%dB of shims (cache %d)" shim_bytes cache_id);
+        ~detail:(fun () -> Printf.sprintf "%dB of shims (cache %d)" shim_bytes cache_id);
       None
     end
 

@@ -167,7 +167,7 @@ let set_num_caches t n =
       let fresh = Array.init (n - cur) (fun _ -> clone_ctx t.ctxs.(0)) in
       t.ctxs <- Array.append t.ctxs fresh;
       Mb_base.record t.base ~kind:"config"
-        ~detail:(Printf.sprintf "NumCaches %d->%d (cloned cache 0)" cur n)
+        ~detail:(fun () -> Printf.sprintf "NumCaches %d->%d (cloned cache 0)" cur n)
     end
     else if n < cur then t.ctxs <- Array.sub t.ctxs 0 n;
     Ok ()
@@ -185,8 +185,8 @@ let set_cache_flows t values =
   | flows ->
     t.flows <- flows;
     Mb_base.record t.base ~kind:"config"
-      ~detail:
-        ("CacheFlows "
+      ~detail:(fun () ->
+        "CacheFlows "
         ^ String.concat ","
             (List.map (fun (p, i) -> Printf.sprintf "%s->%d" (Addr.prefix_to_string p) i) flows));
     Ok ()

@@ -792,6 +792,35 @@ let test_re_implicit_desync_on_loss () =
   run_all engine;
   Alcotest.(check bool) "desync detected" true (Re_decoder.undecodable_bytes dec > 0)
 
+(* The decoder builds its timeline detail lazily: with a recorder
+   attached, an undecodable packet still logs its shim bytes and cache. *)
+let test_re_undecodable_recorded () =
+  let engine = Engine.create () in
+  let recorder = Recorder.create engine in
+  let enc = Re_encoder.create engine ~mode:Re_encoder.Implicit ~name:"enc" () in
+  let dec = Re_decoder.create engine ~recorder ~mode:Re_encoder.Implicit ~name:"dec" () in
+  let drop = ref false in
+  Mb_base.set_egress (Re_encoder.base enc) (fun p ->
+      if !drop then drop := false else Re_decoder.receive dec p);
+  send_via engine enc ~id:1 ~ts:0.0 [| 1; 2; 3; 4 |];
+  ignore (Engine.schedule_at engine (Time.seconds 0.005) (fun () -> drop := true));
+  send_via engine enc ~id:2 ~ts:0.01 [| 5; 6; 7; 8 |];
+  send_via engine enc ~id:3 ~ts:0.02 [| 20; 21; 22; 23 |];
+  send_via engine enc ~id:4 ~ts:0.03 [| 20; 21; 22; 23 |];
+  run_all engine;
+  let logged = Recorder.filter ~actor:"dec" ~kind:"undecodable" recorder in
+  Alcotest.(check int) "one entry per failed packet" (Re_decoder.packets_failed dec)
+    (List.length logged);
+  Alcotest.(check bool) "at least one failed" true (logged <> []);
+  List.iter
+    (fun (e : Recorder.entry) ->
+      match Scanf.sscanf e.detail "%dB of shims (cache %d)%!" (fun b c -> (b, c)) with
+      | b, c ->
+        Alcotest.(check bool) "shim bytes" true (b > 0);
+        Alcotest.(check int) "cache id" 0 c
+      | exception _ -> Alcotest.failf "unexpected detail %S" e.detail)
+    logged
+
 let test_re_explicit_survives_literal_loss () =
   (* Explicit positions: after losing a literal-only packet, later
      shims that do not reference the lost region still decode. *)
@@ -1403,6 +1432,7 @@ let () =
           Alcotest.test_case "encode/decode identity" `Quick test_re_encode_decode_identity;
           Alcotest.test_case "wire shrink" `Quick test_re_encoder_shrinks_wire_bytes;
           Alcotest.test_case "implicit desync on loss" `Quick test_re_implicit_desync_on_loss;
+          Alcotest.test_case "undecodable packet recorded" `Quick test_re_undecodable_recorded;
           Alcotest.test_case "explicit survives literal loss" `Quick
             test_re_explicit_survives_literal_loss;
           Alcotest.test_case "decoder clone via chunks" `Quick test_re_decoder_clone_via_chunks;
