@@ -208,34 +208,17 @@ let fault_plan seed =
 
 let append_bench_row ~seed (o : introspection_outcome) =
   let open Openmb_wire in
-  let bench_file = "BENCH_micro.json" in
-  let existing =
-    if Sys.file_exists bench_file then
-      match
-        Json.of_string (In_channel.with_open_text bench_file In_channel.input_all)
-      with
-      | Json.Assoc fields -> fields
-      | _ | (exception Json.Parse_error _) -> []
-    else []
-  in
-  let label = "failover-faults" in
-  let entry =
-    Json.Assoc
-      [
-        ("seed", Json.Int seed);
-        ("recovery_ms", Json.Float (Time.to_seconds o.recovery *. 1e3));
-        ("retries", Json.Int o.counters.Controller.op_retries);
-        ("timeouts", Json.Int o.counters.Controller.op_timeouts);
-        ("mappings", Json.Int o.base.mappings_at_failure);
-        ("mirrored", Json.Int o.mirrored);
-        ("restored", Json.Int o.base.restored);
-      ]
-  in
-  let fields = List.remove_assoc label existing @ [ (label, entry) ] in
-  Out_channel.with_open_text bench_file (fun oc ->
-      Out_channel.output_string oc (Json.to_string_pretty (Json.Assoc fields));
-      Out_channel.output_char oc '\n');
-  Printf.printf "  [json] wrote %s (label %S, seed %d)\n" bench_file label seed
+  Util.append_row "failover-faults"
+    (Json.Assoc
+       [
+         ("seed", Json.Int seed);
+         ("recovery_ms", Json.Float (Time.to_seconds o.recovery *. 1e3));
+         ("retries", Json.Int o.counters.Controller.op_retries);
+         ("timeouts", Json.Int o.counters.Controller.op_timeouts);
+         ("mappings", Json.Int o.base.mappings_at_failure);
+         ("mirrored", Json.Int o.mirrored);
+         ("restored", Json.Int o.base.restored);
+       ])
 
 let run_faults seed =
   Util.banner

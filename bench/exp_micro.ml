@@ -1,7 +1,7 @@
-(* Bechamel micro-benchmarks of the hot primitives: flow-table lookup,
+(* Micro-benchmarks of the hot primitives: flow-table lookup,
    state-table find/insert, JSON codec, chunk sealing, LZSS compression
    and RE encoding — plus one tracked macro, a full 1k-flow move with
-   compression on.
+   compression on.  Every row is timed by [Util.measure].
 
    The harness is hermetic: every benchmark builds its fixtures inside
    its own thunk and the heap is compacted between benchmarks, so one
@@ -13,10 +13,9 @@
    With [json_label] set (main.exe micro --json [--label NAME]) the
    results are also merged into BENCH_micro.json under that label, so
    the perf trajectory of the packet path is tracked across PRs.
-   [compare_files] backs the --compare subcommand: it diffs two result
-   files and fails on >20%% regressions. *)
+   [compare_results] backs the --compare subcommand: it diffs two result
+   files and fails on >20%% ns/op regressions and on allocation growth. *)
 
-open Bechamel
 open Openmb_net
 
 (* Set by the driver: when [Some label], results are written to
@@ -40,8 +39,14 @@ let mk_tuple i =
 
 (* ------------------------------------------------------------------ *)
 (* Micro benchmarks.  Each is a thunk so its fixtures are allocated    *)
-(* only while it is the one being measured.                            *)
+(* only while it is the one being measured; it returns the row name    *)
+(* and a batch function running n operations.                          *)
 (* ------------------------------------------------------------------ *)
+
+let loop op n =
+  for _ = 1 to n do
+    op ()
+  done
 
 let flow_table_lookup () =
   let table = Flow_table.create () in
@@ -52,8 +57,7 @@ let flow_table_lookup () =
          ~action:(Flow_table.Forward (string_of_int i)))
   done;
   let p = mk_packet 7 in
-  Test.make ~name:"flow_table.lookup (100 rules)"
-    (Staged.stage (fun () -> ignore (Flow_table.lookup table p)))
+  ("flow_table.lookup (100 rules)", loop (fun () -> ignore (Flow_table.lookup table p)))
 
 let flow_table_lookup_exact () =
   (* Full five-tuple rules: the exact-match case switch tables are
@@ -67,8 +71,8 @@ let flow_table_lookup_exact () =
          ~action:(Flow_table.Forward (string_of_int i)))
   done;
   let p = mk_packet 7 in
-  Test.make ~name:"flow_table.lookup (100 exact rules)"
-    (Staged.stage (fun () -> ignore (Flow_table.lookup table p)))
+  ( "flow_table.lookup (100 exact rules)",
+    loop (fun () -> ignore (Flow_table.lookup table p)) )
 
 let big_state_table () =
   let t = Openmb_mbox.State_table.create ~granularity:Hfl.full_granularity () in
@@ -79,14 +83,14 @@ let big_state_table () =
 
 let state_table_find () =
   let t, tup = big_state_table () in
-  Test.make ~name:"state_table.find (full, 10k entries)"
-    (Staged.stage (fun () -> ignore (Openmb_mbox.State_table.find t tup)))
+  ( "state_table.find (full, 10k entries)",
+    loop (fun () -> ignore (Openmb_mbox.State_table.find t tup)) )
 
 let state_table_find_or_create () =
   let t, tup = big_state_table () in
-  Test.make ~name:"state_table.find_or_create (hit)"
-    (Staged.stage (fun () ->
-         ignore (Openmb_mbox.State_table.find_or_create t tup ~default:(fun () -> 0))))
+  ( "state_table.find_or_create (hit)",
+    loop (fun () ->
+        ignore (Openmb_mbox.State_table.find_or_create t tup ~default:(fun () -> 0))) )
 
 let state_table_insert () =
   let t = Openmb_mbox.State_table.create ~granularity:Hfl.full_granularity () in
@@ -94,11 +98,11 @@ let state_table_insert () =
     Array.init 256 (fun i -> Hfl.key_of_tuple Hfl.full_granularity (mk_tuple i))
   in
   let i = ref 0 in
-  Test.make ~name:"state_table.insert (full)"
-    (Staged.stage (fun () ->
-         let k = keys.(!i land 255) in
-         incr i;
-         Openmb_mbox.State_table.insert t ~key:k !i))
+  ( "state_table.insert (full)",
+    loop (fun () ->
+        let k = keys.(!i land 255) in
+        incr i;
+        Openmb_mbox.State_table.insert t ~key:k !i) )
 
 let json_codec () =
   let text =
@@ -115,8 +119,8 @@ let json_codec () =
                ] );
          ])
   in
-  Test.make ~name:"json.parse (protocol message)"
-    (Staged.stage (fun () -> ignore (Openmb_wire.Json.of_string text)))
+  ( "json.parse (protocol message)",
+    loop (fun () -> ignore (Openmb_wire.Json.of_string text)) )
 
 let put_chunk_msg () =
   let chunk =
@@ -133,76 +137,84 @@ let put_chunk_msg () =
 
 let message_encode_json () =
   let msg = put_chunk_msg () in
-  Test.make ~name:"message.encode (put chunk, json)"
-    (Staged.stage (fun () ->
-         ignore (Openmb_core.Message.request_to_wire ~framing:Openmb_wire.Framing.Json msg)))
+  ( "message.encode (put chunk, json)",
+    loop (fun () ->
+        ignore (Openmb_core.Message.request_to_wire ~framing:Openmb_wire.Framing.Json msg)) )
 
 let message_encode_binary () =
   let msg = put_chunk_msg () in
-  Test.make ~name:"message.encode (put chunk, binary)"
-    (Staged.stage (fun () ->
-         ignore
-           (Openmb_core.Message.request_to_wire ~framing:Openmb_wire.Framing.Binary msg)))
+  ( "message.encode (put chunk, binary)",
+    loop (fun () ->
+        ignore (Openmb_core.Message.request_to_wire ~framing:Openmb_wire.Framing.Binary msg))
+  )
 
 let chunk_seal () =
   let plain = String.make 202 's' in
-  Test.make ~name:"chunk.seal (202B)"
-    (Staged.stage (fun () ->
-         ignore
-           (Openmb_core.Chunk.seal ~mb_kind:"bro" ~role:Openmb_core.Taxonomy.Supporting
-              ~partition:Openmb_core.Taxonomy.Per_flow ~key:Hfl.any ~plain)))
+  ( "chunk.seal (202B)",
+    loop (fun () ->
+        ignore
+          (Openmb_core.Chunk.seal ~mb_kind:"bro" ~role:Openmb_core.Taxonomy.Supporting
+             ~partition:Openmb_core.Taxonomy.Per_flow ~key:Hfl.any ~plain)) )
 
 let lzss () =
   let payload =
     String.concat "" (List.init 20 (fun i -> Printf.sprintf "{\"f\":%d,\"s\":\"state\"}" i))
   in
-  Test.make ~name:"compress.lzss (400B json)"
-    (Staged.stage (fun () -> ignore (Openmb_wire.Compress.compress payload)))
+  ( "compress.lzss (400B json)",
+    loop (fun () -> ignore (Openmb_wire.Compress.compress payload)) )
 
 let re_encode () =
   let engine = Openmb_sim.Engine.create () in
   let enc = Openmb_mbox.Re_encoder.create engine ~name:"enc" () in
   Openmb_mbox.Mb_base.set_egress (Openmb_mbox.Re_encoder.base enc) (fun _ -> ());
   let counter = ref 0 in
-  Test.make ~name:"re.encode (16-token packet)"
-    (Staged.stage (fun () ->
-         incr counter;
-         let p =
-           Packet.make ~id:!counter ~ts:(Openmb_sim.Engine.now engine)
-             ~body:(Packet.Raw (Payload.of_tokens (Array.init 16 (fun k -> (!counter land 0xFF) + k))))
-             ~src_ip:(Addr.of_string "10.0.0.1") ~dst_ip:(Addr.of_string "1.1.1.5")
-             ~src_port:1024 ~dst_port:80 ~proto:Packet.Tcp ()
-         in
-         (* Drive the real encode path through the engine. *)
-         Openmb_mbox.Re_encoder.receive enc p;
-         Openmb_sim.Engine.run engine))
+  ( "re.encode (16-token packet)",
+    loop (fun () ->
+        incr counter;
+        let p =
+          Packet.make ~id:!counter ~ts:(Openmb_sim.Engine.now engine)
+            ~body:(Packet.Raw (Payload.of_tokens (Array.init 16 (fun k -> (!counter land 0xFF) + k))))
+            ~src_ip:(Addr.of_string "10.0.0.1") ~dst_ip:(Addr.of_string "1.1.1.5")
+            ~src_port:1024 ~dst_port:80 ~proto:Packet.Tcp ()
+        in
+        (* Drive the real encode path through the engine. *)
+        Openmb_mbox.Re_encoder.receive enc p;
+        Openmb_sim.Engine.run engine) )
 
 let hfl_match () =
   let hfl = Hfl.of_string "nw_src=10.0.0.0/8,tp_dst=80,proto=tcp" in
   let p = mk_packet 3 in
-  Test.make ~name:"hfl.matches_packet"
-    (Staged.stage (fun () -> ignore (Hfl.matches_packet hfl p)))
+  ("hfl.matches_packet", loop (fun () -> ignore (Hfl.matches_packet hfl p)))
 
 (* The scheduler hot path at scale: a standing population of 100k
    parked timeouts (a large connection table's worth of pending idle
    timers) while dense near-future events — packet arrivals — are
    scheduled and drained.  Each op schedules 100 events spread over
-   200us and runs the engine 1ms forward. *)
-let engine_dense_timers () =
+   200us and runs the engine 1ms forward.
+
+   With [~telemetry:true] this and [channel_delivery] are the
+   telemetry-enabled twins of the two tracked scheduler rows: same
+   workload with a live metric registry attached, so the overhead of
+   the counter increments on the hot path is itself a tracked number
+   (the perfgate holds the pair within a few percent). *)
+let engine_dense_timers ~telemetry () =
   let open Openmb_sim in
-  let engine = Engine.create () in
+  let engine =
+    Engine.create ?telemetry:(if telemetry then Some (Telemetry.create ()) else None) ()
+  in
   let fired = ref 0 in
   let tick () = incr fired in
   for _ = 1 to 100_000 do
     ignore (Engine.schedule_at engine (Time.seconds 3600.0) tick)
   done;
-  Test.make ~name:"engine.run (100 dense timers, 100k parked)"
-    (Staged.stage (fun () ->
-         let now = Engine.now engine in
-         for i = 1 to 100 do
-           ignore (Engine.schedule_at engine Time.(now + Time.us (float_of_int (2 * i))) tick)
-         done;
-         Engine.run ~until:Time.(now + Time.ms 1.0) engine))
+  ( (if telemetry then "engine.run (100 dense timers, telemetry on)"
+     else "engine.run (100 dense timers, 100k parked)"),
+    loop (fun () ->
+        let now = Engine.now engine in
+        for i = 1 to 100 do
+          ignore (Engine.schedule_at engine Time.(now + Time.us (float_of_int (2 * i))) tick)
+        done;
+        Engine.run ~until:Time.(now + Time.ms 1.0) engine) )
 
 (* A burst of messages through a channel: serialization bookkeeping,
    one delivery event per message, and the drain.  The canonical
@@ -212,199 +224,23 @@ let engine_dense_timers () =
    empty-queue edge case). *)
 let channel_in_flight = 64
 
-let channel_delivery () =
+let channel_delivery ~telemetry () =
   let open Openmb_sim in
-  let engine = Engine.create () in
+  let tel = if telemetry then Some (Telemetry.create ()) else None in
+  let engine = Engine.create ?telemetry:tel () in
   let delivered = ref 0 in
   let ch =
-    Channel.create engine ~latency:(Time.us 10.0) ~bytes_per_sec:1e9
+    Channel.create engine ?telemetry:tel ~latency:(Time.us 10.0) ~bytes_per_sec:1e9
       ~deliver:(fun (_ : int) -> incr delivered)
       ()
   in
-  Test.make ~name:"channel.send+deliver (64 in flight)"
-    (Staged.stage (fun () ->
-         for i = 1 to channel_in_flight do
-           Channel.send ch ~bytes:(64 * i) 42
-         done;
-         Engine.run engine))
-
-(* Telemetry-enabled twins of the two tracked scheduler rows: same
-   workload with a live metric registry attached, so the overhead of
-   the counter increments on the hot path is itself a tracked number
-   (the perfgate holds the pair within a few percent). *)
-let engine_dense_timers_telemetry () =
-  let open Openmb_sim in
-  let engine = Engine.create ~telemetry:(Telemetry.create ()) () in
-  let fired = ref 0 in
-  let tick () = incr fired in
-  for _ = 1 to 100_000 do
-    ignore (Engine.schedule_at engine (Time.seconds 3600.0) tick)
-  done;
-  Test.make ~name:"engine.run (100 dense timers, telemetry on)"
-    (Staged.stage (fun () ->
-         let now = Engine.now engine in
-         for i = 1 to 100 do
-           ignore (Engine.schedule_at engine Time.(now + Time.us (float_of_int (2 * i))) tick)
-         done;
-         Engine.run ~until:Time.(now + Time.ms 1.0) engine))
-
-let channel_delivery_telemetry () =
-  let open Openmb_sim in
-  let tel = Telemetry.create () in
-  let engine = Engine.create ~telemetry:tel () in
-  let delivered = ref 0 in
-  let ch =
-    Channel.create engine ~telemetry:tel ~latency:(Time.us 10.0) ~bytes_per_sec:1e9
-      ~deliver:(fun (_ : int) -> incr delivered)
-      ()
-  in
-  Test.make ~name:"channel.send+deliver (64 in flight, telemetry on)"
-    (Staged.stage (fun () ->
-         for i = 1 to channel_in_flight do
-           Channel.send ch ~bytes:(64 * i) 42
-         done;
-         Engine.run engine))
-
-(* ------------------------------------------------------------------ *)
-(* Measurement plumbing                                                *)
-(* ------------------------------------------------------------------ *)
-
-type result = {
-  bench_name : string;
-  ns_per_op : float;
-  minor_words_per_op : float;
-  major_words_per_op : float;
-  promoted_words_per_op : float;
-  minor_collections_per_op : float;
-  major_collections_per_op : float;
-}
-
-(* Toolkit.Instance.minor_allocated reads [(Gc.quick_stat ()).minor_words],
-   which on OCaml 5 only advances at minor-collection boundaries — sample
-   batches that fit in the young generation report zero.  [Gc.minor_words]
-   includes the young-pointer delta and is exact. *)
-module Minor_words = struct
-  type witness = unit
-
-  let make () = ()
-  let load () = ()
-  let unload () = ()
-  let get () = Gc.minor_words ()
-  let label () = "minor-words"
-  let unit () = "mnw"
-end
-
-(* The remaining GC counters only move at collection boundaries, so a
-   single sample is quantized — but over OLS's growing run counts the
-   per-op slope converges, which is exactly what we record. *)
-module Major_words = struct
-  type witness = unit
-
-  let make () = ()
-  let load () = ()
-  let unload () = ()
-  let get () = (Gc.quick_stat ()).Gc.major_words
-  let label () = "major-words"
-  let unit () = "mjw"
-end
-
-module Promoted_words = struct
-  type witness = unit
-
-  let make () = ()
-  let load () = ()
-  let unload () = ()
-  let get () = (Gc.quick_stat ()).Gc.promoted_words
-  let label () = "promoted-words"
-  let unit () = "prw"
-end
-
-module Minor_collections = struct
-  type witness = unit
-
-  let make () = ()
-  let load () = ()
-  let unload () = ()
-  let get () = float_of_int (Gc.quick_stat ()).Gc.minor_collections
-  let label () = "minor-collections"
-  let unit () = "mnc"
-end
-
-module Major_collections = struct
-  type witness = unit
-
-  let make () = ()
-  let load () = ()
-  let unload () = ()
-  let get () = float_of_int (Gc.quick_stat ()).Gc.major_collections
-  let label () = "major-collections"
-  let unit () = "mjc"
-end
-
-let minor_words_instance =
-  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
-
-let major_words_instance =
-  Measure.instance (module Major_words) (Measure.register (module Major_words))
-
-let promoted_words_instance =
-  Measure.instance (module Promoted_words) (Measure.register (module Promoted_words))
-
-let minor_collections_instance =
-  Measure.instance (module Minor_collections) (Measure.register (module Minor_collections))
-
-let major_collections_instance =
-  Measure.instance (module Major_collections) (Measure.register (module Major_collections))
-
-(* Run one benchmark in isolation: compact away everything previous
-   benchmarks left behind, build this benchmark's fixtures, measure,
-   and let the fixtures die with the returned closure.
-
-   Per-sample GC stabilization and compaction are off: with a multi-MB
-   fixture (a 10k-entry state table, 100k parked timers) each costs
-   milliseconds per sample, which caps the sampler at small run counts
-   and bleeds into the OLS slope — the state-table rows read ~10x their
-   true per-op cost (and a spurious ~4 minor words/op) with stabilize
-   on.  Heap hygiene across benchmarks is already handled by the
-   explicit compact above. *)
-let measure_one build =
-  Gc.compact ();
-  let cfg =
-    Benchmark.cfg ~stabilize:false ~compaction:false ~limit:2000
-      ~quota:(Time.second 0.5) ()
-  in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let instances =
-    [
-      clock;
-      minor_words_instance;
-      major_words_instance;
-      promoted_words_instance;
-      minor_collections_instance;
-      major_collections_instance;
-    ]
-  in
-  List.map
-    (fun elt ->
-      let raw = Benchmark.run cfg instances elt in
-      let estimate instance =
-        match Analyze.OLS.estimates (Analyze.one ols instance raw) with
-        | Some [ v ] -> v
-        | Some _ | None -> nan
-      in
-      {
-        bench_name = Test.Elt.name elt;
-        ns_per_op = estimate clock;
-        minor_words_per_op = estimate minor_words_instance;
-        major_words_per_op = estimate major_words_instance;
-        promoted_words_per_op = estimate promoted_words_instance;
-        minor_collections_per_op = estimate minor_collections_instance;
-        major_collections_per_op = estimate major_collections_instance;
-      })
-    (Test.elements (build ()))
-
-let measure builds = List.concat_map measure_one builds
+  ( (if telemetry then "channel.send+deliver (64 in flight, telemetry on)"
+     else "channel.send+deliver (64 in flight)"),
+    loop (fun () ->
+        for i = 1 to channel_in_flight do
+          Channel.send ch ~bytes:(64 * i) 42
+        done;
+        Engine.run engine) )
 
 (* ------------------------------------------------------------------ *)
 (* Macro: a full controller-brokered move, compression on              *)
@@ -412,10 +248,7 @@ let measure builds = List.concat_map measure_one builds
 
 (* One complete 1k-flow move between fresh dummy MBs with transfer
    compression enabled — the end-to-end path the PR-2 pipeline work
-   (chunk batching, windowed puts, zero-alloc compress/seal) targets.
-   Too heavy for Bechamel's per-iteration sampling, so it is timed
-   directly: wall-clock and allocation over enough repetitions to fill
-   the quota. *)
+   (chunk batching, windowed puts, zero-alloc compress/seal) targets. *)
 let one_macro_move () =
   let open Openmb_sim in
   let open Openmb_core in
@@ -439,71 +272,48 @@ let one_macro_move () =
   Engine.run engine;
   assert !ok
 
+(* The flag is flipped inside the batch, without a [Fun.protect] whose
+   closures would add a dozen words to every batch; a failed move ends
+   the run anyway. *)
 let macro_move_1k () =
+  ( "move (1k flows, compression on)",
+    fun n ->
+      let saved = !Openmb_core.Chunk.compression_enabled in
+      Openmb_core.Chunk.compression_enabled := true;
+      loop one_macro_move n;
+      Openmb_core.Chunk.compression_enabled := saved )
+
+(* ------------------------------------------------------------------ *)
+(* Rows                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Time the rows [builds] return, built together from a compacted heap
+   so no earlier row's fixtures inflate their GC costs. *)
+let measure builds =
   Gc.compact ();
-  let saved = !Openmb_core.Chunk.compression_enabled in
-  Openmb_core.Chunk.compression_enabled := true;
-  Fun.protect
-    ~finally:(fun () -> Openmb_core.Chunk.compression_enabled := saved)
-    (fun () ->
-      one_macro_move ();
-      (* warm-up *)
-      let quota_ns = 1_000_000_000L in
-      let t0 = ref 0L in
-      let runs = ref 0 in
-      let (), gc =
-        Util.gc_delta (fun () ->
-            t0 := Monotonic_clock.now ();
-            while
-              !runs < 3 || Int64.sub (Monotonic_clock.now ()) !t0 < quota_ns
-            do
-              one_macro_move ();
-              incr runs
-            done)
-      in
-      let elapsed = Int64.to_float (Int64.sub (Monotonic_clock.now ()) !t0) in
-      let n = float_of_int !runs in
-      {
-        bench_name = "move (1k flows, compression on)";
-        ns_per_op = elapsed /. n;
-        minor_words_per_op = gc.Util.minor_words /. n;
-        major_words_per_op = gc.Util.major_words /. n;
-        promoted_words_per_op = gc.Util.promoted_words /. n;
-        minor_collections_per_op = float_of_int gc.Util.minor_collections /. n;
-        major_collections_per_op = float_of_int gc.Util.major_collections /. n;
-      })
+  let rows = List.map (fun build -> build ()) builds in
+  List.combine (List.map fst rows) (Util.measure (List.map snd rows))
 
-let bench_file = "BENCH_micro.json"
-
-let result_row r =
+let result_row (t : Util.timing) =
   let open Openmb_wire in
   Json.Assoc
     [
-      ("ns_per_op", Json.Float r.ns_per_op);
-      ("minor_words_per_op", Json.Float r.minor_words_per_op);
-      ("major_words_per_op", Json.Float r.major_words_per_op);
-      ("promoted_words_per_op", Json.Float r.promoted_words_per_op);
-      ("minor_collections_per_op", Json.Float r.minor_collections_per_op);
-      ("major_collections_per_op", Json.Float r.major_collections_per_op);
+      ("ns_per_op", Json.Float t.ns_min);
+      ("ns_median", Json.Float t.ns_median);
+      ("ns_mad", Json.Float t.ns_mad);
+      ("rounds", Json.Int t.rounds);
+      ("minor_words_per_op", Json.Float t.minor_words);
+      ("major_words_per_op", Json.Float t.major_words);
+      ("promoted_words_per_op", Json.Float t.promoted_words);
+      ("minor_collections_per_op", Json.Float t.minor_collections);
+      ("major_collections_per_op", Json.Float t.major_collections);
     ]
 
 (* Merge this run's results into BENCH_micro.json under [label],
    keeping any other labels (e.g. the pre-change numbers) intact. *)
 let write_json results label =
-  let open Openmb_wire in
-  let existing =
-    if Sys.file_exists bench_file then
-      match Json.of_string (In_channel.with_open_text bench_file In_channel.input_all) with
-      | Json.Assoc fields -> fields
-      | _ | (exception Json.Parse_error _) -> []
-    else []
-  in
-  let entry = Json.Assoc (List.map (fun r -> (r.bench_name, result_row r)) results) in
-  let fields = List.remove_assoc label existing @ [ (label, entry) ] in
-  Out_channel.with_open_text bench_file (fun oc ->
-      Out_channel.output_string oc (Json.to_string_pretty (Json.Assoc fields));
-      Out_channel.output_char oc '\n');
-  Printf.printf "  [json] wrote %s (label %S)\n" bench_file label
+  Util.append_row label
+    (Openmb_wire.Json.Assoc (List.map (fun (name, t) -> (name, result_row t)) results))
 
 (* Set by the driver (micro --rebaseline L1[,L2...]): after the suite
    runs, re-record the named committed labels in place instead of
@@ -522,21 +332,14 @@ let rebaseline_labels : string list ref = ref []
    nothing. *)
 let rebaseline results labels =
   let open Openmb_wire in
-  let fields =
-    match Json.of_string (In_channel.with_open_text bench_file In_channel.input_all) with
-    | Json.Assoc fields -> fields
-    | _ -> failwith (bench_file ^ ": not a labelled result file")
-    | exception Sys_error msg -> failwith msg
-    | exception Json.Parse_error _ -> failwith (bench_file ^ ": unparseable result file")
-  in
+  let fields = Util.read_labels Util.bench_file in
   let missing = List.filter (fun l -> not (List.mem_assoc l fields)) labels in
   if missing <> [] then begin
     List.iter
-      (fun l -> Printf.eprintf "rebaseline: %s: missing label %S\n" bench_file l)
+      (fun l -> Printf.eprintf "rebaseline: %s: missing label %S\n" Util.bench_file l)
       missing;
     exit 1
   end;
-  let fresh name = List.find_opt (fun r -> String.equal r.bench_name name) results in
   let fields =
     List.map
       (fun (label, entry) ->
@@ -547,10 +350,10 @@ let rebaseline results labels =
           let rows =
             List.map
               (fun (name, old) ->
-                match fresh name with
-                | Some r ->
+                match List.assoc_opt name results with
+                | Some t ->
                   incr hit;
-                  (name, result_row r)
+                  (name, result_row t)
                 | None -> (name, old))
               rows
           in
@@ -562,10 +365,8 @@ let rebaseline results labels =
           (label, other))
       fields
   in
-  Out_channel.with_open_text bench_file (fun oc ->
-      Out_channel.output_string oc (Json.to_string_pretty (Json.Assoc fields));
-      Out_channel.output_char oc '\n');
-  Printf.printf "  [json] rebaselined %s (labels %s)\n" bench_file
+  Util.write_labels fields;
+  Printf.printf "  [json] rebaselined %s (labels %s)\n" Util.bench_file
     (String.concat ", " labels)
 
 (* ------------------------------------------------------------------ *)
@@ -579,7 +380,9 @@ let rebaseline results labels =
    that label from a labelled file, so one committed file can hold the
    whole before/after pair and still be diffed:
 
-     micro --compare BENCH_micro.json#before BENCH_micro.json#after *)
+     micro --compare BENCH_micro.json#before BENCH_micro.json#after
+
+   Each row is (name, (ns/op, minor words/op if recorded)). *)
 let load_results path =
   let open Openmb_wire in
   let file, label =
@@ -606,76 +409,91 @@ let load_results path =
       snd (List.nth labels (List.length labels - 1))
     | None, _ -> failwith (path ^ ": not a benchmark result file")
   in
+  let number key fields =
+    match Json.member key fields with
+    | Json.Float x -> Some x
+    | Json.Int x -> Some (float_of_int x)
+    | _ | (exception _) -> None
+  in
   match table with
   | Json.Assoc benches ->
     List.filter_map
       (fun (name, fields) ->
-        match Json.member "ns_per_op" fields with
-        | Json.Float ns -> Some (name, ns)
-        | Json.Int ns -> Some (name, float_of_int ns)
-        | _ | (exception _) -> None)
+        Option.map
+          (fun ns -> (name, (ns, number "minor_words_per_op" fields)))
+          (number "ns_per_op" fields))
       benches
   | _ -> failwith (path ^ ": not a benchmark result file")
 
 (* Default 20%; micro --threshold PCT overrides for tighter gates. *)
 let regression_threshold = ref 0.20
 
-(* Diff two result files; returns the number of failures — regressions
-   beyond the threshold plus rows that vanished from the after file (a
-   gone row means the gate silently stopped measuring something, which
-   must fail as loudly as a slowdown). *)
+(* Allocation is counted exactly, so its gate is tight: a row fails when
+   it allocates more than 1% and at least one word per op above its
+   baseline. *)
+let alloc_regressed ~before ~after = after > before *. 1.01 && after -. before >= 1.0
+
+(* Diff two result files; returns the number of failures — ns/op
+   regressions beyond the threshold, allocation regressions, and rows
+   that vanished from the after file (a gone row means the gate silently
+   stopped measuring something, which must fail as loudly as a
+   slowdown). *)
 let compare_results before_path after_path =
   let regression_threshold = !regression_threshold in
   let before = load_results before_path and after = load_results after_path in
   Util.banner
     (Printf.sprintf "Benchmark comparison: %s -> %s" before_path after_path);
-  Util.row "  %-36s %12s %12s %9s\n" "benchmark" "before(ns)" "after(ns)" "delta";
-  let regressions = ref 0 and gone = ref 0 in
+  Util.row "  %-36s %12s %12s %9s %10s %10s\n" "benchmark" "before(ns)" "after(ns)" "delta"
+    "before(w)" "after(w)";
+  let words = function Some w -> Printf.sprintf "%.1f" w | None -> "-" in
+  let regressions = ref 0 and allocs = ref 0 and gone = ref 0 in
   List.iter
-    (fun (name, b) ->
+    (fun (name, (b, bw)) ->
       match List.assoc_opt name after with
       | None ->
         incr gone;
-        Util.row "  %-36s %12.1f %12s %9s\n" name b "-" "GONE"
-      | Some a ->
+        Util.row "  %-36s %12.1f %12s %9s %10s %10s  GONE\n" name b "-" "-" (words bw) "-"
+      | Some (a, aw) ->
         let delta = (a -. b) /. b in
-        let flag =
-          if delta > regression_threshold then begin
-            incr regressions;
-            "  REGRESSION"
-          end
-          else ""
+        let slow = delta > regression_threshold in
+        let alloc =
+          match (bw, aw) with
+          | Some before, Some after -> alloc_regressed ~before ~after
+          | _ -> false
         in
-        Util.row "  %-36s %12.1f %12.1f %+8.1f%%%s\n" name b a (delta *. 100.0) flag)
+        if slow then incr regressions;
+        if alloc then incr allocs;
+        Util.row "  %-36s %12.1f %12.1f %+8.1f%% %10s %10s%s%s\n" name b a (delta *. 100.0)
+          (words bw) (words aw)
+          (if slow then "  REGRESSION" else "")
+          (if alloc then "  ALLOC" else ""))
     before;
   List.iter
-    (fun (name, a) ->
+    (fun (name, (a, aw)) ->
       if not (List.mem_assoc name before) then
-        Util.row "  %-36s %12s %12.1f %9s\n" name "-" a "new")
+        Util.row "  %-36s %12s %12.1f %9s %10s %10s  new\n" name "-" a "-" "-" (words aw))
     after;
   if !regressions > 0 then
     Printf.printf "  %d benchmark(s) regressed by more than %.0f%%\n" !regressions
       (regression_threshold *. 100.0)
   else Printf.printf "  no regression beyond %.0f%%\n" (regression_threshold *. 100.0);
+  if !allocs > 0 then
+    Printf.printf
+      "  FAIL: %d benchmark(s) allocate more than 1%% and 1 minor word/op above baseline\n"
+      !allocs;
   if !gone > 0 then
     Printf.printf
       "  FAIL: %d benchmark(s) present before are missing after — the gate is no \
        longer measuring them\n"
       !gone;
-  !regressions + !gone
+  !regressions + !allocs + !gone
 
 (* Gate helper: fail loudly when a labelled result file lacks any of
    the rows a gate intends to compare against, instead of the gate
    silently passing because the comparison never ran.  Returns the
    number of missing labels. *)
 let require_labels path labels =
-  let open Openmb_wire in
-  let fields =
-    match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
-    | Json.Assoc fields -> fields
-    | _ -> failwith (path ^ ": not a labelled result file")
-    | exception Json.Parse_error _ -> failwith (path ^ ": unparseable result file")
-  in
+  let fields = Util.read_labels path in
   let missing = List.filter (fun l -> not (List.mem_assoc l fields)) labels in
   List.iter
     (fun l -> Printf.eprintf "require-labels: %s: missing label %S\n" path l)
@@ -709,29 +527,13 @@ let scan_vs_index () =
         done;
         t
       in
-      let linear = populate false and indexed = populate true in
       let q = Hfl.of_string "nw_src=10.0.1.4/32" in
-      let time_one label t =
-        ignore label;
-        let test =
-          Test.make ~name:"scan"
-            (Staged.stage (fun () -> ignore (Openmb_mbox.State_table.matching t q)))
-        in
-        let cfg =
-          Benchmark.cfg ~stabilize:false ~compaction:false ~limit:1000
-            ~quota:(Time.second 0.25) ()
-        in
-        let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-        let instance = Toolkit.Instance.monotonic_clock in
-        match Test.elements test with
-        | [ elt ] -> (
-          match Analyze.OLS.estimates (Analyze.one ols instance (Benchmark.run cfg [ instance ] elt)) with
-          | Some [ ns ] -> ns
-          | Some _ | None -> nan)
-        | _ -> nan
-      in
-      let tl = time_one "linear" linear and ti = time_one "indexed" indexed in
-      Util.row "  %-10d %16.0f %16.0f %9.0fx\n" n tl ti (tl /. ti))
+      let scan t = loop (fun () -> ignore (Openmb_mbox.State_table.matching t q)) in
+      match Util.measure [ scan (populate false); scan (populate true) ] with
+      | [ linear; indexed ] ->
+        let tl = linear.Util.ns_min and ti = indexed.Util.ns_min in
+        Util.row "  %-10d %16.0f %16.0f %9.0fx\n" n tl ti (tl /. ti)
+      | _ -> assert false)
     [ 1000; 5000; 20000 ];
   Printf.printf
     "  The prototype's gets scan the whole table (the paper attributes the\n\
@@ -752,10 +554,11 @@ let tests () =
     lzss;
     re_encode;
     hfl_match;
-    engine_dense_timers;
-    channel_delivery;
-    engine_dense_timers_telemetry;
-    channel_delivery_telemetry;
+    engine_dense_timers ~telemetry:false;
+    channel_delivery ~telemetry:false;
+    engine_dense_timers ~telemetry:true;
+    channel_delivery ~telemetry:true;
+    macro_move_1k;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -767,57 +570,32 @@ let tests () =
    than its telemetry-off twin. *)
 let telemetry_gate : float option ref = ref None
 
-let telemetry_pairs =
-  [
-    ( "engine.run (100 dense timers, 100k parked)",
-      "engine.run (100 dense timers, telemetry on)" );
-    ( "channel.send+deliver (64 in flight)",
-      "channel.send+deliver (64 in flight, telemetry on)" );
-  ]
-
 (* Measure the two tracked rows with and without a live registry in
-   one process (same machine state for both sides of each pair), print
-   the overhead, and optionally gate on it.  Each row is the min of
-   three interleaved rounds: single Bechamel estimates on a shared
-   machine jitter by tens of percent, far above the few-percent signal
-   this gate watches, and the per-side minimum discards the scheduling
-   noise both sides suffer independently.  With --json the four rows
-   are merged into BENCH_micro.json under the label (use
-   --label micro-telemetry to keep the pair as its own entry). *)
-let telemetry_rounds = 3
-
+   one process, print the overhead, and optionally gate on it.  Each
+   off/on pair is built together and timed in interleaved rounds, so
+   both sides share every round's machine state; the per-side minimum
+   discards the scheduling noise both sides suffer independently.  With
+   --json the four rows are merged into BENCH_micro.json under the label
+   (use --label micro-telemetry to keep the pair as its own entry). *)
 let run_telemetry () =
   Util.banner "Telemetry overhead: tracked scheduler rows, registry off vs. on";
-  let best = Hashtbl.create 8 in
-  for _ = 1 to telemetry_rounds do
-    List.iter
-      (fun r ->
-        match Hashtbl.find_opt best r.bench_name with
-        | Some prev when prev.ns_per_op <= r.ns_per_op -> ()
-        | _ -> Hashtbl.replace best r.bench_name r)
-      (measure
-         [
-           engine_dense_timers;
-           engine_dense_timers_telemetry;
-           channel_delivery;
-           channel_delivery_telemetry;
-         ])
-  done;
-  let find name = Hashtbl.find best name in
-  let results =
-    List.concat_map (fun (off, on) -> [ find off; find on ]) telemetry_pairs
+  let pairs =
+    List.map
+      (fun bench -> measure [ bench ~telemetry:false; bench ~telemetry:true ])
+      [ engine_dense_timers; channel_delivery ]
   in
   Util.row "  %-46s %12s %12s %9s\n" "benchmark" "off(ns)" "on(ns)" "delta";
   let worst = ref neg_infinity in
   List.iter
-    (fun (off_name, on_name) ->
-      let off = find off_name and on = find on_name in
-      let delta = (on.ns_per_op -. off.ns_per_op) /. off.ns_per_op in
-      if delta > !worst then worst := delta;
-      Util.row "  %-46s %12.1f %12.1f %+8.1f%%\n" off_name off.ns_per_op
-        on.ns_per_op (delta *. 100.0))
-    telemetry_pairs;
-  (match !json_label with None -> () | Some label -> write_json results label);
+    (function
+      | [ (off_name, (off : Util.timing)); (_, on) ] ->
+        let delta = (on.ns_min -. off.ns_min) /. off.ns_min in
+        if delta > !worst then worst := delta;
+        Util.row "  %-46s %12.1f %12.1f %+8.1f%%\n" off_name off.ns_min on.ns_min
+          (delta *. 100.0)
+      | _ -> assert false)
+    pairs;
+  (match !json_label with None -> () | Some label -> write_json (List.concat pairs) label);
   match !telemetry_gate with
   | None -> ()
   | Some limit ->
@@ -830,32 +608,15 @@ let run_telemetry () =
       Printf.printf "  telemetry overhead within the %.1f%% gate (worst %+.1f%%)\n"
         limit (!worst *. 100.0)
 
-(* Set by the driver (micro --rounds N): run the whole suite N times
-   and keep each benchmark's fastest round.  A single Bechamel estimate
-   on a busy single-core machine jitters by tens of percent run to run
-   — far above the 20% regression threshold — so the perfgate compares
-   min-of-N against a min-of-N baseline: the per-row minimum
-   approximates the noise floor the same way the telemetry gate's
-   interleaved rounds do. *)
-let micro_rounds = ref 1
-
 let run () =
-  Util.banner "Micro-benchmarks (Bechamel, wall-clock; hermetic fixtures)";
-  let round () = measure (tests ()) @ [ macro_move_1k () ] in
-  let best = ref (round ()) in
-  for r = 2 to !micro_rounds do
-    Printf.printf "  [rounds] best-of round %d/%d\n%!" r !micro_rounds;
-    best :=
-      List.map2
-        (fun b fresh -> if fresh.ns_per_op < b.ns_per_op then fresh else b)
-        !best (round ())
-  done;
-  let results = !best in
-  Util.row "  %-42s %12s %10s %10s %8s\n" "benchmark" "ns/op" "minor w" "promoted" "mnc/op";
+  Util.banner "Micro-benchmarks (calibrated loop, wall-clock; hermetic fixtures)";
+  let results = List.concat_map (fun build -> measure [ build ]) (tests ()) in
+  Util.row "  %-42s %12s %10s %8s %10s %10s %8s\n" "benchmark" "ns/op" "median" "MAD"
+    "minor w" "promoted" "mnc/op";
   List.iter
-    (fun r ->
-      Util.row "  %-42s %12.1f %10.1f %10.2f %8.4f\n" r.bench_name r.ns_per_op
-        r.minor_words_per_op r.promoted_words_per_op r.minor_collections_per_op)
+    (fun (name, (t : Util.timing)) ->
+      Util.row "  %-42s %12.1f %10.1f %8.1f %10.1f %10.2f %8.4f\n" name t.ns_min t.ns_median
+        t.ns_mad t.minor_words t.promoted_words t.minor_collections)
     results;
   match !rebaseline_labels with
   | _ :: _ as labels -> rebaseline results labels

@@ -13,8 +13,8 @@
    of percent between invocations and a 3% budget would gate pure
    scheduler noise.  Instead the per-tick scrape cost (sample every
    series + incremental SLO evaluation — the exact per-tick work the
-   scrape-on run performs) is measured as an in-process
-   microbenchmark over ~100k ticks (min of 3 reps, stable to a few
+   scrape-on run performs) is timed in-process by the calibrated loop
+   ([Util.measure], fastest of --rounds batches, stable to a few
    percent), and the gate checks
 
      workload scrape ticks x per-tick cost / scrape-off wall <= PCT
@@ -33,9 +33,9 @@ open Openmb_mbox
 open Openmb_traffic
 open Openmb_apps
 
-(* Set by the driver (bench obs [--flows N] [--rounds R] [--gate PCT]). *)
+(* Set from the command line (bench obs [--flows N] [--gate PCT]);
+   --rounds sets [Util.rounds]. *)
 let flows = ref 10_000
-let rounds = ref 3
 let gate : float option ref = ref None
 
 let internal_prefix = "10.0.0.0/8"
@@ -176,13 +176,13 @@ let run_once ~scrape =
     obs;
   }
 
-(* Per-tick scrape cost in seconds: the same 18-series attachment
-   (shared registry set + two per-MB scrape sets + NAT-occupancy poll
-   + SLO evaluation) ticking at 1us of virtual time on an engine with
-   nothing else to do, over [ticks] ticks.  Metric state is
+(* Per-tick scrape cost: the same 18-series attachment (shared registry
+   set + two per-MB scrape sets + NAT-occupancy poll + SLO evaluation)
+   ticking at 1us of virtual time on an engine with nothing else to do;
+   a batch of [n] runs the engine [n] ticks forward.  Metric state is
    pre-populated so histogram-quantile walks and counter reads see
    representative values, not empty fast paths. *)
-let measure_tick_cost ~ticks =
+let tick_batch () =
   let tel = Telemetry.create () in
   let engine = Engine.create ~telemetry:tel () in
   List.iter
@@ -206,24 +206,21 @@ let measure_tick_cost ~ticks =
     Monitor.create engine ~telemetry:tel ~name:"monitor"
       ~cost:(fast_cost Monitor.default_cost) ()
   in
-  let ts, slo = Util.attach_obs ~every:(Time.us 1.0) tel engine in
+  let ts, _ = Util.attach_obs ~every:(Time.us 1.0) tel engine in
   Mb_base.register_series (Nat.base nat) ts;
   Mb_base.register_series (Monitor.base monitor) ts;
   Timeseries.add ts ~name:"nat.mappings" ~mode:Timeseries.Sum
     (Timeseries.Poll (fun () -> float_of_int (Nat.mapping_count nat)));
-  ignore slo;
-  (* A sentinel event keeps the engine pending so the scraper ticks
-     until the horizon, then auto-stops. *)
-  ignore
-    (Engine.schedule_at engine (Time.us (float_of_int ticks)) (fun () -> ()));
-  let t0 = Monotonic_clock.now () in
-  Engine.run engine;
-  let wall = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
-  if Timeseries.ticks ts < ticks then failwith "obs: tick micro stopped early";
-  wall /. float_of_int (Timeseries.ticks ts)
+  (* A sentinel event keeps the engine pending, so the scraper never
+     auto-stops between batches. *)
+  ignore (Engine.schedule_at engine (Time.seconds 1e6) (fun () -> ()));
+  fun n ->
+    let until = Time.(Engine.now engine + Time.us (float_of_int n)) in
+    Engine.run ~until engine;
+    if not (Timeseries.running ts) then failwith "obs: tick micro stopped early"
 
 let run () =
-  let n = !flows and r = !rounds in
+  let n = !flows and r = !Util.rounds in
   Util.banner
     (Printf.sprintf "obs: scrape overhead on a %d-flow chain run (%d paired rounds)" n r);
   (* Min-of-rounds on both sides for the recorded wall pair: each
@@ -263,17 +260,15 @@ let run () =
   if on.ticks = 0 then failwith "obs: scraper never ticked";
   Array.sort compare overheads;
   let wall_overhead = (!best_on -. !best_off) /. !best_off *. 100.0 in
-  let tick_cost = ref infinity in
-  for _ = 1 to 3 do
-    Gc.compact ();
-    let c = measure_tick_cost ~ticks:100_000 in
-    if c < !tick_cost then tick_cost := c
-  done;
-  let overhead = float_of_int on.ticks *. !tick_cost /. !best_off *. 100.0 in
+  Gc.compact ();
+  let tick_ns =
+    match Util.measure [ tick_batch () ] with [ t ] -> t.Util.ns_min | _ -> assert false
+  in
+  let overhead = float_of_int on.ticks *. tick_ns *. 1e-9 /. !best_off *. 100.0 in
   Util.row "  %-28s %12.3f\n" "wall seconds (scrape off)" !best_off;
   Util.row "  %-28s %12.3f\n" "wall seconds (scrape on)" !best_on;
   Util.row "  %-28s %12.2f\n" "wall overhead % (min pair)" wall_overhead;
-  Util.row "  %-28s %12.1f\n" "per-tick cost (ns)" (!tick_cost *. 1e9);
+  Util.row "  %-28s %12.1f\n" "per-tick cost (ns)" tick_ns;
   Util.row "  %-28s %12.2f\n" "overhead % (gated)" overhead;
   Array.iter (fun o -> Util.row "  %-28s %12.2f\n" "  round wall overhead %" o) overheads;
   Util.row "  %-28s %12d\n" "series scraped" on.series;
@@ -292,7 +287,7 @@ let run () =
          ("scrape_ticks", Json.Int on.ticks);
          ("off_wall_s", Json.Float !best_off);
          ("on_wall_s", Json.Float !best_on);
-         ("tick_cost_ns", Json.Float (!tick_cost *. 1e9));
+         ("tick_cost_ns", Json.Float tick_ns);
          ("overhead_pct", Json.Float overhead);
          ("slo_breaches", Json.Int on.breaches);
        ]);

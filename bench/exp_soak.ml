@@ -193,36 +193,19 @@ let run_once ~chaos =
 
 let append_bench_row (o : outcome) ~wall_ms =
   let open Openmb_wire in
-  let bench_file = "BENCH_micro.json" in
-  let existing =
-    if Sys.file_exists bench_file then
-      match
-        Json.of_string (In_channel.with_open_text bench_file In_channel.input_all)
-      with
-      | Json.Assoc fields -> fields
-      | _ | (exception Json.Parse_error _) -> []
-    else []
-  in
-  let label = "soak" in
-  let entry =
-    Json.Assoc
-      [
-        ("seed", Json.Int seed);
-        ("rounds", Json.Int rounds);
-        ("flows", Json.Int flows);
-        ("wall_ms", Json.Float wall_ms);
-        ("virtual_s", Json.Float o.virtual_s);
-        ("failovers", Json.Int o.failovers);
-        ("moves_rerun", Json.Int o.moves_rerun);
-        ("log_retransmits", Json.Int o.retransmits);
-        ("faults_lost", Json.Int o.faults_lost);
-      ]
-  in
-  let fields = List.remove_assoc label existing @ [ (label, entry) ] in
-  Out_channel.with_open_text bench_file (fun oc ->
-      Out_channel.output_string oc (Json.to_string_pretty (Json.Assoc fields));
-      Out_channel.output_char oc '\n');
-  Printf.printf "  [json] wrote %s (label %S, seed %d)\n" bench_file label seed
+  Util.append_row "soak"
+    (Json.Assoc
+       [
+         ("seed", Json.Int seed);
+         ("rounds", Json.Int rounds);
+         ("flows", Json.Int flows);
+         ("wall_ms", Json.Float wall_ms);
+         ("virtual_s", Json.Float o.virtual_s);
+         ("failovers", Json.Int o.failovers);
+         ("moves_rerun", Json.Int o.moves_rerun);
+         ("log_retransmits", Json.Int o.retransmits);
+         ("faults_lost", Json.Int o.faults_lost);
+       ])
 
 let run () =
   Util.banner "HA chaos soak: replicated controller vs. fault-free oracle";

@@ -18,11 +18,9 @@
                              on the flat side, cons-cell churn on the
                              Hashtbl side
 
-   Rows are timed with plain calibrated loops (best of three rounds,
-   wall clock plus Gc.minor_words deltas) rather than Bechamel: the
-   sampling harness carries a per-iteration constant of a couple
-   hundred ns that swamps a 30ns probe and flattens the very ratio
-   this experiment exists to track.  Results are appended to
+   Rows are timed by the calibrated loop ([Util.measure]); each op's
+   flat and Hashtbl rows run in interleaved rounds, so both sides of a
+   ratio share every round's machine state.  Results are appended to
    BENCH_micro.json as "statetable-10k" / "statetable-1m".
 
    With --min-speedup S the run fails unless the find (hit) speedup of
@@ -38,11 +36,7 @@ open Openmb_net
 (* Set by the driver (bench statetable --min-speedup S). *)
 let min_speedup : float option ref = ref None
 
-(* (tag, entries, timed iterations) — iterations sized so each row
-   takes a few hundred ms of wall clock. *)
-let sizes = [ ("10k", 10_000, 5_000_000); ("1m", 1_000_000, 2_000_000) ]
-
-let rounds = 3
+let sizes = [ ("10k", 10_000); ("1m", 1_000_000) ]
 
 (* Every key shares one destination word; sources are distinct
    10.x.y.z addresses with ports cycling under the address bits —
@@ -103,26 +97,6 @@ let build_fixture n =
      stride is odd and coprime to 5, so coprime to both sizes). *)
   let order = Array.init n (fun i -> i * 2654435761 mod n) in
   { n; ka; kb; kh; packed; order; miss_ka; miss_kb; miss_kh; miss_packed; flat; htbl }
-
-(* Best-of-[rounds] timing of [f iters]: wall-clock ns/op and minor
-   words/op.  The minimum discards scheduling noise the same way the
-   perfgate's min-of-N micro rounds do. *)
-let time_op ~iters f =
-  f 10_000;
-  (* warm-up *)
-  let best_ns = ref infinity and best_mnw = ref infinity in
-  for _ = 1 to rounds do
-    let mw0 = Gc.minor_words () in
-    let t0 = Monotonic_clock.now () in
-    f iters;
-    let ns =
-      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. float_of_int iters
-    in
-    let mnw = (Gc.minor_words () -. mw0) /. float_of_int iters in
-    if ns < !best_ns then best_ns := ns;
-    if mnw < !best_mnw then best_mnw := mnw
-  done;
-  (!best_ns, !best_mnw)
 
 (* The cursor walk shared by every row: each op consumes the next index
    of the shuffled order.  Its cost (an array load and a mod) is part of
@@ -199,7 +173,7 @@ let run () =
     "Flow-state core: flat open-addressing table vs. Hashtbl bucket chains";
   let gate_speedup = ref infinity in
   List.iter
-    (fun (tag, n, iters) ->
+    (fun (tag, n) ->
       let fx = build_fixture n in
       Gc.compact ();
       Util.row "  %-28s %12s %12s %9s %11s %11s\n"
@@ -208,13 +182,14 @@ let run () =
       let rows =
         List.map
           (fun (op, flat_op, htbl_op) ->
-            let f_ns, f_mnw = time_op ~iters flat_op in
-            let h_ns, h_mnw = time_op ~iters htbl_op in
-            let speedup = h_ns /. f_ns in
-            if String.equal op "find hit" then gate_speedup := speedup;
-            Util.row "  %-28s %12.1f %12.1f %8.2fx %11.2f %11.2f\n" op f_ns h_ns
-              speedup f_mnw h_mnw;
-            (op, f_ns, f_mnw, h_ns, h_mnw, speedup))
+            match Util.measure [ flat_op; htbl_op ] with
+            | [ (f : Util.timing); h ] ->
+              let speedup = h.ns_min /. f.ns_min in
+              if String.equal op "find hit" then gate_speedup := speedup;
+              Util.row "  %-28s %12.1f %12.1f %8.2fx %11.2f %11.2f\n" op f.ns_min
+                h.ns_min speedup f.minor_words h.minor_words;
+              (op, f, h, speedup)
+            | _ -> assert false)
           (ops fx)
       in
       let open Openmb_wire in
@@ -223,14 +198,14 @@ let run () =
         (Json.Assoc
            (("entries", Json.Int n)
            :: List.concat_map
-                (fun (op, f_ns, f_mnw, h_ns, h_mnw, speedup) ->
+                (fun (op, (f : Util.timing), (h : Util.timing), speedup) ->
                   let slug = String.map (fun c -> if c = ' ' then '_' else c) op in
                   [
-                    (slug ^ "_flat_ns", Json.Float f_ns);
-                    (slug ^ "_hashtbl_ns", Json.Float h_ns);
+                    (slug ^ "_flat_ns", Json.Float f.ns_min);
+                    (slug ^ "_hashtbl_ns", Json.Float h.ns_min);
                     (slug ^ "_speedup", Json.Float speedup);
-                    (slug ^ "_flat_minor_words", Json.Float f_mnw);
-                    (slug ^ "_hashtbl_minor_words", Json.Float h_mnw);
+                    (slug ^ "_flat_minor_words", Json.Float f.minor_words);
+                    (slug ^ "_hashtbl_minor_words", Json.Float h.minor_words);
                   ])
                 rows)))
     sizes;

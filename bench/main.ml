@@ -17,7 +17,8 @@
    micro --compare BEFORE.json AFTER.json skips the benchmarks and
    instead diffs two result files (flat results or BENCH_micro.json
    labelled files — the last label wins), exiting non-zero when any
-   benchmark regressed by more than 20%:
+   benchmark regressed by more than 20% in ns/op or allocates more than
+   1% and at least 1 minor word/op above its baseline:
 
      dune exec bench/main.exe -- micro --compare before.json after.json
 
@@ -65,7 +66,7 @@ let experiments : (string * string * (unit -> unit)) list =
       "linear-scan get vs. indexed lookup (footnote 6)",
       Exp_micro.scan_vs_index );
     ("failover", "failure-recovery options quantified (section 2)", Exp_failover.run);
-    ("micro", "Bechamel micro-benchmarks of hot primitives", Exp_micro.run);
+    ("micro", "micro-benchmarks of hot primitives", Exp_micro.run);
     ( "scale",
       "million-flow switch+NAT+monitor chain with concurrent move",
       Exp_scale.run );
@@ -222,9 +223,7 @@ let () =
         strip rest
       | "--rounds" :: n :: rest when int_of_string_opt n <> None ->
         (match int_of_string_opt n with
-        | Some r when r > 0 ->
-          Exp_micro.micro_rounds := r;
-          Exp_obs.rounds := r
+        | Some r when r > 0 -> Util.rounds := r
         | _ ->
           Printf.eprintf "usage: micro --rounds N (N > 0)\n";
           exit 2);

@@ -84,58 +84,145 @@ let maybe_dash obs =
       Openmb_sim.Slo.pp_dash Format.std_formatter slo;
       Format.pp_print_flush Format.std_formatter ()
 
+let bench_file = "BENCH_micro.json"
+
+(* The labels of a BENCH_micro.json-style file.  A file that exists but
+   is not a JSON object (a merge-conflict marker, a truncated write)
+   stops the run with the file untouched: treating it as empty would let
+   the next writer replace every other label with its own. *)
+let read_labels path =
+  let open Openmb_wire in
+  match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+  | Json.Assoc fields -> fields
+  | _ | (exception Json.Parse_error _) ->
+    Printf.eprintf "%s: not a JSON object of labelled rows; left unchanged\n" path;
+    exit 1
+
+let write_labels fields =
+  let open Openmb_wire in
+  Out_channel.with_open_text bench_file (fun oc ->
+      Out_channel.output_string oc (Json.to_string_pretty (Json.Assoc fields));
+      Out_channel.output_char oc '\n')
+
 (* Append one labelled row to BENCH_micro.json (in the current
    directory), replacing any previous row under the same label. *)
 let append_row label entry =
-  let open Openmb_wire in
-  let bench_file = "BENCH_micro.json" in
-  let existing =
-    if Sys.file_exists bench_file then
-      match
-        Json.of_string (In_channel.with_open_text bench_file In_channel.input_all)
-      with
-      | Json.Assoc fields -> fields
-      | _ | (exception Json.Parse_error _) -> []
-    else []
-  in
-  let fields = List.remove_assoc label existing @ [ (label, entry) ] in
-  Out_channel.with_open_text bench_file (fun oc ->
-      Out_channel.output_string oc (Json.to_string_pretty (Json.Assoc fields));
-      Out_channel.output_char oc '\n');
+  let existing = if Sys.file_exists bench_file then read_labels bench_file else [] in
+  write_labels (List.remove_assoc label existing @ [ (label, entry) ]);
   Printf.printf "  [json] wrote %s (label %S)\n" bench_file label
 
 (* ------------------------------------------------------------------ *)
-(* GC-pressure accounting                                              *)
+(* The timer                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Allocation and collection activity over a region of code.  Words are
-   OCaml heap words; [minor_words] uses [Gc.minor_words] (exact, includes
-   the young-pointer delta) while the rest come from [Gc.quick_stat]. *)
-type gc_delta = {
+(* Timed batches per row; --rounds N sets it. *)
+let rounds = ref 3
+
+(* A calibrated batch runs at least this long: long enough that clock
+   reads vanish against it, short enough that the minimum of a few
+   rounds finds a batch no other process interrupted. *)
+let target_ns = 25e6
+
+(* Per op.  [minor_words] is exact: [Gc.minor_words] counts the young
+   pointer.  The other counters come from [Gc.quick_stat], which on
+   OCaml 5 only advances at collection boundaries, so they are means over
+   all rounds. *)
+type timing = {
+  ns_min : float;  (** ns/op of the fastest round: the gated figure *)
+  ns_median : float;
+  ns_mad : float;  (** median absolute deviation of ns/op over rounds *)
+  rounds : int;
   minor_words : float;
-  major_words : float;
   promoted_words : float;
-  minor_collections : int;
-  major_collections : int;
+  major_words : float;
+  minor_collections : float;
+  major_collections : float;
 }
 
-let gc_delta f =
-  let s0 = Gc.quick_stat () in
-  let mw0 = Gc.minor_words () in
-  let result = f () in
-  let mw1 = Gc.minor_words () in
-  let s1 = Gc.quick_stat () in
-  ( result,
-    {
-      minor_words = mw1 -. mw0;
-      major_words = s1.Gc.major_words -. s0.Gc.major_words;
-      promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-      minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
-      major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
-    } )
+let elapsed_ns f n =
+  let t0 = Monotonic_clock.now () in
+  f n;
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
 
-let pp_gc_delta d =
-  Printf.printf
-    "  [gc] minor %.0f w, major %.0f w, promoted %.0f w, collections %d minor / %d major\n"
-    d.minor_words d.major_words d.promoted_words d.minor_collections
-    d.major_collections
+(* Warm up with one op, then double the batch until it fills the target. *)
+let calibrate f =
+  f 1;
+  let rec grow n = if elapsed_ns f n >= target_ns then n else grow (2 * n) in
+  grow 1
+
+let median xs =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let k = Array.length a in
+  if k mod 2 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.0
+
+(* Calibrate each batch function, then time [!rounds] rounds; within a
+   round the batches run in list order, so twins timed together (off/on,
+   flat/Hashtbl) share the machine state of every round.  The minor-words
+   window holds only the batch: nothing in it allocates but the ops. *)
+let time_rounds fs =
+  let r = !rounds in
+  let fs = Array.of_list fs in
+  let n = Array.map calibrate fs in
+  let ns = Array.map (fun _ -> Array.make r 0.0) fs in
+  let minor = Array.make (Array.length fs) 0.0 in
+  let stats = Array.map (fun _ -> []) fs in
+  for round = 0 to r - 1 do
+    Array.iteri
+      (fun i f ->
+        let s0 = Gc.quick_stat () in
+        let t0 = Monotonic_clock.now () in
+        let mw0 = Gc.minor_words () in
+        f n.(i);
+        let mw1 = Gc.minor_words () in
+        let t1 = Monotonic_clock.now () in
+        let s1 = Gc.quick_stat () in
+        ns.(i).(round) <- Int64.to_float (Int64.sub t1 t0) /. float_of_int n.(i);
+        minor.(i) <- minor.(i) +. (mw1 -. mw0);
+        stats.(i) <- (s0, s1) :: stats.(i))
+      fs
+  done;
+  List.init (Array.length fs) (fun i ->
+      let ops = float_of_int (r * n.(i)) in
+      let per_op field =
+        List.fold_left (fun acc (s0, s1) -> acc +. (field s1 -. field s0)) 0.0 stats.(i)
+        /. ops
+      in
+      let med = median ns.(i) in
+      {
+        ns_min = Array.fold_left Float.min infinity ns.(i);
+        ns_median = med;
+        ns_mad = median (Array.map (fun x -> Float.abs (x -. med)) ns.(i));
+        rounds = r;
+        minor_words = minor.(i) /. ops;
+        promoted_words = per_op (fun s -> s.Gc.promoted_words);
+        major_words = per_op (fun s -> s.Gc.major_words);
+        minor_collections = per_op (fun s -> float_of_int s.Gc.minor_collections);
+        major_collections = per_op (fun s -> float_of_int s.Gc.major_collections);
+      })
+
+(* The counter must read a 2-word [ref] as exactly 2 words/op.  It guards
+   two known misreadings: [Gc.quick_stat] deltas, which on OCaml 5 skip
+   the young generation between collections (a million 5-word
+   allocations read 4.98 words each), and a window that allocates
+   around the batch. *)
+let self_check =
+  lazy
+    (let refs n =
+       for i = 1 to n do
+         ignore (Sys.opaque_identity (ref i))
+       done
+     in
+     match time_rounds [ refs ] with
+    | [ t ] when t.minor_words = 2.0 -> ()
+    | [ t ] ->
+      failwith
+        (Printf.sprintf "timer self-check: a 2-word ref read %.12g minor words/op"
+           t.minor_words)
+    | _ -> assert false)
+
+(* Time each batch function [f n], which runs [n] operations.  Callers
+   compact the heap before building a row's fixture. *)
+let measure fs =
+  Lazy.force self_check;
+  time_rounds fs
