@@ -18,9 +18,10 @@
    1, 16, 64, 256), appending one "pktpath-bN" row per factor, and fails
    when one of those four factors misses its absolute floors: a packet
    rate (wall time on a loaded single-core machine swings by tens of
-   percent, so the floor only catches a collapse) and a
+   percent, so the floor only catches a collapse), a
    minor-words-per-packet ceiling (allocation is deterministic, so that
-   gate is tight).  The factors are not gated against each other: batch
+   gate is tight) and, when batched, a ceiling on the batches live at
+   once.  The factors are not gated against each other: batch
    1 is the same path, so a ratio would penalize making it faster. *)
 
 open Openmb_sim
@@ -40,14 +41,16 @@ let window = Time.us 500.0
 let internal_prefix = "10.0.0.0/8"
 
 (* The gates of the recorded factors: minimum packets/sec, maximum
-   minor words/packet (measured 90.1, 32.7, 27.7 and 26.5).  Other
-   factors are reported ungated. *)
+   minor words/packet (measured 59.0, 21.6, 19.6 and 19.1) and, on the
+   batched factors, maximum batch-pool high water (measured 7, 4 and 4:
+   the replay fills each batch when its event fires, so only batches in
+   flight are live).  Other factors are reported ungated. *)
 let floors =
   [
-    (1, (100_000.0, 95.0));
-    (16, (300_000.0, 36.0));
-    (64, (300_000.0, 31.0));
-    (256, (300_000.0, 30.0));
+    (1, (100_000.0, 66.0, None));
+    (16, (300_000.0, 26.0, Some 16));
+    (64, (300_000.0, 23.0, Some 16));
+    (256, (300_000.0, 22.0, Some 16));
   ]
 
 let fast_cost base = { base with Southbound.per_packet = Time.us 1.0 }
@@ -211,11 +214,14 @@ let run () =
       (fun r ->
         match List.assoc_opt r.r_batch floors with
         | None -> false
-        | Some (min_pps, max_words) ->
+        | Some (min_pps, max_words, max_pool_hw) ->
           let words = r.r_minor_words /. float_of_int packets in
-          let ok = r.r_pps >= min_pps && words <= max_words in
-          Util.row "  [gate] batch %-4d %10.0f pkts/s (floor %.0f)  %6.1f words/pkt (ceiling %.0f)  %s\n"
-            r.r_batch r.r_pps min_pps words max_words
+          let pool_ok = match max_pool_hw with None -> true | Some hw -> r.r_pool_hw <= hw in
+          let ok = r.r_pps >= min_pps && words <= max_words && pool_ok in
+          Util.row
+            "  [gate] batch %-4d %10.0f pkts/s (floor %.0f)  %6.1f words/pkt (ceiling %.0f)  pool hw %d%s  %s\n"
+            r.r_batch r.r_pps min_pps words max_words r.r_pool_hw
+            (match max_pool_hw with None -> "" | Some hw -> Printf.sprintf " (ceiling %d)" hw)
             (if ok then "ok" else "FAIL");
           not ok)
       results

@@ -230,73 +230,3 @@ let drain b f =
 let pool_created p = p.created
 let pool_outstanding p = p.outstanding
 let pool_high_water p = p.high_water
-
-(* ------------------------------------------------------------------ *)
-(* Size-or-deadline window builder                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Builder = struct
-  type batch = t
-
-  type nonrec t = {
-    src : pool option;
-    cap : int;
-    window : float;  (* seconds *)
-    emit : at:Time.t -> batch -> unit;
-    mutable open_ : batch option;
-    mutable first_ts : float;
-    mutable last_ts : float;
-    mutable emitted : int;
-  }
-
-  let create ?pool ~size ~window ~emit () =
-    if size < 1 then invalid_arg "Packet_batch.Builder.create: size must be >= 1";
-    {
-      src = pool;
-      cap = size;
-      window = Time.to_seconds window;
-      emit;
-      open_ = None;
-      first_ts = 0.0;
-      last_ts = 0.0;
-      emitted = 0;
-    }
-
-  let flush_at bld at =
-    match bld.open_ with
-    | None -> ()
-    | Some b ->
-      bld.open_ <- None;
-      bld.emitted <- bld.emitted + 1;
-      bld.emit ~at b
-
-  (* A full batch leaves at the timestamp of the packet that filled it;
-     a window-expired batch leaves at its deadline (first ts + window).
-     Both are monotone over a time-sorted input stream. *)
-  let flush bld = flush_at bld (Time.seconds bld.last_ts)
-
-  let add bld (p : Packet.t) =
-    let ts = Time.to_seconds p.ts in
-    (match bld.open_ with
-    | Some _ when ts > bld.first_ts +. bld.window ->
-      flush_at bld (Time.seconds (bld.first_ts +. bld.window))
-    | Some _ | None -> ());
-    let b =
-      match bld.open_ with
-      | Some b -> b
-      | None ->
-        let b =
-          match bld.src with
-          | Some p -> alloc ~capacity:bld.cap p
-          | None -> make ~capacity:bld.cap None
-        in
-        bld.open_ <- Some b;
-        bld.first_ts <- ts;
-        b
-    in
-    push b p;
-    bld.last_ts <- ts;
-    if length b >= bld.cap then flush_at bld (Time.seconds ts)
-
-  let batches_emitted bld = bld.emitted
-end

@@ -124,36 +124,3 @@ val drain : t -> (Packet.t -> unit) -> unit
 val pool_created : pool -> int
 val pool_outstanding : pool -> int
 val pool_high_water : pool -> int
-
-(** {2 Size-or-deadline batching window} *)
-
-module Builder : sig
-  (** Accumulates a time-sorted packet stream into batches, emitting
-      each batch when it reaches [size] members or when the next packet
-      would land past the [window] deadline (first member's timestamp +
-      [window]) — whichever comes first.  A full batch is emitted at the
-      timestamp of the packet that filled it; a window-expired batch at
-      its deadline.  Both are monotone over a sorted input. *)
-
-  type batch := t
-  type t
-
-  val create :
-    ?pool:pool ->
-    size:int ->
-    window:Time.t ->
-    emit:(at:Time.t -> batch -> unit) ->
-    unit ->
-    t
-  (** [emit ~at b] receives ownership of [b]; with [?pool], batches are
-      drawn from (and should be released back to) that pool. *)
-
-  val add : t -> Packet.t -> unit
-  (** Feed the next packet (timestamps must be non-decreasing). *)
-
-  val flush : t -> unit
-  (** Emit the open batch, if any, at its last member's timestamp.  Call
-      at end of stream. *)
-
-  val batches_emitted : t -> int
-end

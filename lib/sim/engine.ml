@@ -87,7 +87,9 @@ let call_after : 'a. t -> Time.t -> ('a -> unit) -> 'a -> unit =
  fun t delay f x ->
   if Time.compare delay Time.zero < 0 then
     invalid_arg "Engine.call_after: negative delay";
-  call_at t Time.(now t + delay) f x
+  ignore
+    (Wheel.alloc_after t.w ~clock:t.clock_ ~delay ~kind:kind_call1 ~a:(Obj.repr f)
+       ~b:(Obj.repr x) ~c:obj_unit)
 
 let call2_at : 'a 'b. t -> Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit =
  fun t when_ f x y ->
@@ -101,7 +103,9 @@ let call2_after : 'a 'b. t -> Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit =
  fun t delay f x y ->
   if Time.compare delay Time.zero < 0 then
     invalid_arg "Engine.call2_after: negative delay";
-  call2_at t Time.(now t + delay) f x y
+  ignore
+    (Wheel.alloc_after t.w ~clock:t.clock_ ~delay ~kind:kind_call2 ~a:(Obj.repr f)
+       ~b:(Obj.repr x) ~c:(Obj.repr y))
 
 let cancel h =
   h.hc <- true;
@@ -138,7 +142,7 @@ let rec step t =
     step t
   end
   else begin
-    t.clock_.(0) <- Wheel.at t.w i;
+    Wheel.load_at t.w i t.clock_;
     t.executed <- t.executed + 1;
     Telemetry.incr t.ev;
     let a = Wheel.pa t.w i in
@@ -175,20 +179,21 @@ let rec peek_live t =
   end
   else i
 
+(* Whether the next live event is due by [limit].  Gates on the
+   cascade-free probe first: peeking past the window would materialize
+   far-future wheel slots and drag the wheel's position beyond every
+   near-future insert that follows. *)
+let due_by t limit =
+  Wheel.may_have_before t.w limit
+  &&
+  let i = peek_live t in
+  i >= 0 && Wheel.at_le t.w i limit
+
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-    (* Gate on the cascade-free probe first: peeking past the window
-       would materialize far-future wheel slots and drag the wheel's
-       position beyond every near-future insert that follows. *)
-    let keep_going () =
-      Wheel.may_have_before t.w limit
-      &&
-      let i = peek_live t in
-      i >= 0 && Time.compare (Wheel.at t.w i) limit <= 0
-    in
-    while keep_going () do
+    while due_by t limit do
       ignore (step t)
     done;
     if Time.compare (now t) limit < 0 then t.clock_.(0) <- limit

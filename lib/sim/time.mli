@@ -4,7 +4,14 @@
     the simulation.  All OpenMB latencies and delays are expressed in this
     unit; helper constructors are provided for the sub-second magnitudes
     the paper reports (milliseconds for API-call processing, microseconds
-    for per-packet costs). *)
+    for per-packet costs).
+
+    The conversions, the order and the arithmetic are [external]
+    compiler primitives rather than functions.  The project builds with
+    [-opaque] (dune's default profile), so no call into another module
+    is inlined and every float that crosses a module boundary is boxed;
+    a primitive is expanded at each call site instead, on unboxed
+    floats. *)
 
 type t = float
 (** A point in simulated time, in seconds.  Always non-negative. *)
@@ -12,7 +19,7 @@ type t = float
 val zero : t
 (** The simulation epoch. *)
 
-val seconds : float -> t
+external seconds : float -> t = "%identity"
 (** [seconds s] is the duration of [s] seconds. *)
 
 val ms : float -> t
@@ -21,7 +28,7 @@ val ms : float -> t
 val us : float -> t
 (** [us u] is the duration of [u] microseconds. *)
 
-val to_seconds : t -> float
+external to_seconds : t -> float = "%identity"
 (** [to_seconds t] is [t] expressed in seconds. *)
 
 val to_ms : t -> float
@@ -30,13 +37,13 @@ val to_ms : t -> float
 val to_us : t -> float
 (** [to_us t] is [t] expressed in microseconds. *)
 
-val compare : t -> t -> int
+external compare : t -> t -> int = "%compare"
 (** Total order on time points. *)
 
-val ( + ) : t -> t -> t
+external ( + ) : t -> t -> t = "%addfloat"
 (** Sum of a time point and a duration (or two durations). *)
 
-val ( - ) : t -> t -> t
+external ( - ) : t -> t -> t = "%subfloat"
 (** Difference of two time points; may be negative for out-of-order
     arguments. *)
 

@@ -189,20 +189,23 @@ let ctz32 x =
   if !x land 0x1 = 0 then incr n;
   !n
 
+(* Lowest set bit of [words] at word [w] or later, with [mask] applied
+   to word [w] only; -1 if none.  Top-level, like every helper on the
+   per-event paths: a local function that captures a variable is a
+   closure allocated on each call of its parent. *)
+let rec find_bit_in words w mask =
+  if w >= bitmap_words then -1
+  else begin
+    let v = A.unsafe_get words w land mask in
+    if v <> 0 then (w lsl 5) + ctz32 v else find_bit_in words (w + 1) 0xFFFFFFFF
+  end
+
 (* Lowest occupied slot index >= [idx] at level [l], or -1. *)
 let find_bit_from t l idx =
   if idx >= slots then -1
-  else begin
-    let words = A.unsafe_get t.bits l in
-    let rec go w mask =
-      if w >= bitmap_words then -1
-      else begin
-        let v = A.unsafe_get words w land mask in
-        if v <> 0 then (w lsl 5) + ctz32 v else go (w + 1) 0xFFFFFFFF
-      end
-    in
-    go (idx lsr 5) (0xFFFFFFFF lxor ((1 lsl (idx land 31)) - 1))
-  end
+  else
+    find_bit_in (A.unsafe_get t.bits l) (idx lsr 5)
+      (0xFFFFFFFF lxor ((1 lsl (idx land 31)) - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                           *)
@@ -285,14 +288,15 @@ let enqueue t i =
     else Heap.push t.overflow i
   end
 
-let alloc t ~at ~kind ~a ~b ~c =
+(* Take a cell off the free list (growing the pool if exhausted) and
+   fill everything but its time. *)
+let take t ~kind ~a ~b ~c =
   if t.free_head = nil then grow t;
   let i = t.free_head in
   if A.unsafe_get t.state_ i <> st_free then
     invalid_arg "Timer_wheel.alloc: corrupt free list";
   t.free_head <- A.unsafe_get t.next_ i;
   A.unsafe_set t.state_ i st_queued;
-  A.unsafe_set t.at_ i at;
   A.unsafe_set t.seq_ i t.next_seq;
   t.next_seq <- t.next_seq + 1;
   A.unsafe_set t.kind_ i kind;
@@ -304,6 +308,19 @@ let alloc t ~at ~kind ~a ~b ~c =
   if c != obj_nil then A.unsafe_set t.pc_ i c;
   t.in_use <- t.in_use + 1;
   if t.in_use > t.high_water then t.high_water <- t.in_use;
+  i
+
+let alloc t ~at ~kind ~a ~b ~c =
+  let i = take t ~kind ~a ~b ~c in
+  A.unsafe_set t.at_ i at;
+  enqueue t i;
+  i
+
+(* The sum is formed here, not by the caller: a float computed in
+   another module is boxed to be passed in. *)
+let alloc_after t ~clock ~delay ~kind ~a ~b ~c =
+  let i = take t ~kind ~a ~b ~c in
+  A.unsafe_set t.at_ i (A.unsafe_get clock 0 +. delay);
   enqueue t i;
   i
 
@@ -323,21 +340,21 @@ let detach t l s =
 let merge t a b =
   let a = ref a and b = ref b in
   let head = ref nil and tail = ref nil in
-  let append n =
-    if !tail = nil then begin head := n; tail := n end
-    else begin A.unsafe_set t.next_ !tail n; tail := n end
-  in
   while !a <> nil && !b <> nil do
-    if cmp_cells t !a !b <= 0 then begin
-      let n = !a in
-      a := A.unsafe_get t.next_ n;
-      append n
-    end
-    else begin
-      let n = !b in
-      b := A.unsafe_get t.next_ n;
-      append n
-    end
+    let n =
+      if cmp_cells t !a !b <= 0 then begin
+        let n = !a in
+        a := A.unsafe_get t.next_ n;
+        n
+      end
+      else begin
+        let n = !b in
+        b := A.unsafe_get t.next_ n;
+        n
+      end
+    in
+    if !tail = nil then head := n else A.unsafe_set t.next_ !tail n;
+    tail := n
   done;
   let rest = if !a <> nil then !a else !b in
   if !tail = nil then rest
@@ -386,40 +403,50 @@ let cascade t l s =
     place t i (tick_of t i)
   done
 
+(* The first occupied slot ahead of [current]'s own index at the
+   lowest level [>= l] that has one, packed as [(level lsl slot_bits)
+   lor slot], or -1 if none.  The highest-differing-byte invariant
+   means the scan can start at index+1 (the slot at [current]'s own
+   index would have been filed lower), and the slot found is the
+   earliest of all of them. *)
+let rec next_slot t l =
+  if l >= levels then -1
+  else begin
+    let j = find_bit_from t l (((t.current lsr (l * slot_bits)) land slot_mask) + 1) in
+    if j >= 0 then (l lsl slot_bits) lor j else next_slot t (l + 1)
+  end
+
+(* The lowest tick that slot [j] of level [l] can hold once [current]
+   reaches its block: [current]'s bytes above [l], [j], then zeros.
+   Shifts are right-associative in OCaml: the truncation must be
+   parenthesized or [lsr above lsl above] shifts by [above lsl
+   above]. *)
+let slot_base t l j =
+  let shift = l * slot_bits in
+  let above = shift + slot_bits in
+  ((t.current lsr above) lsl above) lor (j lsl shift)
+
+let bitmaps_inconsistent () =
+  invalid_arg "Timer_wheel: occupancy bitmaps inconsistent with count"
+
 (* Make [drain] non-empty if the wheel holds any cell: find the lowest
    occupied level-0 slot at or ahead of [current]; if level 0 is clear,
    jump to the next occupied slot of the lowest occupied level and
-   cascade it down, then retry.  The highest-differing-byte invariant
-   means a level-[l>=1] scan can start at index+1 (the slot at
-   [current]'s own index would have been filed lower) and nothing ever
-   hides behind [current]. *)
+   cascade it down, then retry.  Nothing ever hides behind
+   [current]. *)
 let rec ensure_drain t =
   if t.drain = nil && t.wheel_count > 0 then begin
     let s0 = find_bit_from t 0 (t.current land slot_mask) in
     if s0 >= 0 then begin
-      (* Shifts are right-associative in OCaml: the truncation must be
-         parenthesized or [lsr above lsl above] shifts by [above lsl
-         above]. *)
-      t.current <- ((t.current lsr slot_bits) lsl slot_bits) lor s0;
+      t.current <- slot_base t 0 s0;
       t.drain <- sort t (detach t 0 s0)
     end
     else begin
-      let rec climb l =
-        if l >= levels then
-          invalid_arg "Timer_wheel: occupancy bitmaps inconsistent with count"
-        else begin
-          let shift = l * slot_bits in
-          let il = (t.current lsr shift) land slot_mask in
-          let j = find_bit_from t l (il + 1) in
-          if j >= 0 then begin
-            let above = shift + slot_bits in
-            t.current <- ((t.current lsr above) lsl above) lor (j lsl shift);
-            cascade t l j
-          end
-          else climb (l + 1)
-        end
-      in
-      climb 1;
+      let ls = next_slot t 1 in
+      if ls < 0 then bitmaps_inconsistent ();
+      let l = ls lsr slot_bits and j = ls land slot_mask in
+      t.current <- slot_base t l j;
+      cascade t l j;
       ensure_drain t
     end
   end
@@ -450,22 +477,10 @@ let may_have_before t limit =
      ||
      let limit_tick = int_of_float lf in
      let s0 = find_bit_from t 0 (t.current land slot_mask) in
-     if s0 >= 0 then ((t.current lsr slot_bits) lsl slot_bits) lor s0 <= limit_tick
+     if s0 >= 0 then slot_base t 0 s0 <= limit_tick
      else begin
-       let rec climb l =
-         if l >= levels then false
-         else begin
-           let shift = l * slot_bits in
-           let il = (t.current lsr shift) land slot_mask in
-           let j = find_bit_from t l (il + 1) in
-           if j >= 0 then begin
-             let above = shift + slot_bits in
-             ((t.current lsr above) lsl above) lor (j lsl shift) <= limit_tick
-           end
-           else climb (l + 1)
-         end
-       in
-       climb 1
+       let ls = next_slot t 1 in
+       ls >= 0 && slot_base t (ls lsr slot_bits) (ls land slot_mask) <= limit_tick
      end
    end)
   || ((not (Heap.is_empty t.overflow)) && A.unsafe_get t.at_ (Heap.peek_exn t.overflow) <= limit)
@@ -480,9 +495,16 @@ let peek t =
     if w = nil then h else if cmp_cells t w h <= 0 then w else h
   end
 
-(* Earliest timestamp over a slot chain (chains are unsorted). *)
-let rec chain_min t i m =
-  if i = nil then m else chain_min t (A.unsafe_get t.next_ i) (Float.min m (A.unsafe_get t.at_ i))
+(* Earliest timestamp over slot ([l], [s])'s chain (chains are
+   unsorted).  A loop over a local float ref: a float passed to a
+   function is boxed, a local one is not. *)
+let chain_min t l s =
+  let m = ref infinity and i = ref (A.unsafe_get (A.unsafe_get t.slot_head l) s) in
+  while !i <> nil do
+    m := Float.min !m (A.unsafe_get t.at_ !i);
+    i := A.unsafe_get t.next_ !i
+  done;
+  !m
 
 (* What [peek] would find, without advancing: the drain head, else the
    minimum of the first occupied slot's chain — the slot [ensure_drain]
@@ -494,19 +516,11 @@ let next_at t =
     else if t.wheel_count = 0 then infinity
     else begin
       let s0 = find_bit_from t 0 (t.current land slot_mask) in
-      if s0 >= 0 then chain_min t (A.unsafe_get (A.unsafe_get t.slot_head 0) s0) infinity
+      if s0 >= 0 then chain_min t 0 s0
       else begin
-        let rec climb l =
-          if l >= levels then
-            invalid_arg "Timer_wheel: occupancy bitmaps inconsistent with count"
-          else begin
-            let il = (t.current lsr (l * slot_bits)) land slot_mask in
-            let j = find_bit_from t l (il + 1) in
-            if j >= 0 then chain_min t (A.unsafe_get (A.unsafe_get t.slot_head l) j) infinity
-            else climb (l + 1)
-          end
-        in
-        climb 1
+        let ls = next_slot t 1 in
+        if ls < 0 then bitmaps_inconsistent ();
+        chain_min t (ls lsr slot_bits) (ls land slot_mask)
       end
     end
   in
@@ -540,7 +554,11 @@ let pop t =
 (* Accessors                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let at t i = A.unsafe_get t.at_ i
+(* The engine's reads of a cell's time: a float returned to another
+   module is boxed, so these store or compare it here. *)
+let load_at t i dst = A.unsafe_set dst 0 (A.unsafe_get t.at_ i)
+let at_le t i limit = A.unsafe_get t.at_ i <= limit
+
 let kind t i = A.unsafe_get t.kind_ i
 let gen t i = A.unsafe_get t.gen_ i
 let pa t i = A.unsafe_get t.pa_ i

@@ -25,6 +25,11 @@ val alloc :
     fill it, assign the next insertion sequence number and queue it.
     Returns the cell index. *)
 
+val alloc_after :
+  t -> clock:float array -> delay:Time.t -> kind:int -> a:Obj.t -> b:Obj.t -> c:Obj.t -> int
+(** {!alloc} at [clock.(0) + delay], summed inside the wheel so the
+    time is never boxed. *)
+
 val release : t -> int -> unit
 (** Return a popped cell to the free list, clearing its payload and
     bumping its generation stamp.  Raises [Invalid_argument] if the
@@ -59,7 +64,14 @@ val purge : t -> int
 
 (** {2 Cell accessors} *)
 
-val at : t -> int -> Time.t
+val load_at : t -> int -> float array -> unit
+(** [load_at t i clock] stores cell [i]'s timestamp in [clock.(0)].
+    There is no accessor returning it: a float returned to another
+    module is boxed. *)
+
+val at_le : t -> int -> Time.t -> bool
+(** [at_le t i limit] is whether cell [i]'s timestamp is [<= limit]. *)
+
 val kind : t -> int -> int
 val gen : t -> int -> int
 val pa : t -> int -> Obj.t

@@ -25,17 +25,46 @@ let replay engine t ~into =
      closure or handle. *)
   Array.iter (fun (p : Packet.t) -> Engine.call_at engine p.ts into p) t
 
+(* The size-or-deadline rule: a batch opened at index [first] takes
+   the packets that follow while it has fewer than [batch] members and
+   they land within [window] of its first member.  Returns the index
+   one past its last member. *)
+let batch_stop t ~batch ~window first =
+  let deadline = Time.(t.(first).Packet.ts + window) in
+  let n = Array.length t in
+  let stop = ref (first + 1) in
+  while !stop < n && !stop - first < batch && Time.compare t.(!stop).Packet.ts deadline <= 0 do
+    incr stop
+  done;
+  !stop
+
 let replay_batched engine t ?pool ~batch ~window ~into () =
-  (* Accumulate the trace through a size-or-deadline window and schedule
-     one injection event per emitted batch: [replay]'s event per
-     packet becomes an event per batch. *)
-  let bld =
-    Packet_batch.Builder.create ?pool ~size:batch ~window
-      ~emit:(fun ~at b -> Engine.call_at engine at into b)
-      ()
+  (* One injection event per batch: [replay]'s event per packet becomes
+     an event per batch.  The batches are cut here, but an event carries
+     only its batch's first index and fills a pooled batch when it
+     fires, so batches are live only between firing and release. *)
+  if batch < 1 then invalid_arg "Trace.replay_batched: batch must be >= 1";
+  let pool = match pool with Some p -> p | None -> Packet_batch.pool () in
+  let fill first =
+    let b = Packet_batch.alloc ~capacity:batch pool in
+    for i = first to batch_stop t ~batch ~window first - 1 do
+      Packet_batch.push b t.(i)
+    done;
+    into b
   in
-  Array.iter (Packet_batch.Builder.add bld) t;
-  Packet_batch.Builder.flush bld
+  let n = Array.length t in
+  let first = ref 0 in
+  while !first < n do
+    let stop = batch_stop t ~batch ~window !first in
+    (* A full batch, or the trace's last, leaves at its last member's
+       timestamp; a window-expired one at its deadline. *)
+    let at =
+      if stop - !first < batch && stop < n then Time.(t.(!first).Packet.ts + window)
+      else t.(stop - 1).Packet.ts
+    in
+    Engine.call_at engine at fill !first;
+    first := stop
+  done
 
 module Id_gen = struct
   type gen = int ref

@@ -41,11 +41,14 @@ val replay_batched :
   unit ->
   unit
 (** Batch replay: packets are grouped through a size-or-deadline window
-    ({!Openmb_net.Packet_batch.Builder}) of at most [batch] members and
-    at most [window] of timestamp spread, and each batch is delivered to
-    [into] as one scheduled event (a full batch at its last member's
-    timestamp, a window-expired one at its deadline).  [into] owns each
-    batch.  With [?pool], batches are drawn from that pool. *)
+    of at most [batch] members and at most [window] of timestamp spread
+    from the first member, and each batch is delivered to [into] as one
+    scheduled event: a full batch (or the trace's last) at its last
+    member's timestamp, a window-expired one at its deadline.  The
+    batch is taken from [pool] (a private one without [?pool]) and
+    filled when its event fires, so if [into] releases each batch the
+    replay keeps only as many live as are in flight.  [into] owns each
+    batch.  Raises [Invalid_argument] if [batch < 1]. *)
 
 module Id_gen : sig
   type gen

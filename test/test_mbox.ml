@@ -1159,9 +1159,10 @@ let test_budget_nat () =
 (* The per-packet entry points at batch size 1: NAT into monitor, one
    packet per call, as a scalar trace replay drives them.  Counted over
    everything — wrapping each packet as a batch, queueing, the engine
-   and both MBs' work.  What remains is the NAT's translated copy and
-   [Some] (13 words), the engine's own cost per event, and the clock
-   and latency floats each data-path event boxes; 68 words measured. *)
+   and both MBs' work.  Scheduling and firing an event costs nothing;
+   what remains is the NAT's translated copy and [Some] (13 words) and
+   the busy-until clock and latency floats each data-path event boxes;
+   45 words measured. *)
 let test_budget_nat_monitor_b1 () =
   let engine = Engine.create () in
   let nat = make_nat engine in
@@ -1176,13 +1177,13 @@ let test_budget_nat_monitor_b1 () =
   let w0 = Gc.minor_words () in
   pass second;
   let words = (Gc.minor_words () -. w0) /. float_of_int budget_flows in
-  check_budget "Nat.receive -> Monitor.receive at batch size 1" 72.0 words;
+  check_budget "Nat.receive -> Monitor.receive at batch size 1" 52.0 words;
   Alcotest.(check int) "every packet counted" (2 * budget_flows) (Monitor.totals mon).tot_pkts
 
 (* A 1,000-chunk move between two dummy MBs, compressed and JSON-framed
    (the default framing), counted end to end per chunk: get, seal and
    compress, message sizing, channels, controller bookkeeping, put and
-   the deferred delete.  315 words measured.  The budget leaves less
+   the deferred delete.  260 words measured.  The budget leaves less
    than one key render's worth of slack: rendering a key with Printf
    once more per chunk (+161 words — a string-keyed controller table,
    or a charge sized by [String.length (Hfl.to_string key)]) fails it. *)
@@ -1210,8 +1211,8 @@ let test_budget_move () =
   in
   Alcotest.(check int) "every chunk moved" n !moved;
   Alcotest.(check int) "source emptied" 0 (Openmb_apps.Dummy_mb.chunk_count src);
-  if words > 450.0 then
-    Alcotest.failf "a move allocates %.2f minor words/chunk, budget 450" words
+  if words > 300.0 then
+    Alcotest.failf "a move allocates %.2f minor words/chunk, budget 300" words
 
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)

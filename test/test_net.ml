@@ -884,32 +884,6 @@ let test_batch_pool_reuse () =
   Alcotest.(check bool) "detached batch not recycled" true (b4 != b2);
   Alcotest.(check int) "fresh batch created instead" 3 (Packet_batch.pool_created pool)
 
-let test_batch_builder_triggers () =
-  let emitted = ref [] in
-  let bld =
-    Packet_batch.Builder.create ~size:3 ~window:(Time.ms 10.0)
-      ~emit:(fun ~at b ->
-        emitted := (Time.to_seconds at, batch_ids b) :: !emitted;
-        Packet_batch.release b)
-      ()
-  in
-  List.iter
-    (fun (id, ms) -> Packet_batch.Builder.add bld (mk_packet ~id ~ts:(ms /. 1000.0) ()))
-    [
-      (0, 0.0);
-      (1, 1.0);
-      (2, 2.0) (* fills the batch: emit [0;1;2] at 2 ms *);
-      (3, 20.0);
-      (4, 35.0) (* past 20 ms + 10 ms window: emit [3] at its 30 ms deadline *);
-      (5, 36.0);
-    ];
-  Packet_batch.Builder.flush bld (* remainder [4;5] at its last member's 36 ms *);
-  Alcotest.(check int) "batches emitted" 3 (Packet_batch.Builder.batches_emitted bld);
-  Alcotest.(check (list (pair (float 1e-9) (list int))))
-    "size trigger at filling ts, window trigger at deadline, flush at last ts"
-    [ (0.002, [ 0; 1; 2 ]); (0.030, [ 3 ]); (0.036, [ 4; 5 ]) ]
-    (List.rev !emitted)
-
 (* Install the same rules into two tables, classify [pkts] one by one
    in the first and as one batch in the second, and check that the
    actions and every rule counter agree; returns the batch's actions. *)
@@ -1154,7 +1128,6 @@ let () =
           Alcotest.test_case "columns track members" `Quick test_batch_columns;
           Alcotest.test_case "drop and compact" `Quick test_batch_drop_compact;
           Alcotest.test_case "pool reuse" `Quick test_batch_pool_reuse;
-          Alcotest.test_case "builder triggers" `Quick test_batch_builder_triggers;
           Alcotest.test_case "lookup_batch matches scalar" `Quick
             test_flow_table_batch_matches_scalar;
         ] );

@@ -324,15 +324,9 @@ let run_pipeline ~domains ~batch ~seed =
   let engine = Shard.engine s0 in
   if batch = 1 then
     List.iter (fun (p : Packet.t) -> Engine.call2_at engine p.ts Switch.receive sw p) pkts
-  else begin
-    let bld =
-      Packet_batch.Builder.create ~pool ~size:batch ~window:(Time.seconds 1.0)
-        ~emit:(fun ~at b -> Engine.call2_at engine at Switch.receive_batch sw b)
-        ()
-    in
-    List.iter (Packet_batch.Builder.add bld) pkts;
-    Packet_batch.Builder.flush bld
-  end;
+  else
+    Openmb_traffic.Trace.replay_batched engine (Openmb_traffic.Trace.of_packets pkts) ~pool ~batch
+      ~window:(Time.seconds 1.0) ~into:(Switch.receive_batch sw) ();
   Sharded_engine.run se;
   (* -- the fingerprint ---------------------------------------------- *)
   let buf = Buffer.create 4_096 in

@@ -610,6 +610,75 @@ let test_pool_reuse () =
   Alcotest.(check int) "all cells back on the free list" s.Engine.capacity s.Engine.free;
   Alcotest.(check bool) "high water bounded by one round" true (s.Engine.high_water <= 1024)
 
+(* Steady-state scheduling and dispatch allocate nothing.  One seeded
+   stream of [alloc_events] call_at/call2_at events spread over 10 s of
+   virtual time, every fourth one on the previous one's instant (a tick
+   shared by several cells, sorted in the drain).  Passes start at 0,
+   10 s and 30 s.  At 1 us slots a cell is filed at level 3 when its
+   tick differs from the wheel's position in bit 24 or above, and the
+   measured passes straddle 2^24 and 2^25 us (16.8 s and 33.6 s), so
+   their events are filed at all four levels and cascade down.  The
+   warm-up pass grows the cell pool to its high-water mark;
+   its times, read as delays, feed a last pass through
+   call_after/call2_after.  Times are read from records, where they
+   are already boxed, so the counts are the engine's own. *)
+type alloc_ev = { ev_at : Time.t; ev_id : int }
+
+let alloc_events = 100_000
+
+let alloc_program ~base =
+  let g = Prng.create ~seed:20_261_017 in
+  let ats = Array.make alloc_events 0.0 in
+  for i = 0 to alloc_events - 1 do
+    ats.(i) <- (if i mod 4 = 3 then ats.(i - 1) else base +. Prng.float g 10.0)
+  done;
+  Array.mapi (fun i at -> { ev_at = Time.seconds at; ev_id = i }) ats
+
+let test_engine_steady_alloc () =
+  let e = Engine.create () in
+  let sum = ref 0 in
+  let f1 i = sum := !sum + i and f2 i j = sum := !sum + i + j in
+  let schedule call call2 prog =
+    Array.iter
+      (fun ev ->
+        if ev.ev_id land 1 = 0 then call e ev.ev_at f1 ev.ev_id
+        else call2 e ev.ev_at f2 ev.ev_id 0)
+      prog
+  in
+  let words_per_event what limit run =
+    let fired = Engine.executed e in
+    let w0 = Gc.minor_words () in
+    run ();
+    let words = (Gc.minor_words () -. w0) /. float_of_int alloc_events in
+    if words > limit then
+      Alcotest.failf "%s allocates %.3f minor words/event, limit %.2f" what words limit;
+    fired
+  in
+  let warm = alloc_program ~base:0.0
+  and first = alloc_program ~base:10.0
+  and second = alloc_program ~base:30.0 in
+  let slices =
+    Array.init 1_000 (fun k -> Some (Time.seconds (30.0 +. (0.01 *. float_of_int (k + 1)))))
+  in
+  schedule Engine.call_at Engine.call2_at warm;
+  Engine.run e;
+  ignore
+    (words_per_event "call_at/call2_at" 0.05 (fun () ->
+         schedule Engine.call_at Engine.call2_at first));
+  let before = words_per_event "run" 0.05 (fun () -> Engine.run e) in
+  Alcotest.(check int) "run fired every event" alloc_events (Engine.executed e - before);
+  schedule Engine.call_at Engine.call2_at second;
+  let before =
+    words_per_event "run ~until in 1,000 slices" 0.1 (fun () ->
+        Array.iter (fun until -> Engine.run ?until e) slices)
+  in
+  Alcotest.(check int) "slices fired every event" alloc_events (Engine.executed e - before);
+  ignore
+    (words_per_event "call_after/call2_after" 0.05 (fun () ->
+         schedule Engine.call_after Engine.call2_after warm));
+  Engine.run e;
+  Alcotest.(check int) "queue drained" 0 (Engine.pending e)
+
 let test_engine_call_fifo_with_closures () =
   (* call_at/call2_at share the same (time, seq) order as schedule_at:
      same-instant events of any kind fire in scheduling order. *)
@@ -1556,6 +1625,7 @@ let () =
           Alcotest.test_case "pending excludes cancelled" `Quick
             test_engine_pending_excludes_cancelled;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
+          Alcotest.test_case "steady-state allocation" `Quick test_engine_steady_alloc;
         ]
         @ qcheck
             [

@@ -36,6 +36,72 @@ let test_trace_merge_filter () =
   let f = Trace.filter m ~f:(fun p -> p.Packet.id = 1) in
   Alcotest.(check int) "filtered" 1 (Trace.packet_count f)
 
+(* The size-or-deadline rule, seen from [into]: a full batch fires at
+   the timestamp of the packet that filled it, a window-expired one at
+   its deadline, and the trace's last at its last member's timestamp. *)
+let test_replay_batched_triggers () =
+  let t =
+    Trace.of_packets
+      (List.map
+         (fun (id, ms) -> mk ~id ~ts:(ms /. 1000.0))
+         [
+           (0, 0.0);
+           (1, 1.0);
+           (2, 2.0) (* fills the batch: [0;1;2] at 2 ms *);
+           (3, 20.0);
+           (4, 35.0) (* past 20 ms + 10 ms window: [3] at its 30 ms deadline *);
+           (5, 36.0) (* the remainder [4;5] at its last member's 36 ms *);
+         ])
+  in
+  let engine = Engine.create () in
+  let fired = ref [] in
+  Trace.replay_batched engine t ~batch:3 ~window:(Time.ms 10.0)
+    ~into:(fun b ->
+      let ids = ref [] in
+      Packet_batch.iter b (fun p -> ids := p.Packet.id :: !ids);
+      fired := (Time.to_seconds (Engine.now engine), List.rev !ids) :: !fired;
+      Packet_batch.release b)
+    ();
+  Alcotest.(check int) "one event per batch" 3 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list (pair (float 1e-9) (list int))))
+    "size trigger at filling ts, window trigger at deadline, last at last ts"
+    [ (0.002, [ 0; 1; 2 ]); (0.030, [ 3 ]); (0.036, [ 4; 5 ]) ]
+    (List.rev !fired)
+
+(* Batches are filled when their events fire, so an [into] that
+   releases each batch keeps one live, and scheduling the replay costs
+   no batch.  10,000 packets 1 us apart, with a 1 ms gap after every
+   1,000th: 150 full batches of 64 and 10 window-expired ones of 40. *)
+let test_replay_batched_bounded () =
+  let n = 10_000 in
+  let t =
+    Trace.of_packets
+      (List.init n (fun i ->
+           mk ~id:i ~ts:((float_of_int i *. 1e-6) +. (float_of_int (i / 1_000) *. 1e-3))))
+  in
+  let engine = Engine.create () in
+  let pool = Packet_batch.pool () in
+  let next = ref 0 and batches = ref 0 in
+  let into b =
+    Packet_batch.iter b (fun p ->
+        if p.Packet.id <> !next then
+          Alcotest.failf "packet %d arrived in place of %d" p.Packet.id !next;
+        incr next);
+    incr batches;
+    Packet_batch.release b
+  in
+  let w0 = Gc.minor_words () in
+  Trace.replay_batched engine t ~pool ~batch:64 ~window:(Time.us 500.0) ~into ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Engine.run engine;
+  Alcotest.(check int) "every packet, in order" n !next;
+  Alcotest.(check int) "batches" 160 !batches;
+  if Packet_batch.pool_high_water pool > 2 then
+    Alcotest.failf "%d batches live at once, limit 2" (Packet_batch.pool_high_water pool);
+  if words >= 0.5 then
+    Alcotest.failf "replay_batched allocates %.3f minor words/packet, limit 0.5" words
+
 (* ------------------------------------------------------------------ *)
 (* Flow generation                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -259,6 +325,8 @@ let () =
         [
           Alcotest.test_case "sorting and replay" `Quick test_trace_sorting_and_replay;
           Alcotest.test_case "merge and filter" `Quick test_trace_merge_filter;
+          Alcotest.test_case "batched replay triggers" `Quick test_replay_batched_triggers;
+          Alcotest.test_case "batched replay bounded" `Quick test_replay_batched_bounded;
         ] );
       ( "flow_gen",
         [
