@@ -9,18 +9,14 @@ type t = {
   chunk_bytes : int;
   support : string State_table.t;
   report : string State_table.t;
+  support_pf : string Mb_base.perflow;
+  report_pf : string Mb_base.perflow;
   mutable sh_support : string option;
   mutable sh_report : string option;
   mutable event_task : Engine.handle option;
   mutable event_rr : int;
   mutable reprocessed : int;
   mutable packets_seen : int;
-  (* Latched by [on_crash] when the hosting agent dies while some
-     entries carry a moved mark: the reply to the get that laid those
-     marks may have died with the agent's dedup cache, so the next
-     matching get is treated as a lost-reply retransmission and
-     refused (see [get_perflow]).  Cleared by the rollback. *)
-  mutable export_suspect : bool;
 }
 
 let default_cost : Southbound.cost_model =
@@ -37,19 +33,23 @@ let default_cost : Southbound.cost_model =
 let create engine ?recorder ?(cost = default_cost) ?(granularity = Hfl.full_granularity)
     ?(chunk_bytes = 202) ?(kind = "dummy") ~name () =
   let base = Mb_base.create engine ?recorder ~name ~kind ~cost () in
+  let support = State_table.create ~granularity ()
+  and report = State_table.create ~granularity () in
+  let perflow table role = Mb_base.perflow base table ~role ~encode:Fun.id ~decode:Fun.id in
   {
     base;
     granularity;
     chunk_bytes;
-    support = State_table.create ~granularity ();
-    report = State_table.create ~granularity ();
+    support;
+    report;
+    support_pf = perflow support Taxonomy.Supporting;
+    report_pf = perflow report Taxonomy.Reporting;
     sh_support = None;
     sh_report = None;
     event_task = None;
     event_rr = 0;
     reprocessed = 0;
     packets_seen = 0;
-    export_suspect = false;
   }
 
 let base t = t.base
@@ -106,53 +106,6 @@ let report_entries t = entries_of t.report
 (* Southbound implementation                                           *)
 (* ------------------------------------------------------------------ *)
 
-let get_perflow t table ~role hfl =
-  if not (Hfl.compatible_with_granularity hfl t.granularity) then
-    Error Errors.Granularity_too_fine
-  else begin
-    (* Matching entries already marked moved are normally skipped: an
-       earlier pending transfer exported them and its deferred delete
-       will collect them, so a concurrent overlapping get exports only
-       the unmarked remainder.  But when the hosting agent crashed
-       while marks were outstanding ([export_suspect]), the reply that
-       exported them may have died with the agent's dedup cache and
-       this get is its retransmission re-executing against a fresh
-       incarnation — exporting only the remainder would let the
-       controller close the stream without the chunks that died with
-       the crash, silently completing a partial move.  Fail instead so
-       the transfer aborts, the rollback clears the marks and the
-       re-run exports everything. *)
-    let dirty = ref false in
-    if t.export_suspect then
-      State_table.iter_matching table hfl (fun (e : string State_table.entry) ->
-          if e.moved then dirty := true);
-    if !dirty then
-      Error (Errors.Illegal_operation "export possibly lost in a crash for this range")
-    else begin
-      (* One pass: skip already-exported entries, mark and seal the
-         rest as they are visited. *)
-      let chunks = ref [] in
-      State_table.iter_matching table hfl (fun (e : string State_table.entry) ->
-          if not e.moved then begin
-            e.moved <- true;
-            chunks :=
-              Mb_base.seal_raw t.base ~role ~partition:Taxonomy.Per_flow ~key:e.key e.value
-              :: !chunks
-          end);
-      Ok (List.rev !chunks)
-    end
-  end
-
-let put_perflow t table ~role (chunk : Chunk.t) =
-  if chunk.role <> role || chunk.partition <> Taxonomy.Per_flow then
-    Error (Errors.Illegal_operation "wrong chunk class for this put")
-  else
-    match Mb_base.unseal_raw t.base chunk with
-    | Error e -> Error e
-    | Ok plain ->
-      State_table.insert table ~key:chunk.key plain;
-      Ok ()
-
 let get_shared t slot ~role () =
   match slot with
   | None -> Ok None
@@ -161,36 +114,9 @@ let get_shared t slot ~role () =
 
 (* Merge semantics: concatenate with "+" so tests can see both
    contributions. *)
-let put_shared t ~role ~get ~set (chunk : Chunk.t) =
-  if chunk.Chunk.role <> role || chunk.partition <> Taxonomy.Shared then
-    Error (Errors.Illegal_operation "wrong chunk class for this put")
-  else
-    match Mb_base.unseal_raw t.base chunk with
-    | Error e -> Error e
-    | Ok v ->
-      (match get () with None -> set v | Some existing -> set (existing ^ "+" ^ v));
-      Ok ()
-
-(* Transactional rollback: give exported-but-undeleted entries back to
-   this MB by clearing their moved marks, so an aborted move leaves the
-   source authoritative and re-exportable. *)
-let abort_perflow t hfl =
-  State_table.iter_matching t.support hfl (fun (e : string State_table.entry) ->
-      e.moved <- false);
-  State_table.iter_matching t.report hfl (fun (e : string State_table.entry) ->
-      e.moved <- false);
-  (* The marks the crash made suspect are gone; exports are clean again. *)
-  t.export_suspect <- false
-
-(* A crash can only have lost an export reply if some export was
-   outstanding when it hit — i.e. some entry still carries a moved
-   mark.  A crash with no marks anywhere has nothing to suspect, and
-   latching anyway would poison a far-later unrelated transfer. *)
-let on_crash t () =
-  let any_moved table =
-    State_table.fold table ~init:false ~f:(fun acc e -> acc || e.State_table.moved)
-  in
-  if any_moved t.support || any_moved t.report then t.export_suspect <- true
+let put_shared t ~role ~get ~set =
+  Mb_base.import t.base ~role ~partition:Taxonomy.Shared ~decode:Fun.id (fun _ v ->
+      match get () with None -> set v | Some existing -> set (existing ^ "+" ^ v))
 
 (* Existence check by key coverage, not five-tuple probe: populate's
    synthetic keys pin only source ip/port, so they are invisible to the
@@ -210,48 +136,30 @@ let process_packet t p ~side_effects =
   end
   else t.reprocessed <- t.reprocessed + 1
 
-let stats t hfl =
-  let sup = State_table.matching t.support hfl in
-  let rep = State_table.matching t.report hfl in
-  {
-    Southbound.perflow_support_chunks = List.length sup;
-    perflow_report_chunks = List.length rep;
-    perflow_support_bytes = List.length sup * t.chunk_bytes;
-    perflow_report_bytes = List.length rep * t.chunk_bytes;
-    shared_support_bytes =
-      (match t.sh_support with None -> 0 | Some s -> String.length s);
-    shared_report_bytes = (match t.sh_report with None -> 0 | Some s -> String.length s);
-  }
+let shared_bytes = function None -> 0 | Some s -> String.length s
 
 let impl t =
-  let default =
-    Mb_base.default_impl t.base ~table_entries:(fun () -> State_table.size t.support)
-  in
+  let default = Mb_base.default_impl t.base ~support:t.support_pf ~report:t.report_pf () in
   {
     default with
-    granularity = t.granularity;
-    get_support_perflow = get_perflow t t.support ~role:Taxonomy.Supporting;
-    put_support_perflow = put_perflow t t.support ~role:Taxonomy.Supporting;
-    del_support_perflow =
-      (fun hfl -> Ok (List.length (State_table.remove_moved_matching t.support hfl)));
     get_support_shared =
       (fun () -> get_shared t t.sh_support ~role:Taxonomy.Supporting ());
     put_support_shared =
       put_shared t ~role:Taxonomy.Supporting
         ~get:(fun () -> t.sh_support)
         ~set:(fun v -> t.sh_support <- Some v);
-    get_report_perflow = get_perflow t t.report ~role:Taxonomy.Reporting;
-    put_report_perflow = put_perflow t t.report ~role:Taxonomy.Reporting;
-    del_report_perflow =
-      (fun hfl -> Ok (List.length (State_table.remove_moved_matching t.report hfl)));
     get_report_shared = (fun () -> get_shared t t.sh_report ~role:Taxonomy.Reporting ());
     put_report_shared =
       put_shared t ~role:Taxonomy.Reporting
         ~get:(fun () -> t.sh_report)
         ~set:(fun v -> t.sh_report <- Some v);
-    abort_perflow = abort_perflow t;
-    on_crash = on_crash t;
-    stats = stats t;
+    stats =
+      (fun hfl ->
+        {
+          (default.stats hfl) with
+          shared_support_bytes = shared_bytes t.sh_support;
+          shared_report_bytes = shared_bytes t.sh_report;
+        });
     process_packet = process_packet t;
   }
 

@@ -74,14 +74,16 @@ type impl = {
           moved-but-not-deleted marks on entries matching the key so
           the state is owned by this MB again and a later transfer can
           re-export it.  Must be a no-op for keys with no marked
-          entries. *)
+          entries.  [Mb_base.default_impl] supplies it for every
+          per-flow class an MB keeps. *)
   on_crash : unit -> unit;
       (** Notification that the hosting agent crashed.  The agent's
           volatile dedup caches are gone, so any op reply still in
           flight is lost and the controller's retransmissions will
-          re-execute against this (surviving) MB state.  MBs whose
-          export bookkeeping cannot tolerate a re-executed get should
-          latch that here. *)
+          re-execute against this (surviving) MB state.  An MB whose
+          export bookkeeping cannot tolerate a re-executed get latches
+          that here; [Mb_base.default_impl] does so for every per-flow
+          class an MB keeps. *)
   stats : Openmb_net.Hfl.t -> stats;
   process_packet : Openmb_net.Packet.t -> side_effects:bool -> unit;
       (** Run the MB's packet-processing logic.  With

@@ -10,6 +10,7 @@ type rule = { rl_match : Hfl.t; rl_action : action }
 type t = {
   base : Mb_base.t;
   table : action State_table.t;  (* verdict cache *)
+  verdicts : action Mb_base.perflow;
   mutable allowed : int;
   mutable denied : int;
   mutable shared_exported : bool;
@@ -111,10 +112,17 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ?(rules = []) ?(de
   Config_tree.set (Mb_base.config base) [ "rules" ] (List.map rule_to_json rules);
   Config_tree.set (Mb_base.config base) [ "default" ]
     [ Json.String (action_to_string default_action) ];
+  let table = State_table.create ~granularity:Hfl.full_granularity () in
   let t =
     {
       base;
-      table = State_table.create ~granularity:Hfl.full_granularity ();
+      table;
+      verdicts =
+        Mb_base.perflow base table ~role:Taxonomy.Supporting
+          ~encode:(fun v ->
+            Json.to_string (Json.Assoc [ ("verdict", Json.String (action_to_string v)) ]))
+          ~decode:(fun s ->
+            action_of_string (Json.get_string (Json.member "verdict" (Json.of_string s))));
       allowed = 0;
       denied = 0;
       shared_exported = false;
@@ -130,88 +138,34 @@ let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 (* Southbound implementation                                           *)
 (* ------------------------------------------------------------------ *)
 
-let chunk_of_entry t (entry : action State_table.entry) =
-  Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
-    ~key:entry.key
-    (Json.Assoc [ ("verdict", Json.String (action_to_string entry.value)) ])
-
-let get_support_perflow t hfl =
-  match Hfl.compatible_with_granularity hfl (State_table.granularity t.table) with
-  | false -> Error Errors.Granularity_too_fine
-  | true ->
-    (* Skip entries an earlier pending transfer already exported. *)
-    let entries =
-      List.filter
-        (fun (e : action State_table.entry) -> not e.moved)
-        (State_table.matching t.table hfl)
-    in
-    List.iter (fun (e : action State_table.entry) -> e.moved <- true) entries;
-    State_table.add_move_filter t.table hfl;
-    Ok (List.map (chunk_of_entry t) entries)
-
-let put_support_perflow t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Supporting || chunk.partition <> Taxonomy.Per_flow then
-    Error (Errors.Illegal_operation "expected per-flow supporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json -> (
-      match action_of_string (Json.get_string (Json.member "verdict" json)) with
-      | verdict ->
-        State_table.insert t.table ~key:chunk.key verdict;
-        Ok ()
-      | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
-
-let del_support_perflow t hfl =
-  let removed = State_table.remove_moved_matching t.table hfl in
-  State_table.remove_move_filter t.table hfl;
-  Ok (List.length removed)
-
 let counters_to_json t =
   Json.Assoc [ ("allowed", Json.Int t.allowed); ("denied", Json.Int t.denied) ]
 
-let get_report_shared t () =
-  t.shared_exported <- true;
-  Ok
-    (Some
-       (Mb_base.seal_json t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
-          ~key:Hfl.any (counters_to_json t)))
-
-let put_report_shared t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Reporting || chunk.partition <> Taxonomy.Shared then
-    Error (Errors.Illegal_operation "expected shared reporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json ->
-      t.allowed <- t.allowed + Json.get_int (Json.member "allowed" json);
-      t.denied <- t.denied + Json.get_int (Json.member "denied" json);
-      Ok ()
-
-let stats t hfl =
-  let entries = State_table.matching t.table hfl in
-  let bytes =
-    List.fold_left (fun acc e -> acc + Chunk.size_bytes (chunk_of_entry t e)) 0 entries
-  in
-  {
-    Southbound.empty_stats with
-    perflow_support_chunks = List.length entries;
-    perflow_support_bytes = bytes;
-    shared_report_bytes = String.length (Json.to_string (counters_to_json t));
-  }
-
 let impl t =
-  let default =
-    Mb_base.default_impl t.base ~table_entries:(fun () -> State_table.size t.table)
-  in
+  let default = Mb_base.default_impl t.base ~support:t.verdicts () in
   {
     default with
-    get_support_perflow = get_support_perflow t;
-    put_support_perflow = put_support_perflow t;
-    del_support_perflow = del_support_perflow t;
-    get_report_shared = get_report_shared t;
-    put_report_shared = put_report_shared t;
-    stats = stats t;
+    get_report_shared =
+      (fun () ->
+        t.shared_exported <- true;
+        Ok
+          (Some
+             (Mb_base.seal_json t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
+                ~key:Hfl.any (counters_to_json t))));
+    put_report_shared =
+      Mb_base.import t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
+        ~decode:(fun s ->
+          let j = Json.of_string s in
+          (Json.get_int (Json.member "allowed" j), Json.get_int (Json.member "denied" j)))
+        (fun _ (allowed, denied) ->
+          t.allowed <- t.allowed + allowed;
+          t.denied <- t.denied + denied);
+    stats =
+      (fun hfl ->
+        {
+          (default.stats hfl) with
+          shared_report_bytes = String.length (Json.to_string (counters_to_json t));
+        });
   }
 
 let allowed t = t.allowed

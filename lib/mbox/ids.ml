@@ -51,6 +51,7 @@ type scan_rec = { mutable syn_count : int; mutable alerted : bool }
 type t = {
   base : Mb_base.t;
   table : conn State_table.t;
+  conns : conn Mb_base.perflow;
   scan : (string, scan_rec) Hashtbl.t;  (* keyed by source IP string *)
   mutable scan_cloned : bool;  (* raises re-process events when scan state updates *)
   mutable conn_log_rev : conn_entry list;
@@ -214,20 +215,21 @@ let scan_to_json scan =
          :: acc)
        scan [])
 
-let scan_merge_from_json scan j =
-  match j with
+let scan_of_json = function
   | Json.Assoc fields ->
-    List.iter
+    List.map
       (fun (src, v) ->
-        let syns = Json.get_int (Json.member "syns" v) in
-        let alerted = Json.get_bool (Json.member "alerted" v) in
-        match Hashtbl.find_opt scan src with
-        | Some r ->
-          r.syn_count <- r.syn_count + syns;
-          r.alerted <- r.alerted || alerted
-        | None -> Hashtbl.replace scan src { syn_count = syns; alerted })
+        (src, Json.get_int (Json.member "syns" v), Json.get_bool (Json.member "alerted" v)))
       fields
-  | _ -> invalid_arg "Ids.scan_merge_from_json: not an object"
+  | _ -> invalid_arg "Ids.scan_of_json: not an object"
+
+let merge_scan scan =
+  List.iter (fun (src, syns, alerted) ->
+      match Hashtbl.find_opt scan src with
+      | Some r ->
+        r.syn_count <- r.syn_count + syns;
+        r.alerted <- r.alerted || alerted
+      | None -> Hashtbl.replace scan src { syn_count = syns; alerted })
 
 let base t = t.base
 
@@ -403,10 +405,15 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
     [ Json.String "cmd.exe"; Json.String "/etc/passwd"; Json.String "../.." ];
   Config_tree.set config [ "scan"; "threshold" ] [ Json.Int 20 ];
   Config_tree.set config [ "http"; "ports" ] [ Json.Int 80; Json.Int 8080 ];
+  let table = State_table.create ~granularity:Hfl.full_granularity () in
   let t =
     {
       base;
-      table = State_table.create ~granularity:Hfl.full_granularity ();
+      table;
+      conns =
+        Mb_base.perflow base table ~role:Taxonomy.Supporting
+          ~encode:(fun c -> Json.to_string (conn_to_json c))
+          ~decode:(fun s -> conn_of_json (Json.of_string s));
       scan = Hashtbl.create 64;
       scan_cloned = false;
       conn_log_rev = [];
@@ -429,84 +436,27 @@ let chunk_of_entry t (entry : conn State_table.entry) =
   Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
     ~key:entry.key (conn_to_json entry.value)
 
-let get_support_perflow t hfl =
-  match Hfl.compatible_with_granularity hfl (State_table.granularity t.table) with
-  | false -> Error Errors.Granularity_too_fine
-  | true ->
-    (* Entries already flagged [moved] were exported by an earlier,
-       still-pending transfer: logically they no longer live here, so a
-       second export would duplicate state. *)
-    let entries =
-      List.filter
-        (fun (e : conn State_table.entry) -> not e.moved)
-        (State_table.matching t.table hfl)
-    in
-    List.iter (fun (e : conn State_table.entry) -> e.moved <- true) entries;
-    State_table.add_move_filter t.table hfl;
-    Ok (List.map (chunk_of_entry t) entries)
-
-let put_support_perflow t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Supporting || chunk.partition <> Taxonomy.Per_flow then
-    Error (Errors.Illegal_operation "expected per-flow supporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json -> (
-      match conn_of_json json with
-      | c ->
-        State_table.insert t.table ~key:chunk.key c;
-        Ok ()
-      | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
-
-let del_support_perflow t hfl =
-  (* Moved state disappears without producing log entries — the purpose
-     of the paper's [moved] flag. *)
-  let removed = State_table.remove_moved_matching t.table hfl in
-  State_table.remove_move_filter t.table hfl;
-  Ok (List.length removed)
-
-let get_support_shared t () =
-  t.scan_cloned <- true;
-  Ok
-    (Some
-       (Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
-          ~key:Hfl.any (scan_to_json t.scan)))
-
-let put_support_shared t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Supporting || chunk.partition <> Taxonomy.Shared then
-    Error (Errors.Illegal_operation "expected shared supporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json -> (
-      match scan_merge_from_json t.scan json with
-      | () -> Ok ()
-      | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
-
-let stats t hfl =
-  let entries = State_table.matching t.table hfl in
-  let bytes =
-    List.fold_left (fun acc e -> acc + Chunk.size_bytes (chunk_of_entry t e)) 0 entries
-  in
-  {
-    Southbound.empty_stats with
-    perflow_support_chunks = List.length entries;
-    perflow_support_bytes = bytes;
-    shared_support_bytes = String.length (Json.to_string (scan_to_json t.scan));
-  }
-
 let impl t =
-  let default =
-    Mb_base.default_impl t.base ~table_entries:(fun () -> State_table.size t.table)
-  in
+  let default = Mb_base.default_impl t.base ~support:t.conns () in
   {
     default with
-    get_support_perflow = get_support_perflow t;
-    put_support_perflow = put_support_perflow t;
-    del_support_perflow = del_support_perflow t;
-    get_support_shared = get_support_shared t;
-    put_support_shared = put_support_shared t;
-    stats = stats t;
+    get_support_shared =
+      (fun () ->
+        t.scan_cloned <- true;
+        Ok
+          (Some
+             (Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
+                ~key:Hfl.any (scan_to_json t.scan))));
+    put_support_shared =
+      Mb_base.import t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
+        ~decode:(fun s -> scan_of_json (Json.of_string s))
+        (fun _ entries -> merge_scan t.scan entries);
+    stats =
+      (fun hfl ->
+        {
+          (default.stats hfl) with
+          shared_support_bytes = String.length (Json.to_string (scan_to_json t.scan));
+        });
   }
 
 (* ------------------------------------------------------------------ *)

@@ -9,6 +9,7 @@ type t = {
   base : Mb_base.t;
   policy : policy;
   table : Addr.t State_table.t;  (* flow key -> backend *)
+  assigned : Addr.t Mb_base.perflow;
   mutable backends : Addr.t array;
   mutable rr_next : int;
 }
@@ -94,11 +95,18 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ?(policy = Round_r
     (List.map (fun a -> Json.String (Addr.to_string a)) backends);
   Config_tree.set (Mb_base.config base) [ "policy" ]
     [ Json.String (policy_to_string policy) ];
+  let table = State_table.create ~granularity:lb_granularity () in
   let t =
     {
       base;
       policy;
-      table = State_table.create ~granularity:lb_granularity ();
+      table;
+      assigned =
+        Mb_base.perflow base table ~role:Taxonomy.Supporting
+          ~encode:(fun b ->
+            Json.to_string (Json.Assoc [ ("backend", Json.String (Addr.to_string b)) ]))
+          ~decode:(fun s ->
+            Addr.of_string (Json.get_string (Json.member "backend" (Json.of_string s))));
       backends = Array.of_list backends;
       rr_next = 0;
     }
@@ -112,43 +120,6 @@ let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 (* ------------------------------------------------------------------ *)
 (* Southbound implementation                                           *)
 (* ------------------------------------------------------------------ *)
-
-let chunk_of_entry t (entry : Addr.t State_table.entry) =
-  Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
-    ~key:entry.key
-    (Json.Assoc [ ("backend", Json.String (Addr.to_string entry.value)) ])
-
-let get_support_perflow t hfl =
-  match Hfl.compatible_with_granularity hfl (State_table.granularity t.table) with
-  | false -> Error Errors.Granularity_too_fine
-  | true ->
-    (* Skip entries an earlier pending transfer already exported. *)
-    let entries =
-      List.filter
-        (fun (e : Addr.t State_table.entry) -> not e.moved)
-        (State_table.matching t.table hfl)
-    in
-    List.iter (fun (e : Addr.t State_table.entry) -> e.moved <- true) entries;
-    State_table.add_move_filter t.table hfl;
-    Ok (List.map (chunk_of_entry t) entries)
-
-let put_support_perflow t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Supporting || chunk.partition <> Taxonomy.Per_flow then
-    Error (Errors.Illegal_operation "expected per-flow supporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json -> (
-      match Addr.of_string (Json.get_string (Json.member "backend" json)) with
-      | backend ->
-        State_table.insert t.table ~key:chunk.key backend;
-        Ok ()
-      | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
-
-let del_support_perflow t hfl =
-  let removed = State_table.remove_moved_matching t.table hfl in
-  State_table.remove_move_filter t.table hfl;
-  Ok (List.length removed)
 
 let set_config t path values =
   let stored =
@@ -172,30 +143,8 @@ let set_config t path values =
     | exception Invalid_argument msg -> Error (Errors.Op_failed msg))
   | result, _ -> result
 
-let stats t hfl =
-  let entries = State_table.matching t.table hfl in
-  let bytes =
-    List.fold_left (fun acc e -> acc + Chunk.size_bytes (chunk_of_entry t e)) 0 entries
-  in
-  {
-    Southbound.empty_stats with
-    perflow_support_chunks = List.length entries;
-    perflow_support_bytes = bytes;
-  }
-
 let impl t =
-  let default =
-    Mb_base.default_impl t.base ~table_entries:(fun () -> State_table.size t.table)
-  in
-  {
-    default with
-    granularity = lb_granularity;
-    set_config = set_config t;
-    get_support_perflow = get_support_perflow t;
-    put_support_perflow = put_support_perflow t;
-    del_support_perflow = del_support_perflow t;
-    stats = stats t;
-  }
+  { (Mb_base.default_impl t.base ~support:t.assigned ()) with set_config = set_config t }
 
 let assignments t = State_table.fold t.table ~init:[] ~f:(fun acc e -> (e.key, e.value) :: acc)
 let assignment_count t = State_table.size t.table

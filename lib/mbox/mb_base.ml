@@ -205,24 +205,115 @@ let packets_processed t = t.pkts
 let seal_raw t ~role ~partition ~key plain =
   Chunk.seal ~mb_kind:t.kind ~role ~partition ~key ~plain
 
-let unseal_raw t chunk = Chunk.unseal ~mb_kind:t.kind chunk
-
 let seal_json t ~role ~partition ~key json =
   seal_raw t ~role ~partition ~key (Openmb_wire.Json.to_string json)
 
-let unseal_json t chunk =
-  match unseal_raw t chunk with
-  | Error e -> Error e
-  | Ok plain -> (
-    match Openmb_wire.Json.of_string plain with
-    | json -> Ok json
-    | exception Openmb_wire.Json.Parse_error msg -> Error (Errors.Bad_chunk msg))
+(* ------------------------------------------------------------------ *)
+(* Checked import, and the per-flow state protocol                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Only [decode] runs under the handler: [apply] sees a whole value, so
+   a malformed chunk never leaves a half-applied merge behind. *)
+let import t ~role ~partition ~decode apply (chunk : Chunk.t) =
+  if chunk.role <> role || chunk.partition <> partition then
+    Error (Errors.Illegal_operation "wrong chunk class for this put")
+  else
+    match Chunk.unseal ~mb_kind:t.kind chunk with
+    | Error e -> Error e
+    | Ok plain -> (
+      match decode plain with
+      | v ->
+        apply chunk.key v;
+        Ok ()
+      | exception (Invalid_argument msg | Openmb_wire.Json.Parse_error msg) ->
+        Error (Errors.Bad_chunk msg))
+
+type 'a perflow = {
+  pf_base : t;
+  table : 'a State_table.t;
+  role : Taxonomy.role;
+  encode : 'a -> string;
+  decode : string -> 'a;
+  insert : Openmb_net.Hfl.t -> 'a -> unit;  (* built once: a put allocates no closure *)
+  mutable suspect : bool;  (* the crash latch: see [export] and [latch] *)
+}
+
+let perflow base table ~role ~encode ~decode =
+  {
+    pf_base = base;
+    table;
+    role;
+    encode;
+    decode;
+    insert = (fun key v -> State_table.insert table ~key v);
+    suspect = false;
+  }
+
+let seal_entry p (e : _ State_table.entry) =
+  seal_raw p.pf_base ~role:p.role ~partition:Taxonomy.Per_flow ~key:e.key (p.encode e.value)
+
+let marked p hfl =
+  let found = ref false in
+  State_table.iter_matching p.table hfl (fun e -> if e.moved then found := true);
+  !found
+
+(* Marked entries belong to an earlier pending transfer whose deferred
+   delete will collect them, so an overlapping get skips them.  After a
+   crash with marks outstanding ([suspect]), though, this get may be the
+   retransmission of one whose reply died with the agent's dedup cache:
+   exporting only the unmarked remainder would let the controller close
+   the stream without the lost chunks, silently completing a partial
+   move.  Refusing aborts the transfer; the rollback clears the marks
+   and the re-run exports everything.  Chunks are consed during the one
+   pass, so they come out in the order [State_table.matching] returns. *)
+let export p hfl =
+  if not (Openmb_net.Hfl.compatible_with_granularity hfl (State_table.granularity p.table))
+  then Error Errors.Granularity_too_fine
+  else if p.suspect && marked p hfl then
+    Error (Errors.Illegal_operation "export possibly lost in a crash for this range")
+  else begin
+    let chunks = ref [] in
+    State_table.iter_matching p.table hfl (fun e ->
+        if not e.moved then begin
+          e.moved <- true;
+          chunks := seal_entry p e :: !chunks
+        end);
+    State_table.add_move_filter p.table hfl;
+    Ok !chunks
+  end
+
+let delete p hfl =
+  let removed = State_table.remove_moved_matching p.table hfl in
+  State_table.remove_move_filter p.table hfl;
+  Ok (List.length removed)
+
+(* Transactional rollback: give exported-but-undeleted entries back to
+   this MB, so an aborted move leaves the source authoritative and
+   re-exportable.  The marks the crash made suspect are gone with
+   them. *)
+let rollback p hfl =
+  State_table.iter_matching p.table hfl (fun e -> e.moved <- false);
+  State_table.remove_move_filter p.table hfl;
+  p.suspect <- false
+
+(* A crash can only have lost an export reply if some export was
+   outstanding when it hit — i.e. some entry still carries a moved
+   mark.  A crash with no marks has nothing to suspect, and latching
+   anyway would poison a far-later unrelated transfer. *)
+let latch p =
+  if State_table.fold p.table ~init:false ~f:(fun acc e -> acc || e.State_table.moved) then
+    p.suspect <- true
+
+let count p hfl =
+  let n = ref 0 and bytes = ref 0 in
+  State_table.iter_matching p.table hfl (fun e ->
+      incr n;
+      bytes := !bytes + Chunk.size_bytes (seal_entry p e));
+  (!n, !bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Impl assembly                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let illegal what _ = Error (Errors.Illegal_operation what)
 
 let config_get t path =
   match Config_tree.get t.config path with
@@ -240,11 +331,26 @@ let config_del t path =
   if Config_tree.del t.config path then Ok ()
   else Error (Errors.Unknown_config_key (Config_tree.path_to_string path))
 
-let default_impl t ~table_entries : Southbound.impl =
+let default_impl t ?support ?report () : Southbound.impl =
+  let illegal what _ = Error (Errors.Illegal_operation what) in
+  let get = function Some p -> export p | None -> fun _ -> Ok [] in
+  let put what = function
+    | Some p -> import t ~role:p.role ~partition:Taxonomy.Per_flow ~decode:p.decode p.insert
+    | None -> illegal what
+  in
+  let del = function Some p -> delete p | None -> fun _ -> Ok 0 in
+  let stats = function Some p -> count p | None -> fun _ -> (0, 0) in
+  let support_stats = stats support and report_stats = stats report in
+  let granularity, table_entries =
+    match (support, report) with
+    | Some p, _ -> (State_table.granularity p.table, fun () -> State_table.size p.table)
+    | None, Some p -> (State_table.granularity p.table, fun () -> State_table.size p.table)
+    | None, None -> (Openmb_net.Hfl.full_granularity, fun () -> 0)
+  in
   {
     name = t.name;
     kind = t.kind;
-    granularity = Openmb_net.Hfl.full_granularity;
+    granularity;
     cost = t.cost;
     table_entries;
     get_config = config_get t;
@@ -254,19 +360,34 @@ let default_impl t ~table_entries : Southbound.impl =
        stream (a move touches both supporting and reporting state, and
        most MBs hold only one); importing into an absent class is an
        error. *)
-    get_support_perflow = (fun _ -> Ok []);
-    put_support_perflow = illegal "MB keeps no per-flow supporting state";
-    del_support_perflow = (fun _ -> Ok 0);
+    get_support_perflow = get support;
+    put_support_perflow = put "MB keeps no per-flow supporting state" support;
+    del_support_perflow = del support;
     get_support_shared = (fun () -> Ok None);
     put_support_shared = illegal "MB keeps no shared supporting state";
-    get_report_perflow = (fun _ -> Ok []);
-    put_report_perflow = illegal "MB keeps no per-flow reporting state";
-    del_report_perflow = (fun _ -> Ok 0);
+    get_report_perflow = get report;
+    put_report_perflow = put "MB keeps no per-flow reporting state" report;
+    del_report_perflow = del report;
     get_report_shared = (fun () -> Ok None);
     put_report_shared = illegal "MB keeps no shared reporting state";
-    abort_perflow = (fun _ -> ());
-    on_crash = (fun () -> ());
-    stats = (fun _ -> Southbound.empty_stats);
+    abort_perflow =
+      (fun hfl ->
+        Option.iter (fun p -> rollback p hfl) support;
+        Option.iter (fun p -> rollback p hfl) report);
+    on_crash =
+      (fun () ->
+        Option.iter latch support;
+        Option.iter latch report);
+    stats =
+      (fun hfl ->
+        let sc, sb = support_stats hfl and rc, rb = report_stats hfl in
+        {
+          Southbound.empty_stats with
+          perflow_support_chunks = sc;
+          perflow_support_bytes = sb;
+          perflow_report_chunks = rc;
+          perflow_report_bytes = rb;
+        });
     process_packet = (fun p ~side_effects -> inject t p ~side_effects);
     set_event_sink = (fun sink -> t.event_sink <- sink);
     set_op_active = set_op_active t;

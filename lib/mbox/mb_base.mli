@@ -116,10 +116,6 @@ val seal_json :
   Openmb_core.Chunk.t
 (** Serialize a JSON value and seal it as a chunk of this MB's kind. *)
 
-val unseal_json :
-  t -> Openmb_core.Chunk.t -> (Openmb_wire.Json.t, Openmb_core.Errors.t) result
-(** Unseal and parse a chunk produced by a same-kind MB. *)
-
 val seal_raw :
   t ->
   role:Openmb_core.Taxonomy.role ->
@@ -127,16 +123,80 @@ val seal_raw :
   key:Openmb_net.Hfl.t ->
   string ->
   Openmb_core.Chunk.t
-(** Seal an MB-private binary serialization (used by RE's cache). *)
+(** Seal an MB-private binary serialization (used by RE's cache).
+    {!import} unseals either kind. *)
 
-val unseal_raw : t -> Openmb_core.Chunk.t -> (string, Openmb_core.Errors.t) result
+(** {1 Per-flow state} *)
+
+val import :
+  t ->
+  role:Openmb_core.Taxonomy.role ->
+  partition:Openmb_core.Taxonomy.partition ->
+  decode:(string -> 'a) ->
+  (Openmb_net.Hfl.t -> 'a -> unit) ->
+  Openmb_core.Chunk.t ->
+  (unit, Openmb_core.Errors.t) result
+(** [import t ~role ~partition ~decode apply chunk] is the put every
+    state class shares: a chunk of another class is refused with
+    [Illegal_operation]; the rest is unsealed and [decode]d, with
+    [Invalid_argument] and {!Openmb_wire.Json.Parse_error} turned into
+    [Bad_chunk]; only then does [apply] receive the chunk's key and the
+    value — the MB's merge or replace step for shared state, the table
+    insert for per-flow state. *)
+
+type 'a perflow
+(** One per-flow state class (§4.1, Fig. 5): a table of this MB, the
+    role its entries play, their value codec and the class's crash
+    latch. *)
+
+val perflow :
+  t ->
+  'a State_table.t ->
+  role:Openmb_core.Taxonomy.role ->
+  encode:('a -> string) ->
+  decode:(string -> 'a) ->
+  'a perflow
+(** Create the class once per MB, next to its table, and hand it to
+    {!default_impl}, which answers every per-flow operation with it:
+
+    - get: [Granularity_too_fine] for a key finer than the table's
+      granularity.  Otherwise one pass seals each matching entry not
+      yet marked [moved], marks it, and registers the key as a move
+      filter, so flows that start mid-move are born marked.  Entries
+      already marked belong to an earlier pending transfer and are
+      skipped — unless a crash of the hosting agent latched the class
+      while marks were outstanding: a get whose range holds a mark may
+      then be the retransmission of one whose reply died in the crash,
+      and is refused with [Illegal_operation] so the transfer aborts
+      and its re-run exports everything;
+    - put: {!import} of a per-flow chunk of [role], inserted under the
+      chunk's key (clearing any mark there);
+    - del: removes the matching entries still marked (one re-imported
+      since its export belongs to a newer transfer and stays) and the
+      move filter;
+    - [abort_perflow]: clears the matching marks and drops the move
+      filter and the latch;
+    - [on_crash]: latches the class if any entry carries a mark;
+    - [stats]: the matching entries and their sealed size.
+
+    [decode] raises [Invalid_argument] or {!Openmb_wire.Json.Parse_error}
+    on a malformed body. *)
 
 (** {1 Impl assembly} *)
 
-val default_impl : t -> table_entries:(unit -> int) -> Openmb_core.Southbound.impl
+val default_impl :
+  t -> ?support:'a perflow -> ?report:'b perflow -> unit -> Openmb_core.Southbound.impl
 (** A southbound impl with this base's name/kind/cost wired in, config
-    ops backed by {!config}, granularity {!Openmb_net.Hfl.full_granularity},
-    every state operation returning [Error (Illegal_operation _)] —
-    middleboxes override the operations they support — and
-    [process_packet] wired to {!inject}, so re-processing runs the
-    installed work on a 1-member batch. *)
+    ops backed by {!config}, and [process_packet] wired to {!inject},
+    so re-processing runs the installed work on a 1-member batch.
+
+    [support] and [report] are the per-flow classes the MB keeps (see
+    {!perflow}); they answer the per-flow gets, puts and deletes,
+    [abort_perflow], [on_crash] and the per-flow part of [stats], and
+    the first present one's table gives [granularity] and
+    [table_entries] (full granularity and 0 with neither).  A get of a
+    class the MB lacks returns an empty stream and a delete 0 — a move
+    touches both supporting and reporting state, and most MBs hold only
+    one — while a put returns [Illegal_operation].  Shared state reads
+    as absent and its puts are [Illegal_operation]: an MB that keeps
+    some overrides both, its put through {!import}. *)

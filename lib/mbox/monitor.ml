@@ -31,12 +31,12 @@ let add_totals s ~pkts ~bytes ~tcp ~udp ~icmp ~new_flows =
 type t = {
   base : Mb_base.t;
   table : flow_record State_table.t;
+  flows : flow_record Mb_base.perflow;
   (* The [service/ports] config, parsed: every packet of a flow that is
      still unclassified consults it.  Refreshed by every config write
      through the southbound interface. *)
   mutable known_ports : int list;
   shared : totals;  (* updated in place *)
-  mutable shared_moved : bool;  (* shared reporting exported for merge *)
 }
 
 let default_cost : Southbound.cost_model =
@@ -132,27 +132,6 @@ let work t ~side_effects b =
   end
   else Packet_batch.release b
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"prads" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "service"; "ports" ]
-    [ Json.Int 80; Json.Int 443; Json.Int 22; Json.Int 53; Json.Int 25 ];
-  let t =
-    {
-      base;
-      table = State_table.create ~granularity:Hfl.full_granularity ();
-      known_ports = [];
-      shared =
-        { tot_pkts = 0; tot_bytes = 0; tot_tcp = 0; tot_udp = 0; tot_icmp = 0; tot_new_flows = 0 };
-      shared_moved = false;
-    }
-  in
-  t.known_ports <- known_service_ports t;
-  Mb_base.set_work base (work t);
-  t
-
-let receive t p = Mb_base.inject t.base p ~side_effects:true
-let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
-
 (* ------------------------------------------------------------------ *)
 (* Serialization: a single flat structure per flow, like PRADS'        *)
 (* connection struct (§7 — no complex serialization needed).           *)
@@ -198,83 +177,33 @@ let totals_of_json j =
     tot_new_flows = Json.get_int (Json.member "new_flows" j);
   }
 
-let chunk_of_entry t (entry : flow_record State_table.entry) =
-  Mb_base.seal_json t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Per_flow
-    ~key:entry.key
-    (record_to_json entry.value)
-
-let get_report_perflow t hfl =
-  match Hfl.compatible_with_granularity hfl (State_table.granularity t.table) with
-  | false -> Error Errors.Granularity_too_fine
-  | true ->
-    (* Skip entries an earlier pending transfer already exported. *)
-    let entries =
-      List.filter
-        (fun (e : flow_record State_table.entry) -> not e.moved)
-        (State_table.matching t.table hfl)
-    in
-    List.iter (fun (e : flow_record State_table.entry) -> e.moved <- true) entries;
-    State_table.add_move_filter t.table hfl;
-    Ok (List.map (chunk_of_entry t) entries)
-
-let put_report_perflow t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Reporting || chunk.partition <> Taxonomy.Per_flow then
-    Error (Errors.Illegal_operation "expected per-flow reporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json -> (
-      match record_of_json json with
-      | r ->
-        State_table.insert t.table ~key:chunk.key r;
-        Ok ()
-      | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
-
-let del_report_perflow t hfl =
-  let removed = State_table.remove_moved_matching t.table hfl in
-  State_table.remove_move_filter t.table hfl;
-  Ok (List.length removed)
-
-let get_report_shared t () =
-  t.shared_moved <- true;
-  Ok
-    (Some
-       (Mb_base.seal_json t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
-          ~key:Hfl.any (totals_to_json t.shared)))
-
-(* Merging shared reporting state adds the counter values (§7: "we add
-   the counter values stored in the prads_stat structure provided in
-   the put call to the [local ones]"). *)
-let put_report_shared t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Reporting || chunk.partition <> Taxonomy.Shared then
-    Error (Errors.Illegal_operation "expected shared reporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json -> (
-      match totals_of_json json with
-      | o ->
-        add_totals t.shared ~pkts:o.tot_pkts ~bytes:o.tot_bytes ~tcp:o.tot_tcp ~udp:o.tot_udp
-          ~icmp:o.tot_icmp ~new_flows:o.tot_new_flows;
-        Ok ()
-      | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
-
-let stats t hfl =
-  let entries = State_table.matching t.table hfl in
-  let bytes =
-    List.fold_left (fun acc e -> acc + Chunk.size_bytes (chunk_of_entry t e)) 0 entries
+let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"prads" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "service"; "ports" ]
+    [ Json.Int 80; Json.Int 443; Json.Int 22; Json.Int 53; Json.Int 25 ];
+  let table = State_table.create ~granularity:Hfl.full_granularity () in
+  let t =
+    {
+      base;
+      table;
+      flows =
+        Mb_base.perflow base table ~role:Taxonomy.Reporting
+          ~encode:(fun r -> Json.to_string (record_to_json r))
+          ~decode:(fun s -> record_of_json (Json.of_string s));
+      known_ports = [];
+      shared =
+        { tot_pkts = 0; tot_bytes = 0; tot_tcp = 0; tot_udp = 0; tot_icmp = 0; tot_new_flows = 0 };
+    }
   in
-  {
-    Southbound.empty_stats with
-    perflow_report_chunks = List.length entries;
-    perflow_report_bytes = bytes;
-    shared_report_bytes = String.length (Json.to_string (totals_to_json t.shared));
-  }
+  t.known_ports <- known_service_ports t;
+  Mb_base.set_work base (work t);
+  t
+
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 let impl t =
-  let default =
-    Mb_base.default_impl t.base ~table_entries:(fun () -> State_table.size t.table)
-  in
+  let default = Mb_base.default_impl t.base ~report:t.flows () in
   let reread r =
     t.known_ports <- known_service_ports t;
     r
@@ -283,12 +212,27 @@ let impl t =
     default with
     set_config = (fun path values -> reread (default.set_config path values));
     del_config = (fun path -> reread (default.del_config path));
-    get_report_perflow = get_report_perflow t;
-    put_report_perflow = put_report_perflow t;
-    del_report_perflow = del_report_perflow t;
-    get_report_shared = get_report_shared t;
-    put_report_shared = put_report_shared t;
-    stats = stats t;
+    get_report_shared =
+      (fun () ->
+        Ok
+          (Some
+             (Mb_base.seal_json t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
+                ~key:Hfl.any (totals_to_json t.shared))));
+    (* Merging shared reporting state adds the counter values (§7: "we
+       add the counter values stored in the prads_stat structure
+       provided in the put call to the [local ones]"). *)
+    put_report_shared =
+      Mb_base.import t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
+        ~decode:(fun s -> totals_of_json (Json.of_string s))
+        (fun _ o ->
+          add_totals t.shared ~pkts:o.tot_pkts ~bytes:o.tot_bytes ~tcp:o.tot_tcp
+            ~udp:o.tot_udp ~icmp:o.tot_icmp ~new_flows:o.tot_new_flows);
+    stats =
+      (fun hfl ->
+        {
+          (default.stats hfl) with
+          shared_report_bytes = String.length (Json.to_string (totals_to_json t.shared));
+        });
   }
 
 (* A copy: the live block changes under every batch. *)

@@ -26,6 +26,7 @@ type t = {
   ext_ips : Addr.t array;
   internal_prefix : Addr.prefix;
   table : mapping State_table.t;
+  flows : mapping Mb_base.perflow;
   (* packed (ext ip, port) -> table key, in the flat open-addressing
      core: the int key rides in word [pa] with [pb = 0]. *)
   by_external : Hfl.t Flat_table.t;
@@ -162,33 +163,6 @@ let process t (p : Packet.t) ~side_effects =
         None)
   end
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(external_ips = []) ~external_ip
-    ~internal_prefix ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"nat" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "external_ip" ]
-    [ Json.String (Addr.to_string external_ip) ];
-  Config_tree.set (Mb_base.config base) [ "timeout"; "tcp" ] [ Json.Int 300 ];
-  Config_tree.set (Mb_base.config base) [ "timeout"; "udp" ] [ Json.Int 60 ];
-  let t =
-    {
-      base;
-      ext_ips = Array.of_list (external_ip :: external_ips);
-      internal_prefix;
-      table = State_table.create ~granularity:nat_granularity ();
-      by_external = Flat_table.create ~capacity:64 ();
-      next_slot = 0;
-      dropped = 0;
-    }
-  in
-  (* Members are translated in index order: external-port allocation is
-     cursor-based, so processing order is part of the NAT's observable
-     state. *)
-  Mb_base.set_work base (Mb_base.process_batch base process t);
-  t
-
-let receive t p = Mb_base.inject t.base p ~side_effects:true
-let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
-
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -229,57 +203,38 @@ let mapping_of_json ~default_ext_ip j =
     m_last_active = created;
   }
 
-let chunk_of_entry t (entry : mapping State_table.entry) =
-  Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
-    ~key:entry.key
-    (mapping_to_json entry.value)
-
-let get_support_perflow t hfl =
-  match Hfl.compatible_with_granularity hfl (State_table.granularity t.table) with
-  | false -> Error Errors.Granularity_too_fine
-  | true ->
-    (* Skip entries an earlier pending transfer already exported. *)
-    let entries =
-      List.filter
-        (fun (e : mapping State_table.entry) -> not e.moved)
-        (State_table.matching t.table hfl)
-    in
-    List.iter (fun (e : mapping State_table.entry) -> e.moved <- true) entries;
-    State_table.add_move_filter t.table hfl;
-    Ok (List.map (chunk_of_entry t) entries)
-
-let put_support_perflow t (chunk : Chunk.t) =
-  if chunk.role <> Taxonomy.Supporting || chunk.partition <> Taxonomy.Per_flow then
-    Error (Errors.Illegal_operation "expected per-flow supporting chunk")
-  else
-    match Mb_base.unseal_json t.base chunk with
-    | Error e -> Error e
-    | Ok json -> (
-      match mapping_of_json ~default_ext_ip:t.ext_ips.(0) json with
-      | m ->
-        State_table.insert t.table ~key:chunk.key m;
-        ext_set t m.m_ext_ip m.m_ext_port chunk.key;
-        Ok ()
-      | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg))
-
-let del_support_perflow t hfl =
-  let removed = State_table.remove_moved_matching t.table hfl in
-  State_table.remove_move_filter t.table hfl;
-  List.iter
-    (fun (e : mapping State_table.entry) -> ext_remove t e.value.m_ext_ip e.value.m_ext_port)
-    removed;
-  Ok (List.length removed)
-
-let stats t hfl =
-  let entries = State_table.matching t.table hfl in
-  let bytes =
-    List.fold_left (fun acc e -> acc + Chunk.size_bytes (chunk_of_entry t e)) 0 entries
+let create engine ?recorder ?telemetry ?(cost = default_cost) ?(external_ips = []) ~external_ip
+    ~internal_prefix ~name () =
+  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"nat" ~cost () in
+  Config_tree.set (Mb_base.config base) [ "external_ip" ]
+    [ Json.String (Addr.to_string external_ip) ];
+  Config_tree.set (Mb_base.config base) [ "timeout"; "tcp" ] [ Json.Int 300 ];
+  Config_tree.set (Mb_base.config base) [ "timeout"; "udp" ] [ Json.Int 60 ];
+  let table = State_table.create ~granularity:nat_granularity () in
+  let t =
+    {
+      base;
+      ext_ips = Array.of_list (external_ip :: external_ips);
+      internal_prefix;
+      table;
+      flows =
+        Mb_base.perflow base table ~role:Taxonomy.Supporting
+          ~encode:(fun m -> Json.to_string (mapping_to_json m))
+          ~decode:(fun s ->
+            mapping_of_json ~default_ext_ip:external_ip (Json.of_string s));
+      by_external = Flat_table.create ~capacity:64 ();
+      next_slot = 0;
+      dropped = 0;
+    }
   in
-  {
-    Southbound.empty_stats with
-    perflow_support_chunks = List.length entries;
-    perflow_support_bytes = bytes;
-  }
+  (* Members are translated in index order: external-port allocation is
+     cursor-based, so processing order is part of the NAT's observable
+     state. *)
+  Mb_base.set_work base (Mb_base.process_batch base process t);
+  t
+
+let receive t p = Mb_base.inject t.base p ~side_effects:true
+let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 
 (* Static mappings (port forwarding) installed through configuration —
    also the failure-recovery application's restore path: critical
@@ -311,18 +266,28 @@ let set_config t path values =
     | exception Invalid_argument msg -> Error (Errors.Op_failed msg))
   | _ -> store ()
 
+(* The external-port index follows the table through import and
+   delete. *)
 let impl t =
-  let default =
-    Mb_base.default_impl t.base ~table_entries:(fun () -> State_table.size t.table)
-  in
+  let default = Mb_base.default_impl t.base ~support:t.flows () in
   {
     default with
-    granularity = nat_granularity;
     set_config = set_config t;
-    get_support_perflow = get_support_perflow t;
-    put_support_perflow = put_support_perflow t;
-    del_support_perflow = del_support_perflow t;
-    stats = stats t;
+    put_support_perflow =
+      (fun chunk ->
+        match default.put_support_perflow chunk with
+        | Ok () ->
+          Option.iter
+            (fun (e : mapping State_table.entry) ->
+              ext_set t e.value.m_ext_ip e.value.m_ext_port e.key)
+            (State_table.find_key t.table chunk.Chunk.key);
+          Ok ()
+        | Error _ as err -> err);
+    del_support_perflow =
+      (fun hfl ->
+        State_table.iter_matching t.table hfl (fun e ->
+            if e.moved then ext_remove t e.value.m_ext_ip e.value.m_ext_port);
+        default.del_support_perflow hfl);
   }
 
 (* Accessors hand out copies: the live records change under every

@@ -189,7 +189,7 @@ let set_config t path values =
   | _ -> store ()
 
 let impl t =
-  let default = Mb_base.default_impl t.base ~table_entries:(fun () -> 0) in
+  let default = Mb_base.default_impl t.base () in
   {
     default with
     set_config = set_config t;
@@ -202,18 +202,8 @@ let impl t =
                 ~key:Hfl.any
                 (Re_cache.serialize (cache t)))));
     put_support_shared =
-      (fun chunk ->
-        if chunk.Chunk.role <> Taxonomy.Supporting || chunk.partition <> Taxonomy.Shared
-        then Error (Errors.Illegal_operation "expected shared supporting chunk")
-        else
-          match Mb_base.unseal_raw t.base chunk with
-          | Error e -> Error e
-          | Ok plain -> (
-            match Re_cache.deserialize plain with
-            | imported ->
-              Hashtbl.replace t.rings t.id imported;
-              Ok ()
-            | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg)));
+      Mb_base.import t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
+        ~decode:Re_cache.deserialize (fun _ imported -> Hashtbl.replace t.rings t.id imported);
     stats =
       (fun _ ->
         {

@@ -246,7 +246,7 @@ let deserialize_all s =
       { cache; fingerprints; ctx_encoded_bytes = 0 })
 
 let impl t =
-  let default = Mb_base.default_impl t.base ~table_entries:(fun () -> 0) in
+  let default = Mb_base.default_impl t.base () in
   {
     default with
     set_config = set_config t;
@@ -257,18 +257,8 @@ let impl t =
              (Mb_base.seal_raw t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
                 ~key:Hfl.any (serialize_all t))));
     put_support_shared =
-      (fun chunk ->
-        if chunk.Chunk.role <> Taxonomy.Supporting || chunk.partition <> Taxonomy.Shared
-        then Error (Errors.Illegal_operation "expected shared supporting chunk")
-        else
-          match Mb_base.unseal_raw t.base chunk with
-          | Error e -> Error e
-          | Ok plain -> (
-            match deserialize_all plain with
-            | ctxs ->
-              t.ctxs <- ctxs;
-              Ok ()
-            | exception Invalid_argument msg -> Error (Errors.Bad_chunk msg)));
+      Mb_base.import t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
+        ~decode:deserialize_all (fun _ ctxs -> t.ctxs <- ctxs);
     stats =
       (fun _ ->
         {

@@ -351,6 +351,248 @@ let test_reprocess_after_delete_no_resurrect () =
     (Dummy_mb.has_state_for r.src packet)
 
 (* ------------------------------------------------------------------ *)
+(* The per-flow protocol of every real middlebox under crashes         *)
+(* ------------------------------------------------------------------ *)
+
+(* The [i]-th flow of an outbound TCP population: one per-flow entry in
+   every real MB, whatever its granularity. *)
+let flow_packet ~id ~ts i =
+  Packet.make ~id ~ts
+    ~src_ip:(Addr.of_string (Printf.sprintf "10.0.%d.%d" (i / 250) (1 + (i mod 250))))
+    ~dst_ip:(Addr.of_string "1.1.1.5") ~src_port:(1000 + i) ~dst_port:80 ~proto:Packet.Tcp ()
+
+let nat_internal = Addr.prefix_of_string "10.0.0.0/8"
+let nat_external = Addr.of_string "5.5.5.5"
+
+(* Each real MB as a constructor returning its southbound impl and its
+   data-path entry. *)
+let real_mbs : (string * (Engine.t -> string -> Southbound.impl * (Packet.t -> unit))) list =
+  [
+    ( "nat",
+      fun e name ->
+        let m =
+          Nat.create e ~name ~external_ip:nat_external ~internal_prefix:nat_internal ()
+        in
+        (Nat.impl m, Nat.receive m) );
+    ( "monitor",
+      fun e name ->
+        let m = Monitor.create e ~name () in
+        (Monitor.impl m, Monitor.receive m) );
+    ( "firewall",
+      fun e name ->
+        let m = Firewall.create e ~name () in
+        (Firewall.impl m, Firewall.receive m) );
+    ( "load_balancer",
+      fun e name ->
+        let backends = [ Addr.of_string "192.168.0.1"; Addr.of_string "192.168.0.2" ] in
+        let m = Load_balancer.create e ~name ~backends () in
+        (Load_balancer.impl m, Load_balancer.receive m) );
+    ( "ids",
+      fun e name ->
+        let m = Ids.create e ~name () in
+        (Ids.impl m, Ids.receive m) );
+  ]
+
+let real_flows = 100
+
+type real_rig = {
+  r_engine : Engine.t;
+  r_ctrl : Controller.t;
+  r_src : Southbound.impl;
+  r_dst : Southbound.impl;
+  r_src_agent : Mb_agent.t;
+  r_dst_agent : Mb_agent.t;
+}
+
+(* A source holding [real_flows] entries, built by its own data path,
+   and an empty destination. *)
+let make_real_rig make =
+  let engine = Engine.create () in
+  let ctrl = Controller.create engine ~config:chaos_config () in
+  let src, receive = make engine "src" in
+  let dst, _ = make engine "dst" in
+  for i = 0 to real_flows - 1 do
+    receive (flow_packet ~id:i ~ts:Time.zero i)
+  done;
+  Engine.run engine;
+  let src_agent = Mb_agent.create engine ~impl:src () in
+  let dst_agent = Mb_agent.create engine ~impl:dst () in
+  Controller.connect ctrl src_agent;
+  Controller.connect ctrl dst_agent;
+  {
+    r_engine = engine;
+    r_ctrl = ctrl;
+    r_src = src;
+    r_dst = dst;
+    r_src_agent = src_agent;
+    r_dst_agent = dst_agent;
+  }
+
+(* Move everything and run to quiescence, deferred delete included. *)
+let real_move r =
+  let verdict = ref None in
+  Controller.move_internal r.r_ctrl ~src:"src" ~dst:"dst" ~key:Hfl.any ~on_done:(fun res ->
+      verdict := Some res);
+  Engine.run r.r_engine;
+  match !verdict with Some v -> v | None -> Alcotest.fail "move never returned"
+
+let after r delay f = ignore (Engine.schedule_at r.r_engine Time.(Engine.now r.r_engine + delay) f)
+
+(* The destination dies 1 ms into the move, so the move aborts; the
+   abort must hand every entry back to the source, so a retry after the
+   restart moves them all. *)
+let test_real_abort_then_retry () =
+  List.iter
+    (fun (kind, make) ->
+      let r = make_real_rig make in
+      after r (Time.ms 1.0) (fun () -> Mb_agent.crash r.r_dst_agent);
+      (match real_move r with
+      | Error (Errors.Move_aborted _) -> ()
+      | Error e -> Alcotest.failf "%s: expected Move_aborted, got %s" kind (Errors.to_string e)
+      | Ok _ -> Alcotest.failf "%s: move against a crashed destination completed" kind);
+      Mb_agent.restart r.r_dst_agent;
+      (match real_move r with
+      | Ok mr ->
+        Alcotest.(check int) (kind ^ ": retry moves every entry") real_flows
+          mr.Controller.chunks_moved
+      | Error e -> Alcotest.failf "%s: retry failed: %s" kind (Errors.to_string e));
+      Alcotest.(check int) (kind ^ ": destination holds every entry") real_flows
+        (r.r_dst.table_entries ());
+      Alcotest.(check int) (kind ^ ": source emptied") 0 (r.r_src.table_entries ()))
+    real_mbs
+
+(* The source agent crashes at evenly spaced points of the fault-free
+   move and restarts 5 ms later, wiping its reply cache: a retransmitted
+   get must not complete a partial move. *)
+let crash_points = 81
+
+let test_real_crash_during_get () =
+  List.iter
+    (fun (kind, make) ->
+      let duration =
+        match real_move (make_real_rig make) with
+        | Ok mr -> Time.to_seconds mr.Controller.duration
+        | Error e -> Alcotest.failf "%s: fault-free move failed: %s" kind (Errors.to_string e)
+      in
+      for k = 0 to crash_points - 1 do
+        let r = make_real_rig make in
+        let at = duration *. float_of_int k /. float_of_int (crash_points - 1) in
+        after r (Time.seconds at) (fun () -> Mb_agent.crash r.r_src_agent);
+        after r (Time.seconds (at +. 0.005)) (fun () -> Mb_agent.restart r.r_src_agent);
+        let what = Printf.sprintf "%s, crash at point %d" kind k in
+        match real_move r with
+        | Ok _ ->
+          Alcotest.(check int) (what ^ ": destination holds every entry") real_flows
+            (r.r_dst.table_entries ());
+          Alcotest.(check int) (what ^ ": source emptied") 0 (r.r_src.table_entries ())
+        | Error _ ->
+          Alcotest.(check int) (what ^ ": source keeps every entry") real_flows
+            (r.r_src.table_entries ())
+      done)
+    real_mbs
+
+(* ------------------------------------------------------------------ *)
+(* The random-plan matrix over a NAT pair                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The critical part of each mapping (timers reset on import), sorted. *)
+let nat_mappings nat =
+  List.sort compare
+    (List.map
+       (fun (m : Nat.mapping) ->
+         Printf.sprintf "%s:%d>%s:%d" (Addr.to_string m.m_int_ip) m.m_int_port
+           (Addr.to_string m.m_ext_ip) m.m_ext_port)
+       (Nat.mappings nat))
+
+type nat_outcome = {
+  n_verdict : (int, string) result;
+  n_initial : string list;
+  n_src : string list;
+  n_dst : string list;
+  n_src_down : bool;  (* crashed for good: its deferred delete cannot run *)
+}
+
+(* The Dummy scenario's shape over two NATs: [flows] mappings at the
+   source, and packets of those flows arriving round robin at [rate_pps]
+   until [event_stop], so moved mappings raise re-process events.  A
+   1 µs data path builds the mappings before the plan's first fault. *)
+let run_nat_plan plan ~flows ~rate_pps =
+  let engine = Engine.create () in
+  let faults = Faults.create engine plan in
+  let ctrl = Controller.create engine ~config:chaos_config ~faults () in
+  let cost = { Nat.default_cost with per_packet = Time.us 1.0 } in
+  let make name =
+    Nat.create engine ~cost ~name ~external_ip:nat_external ~internal_prefix:nat_internal ()
+  in
+  let src = make "src" and dst = make "dst" in
+  for i = 0 to flows - 1 do
+    Nat.receive src (flow_packet ~id:i ~ts:Time.zero i)
+  done;
+  Engine.run engine;
+  let initial = nat_mappings src in
+  let src_agent = Mb_agent.create engine ~impl:(Nat.impl src) () in
+  Controller.connect ctrl src_agent;
+  Controller.connect ctrl (Mb_agent.create engine ~impl:(Nat.impl dst) ());
+  let gap = 1.0 /. rate_pps in
+  for k = 1 to int_of_float (Time.to_seconds event_stop /. gap) do
+    let ts = Time.seconds (float_of_int k *. gap) in
+    ignore
+      (Engine.schedule_at engine ts (fun () ->
+           Nat.receive src (flow_packet ~id:(flows + k) ~ts (k mod flows))))
+  done;
+  let verdict = ref None in
+  Controller.move_internal ctrl ~src:"src" ~dst:"dst" ~key:Hfl.any ~on_done:(fun res ->
+      verdict := Some res);
+  Engine.run engine;
+  {
+    n_verdict =
+      (match !verdict with
+      | None -> Alcotest.failf "seed %d: NAT move never returned" plan.Faults.seed
+      | Some (Ok mr) -> Ok mr.Controller.chunks_moved
+      | Some (Error e) -> Error (Errors.to_string e));
+    n_initial = initial;
+    n_src = nat_mappings src;
+    n_dst = nat_mappings dst;
+    n_src_down = Mb_agent.is_crashed src_agent;
+  }
+
+let check_nat_invariants ~seed o =
+  let check what = Alcotest.(check (list string)) (Printf.sprintf "seed %d: %s" seed what) in
+  match o.n_verdict with
+  | Ok _ ->
+    check "completed NAT move installed every mapping" o.n_initial o.n_dst;
+    if not o.n_src_down then check "completed NAT move emptied the source" [] o.n_src
+  | Error _ -> check "aborted NAT move left every mapping at the source" o.n_initial o.n_src
+
+let run_nat_seed ~impairment seed =
+  let flows, rate_pps = scenario_params seed in
+  let oracle = run_nat_plan (Faults.clean_plan ~seed) ~flows ~rate_pps in
+  (match oracle.n_verdict with
+  | Ok n -> Alcotest.(check int) "NAT oracle moved every mapping" flows n
+  | Error e -> Alcotest.failf "seed %d: NAT oracle move failed: %s" seed e);
+  check_nat_invariants ~seed oracle;
+  let plan =
+    if impairment then Faults.random_impairment_plan ~seed ~mbs:[ "src"; "dst" ] ~horizon
+    else Faults.random_plan ~seed ~mbs:[ "src"; "dst" ] ~horizon
+  in
+  let first = run_nat_plan plan ~flows ~rate_pps in
+  check_nat_invariants ~seed first;
+  Alcotest.(check bool)
+    (Printf.sprintf "seed %d: same NAT plan, same outcome" seed)
+    true
+    (first = run_nat_plan plan ~flows ~rate_pps)
+
+let test_nat_chaos_plans () =
+  for i = 0 to chaos_iters - 1 do
+    run_nat_seed ~impairment:false (base_seed + i)
+  done
+
+let test_nat_impairment_plans () =
+  for i = 0 to max 1 (chaos_iters / 2) - 1 do
+    run_nat_seed ~impairment:true (base_seed + 0x11000 + i)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Failover under crash: primary dies mid-snapshot                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -899,6 +1141,12 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "%d 1-member link fault plans vs channel" (max 1 (chaos_iters / 4)))
             `Slow test_singleton_link_faults;
+          Alcotest.test_case
+            (Printf.sprintf "%d NAT random fault plans vs oracle" chaos_iters)
+            `Slow test_nat_chaos_plans;
+          Alcotest.test_case
+            (Printf.sprintf "%d NAT impairment plans vs oracle" (max 1 (chaos_iters / 2)))
+            `Slow test_nat_impairment_plans;
         ] );
       ( "crash",
         [
@@ -906,6 +1154,10 @@ let () =
             test_mid_move_crash_aborts;
           Alcotest.test_case "failover when primary crashes mid-snapshot" `Quick
             test_failover_primary_crash_mid_snapshot;
+          Alcotest.test_case "every real MB: abort, then retry" `Quick
+            test_real_abort_then_retry;
+          Alcotest.test_case "every real MB: source crash during a get" `Quick
+            test_real_crash_during_get;
         ] );
       ( "regression",
         [

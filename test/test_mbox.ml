@@ -371,9 +371,36 @@ let test_mb_base_seal_roundtrip () =
     Mb_base.seal_json base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
       ~key:Hfl.any j
   in
-  match Mb_base.unseal_json base chunk with
-  | Ok j' -> Alcotest.(check bool) "roundtrip" true (Json.equal j j')
+  let got = ref Json.Null in
+  match
+    Mb_base.import base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
+      ~decode:Json.of_string (fun _ j' -> got := j') chunk
+  with
+  | Ok () -> Alcotest.(check bool) "roundtrip" true (Json.equal j !got)
   | Error e -> Alcotest.failf "unseal: %s" (Errors.to_string e)
+
+(* A malformed body of the right class is [Bad_chunk], and a merge
+   sees only a whole decoded value. *)
+let test_mb_base_import_malformed () =
+  let engine = Engine.create () in
+  let fw = Firewall.create engine ~name:"fw" () in
+  let impl = Firewall.impl fw in
+  let seal role partition plain =
+    Mb_base.seal_raw (Firewall.base fw) ~role ~partition ~key:Hfl.any plain
+  in
+  let expect_bad what = function
+    | Error (Errors.Bad_chunk _) -> ()
+    | Ok () -> Alcotest.failf "%s: accepted" what
+    | Error e -> Alcotest.failf "%s: %s" what (Errors.to_string e)
+  in
+  expect_bad "shared counters without [denied]"
+    (impl.Southbound.put_report_shared
+       (seal Taxonomy.Reporting Taxonomy.Shared {|{"allowed":5}|}));
+  Alcotest.(check int) "no half-applied merge" 0 (Firewall.allowed fw);
+  expect_bad "per-flow verdict that is not JSON"
+    (impl.Southbound.put_support_perflow
+       (seal Taxonomy.Supporting Taxonomy.Per_flow "not json"));
+  Alcotest.(check int) "nothing imported" 0 (Firewall.cached_verdicts fw)
 
 (* ------------------------------------------------------------------ *)
 (* IDS                                                                 *)
@@ -1396,6 +1423,8 @@ let () =
           Alcotest.test_case "op slowdown" `Quick test_mb_base_op_slowdown;
           Alcotest.test_case "seal roundtrip" `Quick test_mb_base_seal_roundtrip;
           Alcotest.test_case "1-member batch charge" `Quick test_mb_base_singleton_charge;
+          Alcotest.test_case "import rejects malformed bodies" `Quick
+            test_mb_base_import_malformed;
         ] );
       ( "ids",
         [
