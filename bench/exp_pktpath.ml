@@ -20,9 +20,10 @@
    rate (wall time on a loaded single-core machine swings by tens of
    percent, so the floor only catches a collapse), a
    minor-words-per-packet ceiling (allocation is deterministic, so that
-   gate is tight) and, when batched, a ceiling on the batches live at
-   once.  The factors are not gated against each other: batch
-   1 is the same path, so a ratio would penalize making it faster. *)
+   gate is tight), a ceiling on the engine cells queued at once and,
+   when batched, a ceiling on the batches live at once.  The factors
+   are not gated against each other: batch 1 is the same path, so a
+   ratio would penalize making it faster. *)
 
 open Openmb_sim
 open Openmb_net
@@ -52,6 +53,13 @@ let floors =
     (64, (300_000.0, 23.0, Some 16));
     (256, (300_000.0, 22.0, Some 16));
   ]
+
+(* The engine-cell ceiling of the recorded factors.  The replay holds
+   one event in flight, so the cells queued at once are the hops'
+   events in flight (measured 64, 8, 5 and 4 at 1, 16, 64 and 256); a
+   replay that scheduled every packet or batch up front held one cell
+   each (200,000, 12,500, 3,125 and 782). *)
+let max_engine_cells = 256
 
 let fast_cost base = { base with Southbound.per_packet = Time.us 1.0 }
 
@@ -83,6 +91,7 @@ type result = {
   r_events : int;
   r_occupancy : float;  (* mean members per switch batch *)
   r_pool_hw : int;  (* peak outstanding batches across the run's pools *)
+  r_engine_hw : int;  (* peak engine cells queued at once *)
   r_minor_words : float;
 }
 
@@ -167,6 +176,7 @@ let run_one trace ~batch =
     r_events = Engine.executed engine;
     r_occupancy = occupancy;
     r_pool_hw = pool_hw;
+    r_engine_hw = (Engine.pool_stats engine).Engine.high_water;
     r_minor_words = mw1 -. mw0;
   }
 
@@ -180,15 +190,15 @@ let run () =
   let base =
     List.find_opt (fun r -> r.r_batch = 1) results |> Option.map (fun r -> r.r_pps)
   in
-  Util.row "  %-8s %14s %10s %12s %10s %9s %8s %14s\n" "batch" "packets/sec" "speedup"
-    "events" "occupancy" "pool hw" "wall s" "minor words/pkt";
+  Util.row "  %-8s %14s %10s %12s %10s %9s %9s %8s %14s\n" "batch" "packets/sec" "speedup"
+    "events" "occupancy" "pool hw" "cells hw" "wall s" "minor words/pkt";
   List.iter
     (fun r ->
       let speedup =
         match base with Some b when b > 0.0 -> r.r_pps /. b | _ -> Float.nan
       in
-      Util.row "  %-8d %14.0f %9.2fx %12d %10.1f %9d %8.2f %14.1f\n" r.r_batch r.r_pps
-        speedup r.r_events r.r_occupancy r.r_pool_hw r.r_wall
+      Util.row "  %-8d %14.0f %9.2fx %12d %10.1f %9d %9d %8.2f %14.1f\n" r.r_batch r.r_pps
+        speedup r.r_events r.r_occupancy r.r_pool_hw r.r_engine_hw r.r_wall
         (r.r_minor_words /. float_of_int packets))
     results;
   let open Openmb_wire in
@@ -206,6 +216,7 @@ let run () =
              ("events_executed", Json.Int r.r_events);
              ("batch_occupancy_mean", Json.Float r.r_occupancy);
              ("batch_pool_high_water", Json.Int r.r_pool_hw);
+             ("engine_cell_high_water", Json.Int r.r_engine_hw);
              ("minor_words_per_packet", Json.Float (r.r_minor_words /. float_of_int packets));
            ]))
     results;
@@ -217,11 +228,15 @@ let run () =
         | Some (min_pps, max_words, max_pool_hw) ->
           let words = r.r_minor_words /. float_of_int packets in
           let pool_ok = match max_pool_hw with None -> true | Some hw -> r.r_pool_hw <= hw in
-          let ok = r.r_pps >= min_pps && words <= max_words && pool_ok in
+          let ok =
+            r.r_pps >= min_pps && words <= max_words && pool_ok
+            && r.r_engine_hw <= max_engine_cells
+          in
           Util.row
-            "  [gate] batch %-4d %10.0f pkts/s (floor %.0f)  %6.1f words/pkt (ceiling %.0f)  pool hw %d%s  %s\n"
+            "  [gate] batch %-4d %10.0f pkts/s (floor %.0f)  %6.1f words/pkt (ceiling %.0f)  pool hw %d%s  cells hw %d (ceiling %d)  %s\n"
             r.r_batch r.r_pps min_pps words max_words r.r_pool_hw
             (match max_pool_hw with None -> "" | Some hw -> Printf.sprintf " (ceiling %d)" hw)
+            r.r_engine_hw max_engine_cells
             (if ok then "ok" else "FAIL");
           not ok)
       results

@@ -37,7 +37,11 @@ let synack_flags = { no_flags with syn = true; ack = true }
 let fin_flags = { no_flags with fin = true; ack = true }
 let rst_flags = { no_flags with rst = true }
 
-let make ?(flags = no_flags) ?(app = Plain) ?(body = Raw Payload.empty) ~id ~ts ~src_ip
+(* Bound once: a default written inline allocates its block on every
+   call that omits [body]. *)
+let empty_body = Raw Payload.empty
+
+let make ?(flags = no_flags) ?(app = Plain) ?(body = empty_body) ~id ~ts ~src_ip
     ~dst_ip ~src_port ~dst_port ~proto () =
   { id; ts; src_ip; dst_ip; src_port; dst_port; proto; flags; app; body }
 

@@ -17,7 +17,11 @@
      dispatch casts them back.  The casts are safe because the typed
      signatures below are the only writers, OCaml's calling convention
      is uniform across value types, and a cell's kind tag selects the
-     matching arity at dispatch. *)
+     matching arity at dispatch.
+
+   [reserve] and [call_at_reserved] split [call_at] in two: the
+   sequence number is taken when the caller decides the order, the
+   cell only when the event is filed. *)
 
 module Wheel = Timer_wheel
 
@@ -106,6 +110,16 @@ let call2_after : 'a 'b. t -> Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit =
   ignore
     (Wheel.alloc_after t.w ~clock:t.clock_ ~delay ~kind:kind_call2 ~a:(Obj.repr f)
        ~b:(Obj.repr x) ~c:(Obj.repr y))
+
+let reserve t n = Wheel.reserve t.w n
+
+let call_at_reserved : 'a. t -> Time.t -> seq:int -> ('a -> unit) -> 'a -> unit =
+ fun t when_ ~seq f x ->
+  if Time.compare when_ (now t) < 0 then
+    invalid_arg "Engine.call_at_reserved: time is in the past";
+  ignore
+    (Wheel.alloc_reserved t.w ~at:when_ ~seq ~kind:kind_call1 ~a:(Obj.repr f)
+       ~b:(Obj.repr x) ~c:obj_unit)
 
 let cancel h =
   h.hc <- true;

@@ -20,7 +20,13 @@
       callback and its argument(s) separately, storing both in a
       reusable pooled cell: no closure, no handle, no per-event
       allocation.  Use these on packet-rate paths with a pre-existing
-      callback (channel delivery, switch forwarding, trace replay). *)
+      callback (channel delivery, switch forwarding, trace replay).
+
+    A caller that knows a sequence of events up front but wants only
+    one of them queued at a time {!reserve}s their insertion sequence
+    numbers as a block and files each with {!call_at_reserved} when
+    its predecessor fires: the order is that of scheduling them all at
+    reservation time, and the cell pool holds one. *)
 
 type t
 (** A simulation engine instance. *)
@@ -68,6 +74,27 @@ val call2_at : t -> Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
 
 val call2_after : t -> Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
 (** [call2_after t delay f x y] is [call2_at t (now t + delay) f x y]. *)
+
+val reserve : t -> int -> int
+(** [reserve t n] takes the next [n] insertion sequence numbers as one
+    block and returns the first, [base]: the numbers [base] to
+    [base + n - 1] order at a same-instant tie exactly as [n] events
+    scheduled now would, before every event scheduled afterwards.  It
+    files nothing and holds no cell; {!call_at_reserved} files an event
+    under one of the numbers later.  Raises [Invalid_argument] if
+    [n < 0]. *)
+
+val call_at_reserved : t -> Time.t -> seq:int -> ('a -> unit) -> 'a -> unit
+(** [call_at_reserved t when_ ~seq f x] is {!call_at} filed under the
+    number [seq] of a block taken by {!reserve}, not a fresh one, so
+    [f x] fires where an event scheduled by {!call_at} at reservation
+    time would have.  The contract: each reserved number is used once,
+    at a time [>= now t], and before any event ordered after
+    [(when_, seq)] has run — in practice from the reservation itself or
+    from an event that precedes it, such as its predecessor in a chain
+    over the block.  Raises [Invalid_argument] if [when_] is in the past
+    or [seq] was never handed out; a number used twice or filed late is
+    not detected. *)
 
 val cancel : handle -> unit
 (** Cancel a pending event; a no-op if it already ran or was

@@ -290,15 +290,14 @@ let enqueue t i =
 
 (* Take a cell off the free list (growing the pool if exhausted) and
    fill everything but its time. *)
-let take t ~kind ~a ~b ~c =
+let take t ~seq ~kind ~a ~b ~c =
   if t.free_head = nil then grow t;
   let i = t.free_head in
   if A.unsafe_get t.state_ i <> st_free then
     invalid_arg "Timer_wheel.alloc: corrupt free list";
   t.free_head <- A.unsafe_get t.next_ i;
   A.unsafe_set t.state_ i st_queued;
-  A.unsafe_set t.seq_ i t.next_seq;
-  t.next_seq <- t.next_seq + 1;
+  A.unsafe_set t.seq_ i seq;
   A.unsafe_set t.kind_ i kind;
   (* Free cells have nil payload slots (see [release]); [obj_nil] is
      the immediate 0, so storing a 0-valued payload is a no-op and the
@@ -310,8 +309,13 @@ let take t ~kind ~a ~b ~c =
   if t.in_use > t.high_water then t.high_water <- t.in_use;
   i
 
+let fresh_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
 let alloc t ~at ~kind ~a ~b ~c =
-  let i = take t ~kind ~a ~b ~c in
+  let i = take t ~seq:(fresh_seq t) ~kind ~a ~b ~c in
   A.unsafe_set t.at_ i at;
   enqueue t i;
   i
@@ -319,8 +323,26 @@ let alloc t ~at ~kind ~a ~b ~c =
 (* The sum is formed here, not by the caller: a float computed in
    another module is boxed to be passed in. *)
 let alloc_after t ~clock ~delay ~kind ~a ~b ~c =
-  let i = take t ~kind ~a ~b ~c in
+  let i = take t ~seq:(fresh_seq t) ~kind ~a ~b ~c in
   A.unsafe_set t.at_ i (A.unsafe_get clock 0 +. delay);
+  enqueue t i;
+  i
+
+(* A block of sequence numbers taken now and filed later: every number
+   is ordered exactly as if its cell had been allocated here, because
+   the order only ever compares (at, seq) keys and no later cell can
+   draw a number inside the block. *)
+let reserve t n =
+  if n < 0 then invalid_arg "Timer_wheel.reserve: negative count";
+  let base = t.next_seq in
+  t.next_seq <- base + n;
+  base
+
+let alloc_reserved t ~at ~seq ~kind ~a ~b ~c =
+  if seq < 0 || seq >= t.next_seq then
+    invalid_arg "Timer_wheel.alloc_reserved: sequence number not reserved";
+  let i = take t ~seq ~kind ~a ~b ~c in
+  A.unsafe_set t.at_ i at;
   enqueue t i;
   i
 

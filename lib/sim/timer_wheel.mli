@@ -30,6 +30,19 @@ val alloc_after :
 (** {!alloc} at [clock.(0) + delay], summed inside the wheel so the
     time is never boxed. *)
 
+val reserve : t -> int -> int
+(** [reserve t n] takes the next [n] insertion sequence numbers as one
+    block and returns the first, [base]; cells allocated afterwards get
+    numbers above [base + n - 1].  Raises [Invalid_argument] if
+    [n < 0]. *)
+
+val alloc_reserved :
+  t -> at:Time.t -> seq:int -> kind:int -> a:Obj.t -> b:Obj.t -> c:Obj.t -> int
+(** {!alloc} under the number [seq] taken earlier by {!reserve}, not a
+    fresh one.  Raises [Invalid_argument] if [seq] was never handed
+    out; using a number twice is the caller's fault and is not
+    detected. *)
+
 val release : t -> int -> unit
 (** Return a popped cell to the free list, clearing its payload and
     bumping its generation stamp.  Raises [Invalid_argument] if the

@@ -3,9 +3,16 @@ open Openmb_net
 
 type t = Packet.t array
 
+let rec sorted_from (arr : Packet.t array) i =
+  i >= Array.length arr
+  || (Time.compare arr.(i - 1).ts arr.(i).ts <= 0 && sorted_from arr (i + 1))
+
+(* A stable sort of sorted input is the identity, so skipping it for
+   input already in order changes no trace. *)
 let of_packets pkts =
   let arr = Array.of_list pkts in
-  Array.stable_sort (fun (a : Packet.t) (b : Packet.t) -> Time.compare a.ts b.ts) arr;
+  if not (sorted_from arr 1) then
+    Array.stable_sort (fun (a : Packet.t) (b : Packet.t) -> Time.compare a.ts b.ts) arr;
   arr
 
 let packets t = Array.to_list t
@@ -20,11 +27,6 @@ let merge traces = of_packets (List.concat_map packets traces)
 
 let filter t ~f = Array.of_list (List.filter f (Array.to_list t))
 
-let replay engine t ~into =
-  (* Closure-free: one pooled event cell per packet, no per-packet
-     closure or handle. *)
-  Array.iter (fun (p : Packet.t) -> Engine.call_at engine p.ts into p) t
-
 (* The size-or-deadline rule: a batch opened at index [first] takes
    the packets that follow while it has fewer than [batch] members and
    they land within [window] of its first member.  Returns the index
@@ -38,33 +40,56 @@ let batch_stop t ~batch ~window first =
   done;
   !stop
 
+(* The one driver of both replays, holding one engine event in flight.
+   The call reserves one insertion sequence number per packet index,
+   where scheduling every batch up front took its numbers, and files
+   the first batch.  The batch opened at index [first] is filed under
+   [base + first]; its event carries only [first], an immediate int.
+   When it fires it files its successor before [deliver] runs, so
+   [Engine.pending] and [Engine.next_at] answer as they would with
+   every batch queued.  Each event keeps the (time, seq) key the
+   up-front schedule gave it and is filed while an earlier key fires,
+   so the global order is unchanged.  The successor is never in the
+   past: the trace is sorted, a window-expired batch stopped because
+   its next packet lands after its deadline, and a full batch leaves at
+   its last member's timestamp, which is at most the next member's. *)
+let drive engine t ~batch ~window ~deliver =
+  let n = Array.length t in
+  if n > 0 then begin
+    let base = Engine.reserve engine n in
+    let rec file first =
+      (* A full batch, or the trace's last, leaves at its last member's
+         timestamp, a window-expired one at its deadline.  Two calls,
+         so that a packet's timestamp, already boxed, is passed as it
+         is and only a deadline is boxed. *)
+      let stop = batch_stop t ~batch ~window first in
+      if stop - first < batch && stop < n then
+        Engine.call_at_reserved engine
+          Time.(t.(first).Packet.ts + window)
+          ~seq:(base + first) fire first
+      else Engine.call_at_reserved engine t.(stop - 1).Packet.ts ~seq:(base + first) fire first
+    and fire first =
+      let stop = batch_stop t ~batch ~window first in
+      if stop < n then file stop;
+      deliver first stop
+    in
+    file 0
+  end
+
+let replay engine t ~into =
+  drive engine t ~batch:1 ~window:Time.zero ~deliver:(fun i _ -> into t.(i))
+
 let replay_batched engine t ?pool ~batch ~window ~into () =
-  (* One injection event per batch: [replay]'s event per packet becomes
-     an event per batch.  The batches are cut here, but an event carries
-     only its batch's first index and fills a pooled batch when it
-     fires, so batches are live only between firing and release. *)
   if batch < 1 then invalid_arg "Trace.replay_batched: batch must be >= 1";
   let pool = match pool with Some p -> p | None -> Packet_batch.pool () in
-  let fill first =
-    let b = Packet_batch.alloc ~capacity:batch pool in
-    for i = first to batch_stop t ~batch ~window first - 1 do
-      Packet_batch.push b t.(i)
-    done;
-    into b
-  in
-  let n = Array.length t in
-  let first = ref 0 in
-  while !first < n do
-    let stop = batch_stop t ~batch ~window !first in
-    (* A full batch, or the trace's last, leaves at its last member's
-       timestamp; a window-expired one at its deadline. *)
-    let at =
-      if stop - !first < batch && stop < n then Time.(t.(!first).Packet.ts + window)
-      else t.(stop - 1).Packet.ts
-    in
-    Engine.call_at engine at fill !first;
-    first := stop
-  done
+  (* Wrapped once: [~capacity:batch] would allocate its [Some] per batch. *)
+  let capacity = Some batch in
+  drive engine t ~batch ~window ~deliver:(fun first stop ->
+      let b = Packet_batch.alloc ?capacity pool in
+      for i = first to stop - 1 do
+        Packet_batch.push b t.(i)
+      done;
+      into b)
 
 module Id_gen = struct
   type gen = int ref

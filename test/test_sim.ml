@@ -387,8 +387,13 @@ end
 (* A random scheduling program: top-level events at absolute times,
    each possibly spawning same-or-later children and cancelling an
    earlier event when it fires, interpreted over an abstract scheduler
-   so the wheel engine and the reference produce comparable traces. *)
-type ev_spec = { at_s : float; kids : float list; cancel_tgt : int option }
+   so the wheel engine and the reference produce comparable traces.  A
+   spec with a non-empty [chain] is a reserved block instead: members
+   at [at_s] and then at each cumulative gap, all taking their order
+   when the spec is scheduled.  The wheel reserves the block's sequence
+   numbers and files each member when its predecessor fires; the
+   reference schedules every member there and then. *)
+type ev_spec = { at_s : float; kids : float list; cancel_tgt : int option; chain : float list }
 type program = { events : ev_spec list; untils : float list }
 
 type ('t, 'h) sched = {
@@ -396,8 +401,11 @@ type ('t, 'h) sched = {
   s_now : 't -> float;
   s_schedule : 't -> float -> (unit -> unit) -> 'h;
   s_cancel : 'h -> unit;
+  s_block : 't -> float array -> (int -> unit) -> unit; (* f i: member i fires *)
   s_run : 't -> float option -> unit;
-  s_pending : ('t -> int) option; (* None: use the interpreter's count *)
+  s_pending : ('t -> int) option;
+      (* None: use the interpreter's count; Some: queued events, which
+         leave out the block members not filed yet *)
 }
 
 type trace = {
@@ -413,26 +421,49 @@ let exec_program sched prog =
   let handles : (int, 'h) Hashtbl.t = Hashtbl.create 64 in
   let gone : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let next_id = ref 0 in
-  let rec schedule spec =
+  (* Block members whose predecessor has not fired: live, but not yet
+     queued in a chained scheduler. *)
+  let unfiled = ref 0 in
+  let fresh_id () =
     let id = !next_id in
     incr next_id;
-    let h = sched.s_schedule t spec.at_s (fun () -> fire spec id) in
-    Hashtbl.replace handles id h
+    id
+  in
+  let rec schedule spec =
+    match spec.chain with
+    | [] ->
+      let id = fresh_id () in
+      let h = sched.s_schedule t spec.at_s (fun () -> fire spec id) in
+      Hashtbl.replace handles id h
+    | gaps ->
+      let ats = Array.make (List.length gaps + 1) spec.at_s in
+      List.iteri (fun i g -> ats.(i + 1) <- ats.(i) +. g) gaps;
+      let ids = Array.map (fun _ -> fresh_id ()) ats in
+      let n = Array.length ats in
+      unfiled := !unfiled + n - 1;
+      sched.s_block t ats (fun i ->
+          if i + 1 < n then decr unfiled;
+          fire spec ids.(i))
   and fire spec id =
     incr fired;
     Hashtbl.replace gone id ();
     log := (id, sched.s_now t) :: !log;
     (match spec.cancel_tgt with
-    | Some k when !next_id > 0 ->
+    | Some k when !next_id > 0 -> (
+      (* Block members are not cancellable. *)
       let tgt = k mod !next_id in
-      sched.s_cancel (Hashtbl.find handles tgt);
-      if not (Hashtbl.mem gone tgt) then begin
-        incr cancelled_pending;
-        Hashtbl.replace gone tgt ()
-      end
+      match Hashtbl.find_opt handles tgt with
+      | Some h ->
+        sched.s_cancel h;
+        if not (Hashtbl.mem gone tgt) then begin
+          incr cancelled_pending;
+          Hashtbl.replace gone tgt ()
+        end
+      | None -> ())
     | _ -> ());
     List.iter
-      (fun d -> schedule { at_s = sched.s_now t +. d; kids = []; cancel_tgt = None })
+      (fun d ->
+        schedule { at_s = sched.s_now t +. d; kids = []; cancel_tgt = None; chain = [] })
       spec.kids
   in
   List.iter schedule prog.events;
@@ -440,7 +471,7 @@ let exec_program sched prog =
   let mark () =
     let live =
       match sched.s_pending with
-      | Some pending -> pending t
+      | Some pending -> pending t + !unfiled
       | None -> !next_id - !fired - !cancelled_pending
     in
     marks := (sched.s_now t, !fired, live) :: !marks
@@ -460,6 +491,9 @@ let ref_sched =
     s_now = Ref_engine.now;
     s_schedule = (fun t at f -> Ref_engine.schedule_at t at f);
     s_cancel = Ref_engine.cancel;
+    s_block =
+      (fun t ats f ->
+        Array.iteri (fun i at -> ignore (Ref_engine.schedule_at t at (fun () -> f i))) ats);
     s_run = (fun t until -> match until with
       | None -> Ref_engine.run t
       | Some u -> Ref_engine.run ~until:u t);
@@ -472,6 +506,16 @@ let wheel_sched ~slot_us =
     s_now = (fun t -> Time.to_seconds (Engine.now t));
     s_schedule = (fun t at f -> Engine.schedule_at t (Time.seconds at) f);
     s_cancel = Engine.cancel;
+    s_block =
+      (fun t ats f ->
+        let n = Array.length ats in
+        let base = Engine.reserve t n in
+        let rec file i = Engine.call_at_reserved t (Time.seconds ats.(i)) ~seq:(base + i) fire i
+        and fire i =
+          if i + 1 < n then file (i + 1);
+          f i
+        in
+        file 0);
     s_run = (fun t until -> match until with
       | None -> Engine.run t
       | Some u -> Engine.run ~until:(Time.seconds u) t);
@@ -496,12 +540,21 @@ let gen_program =
       ]
   in
   let gen_kid = map (fun n -> float_of_int n *. 1e-6) (int_range 0 50) in
+  let gen_gap =
+    frequency
+      [
+        (3, return 0.0);
+        (3, map (fun n -> float_of_int n *. 1e-6) (int_range 1 50));
+        (1, map (fun n -> float_of_int n *. 0.37e-3) (int_range 1 10));
+      ]
+  in
   let gen_spec =
-    map3
-      (fun at_s kids cancel_tgt -> { at_s; kids; cancel_tgt })
+    map4
+      (fun at_s kids cancel_tgt chain -> { at_s; kids; cancel_tgt; chain })
       gen_time
       (list_size (int_range 0 3) gen_kid)
       (option (int_range 0 1000))
+      (frequency [ (4, return []); (1, list_size (int_range 1 6) gen_gap) ])
   in
   map2
     (fun events untils -> { events; untils })
@@ -510,9 +563,10 @@ let gen_program =
 
 let print_program p =
   let spec s =
-    Printf.sprintf "{at=%g; kids=[%s]; cancel=%s}" s.at_s
+    Printf.sprintf "{at=%g; kids=[%s]; cancel=%s; chain=[%s]}" s.at_s
       (String.concat ";" (List.map (Printf.sprintf "%g") s.kids))
       (match s.cancel_tgt with None -> "-" | Some k -> string_of_int k)
+      (String.concat ";" (List.map (Printf.sprintf "%g") s.chain))
   in
   Printf.sprintf "events=[%s] untils=[%s]"
     (String.concat "; " (List.map spec p.events))
@@ -726,6 +780,25 @@ let test_engine_pending_excludes_cancelled () =
     (Engine.pool_stats e).Engine.queued;
   Engine.run e;
   Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+(* What the engine can check of the reserve-and-file contract: a
+   block's size, a number's range and, as for [call_at], the time. *)
+let test_engine_reserve_rejects () =
+  let e = Engine.create () in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "negative block" (fun () -> ignore (Engine.reserve e (-1)));
+  let base = Engine.reserve e 2 in
+  raises "number never handed out" (fun () ->
+      Engine.call_at_reserved e (Time.seconds 1.0) ~seq:(base + 2) ignore ());
+  Engine.call_at e (Time.seconds 1.0) ignore ();
+  Engine.run e;
+  raises "time in the past" (fun () ->
+      Engine.call_at_reserved e (Time.seconds 0.5) ~seq:base ignore ());
+  Alcotest.(check int) "nothing filed by a rejected call" 0 (Engine.pending e)
 
 (* ------------------------------------------------------------------ *)
 (* Channel                                                             *)
@@ -1624,6 +1697,7 @@ let () =
           Alcotest.test_case "far-future overflow" `Quick test_engine_far_future_overflow;
           Alcotest.test_case "pending excludes cancelled" `Quick
             test_engine_pending_excludes_cancelled;
+          Alcotest.test_case "reserve rejects misuse" `Quick test_engine_reserve_rejects;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "steady-state allocation" `Quick test_engine_steady_alloc;
         ]

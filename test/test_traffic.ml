@@ -62,12 +62,40 @@ let test_replay_batched_triggers () =
       fired := (Time.to_seconds (Engine.now engine), List.rev !ids) :: !fired;
       Packet_batch.release b)
     ();
-  Alcotest.(check int) "one event per batch" 3 (Engine.pending engine);
+  if Engine.pending engine > 1 then
+    Alcotest.failf "%d events queued by scheduling, limit 1" (Engine.pending engine);
   Engine.run engine;
+  Alcotest.(check int) "one event per batch" 3 (Engine.executed engine);
   Alcotest.(check (list (pair (float 1e-9) (list int))))
     "size trigger at filling ts, window trigger at deadline, last at last ts"
     [ (0.002, [ 0; 1; 2 ]); (0.030, [ 3 ]); (0.036, [ 4; 5 ]) ]
     (List.rev !fired)
+
+let test_replay_errors () =
+  let t = Trace.of_packets [ mk ~id:0 ~ts:1.0; mk ~id:1 ~ts:2.0 ] in
+  let engine = Engine.create () in
+  Engine.call_at engine (Time.seconds 1.5) ignore ();
+  Engine.run engine;
+  (match Trace.replay engine t ~into:ignore with
+  | () -> Alcotest.fail "replay with the clock past the first packet"
+  | exception Invalid_argument _ -> ());
+  match Trace.replay_batched engine t ~batch:0 ~window:Time.zero ~into:ignore () with
+  | () -> Alcotest.fail "replay_batched with batch 0"
+  | exception Invalid_argument _ -> ()
+
+(* A stable sort keeps equal timestamps in input order; the in-order
+   check must not skip it for input that is out of order elsewhere. *)
+let test_of_packets_stable () =
+  let ids t = List.map (fun p -> p.Packet.id) (Trace.packets t) in
+  let t =
+    Trace.of_packets
+      [ mk ~id:0 ~ts:2.0; mk ~id:1 ~ts:1.0; mk ~id:2 ~ts:2.0; mk ~id:3 ~ts:1.0; mk ~id:4 ~ts:2.0 ]
+  in
+  Alcotest.(check (list int)) "ties keep input order" [ 1; 3; 0; 2; 4 ] (ids t);
+  let t = Trace.of_packets [ mk ~id:0 ~ts:1.0; mk ~id:1 ~ts:1.0; mk ~id:2 ~ts:3.0; mk ~id:3 ~ts:2.0 ] in
+  Alcotest.(check (list int)) "one late inversion" [ 0; 1; 3; 2 ] (ids t);
+  let t = Trace.of_packets [ mk ~id:0 ~ts:1.0; mk ~id:1 ~ts:1.0; mk ~id:2 ~ts:3.0 ] in
+  Alcotest.(check (list int)) "in order, unchanged" [ 0; 1; 2 ] (ids t)
 
 (* Batches are filled when their events fire, so an [into] that
    releases each batch keeps one live, and scheduling the replay costs
@@ -101,6 +129,186 @@ let test_replay_batched_bounded () =
     Alcotest.failf "%d batches live at once, limit 2" (Packet_batch.pool_high_water pool);
   if words >= 0.5 then
     Alcotest.failf "replay_batched allocates %.3f minor words/packet, limit 0.5" words
+
+(* One engine event in flight: a 100,000-packet replay, scalar or in
+   batches of 64, holds at most two engine cells (it held one per packet
+   or per batch when every event was scheduled up front), and
+   scheduling plus firing allocate under 0.05 minor words per packet
+   beyond [into].  The trace is the bounded test's shape: 1 us apart
+   with a 1 ms gap after every 1,000th packet, so some batches leave at
+   their deadline. *)
+let test_replay_one_event_in_flight () =
+  let n = 100_000 in
+  let t =
+    Trace.of_packets
+      (List.init n (fun i ->
+           mk ~id:i ~ts:((float_of_int i *. 1e-6) +. (float_of_int (i / 1_000) *. 1e-3))))
+  in
+  let pool = Packet_batch.pool () in
+  Packet_batch.release (Packet_batch.alloc ~capacity:64 pool);
+  let delivered = ref 0 in
+  let into_packet (_ : Packet.t) = incr delivered in
+  let into_batch b =
+    delivered := !delivered + Packet_batch.length b;
+    Packet_batch.release b
+  in
+  let check what replay =
+    let engine = Engine.create () in
+    delivered := 0;
+    let w0 = Gc.minor_words () in
+    replay engine;
+    Engine.run engine;
+    let words = (Gc.minor_words () -. w0) /. float_of_int n in
+    Alcotest.(check int) (what ^ ": every packet") n !delivered;
+    let hw = (Engine.pool_stats engine).Engine.high_water in
+    if hw > 2 then Alcotest.failf "%s: %d engine cells queued at once, limit 2" what hw;
+    if words >= 0.05 then
+      Alcotest.failf "%s: %.4f minor words/packet, limit 0.05" what words
+  in
+  check "replay" (fun engine -> Trace.replay engine t ~into:into_packet);
+  check "replay_batched, batch 64" (fun engine ->
+      Trace.replay_batched engine t ~pool ~batch:64 ~window:(Time.us 500.0) ~into:into_batch ())
+
+(* The chained replays fire every event where scheduling them all up
+   front put it.  Two replays share an engine, one scalar and one
+   batched, over random sorted traces full of same-instant ties, next
+   to unrelated events at exactly colliding times: scheduled before,
+   between and after the replay calls, and from inside fired events.
+   The oracle is the up-front scheduling itself, one [Engine.call_at]
+   per packet or batch.  Every firing logs its time, what it delivered,
+   [Engine.next_at] and whether [Engine.pending] is positive, which the
+   chained replays keep equal by filing a successor before [into]
+   runs. *)
+let upfront_replay engine t ~into =
+  List.iter (fun (p : Packet.t) -> Engine.call_at engine p.ts into p) (Trace.packets t)
+
+let upfront_replay_batched engine t ~batch ~window ~into =
+  let t = Array.of_list (Trace.packets t) in
+  let n = Array.length t in
+  let batch_stop first =
+    let deadline = Time.(t.(first).Packet.ts + window) in
+    let stop = ref (first + 1) in
+    while !stop < n && !stop - first < batch && Time.compare t.(!stop).Packet.ts deadline <= 0 do
+      incr stop
+    done;
+    !stop
+  in
+  let first = ref 0 in
+  while !first < n do
+    let stop = batch_stop !first in
+    let at =
+      if stop - !first < batch && stop < n then Time.(t.(!first).Packet.ts + window)
+      else t.(stop - 1).Packet.ts
+    in
+    Engine.call_at engine at into (List.init (stop - !first) (fun k -> t.(!first + k).Packet.id));
+    first := stop
+  done
+
+type order_prog = {
+  scalar : int list;  (* the scalar trace's times, us *)
+  batched : int list;  (* the batched trace's times, us *)
+  batch : int;
+  window_us : int;
+  noise : (int * int) list;  (* (phase 0/1/2 = before/between/after, time us) *)
+  spawn : int list;  (* delays, us, of the events fired events schedule *)
+  until_us : int option;
+}
+
+let gen_order_prog =
+  let open QCheck2.Gen in
+  (* Running sums of gaps, three in seven of them 0: sorted, with ties. *)
+  let times =
+    map
+      (fun gaps -> List.rev (snd (List.fold_left (fun (t, acc) g -> (t + g, (t + g) :: acc)) (0, []) gaps)))
+      (list_size (int_range 0 40) (oneofl [ 0; 0; 0; 1; 2; 7; 40 ]))
+  in
+  let* scalar = times and* batched = times in
+  let* batch = oneofl [ 1; 3; 64 ] and* window_us = oneofl [ 0; 1; 2; 5; 100 ] in
+  let* noise = list_size (int_range 0 12) (pair (int_range 0 2) (int_range 0 120)) in
+  let* spawn = list_size (int_range 0 6) (oneofl [ 0; 0; 1; 3 ]) in
+  let+ until_us = option (int_range 0 150) in
+  { scalar; batched; batch; window_us; noise; spawn; until_us }
+
+let print_order_prog p =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "scalar=[%s] batched=[%s] batch=%d window=%dus noise=[%s] spawn=[%s] until=%s"
+    (ints p.scalar) (ints p.batched) p.batch p.window_us
+    (String.concat ";" (List.map (fun (ph, t) -> Printf.sprintf "%d@%d" ph t) p.noise))
+    (ints p.spawn)
+    (match p.until_us with None -> "-" | Some u -> string_of_int u)
+
+(* Runs [p] with the given replays; returns the fire log. *)
+let run_order_prog p ~replay ~replay_batched =
+  let engine = Engine.create () in
+  let at_us k = Time.us (float_of_int k) in
+  let trace base times =
+    Trace.of_packets (List.mapi (fun i t -> mk ~id:(base + i) ~ts:(Time.to_seconds (at_us t))) times)
+  in
+  let log = ref [] in
+  let record what =
+    log :=
+      (Printf.sprintf "%s @%.7f next %.7f pending %b" what
+         (Time.to_seconds (Engine.now engine))
+         (Time.to_seconds (Engine.next_at engine))
+         (Engine.pending engine > 0))
+      :: !log
+  in
+  (* Fired events take the spawn delays in fire order, so a log that
+     diverges once keeps diverging. *)
+  let spawn = ref p.spawn and noise_id = ref 0 in
+  let rec noise at =
+    let id = !noise_id in
+    incr noise_id;
+    Engine.call_at engine at fire_noise id
+  and fire_noise id =
+    record (Printf.sprintf "noise %d" id);
+    maybe_spawn ()
+  and maybe_spawn () =
+    match !spawn with
+    | d :: rest ->
+      spawn := rest;
+      noise Time.(Engine.now engine + at_us d)
+    | [] -> ()
+  in
+  let noise_in phase = List.iter (fun (ph, t) -> if ph = phase then noise (at_us t)) p.noise in
+  noise_in 0;
+  replay engine (trace 0 p.scalar) ~into:(fun (pkt : Packet.t) ->
+      record (Printf.sprintf "packet %d" pkt.id);
+      maybe_spawn ());
+  noise_in 1;
+  replay_batched engine (trace 1000 p.batched) ~batch:p.batch ~window:(at_us p.window_us)
+    ~into:(fun ids ->
+      record ("batch " ^ String.concat "," (List.map string_of_int ids));
+      maybe_spawn ());
+  noise_in 2;
+  (match p.until_us with
+  | Some u ->
+    Engine.run ~until:(at_us u) engine;
+    record "until"
+  | None -> ());
+  Engine.run engine;
+  List.rev !log
+
+let prop_replay_order =
+  QCheck2.Test.make ~name:"chained replays fire in the up-front schedule's order" ~count:500
+    ~print:print_order_prog gen_order_prog (fun p ->
+      let expected =
+        run_order_prog p ~replay:upfront_replay ~replay_batched:upfront_replay_batched
+      in
+      let actual =
+        run_order_prog p ~replay:(fun engine t ~into -> Trace.replay engine t ~into)
+          ~replay_batched:(fun engine t ~batch ~window ~into ->
+            Trace.replay_batched engine t ~batch ~window
+              ~into:(fun b ->
+                let ids = ref [] in
+                Packet_batch.iter b (fun q -> ids := q.Packet.id :: !ids);
+                Packet_batch.release b;
+                into (List.rev !ids))
+              ())
+      in
+      expected = actual
+      || QCheck2.Test.fail_reportf "up front:\n  %s\nchained:\n  %s"
+           (String.concat "\n  " expected) (String.concat "\n  " actual))
 
 (* ------------------------------------------------------------------ *)
 (* Flow generation                                                     *)
@@ -327,6 +535,11 @@ let () =
           Alcotest.test_case "merge and filter" `Quick test_trace_merge_filter;
           Alcotest.test_case "batched replay triggers" `Quick test_replay_batched_triggers;
           Alcotest.test_case "batched replay bounded" `Quick test_replay_batched_bounded;
+          Alcotest.test_case "replay errors" `Quick test_replay_errors;
+          Alcotest.test_case "of_packets sorts stably" `Quick test_of_packets_stable;
+          Alcotest.test_case "one engine event in flight" `Quick
+            test_replay_one_event_in_flight;
+          QCheck_alcotest.to_alcotest prop_replay_order;
         ] );
       ( "flow_gen",
         [
