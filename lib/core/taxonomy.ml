@@ -13,10 +13,6 @@ let controller_may_write = function
   | Configuring -> true
   | Supporting | Reporting -> false
 
-let partitions_of = function
-  | Configuring -> [ Shared ]
-  | Supporting | Reporting -> [ Per_flow; Shared ]
-
 let may_move role partition =
   match (role, partition) with
   | (Supporting | Reporting), Per_flow -> true

@@ -32,10 +32,6 @@ val controller_may_write : role -> bool
     role (true only for [Configuring]); for the other roles it may only
     relocate opaque chunks. *)
 
-val partitions_of : role -> partition list
-(** Legal partitionings per Table 1: configuring state is always
-    shared; supporting and reporting state may be either. *)
-
 val may_move : role -> partition -> bool
 (** Whether a chunk of this class may be {e moved} between MBs
     (per-flow supporting and reporting state only: moving shared state

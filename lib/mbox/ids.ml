@@ -466,7 +466,6 @@ let impl t =
 let conn_log t = List.rev t.conn_log_rev
 let http_log t = List.rev t.http_log_rev
 let alerts t = List.rev t.alerts_rev
-let open_connections t = State_table.size t.table
 
 let finalize t =
   State_table.iter t.table (fun e ->

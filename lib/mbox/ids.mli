@@ -73,9 +73,6 @@ val conn_log : t -> conn_entry list
 val http_log : t -> http_entry list
 val alerts : t -> alert list
 
-val open_connections : t -> int
-(** Live connection records. *)
-
 val finalize : t -> unit
 (** Tear the instance down: every still-open, non-moved connection is
     force-logged as an anomalous entry (what happens to stranded state

@@ -99,8 +99,6 @@ val latency_during_op_stats : t -> Openmb_sim.Stats.t
 (** Latency of the subset of packets that arrived while a state
     operation was executing (the §8.2 get-call comparison). *)
 
-val packets_processed : t -> int
-
 val record : t -> kind:string -> detail:(unit -> string) -> unit
 (** Log a timeline entry under this MB's name.  [detail] is called
     only when a recorder is attached. *)

@@ -15,7 +15,6 @@ let create ~capacity () =
 
 let capacity t = t.cap
 let pos t = t.head
-let set_pos t p = t.head <- p
 
 let write t ~offset ~token =
   let s = offset mod t.cap in

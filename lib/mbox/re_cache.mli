@@ -27,9 +27,6 @@ val capacity : t -> int
 val pos : t -> int
 (** Head: the absolute offset the next self-appended token would get. *)
 
-val set_pos : t -> int -> unit
-(** Restore the head (state import). *)
-
 val write : t -> offset:int -> token:int -> unit
 (** Place [token] at absolute [offset]; advances {!pos} to
     [offset + 1] when beyond it. *)

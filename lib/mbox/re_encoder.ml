@@ -19,7 +19,6 @@ type t = {
   capacity : int;
   mutable ctxs : ctx array;
   mutable flows : (Addr.prefix * int) list;  (* CacheFlows: prefix -> cache index *)
-  mutable total_payload : int;
 }
 
 let default_cost : Southbound.cost_model =
@@ -110,7 +109,6 @@ let encode t (p : Packet.t) =
   match p.body with
   | Packet.Encoded _ -> p (* already encoded upstream; pass through *)
   | Packet.Raw payload ->
-    t.total_payload <- t.total_payload + Payload.size_bytes payload;
     if Payload.token_count payload = 0 then p
     else begin
       let idx = cache_index_for t p in
@@ -145,7 +143,6 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens 
       capacity = capacity_tokens;
       ctxs = [| new_ctx capacity_tokens |];
       flows = [];
-      total_payload = 0;
     }
   in
   Mb_base.set_work base (Mb_base.process_batch base encode_member t);
@@ -273,5 +270,3 @@ let encoded_bytes_for t i =
   if i < 0 || i >= Array.length t.ctxs then
     invalid_arg "Re_encoder.encoded_bytes_for: bad index";
   t.ctxs.(i).ctx_encoded_bytes
-
-let total_payload_bytes t = t.total_payload

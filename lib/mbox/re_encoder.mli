@@ -57,6 +57,3 @@ val encoded_bytes : t -> int
 
 val encoded_bytes_for : t -> int -> int
 (** Same, for one cache. *)
-
-val total_payload_bytes : t -> int
-(** Total payload bytes that entered the encoder. *)

@@ -331,30 +331,6 @@ let remove_moved_matching t hfl =
   List.iter (remove_entry t) hits;
   hits
 
-let remove_key t key =
-  let string_remove () =
-    let id = Hfl.to_string key in
-    match Hashtbl.find_opt t.by_key id with
-    | Some e ->
-      Hashtbl.remove t.by_key id;
-      index_remove t e;
-      true
-    | None -> false
-  in
-  match t.packed with
-  | Some ftbl -> (
-    match masked_of_key t key with
-    | Some (pa, pb) -> (
-      let h = Five_tuple.hash_words ~pa ~pb in
-      match Flat_table.find ftbl ~pa ~pb ~h with
-      | Some e ->
-        ignore (Flat_table.remove ftbl ~pa ~pb ~h : bool);
-        index_remove t e;
-        true
-      | None -> false)
-    | None -> string_remove ())
-  | None -> string_remove ()
-
 let add_move_filter t hfl = t.move_filters <- hfl :: t.move_filters
 
 let remove_move_filter t hfl =

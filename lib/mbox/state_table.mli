@@ -107,8 +107,6 @@ val remove_moved_matching : 'a t -> Openmb_net.Hfl.t -> 'a entry list
     export (flag cleared by {!insert}) belong to a newer transfer and
     are kept. *)
 
-val remove_key : 'a t -> Openmb_net.Hfl.t -> bool
-
 val add_move_filter : 'a t -> Openmb_net.Hfl.t -> unit
 (** Register an in-progress move's scope: entries created under a
     registered filter are born with [moved] set, so flows that start

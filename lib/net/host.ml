@@ -1,35 +1,7 @@
-type t = {
-  name : string;
-  mutable uplink : Link.t option;
-  mutable rx_rev : Packet.t list;
-  mutable rx_count : int;
-  mutable rx_bytes : int;
-  mutable callback : (Packet.t -> unit) option;
-}
+type t = { name : string; mutable rx_count : int }
 
-let create ~name () =
-  { name; uplink = None; rx_rev = []; rx_count = 0; rx_bytes = 0; callback = None }
-
+let create ~name () = { name; rx_count = 0 }
 let name t = t.name
-let attach_uplink t link = t.uplink <- Some link
-
-let send t p =
-  match t.uplink with
-  | Some link -> Link.send link p
-  | None -> failwith (Printf.sprintf "Host.send: host %s has no uplink" t.name)
-
-let receive t p =
-  t.rx_rev <- p :: t.rx_rev;
-  t.rx_count <- t.rx_count + 1;
-  t.rx_bytes <- t.rx_bytes + Packet.wire_bytes p;
-  match t.callback with Some f -> f p | None -> ()
-
-let on_receive t f = t.callback <- Some f
+let receive t (_ : Packet.t) = t.rx_count <- t.rx_count + 1
 let packets_received t = t.rx_count
-let bytes_received t = t.rx_bytes
-let received t = List.rev t.rx_rev
-
-let clear t =
-  t.rx_rev <- [];
-  t.rx_count <- 0;
-  t.rx_bytes <- 0
+let clear t = t.rx_count <- 0

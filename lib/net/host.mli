@@ -1,30 +1,17 @@
-(** End host: traffic sink (and, via an attached link, source). *)
+(** End host: a traffic sink that counts what it receives and keeps
+    nothing, so it stays the same size however long the run. *)
 
 type t
 
 val create : name:string -> unit -> t
-(** Host with no uplink; received packets are recorded. *)
+(** A sink that has received nothing. *)
 
 val name : t -> string
 
-val attach_uplink : t -> Link.t -> unit
-(** Link used by {!send}. *)
-
-val send : t -> Packet.t -> unit
-(** Transmit on the uplink.  Raises [Failure] if no uplink is
-    attached. *)
-
 val receive : t -> Packet.t -> unit
-(** Packet delivery to this host. *)
-
-val on_receive : t -> (Packet.t -> unit) -> unit
-(** Extra callback invoked on each delivery (after recording). *)
+(** Packet delivery to this host: counted, then dropped. *)
 
 val packets_received : t -> int
-val bytes_received : t -> int
-
-val received : t -> Packet.t list
-(** Every packet delivered, in arrival order. *)
 
 val clear : t -> unit
-(** Forget recorded packets (counters reset too). *)
+(** Reset the count. *)

@@ -4,7 +4,7 @@ open Openmb_sim
 
    The batch path amortizes per-packet engine events, telemetry updates
    and dispatch overhead over vectors of packets.  The hot columns —
-   packed five-tuple key words, wire size, arrival time, ingress slot —
+   packed five-tuple key words, wire size, arrival time —
    are parallel int/float arrays so a classification pass touches flat
    memory and never follows a [Packet.t] pointer; the packet records
    themselves ride in a payload slot array for the scalar sidecars
@@ -33,7 +33,6 @@ and b = {
   mutable khash : int array;  (* precomputed packed hash *)
   mutable size : int array;  (* wire bytes, precomputed at push *)
   mutable arrival : float array;  (* packet timestamp, seconds *)
-  mutable ingress : int array;  (* free slot: ingress port / source id *)
   mutable pkts : Packet.t array;  (* payload slots for the scalar sidecars *)
   mutable dead : Bytes.t;  (* drop marks, swept by [compact] *)
   mutable home : pool option;  (* release target; [None] = GC-owned *)
@@ -59,7 +58,6 @@ let make ?(capacity = default_capacity) home =
     khash = Array.make capacity 0;
     size = Array.make capacity 0;
     arrival = Array.make capacity 0.0;
-    ingress = Array.make capacity 0;
     pkts = Array.make capacity (Lazy.force dummy_packet);
     dead = Bytes.make capacity '\000';
     home;
@@ -78,7 +76,6 @@ let grow b =
   b.kb <- gi b.kb;
   b.khash <- gi b.khash;
   b.size <- gi b.size;
-  b.ingress <- gi b.ingress;
   b.arrival <- Array.append b.arrival (Array.make cap 0.0);
   b.pkts <- Array.append b.pkts (Array.make cap (Lazy.force dummy_packet));
   let d = Bytes.make ncap '\000' in
@@ -100,7 +97,6 @@ let push b p =
   if b.len = Array.length b.ka then grow b;
   let i = b.len in
   fill b i p;
-  b.ingress.(i) <- 0;
   Bytes.unsafe_set b.dead i '\000';
   b.len <- i + 1
 
@@ -115,8 +111,6 @@ let key_b b = b.kb
 let key_hash b = b.khash
 let sizes b = b.size
 let arrival b i = Time.seconds b.arrival.(i)
-let ingress b i = b.ingress.(i)
-let set_ingress b i v = b.ingress.(i) <- v
 
 let total_bytes b =
   let acc = ref 0 in
@@ -144,7 +138,6 @@ let compact b =
         b.khash.(w') <- b.khash.(i);
         b.size.(w') <- b.size.(i);
         b.arrival.(w') <- b.arrival.(i);
-        b.ingress.(w') <- b.ingress.(i);
         b.pkts.(w') <- b.pkts.(i)
       end;
       incr w

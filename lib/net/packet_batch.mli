@@ -3,7 +3,7 @@
     A batch carries up to a window's worth of packets as parallel
     columns — the two packed five-tuple key words ({!Five_tuple.packed_pa}
     / {!Five_tuple.packed_pb}), the precomputed key hash, wire size,
-    arrival timestamp and an ingress slot — plus a payload slot array of
+    arrival timestamp — plus a payload slot array of
     the {!Packet.t} records themselves.  Vectorized passes (flow-table
     classification, NAT/monitor/firewall fast paths) run over the flat
     int columns; anything that needs the full packet (wildcard rule
@@ -88,10 +88,6 @@ val sizes : t -> int array
 
 val arrival : t -> int -> Time.t
 (** Timestamp of member [i]. *)
-
-val ingress : t -> int -> int
-val set_ingress : t -> int -> int -> unit
-(** A free per-member int slot (ingress port, source id). *)
 
 val total_bytes : t -> int
 (** Sum of the size column: the batch's wire footprint when it crosses a

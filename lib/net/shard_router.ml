@@ -17,7 +17,6 @@ let create se =
 
 let shards t = t.shards
 let owner t k = Five_tuple.packed_canonical_hash k mod t.shards
-let owner_tuple t tuple = owner t (Five_tuple.pack tuple)
 
 let place t k =
   let o = owner t k in
@@ -25,10 +24,6 @@ let place t k =
   o
 
 let route t ~src ~dst = t.routes.(src).(dst)
-
-let deliver t ~src ~key ~at f x =
-  let r = t.routes.(src).(owner t key) in
-  r.Shard.route ~at f x
 
 let placements t = Array.copy t.placed
 

@@ -19,9 +19,6 @@ val owner : t -> Five_tuple.packed -> int
 (** Owning shard of a packed key: [packed_canonical_hash mod shards].
     Direction-insensitive. *)
 
-val owner_tuple : t -> Five_tuple.t -> int
-(** [owner] after packing. *)
-
 val place : t -> Five_tuple.packed -> int
 (** Like {!owner}, but also counts the placement toward the skew
     statistics.  Call once per flow (not per packet). *)
@@ -30,18 +27,6 @@ val route : t -> src:int -> dst:int -> Openmb_sim.Shard.route
 (** The precomputed route posting from shard [src] onto shard [dst].
     Pass it to {!Openmb_sim.Channel.create}'s [?via] or
     {!Openmb_core.Controller.connect}'s [?remote]. *)
-
-val deliver :
-  t ->
-  src:int ->
-  key:Five_tuple.packed ->
-  at:Openmb_sim.Time.t ->
-  ('a -> unit) ->
-  'a ->
-  unit
-(** [deliver t ~src ~key ~at f x] posts [f x] from shard [src] onto
-    [key]'s owning shard at [at] — local short-circuit included, so the
-    common same-shard case costs one pooled engine event. *)
 
 val placements : t -> int array
 (** Flows counted by {!place}, per shard.  A fresh copy. *)

@@ -9,7 +9,6 @@ type t = {
   mutable miss_handler : (Packet.t -> unit) option;
   mutable received : int;
   mutable dropped : int;
-  mutable to_controller : int;
   c_recv : Telemetry.counter;
   c_drop : Telemetry.counter;
   c_punt : Telemetry.counter;
@@ -34,7 +33,6 @@ let create engine ?(switching_delay = Time.us 10.0) ?telemetry ~name () =
     miss_handler = None;
     received = 0;
     dropped = 0;
-    to_controller = 0;
     c_recv = c "switch.received";
     c_drop = c "switch.dropped";
     c_punt = c "switch.to_controller";
@@ -57,7 +55,6 @@ let drop t =
   Telemetry.incr t.c_drop
 
 let punt t p =
-  t.to_controller <- t.to_controller + 1;
   Telemetry.incr t.c_punt;
   match t.miss_handler with Some f -> f p | None -> drop t
 
@@ -132,4 +129,3 @@ let receive t p = receive_batch t (Packet_batch.singleton t.pool p)
 
 let packets_received t = t.received
 let packets_dropped t = t.dropped
-let packets_to_controller t = t.to_controller

@@ -55,4 +55,3 @@ val batch_pool : t -> Packet_batch.pool
 
 val packets_received : t -> int
 val packets_dropped : t -> int
-val packets_to_controller : t -> int

@@ -78,4 +78,3 @@ let send ch ~bytes msg =
 
 let bytes_sent ch = ch.bytes_sent
 let messages_sent ch = ch.messages_sent
-let busy_until ch = ch.free_at

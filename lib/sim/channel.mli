@@ -58,8 +58,3 @@ val bytes_sent : 'a t -> int
 
 val messages_sent : 'a t -> int
 (** Total messages ever enqueued on this channel. *)
-
-val busy_until : 'a t -> Time.t
-(** The time at which the pipe becomes idle given what has been sent so
-    far; equals the delivery start time available to the next
-    message. *)

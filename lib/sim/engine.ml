@@ -113,12 +113,12 @@ let call2_after : 'a 'b. t -> Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit =
 
 let reserve t n = Wheel.reserve t.w n
 
-let call_at_reserved : 'a. t -> Time.t -> seq:int -> ('a -> unit) -> 'a -> unit =
- fun t when_ ~seq f x ->
-  if Time.compare when_ (now t) < 0 then
+let call_at_reserved : 'a. t -> Time.t -> plus:Time.t -> seq:int -> ('a -> unit) -> 'a -> unit =
+ fun t at ~plus ~seq f x ->
+  if Time.compare Time.(at + plus) (now t) < 0 then
     invalid_arg "Engine.call_at_reserved: time is in the past";
   ignore
-    (Wheel.alloc_reserved t.w ~at:when_ ~seq ~kind:kind_call1 ~a:(Obj.repr f)
+    (Wheel.alloc_reserved t.w ~at ~plus ~seq ~kind:kind_call1 ~a:(Obj.repr f)
        ~b:(Obj.repr x) ~c:obj_unit)
 
 let cancel h =

@@ -84,17 +84,20 @@ val reserve : t -> int -> int
     under one of the numbers later.  Raises [Invalid_argument] if
     [n < 0]. *)
 
-val call_at_reserved : t -> Time.t -> seq:int -> ('a -> unit) -> 'a -> unit
-(** [call_at_reserved t when_ ~seq f x] is {!call_at} filed under the
-    number [seq] of a block taken by {!reserve}, not a fresh one, so
-    [f x] fires where an event scheduled by {!call_at} at reservation
-    time would have.  The contract: each reserved number is used once,
-    at a time [>= now t], and before any event ordered after
-    [(when_, seq)] has run — in practice from the reservation itself or
-    from an event that precedes it, such as its predecessor in a chain
-    over the block.  Raises [Invalid_argument] if [when_] is in the past
-    or [seq] was never handed out; a number used twice or filed late is
-    not detected. *)
+val call_at_reserved : t -> Time.t -> plus:Time.t -> seq:int -> ('a -> unit) -> 'a -> unit
+(** [call_at_reserved t at ~plus ~seq f x] is {!call_at} at
+    [when_ = at + plus], filed under the number [seq] of a block taken
+    by {!reserve}, not a fresh one, so [f x] fires where an event
+    scheduled by {!call_at} at reservation time would have.  The engine
+    forms the sum, as {!call_after} does, so a deadline is never boxed
+    to be passed; pass [~plus:Time.zero] for a time already at hand.
+    The contract: each reserved number is used once, at a time
+    [>= now t], and before any event ordered after [(when_, seq)] has
+    run — in practice from the reservation itself or from an event that
+    precedes it, such as its predecessor in a chain over the block.
+    Raises [Invalid_argument] if [when_] is in the past or [seq] was
+    never handed out; a number used twice or filed late is not
+    detected. *)
 
 val cancel : handle -> unit
 (** Cancel a pending event; a no-op if it already ran or was

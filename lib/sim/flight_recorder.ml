@@ -16,8 +16,6 @@ let create ?(span_tail = 256) ?telemetry ?timeseries ?slo ?fault_plan () =
   let span_tail = if span_tail < 1 then 1 else span_tail in
   { span_tail; telemetry; timeseries; slo; fault_plan; last = None; dumps = 0 }
 
-let set_fault_plan t p = t.fault_plan <- Some p
-
 let json_escape_into buf s =
   Buffer.add_string buf (Printf.sprintf "%S" s)
 
@@ -83,13 +81,6 @@ let dump t ~now ~reason =
   t.last <- Some bundle;
   t.dumps <- t.dumps + 1;
   bundle
-
-let dump_to_file t ~now ~reason ~path =
-  let bundle = dump t ~now ~reason in
-  let oc = open_out path in
-  output_string oc bundle;
-  output_char oc '\n';
-  close_out oc
 
 let arm t ~engine =
   match t.slo with

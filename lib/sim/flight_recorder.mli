@@ -20,15 +20,11 @@ val create :
     [span_tail] (default 256) bounds the number of most-recent spans
     included. *)
 
-val set_fault_plan : t -> string -> unit
-
 val dump : t -> now:Time.t -> reason:string -> string
 (** Render the bundle:
     [{"reason":r,"at_s":t,"fault_plan":p,"breaches":[...],
     "series":{...},"registry":{...},"span_tail":[...]}].
     Also retained as {!last_bundle}. *)
-
-val dump_to_file : t -> now:Time.t -> reason:string -> path:string -> unit
 
 val arm : t -> engine:Engine.t -> unit
 (** Install the {!Slo.set_on_breach} hook (requires [slo]): the first

@@ -65,14 +65,6 @@ let chance g p =
   else if p >= 1.0 then true
   else float g 1.0 < p
 
-let shuffle g a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let choose g a =
   assert (Array.length a > 0);
   a.(int g (Array.length a))

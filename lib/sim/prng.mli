@@ -43,8 +43,5 @@ val chance : t -> float -> bool
 (** [chance g p] is [true] with probability [p] (clamped to
     [\[0, 1\]]). *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)

@@ -67,15 +67,10 @@ let create ?slot_us ?(domains = 1) ?(epoch = Time.ms 1.0) ?(seed = 0) ?span_capa
 
 let shards t = Array.length t.sh
 let domains t = t.n_domains
-let epoch_length t = t.epoch
 
 let shard t i =
   if i < 0 || i >= Array.length t.sh then invalid_arg "Sharded_engine.shard: out of range";
   t.sh.(i)
-
-let owner_of_hash t h =
-  let n = Array.length t.sh in
-  (h land max_int) mod n
 
 let executed t = Array.fold_left (fun acc s -> acc + Engine.executed (Shard.engine s)) 0 t.sh
 let pending t = Array.fold_left (fun acc s -> acc + Engine.pending (Shard.engine s)) 0 t.sh

@@ -51,14 +51,9 @@ val create :
 
 val shards : t -> int
 val domains : t -> int
-val epoch_length : t -> Time.t
 
 val shard : t -> int -> Shard.t
 (** [shard t i] for [i] in [\[0, shards)]. *)
-
-val owner_of_hash : t -> int -> int
-(** [owner_of_hash t h] maps a key hash to its owning shard index —
-    the flow-space partition function. *)
 
 val run : ?until:Time.t -> t -> unit
 (** Run epochs until every shard's queue drains and no message is in

@@ -5,8 +5,13 @@
     CDF series for the paper's figures. *)
 
 type t
-(** A mutable sample accumulator.  Stores every observation, so suitable
-    for the bounded sample sizes of the benches (≤ millions). *)
+(** A mutable sample accumulator: an exact multiset, holding each
+    distinct value once with its count.  Memory grows with the distinct
+    values, not the observations; recording a value already present
+    allocates nothing.  Every query answers exactly as it would over
+    the sorted array of all observations.  Values are told apart by
+    their bits, so [-0.0] and [0.0] (or two NaN payloads) are kept
+    apart, and their order among themselves is unspecified. *)
 
 val create : unit -> t
 (** Fresh empty accumulator. *)
@@ -16,7 +21,7 @@ val add : t -> float -> unit
 
 val add_n : t -> float -> n:int -> unit
 (** [add_n t x ~n] records [n] identical observations of [x] with one
-    array fill — the batch-path form of {!add}.  [n <= 0] is a
+    count update — the batch-path form of {!add}.  [n <= 0] is a
     no-op. *)
 
 val count : t -> int

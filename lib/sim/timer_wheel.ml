@@ -338,11 +338,11 @@ let reserve t n =
   t.next_seq <- base + n;
   base
 
-let alloc_reserved t ~at ~seq ~kind ~a ~b ~c =
+let alloc_reserved t ~at ~plus ~seq ~kind ~a ~b ~c =
   if seq < 0 || seq >= t.next_seq then
     invalid_arg "Timer_wheel.alloc_reserved: sequence number not reserved";
   let i = take t ~seq ~kind ~a ~b ~c in
-  A.unsafe_set t.at_ i at;
+  A.unsafe_set t.at_ i (at +. plus);
   enqueue t i;
   i
 

@@ -37,9 +37,10 @@ val reserve : t -> int -> int
     [n < 0]. *)
 
 val alloc_reserved :
-  t -> at:Time.t -> seq:int -> kind:int -> a:Obj.t -> b:Obj.t -> c:Obj.t -> int
-(** {!alloc} under the number [seq] taken earlier by {!reserve}, not a
-    fresh one.  Raises [Invalid_argument] if [seq] was never handed
+  t -> at:Time.t -> plus:Time.t -> seq:int -> kind:int -> a:Obj.t -> b:Obj.t -> c:Obj.t -> int
+(** {!alloc} at [at + plus], summed inside the wheel as in
+    {!alloc_after}, under the number [seq] taken earlier by {!reserve},
+    not a fresh one.  Raises [Invalid_argument] if [seq] was never handed
     out; using a number twice is the caller's fault and is not
     detected. *)
 

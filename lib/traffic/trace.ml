@@ -59,15 +59,16 @@ let drive engine t ~batch ~window ~deliver =
     let base = Engine.reserve engine n in
     let rec file first =
       (* A full batch, or the trace's last, leaves at its last member's
-         timestamp, a window-expired one at its deadline.  Two calls,
-         so that a packet's timestamp, already boxed, is passed as it
-         is and only a deadline is boxed. *)
+         timestamp, a window-expired one at its deadline, [window] after
+         its first member.  The engine forms the deadline's sum: one
+         computed here would be boxed to be passed. *)
       let stop = batch_stop t ~batch ~window first in
       if stop - first < batch && stop < n then
-        Engine.call_at_reserved engine
-          Time.(t.(first).Packet.ts + window)
+        Engine.call_at_reserved engine t.(first).Packet.ts ~plus:window ~seq:(base + first)
+          fire first
+      else
+        Engine.call_at_reserved engine t.(stop - 1).Packet.ts ~plus:Time.zero
           ~seq:(base + first) fire first
-      else Engine.call_at_reserved engine t.(stop - 1).Packet.ts ~seq:(base + first) fire first
     and fire first =
       let stop = batch_stop t ~batch ~window first in
       if stop < n then file stop;

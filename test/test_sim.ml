@@ -233,6 +233,278 @@ let prop_stats_mean_bounded =
       let m = Stats.mean s in
       m >= Stats.min_value s -. 1e-6 && m <= Stats.max_value s +. 1e-6)
 
+(* The whole-sample implementation [Stats] replaced, kept as the
+   reference the multiset is held to: every observation in a growable
+   array, sorted when a query needs it. *)
+module Stats_ref = struct
+  type t = {
+    mutable data : float array;
+    mutable len : int;
+    mutable sum : float;
+    mutable sum_sq : float;
+    mutable sorted : bool;
+  }
+
+  let create () = { data = Array.make 64 0.0; len = 0; sum = 0.0; sum_sq = 0.0; sorted = true }
+
+  let reserve t n =
+    if t.len + n > Array.length t.data then begin
+      let cap = ref (2 * Array.length t.data) in
+      while t.len + n > !cap do
+        cap := 2 * !cap
+      done;
+      let d = Array.make !cap 0.0 in
+      Array.blit t.data 0 d 0 t.len;
+      t.data <- d
+    end
+
+  let add t x =
+    reserve t 1;
+    t.data.(t.len) <- x;
+    t.len <- t.len + 1;
+    t.sum <- t.sum +. x;
+    t.sum_sq <- t.sum_sq +. (x *. x);
+    t.sorted <- false
+
+  let add_n t x ~n =
+    if n > 0 then begin
+      reserve t n;
+      Array.fill t.data t.len n x;
+      t.len <- t.len + n;
+      let fn = float_of_int n in
+      t.sum <- t.sum +. (x *. fn);
+      t.sum_sq <- t.sum_sq +. (x *. x *. fn);
+      t.sorted <- false
+    end
+
+  let count t = t.len
+  let total t = t.sum
+  let mean t = if t.len = 0 then nan else t.sum /. float_of_int t.len
+
+  let variance t =
+    if t.len = 0 then nan
+    else
+      let m = mean t in
+      Float.max 0.0 ((t.sum_sq /. float_of_int t.len) -. (m *. m))
+
+  let ensure_sorted t =
+    if not t.sorted then begin
+      let sub = Array.sub t.data 0 t.len in
+      Array.sort Float.compare sub;
+      Array.blit sub 0 t.data 0 t.len;
+      t.sorted <- true
+    end
+
+  let min_value t =
+    if t.len = 0 then nan
+    else begin
+      ensure_sorted t;
+      t.data.(0)
+    end
+
+  let max_value t =
+    if t.len = 0 then nan
+    else begin
+      ensure_sorted t;
+      t.data.(t.len - 1)
+    end
+
+  let percentile t p =
+    if t.len = 0 then nan
+    else begin
+      ensure_sorted t;
+      let p = Float.max 0.0 (Float.min 100.0 p) in
+      let rank = p /. 100.0 *. float_of_int (t.len - 1) in
+      let lo = int_of_float (Float.floor rank) in
+      let hi = int_of_float (Float.ceil rank) in
+      if lo = hi then t.data.(lo)
+      else
+        let frac = rank -. float_of_int lo in
+        t.data.(lo) +. (frac *. (t.data.(hi) -. t.data.(lo)))
+    end
+
+  let upper_bound t x =
+    let rec search a b =
+      if a >= b then a
+      else
+        let mid = (a + b) / 2 in
+        if t.data.(mid) <= x then search (mid + 1) b else search a mid
+    in
+    search 0 t.len
+
+  let cdf t ~points =
+    if t.len = 0 || points <= 0 then []
+    else begin
+      ensure_sorted t;
+      let lo = t.data.(0) and hi = t.data.(t.len - 1) in
+      let step = if points = 1 then 0.0 else (hi -. lo) /. float_of_int (points - 1) in
+      List.init points (fun i ->
+          let x = lo +. (float_of_int i *. step) in
+          (x, float_of_int (upper_bound t x) /. float_of_int t.len))
+    end
+
+  let fraction_above t x =
+    if t.len = 0 then nan
+    else begin
+      ensure_sorted t;
+      float_of_int (t.len - upper_bound t x) /. float_of_int t.len
+    end
+
+  let histogram t ~bins =
+    if t.len = 0 || bins <= 0 then []
+    else begin
+      ensure_sorted t;
+      let lo = t.data.(0) and hi = t.data.(t.len - 1) in
+      let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
+      let counts = Array.make bins 0 in
+      for i = 0 to t.len - 1 do
+        let b = int_of_float ((t.data.(i) -. lo) /. width) in
+        let b = if b >= bins then bins - 1 else b in
+        counts.(b) <- counts.(b) + 1
+      done;
+      List.init bins (fun b ->
+          (lo +. (float_of_int b *. width), lo +. (float_of_int (b + 1) *. width), counts.(b)))
+    end
+end
+
+type stats_op = Add of float | Add_n of float * int | Query
+
+let print_stats_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Add x -> Printf.sprintf "add %h" x
+         | Add_n (x, n) -> Printf.sprintf "add_n %h ~n:%d" x n
+         | Query -> "query")
+       ops)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every query of [s] and [r], bit for bit; [fraction_above] is asked
+   about [probes] and [cdf]'s own points. *)
+let stats_agree s r ~probes =
+  let fail what = QCheck2.Test.fail_reportf "%s differs after %d observations" what (Stats_ref.count r) in
+  let float what a b = if not (same_bits a b) then fail what in
+  if Stats.count s <> Stats_ref.count r then fail "count";
+  float "total" (Stats.total s) (Stats_ref.total r);
+  float "mean" (Stats.mean s) (Stats_ref.mean r);
+  float "variance" (Stats.variance s) (Stats_ref.variance r);
+  float "min" (Stats.min_value s) (Stats_ref.min_value r);
+  float "max" (Stats.max_value s) (Stats_ref.max_value r);
+  List.iter
+    (fun p -> float (Printf.sprintf "percentile %g" p) (Stats.percentile s p) (Stats_ref.percentile r p))
+    [ -5.0; 0.0; 0.01; 12.5; 25.0; 33.3; 50.0; 66.7; 99.0; 99.9; 100.0; 150.0 ];
+  List.iter
+    (fun points ->
+      let a = Stats.cdf s ~points and b = Stats_ref.cdf r ~points in
+      if List.length a <> List.length b then fail "cdf length";
+      List.iter2
+        (fun (x, f) (x', f') ->
+          float "cdf x" x x';
+          float "cdf fraction" f f')
+        a b)
+    [ 0; 1; 2; 7; 20 ];
+  List.iter
+    (fun x ->
+      float (Printf.sprintf "fraction_above %h" x) (Stats.fraction_above s x)
+        (Stats_ref.fraction_above r x))
+    (probes @ List.map fst (Stats_ref.cdf r ~points:20));
+  List.iter
+    (fun bins ->
+      let a = Stats.histogram s ~bins and b = Stats_ref.histogram r ~bins in
+      if List.length a <> List.length b then fail "histogram length";
+      List.iter2
+        (fun (lo, hi, c) (lo', hi', c') ->
+          float "histogram lo" lo lo';
+          float "histogram hi" hi hi';
+          if c <> c' then fail "histogram count")
+        a b)
+    [ 0; 1; 3; 16 ];
+  true
+
+(* The probes are the last few values recorded, each exactly and just
+   above, and three far outside. *)
+let run_stats_ops ops =
+  let s = Stats.create () and r = Stats_ref.create () in
+  let recent = ref [] in
+  let probes () =
+    -1e9 :: 0.0 :: 1e9
+    :: List.concat_map (fun x -> [ x; x +. 0.25 ]) (List.filteri (fun i _ -> i < 6) !recent)
+  in
+  List.iter
+    (function
+      | Add x ->
+        recent := x :: !recent;
+        Stats.add s x;
+        Stats_ref.add r x
+      | Add_n (x, n) ->
+        recent := x :: !recent;
+        Stats.add_n s x ~n;
+        Stats_ref.add_n r x ~n
+      | Query -> ignore (stats_agree s r ~probes:(probes ()) : bool))
+    ops;
+  stats_agree s r ~probes:(probes ())
+
+let gen_stats_op value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun x -> Add x) value);
+        (4, map2 (fun x n -> Add_n (x, n)) value (int_range (-1) 40));
+        (1, return Query);
+      ])
+
+(* At most 8 distinct values, as a middlebox's latency samples are. *)
+let prop_stats_multiset_ties =
+  QCheck2.Test.make ~name:"multiset answers as the whole-sample array, heavy ties" ~count:200
+    ~print:print_stats_ops
+    QCheck2.Gen.(
+      list_size (int_range 1 8) (float_range (-1000.) 1000.) >>= fun pool ->
+      list_size (int_range 0 200) (gen_stats_op (oneofl pool)))
+    run_stats_ops
+
+(* Every value new, in scrambled order: the table grows and the sorted
+   view is rebuilt from scratch at each query. *)
+let prop_stats_multiset_distinct =
+  QCheck2.Test.make ~name:"multiset answers as the whole-sample array, all distinct" ~count:200
+    ~print:print_stats_ops
+    QCheck2.Gen.(
+      list_size (int_range 0 200) (pair (float_range 0.0 0.5) (gen_stats_op (return 0.0)))
+      >|= List.mapi (fun i (frac, op) ->
+              let x = float_of_int ((i * 7919) mod 10007 - 5000) +. frac in
+              match op with Add _ -> Add x | Add_n (_, n) -> Add_n (x, n) | Query -> Query))
+    run_stats_ops
+
+(* Recording a value already present allocates nothing, one observation
+   or a batch's worth; the values are held boxed, as a caller's are. *)
+let test_stats_add_present_allocates_nothing () =
+  let s = Stats.create () in
+  let values = List.init 11 (fun i -> 1e-6 *. float_of_int (i + 1)) in
+  let add_batch x = Stats.add_n s x ~n:64 and add_one x = Stats.add s x in
+  List.iter add_batch values;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    List.iter add_batch values;
+    List.iter add_one values
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+  Alcotest.(check int) "count" (11 * ((10_001 * 64) + 10_000)) (Stats.count s)
+
+(* Memory follows the distinct values, not the observations: a million
+   batches of 11 latencies stay under 1,024 words, sorted view
+   included. *)
+let test_stats_memory_bounded () =
+  let s = Stats.create () in
+  let values = Array.init 11 (fun i -> 1e-6 *. float_of_int (i + 1)) in
+  for k = 0 to 1_048_575 do
+    Stats.add_n s values.(k mod 11) ~n:64
+  done;
+  ignore (Stats.percentile s 99.0 : float);
+  let words = Obj.reachable_words (Obj.repr s) in
+  if words >= 1_024 then Alcotest.failf "%d reachable words, limit 1024" words;
+  Alcotest.(check int) "count" (1_048_576 * 64) (Stats.count s)
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -510,7 +782,8 @@ let wheel_sched ~slot_us =
       (fun t ats f ->
         let n = Array.length ats in
         let base = Engine.reserve t n in
-        let rec file i = Engine.call_at_reserved t (Time.seconds ats.(i)) ~seq:(base + i) fire i
+        let rec file i =
+          Engine.call_at_reserved t (Time.seconds ats.(i)) ~plus:Time.zero ~seq:(base + i) fire i
         and fire i =
           if i + 1 < n then file (i + 1);
           f i
@@ -793,11 +1066,13 @@ let test_engine_reserve_rejects () =
   raises "negative block" (fun () -> ignore (Engine.reserve e (-1)));
   let base = Engine.reserve e 2 in
   raises "number never handed out" (fun () ->
-      Engine.call_at_reserved e (Time.seconds 1.0) ~seq:(base + 2) ignore ());
+      Engine.call_at_reserved e (Time.seconds 1.0) ~plus:Time.zero ~seq:(base + 2) ignore ());
   Engine.call_at e (Time.seconds 1.0) ignore ();
   Engine.run e;
   raises "time in the past" (fun () ->
-      Engine.call_at_reserved e (Time.seconds 0.5) ~seq:base ignore ());
+      Engine.call_at_reserved e (Time.seconds 0.5) ~plus:Time.zero ~seq:base ignore ());
+  raises "time plus delay in the past" (fun () ->
+      Engine.call_at_reserved e (Time.seconds 0.5) ~plus:(Time.seconds 0.25) ~seq:base ignore ());
   Alcotest.(check int) "nothing filed by a rejected call" 0 (Engine.pending e)
 
 (* ------------------------------------------------------------------ *)
@@ -1683,8 +1958,12 @@ let () =
           Alcotest.test_case "fraction above" `Quick test_stats_fraction_above;
           Alcotest.test_case "cdf monotone" `Quick test_stats_cdf_monotone;
           Alcotest.test_case "histogram total" `Quick test_stats_histogram_total;
+          Alcotest.test_case "present value allocates nothing" `Quick
+            test_stats_add_present_allocates_nothing;
+          Alcotest.test_case "memory follows distinct values" `Quick test_stats_memory_bounded;
         ]
-        @ qcheck [ prop_stats_mean_bounded ] );
+        @ qcheck
+            [ prop_stats_mean_bounded; prop_stats_multiset_ties; prop_stats_multiset_distinct ] );
       ( "engine",
         [
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
