@@ -209,16 +209,15 @@ let fault_plan seed =
 let append_bench_row ~seed (o : introspection_outcome) =
   let open Openmb_wire in
   Util.append_row "failover-faults"
-    (Json.Assoc
-       [
-         ("seed", Json.Int seed);
-         ("recovery_ms", Json.Float (Time.to_seconds o.recovery *. 1e3));
-         ("retries", Json.Int o.counters.Controller.op_retries);
-         ("timeouts", Json.Int o.counters.Controller.op_timeouts);
-         ("mappings", Json.Int o.base.mappings_at_failure);
-         ("mirrored", Json.Int o.mirrored);
-         ("restored", Json.Int o.base.restored);
-       ])
+    [
+      ("seed", Json.Int seed);
+      ("recovery_ms", Json.Float (Time.to_seconds o.recovery *. 1e3));
+      ("retries", Json.Int o.counters.Controller.op_retries);
+      ("timeouts", Json.Int o.counters.Controller.op_timeouts);
+      ("mappings", Json.Int o.base.mappings_at_failure);
+      ("mirrored", Json.Int o.mirrored);
+      ("restored", Json.Int o.base.restored);
+    ]
 
 let run_faults seed =
   Util.banner

@@ -312,7 +312,7 @@ let result_row (t : Util.timing) =
 (* Merge this run's results into BENCH_micro.json under [label],
    keeping any other labels (e.g. the pre-change numbers) intact. *)
 let write_json results label =
-  Util.append_row label
+  Util.append_label label
     (Openmb_wire.Json.Assoc (List.map (fun (name, t) -> (name, result_row t)) results))
 
 (* Set by the driver (micro --rebaseline L1[,L2...]): after the suite

@@ -279,18 +279,17 @@ let run () =
   Util.maybe_dash on.obs;
   let open Openmb_wire in
   Util.append_row "obs"
-    (Json.Assoc
-       [
-         ("flows", Json.Int n);
-         ("rounds", Json.Int r);
-         ("series", Json.Int on.series);
-         ("scrape_ticks", Json.Int on.ticks);
-         ("off_wall_s", Json.Float !best_off);
-         ("on_wall_s", Json.Float !best_on);
-         ("tick_cost_ns", Json.Float tick_ns);
-         ("overhead_pct", Json.Float overhead);
-         ("slo_breaches", Json.Int on.breaches);
-       ]);
+    [
+      ("flows", Json.Int n);
+      ("rounds", Json.Int r);
+      ("series", Json.Int on.series);
+      ("scrape_ticks", Json.Int on.ticks);
+      ("off_wall_s", Json.Float !best_off);
+      ("on_wall_s", Json.Float !best_on);
+      ("tick_cost_ns", Json.Float tick_ns);
+      ("overhead_pct", Json.Float overhead);
+      ("slo_breaches", Json.Int on.breaches);
+    ];
   match !gate with
   | Some pct when overhead > pct ->
     failwith

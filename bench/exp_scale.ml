@@ -205,17 +205,16 @@ let run_single () =
   (* Append the row so perf history rides along with the micro numbers. *)
   let open Openmb_wire in
   append_row "scale"
-    (Json.Assoc
-       [
-         ("flows", Json.Int n);
-         ("events_executed", Json.Int executed);
-         ("wall_seconds", Json.Float wall);
-         ("events_per_sec", Json.Float events_per_sec);
-         ("move_ms", Json.Float !move_ms);
-         ("pool_high_water", Json.Int stats.Engine.high_water);
-         ("peak_heap_words", Json.Int gc.Gc.top_heap_words);
-         ("live_words_end", Json.Int gc.Gc.live_words);
-       ])
+    [
+      ("flows", Json.Int n);
+      ("events_executed", Json.Int executed);
+      ("wall_seconds", Json.Float wall);
+      ("events_per_sec", Json.Float events_per_sec);
+      ("move_ms", Json.Float !move_ms);
+      ("pool_high_water", Json.Int stats.Engine.high_water);
+      ("peak_heap_words", Json.Int gc.Gc.top_heap_words);
+      ("live_words_end", Json.Int gc.Gc.live_words);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded run ("scale-dD" labels)                                     *)
@@ -464,33 +463,32 @@ let run_sharded () =
   let open Openmb_wire in
   append_row
     (Printf.sprintf "scale-d%d" nd)
-    (Json.Assoc
-       [
-         ("flows", Json.Int n);
-         ("shards", Json.Int s_count);
-         ("domains", Json.Int (Sharded_engine.domains se));
-         ("events_executed", Json.Int executed);
-         ("wall_seconds", Json.Float wall);
-         ("events_per_sec", Json.Float events_per_sec);
-         ( "per_shard_events",
-           Json.List (Array.to_list (Array.map (fun e -> Json.Int e) per_shard_executed))
-         );
-         ( "per_shard_events_per_sec",
-           Json.List
-             (Array.to_list
-                (Array.map
-                   (fun e -> Json.Float (float_of_int e /. wall))
-                   per_shard_executed)) );
-         ( "per_shard_pool_high_water",
-           Json.List (Array.to_list (Array.map (fun p -> Json.Int p) per_shard_pool_hw))
-         );
-         ("shard_skew", Json.Float skew);
-         ("epoch_barriers", Json.Int (Sharded_engine.epochs se));
-         ("cross_shard_messages", Json.Int (Sharded_engine.exchanged se));
-         ("move_ms", Json.Float !move_ms);
-         ("fingerprint", Json.Int fingerprint);
-         ("peak_heap_words", Json.Int gc.Gc.top_heap_words);
-         ("live_words_end", Json.Int gc.Gc.live_words);
-       ])
+    [
+      ("flows", Json.Int n);
+      ("shards", Json.Int s_count);
+      ("domains", Json.Int (Sharded_engine.domains se));
+      ("events_executed", Json.Int executed);
+      ("wall_seconds", Json.Float wall);
+      ("events_per_sec", Json.Float events_per_sec);
+      ( "per_shard_events",
+        Json.List (Array.to_list (Array.map (fun e -> Json.Int e) per_shard_executed))
+      );
+      ( "per_shard_events_per_sec",
+        Json.List
+          (Array.to_list
+             (Array.map
+                (fun e -> Json.Float (float_of_int e /. wall))
+                per_shard_executed)) );
+      ( "per_shard_pool_high_water",
+        Json.List (Array.to_list (Array.map (fun p -> Json.Int p) per_shard_pool_hw))
+      );
+      ("shard_skew", Json.Float skew);
+      ("epoch_barriers", Json.Int (Sharded_engine.epochs se));
+      ("cross_shard_messages", Json.Int (Sharded_engine.exchanged se));
+      ("move_ms", Json.Float !move_ms);
+      ("fingerprint", Json.Int fingerprint);
+      ("peak_heap_words", Json.Int gc.Gc.top_heap_words);
+      ("live_words_end", Json.Int gc.Gc.live_words);
+    ]
 
 let run () = if !domains > 0 then run_sharded () else run_single ()

@@ -194,18 +194,17 @@ let run_once ~chaos =
 let append_bench_row (o : outcome) ~wall_ms =
   let open Openmb_wire in
   Util.append_row "soak"
-    (Json.Assoc
-       [
-         ("seed", Json.Int seed);
-         ("rounds", Json.Int rounds);
-         ("flows", Json.Int flows);
-         ("wall_ms", Json.Float wall_ms);
-         ("virtual_s", Json.Float o.virtual_s);
-         ("failovers", Json.Int o.failovers);
-         ("moves_rerun", Json.Int o.moves_rerun);
-         ("log_retransmits", Json.Int o.retransmits);
-         ("faults_lost", Json.Int o.faults_lost);
-       ])
+    [
+      ("seed", Json.Int seed);
+      ("rounds", Json.Int rounds);
+      ("flows", Json.Int flows);
+      ("wall_ms", Json.Float wall_ms);
+      ("virtual_s", Json.Float o.virtual_s);
+      ("failovers", Json.Int o.failovers);
+      ("moves_rerun", Json.Int o.moves_rerun);
+      ("log_retransmits", Json.Int o.retransmits);
+      ("faults_lost", Json.Int o.faults_lost);
+    ]
 
 let run () =
   Util.banner "HA chaos soak: replicated controller vs. fault-free oracle";

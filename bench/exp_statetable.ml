@@ -195,19 +195,18 @@ let run () =
       let open Openmb_wire in
       Util.append_row
         (Printf.sprintf "statetable-%s" tag)
-        (Json.Assoc
-           (("entries", Json.Int n)
-           :: List.concat_map
-                (fun (op, (f : Util.timing), (h : Util.timing), speedup) ->
-                  let slug = String.map (fun c -> if c = ' ' then '_' else c) op in
-                  [
-                    (slug ^ "_flat_ns", Json.Float f.ns_min);
-                    (slug ^ "_hashtbl_ns", Json.Float h.ns_min);
-                    (slug ^ "_speedup", Json.Float speedup);
-                    (slug ^ "_flat_minor_words", Json.Float f.minor_words);
-                    (slug ^ "_hashtbl_minor_words", Json.Float h.minor_words);
-                  ])
-                rows)))
+        (("entries", Json.Int n)
+        :: List.concat_map
+             (fun (op, (f : Util.timing), (h : Util.timing), speedup) ->
+               let slug = String.map (fun c -> if c = ' ' then '_' else c) op in
+               [
+                 (slug ^ "_flat_ns", Json.Float f.ns_min);
+                 (slug ^ "_hashtbl_ns", Json.Float h.ns_min);
+                 (slug ^ "_speedup", Json.Float speedup);
+                 (slug ^ "_flat_minor_words", Json.Float f.minor_words);
+                 (slug ^ "_hashtbl_minor_words", Json.Float h.minor_words);
+               ])
+             rows))
     sizes;
   (* !gate_speedup is the find-hit ratio of the last (largest) size. *)
   match !min_speedup with

@@ -104,12 +104,38 @@ let write_labels fields =
       Out_channel.output_string oc (Json.to_string_pretty (Json.Assoc fields));
       Out_channel.output_char oc '\n')
 
-(* Append one labelled row to BENCH_micro.json (in the current
-   directory), replacing any previous row under the same label. *)
-let append_row label entry =
+(* Append one labelled entry to BENCH_micro.json (in the current
+   directory), replacing any previous entry under the same label. *)
+let append_label label entry =
   let existing = if Sys.file_exists bench_file then read_labels bench_file else [] in
   write_labels (List.remove_assoc label existing @ [ (label, entry) ]);
   Printf.printf "  [json] wrote %s (label %S)\n" bench_file label
+
+(* The commit checked out, when [git rev-parse HEAD] answers. *)
+let git_head () =
+  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+    let line = In_channel.input_line ic in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, Some commit -> Some commit
+    | _ -> None)
+
+(* Where a row was measured, so that rows from different hosts,
+   compilers or commits are not read as like for like.  [nproc] is the
+   processors the OCaml runtime sees. *)
+let provenance () =
+  let open Openmb_wire in
+  [
+    ("host", Json.String (Unix.gethostname ()));
+    ("ocaml", Json.String Sys.ocaml_version);
+    ("nproc", Json.Int (Domain.recommended_domain_count ()));
+  ]
+  @ match git_head () with Some c -> [ ("commit", Json.String c) ] | None -> []
+
+(* Append one whole-label row of [fields], with its provenance. *)
+let append_row label fields =
+  append_label label (Openmb_wire.Json.Assoc (fields @ provenance ()))
 
 (* ------------------------------------------------------------------ *)
 (* The timer                                                           *)

@@ -36,7 +36,6 @@ let controller t = t.ctrl
 let faults t = t.faults
 let sdn t = t.sdn
 let switch t = t.switch
-let sink t = t.sink
 
 let attach_mb_agent ?receive_batch t ~port ~receive ~base ~impl =
   let to_mb = Link.create t.engine ~name:("s1-" ^ port) ~dst:receive () in

@@ -41,7 +41,6 @@ val controller : t -> Openmb_core.Controller.t
 val faults : t -> Openmb_sim.Faults.t option
 val sdn : t -> Openmb_net.Sdn_controller.t
 val switch : t -> Openmb_net.Switch.t
-val sink : t -> Openmb_net.Host.t
 
 val attach_mb :
   ?receive_batch:(Openmb_net.Packet_batch.t -> unit) ->

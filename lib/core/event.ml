@@ -34,11 +34,18 @@ module Filter = struct
             e.codes <> [] && not (List.exists (fun c -> List.mem c e.codes) codes))
           t.enabled
 
+  (* Written out rather than as [List.exists] over a closure: an MB asks
+     this for every event it could raise, before building the event. *)
+  let rec admitted code key = function
+    | [] -> false
+    | e :: rest ->
+      ((match e.codes with [] -> true | codes -> List.mem code codes)
+      && Hfl.subsumes e.key key)
+      || admitted code key rest
+
+  let admits_introspect t ~code ~key = admitted code key t.enabled
+
   let admits t = function
     | Reprocess _ -> true
-    | Introspect { code; key; _ } ->
-      List.exists
-        (fun e ->
-          (e.codes = [] || List.mem code e.codes) && Hfl.subsumes e.key key)
-        t.enabled
+    | Introspect { code; key; _ } -> admits_introspect t ~code ~key
 end

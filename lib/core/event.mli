@@ -29,8 +29,11 @@ val describe : t -> string
 
     Introspection event generation can be enabled or disabled based on
     event codes and keys so that controller, network and MB are not at
-    risk of overload (§4.2.2).  Re-process events are never filtered —
-    they are required for atomicity. *)
+    risk of overload (§4.2.2).  The filter gates generation, not only
+    delivery: the agent hands its live filter to the MB
+    (the [set_event_sink] of {!Southbound.impl}), and the MB asks
+    {!Filter.admits_introspect} before it builds an event.  Re-process
+    events are never filtered — they are required for atomicity. *)
 
 module Filter : sig
   type event = t
@@ -47,6 +50,12 @@ module Filter : sig
   val disable : t -> codes:string list -> unit
   (** Remove every enablement whose code list intersects [codes]; with
       [codes = []], remove all enablements. *)
+
+  val admits_introspect : t -> code:string -> key:Openmb_net.Hfl.t -> bool
+  (** Whether an introspection event with this code and key would be
+      admitted.  It allocates nothing, and an empty filter answers at
+      once, so an MB asks it before building the event: an event
+      nobody enabled is never built. *)
 
   val admits : t -> event -> bool
   (** Whether the event should be emitted.  [Reprocess] events are

@@ -105,8 +105,9 @@ let create engine ?recorder ?telemetry ~impl () =
   in
   (* Events raised by the MB's packet-processing logic flow out through
      the agent; re-process events always pass, introspection events are
-     filtered (§4.2.2). *)
-  impl.set_event_sink (fun ev ->
+     filtered (§4.2.2).  The MB gets the live filter too, so it builds
+     only the introspection events this check would pass. *)
+  impl.set_event_sink t.filter (fun ev ->
       if (not t.crashed) && Event.Filter.admits t.filter ev then begin
         t.events_raised <- t.events_raised + 1;
         Telemetry.incr t.c_events;

@@ -5,7 +5,9 @@
     the MB's (serial) control thread while charging the impl's
     simulated CPU costs, streams state chunks and acknowledgements
     back, and forwards the MB's events — subject to the introspection
-    filter — up the event connection.
+    filter — up the event connection.  The filter is handed to the MB
+    with the event sink, so the MB builds only the introspection events
+    it admits (§4.2.2).
 
     This is the analog of the ≈500-line common code base the paper
     links into each modified middlebox (§7). *)

@@ -52,7 +52,7 @@ type impl = {
   on_crash : unit -> unit;
   stats : Openmb_net.Hfl.t -> stats;
   process_packet : Openmb_net.Packet.t -> side_effects:bool -> unit;
-  set_event_sink : (Event.t -> unit) -> unit;
+  set_event_sink : Event.Filter.t -> (Event.t -> unit) -> unit;
   set_op_active : bool -> unit;
 }
 

@@ -90,9 +90,13 @@ type impl = {
           [side_effects:false] (re-process events) state is updated but
           no traffic is emitted and no alerts/log entries are
           generated twice (§4.2.1). *)
-  set_event_sink : (Event.t -> unit) -> unit;
-      (** Install the callback the MB raises events through; the agent
-          installs itself here. *)
+  set_event_sink : Event.Filter.t -> (Event.t -> unit) -> unit;
+      (** Install the callback the MB raises events through, with the
+          live introspection filter in front of it; the agent installs
+          itself and its filter here.  The MB builds an introspection
+          event only when {!Event.Filter.admits_introspect} says the
+          filter would pass it (§4.2.2); until an agent attaches, its
+          filter is empty and nothing is built. *)
   set_op_active : bool -> unit;
       (** Called by the agent when a state operation starts/finishes
           executing on this MB, so the packet path can apply

@@ -79,14 +79,14 @@ let work t ~side_effects b =
   let allowed = ref 0 and denied = ref 0 in
   for i = 0 to n - 1 do
     let p = Packet_batch.get b i in
-    (* Probe straight from the batch's key columns; the tuple is only
-       built for first-seen flows. *)
+    (* Probe straight from the batch's key columns; a first-seen flow
+       is keyed from the packet's own fields. *)
     let entry =
       match
         State_table.find_words t.table ~pa:(Array.unsafe_get ka i) ~pb:(Array.unsafe_get kb i)
       with
       | Some e -> e
-      | None -> State_table.add_missing t.table (Five_tuple.of_packet p) (evaluate p)
+      | None -> State_table.add_missing t.table p (evaluate p)
     in
     (match entry.value with
     | Allow -> incr allowed

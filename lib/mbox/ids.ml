@@ -392,7 +392,7 @@ let process t (p : Packet.t) ~side_effects =
 (* The analyzer never rewrites or drops: every packet passes on. *)
 let pass t p ~side_effects =
   process t p ~side_effects;
-  Some p
+  p
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

@@ -64,6 +64,10 @@ let pick_backend t (p : Packet.t) =
     let h = Five_tuple.hash_words ~pa:(Five_tuple.word_a_packet p) ~pb:0 in
     t.backends.(h mod Array.length t.backends)
 
+let new_assignment_code = "lb.new_assignment"
+
+(* The assignment is announced only when the agent's filter admits it;
+   the rewritten copy is returned bare ({!Mb_base.process_batch}). *)
 let process t (p : Packet.t) ~side_effects =
   let entry =
     match
@@ -72,12 +76,13 @@ let process t (p : Packet.t) ~side_effects =
     with
     | Some e -> e
     | None ->
-      let e = State_table.add_missing t.table (Five_tuple.of_packet p) (pick_backend t p) in
-      if side_effects then
+      let e = State_table.add_missing t.table p (pick_backend t p) in
+      if side_effects && Mb_base.introspects t.base ~code:new_assignment_code ~key:e.key
+      then
         Mb_base.raise_event t.base
           (Event.Introspect
              {
-               code = "lb.new_assignment";
+               code = new_assignment_code;
                key = e.key;
                info = Json.Assoc [ ("backend", Json.String (Addr.to_string e.value)) ];
              });
@@ -85,7 +90,7 @@ let process t (p : Packet.t) ~side_effects =
   in
   if entry.moved then
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-  if side_effects then Some { p with dst_ip = entry.value } else None
+  if side_effects then { p with dst_ip = entry.value } else p
 
 let create engine ?recorder ?telemetry ?(cost = default_cost) ?(policy = Round_robin) ~backends
     ~name () =

@@ -10,6 +10,9 @@ type t = {
   cost : Southbound.cost_model;
   config : Config_tree.t;
   mutable event_sink : Event.t -> unit;
+  (* The attached agent's live filter; empty until one attaches, so an
+     MB without an agent builds no introspection event. *)
+  mutable introspect : Event.Filter.t;
   mutable egress : Packet_batch.t -> unit;
   mutable work : side_effects:bool -> Packet_batch.t -> unit;
   pool : Packet_batch.pool;  (* 1-member batches of [inject] *)
@@ -52,6 +55,7 @@ let create engine ?recorder ?telemetry ~name ~kind ~cost () =
     cost;
     config = Config_tree.create ();
     event_sink = (fun _ -> ());
+    introspect = Event.Filter.create ();
     egress = Packet_batch.release;
     work = no_work;
     pool = Packet_batch.pool ();
@@ -100,6 +104,7 @@ let forward_batch t b =
   if Packet_batch.length b = 0 then Packet_batch.release b else t.egress b
 
 let raise_event t ev = t.event_sink ev
+let introspects t ~code ~key = Event.Filter.admits_introspect t.introspect ~code ~key
 let set_op_active t b = t.op_active <- b
 let op_active t = t.op_active
 
@@ -183,12 +188,18 @@ let inject_batch t b ~side_effects =
 
 let inject t p ~side_effects = inject_batch t (Packet_batch.singleton t.pool p) ~side_effects
 
+(* Never forwarded: [process_batch] recognises it by [==] before it
+   could reach a batch. *)
+let drop =
+  let zero = Openmb_net.Addr.of_int 0 in
+  Openmb_net.Packet.make ~id:(-1) ~ts:Time.zero ~src_ip:zero ~dst_ip:zero ~src_port:0
+    ~dst_port:0 ~proto:Openmb_net.Packet.Tcp ()
+
 let process_batch t process mb ~side_effects b =
   for i = 0 to Packet_batch.length b - 1 do
     let p = Packet_batch.get b i in
-    match process mb p ~side_effects with
-    | Some p' -> if p' != p then Packet_batch.set b i p'
-    | None -> Packet_batch.drop b i
+    let p' = process mb p ~side_effects in
+    if p' == drop then Packet_batch.drop b i else if p' != p then Packet_batch.set b i p'
   done;
   if side_effects then begin
     ignore (Packet_batch.compact b : int);
@@ -390,6 +401,9 @@ let default_impl t ?support ?report () : Southbound.impl =
           perflow_report_bytes = rb;
         });
     process_packet = (fun p ~side_effects -> inject t p ~side_effects);
-    set_event_sink = (fun sink -> t.event_sink <- sink);
+    set_event_sink =
+      (fun filter sink ->
+        t.introspect <- filter;
+        t.event_sink <- sink);
     set_op_active = set_op_active t;
   }

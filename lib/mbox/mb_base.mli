@@ -42,6 +42,13 @@ val forward_batch : t -> Openmb_net.Packet_batch.t -> unit
 val raise_event : t -> Openmb_core.Event.t -> unit
 (** Send an event up to the agent (no-op before an agent attaches). *)
 
+val introspects : t -> code:string -> key:Openmb_net.Hfl.t -> bool
+(** Whether the attached agent's filter admits an introspection event
+    with this code and key ({!Openmb_core.Event.Filter.admits_introspect}
+    on the filter [set_event_sink] installed; false before an agent
+    attaches).  Ask it before building the event: an event its consumer
+    would discard is never built (§4.2.2). *)
+
 val set_op_active : t -> bool -> unit
 (** Called by the agent while southbound ops execute; the packet path
     then applies [cost.op_slowdown]. *)
@@ -68,19 +75,26 @@ val inject : t -> Openmb_net.Packet.t -> side_effects:bool -> unit
 (** {!inject_batch} of a 1-member batch from the base's pool; it charges
     and records exactly what a lone packet costs. *)
 
+val drop : Openmb_net.Packet.t
+(** What a per-packet pass returns to drop its input.  It is recognised
+    by physical equality and never forwarded. *)
+
 val process_batch :
   t ->
-  ('mb -> Openmb_net.Packet.t -> side_effects:bool -> Openmb_net.Packet.t option) ->
+  ('mb -> Openmb_net.Packet.t -> side_effects:bool -> Openmb_net.Packet.t) ->
   'mb ->
   side_effects:bool ->
   Openmb_net.Packet_batch.t ->
   unit
 (** The work of a middlebox whose pass is per-packet:
     [set_work base (process_batch base process mb)] loops [process mb]
-    over the members — [Some p'] rewrites the member in place (key
-    columns refreshed), [None] drops it — then compacts and
-    {!forward_batch}es the survivors, or releases the batch when
-    [side_effects] is false. *)
+    over the members, then compacts and {!forward_batch}es the
+    survivors, or releases the batch when [side_effects] is false.
+    [process mb p] returns the packet that takes [p]'s place: [p] itself
+    keeps the member, another packet rewrites it in place (key columns
+    refreshed), and {!drop} drops it.  No option is built per packet.
+    With [side_effects] false the result only decides the member's fate
+    in a batch that is released anyway. *)
 
 val register_series : t -> Openmb_sim.Timeseries.t -> unit
 (** Register this MB's per-instance scrape set on a {!Openmb_sim.Timeseries}

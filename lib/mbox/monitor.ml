@@ -68,10 +68,14 @@ let service_of_known known port =
     | 25 -> "smtp"
     | _ -> "tcp-" ^ string_of_int port
 
+let new_asset_code = "monitor.new_asset"
+
 (* Per-flow record update for one packet, in place: a seen flow's
-   packet allocates nothing.  [body] is the packet's body size, which
-   the caller also needs for the shared totals.  Returns whether the
-   flow was first seen here. *)
+   packet allocates nothing, and a new flow only its record, key and
+   entry (the asset announcement is built only when the agent's filter
+   admits it).  [body] is the packet's body size, which the caller also
+   needs for the shared totals.  Returns whether the flow was first
+   seen here. *)
 let touch t (p : Packet.t) ~body ~side_effects =
   let entry, created =
     match
@@ -80,7 +84,7 @@ let touch t (p : Packet.t) ~body ~side_effects =
     with
     | Some e -> (e, false)
     | None ->
-      ( State_table.add_missing t.table (Five_tuple.of_packet p)
+      ( State_table.add_missing t.table p
           { fr_first = p.ts; fr_last = p.ts; fr_pkts = 0; fr_bytes = 0; fr_service = "" },
         true )
   in
@@ -93,11 +97,11 @@ let touch t (p : Packet.t) ~body ~side_effects =
     let service = service_of_known t.known_ports p.dst_port in
     if service <> "" then begin
       r.fr_service <- service;
-      if side_effects then
+      if side_effects && Mb_base.introspects t.base ~code:new_asset_code ~key:entry.key then
         Mb_base.raise_event t.base
           (Event.Introspect
              {
-               code = "monitor.new_asset";
+               code = new_asset_code;
                key = entry.key;
                info = Json.Assoc [ ("service", Json.String service) ];
              })

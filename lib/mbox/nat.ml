@@ -67,48 +67,52 @@ let default_cost : Southbound.cost_model =
 
 let base t = t.base
 
+(* A slot numbers one (external ip, port) pair. *)
+let slot_ip t slot = t.ext_ips.(slot / ports_per_ip)
+let slot_port slot = port_lo + (slot mod ports_per_ip)
+
+(* Sequential allocation with wrap over the slot space, skipping pairs
+   in use.  A top-level loop that returns the slot: a local one would
+   heap a closure per new flow, and a pair result a tuple. *)
+let rec free_slot t ~nslots slot tried =
+  if tried >= nslots then failwith "Nat.allocate_external: port pool exhausted";
+  let slot = if slot >= nslots then 0 else slot in
+  if ext_mem t (slot_ip t slot) (slot_port slot) then free_slot t ~nslots (slot + 1) (tried + 1)
+  else slot
+
 let allocate_external t =
-  (* Sequential allocation with wrap over the (ip, port) slot space,
-     skipping pairs in use. *)
-  let nslots = Array.length t.ext_ips * ports_per_ip in
-  let rec go slot tried =
-    if tried >= nslots then failwith "Nat.allocate_external: port pool exhausted";
-    let slot = if slot >= nslots then 0 else slot in
-    let ip = t.ext_ips.(slot / ports_per_ip) in
-    let port = port_lo + (slot mod ports_per_ip) in
-    if not (ext_mem t ip port) then begin
-      t.next_slot <- slot + 1;
-      (ip, port)
-    end
-    else go (slot + 1) (tried + 1)
-  in
-  go t.next_slot 0
+  let slot = free_slot t ~nslots:(Array.length t.ext_ips * ports_per_ip) t.next_slot 0 in
+  t.next_slot <- slot + 1;
+  slot
 
 let is_outbound t (p : Packet.t) = Addr.in_prefix p.src_ip t.internal_prefix
 
+let new_mapping_code = "nat.new_mapping"
+
 (* First packet of an outbound flow, after the table probe missed:
    allocate the external slot, index it for the reverse path and
-   announce the mapping. *)
+   announce the mapping — building the announcement only when the
+   agent's filter admits it. *)
 let new_mapping t (p : Packet.t) ~side_effects =
-  let ext_ip, ext_port = allocate_external t in
+  let slot = allocate_external t in
   let m =
     {
       m_int_ip = p.src_ip;
       m_int_port = p.src_port;
-      m_ext_ip = ext_ip;
-      m_ext_port = ext_port;
+      m_ext_ip = slot_ip t slot;
+      m_ext_port = slot_port slot;
       m_proto = p.proto;
       m_created = p.ts;
       m_last_active = p.ts;
     }
   in
-  let entry = State_table.add_missing t.table (Five_tuple.of_packet p) m in
-  ext_set t ext_ip ext_port entry.key;
-  if side_effects then
+  let entry = State_table.add_missing t.table p m in
+  ext_set t m.m_ext_ip m.m_ext_port entry.key;
+  if side_effects && Mb_base.introspects t.base ~code:new_mapping_code ~key:entry.key then
     Mb_base.raise_event t.base
       (Event.Introspect
          {
-           code = "nat.new_mapping";
+           code = new_mapping_code;
            key = entry.key;
            info =
              Json.Assoc
@@ -122,8 +126,9 @@ let new_mapping t (p : Packet.t) ~side_effects =
   entry
 
 (* The mapping is updated in place: a seen flow's packet allocates
-   nothing here but its translated copy.  [p.ts] is stored as is, so
-   the timer write does not box a fresh float. *)
+   nothing here but its translated copy, which is returned bare
+   ({!Mb_base.process_batch}).  [p.ts] is stored as is, so the timer
+   write does not box a fresh float. *)
 let process t (p : Packet.t) ~side_effects =
   if is_outbound t p then begin
     let entry =
@@ -138,8 +143,7 @@ let process t (p : Packet.t) ~side_effects =
     m.m_last_active <- p.ts;
     if entry.moved then
       Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-    if side_effects then Some { p with src_ip = m.m_ext_ip; src_port = m.m_ext_port }
-    else None
+    if side_effects then { p with src_ip = m.m_ext_ip; src_port = m.m_ext_port } else p
   end
   else begin
     (* Inbound: reverse translation by destination (external IP, port).
@@ -148,7 +152,7 @@ let process t (p : Packet.t) ~side_effects =
     match ext_find t p.dst_ip p.dst_port with
     | None ->
       t.dropped <- t.dropped + 1;
-      None
+      Mb_base.drop
     | Some key -> (
       match State_table.find_key t.table key with
       | Some entry ->
@@ -156,11 +160,10 @@ let process t (p : Packet.t) ~side_effects =
         m.m_last_active <- p.ts;
         if entry.moved then
           Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
-        if side_effects then Some { p with dst_ip = m.m_int_ip; dst_port = m.m_int_port }
-        else None
+        if side_effects then { p with dst_ip = m.m_int_ip; dst_port = m.m_int_port } else p
       | None ->
         t.dropped <- t.dropped + 1;
-        None)
+        Mb_base.drop)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -125,7 +125,7 @@ let cache_update t cid packet tokens ~valid ~append_base ~side_effects =
 
 let decode t (p : Packet.t) ~side_effects =
   match p.body with
-  | Packet.Raw _ -> Some p
+  | Packet.Raw _ -> p
   | Packet.Encoded { cache_id; append_base; segments; orig } ->
     let shim_bytes = shim_expanded_bytes segments in
     let tokens, complete, valid = reconstruct t cache_id segments in
@@ -134,14 +134,14 @@ let decode t (p : Packet.t) ~side_effects =
     if correct then begin
       t.ok_pkts <- t.ok_pkts + 1;
       t.decoded_bytes <- t.decoded_bytes + shim_bytes;
-      Some { p with body = Packet.Raw orig }
+      { p with body = Packet.Raw orig }
     end
     else begin
       t.failed_pkts <- t.failed_pkts + 1;
       t.undecodable_bytes <- t.undecodable_bytes + shim_bytes;
       Mb_base.record t.base ~kind:"undecodable"
         ~detail:(fun () -> Printf.sprintf "%dB of shims (cache %d)" shim_bytes cache_id);
-      None
+      Mb_base.drop
     end
 
 let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)

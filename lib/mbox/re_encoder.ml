@@ -129,7 +129,7 @@ let encode t (p : Packet.t) =
       { p with body = Packet.Encoded { cache_id = idx; append_base; segments; orig = payload } }
     end
 
-let encode_member t p ~side_effects:_ = Some (encode t p)
+let encode_member t p ~side_effects:_ = encode t p
 
 let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
     ?(mode = Explicit) ~name () =

@@ -2,7 +2,7 @@ open Openmb_net
 
 type 'a entry = {
   key : Hfl.t;
-  id : string Lazy.t;
+  id : string;
   mutable value : 'a;
   mutable moved : bool;
 }
@@ -74,7 +74,16 @@ let create ?(indexed = false) ?packed ~granularity () =
     move_filters = [];
   }
 
-let mk_entry key value moved = { key; id = lazy (Hfl.to_string key); value; moved }
+(* Only the string-keyed layout and the source index look an entry up
+   by its text, so only they render it: a packed entry is its key and
+   value. *)
+let mk_entry t key value moved =
+  let id =
+    match (t.packed, t.by_src) with
+    | Some _, None -> ""
+    | None, _ | _, Some _ -> Hfl.to_string key
+  in
+  { key; id; value; moved }
 
 let src_of_key key =
   List.find_map
@@ -102,7 +111,7 @@ let index_add t (e : 'a entry) =
           Hashtbl.replace idx src b;
           b
       in
-      Hashtbl.replace bucket (Lazy.force e.id) e)
+      Hashtbl.replace bucket e.id e)
 
 let index_remove t (e : 'a entry) =
   match t.by_src with
@@ -113,7 +122,7 @@ let index_remove t (e : 'a entry) =
     | Some src -> (
       match Hashtbl.find_opt idx src with
       | Some bucket ->
-        Hashtbl.remove bucket (Lazy.force e.id);
+        Hashtbl.remove bucket e.id;
         if Hashtbl.length bucket = 0 then Hashtbl.remove idx src
       | None -> ()))
 
@@ -199,28 +208,38 @@ let find_words t ~pa ~pb =
    destination: flag it immediately so its packets are re-processed
    there (the flow started after the export scan and its record will
    never be put — the replayed packets rebuild it at the destination
-   from scratch). *)
-let born_moved t key = List.exists (fun f -> Hfl.subsumes f key) t.move_filters
+   from scratch).  Written out rather than as [List.exists] over a
+   closure: every new flow asks, and with no move in progress the
+   answer is immediate. *)
+let rec covered key = function [] -> false | f :: rest -> Hfl.subsumes f key || covered key rest
+
+let born_moved t key = covered key t.move_filters
 
 (* Miss-only create: the caller has just probed and missed, so the
-   entry is placed without a second probe, keyed on the tuple as
-   given. *)
-let add_missing t tup value =
-  let key = key_of t tup in
-  let e = mk_entry key value (born_moved t key) in
+   entry is placed under the flow's packed words [wa]/[wb] without a
+   second probe. *)
+let place t key ~wa ~wb value =
+  let e = mk_entry t key value (born_moved t key) in
   (match t.packed with
   | Some ftbl ->
-    let pa = Five_tuple.word_a tup land t.pa_mask
-    and pb = Five_tuple.word_b tup land t.pb_mask in
+    let pa = wa land t.pa_mask and pb = wb land t.pb_mask in
     Flat_table.replace ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) e
-  | None -> Hashtbl.replace t.by_key (Lazy.force e.id) e);
+  | None -> Hashtbl.replace t.by_key e.id e);
   index_add t e;
   e
+
+let add_missing t (p : Packet.t) value =
+  place t
+    (Hfl.key_of_packet t.granularity p)
+    ~wa:(Five_tuple.word_a_packet p) ~wb:(Five_tuple.word_b_packet p) value
 
 let find_or_create t tup ~default =
   match find_bidir t tup with
   | Some e -> (e, false)
-  | None -> (add_missing t tup (default ()), true)
+  | None ->
+    ( place t (key_of t tup) ~wa:(Five_tuple.word_a tup) ~wb:(Five_tuple.word_b tup)
+        (default ()),
+      true )
 
 (* The entry keeps the id rendered here, so removing it later does not
    render the key again. *)
@@ -229,7 +248,7 @@ let insert_string t ~key value =
   (match Hashtbl.find_opt t.by_key id with
   | Some old -> index_remove t old
   | None -> ());
-  let e = { key; id = Lazy.from_val id; value; moved = false } in
+  let e = { key; id; value; moved = false } in
   Hashtbl.replace t.by_key id e;
   index_add t e
 
@@ -242,7 +261,7 @@ let insert t ~key value =
       (match Flat_table.find ftbl ~pa ~pb ~h with
       | Some old -> index_remove t old
       | None -> ());
-      let e = mk_entry key value false in
+      let e = mk_entry t key value false in
       Flat_table.replace ftbl ~pa ~pb ~h e;
       index_add t e
     | None -> insert_string t ~key value)
@@ -312,8 +331,8 @@ let remove_entry t (e : 'a entry) =
     match masked_of_key t e.key with
     | Some (pa, pb) ->
       ignore (Flat_table.remove ftbl ~pa ~pb ~h:(Five_tuple.hash_words ~pa ~pb) : bool)
-    | None -> Hashtbl.remove t.by_key (Lazy.force e.id))
-  | None -> Hashtbl.remove t.by_key (Lazy.force e.id));
+    | None -> Hashtbl.remove t.by_key e.id)
+  | None -> Hashtbl.remove t.by_key e.id);
   index_remove t e
 
 let remove_matching t hfl =

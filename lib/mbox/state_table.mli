@@ -12,9 +12,12 @@
 
 type 'a entry = {
   key : Openmb_net.Hfl.t;  (** The entry's state key at MB granularity. *)
-  id : string Lazy.t;
-      (** Memoized [Hfl.to_string key], so index maintenance and
-          coarse-key bookkeeping never re-stringify the key. *)
+  id : string;
+      (** [Hfl.to_string key], rendered once when the entry is made,
+          where the table looks entries up by text: in the string-keyed
+          layout (see {!create}) and in a table with the source index.
+          In a packed table without the index it is [""]: nothing looks
+          its entries up by text, so a new flow renders nothing. *)
   mutable value : 'a;
   mutable moved : bool;
       (** Set when the entry has been exported by a get; packet-driven
@@ -63,8 +66,8 @@ val find_bidir : 'a t -> Openmb_net.Five_tuple.t -> 'a entry option
 val find_or_create :
   'a t -> Openmb_net.Five_tuple.t -> default:(unit -> 'a) -> 'a entry * bool
 (** Bidirectional find; on miss, creates an entry keyed on the tuple as
-    given ({!add_missing}).  The boolean is [true] when the entry was
-    created. *)
+    given, as {!add_missing} does for a packet.  The boolean is [true]
+    when the entry was created. *)
 
 val find_words : 'a t -> pa:int -> pb:int -> 'a entry option
 (** {!find_bidir} probing directly with the tuple's two packed words
@@ -73,12 +76,16 @@ val find_words : 'a t -> pa:int -> pb:int -> 'a entry option
     {!Openmb_net.Five_tuple.word_a_packet}.  On the packed layout a hit
     returns the stored option and allocates nothing. *)
 
-val add_missing : 'a t -> Openmb_net.Five_tuple.t -> 'a -> 'a entry
-(** [add_missing t tup v] creates the entry for a flow that
-    {!find_words} (or {!find_bidir}) has just missed, keyed on [tup] as
-    given, and returns it.  The entry is born [moved] when a registered
-    move filter covers its key (see {!add_move_filter}).  It does not
-    probe again, so it is only valid right after that miss. *)
+val add_missing : 'a t -> Openmb_net.Packet.t -> 'a -> 'a entry
+(** [add_missing t p v] creates the entry for the flow of packet [p]
+    that {!find_words} (or {!find_bidir}) has just missed, keyed on the
+    packet's direction as given — [key_of t (Five_tuple.of_packet p)],
+    read from the packet's own fields — and returns it.  The entry is
+    born [moved] when a registered move filter covers its key (see
+    {!add_move_filter}); with none registered that costs nothing.  It
+    does not probe again, so it is only valid right after that miss.  A
+    new flow allocates its key, its entry and the table's growth, and
+    nothing else. *)
 
 val find_key : 'a t -> Openmb_net.Hfl.t -> 'a entry option
 (** Exact lookup under a stored key (the key as {!insert} would store

@@ -104,16 +104,32 @@ let to_tuple hfl =
       }
   | Some _ | None -> None
 
-let key_of_tuple g (tup : Five_tuple.t) =
-  List.filter_map
-    (fun d ->
-      match d with
-      | Dim_src_ip -> Some (Src_ip (Addr.prefix tup.src_ip 32))
-      | Dim_dst_ip -> Some (Dst_ip (Addr.prefix tup.dst_ip 32))
-      | Dim_src_port -> Some (Src_port tup.src_port)
-      | Dim_dst_port -> Some (Dst_port tup.dst_port)
-      | Dim_proto -> Some (Proto tup.proto))
-    g
+(* The projections recurse directly: [List.filter_map] would build a
+   closure per call and a [Some] per field, and a new flow's key is built
+   once per flow. *)
+let field_of_dim d ~src_ip ~dst_ip ~src_port ~dst_port ~proto =
+  match d with
+  | Dim_src_ip -> Src_ip (Addr.prefix src_ip 32)
+  | Dim_dst_ip -> Dst_ip (Addr.prefix dst_ip 32)
+  | Dim_src_port -> Src_port src_port
+  | Dim_dst_port -> Dst_port dst_port
+  | Dim_proto -> Proto proto
+
+let rec key_of_tuple g (tup : Five_tuple.t) =
+  match g with
+  | [] -> []
+  | d :: rest ->
+    field_of_dim d ~src_ip:tup.src_ip ~dst_ip:tup.dst_ip ~src_port:tup.src_port
+      ~dst_port:tup.dst_port ~proto:tup.proto
+    :: key_of_tuple rest tup
+
+let rec key_of_packet g (p : Packet.t) =
+  match g with
+  | [] -> []
+  | d :: rest ->
+    field_of_dim d ~src_ip:p.src_ip ~dst_ip:p.dst_ip ~src_port:p.src_port
+      ~dst_port:p.dst_port ~proto:p.proto
+    :: key_of_packet rest p
 
 (* Text form, e.g. "nw_src=10.0.0.0/24,tp_dst=80": sized by arithmetic,
    then written into one buffer of exactly that size.  Digits are

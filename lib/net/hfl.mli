@@ -69,6 +69,10 @@ val key_of_tuple : granularity -> Five_tuple.t -> t
     yielding the exact-match HFL that names the state chunk for that
     flow at that MB. *)
 
+val key_of_packet : granularity -> Packet.t -> t
+(** [key_of_packet g p] is [key_of_tuple g (Five_tuple.of_packet p)],
+    read from the packet's header fields without the tuple. *)
+
 val to_tuple : t -> Five_tuple.t option
 (** [to_tuple hfl] is the five-tuple [hfl] pins exactly — [Some tup]
     iff [hfl] constrains all five dimensions, each to a single value

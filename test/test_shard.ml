@@ -183,7 +183,7 @@ let run_scenario ?(scrape = false) ~domains ~seed () =
   for s = 0 to shards - 1 do
     let dump =
       State_table.fold tbls.(s) ~init:[] ~f:(fun acc e ->
-          (Lazy.force e.State_table.id, e.State_table.value) :: acc)
+          (Hfl.to_string e.State_table.key, e.State_table.value) :: acc)
       |> List.sort compare
     in
     p "shard %d: hops=%d table=[" s (Telemetry.counter_value hop_ctr.(s));
