@@ -1512,6 +1512,167 @@ let test_firewall_verdict_move () =
   run_all engine;
   Alcotest.(check int) "moved verdict honoured" 1 !out
 
+(* ------------------------------------------------------------------ *)
+(* State pinning                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One fixed trace through all five stateful MBs: an HTTP connection
+   whose URI needs JSON escapes, with one request left open; a reset; a
+   lone SYN-ACK; UDP both ways; ICMP; a scanner past the IDS threshold;
+   and a flow a firewall rule denies. *)
+let pin_trace () =
+  let fwd ?flags ?app ?tokens id ts = mk_packet ~id ~ts ?flags ?app ?tokens () in
+  let rev ?flags ?app ?tokens id ts =
+    mk_packet ~id ~ts ~src:"1.1.1.5" ~dst:"10.0.0.1" ~sport:80 ~dport:1234 ?flags ?app ?tokens ()
+  in
+  let request method_ uri = Packet.Http_request { method_; host = "example.org"; uri } in
+  let other ?flags ?(proto = Packet.Tcp) ?tokens id ts ~src ~dst ~sport ~dport =
+    mk_packet ~id ~ts ~src ~dst ~sport ~dport ~proto ?flags ?tokens ()
+  in
+  let probes =
+    List.init 22 (fun i ->
+        other (20 + i) (0.13 +. (0.01 *. float_of_int i)) ~flags:Packet.syn_flags ~src:"10.0.0.99"
+          ~dst:(Printf.sprintf "1.1.2.%d" (i + 1))
+          ~sport:(4000 + i) ~dport:(20 + i))
+  in
+  [
+    fwd 1 0.00 ~flags:Packet.syn_flags;
+    rev 2 0.01 ~flags:Packet.synack_flags;
+    fwd 3 0.02 ~app:(request "GET" {|/q?a="x"&b=\y|}) ~tokens:[| 1; 2; 3 |];
+    rev 4 0.03 ~app:(Packet.Http_response { status = 200 }) ~tokens:[| 4; 5 |];
+    fwd 5 0.04 ~app:(request "POST" "/form") ~tokens:[| 6 |];
+    fwd 6 0.05 ~tokens:[| 7; 8; 9; 10 |];
+    other 7 0.06 ~flags:Packet.syn_flags ~src:"10.0.0.2" ~dst:"1.1.1.6" ~sport:2222 ~dport:443;
+    other 8 0.07 ~flags:Packet.rst_flags ~src:"10.0.0.2" ~dst:"1.1.1.6" ~sport:2222 ~dport:443;
+    other 9 0.08 ~flags:Packet.synack_flags ~src:"1.1.1.7" ~dst:"10.0.0.3" ~sport:8080 ~dport:3333;
+    other 10 0.09 ~proto:Packet.Udp ~tokens:[| 11 |] ~src:"10.0.0.4" ~dst:"1.1.1.8" ~sport:5353
+      ~dport:53;
+    other 11 0.10 ~proto:Packet.Udp ~tokens:[| 12; 13 |] ~src:"1.1.1.8" ~dst:"10.0.0.4" ~sport:53
+      ~dport:5353;
+    other 12 0.11 ~proto:Packet.Udp ~src:"10.0.0.4" ~dst:"1.1.1.8" ~sport:5353 ~dport:53;
+    other 13 0.12 ~proto:Packet.Icmp ~src:"10.0.0.5" ~dst:"1.1.1.9" ~sport:0 ~dport:0;
+  ]
+  @ probes
+  @ [
+      other 42 0.40 ~flags:Packet.syn_flags ~src:"10.0.0.6" ~dst:"1.1.1.10" ~sport:6000 ~dport:23;
+      other 43 0.41 ~tokens:[| 14 |] ~src:"10.0.0.6" ~dst:"1.1.1.10" ~sport:6000 ~dport:23;
+      rev 44 0.42 ~tokens:[| 15 |];
+      fwd 45 0.43 ~flags:Packet.fin_flags;
+    ]
+
+(* The five MBs after the pinned trace, each fed every packet, and the
+   [nat.new_mapping] infos the NAT announced. *)
+let pin_fleet () =
+  let engine = Engine.create () in
+  let nat =
+    Nat.create engine ~name:"nat1" ~external_ip:(Addr.of_string "5.5.5.5")
+      ~external_ips:[ Addr.of_string "5.5.5.6" ]
+      ~internal_prefix:(Addr.prefix_of_string "10.0.0.0/8") ()
+  in
+  let mon = Monitor.create engine ~name:"prads1" () in
+  let fw =
+    Firewall.create engine
+      ~rules:[ { Firewall.rl_match = Hfl.of_string "tp_dst=23"; rl_action = Firewall.Deny } ]
+      ~name:"fw1" ()
+  in
+  let ids = Ids.create engine ~name:"bro1" () in
+  let lb = Load_balancer.create engine ~backends ~name:"lb1" () in
+  let infos = ref [] in
+  (Nat.impl nat).Southbound.set_event_sink (admit_all ()) (function
+    | Event.Introspect { info; _ } -> infos := info :: !infos
+    | Event.Reprocess _ -> ());
+  List.iter
+    (fun (p : Packet.t) ->
+      ignore
+        (Engine.schedule_at engine p.ts (fun () ->
+             Nat.receive nat p;
+             Monitor.receive mon p;
+             Firewall.receive fw p;
+             Ids.receive ids p;
+             Load_balancer.receive lb p)))
+    (pin_trace ());
+  run_all engine;
+  ( [
+      ("nat", Nat.impl nat);
+      ("monitor", Monitor.impl mon);
+      ("firewall", Firewall.impl fw);
+      ("ids", Ids.impl ids);
+      ("lb", Load_balancer.impl lb);
+    ],
+    List.rev !infos )
+
+(* Every chunk an MB exports after the pinned trace, its stats, the
+   NAT's announcements and the firewall's rule config, against a
+   recorded golden file: a state encoding that moves one byte or one
+   counted size fails here.  The observed lines land in
+   mb_state.actual next to the test binary. *)
+let state_pin_lines () =
+  let impls, infos = pin_fleet () in
+  let mb_lines (name, (impl : Southbound.impl)) =
+    let s = impl.stats Hfl.any in
+    let stats =
+      Printf.sprintf
+        "%s stats\tsupport_chunks=%d\treport_chunks=%d\tsupport_bytes=%d\treport_bytes=%d\tshared_support_bytes=%d\tshared_report_bytes=%d"
+        name s.perflow_support_chunks s.perflow_report_chunks s.perflow_support_bytes
+        s.perflow_report_bytes s.shared_support_bytes s.shared_report_bytes
+    in
+    let perflow cls = function
+      | Ok chunks -> List.map (fun c -> (cls, c)) chunks
+      | Error e -> Alcotest.failf "%s %s get: %s" name cls (Errors.to_string e)
+    in
+    let shared cls = function
+      | Ok (Some c) -> [ (cls, c) ]
+      | Ok None -> []
+      | Error e -> Alcotest.failf "%s %s get: %s" name cls (Errors.to_string e)
+    in
+    let line (cls, (c : Chunk.t)) =
+      match Chunk.unseal ~mb_kind:impl.kind c with
+      | Ok plain ->
+        Printf.sprintf "%s %s %s\tlen=%d\t%S" name cls (Hfl.to_string c.key) (String.length plain)
+          plain
+      | Error e -> Alcotest.failf "%s unseal: %s" name (Errors.to_string e)
+    in
+    let chunks =
+      perflow "support" (impl.get_support_perflow Hfl.any)
+      @ perflow "report" (impl.get_report_perflow Hfl.any)
+      @ shared "shared-support" (impl.get_support_shared ())
+      @ shared "shared-report" (impl.get_report_shared ())
+    in
+    stats :: List.sort String.compare (List.map line chunks)
+  in
+  let rules =
+    match (List.assoc "firewall" impls).get_config [ "rules" ] with
+    | Ok entries ->
+      List.concat_map
+        (fun (e : Config_tree.entry) ->
+          List.map (fun v -> "firewall rules\t" ^ Json.to_string v) e.values)
+        entries
+    | Error e -> Alcotest.failf "firewall rules: %s" (Errors.to_string e)
+  in
+  List.concat_map mb_lines impls
+  @ List.map (fun info -> "nat.new_mapping\t" ^ Json.to_string info) infos
+  @ rules
+
+let read_lines path =
+  let ic = open_in_bin path in
+  let rec go acc =
+    match input_line ic with
+    | l -> go (l :: acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  go []
+
+let test_state_pinning () =
+  let actual = state_pin_lines () in
+  let oc = open_out_bin "mb_state.actual" in
+  List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+  close_out oc;
+  let expected = read_lines "mb_state.golden" in
+  Alcotest.(check int) "pinned line count" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "pinned state" e a) expected actual
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1627,4 +1788,5 @@ let () =
           Alcotest.test_case "shared report merge" `Quick test_firewall_shared_report_merge;
           Alcotest.test_case "verdict move" `Quick test_firewall_verdict_move;
         ] );
+      ("mb_state", [ Alcotest.test_case "chunk bodies pinned" `Quick test_state_pinning ]);
     ]
