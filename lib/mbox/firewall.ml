@@ -27,36 +27,31 @@ let default_cost : Southbound.cost_model =
     deserialize_per_byte = Time.us 0.004;
   }
 
-let action_to_string = function Allow -> "allow" | Deny -> "deny"
+(* ------------------------------------------------------------------ *)
+(* State and configuration descriptions                                *)
+(* ------------------------------------------------------------------ *)
 
-let action_of_string = function
-  | "allow" -> Allow
-  | "deny" -> Deny
-  | s -> invalid_arg (Printf.sprintf "Firewall.action_of_string: %S" s)
+let action = Codec.enum (function Allow -> "allow" | Deny -> "deny") [ Allow; Deny ]
+let verdict_codec = Codec.(obj (obj1 "verdict" action))
+let counters_codec = Codec.(obj (obj2 "allowed" uvarint "denied" uvarint))
 
-let rule_to_json r =
-  Json.Assoc
-    [
-      ("match", Json.String (Hfl.to_string r.rl_match));
-      ("action", Json.String (action_to_string r.rl_action));
-    ]
-
-let rule_of_json j =
-  {
-    rl_match = Hfl.of_string (Json.get_string (Json.member "match" j));
-    rl_action = action_of_string (Json.get_string (Json.member "action" j));
-  }
+let rule_codec =
+  Codec.(
+    obj
+      (record (fun rl_match rl_action -> { rl_match; rl_action })
+      |> field "match" Message.hfl (fun r -> r.rl_match)
+      |> field "action" action (fun r -> r.rl_action)))
 
 let base t = t.base
 
 let rules t =
   match Config_tree.get (Mb_base.config t.base) [ "rules" ] with
-  | [ { values; _ } ] -> List.map rule_of_json values
+  | [ { values; _ } ] -> List.map (Codec.of_json rule_codec) values
   | _ -> []
 
 let default_action t =
   match Config_tree.get (Mb_base.config t.base) [ "default" ] with
-  | [ { values = Json.String s :: _; _ } ] -> action_of_string s
+  | [ { values = (Json.String _ as v) :: _; _ } ] -> Codec.of_json action v
   | _ -> Allow
 
 (* The rule list and default action are parsed from the config JSON at
@@ -109,9 +104,8 @@ let work t ~side_effects b =
 let create engine ?recorder ?telemetry ?(cost = default_cost) ?(rules = []) ?(default_action = Allow)
     ~name () =
   let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"fw" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "rules" ] (List.map rule_to_json rules);
-  Config_tree.set (Mb_base.config base) [ "default" ]
-    [ Json.String (action_to_string default_action) ];
+  Config_tree.set (Mb_base.config base) [ "rules" ] (List.map (Codec.to_json rule_codec) rules);
+  Config_tree.set (Mb_base.config base) [ "default" ] [ Codec.to_json action default_action ];
   let table = State_table.create ~granularity:Hfl.full_granularity () in
   let t =
     {
@@ -119,10 +113,8 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ?(rules = []) ?(de
       table;
       verdicts =
         Mb_base.perflow base table ~role:Taxonomy.Supporting
-          ~encode:(fun v ->
-            Json.to_string (Json.Assoc [ ("verdict", Json.String (action_to_string v)) ]))
-          ~decode:(fun s ->
-            action_of_string (Json.get_string (Json.member "verdict" (Json.of_string s))));
+          ~encode:(Codec.encode Framing.Json verdict_codec)
+          ~decode:(Codec.decode verdict_codec);
       allowed = 0;
       denied = 0;
       shared_exported = false;
@@ -138,34 +130,40 @@ let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 (* Southbound implementation                                           *)
 (* ------------------------------------------------------------------ *)
 
-let counters_to_json t =
-  Json.Assoc [ ("allowed", Json.Int t.allowed); ("denied", Json.Int t.denied) ]
+(* A rule list or default action that does not parse is refused whole
+   and the old one stays, so the packet path never meets it. *)
+let set_config set path values =
+  match
+    match path with
+    | [ "rules" ] -> List.iter (fun v -> ignore (Codec.of_json rule_codec v : rule)) values
+    | [ "default" ] -> List.iter (fun v -> ignore (Codec.of_json action v : action)) values
+    | _ -> ()
+  with
+  | () -> set path values
+  | exception Binary.Decode_error msg -> Error (Errors.Op_failed msg)
 
 let impl t =
   let default = Mb_base.default_impl t.base ~support:t.verdicts () in
+  let encode_counters () = Codec.encode Framing.Json counters_codec (t.allowed, t.denied) in
   {
     default with
+    set_config = set_config default.set_config;
     get_report_shared =
       (fun () ->
         t.shared_exported <- true;
         Ok
           (Some
-             (Mb_base.seal_json t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
-                ~key:Hfl.any (counters_to_json t))));
+             (Mb_base.seal_raw t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
+                ~key:Hfl.any (encode_counters ()))));
     put_report_shared =
       Mb_base.import t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
-        ~decode:(fun s ->
-          let j = Json.of_string s in
-          (Json.get_int (Json.member "allowed" j), Json.get_int (Json.member "denied" j)))
+        ~decode:(Codec.decode counters_codec)
         (fun _ (allowed, denied) ->
           t.allowed <- t.allowed + allowed;
           t.denied <- t.denied + denied);
     stats =
       (fun hfl ->
-        {
-          (default.stats hfl) with
-          shared_report_bytes = String.length (Json.to_string (counters_to_json t));
-        });
+        { (default.stats hfl) with shared_report_bytes = String.length (encode_counters ()) });
   }
 
 let allowed t = t.allowed

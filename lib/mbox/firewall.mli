@@ -44,5 +44,16 @@ val denied : t -> int
 val cached_verdicts : t -> int
 (** Per-flow verdict-cache population. *)
 
-val rule_to_json : rule -> Openmb_wire.Json.t
-(** The configuration-value encoding of one rule. *)
+(** {1 State and configuration descriptions}
+
+    [setConfig] of [rules] or [default] with a value these do not read
+    fails with [Op_failed] and leaves the old value in place. *)
+
+val verdict_codec : action Openmb_wire.Codec.t
+(** A cached verdict, the per-flow chunk body: [{"verdict":"allow"}]. *)
+
+val counters_codec : (int * int) Openmb_wire.Codec.t
+(** The shared counters (allowed, denied): [{"allowed","denied"}]. *)
+
+val rule_codec : rule Openmb_wire.Codec.t
+(** One [rules] configuration value: [{"match":"<hfl>","action":"deny"}]. *)

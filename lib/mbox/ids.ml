@@ -21,7 +21,6 @@ type conn = {
   mutable resp_bytes : int;
   mutable open_http : (string * string * string) list;  (* pending requests *)
   mutable http_done : (string * string * string * int) list;
-  mutable reassembly : string;  (* deep analyzer-tree state *)
   mutable logged : bool;
 }
 
@@ -79,157 +78,101 @@ let tcp_state_to_string = function
   | Ts_reset_orig -> "RSTO"
   | Ts_reset_resp -> "RSTR"
 
-let tcp_state_of_string = function
-  | "S0" -> Ts_syn
-  | "S1" -> Ts_est
-  | "SF" -> Ts_closed
-  | "RSTO" -> Ts_reset_orig
-  | "RSTR" -> Ts_reset_resp
-  | s -> invalid_arg (Printf.sprintf "Ids.tcp_state_of_string: %S" s)
-
 (* Reassembly-buffer contents deterministic in the flow identity, so a
    moved record round-trips bit-identically.  Its size grows with
    connection activity, making HTTP-flow chunks substantially larger
-   than idle-flow chunks, as in Bro. *)
-let reassembly_for tuple bytes =
-  let n = 256 + min 1024 (bytes / 8) in
-  let seed = Hashtbl.hash (Five_tuple.to_string tuple) in
-  let g = Prng.create ~seed in
-  String.init n (fun _ -> Char.chr (97 + Prng.int g 26))
+   than idle-flow chunks, as in Bro.  It is derived on export, never
+   kept: empty until the connection has carried payload. *)
+let reassembly c =
+  let bytes = c.orig_bytes + c.resp_bytes in
+  if bytes = 0 then ""
+  else begin
+    let n = 256 + min 1024 (bytes / 8) in
+    let g = Prng.create ~seed:(Hashtbl.hash (Five_tuple.to_string c.orig)) in
+    String.init n (fun _ -> Char.chr (97 + Prng.int g 26))
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Serialization (the paper's libboost serialization of >100 classes)  *)
+(* State descriptions (the paper's libboost serialization of >100      *)
+(* classes)                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let tuple_to_json tup =
-  Json.String (Five_tuple.to_string tup)
+(* ["S1"] names both [Ts_synack] and [Ts_est]; listed first, [Ts_est]
+   is what it reads back as. *)
+let tcp_state =
+  Codec.enum tcp_state_to_string
+    [ Ts_syn; Ts_est; Ts_synack; Ts_closed; Ts_reset_orig; Ts_reset_resp ]
 
-let tuple_of_json j =
-  (* Inverse of Five_tuple.to_string: "tcp a:p>b:q". *)
-  let s = Json.get_string j in
-  match String.split_on_char ' ' s with
-  | [ proto; rest ] -> (
-    match String.split_on_char '>' rest with
-    | [ a; b ] ->
-      let split_ep e =
-        match String.rindex_opt e ':' with
-        | Some i ->
-          ( Addr.of_string (String.sub e 0 i),
-            int_of_string (String.sub e (i + 1) (String.length e - i - 1)) )
-        | None -> invalid_arg "Ids.tuple_of_json: missing port"
-      in
-      let src_ip, src_port = split_ep a and dst_ip, dst_port = split_ep b in
-      {
-        Five_tuple.src_ip;
-        dst_ip;
-        src_port;
-        dst_port;
-        proto = Packet.proto_of_string proto;
-      }
-    | _ -> invalid_arg "Ids.tuple_of_json: malformed tuple")
-  | _ -> invalid_arg "Ids.tuple_of_json: malformed tuple"
+(* The analyzer tree: each analyzer contributes its own nested state,
+   standing in for Bro's tree of serialized objects.  The TCP
+   analyzer's state repeats the record's and its reassembly buffer is
+   derived, so only the HTTP analyzer's state is read back. *)
+type analyzer =
+  | Tcp_analyzer of tcp_state * string
+  | Http_analyzer of (string * string * string) list * (string * string * string * int) list
 
-let conn_to_json c =
-  let http_txn (m, h, u) =
-    Json.Assoc [ ("method", Json.String m); ("host", Json.String h); ("uri", Json.String u) ]
+let analyzers_codec =
+  let open Codec in
+  let txn_done =
+    record (fun m h u st -> (m, h, u, st))
+    |> field "method" string (fun (m, _, _, _) -> m)
+    |> field "host" string (fun (_, h, _, _) -> h)
+    |> field "uri" string (fun (_, _, u, _) -> u)
+    |> field "status" varint (fun (_, _, _, st) -> st)
   in
-  let http_done (m, h, u, st) =
-    Json.Assoc
-      [
-        ("method", Json.String m);
-        ("host", Json.String h);
-        ("uri", Json.String u);
-        ("status", Json.Int st);
-      ]
-  in
-  Json.Assoc
-    [
-      ("orig", tuple_to_json c.orig);
-      ("started", Json.Float c.started);
-      ("last", Json.Float c.last_seen);
-      ("tcp", Json.String (tcp_state_to_string c.tcp));
-      ("history", Json.String c.history);
-      ("orig_pkts", Json.Int c.orig_pkts);
-      ("orig_bytes", Json.Int c.orig_bytes);
-      ("resp_pkts", Json.Int c.resp_pkts);
-      ("resp_bytes", Json.Int c.resp_bytes);
-      (* The analyzer tree: each analyzer contributes its own nested
-         state, standing in for Bro's tree of serialized objects. *)
-      ( "analyzers",
-        Json.List
-          [
-            Json.Assoc
-              [
-                ("name", Json.String "TCP");
-                ("state", Json.String (tcp_state_to_string c.tcp));
-                ("reassembly", Json.String c.reassembly);
-              ];
-            Json.Assoc
-              [
-                ("name", Json.String "HTTP");
-                ("open", Json.List (List.map http_txn c.open_http));
-                ("done", Json.List (List.map http_done c.http_done));
-              ];
-          ] );
-      ("logged", Json.Bool c.logged);
-    ]
+  union "name" (fun Select.[ tcp; http ] ->
+      Dispatch (function Tcp_analyzer (st, r) -> tcp st r | Http_analyzer (o, d) -> http o d))
+  |> case2 0 "TCP" (obj2 "state" tcp_state "reassembly" string) (fun st r -> Tcp_analyzer (st, r))
+  |> case2 1 "HTTP"
+       (obj2 "open" (list (obj (obj3 "method" string "host" string "uri" string))) "done"
+          (list (obj txn_done)))
+       (fun o d -> Http_analyzer (o, d))
+  |> variant |> obj |> list
 
-let conn_of_json j =
-  let analyzers = Json.get_list (Json.member "analyzers" j) in
-  let find_analyzer name =
-    List.find
-      (fun a -> String.equal (Json.get_string (Json.member "name" a)) name)
-      analyzers
-  in
-  let tcp_a = find_analyzer "TCP" and http_a = find_analyzer "HTTP" in
-  let txn a =
-    ( Json.get_string (Json.member "method" a),
-      Json.get_string (Json.member "host" a),
-      Json.get_string (Json.member "uri" a) )
-  in
-  let txn_done a =
-    let m, h, u = txn a in
-    (m, h, u, Json.get_int (Json.member "status" a))
-  in
-  {
-    orig = tuple_of_json (Json.member "orig" j);
-    started = Json.get_float (Json.member "started" j);
-    last_seen = Json.get_float (Json.member "last" j);
-    tcp = tcp_state_of_string (Json.get_string (Json.member "tcp" j));
-    history = Json.get_string (Json.member "history" j);
-    orig_pkts = Json.get_int (Json.member "orig_pkts" j);
-    orig_bytes = Json.get_int (Json.member "orig_bytes" j);
-    resp_pkts = Json.get_int (Json.member "resp_pkts" j);
-    resp_bytes = Json.get_int (Json.member "resp_bytes" j);
-    open_http = List.map txn (Json.get_list (Json.member "open" http_a));
-    http_done = List.map txn_done (Json.get_list (Json.member "done" http_a));
-    reassembly = Json.get_string (Json.member "reassembly" tcp_a);
-    logged = Json.get_bool (Json.member "logged" j);
-  }
+let http_state analyzers =
+  match List.find_map (function Http_analyzer (o, d) -> Some (o, d) | _ -> None) analyzers with
+  | Some state -> state
+  | None -> invalid_arg "Ids: no HTTP analyzer"
 
-let scan_to_json scan =
-  Json.Assoc
-    (Hashtbl.fold
-       (fun src r acc ->
-         (src, Json.Assoc [ ("syns", Json.Int r.syn_count); ("alerted", Json.Bool r.alerted) ])
-         :: acc)
-       scan [])
+let conn_codec =
+  let open Codec in
+  obj
+    (record
+       (fun orig started last_seen tcp history orig_pkts orig_bytes resp_pkts resp_bytes analyzers
+            logged ->
+         let open_http, http_done = http_state analyzers in
+         { orig; started; last_seen; tcp; history; orig_pkts; orig_bytes; resp_pkts; resp_bytes;
+           open_http; http_done; logged })
+    |> field "orig" (conv Five_tuple.to_string Five_tuple.of_string string) (fun c -> c.orig)
+    |> field "started" float (fun c -> c.started)
+    |> field "last" float (fun c -> c.last_seen)
+    |> field "tcp" tcp_state (fun c -> c.tcp)
+    |> field "history" string (fun c -> c.history)
+    |> field "orig_pkts" uvarint (fun c -> c.orig_pkts)
+    |> field "orig_bytes" uvarint (fun c -> c.orig_bytes)
+    |> field "resp_pkts" uvarint (fun c -> c.resp_pkts)
+    |> field "resp_bytes" uvarint (fun c -> c.resp_bytes)
+    |> field "analyzers" analyzers_codec (fun c ->
+           [ Tcp_analyzer (c.tcp, reassembly c); Http_analyzer (c.open_http, c.http_done) ])
+    |> field "logged" bool (fun c -> c.logged))
 
-let scan_of_json = function
-  | Json.Assoc fields ->
-    List.map
-      (fun (src, v) ->
-        (src, Json.get_int (Json.member "syns" v), Json.get_bool (Json.member "alerted" v)))
-      fields
-  | _ -> invalid_arg "Ids.scan_of_json: not an object"
+(* The scan table, keyed by source address text. *)
+let scan_codec =
+  Codec.(
+    assoc
+      (obj
+         (record (fun syn_count alerted -> { syn_count; alerted })
+         |> field "syns" uvarint (fun r -> r.syn_count)
+         |> field "alerted" bool (fun r -> r.alerted))))
 
+(* Merging adds the counts; a source new here keeps its decoded record. *)
 let merge_scan scan =
-  List.iter (fun (src, syns, alerted) ->
+  List.iter (fun (src, o) ->
       match Hashtbl.find_opt scan src with
       | Some r ->
-        r.syn_count <- r.syn_count + syns;
-        r.alerted <- r.alerted || alerted
-      | None -> Hashtbl.replace scan src { syn_count = syns; alerted })
+        r.syn_count <- r.syn_count + o.syn_count;
+        r.alerted <- r.alerted || o.alerted
+      | None -> Hashtbl.replace scan src o)
 
 let base t = t.base
 
@@ -320,7 +263,6 @@ let process t (p : Packet.t) ~side_effects =
           resp_bytes = 0;
           open_http = [];
           http_done = [];
-          reassembly = "";
           logged = false;
         })
   in
@@ -362,7 +304,6 @@ let process t (p : Packet.t) ~side_effects =
     end
   | Packet.Udp | Packet.Icmp ->
     c.history <- c.history ^ if from_orig then "D" else "d");
-  if body > 0 then c.reassembly <- reassembly_for c.orig (c.orig_bytes + c.resp_bytes);
   (* HTTP analyzer. *)
   (match p.app with
   | Packet.Http_request { method_; host; uri } ->
@@ -412,8 +353,8 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
       table;
       conns =
         Mb_base.perflow base table ~role:Taxonomy.Supporting
-          ~encode:(fun c -> Json.to_string (conn_to_json c))
-          ~decode:(fun s -> conn_of_json (Json.of_string s));
+          ~encode:(Codec.encode Framing.Json conn_codec)
+          ~decode:(Codec.decode conn_codec);
       scan = Hashtbl.create 64;
       scan_cloned = false;
       conn_log_rev = [];
@@ -433,11 +374,14 @@ let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 (* ------------------------------------------------------------------ *)
 
 let chunk_of_entry t (entry : conn State_table.entry) =
-  Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
-    ~key:entry.key (conn_to_json entry.value)
+  Mb_base.seal_raw t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
+    ~key:entry.key (Codec.encode Framing.Json conn_codec entry.value)
 
 let impl t =
   let default = Mb_base.default_impl t.base ~support:t.conns () in
+  let encode_scan () =
+    Codec.encode Framing.Json scan_codec (Hashtbl.fold (fun src r acc -> (src, r) :: acc) t.scan [])
+  in
   {
     default with
     get_support_shared =
@@ -445,18 +389,14 @@ let impl t =
         t.scan_cloned <- true;
         Ok
           (Some
-             (Mb_base.seal_json t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
-                ~key:Hfl.any (scan_to_json t.scan))));
+             (Mb_base.seal_raw t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
+                ~key:Hfl.any (encode_scan ()))));
     put_support_shared =
       Mb_base.import t.base ~role:Taxonomy.Supporting ~partition:Taxonomy.Shared
-        ~decode:(fun s -> scan_of_json (Json.of_string s))
-        (fun _ entries -> merge_scan t.scan entries);
+        ~decode:(Codec.decode scan_codec) (fun _ entries -> merge_scan t.scan entries);
     stats =
       (fun hfl ->
-        {
-          (default.stats hfl) with
-          shared_support_bytes = String.length (Json.to_string (scan_to_json t.scan));
-        });
+        { (default.stats hfl) with shared_support_bytes = String.length (encode_scan ()) });
   }
 
 (* ------------------------------------------------------------------ *)
@@ -491,21 +431,16 @@ let anomalous_entries t = t.anomalies
    buckets, allocator slack) — used for the VM-snapshot comparison. *)
 let memory_factor = 2.2
 
-let memory_bytes t =
-  let serialized =
-    State_table.fold t.table ~init:0 ~f:(fun acc e ->
-        acc + Chunk.size_bytes (chunk_of_entry t e))
-  in
-  int_of_float (float_of_int serialized *. memory_factor)
-
 let serialized_bytes t ~key =
-  List.fold_left
-    (fun acc e -> acc + Chunk.size_bytes (chunk_of_entry t e))
-    0
-    (State_table.matching t.table key)
+  let bytes = ref 0 in
+  State_table.iter_matching t.table key (fun e ->
+      bytes := !bytes + Chunk.size_bytes (chunk_of_entry t e));
+  !bytes
 
 let memory_bytes_for t ~key =
   int_of_float (float_of_int (serialized_bytes t ~key) *. memory_factor)
+
+let memory_bytes t = memory_bytes_for t ~key:Hfl.any
 
 (* What restoring a whole-VM snapshot does: every piece of state —
    needed or not — appears at the destination, bypassing OpenMB
@@ -513,24 +448,7 @@ let memory_bytes_for t ~key =
    evolve independently. *)
 let snapshot_into src dst =
   State_table.iter src.table (fun e ->
-      let c = e.value in
-      State_table.insert dst.table ~key:e.key
-        {
-          orig = c.orig;
-          started = c.started;
-          last_seen = c.last_seen;
-          tcp = c.tcp;
-          history = c.history;
-          orig_pkts = c.orig_pkts;
-          orig_bytes = c.orig_bytes;
-          resp_pkts = c.resp_pkts;
-          resp_bytes = c.resp_bytes;
-          open_http = c.open_http;
-          http_done = c.http_done;
-          reassembly = c.reassembly;
-          logged = c.logged;
-        });
+      State_table.insert dst.table ~key:e.key { e.value with started = e.value.started });
   Hashtbl.iter
-    (fun src_ip r ->
-      Hashtbl.replace dst.scan src_ip { syn_count = r.syn_count; alerted = r.alerted })
+    (fun src_ip r -> Hashtbl.replace dst.scan src_ip { r with alerted = r.alerted })
     src.scan

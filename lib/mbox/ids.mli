@@ -17,6 +17,28 @@
 
 type t
 
+type tcp_state = Ts_syn | Ts_synack | Ts_est | Ts_closed | Ts_reset_orig | Ts_reset_resp
+
+type conn = {
+  orig : Openmb_net.Five_tuple.t;  (** Originator direction. *)
+  mutable started : float;
+  mutable last_seen : float;
+  mutable tcp : tcp_state;
+  mutable history : string;
+  mutable orig_pkts : int;
+  mutable orig_bytes : int;
+  mutable resp_pkts : int;
+  mutable resp_bytes : int;
+  mutable open_http : (string * string * string) list;  (** Method, host, URI. *)
+  mutable http_done : (string * string * string * int) list;  (** And the status. *)
+  mutable logged : bool;
+}
+(** A connection record (per-flow supporting state), updated in place
+    by every packet of the connection. *)
+
+type scan_rec = { mutable syn_count : int; mutable alerted : bool }
+(** One source's entry in the scan detector (shared supporting state). *)
+
 type conn_entry = {
   ce_tuple : Openmb_net.Five_tuple.t;
   ce_start : float;  (** Seconds. *)
@@ -92,6 +114,21 @@ val serialized_bytes : t -> key:Openmb_net.Hfl.t -> int
 
 val memory_bytes_for : t -> key:Openmb_net.Hfl.t -> int
 (** In-memory footprint of the state matching [key]. *)
+
+(** {1 State descriptions} *)
+
+val conn_codec : conn Openmb_wire.Codec.t
+(** A connection record, the per-flow chunk body.  It writes the TCP
+    state twice, at top level and in the TCP analyzer, and the analyzer
+    tree as a list tagged by ["name"] ([TCP], [HTTP]).  The TCP
+    analyzer's reassembly buffer is derived from the originator tuple
+    and the byte counts, and is not read back.  In JSON, ["S1"] names
+    both [Ts_synack] and [Ts_est] and reads back as [Ts_est]; a record
+    without its HTTP analyzer is rejected. *)
+
+val scan_codec : (string * scan_rec) list Openmb_wire.Codec.t
+(** The scan table, keyed by source address text:
+    [{"10.0.0.99":{"syns":22,"alerted":true},...}]. *)
 
 val snapshot_into : t -> t -> unit
 (** Copy {e all} state (connection records and scan table) into another

@@ -34,6 +34,9 @@ let policy_to_string = function
 
 let base t = t.base
 
+(* A flow's backend: its per-flow state and its [lb.new_assignment] info. *)
+let backend_codec = Codec.(obj (obj1 "backend" Message.addr))
+
 let backend_load t =
   let counts = Hashtbl.create 8 in
   Array.iter (fun b -> Hashtbl.replace counts b 0) t.backends;
@@ -84,7 +87,7 @@ let process t (p : Packet.t) ~side_effects =
              {
                code = new_assignment_code;
                key = e.key;
-               info = Json.Assoc [ ("backend", Json.String (Addr.to_string e.value)) ];
+               info = Codec.to_json backend_codec e.value;
              });
       e
   in
@@ -108,10 +111,8 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ?(policy = Round_r
       table;
       assigned =
         Mb_base.perflow base table ~role:Taxonomy.Supporting
-          ~encode:(fun b ->
-            Json.to_string (Json.Assoc [ ("backend", Json.String (Addr.to_string b)) ]))
-          ~decode:(fun s ->
-            Addr.of_string (Json.get_string (Json.member "backend" (Json.of_string s))));
+          ~encode:(Codec.encode Framing.Json backend_codec)
+          ~decode:(Codec.decode backend_codec);
       backends = Array.of_list backends;
       rr_next = 0;
     }

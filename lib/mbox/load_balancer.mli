@@ -44,6 +44,10 @@ val assignments : t -> (Openmb_net.Hfl.t * Openmb_net.Addr.t) list
 
 val assignment_count : t -> int
 
+val backend_codec : Openmb_net.Addr.t Openmb_wire.Codec.t
+(** A flow's backend, [{"backend":"10.9.0.1"}]: the per-flow chunk body
+    and the ["lb.new_assignment"] info. *)
+
 val backend_load : t -> (Openmb_net.Addr.t * int) list
 (** Current connection count per backend. *)
 

@@ -217,9 +217,6 @@ let latency_during_op_stats t = t.latency_during_op
 let seal_raw t ~role ~partition ~key plain =
   Chunk.seal ~mb_kind:t.kind ~role ~partition ~key ~plain
 
-let seal_json t ~role ~partition ~key json =
-  seal_raw t ~role ~partition ~key (Openmb_wire.Json.to_string json)
-
 (* ------------------------------------------------------------------ *)
 (* Checked import, and the per-flow state protocol                     *)
 (* ------------------------------------------------------------------ *)
@@ -237,7 +234,7 @@ let import t ~role ~partition ~decode apply (chunk : Chunk.t) =
       | v ->
         apply chunk.key v;
         Ok ()
-      | exception (Invalid_argument msg | Openmb_wire.Json.Parse_error msg) ->
+      | exception (Openmb_wire.Binary.Decode_error msg | Invalid_argument msg) ->
         Error (Errors.Bad_chunk msg))
 
 type 'a perflow = {

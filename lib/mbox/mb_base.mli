@@ -117,16 +117,13 @@ val record : t -> kind:string -> detail:(unit -> string) -> unit
 (** Log a timeline entry under this MB's name.  [detail] is called
     only when a recorder is attached. *)
 
-(** {1 Chunk helpers} *)
+(** {1 Chunk helpers}
 
-val seal_json :
-  t ->
-  role:Openmb_core.Taxonomy.role ->
-  partition:Openmb_core.Taxonomy.partition ->
-  key:Openmb_net.Hfl.t ->
-  Openmb_wire.Json.t ->
-  Openmb_core.Chunk.t
-(** Serialize a JSON value and seal it as a chunk of this MB's kind. *)
+    A middlebox describes each value it keeps as state once, as an
+    {!Openmb_wire.Codec} description: its chunk body is the value's JSON
+    encoding ([Codec.encode Json]) and [Codec.decode] reads it back,
+    raising only {!Openmb_wire.Binary.Decode_error} on a malformed
+    body.  RE's caches keep a private binary serialization. *)
 
 val seal_raw :
   t ->
@@ -135,8 +132,7 @@ val seal_raw :
   key:Openmb_net.Hfl.t ->
   string ->
   Openmb_core.Chunk.t
-(** Seal an MB-private binary serialization (used by RE's cache).
-    {!import} unseals either kind. *)
+(** Seal a serialized value as a chunk of this MB's kind. *)
 
 (** {1 Per-flow state} *)
 
@@ -151,10 +147,11 @@ val import :
 (** [import t ~role ~partition ~decode apply chunk] is the put every
     state class shares: a chunk of another class is refused with
     [Illegal_operation]; the rest is unsealed and [decode]d, with
-    [Invalid_argument] and {!Openmb_wire.Json.Parse_error} turned into
-    [Bad_chunk]; only then does [apply] receive the chunk's key and the
-    value — the MB's merge or replace step for shared state, the table
-    insert for per-flow state. *)
+    {!Openmb_wire.Binary.Decode_error} (a description's decoder) and
+    [Invalid_argument] (RE's cache readers) turned into [Bad_chunk];
+    only then does [apply] receive the chunk's key and the value — the
+    MB's merge or replace step for shared state, the table insert for
+    per-flow state. *)
 
 type 'a perflow
 (** One per-flow state class (§4.1, Fig. 5): a table of this MB, the
@@ -191,8 +188,9 @@ val perflow :
     - [on_crash]: latches the class if any entry carries a mark;
     - [stats]: the matching entries and their sealed size.
 
-    [decode] raises [Invalid_argument] or {!Openmb_wire.Json.Parse_error}
-    on a malformed body. *)
+    [encode] and [decode] are a description's [Codec.encode Json] and
+    [Codec.decode]; [decode] raises {!Openmb_wire.Binary.Decode_error} or
+    [Invalid_argument] on a malformed body. *)
 
 (** {1 Impl assembly} *)
 

@@ -137,49 +137,32 @@ let work t ~side_effects b =
   else Packet_batch.release b
 
 (* ------------------------------------------------------------------ *)
-(* Serialization: a single flat structure per flow, like PRADS'        *)
+(* State descriptions: a single flat structure per flow, like PRADS'   *)
 (* connection struct (§7 — no complex serialization needed).           *)
 (* ------------------------------------------------------------------ *)
 
-let record_to_json r =
-  Json.Assoc
-    [
-      ("first", Json.Float r.fr_first);
-      ("last", Json.Float r.fr_last);
-      ("pkts", Json.Int r.fr_pkts);
-      ("bytes", Json.Int r.fr_bytes);
-      ("service", Json.String r.fr_service);
-    ]
+let flow_record_codec =
+  Codec.(
+    obj
+      (record (fun fr_first fr_last fr_pkts fr_bytes fr_service ->
+           { fr_first; fr_last; fr_pkts; fr_bytes; fr_service })
+      |> field "first" float (fun r -> r.fr_first)
+      |> field "last" float (fun r -> r.fr_last)
+      |> field "pkts" uvarint (fun r -> r.fr_pkts)
+      |> field "bytes" uvarint (fun r -> r.fr_bytes)
+      |> field "service" string (fun r -> r.fr_service)))
 
-let record_of_json j =
-  {
-    fr_first = Json.get_float (Json.member "first" j);
-    fr_last = Json.get_float (Json.member "last" j);
-    fr_pkts = Json.get_int (Json.member "pkts" j);
-    fr_bytes = Json.get_int (Json.member "bytes" j);
-    fr_service = Json.get_string (Json.member "service" j);
-  }
-
-let totals_to_json s =
-  Json.Assoc
-    [
-      ("pkts", Json.Int s.tot_pkts);
-      ("bytes", Json.Int s.tot_bytes);
-      ("tcp", Json.Int s.tot_tcp);
-      ("udp", Json.Int s.tot_udp);
-      ("icmp", Json.Int s.tot_icmp);
-      ("new_flows", Json.Int s.tot_new_flows);
-    ]
-
-let totals_of_json j =
-  {
-    tot_pkts = Json.get_int (Json.member "pkts" j);
-    tot_bytes = Json.get_int (Json.member "bytes" j);
-    tot_tcp = Json.get_int (Json.member "tcp" j);
-    tot_udp = Json.get_int (Json.member "udp" j);
-    tot_icmp = Json.get_int (Json.member "icmp" j);
-    tot_new_flows = Json.get_int (Json.member "new_flows" j);
-  }
+let totals_codec =
+  Codec.(
+    obj
+      (record (fun tot_pkts tot_bytes tot_tcp tot_udp tot_icmp tot_new_flows ->
+           { tot_pkts; tot_bytes; tot_tcp; tot_udp; tot_icmp; tot_new_flows })
+      |> field "pkts" uvarint (fun s -> s.tot_pkts)
+      |> field "bytes" uvarint (fun s -> s.tot_bytes)
+      |> field "tcp" uvarint (fun s -> s.tot_tcp)
+      |> field "udp" uvarint (fun s -> s.tot_udp)
+      |> field "icmp" uvarint (fun s -> s.tot_icmp)
+      |> field "new_flows" uvarint (fun s -> s.tot_new_flows)))
 
 let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
   let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"prads" ~cost () in
@@ -192,8 +175,8 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
       table;
       flows =
         Mb_base.perflow base table ~role:Taxonomy.Reporting
-          ~encode:(fun r -> Json.to_string (record_to_json r))
-          ~decode:(fun s -> record_of_json (Json.of_string s));
+          ~encode:(Codec.encode Framing.Json flow_record_codec)
+          ~decode:(Codec.decode flow_record_codec);
       known_ports = [];
       shared =
         { tot_pkts = 0; tot_bytes = 0; tot_tcp = 0; tot_udp = 0; tot_icmp = 0; tot_new_flows = 0 };
@@ -212,6 +195,7 @@ let impl t =
     t.known_ports <- known_service_ports t;
     r
   in
+  let encode_totals () = Codec.encode Framing.Json totals_codec t.shared in
   {
     default with
     set_config = (fun path values -> reread (default.set_config path values));
@@ -220,23 +204,20 @@ let impl t =
       (fun () ->
         Ok
           (Some
-             (Mb_base.seal_json t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
-                ~key:Hfl.any (totals_to_json t.shared))));
+             (Mb_base.seal_raw t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
+                ~key:Hfl.any (encode_totals ()))));
     (* Merging shared reporting state adds the counter values (§7: "we
        add the counter values stored in the prads_stat structure
        provided in the put call to the [local ones]"). *)
     put_report_shared =
       Mb_base.import t.base ~role:Taxonomy.Reporting ~partition:Taxonomy.Shared
-        ~decode:(fun s -> totals_of_json (Json.of_string s))
+        ~decode:(Codec.decode totals_codec)
         (fun _ o ->
           add_totals t.shared ~pkts:o.tot_pkts ~bytes:o.tot_bytes ~tcp:o.tot_tcp
             ~udp:o.tot_udp ~icmp:o.tot_icmp ~new_flows:o.tot_new_flows);
     stats =
       (fun hfl ->
-        {
-          (default.stats hfl) with
-          shared_report_bytes = String.length (Json.to_string (totals_to_json t.shared));
-        });
+        { (default.stats hfl) with shared_report_bytes = String.length (encode_totals ()) });
   }
 
 (* A copy: the live block changes under every batch. *)

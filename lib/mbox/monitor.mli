@@ -66,3 +66,14 @@ val flow_records : t -> (Openmb_net.Hfl.t * flow_record) list
     later packets do not change them. *)
 
 val tracked_flows : t -> int
+
+(** {1 State descriptions}
+
+    A per-flow record's chunk body is [Codec.encode Json flow_record_codec],
+    the shared block's [Codec.encode Json totals_codec]. *)
+
+val flow_record_codec : flow_record Openmb_wire.Codec.t
+(** [{"first","last","pkts","bytes","service"}]. *)
+
+val totals_codec : totals Openmb_wire.Codec.t
+(** [{"pkts","bytes","tcp","udp","icmp","new_flows"}]. *)

@@ -30,6 +30,7 @@ type t = {
   (* packed (ext ip, port) -> table key, in the flat open-addressing
      core: the int key rides in word [pa] with [pb = 0]. *)
   by_external : Hfl.t Flat_table.t;
+  announcement : mapping Codec.t;  (* [announcement_codec ext_ips.(0)] *)
   mutable next_slot : int; (* cursor into ip x port slot space *)
   mutable dropped : int;
 }
@@ -87,6 +88,40 @@ let allocate_external t =
 
 let is_outbound t (p : Packet.t) = Addr.in_prefix p.src_ip t.internal_prefix
 
+(* ------------------------------------------------------------------ *)
+(* State descriptions                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A moved mapping.  Timers are non-critical state: the import resets
+   [last_active] to [created] (§2, failure recovery). *)
+let mapping_codec =
+  Codec.(
+    obj
+      (record (fun m_int_ip m_int_port m_ext_ip m_ext_port m_proto m_created _ ->
+           { m_int_ip; m_int_port; m_ext_ip; m_ext_port; m_proto; m_created;
+             m_last_active = m_created })
+      |> field "int_ip" Message.addr (fun m -> m.m_int_ip)
+      |> field "int_port" u16 (fun m -> m.m_int_port)
+      |> field "ext_ip" Message.addr (fun m -> m.m_ext_ip)
+      |> field "ext_port" u16 (fun m -> m.m_ext_port)
+      |> field "proto" Message.proto (fun m -> m.m_proto)
+      |> field "created" float (fun m -> m.m_created)
+      |> field "last_active" float (fun m -> m.m_last_active)))
+
+(* The critical part of a mapping, as [nat.new_mapping] announces it
+   and [static_mappings] restores it: read back, it translates to
+   [ext_ip] with its timers at zero. *)
+let announcement_codec ext_ip =
+  Codec.(
+    obj
+      (record (fun m_int_ip m_int_port m_ext_port m_proto ->
+           { m_int_ip; m_int_port; m_ext_ip = ext_ip; m_ext_port; m_proto; m_created = 0.0;
+             m_last_active = 0.0 })
+      |> field "int_ip" Message.addr (fun m -> m.m_int_ip)
+      |> field "int_port" u16 (fun m -> m.m_int_port)
+      |> field "ext_port" u16 (fun m -> m.m_ext_port)
+      |> field "proto" Message.proto (fun m -> m.m_proto)))
+
 let new_mapping_code = "nat.new_mapping"
 
 (* First packet of an outbound flow, after the table probe missed:
@@ -111,18 +146,7 @@ let new_mapping t (p : Packet.t) ~side_effects =
   if side_effects && Mb_base.introspects t.base ~code:new_mapping_code ~key:entry.key then
     Mb_base.raise_event t.base
       (Event.Introspect
-         {
-           code = new_mapping_code;
-           key = entry.key;
-           info =
-             Json.Assoc
-               [
-                 ("int_ip", Json.String (Addr.to_string m.m_int_ip));
-                 ("int_port", Json.Int m.m_int_port);
-                 ("ext_port", Json.Int m.m_ext_port);
-                 ("proto", Json.String (Packet.proto_to_string m.m_proto));
-               ];
-         });
+         { code = new_mapping_code; key = entry.key; info = Codec.to_json t.announcement m });
   entry
 
 (* The mapping is updated in place: a seen flow's packet allocates
@@ -166,46 +190,6 @@ let process t (p : Packet.t) ~side_effects =
         Mb_base.drop)
   end
 
-(* ------------------------------------------------------------------ *)
-(* Serialization                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let mapping_to_json m =
-  Json.Assoc
-    [
-      ("int_ip", Json.String (Addr.to_string m.m_int_ip));
-      ("int_port", Json.Int m.m_int_port);
-      ("ext_ip", Json.String (Addr.to_string m.m_ext_ip));
-      ("ext_port", Json.Int m.m_ext_port);
-      ("proto", Json.String (Packet.proto_to_string m.m_proto));
-      ("created", Json.Float m.m_created);
-      ("last_active", Json.Float m.m_last_active);
-    ]
-
-let mapping_of_json ~default_ext_ip j =
-  (* [created] is absent when restoring from introspection-event info
-     (failure recovery) — default it.  [ext_ip] is absent in chunks
-     sealed before the pool extension: those NATs had one address. *)
-  let created =
-    match Json.member "created" j with Json.Null -> 0.0 | v -> Json.get_float v
-  in
-  let ext_ip =
-    match Json.member "ext_ip" j with
-    | Json.Null -> default_ext_ip
-    | v -> Addr.of_string (Json.get_string v)
-  in
-  {
-    m_int_ip = Addr.of_string (Json.get_string (Json.member "int_ip" j));
-    m_int_port = Json.get_int (Json.member "int_port" j);
-    m_ext_ip = ext_ip;
-    m_ext_port = Json.get_int (Json.member "ext_port" j);
-    m_proto = Packet.proto_of_string (Json.get_string (Json.member "proto" j));
-    m_created = created;
-    (* Timers are non-critical state: reset on import (§2, failure
-       recovery). *)
-    m_last_active = created;
-  }
-
 let create engine ?recorder ?telemetry ?(cost = default_cost) ?(external_ips = []) ~external_ip
     ~internal_prefix ~name () =
   let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"nat" ~cost () in
@@ -222,10 +206,10 @@ let create engine ?recorder ?telemetry ?(cost = default_cost) ?(external_ips = [
       table;
       flows =
         Mb_base.perflow base table ~role:Taxonomy.Supporting
-          ~encode:(fun m -> Json.to_string (mapping_to_json m))
-          ~decode:(fun s ->
-            mapping_of_json ~default_ext_ip:external_ip (Json.of_string s));
+          ~encode:(Codec.encode Framing.Json mapping_codec)
+          ~decode:(Codec.decode mapping_codec);
       by_external = Flat_table.create ~capacity:64 ();
+      announcement = announcement_codec external_ip;
       next_slot = 0;
       dropped = 0;
     }
@@ -251,7 +235,7 @@ let set_config t path values =
   in
   match path with
   | [ "static_mappings" ] -> (
-    match List.map (mapping_of_json ~default_ext_ip:t.ext_ips.(0)) values with
+    match List.map (Codec.of_json t.announcement) values with
     | ms ->
       List.iter
         (fun m ->
@@ -266,7 +250,7 @@ let set_config t path values =
           ext_set t m.m_ext_ip m.m_ext_port key)
         ms;
       store ()
-    | exception Invalid_argument msg -> Error (Errors.Op_failed msg))
+    | exception Binary.Decode_error msg -> Error (Errors.Op_failed msg))
   | _ -> store ()
 
 (* The external-port index follows the table through import and

@@ -48,6 +48,28 @@ let to_string t =
     (Packet.proto_to_string t.proto)
     (Addr.to_string t.src_ip) t.src_port (Addr.to_string t.dst_ip) t.dst_port
 
+let of_string s =
+  let malformed () = invalid_arg (Printf.sprintf "Five_tuple.of_string: malformed tuple %S" s) in
+  let port p =
+    if p = "" || String.length p > 5 || not (String.for_all (fun c -> c >= '0' && c <= '9') p)
+    then malformed ()
+    else match int_of_string p with n when n <= 0xFFFF -> n | _ -> malformed ()
+  in
+  let endpoint e =
+    match String.rindex_opt e ':' with
+    | Some i ->
+      (Addr.of_string (String.sub e 0 i), port (String.sub e (i + 1) (String.length e - i - 1)))
+    | None -> malformed ()
+  in
+  match String.split_on_char ' ' s with
+  | [ proto; rest ] -> (
+    match String.split_on_char '>' rest with
+    | [ a; b ] ->
+      let src_ip, src_port = endpoint a and dst_ip, dst_port = endpoint b in
+      { src_ip; dst_ip; src_port; dst_port; proto = Packet.proto_of_string proto }
+    | _ -> malformed ())
+  | _ -> malformed ()
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* ------------------------------------------------------------------ *)

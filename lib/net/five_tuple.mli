@@ -31,6 +31,10 @@ val hash : t -> int
 val to_string : t -> string
 (** ["tcp 10.0.0.1:3456>1.1.1.5:80"]. *)
 
+val of_string : string -> t
+(** Inverse of {!to_string}; raises [Invalid_argument] on any other
+    text, a port outside 0–65535 included. *)
+
 val pp : Format.formatter -> t -> unit
 
 module Table : Hashtbl.S with type key = t

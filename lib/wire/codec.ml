@@ -81,6 +81,14 @@ let list c =
   { to_json = (fun l -> Json.List (List.map c.to_json l)); of_json; write = write_list c.write;
     read = read_list c.read }
 
+let assoc c =
+  let member (name, v) = (name, c.to_json v) and of_member (name, j) = (name, c.of_json j) in
+  let of_json = function Json.Assoc fs -> List.map of_member fs | j -> mismatch "an object" j in
+  let write k (name, v) = Binary.str k name; c.write k v in
+  let read r = let name = Binary.get_str r in (name, c.read r) in
+  { to_json = (fun l -> Json.Assoc (List.map member l)); of_json; write = write_list write;
+    read = read_list read }
+
 let conv encode decode c =
   { to_json = (fun v -> c.to_json (encode v)); of_json = (fun j -> decode (c.of_json j));
     write = (fun k v -> c.write k (encode v)); read = (fun r -> decode (c.read r)) }
@@ -91,14 +99,16 @@ let json_null v c =
   { c with to_json = (fun x -> if x = v then Json.Null else c.to_json x);
            of_json = (function Json.Null -> v | j -> c.of_json j) }
 
+(* A JSON name two values share reads back as the first of them. *)
 let enum name values =
   let values = Array.of_list values in
   let rec index v i = if values.(i) == v then i else index v (i + 1) in
-  let named s =
-    match List.find_opt (fun v -> name v = s) (Array.to_list values) with
-    | Some v -> v
-    | None -> invalid_arg ("Codec.enum: unknown name " ^ s)
+  let rec named s i =
+    if i = Array.length values then invalid_arg ("Codec.enum: unknown name " ^ s)
+    else if String.equal (name values.(i)) s then values.(i)
+    else named s (i + 1)
   in
+  let named s = named s 0 in
   { (conv name named string) with write = (fun k v -> Binary.u8 k (index v 0));
                                   read = (fun r -> values.(Binary.get_u8 r)) }
 
@@ -128,7 +138,10 @@ let splice (o : 'a obj) get f =
     put = (if fput == nothing then fun k v -> oput k (get v) else fun k v -> fput k v; oput k (get v));
     take = (fun r -> let make = f.take r in make (o.take r)) }
 
-let member name fs = Option.value (List.assoc_opt name fs) ~default:Json.Null
+(* A field lookup that allocates nothing; an absent field reads as [null]. *)
+let rec member name = function
+  | [] -> Json.Null
+  | (n, v) :: rest -> if String.equal n name then v else member name rest
 
 let obj1 name c =
   { emit = (fun v rest -> (name, c.to_json v) :: rest); parse = (fun fs -> c.of_json (member name fs));
@@ -278,10 +291,15 @@ let encode (framing : Framing.t) c v =
     c.write (Binary.buffer_sink buf) v;
     Buffer.contents buf
 
+let to_json c v = c.to_json v
+
 (* Constructors a description calls on decode (Addr.prefix,
    Payload.of_tokens_trailing, Hfl.of_string, ...) reject bad values
    with Invalid_argument or Failure: on the wire, malformed input like
    any other. *)
+let of_json c j =
+  try c.of_json j with Invalid_argument m | Failure m -> raise (Binary.Decode_error m)
+
 let decode c s =
   try
     if String.length s > 0 && s.[0] = binary_tag then begin

@@ -36,13 +36,18 @@ val json : Json.t t
 
 val enum : ('a -> string) -> 'a list -> 'a t
 (** [enum name values]: the JSON string [name v]; in binary one byte,
-    [v]'s position in [values] (constant constructors). *)
+    [v]'s position in [values] (constant constructors).  A JSON name
+    two values share reads back as the first of them in [values]. *)
 
 (** {1 Combinators} *)
 
 val list : 'a t -> 'a list t
 (** In binary a count, then the items; a count larger than the bytes
     left is rejected before anything is allocated. *)
+
+val assoc : 'a t -> (string * 'a) list t
+(** A JSON object whose member names are data, in order; in binary a
+    count, then name/value pairs. *)
 
 val conv : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
 (** [conv encode decode c]; [decode] may reject a value with
@@ -133,6 +138,14 @@ val splice_after_tag :
     its tag byte. *)
 
 (** {1 Framings} *)
+
+val to_json : 'a t -> 'a -> Json.t
+(** The JSON form alone, for values that travel inside JSON already
+    (configuration values, event infos). *)
+
+val of_json : 'a t -> Json.t -> 'a
+(** Inverse of {!to_json}; raises {!Binary.Decode_error} as {!decode}
+    does. *)
 
 val encode : Framing.t -> 'a t -> 'a -> string
 (** JSON text, or a binary body behind a [0x42] tag byte. *)

@@ -412,13 +412,13 @@ let test_mb_base_seal_roundtrip () =
   let base = Mb_base.create engine ~name:"mb" ~kind:"kindx" ~cost:Southbound.default_cost () in
   let j = Json.Assoc [ ("a", Json.Int 1) ] in
   let chunk =
-    Mb_base.seal_json base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
-      ~key:Hfl.any j
+    Mb_base.seal_raw base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
+      ~key:Hfl.any (Codec.encode Framing.Json Codec.json j)
   in
   let got = ref Json.Null in
   match
     Mb_base.import base ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
-      ~decode:Json.of_string (fun _ j' -> got := j') chunk
+      ~decode:(Codec.decode Codec.json) (fun _ j' -> got := j') chunk
   with
   | Ok () -> Alcotest.(check bool) "roundtrip" true (Json.equal j !got)
   | Error e -> Alcotest.failf "unseal: %s" (Errors.to_string e)
