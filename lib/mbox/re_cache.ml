@@ -137,6 +137,7 @@ let deserialize s =
       pos := !pos + 8
     done
   done;
+  if !pos <> String.length s then fail ();
   t.head <- head;
   t
 

@@ -221,26 +221,34 @@ let serialize_all t =
 
 let deserialize_all s =
   let fail () = invalid_arg "Re_encoder: corrupt cache bundle" in
-  let newline_after pos =
-    match String.index_from_opt s pos '\n' with Some i -> i | None -> fail ()
+  (* A count: decimal digits up to the next newline, at most the
+     bundle's length. *)
+  let count_at pos =
+    let nl = match String.index_from_opt s pos '\n' with Some nl -> nl | None -> fail () in
+    let digits = String.sub s pos (nl - pos) in
+    if digits = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') digits) then fail ();
+    match int_of_string_opt digits with
+    | Some n when n <= String.length s -> (n, nl + 1)
+    | _ -> fail ()
   in
-  let nl0 = newline_after 0 in
-  let n = int_of_string (String.sub s 0 nl0) in
-  let pos = ref (nl0 + 1) in
-  Array.init n (fun _ ->
-      let nl = newline_after !pos in
-      let len = int_of_string (String.sub s !pos (nl - !pos)) in
-      let body = String.sub s (nl + 1) len in
-      pos := nl + 1 + len;
-      let cache = Re_cache.deserialize body in
-      let fingerprints = Hashtbl.create 4096 in
-      (* Rebuild fingerprints from resident contents. *)
-      for off = max 0 (Re_cache.pos cache - Re_cache.capacity cache) to Re_cache.pos cache - 1 do
-        match Re_cache.read cache ~offset:off with
-        | Some token -> Hashtbl.replace fingerprints token off
-        | None -> ()
-      done;
-      { cache; fingerprints; ctx_encoded_bytes = 0 })
+  let n, first = count_at 0 in
+  let pos = ref first in
+  let ctxs =
+    Array.init n (fun _ ->
+        let len, start = count_at !pos in
+        let cache = Re_cache.deserialize (String.sub s start len) in
+        pos := start + len;
+        let fingerprints = Hashtbl.create 4096 in
+        (* Rebuild fingerprints from resident contents. *)
+        for off = max 0 (Re_cache.pos cache - Re_cache.capacity cache) to Re_cache.pos cache - 1 do
+          match Re_cache.read cache ~offset:off with
+          | Some token -> Hashtbl.replace fingerprints token off
+          | None -> ()
+        done;
+        { cache; fingerprints; ctx_encoded_bytes = 0 })
+  in
+  if !pos <> String.length s then fail ();
+  ctxs
 
 let impl t =
   let default = Mb_base.default_impl t.base () in

@@ -111,7 +111,12 @@ type parser_state = { src : string; mutable pos : int }
 
 let fail st msg = raise (Parse_error (Printf.sprintf "%s at position %d" msg st.pos))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* One preallocated option per byte: peeking allocates nothing. *)
+let chars = Array.init 256 (fun i -> Some (Char.chr i))
+
+let peek st =
+  if st.pos < String.length st.src then Array.unsafe_get chars (Char.code st.src.[st.pos])
+  else None
 
 let advance st = st.pos <- st.pos + 1
 

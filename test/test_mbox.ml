@@ -1357,6 +1357,35 @@ let test_budget_move () =
   if words > 300.0 then
     Alcotest.failf "a move allocates %.2f minor words/chunk, budget 300" words
 
+(* One long flow of 8-token data packets into an IDS, one packet per
+   call, counted over everything (batch, engine, analysis).  A packet
+   allocates its flow lookup, its event and one more history letter:
+   the history is copied whole by each append, so the cost grows with
+   the flow (89.7 words/packet over packets 1-1,000, 214.3 over
+   1,001-2,000).  An IDS that rebuilds the flow's reassembly buffer on
+   every packet with a body reads 8,170 and 8,341. *)
+let test_budget_ids_long_flow () =
+  let engine = Engine.create () in
+  let ids = Ids.create engine ~name:"bro1" () in
+  Mb_base.set_egress_batch (Ids.base ids) Packet_batch.release;
+  let span lo hi =
+    let pkts =
+      List.init (hi - lo + 1) (fun k ->
+          let i = lo + k in
+          mk_packet ~id:i ~ts:(float_of_int i *. 1e-4) ~tokens:(Array.init 8 (fun j -> (8 * i) + j)) ())
+    in
+    let w0 = Gc.minor_words () in
+    List.iter
+      (fun p ->
+        Ids.receive ids p;
+        run_all engine)
+      pkts;
+    (Gc.minor_words () -. w0) /. float_of_int (hi - lo + 1)
+  in
+  check_budget "Ids.receive, packets 1-1,000 of a flow" 100.0 (span 1 1000);
+  check_budget "Ids.receive, packets 1,001-2,000 of a flow" 225.0 (span 1001 2000);
+  Alcotest.(check int) "one connection" 1 ((Ids.impl ids).Southbound.stats Hfl.any).perflow_support_chunks
+
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1511,6 +1540,35 @@ let test_firewall_verdict_move () =
   Firewall.receive b (mk_packet ~id:2 ~ts:0.01 ());
   run_all engine;
   Alcotest.(check int) "moved verdict honoured" 1 !out
+
+(* A rule list or default action that does not parse is refused whole
+   with [Op_failed]: the old configuration stays and the next packet
+   meets it. *)
+let test_firewall_unparsable_config_refused () =
+  let engine = Engine.create () in
+  let fw =
+    Firewall.create engine
+      ~rules:[ { Firewall.rl_match = Hfl.of_string "tp_dst=22"; rl_action = Firewall.Deny } ]
+      ~name:"fw1" ()
+  in
+  let impl = Firewall.impl fw in
+  let refused what path values =
+    match impl.Southbound.set_config path values with
+    | Error (Errors.Op_failed _) -> ()
+    | Ok () -> Alcotest.failf "%s: accepted" what
+    | Error e -> Alcotest.failf "%s: %s" what (Errors.to_string e)
+  in
+  let rule m = Json.Assoc [ ("match", Json.String m); ("action", Json.String "allow") ] in
+  refused "unparsable match" [ "rules" ] [ rule "tp_dst=80"; rule "nw_src=bogus" ];
+  refused "unknown action" [ "default" ] [ Json.String "maybe" ];
+  Alcotest.(check (list string)) "old rules kept" [ "tp_dst=22" ]
+    (List.map (fun (r : Firewall.rule) -> Hfl.to_string r.rl_match) (Firewall.rules fw));
+  Mb_base.set_egress (Firewall.base fw) (fun _ -> ());
+  Firewall.receive fw (mk_packet ~id:1 ~dport:22 ());
+  Firewall.receive fw (mk_packet ~id:2 ~sport:9 ());
+  run_all engine;
+  Alcotest.(check (pair int int)) "old rules and default applied" (1, 1)
+    (Firewall.allowed fw, Firewall.denied fw)
 
 (* ------------------------------------------------------------------ *)
 (* State pinning                                                       *)
@@ -1673,6 +1731,315 @@ let test_state_pinning () =
   Alcotest.(check int) "pinned line count" (List.length expected) (List.length actual);
   List.iter2 (fun e a -> Alcotest.(check string) "pinned state" e a) expected actual
 
+(* ------------------------------------------------------------------ *)
+(* Malformed state                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let plaintext (impl : Southbound.impl) (c : Chunk.t) =
+  match Chunk.unseal ~mb_kind:impl.kind c with
+  | Ok plain -> plain
+  | Error e -> Alcotest.failf "%s unseal: %s" impl.name (Errors.to_string e)
+
+(* Everything an MB would export, its stats and its table size; the
+   per-flow gets' marks are rolled back. *)
+let exported (impl : Southbound.impl) =
+  let line (c : Chunk.t) = Hfl.to_string c.key ^ " " ^ plaintext impl c in
+  let perflow = function
+    | Ok chunks -> List.map line chunks
+    | Error e -> Alcotest.failf "%s get: %s" impl.name (Errors.to_string e)
+  in
+  let shared = function
+    | Ok (Some c) -> [ line c ]
+    | Ok None -> []
+    | Error e -> Alcotest.failf "%s get: %s" impl.name (Errors.to_string e)
+  in
+  let s = impl.stats Hfl.any in
+  let lines =
+    perflow (impl.get_support_perflow Hfl.any)
+    @ perflow (impl.get_report_perflow Hfl.any)
+    @ shared (impl.get_support_shared ())
+    @ shared (impl.get_report_shared ())
+  in
+  impl.abort_perflow Hfl.any;
+  Printf.sprintf "entries=%d chunks=%d/%d bytes=%d/%d/%d/%d" (impl.table_entries ())
+    s.perflow_support_chunks s.perflow_report_chunks s.perflow_support_bytes
+    s.perflow_report_bytes s.shared_support_bytes s.shared_report_bytes
+  :: List.sort String.compare lines
+
+(* Edits of a JSON object body: [drop] a member, [set] one. *)
+let edit_member name f body =
+  match Json.of_string body with
+  | Json.Assoc fields ->
+    Json.to_string
+      (Json.Assoc
+         (List.filter_map (fun (k, v) -> if k = name then Option.map (fun v -> (k, v)) (f v) else Some (k, v)) fields))
+  | _ -> Alcotest.failf "not an object: %s" body
+
+let drop name = edit_member name (fun _ -> None)
+let set name v = edit_member name (fun _ -> Some v)
+
+(* The JSON bodies every described value rejects, then its own. *)
+let malformed_json ~valid ~missing ~wrong_type own =
+  [
+    ("not JSON", "not json");
+    ("wrong top-level shape", "[" ^ valid ^ "]");
+    ("missing field", missing);
+    ("wrong field type", wrong_type);
+    ("trailing bytes", valid ^ " 0");
+  ]
+  @ own
+
+(* Every put each MB serves, per-flow and shared, both roles, RE's
+   caches included, fed malformed bodies of its own class and key: each
+   is [Bad_chunk], never an exception, and leaves what the MB exports
+   unchanged; the valid body it was derived from is then accepted. *)
+let test_malformed_state_rejected () =
+  let impls, _ = pin_fleet () in
+  let engine = Engine.create () in
+  let enc, dec = re_pair engine () in
+  send_via engine enc ~id:1 ~ts:0.0 [| 1; 2; 3; 4 |];
+  send_via engine enc ~id:2 ~ts:0.01 [| 1; 2; 3; 9 |];
+  run_all engine;
+  let impls = impls @ [ ("re-encoder", Re_encoder.impl enc); ("re-decoder", Re_decoder.impl dec) ] in
+  (* A valid body of a class: a chunk the MB exports itself. *)
+  let exported_chunk name (get : Southbound.impl -> _) =
+    let impl = List.assoc name impls in
+    let c =
+      match get impl with
+      | Ok (c :: _) -> c
+      | _ -> Alcotest.failf "%s: nothing exported" name
+    in
+    impl.abort_perflow Hfl.any;
+    (c.Chunk.key, plaintext impl c)
+  in
+  let perflow ?(key = Hfl.any) name role =
+    exported_chunk name (fun impl ->
+        match role with
+        | Taxonomy.Supporting -> impl.get_support_perflow key
+        | Taxonomy.Reporting | Taxonomy.Configuring -> impl.get_report_perflow key)
+  in
+  let shared name role =
+    exported_chunk name (fun impl ->
+        Result.map Option.to_list
+          (match role with
+          | Taxonomy.Supporting -> impl.get_support_shared ()
+          | Taxonomy.Reporting | Taxonomy.Configuring -> impl.get_report_shared ()))
+  in
+  let binary_bad valid own =
+    [ ("truncated", String.sub valid 0 (String.length valid / 2)); ("trailing bytes", valid ^ "0") ]
+    @ own
+  in
+  let open Taxonomy in
+  let cases =
+    [
+      ( "nat", Supporting, Per_flow, perflow "nat" Supporting,
+        fun v ->
+          malformed_json ~valid:v ~missing:(drop "ext_port" v)
+            ~wrong_type:(set "int_port" (Json.String "1234") v)
+            [ ("proto sctp", set "proto" (Json.String "sctp") v) ] );
+      ( "monitor", Reporting, Per_flow, perflow "monitor" Reporting,
+        fun v ->
+          malformed_json ~valid:v ~missing:(drop "pkts" v)
+            ~wrong_type:(set "first" (Json.String "0.0") v) [] );
+      ( "monitor", Reporting, Shared, shared "monitor" Reporting,
+        fun v ->
+          malformed_json ~valid:v ~missing:(drop "new_flows" v)
+            ~wrong_type:(set "tcp" (Json.Bool true) v) [] );
+      ( "firewall", Supporting, Per_flow, perflow "firewall" Supporting,
+        fun v ->
+          malformed_json ~valid:v ~missing:(drop "verdict" v)
+            ~wrong_type:(set "verdict" (Json.Int 1) v)
+            [ ("verdict maybe", set "verdict" (Json.String "maybe") v) ] );
+      ( "firewall", Reporting, Shared, shared "firewall" Reporting,
+        fun v ->
+          malformed_json ~valid:v ~missing:(drop "denied" v)
+            ~wrong_type:(set "allowed" (Json.Float 1.5) v) [] );
+      ( "ids", Supporting, Per_flow,
+        perflow ~key:(Hfl.of_string "nw_src=10.0.0.1/32,tp_src=1234") "ids" Supporting,
+        fun v ->
+          let tcp_analyzer_only =
+            match Json.member "analyzers" (Json.of_string v) with
+            | Json.List l -> Json.List (List.filter (fun a -> Json.member "name" a <> Json.String "HTTP") l)
+            | _ -> Alcotest.fail "ids: no analyzer list"
+          in
+          malformed_json ~valid:v ~missing:(drop "history" v)
+            ~wrong_type:(set "logged" (Json.String "yes") v)
+            [
+              ("tcp S9", set "tcp" (Json.String "S9") v);
+              ("no HTTP analyzer", set "analyzers" tcp_analyzer_only v);
+              ("non-numeric port", set "orig" (Json.String "tcp 10.0.0.1:http>1.1.1.5:80") v);
+            ] );
+      ( "ids", Supporting, Shared, shared "ids" Supporting,
+        fun v ->
+          let scanner fields = set "10.0.0.99" (Json.Assoc fields) v in
+          malformed_json ~valid:v
+            ~missing:(scanner [ ("alerted", Json.Bool true) ])
+            ~wrong_type:(scanner [ ("syns", Json.String "22"); ("alerted", Json.Bool true) ])
+            [] );
+      ( "lb", Supporting, Per_flow, perflow "lb" Supporting,
+        fun v ->
+          malformed_json ~valid:v ~missing:(drop "backend" v)
+            ~wrong_type:(set "backend" (Json.Int 1) v)
+            [ ("bad address", set "backend" (Json.String "10.9.0") v) ] );
+      ( "re-encoder", Supporting, Shared, shared "re-encoder" Supporting,
+        fun v -> binary_bad v [ ("not a bundle", "not json"); ("non-numeric count", "x\n") ] );
+      ( "re-decoder", Supporting, Shared, shared "re-decoder" Supporting,
+        fun v -> binary_bad v [ ("not a cache", "not json") ] );
+    ]
+  in
+  List.iter
+    (fun (name, role, partition, (key, valid), bodies) ->
+      let impl = List.assoc name impls in
+      let put =
+        match (role, partition) with
+        | Supporting, Per_flow -> impl.put_support_perflow
+        | Supporting, Shared -> impl.put_support_shared
+        | (Reporting | Configuring), Per_flow -> impl.put_report_perflow
+        | (Reporting | Configuring), Shared -> impl.put_report_shared
+      in
+      let seal plain = Chunk.seal ~mb_kind:impl.kind ~role ~partition ~key ~plain in
+      let before = exported impl in
+      List.iter
+        (fun (label, body) ->
+          match put (seal body) with
+          | Error (Errors.Bad_chunk _) -> ()
+          | Ok () -> Alcotest.failf "%s, %s: accepted" name label
+          | Error e -> Alcotest.failf "%s, %s: %s" name label (Errors.to_string e)
+          | exception e -> Alcotest.failf "%s, %s: raised %s" name label (Printexc.to_string e))
+        (bodies valid);
+      Alcotest.(check (list string)) (name ^ ": state unchanged") before (exported impl);
+      match put (seal valid) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: the valid body: %s" name (Errors.to_string e))
+    cases
+
+(* ------------------------------------------------------------------ *)
+(* State descriptions                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Each description, under both framings: a value reads back as
+   [expect] says (the decoders reset what an import resets, and JSON's
+   ["S1"] reads back as [Ts_est]); [binary_size] is the binary
+   encoding's length; and a truncated or bit-flipped encoding raises
+   nothing but [Decode_error]. *)
+let prop_described name codec gen ?(expect = Fun.id) ?(expect_json = expect) () =
+  let print = Codec.encode Framing.Json codec in
+  let damage =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun i -> `Truncate i) nat;
+          map (fun flips -> `Flips flips) (list_size (int_range 1 3) (pair nat (int_bound 7)));
+        ])
+  in
+  [
+    QCheck2.Test.make ~count:200 ~print ~name:(name ^ " round-trips under both framings") gen
+      (fun v ->
+        let binary = Codec.encode Framing.Binary codec v in
+        Codec.decode codec binary = expect v
+        && Codec.decode codec (Codec.encode Framing.Json codec v) = expect_json v
+        && Codec.binary_size codec v = String.length binary);
+    QCheck2.Test.make ~count:300 ~name:(name ^ " damaged: Decode_error or a value")
+      QCheck2.Gen.(triple gen bool damage)
+      (fun (v, binary, dmg) ->
+        let s = Codec.encode (if binary then Framing.Binary else Framing.Json) codec v in
+        let damaged =
+          match dmg with
+          | `Truncate i -> String.sub s 0 (i mod String.length s)
+          | `Flips flips ->
+            let b = Bytes.of_string s in
+            List.iter
+              (fun (i, bit) ->
+                let i = i mod Bytes.length b in
+                Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+              flips;
+            Bytes.to_string b
+        in
+        match Codec.decode codec damaged with
+        | _ -> true
+        | exception Binary.Decode_error _ -> true);
+  ]
+
+let gen_state_props =
+  let open QCheck2.Gen in
+  let time = map (fun f -> if Float.is_finite f then f else 0.0) float in
+  let count = oneof [ nat; int_range 0 max_int ] in
+  let port = int_bound 0xFFFF in
+  let addr = map Addr.of_int (int_bound 0xFFFF_FFFF) in
+  let proto = oneofl Packet.[ Tcp; Udp; Icmp ] in
+  let text = string_size (int_range 0 12) in
+  let mapping =
+    map
+      (fun ((m_int_ip, m_int_port, m_ext_ip, m_ext_port), (m_proto, m_created, m_last_active)) ->
+        { Nat.m_int_ip; m_int_port; m_ext_ip; m_ext_port; m_proto; m_created; m_last_active })
+      (pair (quad addr port addr port) (triple proto time time))
+  in
+  let tuple =
+    map
+      (fun (src_ip, dst_ip, (src_port, dst_port), proto) ->
+        { Five_tuple.src_ip; dst_ip; src_port; dst_port; proto })
+      (quad addr addr (pair port port) proto)
+  in
+  let conn =
+    map
+      (fun ((orig, started, last_seen, tcp), (history, orig_pkts, orig_bytes, resp_pkts),
+            (resp_bytes, open_http, http_done, logged)) ->
+        { Ids.orig; started; last_seen; tcp; history; orig_pkts; orig_bytes; resp_pkts;
+          resp_bytes; open_http; http_done; logged })
+      (triple
+         (quad tuple time time
+            (oneofl Ids.[ Ts_syn; Ts_synack; Ts_est; Ts_closed; Ts_reset_orig; Ts_reset_resp ]))
+         (quad text count (int_bound 100_000) count)
+         (quad (int_bound 100_000)
+            (list_size (int_bound 3) (triple text text text))
+            (list_size (int_bound 3) (quad text text text int))
+            bool))
+  in
+  let scan_rec = map2 (fun syn_count alerted -> { Ids.syn_count; alerted }) count bool in
+  let rule =
+    map2 (fun rl_match rl_action -> { Firewall.rl_match; rl_action })
+      (list_size (int_range 0 4)
+         (oneof
+            [
+              map2 (fun a len -> Hfl.Src_ip (Addr.prefix a len)) addr (int_bound 32);
+              map2 (fun a len -> Hfl.Dst_ip (Addr.prefix a len)) addr (int_bound 32);
+              map (fun v -> Hfl.Src_port v) port;
+              map (fun v -> Hfl.Dst_port v) port;
+              map (fun v -> Hfl.Proto v) proto;
+            ]))
+      (oneofl Firewall.[ Allow; Deny ])
+  in
+  let pool = Addr.of_string "5.5.5.5" in
+  let fresh (c : Ids.conn) = { c with tcp = (if c.tcp = Ids.Ts_synack then Ids.Ts_est else c.tcp) } in
+  List.concat
+    [
+      prop_described "NAT mapping" Nat.mapping_codec mapping
+        ~expect:(fun m -> { m with m_last_active = m.m_created })
+        ();
+      prop_described "NAT announcement" (Nat.announcement_codec pool) mapping
+        ~expect:(fun m -> { m with m_ext_ip = pool; m_created = 0.0; m_last_active = 0.0 })
+        ();
+      prop_described "monitor flow record" Monitor.flow_record_codec
+        (map
+           (fun ((fr_first, fr_last), (fr_pkts, fr_bytes, fr_service)) ->
+             { Monitor.fr_first; fr_last; fr_pkts; fr_bytes; fr_service })
+           (pair (pair time time) (triple count count text)))
+        ();
+      prop_described "monitor totals" Monitor.totals_codec
+        (map
+           (fun ((tot_pkts, tot_bytes, tot_tcp), (tot_udp, tot_icmp, tot_new_flows)) ->
+             { Monitor.tot_pkts; tot_bytes; tot_tcp; tot_udp; tot_icmp; tot_new_flows })
+           (pair (triple count count count) (triple count count count)))
+        ();
+      prop_described "firewall verdict" Firewall.verdict_codec (oneofl Firewall.[ Allow; Deny ]) ();
+      prop_described "firewall counters" Firewall.counters_codec (pair count count) ();
+      prop_described "firewall rule" Firewall.rule_codec rule ();
+      prop_described "IDS connection" Ids.conn_codec conn ~expect_json:fresh ();
+      prop_described "IDS scan table" Ids.scan_codec
+        (list_size (int_bound 5) (pair text scan_rec)) ();
+      prop_described "LB backend" Load_balancer.backend_codec addr ();
+    ]
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1772,6 +2139,7 @@ let () =
             test_budget_monitor_new_flows;
           Alcotest.test_case "nat+monitor batch size 1" `Quick test_budget_nat_monitor_b1;
           Alcotest.test_case "move 1k chunks, compressed JSON" `Quick test_budget_move;
+          Alcotest.test_case "ids receive, one long flow" `Quick test_budget_ids_long_flow;
         ] );
       ( "load_balancer",
         [
@@ -1787,6 +2155,13 @@ let () =
           Alcotest.test_case "rules and cache" `Quick test_firewall_rules_and_cache;
           Alcotest.test_case "shared report merge" `Quick test_firewall_shared_report_merge;
           Alcotest.test_case "verdict move" `Quick test_firewall_verdict_move;
+          Alcotest.test_case "unparsable config refused" `Quick
+            test_firewall_unparsable_config_refused;
         ] );
-      ("mb_state", [ Alcotest.test_case "chunk bodies pinned" `Quick test_state_pinning ]);
+      ( "mb_state",
+        [
+          Alcotest.test_case "chunk bodies pinned" `Quick test_state_pinning;
+          Alcotest.test_case "malformed state rejected" `Quick test_malformed_state_rejected;
+        ]
+        @ qcheck gen_state_props );
     ]
