@@ -84,20 +84,13 @@ type from_mb =
   | Reply of { op : op_id; reply : reply }
   | Event_msg of Event.t  (** MB-initiated, not tied to an op. *)
 
-(** {1 Field descriptions}
+(** {1 Field descriptions}, shared with the middleboxes' state *)
 
-    Shared with the middleboxes' state descriptions, so an address, a
-    protocol or a header-field list has one wire form everywhere. *)
+val addr : Openmb_net.Addr.t Openmb_wire.Codec.t  (** Dotted-quad text in JSON. *)
 
-val addr : Openmb_net.Addr.t Openmb_wire.Codec.t
-(** Dotted-quad text in JSON, four bytes in binary. *)
+val proto : Openmb_net.Packet.proto Openmb_wire.Codec.t  (** ["tcp"], ["udp"], ["icmp"]. *)
 
-val proto : Openmb_net.Packet.proto Openmb_wire.Codec.t
-(** ["tcp"], ["udp"] or ["icmp"] in JSON, one byte in binary. *)
-
-val hfl : Openmb_net.Hfl.t Openmb_wire.Codec.t
-(** Its text form ({!Openmb_net.Hfl.to_string}) in JSON, a list of
-    tagged fields in binary. *)
+val hfl : Openmb_net.Hfl.t Openmb_wire.Codec.t  (** {!Openmb_net.Hfl.to_string} in JSON. *)
 
 (** {1 Wire strings}
 

@@ -133,11 +133,9 @@ let receive_batch t b = Mb_base.inject_batch t.base b ~side_effects:true
 (* A rule list or default action that does not parse is refused whole
    and the old one stays, so the packet path never meets it. *)
 let set_config set path values =
+  let check c = List.iter (fun v -> ignore (Codec.of_json c v)) values in
   match
-    match path with
-    | [ "rules" ] -> List.iter (fun v -> ignore (Codec.of_json rule_codec v : rule)) values
-    | [ "default" ] -> List.iter (fun v -> ignore (Codec.of_json action v : action)) values
-    | _ -> ()
+    match path with [ "rules" ] -> check rule_codec | [ "default" ] -> check action | _ -> ()
   with
   | () -> set path values
   | exception Binary.Decode_error msg -> Error (Errors.Op_failed msg)

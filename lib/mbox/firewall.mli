@@ -46,14 +46,11 @@ val cached_verdicts : t -> int
 
 (** {1 State and configuration descriptions}
 
-    [setConfig] of [rules] or [default] with a value these do not read
-    fails with [Op_failed] and leaves the old value in place. *)
+    A [rules] or [default] config write with a value these do not read
+    fails with [Op_failed] and keeps the old value. *)
 
-val verdict_codec : action Openmb_wire.Codec.t
-(** A cached verdict, the per-flow chunk body: [{"verdict":"allow"}]. *)
+val verdict_codec : action Openmb_wire.Codec.t  (** Per-flow: [{"verdict":"allow"}]. *)
 
-val counters_codec : (int * int) Openmb_wire.Codec.t
-(** The shared counters (allowed, denied): [{"allowed","denied"}]. *)
+val counters_codec : (int * int) Openmb_wire.Codec.t  (** Shared: [{"allowed","denied"}]. *)
 
-val rule_codec : rule Openmb_wire.Codec.t
-(** One [rules] configuration value: [{"match":"<hfl>","action":"deny"}]. *)
+val rule_codec : rule Openmb_wire.Codec.t  (** [{"match":"<hfl>","action":"deny"}]. *)

@@ -84,17 +84,14 @@ let tcp_state_to_string = function
    than idle-flow chunks, as in Bro.  It is derived on export, never
    kept: empty until the connection has carried payload. *)
 let reassembly c =
-  let bytes = c.orig_bytes + c.resp_bytes in
-  if bytes = 0 then ""
-  else begin
-    let n = 256 + min 1024 (bytes / 8) in
+  match c.orig_bytes + c.resp_bytes with
+  | 0 -> ""
+  | bytes ->
     let g = Prng.create ~seed:(Hashtbl.hash (Five_tuple.to_string c.orig)) in
-    String.init n (fun _ -> Char.chr (97 + Prng.int g 26))
-  end
+    String.init (256 + min 1024 (bytes / 8)) (fun _ -> Char.chr (97 + Prng.int g 26))
 
 (* ------------------------------------------------------------------ *)
-(* State descriptions (the paper's libboost serialization of >100      *)
-(* classes)                                                            *)
+(* State descriptions (Bro's libboost serialization of >100 classes)   *)
 (* ------------------------------------------------------------------ *)
 
 (* ["S1"] names both [Ts_synack] and [Ts_est]; listed first, [Ts_est]

@@ -118,17 +118,14 @@ val memory_bytes_for : t -> key:Openmb_net.Hfl.t -> int
 (** {1 State descriptions} *)
 
 val conn_codec : conn Openmb_wire.Codec.t
-(** A connection record, the per-flow chunk body.  It writes the TCP
-    state twice, at top level and in the TCP analyzer, and the analyzer
-    tree as a list tagged by ["name"] ([TCP], [HTTP]).  The TCP
-    analyzer's reassembly buffer is derived from the originator tuple
-    and the byte counts, and is not read back.  In JSON, ["S1"] names
-    both [Ts_synack] and [Ts_est] and reads back as [Ts_est]; a record
-    without its HTTP analyzer is rejected. *)
+(** The per-flow chunk body: the TCP state twice (top level and TCP
+    analyzer) and the analyzers as a list tagged by ["name"].  The TCP
+    analyzer's reassembly buffer is derived from [orig] and the byte
+    counts, never read back.  JSON's ["S1"] names [Ts_synack] and
+    [Ts_est] and reads back as [Ts_est]; no HTTP analyzer is an error. *)
 
 val scan_codec : (string * scan_rec) list Openmb_wire.Codec.t
-(** The scan table, keyed by source address text:
-    [{"10.0.0.99":{"syns":22,"alerted":true},...}]. *)
+(** The scan table: [{"10.0.0.99":{"syns":22,"alerted":true},...}]. *)
 
 val snapshot_into : t -> t -> unit
 (** Copy {e all} state (connection records and scan table) into another

@@ -119,11 +119,8 @@ val record : t -> kind:string -> detail:(unit -> string) -> unit
 
 (** {1 Chunk helpers}
 
-    A middlebox describes each value it keeps as state once, as an
-    {!Openmb_wire.Codec} description: its chunk body is the value's JSON
-    encoding ([Codec.encode Json]) and [Codec.decode] reads it back,
-    raising only {!Openmb_wire.Binary.Decode_error} on a malformed
-    body.  RE's caches keep a private binary serialization. *)
+    A chunk body is a state value's {!Openmb_wire.Codec} description
+    encoded as JSON; RE's caches keep a private binary form. *)
 
 val seal_raw :
   t ->
@@ -188,8 +185,7 @@ val perflow :
     - [on_crash]: latches the class if any entry carries a mark;
     - [stats]: the matching entries and their sealed size.
 
-    [encode] and [decode] are a description's [Codec.encode Json] and
-    [Codec.decode]; [decode] raises {!Openmb_wire.Binary.Decode_error} or
+    [decode] raises {!Openmb_wire.Binary.Decode_error} or
     [Invalid_argument] on a malformed body. *)
 
 (** {1 Impl assembly} *)

@@ -67,10 +67,7 @@ val flow_records : t -> (Openmb_net.Hfl.t * flow_record) list
 
 val tracked_flows : t -> int
 
-(** {1 State descriptions}
-
-    A per-flow record's chunk body is [Codec.encode Json flow_record_codec],
-    the shared block's [Codec.encode Json totals_codec]. *)
+(** {1 State descriptions} (chunk bodies) *)
 
 val flow_record_codec : flow_record Openmb_wire.Codec.t
 (** [{"first","last","pkts","bytes","service"}]. *)

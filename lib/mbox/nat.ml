@@ -240,11 +240,7 @@ let set_config t path values =
       List.iter
         (fun m ->
           let key =
-            [
-              Hfl.Src_ip (Addr.prefix m.m_int_ip 32);
-              Hfl.Src_port m.m_int_port;
-              Hfl.Proto m.m_proto;
-            ]
+            Hfl.[ Src_ip (Addr.prefix m.m_int_ip 32); Src_port m.m_int_port; Proto m.m_proto ]
           in
           State_table.insert t.table ~key m;
           ext_set t m.m_ext_ip m.m_ext_port key)

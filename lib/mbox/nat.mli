@@ -70,14 +70,11 @@ val packets_dropped : t -> int
 (** {1 State descriptions} *)
 
 val mapping_codec : mapping Openmb_wire.Codec.t
-(** A moved mapping, the chunk body:
-    [{"int_ip","int_port","ext_ip","ext_port","proto","created","last_active"}].
-    Read back, [m_last_active] is [m_created]: timers are reset on
-    import. *)
+(** The chunk body, all seven fields; read back, [m_last_active] is
+    [m_created] (timers reset on import). *)
 
 val announcement_codec : Openmb_net.Addr.t -> mapping Openmb_wire.Codec.t
-(** [announcement_codec ext_ip]: the ["nat.new_mapping"] info,
-    [{"int_ip","int_port","ext_port","proto"}], which the
-    [static_mappings] configuration key takes back (failure recovery).
-    Read back, a mapping translates to [ext_ip] (the NAT's first pool
-    address) and its timers are zero. *)
+(** [announcement_codec ext_ip]: the ["nat.new_mapping"] info
+    [{"int_ip","int_port","ext_port","proto"}], which [static_mappings]
+    takes back (failure recovery) as a mapping to [ext_ip], the NAT's
+    first pool address, with zero timers. *)

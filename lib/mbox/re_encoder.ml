@@ -221,14 +221,13 @@ let serialize_all t =
 
 let deserialize_all s =
   let fail () = invalid_arg "Re_encoder: corrupt cache bundle" in
-  (* A count: decimal digits up to the next newline, at most the
-     bundle's length. *)
+  (* A count: decimal digits up to the next newline, at most the bundle's length. *)
   let count_at pos =
     let nl = match String.index_from_opt s pos '\n' with Some nl -> nl | None -> fail () in
     let digits = String.sub s pos (nl - pos) in
-    if digits = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') digits) then fail ();
     match int_of_string_opt digits with
-    | Some n when n <= String.length s -> (n, nl + 1)
+    | Some n when String.for_all (fun c -> '0' <= c && c <= '9') digits && n <= String.length s ->
+      (n, nl + 1)
     | _ -> fail ()
   in
   let n, first = count_at 0 in

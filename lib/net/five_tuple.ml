@@ -50,15 +50,14 @@ let to_string t =
 
 let of_string s =
   let malformed () = invalid_arg (Printf.sprintf "Five_tuple.of_string: malformed tuple %S" s) in
-  let port p =
-    if p = "" || String.length p > 5 || not (String.for_all (fun c -> c >= '0' && c <= '9') p)
-    then malformed ()
-    else match int_of_string p with n when n <= 0xFFFF -> n | _ -> malformed ()
-  in
   let endpoint e =
     match String.rindex_opt e ':' with
     | Some i ->
-      (Addr.of_string (String.sub e 0 i), port (String.sub e (i + 1) (String.length e - i - 1)))
+      let p = String.sub e (i + 1) (String.length e - i - 1) in
+      if p = "" || String.length p > 5 || not (String.for_all (fun c -> '0' <= c && c <= '9') p)
+         || int_of_string p > 0xFFFF
+      then malformed ();
+      (Addr.of_string (String.sub e 0 i), int_of_string p)
     | None -> malformed ()
   in
   match String.split_on_char ' ' s with

@@ -99,16 +99,14 @@ let json_null v c =
   { c with to_json = (fun x -> if x = v then Json.Null else c.to_json x);
            of_json = (function Json.Null -> v | j -> c.of_json j) }
 
-(* A JSON name two values share reads back as the first of them. *)
 let enum name values =
   let values = Array.of_list values in
   let rec index v i = if values.(i) == v then i else index v (i + 1) in
-  let rec named s i =
-    if i = Array.length values then invalid_arg ("Codec.enum: unknown name " ^ s)
-    else if String.equal (name values.(i)) s then values.(i)
-    else named s (i + 1)
+  let named s =
+    match List.find_opt (fun v -> name v = s) (Array.to_list values) with
+    | Some v -> v
+    | None -> invalid_arg ("Codec.enum: unknown name " ^ s)
   in
-  let named s = named s 0 in
   { (conv name named string) with write = (fun k v -> Binary.u8 k (index v 0));
                                   read = (fun r -> values.(Binary.get_u8 r)) }
 

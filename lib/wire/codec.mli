@@ -140,12 +140,10 @@ val splice_after_tag :
 (** {1 Framings} *)
 
 val to_json : 'a t -> 'a -> Json.t
-(** The JSON form alone, for values that travel inside JSON already
-    (configuration values, event infos). *)
+(** For values inside JSON already (config values, event infos). *)
 
 val of_json : 'a t -> Json.t -> 'a
-(** Inverse of {!to_json}; raises {!Binary.Decode_error} as {!decode}
-    does. *)
+(** Raises {!Binary.Decode_error} as {!decode} does. *)
 
 val encode : Framing.t -> 'a t -> 'a -> string
 (** JSON text, or a binary body behind a [0x42] tag byte. *)

@@ -345,10 +345,6 @@ let get_float = function
   | Int i -> float_of_int i
   | _ -> invalid_arg "Json.get_float"
 
-let get_bool = function
-  | Bool b -> b
-  | _ -> invalid_arg "Json.get_bool"
-
 let get_list = function
   | List l -> l
   | _ -> invalid_arg "Json.get_list"

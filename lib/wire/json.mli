@@ -58,9 +58,6 @@ val get_int : t -> int
 val get_float : t -> float
 (** Contents of a [Float] or [Int]. *)
 
-val get_bool : t -> bool
-(** Contents of a [Bool]. *)
-
 val get_list : t -> t list
 (** Contents of a [List]. *)
 

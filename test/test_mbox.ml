@@ -1372,7 +1372,9 @@ let test_budget_ids_long_flow () =
     let pkts =
       List.init (hi - lo + 1) (fun k ->
           let i = lo + k in
-          mk_packet ~id:i ~ts:(float_of_int i *. 1e-4) ~tokens:(Array.init 8 (fun j -> (8 * i) + j)) ())
+          mk_packet ~id:i ~ts:(float_of_int i *. 1e-4)
+            ~tokens:(Array.init 8 (fun j -> (8 * i) + j))
+            ())
     in
     let w0 = Gc.minor_words () in
     List.iter
@@ -1384,7 +1386,8 @@ let test_budget_ids_long_flow () =
   in
   check_budget "Ids.receive, packets 1-1,000 of a flow" 100.0 (span 1 1000);
   check_budget "Ids.receive, packets 1,001-2,000 of a flow" 225.0 (span 1001 2000);
-  Alcotest.(check int) "one connection" 1 ((Ids.impl ids).Southbound.stats Hfl.any).perflow_support_chunks
+  Alcotest.(check int) "one connection" 1
+    ((Ids.impl ids).Southbound.stats Hfl.any).perflow_support_chunks
 
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)
@@ -1670,7 +1673,8 @@ let state_pin_lines () =
     let s = impl.stats Hfl.any in
     let stats =
       Printf.sprintf
-        "%s stats\tsupport_chunks=%d\treport_chunks=%d\tsupport_bytes=%d\treport_bytes=%d\tshared_support_bytes=%d\tshared_report_bytes=%d"
+        "%s stats\tsupport_chunks=%d\treport_chunks=%d\tsupport_bytes=%d\treport_bytes=%d\t\
+         shared_support_bytes=%d\tshared_report_bytes=%d"
         name s.perflow_support_chunks s.perflow_report_chunks s.perflow_support_bytes
         s.perflow_report_bytes s.shared_support_bytes s.shared_report_bytes
     in
@@ -1770,9 +1774,8 @@ let exported (impl : Southbound.impl) =
 let edit_member name f body =
   match Json.of_string body with
   | Json.Assoc fields ->
-    Json.to_string
-      (Json.Assoc
-         (List.filter_map (fun (k, v) -> if k = name then Option.map (fun v -> (k, v)) (f v) else Some (k, v)) fields))
+    let edit (k, v) = if k = name then Option.map (fun v -> (k, v)) (f v) else Some (k, v) in
+    Json.to_string (Json.Assoc (List.filter_map edit fields))
   | _ -> Alcotest.failf "not an object: %s" body
 
 let drop name = edit_member name (fun _ -> None)
@@ -1800,7 +1803,9 @@ let test_malformed_state_rejected () =
   send_via engine enc ~id:1 ~ts:0.0 [| 1; 2; 3; 4 |];
   send_via engine enc ~id:2 ~ts:0.01 [| 1; 2; 3; 9 |];
   run_all engine;
-  let impls = impls @ [ ("re-encoder", Re_encoder.impl enc); ("re-decoder", Re_decoder.impl dec) ] in
+  let impls =
+    impls @ [ ("re-encoder", Re_encoder.impl enc); ("re-decoder", Re_decoder.impl dec) ]
+  in
   (* A valid body of a class: a chunk the MB exports itself. *)
   let exported_chunk name (get : Southbound.impl -> _) =
     let impl = List.assoc name impls in
@@ -1859,7 +1864,8 @@ let test_malformed_state_rejected () =
         fun v ->
           let tcp_analyzer_only =
             match Json.member "analyzers" (Json.of_string v) with
-            | Json.List l -> Json.List (List.filter (fun a -> Json.member "name" a <> Json.String "HTTP") l)
+            | Json.List l ->
+              Json.List (List.filter (fun a -> Json.member "name" a <> Json.String "HTTP") l)
             | _ -> Alcotest.fail "ids: no analyzer list"
           in
           malformed_json ~valid:v ~missing:(drop "history" v)
@@ -2010,7 +2016,9 @@ let gen_state_props =
       (oneofl Firewall.[ Allow; Deny ])
   in
   let pool = Addr.of_string "5.5.5.5" in
-  let fresh (c : Ids.conn) = { c with tcp = (if c.tcp = Ids.Ts_synack then Ids.Ts_est else c.tcp) } in
+  let s1_reads_as_est (c : Ids.conn) =
+    { c with tcp = (if c.tcp = Ids.Ts_synack then Ids.Ts_est else c.tcp) }
+  in
   List.concat
     [
       prop_described "NAT mapping" Nat.mapping_codec mapping
@@ -2034,7 +2042,7 @@ let gen_state_props =
       prop_described "firewall verdict" Firewall.verdict_codec (oneofl Firewall.[ Allow; Deny ]) ();
       prop_described "firewall counters" Firewall.counters_codec (pair count count) ();
       prop_described "firewall rule" Firewall.rule_codec rule ();
-      prop_described "IDS connection" Ids.conn_codec conn ~expect_json:fresh ();
+      prop_described "IDS connection" Ids.conn_codec conn ~expect_json:s1_reads_as_est ();
       prop_described "IDS scan table" Ids.scan_codec
         (list_size (int_bound 5) (pair text scan_rec)) ();
       prop_described "LB backend" Load_balancer.backend_codec addr ();

@@ -400,7 +400,9 @@ let prop_codec_assoc_damaged =
           let i = i mod Bytes.length b in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
         flips;
-      let damaged = if flips = [] then String.sub s 0 (cut mod String.length s) else Bytes.to_string b in
+      let damaged =
+        if flips = [] then String.sub s 0 (cut mod String.length s) else Bytes.to_string b
+      in
       match Codec.decode scores damaged with
       | _ -> true
       | exception Binary.Decode_error _ -> true)
