@@ -84,7 +84,7 @@ type from_mb =
   | Reply of { op : op_id; reply : reply }
   | Event_msg of Event.t  (** MB-initiated, not tied to an op. *)
 
-(** {1 Field descriptions}, shared with the middleboxes' state *)
+(** {1 Field descriptions shared with middlebox state} *)
 
 val addr : Openmb_net.Addr.t Openmb_wire.Codec.t  (** Dotted-quad text in JSON. *)
 

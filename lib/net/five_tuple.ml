@@ -52,12 +52,12 @@ let of_string s =
   let malformed () = invalid_arg (Printf.sprintf "Five_tuple.of_string: malformed tuple %S" s) in
   let endpoint e =
     match String.rindex_opt e ':' with
-    | Some i ->
+    | Some i -> (
       let p = String.sub e (i + 1) (String.length e - i - 1) in
-      if p = "" || String.length p > 5 || not (String.for_all (fun c -> '0' <= c && c <= '9') p)
-         || int_of_string p > 0xFFFF
-      then malformed ();
-      (Addr.of_string (String.sub e 0 i), int_of_string p)
+      match int_of_string_opt p with
+      | Some port when String.for_all (fun c -> '0' <= c && c <= '9') p && port <= 0xFFFF ->
+        (Addr.of_string (String.sub e 0 i), port)
+      | _ -> malformed ())
     | None -> malformed ()
   in
   match String.split_on_char ' ' s with
