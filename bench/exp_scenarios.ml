@@ -20,9 +20,9 @@ let fig7 () =
   Util.banner "Figure 7: MB actions during the scale-up scenario";
   let scenario = Scenario.create ~ctrl_config:bench_ctrl () in
   let engine = Scenario.engine scenario in
-  let recorder = Option.get (Scenario.recorder scenario) in
-  let m1 = Monitor.create engine ~recorder ~name:"prads1" () in
-  let m2 = Monitor.create engine ~recorder ~name:"prads2" () in
+  let telemetry = Scenario.telemetry scenario in
+  let m1 = Monitor.create engine ~telemetry ~name:"prads1" () in
+  let m2 = Monitor.create engine ~telemetry ~name:"prads2" () in
   Scenario.attach_mb scenario ~port:"mb1" ~receive:(Monitor.receive m1)
     ~base:(Monitor.base m1) ~impl:(Monitor.impl m1);
   Scenario.attach_mb scenario ~port:"mb2" ~receive:(Monitor.receive m2)
@@ -50,13 +50,21 @@ let fig7 () =
   let w0 = move_at -. 0.2 and w1 = move_at +. 2.8 in
   let bucket time = int_of_float ((time -. w0) /. 0.1) in
   let nbuckets = bucket w1 in
+  (* The timeline's [kind] instants by [actor] inside the window, as
+     (seconds, detail), oldest first. *)
+  let tr = Telemetry.trace telemetry in
+  let logged actor kind =
+    let actor = Telemetry.Trace.lookup_id tr actor
+    and kind = Telemetry.Trace.lookup_id tr kind in
+    List.rev
+      (Telemetry.Trace.fold tr ~init:[]
+         ~f:(fun acc ~actor:a ~name ~op:_ ~a0:_ ~a1:_ ~t0 ~t1:_ ~detail ->
+           let t = Time.to_seconds t0 in
+           if a = actor && name = kind && t >= w0 && t < w1 then (t, detail) :: acc else acc))
+  in
   let count actor kind =
     let a = Array.make (nbuckets + 1) 0 in
-    List.iter
-      (fun (e : Recorder.entry) ->
-        let t = Time.to_seconds e.Recorder.time in
-        if t >= w0 && t < w1 then a.(bucket t) <- a.(bucket t) + 1)
-      (Recorder.filter ~actor ~kind recorder);
+    List.iter (fun (t, _) -> a.(bucket t) <- a.(bucket t) + 1) (logged actor kind);
     a
   in
   let p1 = count "prads1" "pkt" and p2 = count "prads2" "pkt" in
@@ -70,11 +78,8 @@ let fig7 () =
   done;
   let marks kind actor =
     List.iter
-      (fun (e : Recorder.entry) ->
-        let t = Time.to_seconds e.Recorder.time in
-        if t >= w0 && t < w1 then
-          Util.row "  marker: %-10s at %.3fs (%s)\n" kind t e.Recorder.detail)
-      (Recorder.filter ~actor ~kind recorder)
+      (fun (t, detail) -> Util.row "  marker: %-10s at %.3fs (%s)\n" kind t detail)
+      (logged actor kind)
   in
   marks "get-start" "prads1";
   marks "get-end" "prads1";

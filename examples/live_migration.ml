@@ -50,8 +50,9 @@ let () =
       ()
   in
   let engine = Scenario.engine scenario in
-  let dc_a = Ids.create engine ?recorder:(Scenario.recorder scenario) ~name:"ids-dcA" () in
-  let dc_b = Ids.create engine ?recorder:(Scenario.recorder scenario) ~name:"ids-dcB" () in
+  let telemetry = Scenario.telemetry scenario in
+  let dc_a = Ids.create engine ~telemetry ~name:"ids-dcA" () in
+  let dc_b = Ids.create engine ~telemetry ~name:"ids-dcB" () in
   Scenario.attach_mb scenario ~port:"dcA" ~receive:(Ids.receive dc_a) ~base:(Ids.base dc_a)
     ~impl:(Ids.impl dc_a);
   Scenario.attach_mb scenario ~port:"dcB" ~receive:(Ids.receive dc_b) ~base:(Ids.base dc_b)

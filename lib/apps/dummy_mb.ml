@@ -30,9 +30,9 @@ let default_cost : Southbound.cost_model =
     deserialize_per_byte = Time.zero;
   }
 
-let create engine ?recorder ?(cost = default_cost) ?(granularity = Hfl.full_granularity)
+let create engine ?(cost = default_cost) ?(granularity = Hfl.full_granularity)
     ?(chunk_bytes = 202) ?(kind = "dummy") ~name () =
-  let base = Mb_base.create engine ?recorder ~name ~kind ~cost () in
+  let base = Mb_base.create engine ~name ~kind ~cost () in
   let support = State_table.create ~granularity ()
   and report = State_table.create ~granularity () in
   let perflow table role = Mb_base.perflow base table ~role ~encode:Fun.id ~decode:Fun.id in

@@ -11,7 +11,6 @@ type t
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?cost:Openmb_core.Southbound.cost_model ->
   ?granularity:Openmb_net.Hfl.granularity ->
   ?chunk_bytes:int ->

@@ -10,9 +10,10 @@ type t = {
 }
 
 let log_step scenario step =
-  match Scenario.recorder scenario with
-  | Some r -> Recorder.record r ~actor:"failover-app" ~kind:"step" ~detail:step
-  | None -> ()
+  let tel = Scenario.telemetry scenario in
+  if Telemetry.timeline tel then
+    Telemetry.instant tel ~now:(Engine.now (Scenario.engine scenario)) ~actor:"failover-app"
+      ~name:"step" ~detail:step ()
 
 let watch scenario ~mb ~codes () =
   let t = { scenario; mb; mirror = Hashtbl.create 64 } in

@@ -9,9 +9,10 @@ type result = {
 }
 
 let log_step scenario step =
-  match Scenario.recorder scenario with
-  | Some r -> Recorder.record r ~actor:"migrate-app" ~kind:"step" ~detail:step
-  | None -> ()
+  let tel = Scenario.telemetry scenario in
+  if Telemetry.timeline tel then
+    Telemetry.instant tel ~now:(Engine.now (Scenario.engine scenario)) ~actor:"migrate-app"
+      ~name:"step" ~detail:step ()
 
 let fail_step step err =
   failwith (Printf.sprintf "migrate: %s failed: %s" step (Errors.to_string err))

@@ -15,9 +15,10 @@ type down_result = {
 }
 
 let log_step scenario step =
-  match Scenario.recorder scenario with
-  | Some r -> Recorder.record r ~actor:"scale-app" ~kind:"step" ~detail:step
-  | None -> ()
+  let tel = Scenario.telemetry scenario in
+  if Telemetry.timeline tel then
+    Telemetry.instant tel ~now:(Engine.now (Scenario.engine scenario)) ~actor:"scale-app"
+      ~name:"step" ~detail:step ()
 
 let fail_step step err =
   failwith (Printf.sprintf "scale: %s failed: %s" step (Errors.to_string err))

@@ -5,7 +5,6 @@ open Openmb_mbox
 
 type t = {
   engine : Engine.t;
-  recorder : Recorder.t option;
   tel : Telemetry.t;
   ctrl : Controller.t;
   faults : Faults.t option;
@@ -16,21 +15,19 @@ type t = {
 
 let create ?ctrl_config ?faults ?telemetry ?(install_delay = Time.ms 10.0)
     ?(with_recorder = true) () =
-  let tel = match telemetry with Some tel -> tel | None -> Telemetry.create () in
-  let engine = Engine.create ~telemetry:tel () in
-  let recorder = if with_recorder then Some (Recorder.create engine) else None in
-  let faults = Option.map (fun plan -> Faults.create ~telemetry:tel engine plan) faults in
-  let ctrl =
-    Controller.create engine ?config:ctrl_config ?recorder ?faults ~telemetry:tel ()
+  let tel =
+    match telemetry with Some tel -> tel | None -> Telemetry.create ~timeline:with_recorder ()
   in
+  let engine = Engine.create ~telemetry:tel () in
+  let faults = Option.map (fun plan -> Faults.create ~telemetry:tel engine plan) faults in
+  let ctrl = Controller.create engine ?config:ctrl_config ?faults ~telemetry:tel () in
   let sdn = Sdn_controller.create engine ~install_delay () in
   let switch = Switch.create engine ~telemetry:tel ~name:"s1" () in
   Sdn_controller.register_switch sdn switch;
   let sink = Host.create ~name:"sink" () in
-  { engine; recorder; tel; ctrl; faults; sdn; switch; sink }
+  { engine; tel; ctrl; faults; sdn; switch; sink }
 
 let engine t = t.engine
-let recorder t = t.recorder
 let telemetry t = t.tel
 let controller t = t.ctrl
 let faults t = t.faults
@@ -45,16 +42,12 @@ let attach_mb_agent ?receive_batch t ~port ~receive ~base ~impl =
   Switch.attach_port t.switch ~port to_mb;
   let to_sink = Link.create t.engine ~name:(port ^ "-sink") ~dst:(Host.receive t.sink) () in
   Mb_base.set_egress_batch base (Link.send_batch to_sink);
-  let agent = Mb_agent.create t.engine ?recorder:t.recorder ~telemetry:t.tel ~impl () in
+  let agent = Mb_agent.create t.engine ~telemetry:t.tel ~impl () in
   Controller.connect t.ctrl agent;
   agent
 
 let attach_mb ?receive_batch t ~port ~receive ~base ~impl =
   ignore (attach_mb_agent ?receive_batch t ~port ~receive ~base ~impl)
-
-let attach_port_to_sink t ~port =
-  let link = Link.create t.engine ~name:("s1-" ^ port) ~dst:(Host.receive t.sink) () in
-  Switch.attach_port t.switch ~port link
 
 let chain ?receive_batch ~receive base =
   Mb_base.set_egress base receive;

@@ -16,8 +16,8 @@ val create :
   ?with_recorder:bool ->
   unit ->
   t
-(** Fresh engine, recorder (when [with_recorder], default true), MB
-    controller, SDN controller and one switch named ["s1"].  [faults]
+(** Fresh engine, MB controller, SDN controller and one switch named
+    ["s1"].  [faults]
     instantiates a fault-injection plan against the engine and hands it
     to the MB controller: every controller–MB channel draws from the
     plan's link profile and MBs attached later get the plan's scheduled
@@ -27,11 +27,14 @@ val create :
     is shared by every component the scenario wires — engine, fault
     injector, controller, switch and agents — so registry counters
     aggregate deployment-wide and controller/agent trace spans link up.
+    A fresh instance keeps a timeline when [with_recorder] (default
+    true): the controller, the agents and the control applications then
+    log their activity into its trace ({!Openmb_sim.Telemetry.timeline}).
     Middlebox bases are built by the caller: pass {!telemetry} to their
-    [create] to include data-path metrics. *)
+    [create] to include data-path metrics and, on a timeline, their
+    packet and event instants. *)
 
 val engine : t -> Openmb_sim.Engine.t
-val recorder : t -> Openmb_sim.Recorder.t option
 
 (** The deployment-wide telemetry instance (shared with the
     controller's — {!Openmb_core.Controller.telemetry} returns the same
@@ -52,7 +55,7 @@ val attach_mb :
   unit
 (** Wire a middlebox into the deployment: switch port [port] leads to
     [receive]; the MB's egress leads to the sink; the MB connects to
-    the MB controller via a fresh agent (shared recorder).  With
+    the MB controller via a fresh agent (on the shared telemetry).  With
     [?receive_batch] (the MB's [receive_batch]), batches arriving on the
     ingress link stay whole; without it each member enters through
     [receive]. *)
@@ -67,9 +70,6 @@ val attach_mb_agent :
   Openmb_core.Mb_agent.t
 (** Like {!attach_mb} but returns the created agent, so tests can crash
     and restart it directly. *)
-
-val attach_port_to_sink : t -> port:string -> unit
-(** A switch port that bypasses middleboxes. *)
 
 val chain :
   ?receive_batch:(Openmb_net.Packet_batch.t -> unit) ->

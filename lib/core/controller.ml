@@ -138,7 +138,6 @@ type subscription = {
 type t = {
   engine : Engine.t;
   cfg : config;
-  recorder : Recorder.t option;
   faults : Faults.t option;
   tel : Telemetry.t;
   mbs : (string, conn) Hashtbl.t;
@@ -170,14 +169,13 @@ type t = {
   h_transfer : Telemetry.histogram;
 }
 
-let create engine ?(config = default_config) ?recorder ?faults ?telemetry () =
+let create engine ?(config = default_config) ?faults ?telemetry () =
   (* Without a shared instance the controller keeps a private one, so
      the counter accessors below stay per-controller either way. *)
   let tel = match telemetry with Some tel -> tel | None -> Telemetry.create () in
   {
     engine;
     cfg = config;
-    recorder;
     faults;
     tel;
     mbs = Hashtbl.create 8;
@@ -203,11 +201,11 @@ let create engine ?(config = default_config) ?recorder ?faults ?telemetry () =
 
 let telemetry t = t.tel
 
-(* [detail] is built only when a recorder is attached. *)
+(* [detail] is built only on a timeline. *)
 let record t ~kind ~detail =
-  match t.recorder with
-  | Some r -> Recorder.record r ~actor:"controller" ~kind ~detail:(detail ())
-  | None -> ()
+  if Telemetry.timeline t.tel then
+    Telemetry.instant t.tel ~now:(Engine.now t.engine) ~actor:"controller" ~name:kind
+      ~detail:(detail ()) ()
 
 (* Charge the (serial) controller CPU for a message of [bytes] bytes,
    then run [k].  Concurrent operations contend here, which is what
@@ -274,11 +272,14 @@ let rec check_timeout t conn op po () =
       po.po_last_activity <- now;
       Telemetry.incr t.c_retries;
       Telemetry.instant t.tel ~now ~actor:"controller" ~name:"op-retry" ~op:po.po_tid
-        ~a0:po.po_attempts ();
-      record t ~kind:"op-retry"
-        ~detail:
-          (fun () -> Printf.sprintf "op=%d attempt=%d %s" op po.po_attempts
-             (Message.describe_request po.po_req));
+        ~a0:po.po_attempts
+        ?detail:
+          (if Telemetry.timeline t.tel then
+             Some
+               (Printf.sprintf "op=%d attempt=%d %s" op po.po_attempts
+                  (Message.describe_request po.po_req))
+           else None)
+        ();
       transmit t conn op po.po_tid po.po_req;
       ignore
         (Engine.schedule_at t.engine

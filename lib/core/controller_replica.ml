@@ -90,7 +90,6 @@ type inflight = {
 type t = {
   engine : Engine.t;
   cfg : config;
-  recorder : Recorder.t option;
   faults : Faults.t option;
   tel : Telemetry.t;
   mutable agents : (Mb_agent.t * Openmb_wire.Framing.t option) list;
@@ -127,11 +126,11 @@ type t = {
 
 let update_lag t = Telemetry.set_gauge t.g_lag (Hashtbl.length t.unacked)
 
-(* [detail] is built only when a recorder is attached. *)
+(* [detail] is built only on a timeline. *)
 let record t ~kind ~detail =
-  match t.recorder with
-  | Some r -> Recorder.record r ~actor:"replica" ~kind ~detail:(detail ())
-  | None -> ()
+  if Telemetry.timeline t.tel then
+    Telemetry.instant t.tel ~now:(Engine.now t.engine) ~actor:"replica" ~name:kind
+      ~detail:(detail ()) ()
 
 let partner t m = if m == t.a then t.b else t.a
 
@@ -441,8 +440,7 @@ let rec promote t m =
   cancel_timer m.det_timer;
   m.det_timer <- None;
   let ctrl =
-    Controller.create t.engine ~config:t.cfg.ctrl ?recorder:t.recorder
-      ?faults:t.faults ~telemetry:t.tel ()
+    Controller.create t.engine ~config:t.cfg.ctrl ?faults:t.faults ~telemetry:t.tel ()
   in
   m.role <- Leader;
   m.ctrl <- Some ctrl;
@@ -556,7 +554,7 @@ and ensure_heartbeat t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let create engine ?(config = default_config) ?recorder ?faults ?telemetry
+let create engine ?(config = default_config) ?faults ?telemetry
     ?(names = ("ctrl-a", "ctrl-b")) () =
   let tel =
     match telemetry with Some tel -> tel | None -> Telemetry.create ()
@@ -565,7 +563,6 @@ let create engine ?(config = default_config) ?recorder ?faults ?telemetry
     {
       engine;
       cfg = config;
-      recorder;
       faults;
       tel;
       agents = [];
@@ -597,8 +594,7 @@ let create engine ?(config = default_config) ?recorder ?faults ?telemetry
   t.a.role <- Leader;
   t.a.ctrl <-
     Some
-      (Controller.create engine ~config:config.ctrl ?recorder ?faults
-         ~telemetry:tel ());
+      (Controller.create engine ~config:config.ctrl ?faults ~telemetry:tel ());
   t.b.role <- Standby;
   t.b.synced <- true;
   t.b.last_heard <- Engine.now engine;

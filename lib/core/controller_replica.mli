@@ -67,7 +67,6 @@ val default_config : config
 val create :
   Openmb_sim.Engine.t ->
   ?config:config ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?faults:Openmb_sim.Faults.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   ?names:string * string ->

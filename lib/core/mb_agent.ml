@@ -2,7 +2,6 @@ open Openmb_sim
 
 type t = {
   engine : Engine.t;
-  recorder : Recorder.t option;
   tel : Telemetry.t option;
   c_dedup : Telemetry.counter;
   c_events : Telemetry.counter;
@@ -58,15 +57,17 @@ let ft_replace tbl k v = Openmb_net.Flat_table.replace tbl ~pa:k ~pb:0 ~h:(ihash
 let ft_remove tbl k =
   ignore (Openmb_net.Flat_table.remove tbl ~pa:k ~pb:0 ~h:(ihash k) : bool)
 
-(* [detail] is built only when a recorder is attached. *)
+(* [detail] is built only on a timeline. *)
 let record t ~kind ~detail =
-  match t.recorder with
-  | Some r -> Recorder.record r ~actor:t.impl.name ~kind ~detail:(detail ())
-  | None -> ()
+  match t.tel with
+  | Some tel when Telemetry.timeline tel ->
+    Telemetry.instant tel ~now:(Engine.now t.engine) ~actor:t.impl.name ~name:kind
+      ~detail:(detail ()) ()
+  | Some _ | None -> ()
 
 let not_attached _ = failwith "Mb_agent: not attached to a controller"
 
-let create engine ?recorder ?telemetry ~impl () =
+let create engine ?telemetry ~impl () =
   let c name =
     match telemetry with
     | Some tel -> Telemetry.counter tel name
@@ -80,7 +81,6 @@ let create engine ?recorder ?telemetry ~impl () =
   let t =
     {
       engine;
-      recorder;
       tel = telemetry;
       c_dedup = c "mb.dedup_hits";
       c_events = c "mb.events_raised";
@@ -226,8 +226,8 @@ let reply_result t op = function
 
 (* Execute a streaming get: linear scan, then serialize and send each
    matching chunk in turn, then the end-of-state marker carrying the
-   chunk count.  [what] names the range for the recorder, built only
-   when one is attached. *)
+   chunk count.  [what] names the range for the timeline, built only
+   on one. *)
 let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
   record t ~kind:"get-start" ~detail:what;
   exec t (scan_cost t) (fun () ->

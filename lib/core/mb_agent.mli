@@ -16,7 +16,6 @@ type t
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   impl:Southbound.impl ->
   unit ->

@@ -101,9 +101,9 @@ let work t ~side_effects b =
   end
   else Packet_batch.release b
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(rules = []) ?(default_action = Allow)
+let create engine ?telemetry ?(cost = default_cost) ?(rules = []) ?(default_action = Allow)
     ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"fw" ~cost () in
+  let base = Mb_base.create engine ?telemetry ~name ~kind:"fw" ~cost () in
   Config_tree.set (Mb_base.config base) [ "rules" ] (List.map (Codec.to_json rule_codec) rules);
   Config_tree.set (Mb_base.config base) [ "default" ] [ Codec.to_json action default_action ];
   let table = State_table.create ~granularity:Hfl.full_granularity () in

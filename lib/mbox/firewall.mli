@@ -14,7 +14,6 @@ type rule = { rl_match : Openmb_net.Hfl.t; rl_action : action }
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   ?cost:Openmb_core.Southbound.cost_model ->
   ?rules:rule list ->

@@ -336,8 +336,8 @@ let pass t p ~side_effects =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"bro" ~cost () in
+let create engine ?telemetry ?(cost = default_cost) ~name () =
+  let base = Mb_base.create engine ?telemetry ~name ~kind:"bro" ~cost () in
   let config = Mb_base.config base in
   Config_tree.set config [ "signatures" ]
     [ Json.String "cmd.exe"; Json.String "/etc/passwd"; Json.String "../.." ];

@@ -68,7 +68,6 @@ type alert = {
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   ?cost:Openmb_core.Southbound.cost_model ->
   name:string ->

@@ -95,10 +95,10 @@ let process t (p : Packet.t) ~side_effects =
     Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p });
   if side_effects then { p with dst_ip = entry.value } else p
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(policy = Round_robin) ~backends
+let create engine ?telemetry ?(cost = default_cost) ?(policy = Round_robin) ~backends
     ~name () =
   if backends = [] then invalid_arg "Load_balancer.create: no backends";
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"lb" ~cost () in
+  let base = Mb_base.create engine ?telemetry ~name ~kind:"lb" ~cost () in
   Config_tree.set (Mb_base.config base) [ "backends" ]
     (List.map (fun a -> Json.String (Addr.to_string a)) backends);
   Config_tree.set (Mb_base.config base) [ "policy" ]

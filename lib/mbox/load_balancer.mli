@@ -18,7 +18,6 @@ type policy = Round_robin | Least_conn | Source_hash
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   ?cost:Openmb_core.Southbound.cost_model ->
   ?policy:policy ->

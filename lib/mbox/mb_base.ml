@@ -4,7 +4,8 @@ module Packet_batch = Openmb_net.Packet_batch
 
 type t = {
   engine : Engine.t;
-  recorder : Recorder.t option;
+  (* The shared telemetry when it keeps a timeline, else [None]. *)
+  timeline : Telemetry.t option;
   name : string;
   kind : string;
   cost : Southbound.cost_model;
@@ -38,7 +39,7 @@ type t = {
 let empty_batch = Packet_batch.create ~capacity:1 ()
 let no_work ~side_effects:_ b = Packet_batch.release b
 
-let create engine ?recorder ?telemetry ~name ~kind ~cost () =
+let create engine ?telemetry ~name ~kind ~cost () =
   let c_pkts, h_pkt, h_occ =
     match telemetry with
     | Some tel ->
@@ -49,7 +50,8 @@ let create engine ?recorder ?telemetry ~name ~kind ~cost () =
   in
   {
     engine;
-    recorder;
+    timeline =
+      (match telemetry with Some tel when Telemetry.timeline tel -> telemetry | _ -> None);
     name;
     kind;
     cost;
@@ -108,10 +110,12 @@ let introspects t ~code ~key = Event.Filter.admits_introspect t.introspect ~code
 let set_op_active t b = t.op_active <- b
 let op_active t = t.op_active
 
-(* [detail] is built only when a recorder is attached. *)
+(* [detail] is built only on a timeline. *)
 let record t ~kind ~detail =
-  match t.recorder with
-  | Some r -> Recorder.record r ~actor:t.name ~kind ~detail:(detail ())
+  match t.timeline with
+  | Some tel ->
+    Telemetry.instant tel ~now:(Engine.now t.engine) ~actor:t.name ~name:kind
+      ~detail:(detail ()) ()
   | None -> ()
 
 let grow_queue t =
@@ -152,11 +156,11 @@ let dispatch t =
   Telemetry.observe_count t.h_occ n;
   if flags land 1 <> 0 then Stats.add_n t.latency_during_op lat ~n;
   let side_effects = flags land 2 <> 0 in
-  (match t.recorder with
-  | Some r when side_effects ->
+  (match t.timeline with
+  | Some tel when side_effects ->
     for k = 0 to n - 1 do
-      Recorder.record r ~actor:t.name ~kind:"pkt"
-        ~detail:(Openmb_net.Packet.flow_label (Packet_batch.get b k))
+      Telemetry.instant tel ~now:(Engine.now t.engine) ~actor:t.name ~name:"pkt"
+        ~detail:(Openmb_net.Packet.flow_label (Packet_batch.get b k)) ()
     done
   | Some _ | None -> ());
   t.work ~side_effects b

@@ -10,7 +10,6 @@ type t
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   name:string ->
   kind:string ->
@@ -19,7 +18,9 @@ val create :
   t
 (** With [telemetry], every processed packet increments the shared
     ["mb.pkts"] counter and feeds its data-path latency (including
-    queueing) into the ["mb.pkt_latency"] histogram. *)
+    queueing) into the ["mb.pkt_latency"] histogram; on a
+    {!Openmb_sim.Telemetry.timeline} instance the MB also logs its
+    timeline instants there under its name (see {!record}). *)
 
 val engine : t -> Openmb_sim.Engine.t
 val name : t -> string
@@ -67,9 +68,10 @@ val inject_batch : t -> Openmb_net.Packet_batch.t -> side_effects:bool -> unit
     is active) as a single event, and is then handed to the installed
     work.  Counters, latency stats (including queueing) and histograms
     are updated once with weight [n]; batch sizes feed the
-    ["mb.batch_occupancy"] count histogram.  With a recorder and
-    [side_effects], each member also logs a ["pkt"] timeline entry.  An
-    empty batch is released without scheduling anything. *)
+    ["mb.batch_occupancy"] count histogram.  On a timeline and with
+    [side_effects], each member also logs a ["pkt"] instant whose
+    detail is the member's flow label.  An empty batch is released
+    without scheduling anything. *)
 
 val inject : t -> Openmb_net.Packet.t -> side_effects:bool -> unit
 (** {!inject_batch} of a 1-member batch from the base's pool; it charges
@@ -114,8 +116,9 @@ val latency_during_op_stats : t -> Openmb_sim.Stats.t
     operation was executing (the §8.2 get-call comparison). *)
 
 val record : t -> kind:string -> detail:(unit -> string) -> unit
-(** Log a timeline entry under this MB's name.  [detail] is called
-    only when a recorder is attached. *)
+(** Log a timeline instant named [kind] under this MB's name, stamped
+    with the engine's clock.  Without a timeline telemetry it logs
+    nothing and [detail] is never called. *)
 
 (** {1 Chunk helpers}
 

@@ -164,8 +164,8 @@ let totals_codec =
       |> field "icmp" uvarint (fun s -> s.tot_icmp)
       |> field "new_flows" uvarint (fun s -> s.tot_new_flows)))
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"prads" ~cost () in
+let create engine ?telemetry ?(cost = default_cost) ~name () =
+  let base = Mb_base.create engine ?telemetry ~name ~kind:"prads" ~cost () in
   Config_tree.set (Mb_base.config base) [ "service"; "ports" ]
     [ Json.Int 80; Json.Int 443; Json.Int 22; Json.Int 53; Json.Int 25 ];
   let table = State_table.create ~granularity:Hfl.full_granularity () in

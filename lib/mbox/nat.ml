@@ -190,9 +190,9 @@ let process t (p : Packet.t) ~side_effects =
         Mb_base.drop)
   end
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(external_ips = []) ~external_ip
+let create engine ?telemetry ?(cost = default_cost) ?(external_ips = []) ~external_ip
     ~internal_prefix ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"nat" ~cost () in
+  let base = Mb_base.create engine ?telemetry ~name ~kind:"nat" ~cost () in
   Config_tree.set (Mb_base.config base) [ "external_ip" ]
     [ Json.String (Addr.to_string external_ip) ];
   Config_tree.set (Mb_base.config base) [ "timeout"; "tcp" ] [ Json.Int 300 ];

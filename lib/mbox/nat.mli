@@ -28,7 +28,6 @@ type mapping = {
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   ?cost:Openmb_core.Southbound.cost_model ->
   ?external_ips:Openmb_net.Addr.t list ->

@@ -144,9 +144,9 @@ let decode t (p : Packet.t) ~side_effects =
       Mb_base.drop
     end
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
+let create engine ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
     ?(mode = Re_encoder.Explicit) ?(cache_id = 0) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"re-decoder" ~cost () in
+  let base = Mb_base.create engine ?telemetry ~name ~kind:"re-decoder" ~cost () in
   Config_tree.set (Mb_base.config base) [ "CacheId" ] [ Json.Int cache_id ];
   Config_tree.set (Mb_base.config base) [ "SyncEvents" ] [ Json.Bool true ];
   let t =

@@ -131,9 +131,9 @@ let encode t (p : Packet.t) =
 
 let encode_member t p ~side_effects:_ = encode t p
 
-let create engine ?recorder ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
+let create engine ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
     ?(mode = Explicit) ~name () =
-  let base = Mb_base.create engine ?recorder ?telemetry ~name ~kind:"re-encoder" ~cost () in
+  let base = Mb_base.create engine ?telemetry ~name ~kind:"re-encoder" ~cost () in
   Config_tree.set (Mb_base.config base) [ "NumCaches" ] [ Json.Int 1 ];
   Config_tree.set (Mb_base.config base) [ "CacheFlows" ] [];
   let t =

@@ -22,7 +22,6 @@ type t
 
 val create :
   Openmb_sim.Engine.t ->
-  ?recorder:Openmb_sim.Recorder.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   ?cost:Openmb_core.Southbound.cost_model ->
   ?capacity_tokens:int ->

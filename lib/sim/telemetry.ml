@@ -110,6 +110,23 @@ let quantile_of_buckets buckets n q =
 
 let quantile h q = quantile_of_buckets h.buckets h.n q
 
+(* A JSON string literal.  Bytes from 0x20 up pass through, so UTF-8
+   text stays as it is and every byte string reads back unchanged. *)
+let add_json_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
 (* ------------------------------------------------------------------ *)
 (* Trace spans                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -138,7 +155,7 @@ module Trace = struct
 
   let none = -1
 
-  let create ?(capacity = 4096) ?(growable = false) () =
+  let make ~capacity ~growable =
     let cap = if capacity < 16 then 16 else capacity in
     {
       cap;
@@ -157,6 +174,8 @@ module Trace = struct
       strings = Array.make 16 "";
       nstrings = 0;
     }
+
+  let create ?(capacity = 4096) () = make ~capacity ~growable:false
 
   let intern t s =
     match Hashtbl.find_opt t.intern s with
@@ -254,19 +273,6 @@ module Trace = struct
 
   (* ---------------- Chrome trace_event export ---------------- *)
 
-  let json_escape b s =
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
-
   let export_chrome t oc =
     let b = Buffer.create 4096 in
     Buffer.add_string b "{\"traceEvents\":[";
@@ -276,10 +282,10 @@ module Trace = struct
       sep := ",";
       Buffer.add_string b
         (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\""
+           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":"
            id);
-      json_escape b name;
-      Buffer.add_string b "\"}}"
+      add_json_string b name;
+      Buffer.add_string b "}}"
     in
     (* Name every thread (= actor) that appears in a held row. *)
     let actors = Array.make t.nstrings false in
@@ -294,25 +300,24 @@ module Trace = struct
            let ts = t0 *. 1e6 in
            let still_open = t1 < t0 in
            let dur = if still_open then 0.0 else (t1 -. t0) *. 1e6 in
-           Buffer.add_string b "{\"name\":\"";
-           json_escape b t.strings.(name);
+           Buffer.add_string b "{\"name\":";
+           add_json_string b t.strings.(name);
            (* Instants render as "i" so Perfetto draws a marker rather
               than an invisible zero-width slice. *)
            if (not still_open) && t1 = t0 then
              Buffer.add_string b
-               (Printf.sprintf "\",\"cat\":\"openmb\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
+               (Printf.sprintf ",\"cat\":\"openmb\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d"
                   ts actor)
            else
              Buffer.add_string b
                (Printf.sprintf
-                  "\",\"cat\":\"openmb\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
+                  ",\"cat\":\"openmb\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
                   ts dur actor);
            Buffer.add_string b
              (Printf.sprintf ",\"args\":{\"op_id\":%d,\"a0\":%d,\"a1\":%d" op a0 a1);
            if not (String.equal detail "") then begin
-             Buffer.add_string b ",\"detail\":\"";
-             json_escape b detail;
-             Buffer.add_char b '"'
+             Buffer.add_string b ",\"detail\":";
+             add_json_string b detail
            end;
            if still_open then Buffer.add_string b ",\"open\":true";
            Buffer.add_string b "}}"));
@@ -332,12 +337,14 @@ type t = {
   mutable next_tid : int;
 }
 
-let create ?(span_capacity = 4096) () =
+let create ?(span_capacity = 4096) ?(timeline = false) () =
   {
     metrics = Hashtbl.create 32;
-    tr = Trace.create ~capacity:span_capacity ();
+    tr = Trace.make ~capacity:span_capacity ~growable:timeline;
     next_tid = 0;
   }
+
+let timeline t = t.tr.Trace.growable
 
 let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge" | Hist _ -> "histogram"
 
@@ -525,11 +532,6 @@ let pp_snapshot fmt snap =
 
 let snapshot_to_json snap =
   let b = Buffer.create 1024 in
-  let esc s =
-    let e = Buffer.create (String.length s) in
-    Trace.json_escape e s;
-    Buffer.contents e
-  in
   let section pred =
     let first = ref true in
     List.iter
@@ -539,7 +541,9 @@ let snapshot_to_json snap =
         | Some payload ->
           if not !first then Buffer.add_char b ',';
           first := false;
-          Buffer.add_string b (Printf.sprintf "\"%s\":%s" (esc name) payload))
+          add_json_string b name;
+          Buffer.add_char b ':';
+          Buffer.add_string b payload)
       snap
   in
   Buffer.add_string b "{\"counters\":{";

@@ -13,8 +13,10 @@
       actor/name strings.
 
     - {b Bounded memory.}  The span ring overwrites its oldest rows
-      once full (an overwritten span's [span_end] is a safe no-op); a
-      growable mode backs the unbounded {!Recorder} timeline.
+      once full (an overwritten span's [span_end] is a safe no-op).
+      Only a {e timeline} instance keeps every span: it backs the
+      per-component activity log the Figure 7 timeline and the §8.2
+      checks read.
 
     - {b Causality.}  Every span carries an operation id ([op]); the
       controller stamps southbound requests with a fresh id and agents
@@ -30,10 +32,19 @@
 type t
 (** A telemetry instance: metric registry + span ring + op-id source. *)
 
-val create : ?span_capacity:int -> unit -> t
+val create : ?span_capacity:int -> ?timeline:bool -> unit -> t
 (** Fresh instance.  [span_capacity] bounds the span ring (default
     [4096] rows, rounded up to [16]); the ring's arrays are allocated
-    lazily on the first span. *)
+    lazily on the first span.  With [~timeline:true] (default false)
+    the trace grows instead of wrapping, so no span is ever lost, and
+    components log their timeline instants into it (see {!timeline}). *)
+
+val timeline : t -> bool
+(** Whether this instance was created with [~timeline:true].
+    Components ask it before logging a timeline instant — a packet
+    processed, a get started, an event raised — and build the
+    instant's detail only when it holds: on any other instance they log
+    nothing. *)
 
 (** {1 Counters} *)
 
@@ -136,10 +147,6 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     keep [after]'s value and peak (levels do not difference).  Metrics
     absent from [before] pass through unchanged. *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
-(** Aligned table: counters, gauges, then histograms with
-    count/p50/p90/p99/max. *)
-
 val snapshot_to_json : snapshot -> string
 (** Compact JSON object
     [{"counters":{..},"gauges":{..},"histograms":{..}}]. *)
@@ -186,13 +193,19 @@ module Registry : sig
 end
 
 val pp : Format.formatter -> t -> unit
-(** [pp_snapshot] of the current state. *)
+(** The current state as an aligned table: counters, gauges, then
+    histograms with count/p50/p90/p99/max. *)
+
+val add_json_string : Buffer.t -> string -> unit
+(** Append [s] as a JSON string literal, quotes included: ['"'], ['\\']
+    and bytes below [0x20] are escaped, every other byte (UTF-8 text
+    among them) passes through, so any byte string reads back
+    unchanged.  Every JSON writer in this library quotes with it. *)
 
 (** {1 Trace spans}
 
-    The span ring proper.  {!Recorder} layers the legacy timeline API
-    over a growable instance; telemetry-enabled components write to the
-    bounded ring inside {!t}. *)
+    The span ring proper: telemetry-enabled components write to the
+    ring inside {!t}, which a timeline instance never wraps. *)
 
 module Trace : sig
   type t
@@ -204,10 +217,9 @@ module Trace : sig
   val none : span
   (** Inert token; [span_end] on it is a no-op. *)
 
-  val create : ?capacity:int -> ?growable:bool -> unit -> t
+  val create : ?capacity:int -> unit -> t
   (** Bounded ring of [capacity] rows (default [4096], min [16]) that
-      overwrites oldest-first when full, or — with [~growable:true] —
-      a doubling array that never discards. *)
+      overwrites oldest-first when full. *)
 
   val span_begin :
     t ->
@@ -245,10 +257,10 @@ module Trace : sig
   (** Spans ever begun. *)
 
   val length : t -> int
-  (** Spans currently held (≤ capacity in bounded mode). *)
+  (** Spans currently held (≤ capacity unless a timeline's). *)
 
   val overwritten : t -> int
-  (** Spans lost to wrap-around ([0] in growable mode). *)
+  (** Spans lost to wrap-around ([0] in a timeline's trace). *)
 
   val lookup_id : t -> string -> int
   (** Interned id of a string, or [-1] if never seen.  Never interns. *)
@@ -284,7 +296,7 @@ module Trace : sig
 end
 
 val trace : t -> Trace.t
-(** The bounded span ring owned by this instance. *)
+(** The span ring owned by this instance (unbounded on a timeline). *)
 
 val next_op_id : t -> int
 (** Fresh causality id, starting at 1.  Id [0] means "none". *)

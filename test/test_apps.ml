@@ -52,12 +52,9 @@ let reference_ids_run trace =
 
 let migration_ids_run trace =
   let scenario = Scenario.create ~ctrl_config:fast_ctrl () in
-  let a = Ids.create (Scenario.engine scenario) ?recorder:(Scenario.recorder scenario)
-      ~name:"bro-a" ()
-  in
-  let b = Ids.create (Scenario.engine scenario) ?recorder:(Scenario.recorder scenario)
-      ~name:"bro-b" ()
-  in
+  let telemetry = Scenario.telemetry scenario in
+  let a = Ids.create (Scenario.engine scenario) ~telemetry ~name:"bro-a" () in
+  let b = Ids.create (Scenario.engine scenario) ~telemetry ~name:"bro-b" () in
   Scenario.attach_mb scenario ~port:"mbA" ~receive:(Ids.receive a) ~base:(Ids.base a)
     ~impl:(Ids.impl a);
   Scenario.attach_mb scenario ~port:"mbB" ~receive:(Ids.receive b) ~base:(Ids.base b)
@@ -239,8 +236,8 @@ let re_migration_run () =
   (* The encoder is upstream of the switch: wire it into the MB
      controller directly and chain its egress into the switch. *)
   let enc_agent =
-    Mb_agent.create engine ?recorder:(Scenario.recorder scenario) ~impl:(Re_encoder.impl enc)
-      ()
+    Mb_agent.create engine ~telemetry:(Scenario.telemetry scenario)
+      ~impl:(Re_encoder.impl enc) ()
   in
   Controller.connect (Scenario.controller scenario) enc_agent;
   Mb_base.set_egress (Re_encoder.base enc) (Switch.receive (Scenario.switch scenario));

@@ -1173,12 +1173,12 @@ type transfer_trace = {
   tr_fwd_by_key : (string * string list) list;
 }
 
-let run_move_scenario ~batch_chunks ~batch_bytes ~put_window ~n_chunks ~n_reports
-    ~rate_pps =
+let run_move_scenario ?(timeline = true) ~batch_chunks ~batch_bytes ~put_window ~n_chunks
+    ~n_reports ~rate_pps () =
   let engine = Engine.create () in
-  let recorder = Recorder.create engine in
+  let telemetry = Telemetry.create ~timeline () in
   let config = { test_config with batch_chunks; batch_bytes; put_window } in
-  let ctrl = Controller.create engine ~config ~recorder () in
+  let ctrl = Controller.create engine ~config ~telemetry () in
   let src = Openmb_apps.Dummy_mb.create engine ~name:"src" () in
   let dst = Openmb_apps.Dummy_mb.create engine ~name:"dst" () in
   Openmb_apps.Dummy_mb.populate src ~n:n_chunks;
@@ -1212,18 +1212,21 @@ let run_move_scenario ~batch_chunks ~batch_bytes ~put_window ~n_chunks ~n_report
       in
       scan 0
     in
-    List.iter
-      (fun (e : Recorder.entry) ->
-        (* The packet label may itself contain spaces, so split on the
-           field markers rather than on whitespace. *)
-        match (find_marker e.detail " key=", find_marker e.detail " pkt=") with
-        | Some k, Some p when k < p ->
-          let key = String.sub e.detail (k + 5) (p - k - 5) in
-          let pkt = String.sub e.detail (p + 5) (String.length e.detail - p - 5) in
-          let prev = try Hashtbl.find tbl key with Not_found -> [] in
-          Hashtbl.replace tbl key (pkt :: prev)
-        | _ -> Alcotest.fail ("unparsable event-fwd detail: " ^ e.detail))
-      (Recorder.filter ~actor:"controller" ~kind:"event-fwd" recorder);
+    let tr = Telemetry.trace telemetry in
+    let controller = Telemetry.Trace.lookup_id tr "controller"
+    and event_fwd = Telemetry.Trace.lookup_id tr "event-fwd" in
+    Telemetry.Trace.fold tr ~init:()
+      ~f:(fun () ~actor ~name ~op:_ ~a0:_ ~a1:_ ~t0:_ ~t1:_ ~detail ->
+        if actor = controller && name = event_fwd then
+          (* The packet label may itself contain spaces, so split on the
+             field markers rather than on whitespace. *)
+          match (find_marker detail " key=", find_marker detail " pkt=") with
+          | Some k, Some p when k < p ->
+            let key = String.sub detail (k + 5) (p - k - 5) in
+            let pkt = String.sub detail (p + 5) (String.length detail - p - 5) in
+            let prev = try Hashtbl.find tbl key with Not_found -> [] in
+            Hashtbl.replace tbl key (pkt :: prev)
+          | _ -> Alcotest.fail ("unparsable event-fwd detail: " ^ detail));
     {
       tr_chunks = mr.Controller.chunks_moved;
       tr_bytes = mr.Controller.bytes_moved;
@@ -1249,13 +1252,26 @@ let prop_batched_transfer_equivalent =
       let batch_bytes = if batch_chunks mod 2 = 0 then 2048 else 32768 in
       let reference =
         run_move_scenario ~batch_chunks:1 ~batch_bytes:32768 ~put_window:1 ~n_chunks
-          ~n_reports ~rate_pps
+          ~n_reports ~rate_pps ()
       in
       let batched =
         run_move_scenario ~batch_chunks ~batch_bytes ~put_window ~n_chunks ~n_reports
-          ~rate_pps
+          ~rate_pps ()
       in
       reference = batched)
+
+(* Off a timeline the controller still forwards re-process events, but
+   logs no event-fwd instant for them. *)
+let test_event_fwd_off_timeline () =
+  let run timeline =
+    run_move_scenario ~timeline ~batch_chunks:4 ~batch_bytes:32768 ~put_window:2
+      ~n_chunks:40 ~n_reports:0 ~rate_pps:8000.0 ()
+  in
+  let on = run true and off = run false in
+  Alcotest.(check bool) "events forwarded" true (off.tr_dst_reprocessed > 0);
+  Alcotest.(check int) "same events either way" on.tr_dst_reprocessed off.tr_dst_reprocessed;
+  Alcotest.(check bool) "logged on a timeline" true (on.tr_fwd_by_key <> []);
+  Alcotest.(check int) "no event-fwd row off one" 0 (List.length off.tr_fwd_by_key)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1338,6 +1354,7 @@ let () =
           Alcotest.test_case "duplicate connect" `Quick test_duplicate_connect_rejected;
           Alcotest.test_case "move under binary framing" `Quick
             test_move_under_binary_framing;
+          Alcotest.test_case "event-fwd off a timeline" `Quick test_event_fwd_off_timeline;
         ]
         @ qcheck [ prop_moves_conserve_state; prop_batched_transfer_equivalent ] );
     ]

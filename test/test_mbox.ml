@@ -16,6 +16,15 @@ let mk_packet ?(id = 0) ?(ts = 0.0) ?(src = "10.0.0.1") ?(dst = "1.1.1.5") ?(spo
 
 let run_all engine = Engine.run engine
 
+(* The details of a timeline's [kind] instants by [actor], oldest first. *)
+let timeline_details tel ~actor ~kind =
+  let tr = Telemetry.trace tel in
+  let actor = Telemetry.Trace.lookup_id tr actor and kind = Telemetry.Trace.lookup_id tr kind in
+  Telemetry.Trace.fold tr ~init:[]
+    ~f:(fun acc ~actor:a ~name ~op:_ ~a0:_ ~a1:_ ~t0:_ ~t1:_ ~detail ->
+      if a = actor && name = kind then detail :: acc else acc)
+  |> List.rev
+
 (* The filter of an agent whose control application enabled every
    introspection event. *)
 let admit_all () =
@@ -863,13 +872,12 @@ let test_re_implicit_desync_on_loss () =
   run_all engine;
   Alcotest.(check bool) "desync detected" true (Re_decoder.undecodable_bytes dec > 0)
 
-(* The decoder builds its timeline detail lazily: with a recorder
-   attached, an undecodable packet still logs its shim bytes and cache. *)
-let test_re_undecodable_recorded () =
+(* An implicit-mode RE pair that loses packet 2, so later shims fail
+   to decode; the decoder logs on [telemetry]. *)
+let re_lossy_run telemetry =
   let engine = Engine.create () in
-  let recorder = Recorder.create engine in
   let enc = Re_encoder.create engine ~mode:Re_encoder.Implicit ~name:"enc" () in
-  let dec = Re_decoder.create engine ~recorder ~mode:Re_encoder.Implicit ~name:"dec" () in
+  let dec = Re_decoder.create engine ~telemetry ~mode:Re_encoder.Implicit ~name:"dec" () in
   let drop = ref false in
   Mb_base.set_egress (Re_encoder.base enc) (fun p ->
       if !drop then drop := false else Re_decoder.receive dec p);
@@ -879,18 +887,49 @@ let test_re_undecodable_recorded () =
   send_via engine enc ~id:3 ~ts:0.02 [| 20; 21; 22; 23 |];
   send_via engine enc ~id:4 ~ts:0.03 [| 20; 21; 22; 23 |];
   run_all engine;
-  let logged = Recorder.filter ~actor:"dec" ~kind:"undecodable" recorder in
+  dec
+
+(* The decoder builds its timeline detail lazily: on a timeline, an
+   undecodable packet still logs its shim bytes and cache. *)
+let test_re_undecodable_recorded () =
+  let telemetry = Telemetry.create ~timeline:true () in
+  let dec = re_lossy_run telemetry in
+  let logged = timeline_details telemetry ~actor:"dec" ~kind:"undecodable" in
   Alcotest.(check int) "one entry per failed packet" (Re_decoder.packets_failed dec)
     (List.length logged);
   Alcotest.(check bool) "at least one failed" true (logged <> []);
   List.iter
-    (fun (e : Recorder.entry) ->
-      match Scanf.sscanf e.detail "%dB of shims (cache %d)%!" (fun b c -> (b, c)) with
+    (fun detail ->
+      match Scanf.sscanf detail "%dB of shims (cache %d)%!" (fun b c -> (b, c)) with
       | b, c ->
         Alcotest.(check bool) "shim bytes" true (b > 0);
         Alcotest.(check int) "cache id" 0 c
-      | exception _ -> Alcotest.failf "unexpected detail %S" e.detail)
+      | exception _ -> Alcotest.failf "unexpected detail %S" detail)
     logged
+
+(* Off a timeline an MB logs nothing: an IDS alert and an RE
+   undecodable packet add no trace row (and no "pkt" row either).  On
+   one, the same run logs them. *)
+let test_no_rows_off_timeline () =
+  let run timeline =
+    let telemetry = Telemetry.create ~timeline () in
+    let ids = Ids.create (Engine.create ()) ~telemetry ~name:"bro1" () in
+    feed_ids ids
+      [
+        mk_packet ~id:1 ~flags:Packet.syn_flags ();
+        mk_packet ~id:2 ~ts:0.01
+          ~app:(Packet.Http_request { method_ = "GET"; host = "h"; uri = "/cgi/cmd.exe" })
+          ();
+      ];
+    let dec = re_lossy_run telemetry in
+    Alcotest.(check int) "alert raised" 1 (List.length (Ids.alerts ids));
+    Alcotest.(check bool) "undecodable packets" true (Re_decoder.packets_failed dec > 0);
+    telemetry
+  in
+  let on = run true and off = run false in
+  Alcotest.(check int) "alert logged on a timeline" 1
+    (List.length (timeline_details on ~actor:"bro1" ~kind:"alert"));
+  Alcotest.(check int) "no trace row off one" 0 (Telemetry.Trace.total (Telemetry.trace off))
 
 let test_re_explicit_survives_literal_loss () =
   (* Explicit positions: after losing a literal-only packet, later
@@ -2116,6 +2155,7 @@ let () =
           Alcotest.test_case "wire shrink" `Quick test_re_encoder_shrinks_wire_bytes;
           Alcotest.test_case "implicit desync on loss" `Quick test_re_implicit_desync_on_loss;
           Alcotest.test_case "undecodable packet recorded" `Quick test_re_undecodable_recorded;
+          Alcotest.test_case "no rows off a timeline" `Quick test_no_rows_off_timeline;
           Alcotest.test_case "explicit survives literal loss" `Quick
             test_re_explicit_survives_literal_loss;
           Alcotest.test_case "decoder clone via chunks" `Quick test_re_decoder_clone_via_chunks;

@@ -1114,27 +1114,35 @@ let test_channel_fifo_serialization () =
   Alcotest.(check int) "messages counted" 2 (Channel.messages_sent ch)
 
 (* ------------------------------------------------------------------ *)
-(* Recorder                                                            *)
+(* Timeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_recorder_filter () =
-  let e = Engine.create () in
-  let r = Recorder.create e in
-  ignore
-    (Engine.schedule_at e (Time.seconds 1.0) (fun () ->
-         Recorder.record r ~actor:"mb1" ~kind:"pkt" ~detail:"x"));
-  ignore
-    (Engine.schedule_at e (Time.seconds 2.0) (fun () ->
-         Recorder.record r ~actor:"mb2" ~kind:"pkt" ~detail:"y"));
-  ignore
-    (Engine.schedule_at e (Time.seconds 3.0) (fun () ->
-         Recorder.record r ~actor:"mb1" ~kind:"get-start" ~detail:"z"));
-  Engine.run e;
-  Alcotest.(check int) "all" 3 (List.length (Recorder.entries r));
-  Alcotest.(check int) "by actor" 2 (List.length (Recorder.filter ~actor:"mb1" r));
-  Alcotest.(check int) "by kind" 2 (Recorder.count ~kind:"pkt" r);
-  Alcotest.(check int) "by window" 1
-    (List.length (Recorder.filter ~since:(Time.seconds 1.5) ~until:(Time.seconds 2.5) r))
+(* Off by default; on, the trace grows instead of wrapping: 100
+   instants in a 16-row trace are all kept, in the order logged. *)
+let test_timeline_keeps_every_instant () =
+  Alcotest.(check bool) "off by default" false (Telemetry.timeline (Telemetry.create ()));
+  let tel = Telemetry.create ~span_capacity:16 ~timeline:true () in
+  Alcotest.(check bool) "on" true (Telemetry.timeline tel);
+  for i = 1 to 100 do
+    Telemetry.instant tel ~now:(Time.ms (float_of_int i))
+      ~actor:(if i mod 2 = 0 then "mb1" else "mb2")
+      ~name:"pkt" ~detail:(string_of_int i) ()
+  done;
+  let tr = Telemetry.trace tel in
+  Alcotest.(check int) "all held" 100 (Telemetry.Trace.length tr);
+  Alcotest.(check int) "none overwritten" 0 (Telemetry.Trace.overwritten tr);
+  let held =
+    Telemetry.Trace.fold tr ~init:[]
+      ~f:(fun acc ~actor:_ ~name:_ ~op:_ ~a0:_ ~a1:_ ~t0 ~t1 ~detail ->
+        if t1 <> t0 then Alcotest.fail "an instant has a duration";
+        (t0, detail) :: acc)
+    |> List.rev
+  in
+  Alcotest.(check (list string)) "in order" (List.init 100 (fun i -> string_of_int (i + 1)))
+    (List.map snd held);
+  Alcotest.(check bool) "times ascend" true
+    (List.for_all2 (fun (t, _) i -> t = Time.ms (float_of_int i)) held
+       (List.init 100 (fun i -> i + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
@@ -2002,7 +2010,8 @@ let () =
             prop_blackhole_exact;
             prop_impairment_rerun_identical;
           ] );
-      ("recorder", [ Alcotest.test_case "filter" `Quick test_recorder_filter ]);
+      ( "timeline",
+        [ Alcotest.test_case "keeps every instant" `Quick test_timeline_keeps_every_instant ] );
       ( "telemetry",
         [
           Alcotest.test_case "registry" `Quick test_telemetry_registry;

@@ -245,9 +245,8 @@ let soak_debug = Sys.getenv_opt "SOAK_DEBUG" <> None
    deliberately unmeetable objective (any fault-layer drop breaches) so
    the bundle path itself is testable on a healthy seed. *)
 let run_soak ?(strict_slo = false) ~plan ~use_replica ~kills () =
-  let tel = Telemetry.create () in
+  let tel = Telemetry.create ~timeline:soak_debug () in
   let engine = Engine.create ~telemetry:tel () in
-  let recorder = if soak_debug then Some (Recorder.create engine) else None in
   let faults = Faults.create ~telemetry:tel engine plan in
   let mb_a = Dummy_mb.create engine ~name:"mb-a" () in
   let mb_b = Dummy_mb.create engine ~name:"mb-b" () in
@@ -258,8 +257,7 @@ let run_soak ?(strict_slo = false) ~plan ~use_replica ~kills () =
   let submit_move, finish =
     if use_replica then begin
       let r =
-        Controller_replica.create engine ~config:soak_replica_config ?recorder
-          ~faults ~telemetry:tel ()
+        Controller_replica.create engine ~config:soak_replica_config ~faults ~telemetry:tel ()
       in
       Controller_replica.connect r (agent mb_a);
       Controller_replica.connect r (agent mb_b);
@@ -269,8 +267,7 @@ let run_soak ?(strict_slo = false) ~plan ~use_replica ~kills () =
     end
     else begin
       let c =
-        Controller.create engine ~config:soak_ctrl_config ?recorder ~faults
-          ~telemetry:tel ()
+        Controller.create engine ~config:soak_ctrl_config ~faults ~telemetry:tel ()
       in
       Controller.connect c (agent mb_a);
       Controller.connect c (agent mb_b);
@@ -420,13 +417,19 @@ let run_soak ?(strict_slo = false) ~plan ~use_replica ~kills () =
         (Controller_replica.snapshots r)
         (Controller_replica.log_retransmits r)
     | None -> ());
-    (match recorder with
-    | Some rec_ ->
-      let entries = Recorder.entries rec_ in
-      let n = List.length entries in
-      let tail = if n > 120 then List.filteri (fun i _ -> i >= n - 120) entries else entries in
-      List.iter (fun e -> Format.eprintf "    %a@." Recorder.pp_entry e) tail
-    | None -> ())
+    (* The timeline's last 120 instants; the op spans around them are
+       left out. *)
+    let tr = Telemetry.trace tel in
+    let instants =
+      Telemetry.Trace.fold tr ~init:[]
+        ~f:(fun acc ~actor ~name ~op:_ ~a0:_ ~a1:_ ~t0 ~t1 ~detail ->
+          if t1 = t0 then (t0, actor, name, detail) :: acc else acc)
+    in
+    List.iter
+      (fun (t, actor, name, detail) ->
+        Printf.eprintf "    [%8.3fs] %-16s %-12s %s\n" (Time.to_seconds t)
+          (Telemetry.Trace.string_of_id tr actor) (Telemetry.Trace.string_of_id tr name) detail)
+      (List.rev (List.filteri (fun i _ -> i < 120) instants))
   end;
   (* A failing chaos run ships its black box: the bundle captured at
      the first SLO breach if one fired, otherwise a fresh dump of the
