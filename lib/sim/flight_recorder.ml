@@ -16,9 +16,6 @@ let create ?(span_tail = 256) ?telemetry ?timeseries ?slo ?fault_plan () =
   let span_tail = if span_tail < 1 then 1 else span_tail in
   { span_tail; telemetry; timeseries; slo; fault_plan; last = None; dumps = 0 }
 
-let json_escape_into buf s =
-  Buffer.add_string buf (Printf.sprintf "%S" s)
-
 (* Last [n] spans of the trace ring, oldest-first, as JSON objects.
    fold walks oldest-first, so collect into a small ring and replay. *)
 let span_tail_json buf tel n =
@@ -35,15 +32,15 @@ let span_tail_json buf tel n =
           if !emitted > 0 then Buffer.add_char buf ',';
           incr emitted;
           Buffer.add_string buf "{\"actor\":";
-          json_escape_into buf (Telemetry.Trace.string_of_id tr actor);
+          Telemetry.add_json_string buf (Telemetry.Trace.string_of_id tr actor);
           Buffer.add_string buf ",\"name\":";
-          json_escape_into buf (Telemetry.Trace.string_of_id tr name);
+          Telemetry.add_json_string buf (Telemetry.Trace.string_of_id tr name);
           Buffer.add_string buf
             (Printf.sprintf ",\"op\":%d,\"a0\":%d,\"a1\":%d,\"t0_s\":%.9g,\"t1_s\":%.9g" op a0 a1
                (Time.to_seconds t0) (Time.to_seconds t1));
           if detail <> "" then begin
             Buffer.add_string buf ",\"detail\":";
-            json_escape_into buf detail
+            Telemetry.add_json_string buf detail
           end;
           Buffer.add_char buf '}'
         end;
@@ -54,11 +51,11 @@ let span_tail_json buf tel n =
 let dump t ~now ~reason =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"reason\":";
-  json_escape_into buf reason;
+  Telemetry.add_json_string buf reason;
   Buffer.add_string buf (Printf.sprintf ",\"at_s\":%.9g" (Time.to_seconds now));
   Buffer.add_string buf ",\"fault_plan\":";
   (match t.fault_plan with
-  | Some p -> json_escape_into buf p
+  | Some p -> Telemetry.add_json_string buf p
   | None -> Buffer.add_string buf "null");
   Buffer.add_string buf ",\"breaches\":";
   (match t.slo with

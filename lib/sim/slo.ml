@@ -223,10 +223,13 @@ let breaches_to_json t =
   List.iteri
     (fun i br ->
       if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf "{\"objective\":";
+      Telemetry.add_json_string buf br.br_objective;
+      Buffer.add_string buf ",\"series\":";
+      Telemetry.add_json_string buf br.br_series;
       Buffer.add_string buf
-        (Printf.sprintf
-           "{\"objective\":%S,\"series\":%S,\"at_s\":%.9g,\"value\":%.9g,\"burn\":%.9g}"
-           br.br_objective br.br_series br.br_at br.br_value br.br_burn))
+        (Printf.sprintf ",\"at_s\":%.9g,\"value\":%.9g,\"burn\":%.9g}" br.br_at br.br_value
+           br.br_burn))
     (breaches t);
   Buffer.add_char buf ']';
   Buffer.contents buf

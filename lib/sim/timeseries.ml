@@ -374,8 +374,9 @@ let to_json snap =
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char buf ',';
+      Telemetry.add_json_string buf s.ss_name;
       Buffer.add_string buf
-        (Printf.sprintf "%S:{\"mode\":%S,\"total\":%d,\"first\":%d,\"raw\":" s.ss_name
+        (Printf.sprintf ":{\"mode\":\"%s\",\"total\":%d,\"first\":%d,\"raw\":"
            (mode_string s.ss_mode) s.ss_total s.ss_first);
       json_floats buf s.ss_raw;
       Buffer.add_string buf ",\"rollups\":[";

@@ -1928,6 +1928,58 @@ let test_flight_recorder_bundle () =
   Alcotest.(check bool) "breach log" true (contains ~sub:"lat-slo" bundle);
   Alcotest.(check bool) "span tail" true (contains ~sub:"\"mb\"" bundle)
 
+(* Every JSON writer quotes through Telemetry.add_json_string: names and
+   details carrying UTF-8, quotes, backslashes and control bytes parse,
+   and read back identical.  OCaml's [%S] escapes ([\195], [\001]) are
+   not JSON. *)
+let test_json_writers_escape () =
+  let odd = "prads\x01 \"caf\xc3\xa9\" \\ \n\t\x1f" and detail = "http GET /caf\xc3\xa9\x01" in
+  let tel = Telemetry.create () in
+  let engine = Engine.create ~telemetry:tel () in
+  Telemetry.incr (Telemetry.counter tel odd);
+  Telemetry.instant tel ~now:Time.zero ~actor:odd ~name:"pkt" ~detail ();
+  let ts = Timeseries.create ~cap:64 engine in
+  Timeseries.add ts ~name:odd (Timeseries.Poll (fun () -> 1.0));
+  let slo = Slo.create ts in
+  Slo.add slo
+    (Slo.objective ~budget:0.1 ~windows:[ (5, 1.0) ] ~name:odd ~series:odd Slo.Le 0.5);
+  Slo.attach slo;
+  let fr = Flight_recorder.create ~telemetry:tel ~timeseries:ts ~slo ~fault_plan:odd () in
+  Flight_recorder.arm fr ~engine;
+  let horizon = Time.seconds 10.0 in
+  ignore (Engine.schedule_at engine horizon (fun () -> ()));
+  Timeseries.start ts ~until:horizon ~every:(Time.seconds 1.0);
+  Engine.run engine;
+  let module Json = Openmb_wire.Json in
+  let parse what s =
+    try Json.of_string s with Json.Parse_error m -> Alcotest.failf "%s: %s" what m
+  in
+  let str what = function Json.String s -> s | _ -> Alcotest.failf "%s: not a string" what in
+  let keys what = function
+    | Json.Assoc fields -> List.map fst fields
+    | _ -> Alcotest.failf "%s: not an object" what
+  in
+  let series = parse "timeseries" (Timeseries.to_json (Timeseries.snapshot ts)) in
+  Alcotest.(check (list string)) "series name" [ odd ] (keys "series" (Json.member "series" series));
+  (match parse "breaches" (Slo.breaches_to_json slo) with
+  | Json.List (br :: _) ->
+    Alcotest.(check string) "objective" odd (str "objective" (Json.member "objective" br));
+    Alcotest.(check string) "breached series" odd (str "series" (Json.member "series" br))
+  | _ -> Alcotest.fail "no breach");
+  let bundle =
+    match Flight_recorder.last_bundle fr with
+    | Some b -> parse "bundle" b
+    | None -> Alcotest.fail "no bundle captured"
+  in
+  Alcotest.(check string) "fault plan" odd (str "fault_plan" (Json.member "fault_plan" bundle));
+  Alcotest.(check bool) "registry counter" true
+    (List.mem odd (keys "counters" (Json.member "counters" (Json.member "registry" bundle))));
+  match Json.member "span_tail" bundle with
+  | Json.List [ span ] ->
+    Alcotest.(check string) "span actor" odd (str "actor" (Json.member "actor" span));
+    Alcotest.(check string) "span detail" detail (str "detail" (Json.member "detail" span))
+  | _ -> Alcotest.fail "span tail is not the one instant"
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -2043,5 +2095,8 @@ let () =
           Alcotest.test_case "healthy series" `Quick test_slo_quiet;
         ] );
       ( "flight_recorder",
-        [ Alcotest.test_case "breach bundle" `Quick test_flight_recorder_bundle ] );
+        [
+          Alcotest.test_case "breach bundle" `Quick test_flight_recorder_bundle;
+          Alcotest.test_case "JSON writers escape any bytes" `Quick test_json_writers_escape;
+        ] );
     ]
