@@ -101,12 +101,14 @@ let json_null v c =
 
 let enum name values =
   let values = Array.of_list values in
+  let names = Array.map name values in
   let rec index v i = if values.(i) == v then i else index v (i + 1) in
-  let named s =
-    match List.find_opt (fun v -> name v = s) (Array.to_list values) with
-    | Some v -> v
-    | None -> invalid_arg ("Codec.enum: unknown name " ^ s)
+  let rec named_from s i =
+    if i = Array.length names then invalid_arg ("Codec.enum: unknown name " ^ s)
+    else if String.equal names.(i) s then values.(i)
+    else named_from s (i + 1)
   in
+  let named s = named_from s 0 in
   { (conv name named string) with write = (fun k v -> Binary.u8 k (index v 0));
                                   read = (fun r -> values.(Binary.get_u8 r)) }
 
@@ -235,14 +237,25 @@ let case_name u =
 
 let bare_case () = invalid_arg "Codec: a union selector returned no payload"
 
+(* The cases are resolved here, once: JSON finds a case by comparing
+   its tag string with each case's name, binary indexes an array by the
+   tag byte.  Where two cases share a name or tag, the one added last
+   wins, as it does in [all]. *)
 let variant u =
   let (Dispatch select) = u.destruct (u.select Select.[]) in
   let untagged = List.find_opt (fun (Any c) -> c.tag_field = None) u.all in
+  let tagged = Array.of_list (List.filter (fun (Any c) -> c.tag_field <> None) u.all) in
+  let names = Array.map (fun (Any c) -> c.name) tagged in
+  let by_tag = Array.make (List.fold_left (fun m (Any c) -> max m (c.tag + 1)) 0 u.all) None in
+  List.iter (fun (Any c as any) -> by_tag.(c.tag) <- Some any) (List.rev u.all);
+  let rec named s i =
+    if i = Array.length names then -1 else if String.equal names.(i) s then i else named s (i + 1)
+  in
   let parse_case fs =
     let tag = member u.union_tag fs in
-    match (List.find_opt (fun (Any c) -> c.tag_field = Some (u.union_tag, tag)) u.all, untagged) with
-    | Some any, _ | None, Some any -> any
-    | None, None -> mismatch ("a known " ^ u.union_tag) tag
+    let i = match tag with Json.String s -> named s 0 | _ -> -1 in
+    if i >= 0 then tagged.(i)
+    else match untagged with Some any -> any | None -> mismatch ("a known " ^ u.union_tag) tag
   in
   { emit =
       (fun v rest ->
@@ -259,7 +272,7 @@ let variant u =
     take =
       (fun r ->
         let tag = Binary.get_u8 r in
-        match List.find_opt (fun (Any c) -> c.tag = tag) u.all with
+        match if tag < Array.length by_tag then by_tag.(tag) else None with
         | Some (Any c) -> c.make (c.body.take r)
         | None -> fail "Codec: unknown %s tag %d" u.union_tag tag) }
 

@@ -614,6 +614,32 @@ let test_binary_decode_rejects_garbage () =
 (* Malformed frames that escaped as other exceptions before both
    framings shared one decoder: a count taken off the wire as an
    allocation size, values a constructor rejects, a missing field. *)
+(* A binary re-process request decodes in 269 minor words: its 8 union
+   reads (the request, five header fields, the HTTP annotation, the
+   body) index their cases by tag.  Searching the case list on each
+   read costs 317. *)
+let test_binary_request_decode_allocation () =
+  let packet =
+    Packet.make ~id:42 ~ts:(Time.seconds 0.25) ~src_ip:(Addr.of_string "10.0.0.1")
+      ~dst_ip:(Addr.of_string "1.1.1.5") ~src_port:1234 ~dst_port:80 ~proto:Packet.Tcp
+      ~flags:Packet.syn_flags
+      ~app:(Packet.Http_request { method_ = "GET"; host = "example.org"; uri = "/a" })
+      ~body:(Packet.Raw (Payload.of_tokens [| 1; 2; 3; 4 |]))
+      ()
+  in
+  let key = Hfl.of_string "nw_src=10.0.0.1/32,nw_dst=1.1.1.5/32,tp_src=1234,tp_dst=80,proto=tcp" in
+  let msg = { Message.op = 7; tid = 3; req = Message.Reprocess_packet { key; packet } } in
+  let wire = Message.request_to_wire ~framing:Framing.Binary msg in
+  Alcotest.(check bool) "round-trips" true (Message.request_of_wire wire = msg);
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Message.request_of_wire wire))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > 275.0 then
+    Alcotest.failf "binary request_of_wire allocates %.1f minor words, budget 275" words
+
 let test_malformed_frames_raise_decode_error () =
   let rejects what decode s =
     match decode s with
@@ -1321,6 +1347,8 @@ let () =
             test_binary_decode_rejects_garbage;
           Alcotest.test_case "malformed frames raise Decode_error" `Quick
             test_malformed_frames_raise_decode_error;
+          Alcotest.test_case "binary request decode allocation" `Quick
+            test_binary_request_decode_allocation;
         ] );
       ( "controller",
         [

@@ -1428,6 +1428,27 @@ let test_budget_ids_long_flow () =
   Alcotest.(check int) "one connection" 1
     ((Ids.impl ids).Southbound.stats Hfl.any).perflow_support_chunks
 
+(* An IDS connection record (two analyzer unions, two TCP-state enums)
+   decodes in 1,608 minor words: its JSON parse and the values it
+   builds, with each case resolved when the description was built.
+   Searching the cases on every read (an option and a pair per union
+   case tried, an enum's values listed afresh) costs 1,697. *)
+let test_budget_ids_conn_decode () =
+  let text =
+    {|{"orig":"tcp 10.0.0.1:1234>1.1.1.5:80","started":0.0,"last":0.42999999999999999,"tcp":"SF","history":"ShDdDDdF","orig_pkts":5,"orig_bytes":512,"resp_pkts":3,"resp_bytes":192,"analyzers":[{"name":"TCP","state":"SF","reassembly":"ksvpeebytfjgejzzljujejkabnxtdfkwpglllamilakkkopnuekchwclieehnafieisduztlpvbexhrsoflgdudoaeoivbdgfdcitrsbkutlwoapqkrezapshmmmbaqfxhyklsfetlmnithnuwaodxenlwijgalirlkqbvnqnzcedudrpbgbnrpbenrcowqwewydwgmrbflqzjsjywjerwihfwdmuvhvvmongiyubqwcwplzafmmppcgueeqzxqymrwuvziqwqgjoamrhxmiceubtdlycktkyjmctppbajwncdtfaqlyyzkmibqsyqoxdxzdgdmdpgwhcacotegxhzpp"},{"name":"HTTP","open":[{"method":"POST","host":"example.org","uri":"/form"}],"done":[{"method":"GET","host":"example.org","uri":"/q?a=\"x\"&b=\\y","status":200}]}],"logged":true}|}
+  in
+  let decode () = Codec.decode Ids.conn_codec text in
+  Alcotest.(check string) "round-trips" text (Codec.encode Framing.Json Ids.conn_codec (decode ()));
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (decode ()))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > 1620.0 then
+    Alcotest.failf "Ids.conn_codec decode allocates %.1f minor words per record, budget 1620"
+      words
+
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -2188,6 +2209,7 @@ let () =
           Alcotest.test_case "nat+monitor batch size 1" `Quick test_budget_nat_monitor_b1;
           Alcotest.test_case "move 1k chunks, compressed JSON" `Quick test_budget_move;
           Alcotest.test_case "ids receive, one long flow" `Quick test_budget_ids_long_flow;
+          Alcotest.test_case "ids connection record decode" `Quick test_budget_ids_conn_decode;
         ] );
       ( "load_balancer",
         [
