@@ -16,7 +16,6 @@ type t = {
   mutable event_task : Engine.handle option;
   mutable event_rr : int;
   mutable reprocessed : int;
-  mutable packets_seen : int;
 }
 
 let default_cost : Southbound.cost_model =
@@ -49,7 +48,6 @@ let create engine ?(cost = default_cost) ?(granularity = Hfl.full_granularity)
     event_task = None;
     event_rr = 0;
     reprocessed = 0;
-    packets_seen = 0;
   }
 
 let base t = t.base
@@ -92,7 +90,6 @@ let set_shared_report t s = t.sh_report <- Some s
 let shared_support t = t.sh_support
 let shared_report t = t.sh_report
 let chunk_count t = State_table.size t.support
-let report_count t = State_table.size t.report
 
 let entries_of table =
   List.sort compare
@@ -127,13 +124,11 @@ let has_state_for t p =
       acc || Hfl.matches_packet e.State_table.key p)
 
 let process_packet t p ~side_effects =
-  if side_effects then begin
-    t.packets_seen <- t.packets_seen + 1;
+  if side_effects then
     match State_table.find_bidir t.support (Five_tuple.of_packet p) with
     | Some entry when entry.moved ->
       Mb_base.raise_event t.base (Event.Reprocess { key = entry.key; packet = p })
     | Some _ | None -> ()
-  end
   else t.reprocessed <- t.reprocessed + 1
 
 let shared_bytes = function None -> 0 | Some s -> String.length s
@@ -206,4 +201,3 @@ let start_events t ~rate_pps =
   schedule_events t ~rate_pps
 
 let reprocessed t = t.reprocessed
-let packets_seen t = t.packets_seen

@@ -49,8 +49,6 @@ val shared_report : t -> string option
 val chunk_count : t -> int
 (** Per-flow supporting entries resident. *)
 
-val report_count : t -> int
-
 val has_state_for : t -> Openmb_net.Packet.t -> bool
 (** Whether a per-flow supporting entry exists for the packet's flow
     (either direction) — the chaos tests' "replayed against present
@@ -74,5 +72,3 @@ val stop_events : t -> unit
 val reprocessed : t -> int
 (** Packets this MB replayed via [Reprocess_packet] requests. *)
 
-val packets_seen : t -> int
-(** Packets processed with side effects. *)

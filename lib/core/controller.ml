@@ -229,8 +229,6 @@ let fence t =
     record t ~kind:"fenced" ~detail:(fun () -> "controller fenced (lease expired)")
   end
 
-let is_fenced t = t.fenced
-
 let find_conn t name = Hashtbl.find_opt t.mbs name
 
 let alloc_seq conn =
@@ -579,8 +577,6 @@ let disconnect t name =
   t.transfers <-
     List.filter (fun tr -> not (String.equal tr.src name || String.equal tr.dst name))
       t.transfers
-
-let mb_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.mbs []
 
 (* ------------------------------------------------------------------ *)
 (* Simple northbound operations                                        *)
@@ -1111,7 +1107,6 @@ let merge_internal t ~src ~dst ~on_done =
 let events_buffered_peak t = Telemetry.gauge_peak t.g_buf
 let events_forwarded t = Telemetry.counter_value t.c_evt_fwd
 let events_dropped t = Telemetry.counter_value t.c_evt_dropped
-let events_returned t = Telemetry.counter_value t.c_evt_returned
 let active_transfers t = List.length t.transfers
 let messages_processed t = Telemetry.counter_value t.c_msgs
 let op_retries t = Telemetry.counter_value t.c_retries

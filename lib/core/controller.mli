@@ -151,8 +151,6 @@ val disconnect : t -> string -> unit
 (** Forget an MB (e.g. a terminated instance); in-flight operations on
     it are abandoned. *)
 
-val mb_names : t -> string list
-
 (** {1 Northbound API}
 
     The six operations of §5 plus introspection subscription. *)
@@ -321,9 +319,6 @@ val events_forwarded : t -> int
 val events_dropped : t -> int
 (** Re-process events that matched no active transfer. *)
 
-val events_returned : t -> int
-(** Buffered events an aborted transfer replayed back to its source. *)
-
 val active_transfers : t -> int
 (** Transfers still forwarding events (including returned ones awaiting
     quiescence). *)
@@ -346,5 +341,3 @@ val fence : t -> unit
 (** Permanently silence this controller: every pending and future CPU
     dispatch — sends, receives, retry timers, quiescence deletes — is
     discarded.  Idempotent; there is no unfence. *)
-
-val is_fenced : t -> bool

@@ -688,10 +688,8 @@ let role t ~name =
   | Down -> `Down
 
 let failovers t = Telemetry.counter_value t.c_failovers
-let log_entries t = Telemetry.counter_value t.c_log
 let log_retransmits t = Telemetry.counter_value t.c_retrans
 let snapshots t = Telemetry.counter_value t.c_snapshots
-let heartbeats t = Telemetry.counter_value t.c_heartbeats
 let moves_retried t = Telemetry.counter_value t.c_move_retries
 let moves_rerun t = Telemetry.counter_value t.c_moves_rerun
 let moves_resubmitted t = Telemetry.counter_value t.c_moves_resubmitted

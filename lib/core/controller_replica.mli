@@ -131,10 +131,8 @@ val epoch : t -> int
     every re-adopted connection by [epoch lsl 40]. *)
 
 val failovers : t -> int
-val log_entries : t -> int
 val log_retransmits : t -> int
 val snapshots : t -> int
-val heartbeats : t -> int
 
 val moves_retried : t -> int
 (** Replica-level re-runs after a failed attempt (op-level retries are

@@ -16,7 +16,6 @@ type t = {
   mutable send_event : Message.from_mb -> unit;
   mutable cpu_free_at : Time.t;
   mutable active_ops : int;
-  mutable ops_handled : int;
   mutable events_raised : int;
   (* Crash model: a crash abandons everything in flight on the control
      thread (epoch bump suppresses scheduled continuations) and wipes
@@ -25,7 +24,6 @@ type t = {
      dropped on the floor. *)
   mutable crashed : bool;
   mutable epoch : int;
-  mutable crash_count : int;
   (* Fencing token: op ids encode the issuing controller's replication
      epoch in their high bits (id_base = epoch lsl 40), and epochs only
      grow.  Once any op from epoch [e] is seen, ops from epochs < e are
@@ -93,11 +91,9 @@ let create engine ?telemetry ~impl () =
       send_event = not_attached;
       cpu_free_at = Time.zero;
       active_ops = 0;
-      ops_handled = 0;
       events_raised = 0;
       crashed = false;
       epoch = 0;
-      crash_count = 0;
       ctrl_epoch = 0;
       ops = Openmb_net.Flat_table.create ~capacity:64 ();
       applied_seq = Openmb_net.Flat_table.create ~capacity:64 ();
@@ -126,15 +122,12 @@ let set_uplinks t ~send_reply ~send_event =
   t.send_event <- send_event
 
 let op_active t = t.active_ops > 0
-let ops_handled t = t.ops_handled
 let events_raised t = t.events_raised
 let is_crashed t = t.crashed
-let crash_count t = t.crash_count
 
 let crash t =
   if not t.crashed then begin
     t.crashed <- true;
-    t.crash_count <- t.crash_count + 1;
     t.epoch <- t.epoch + 1;
     t.active_ops <- 0;
     t.impl.set_op_active false;
@@ -396,7 +389,6 @@ let handle_request t { Message.op; tid; req } =
       ~detail:(fun () -> Printf.sprintf "stale epoch op=%d: %s" op (Message.describe_request req))
   else begin
     if op asr 40 > t.ctrl_epoch then t.ctrl_epoch <- op asr 40;
-    t.ops_handled <- t.ops_handled + 1;
     let seq_hit =
       match seq_of_request req with
       | Some seq -> (

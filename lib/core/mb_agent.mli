@@ -76,13 +76,9 @@ val restart : t -> unit
     not crashed. *)
 
 val is_crashed : t -> bool
-val crash_count : t -> int
 
 val op_active : t -> bool
 (** Whether a state operation is currently executing. *)
-
-val ops_handled : t -> int
-(** Total requests processed (for reporting). *)
 
 val events_raised : t -> int
 (** Events the MB emitted that passed the filter and were sent. *)

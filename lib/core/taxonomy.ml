@@ -49,5 +49,3 @@ let partition_of_string = function
   | "shared" -> Shared
   | s -> invalid_arg (Printf.sprintf "Taxonomy.partition_of_string: %S" s)
 
-let pp_role fmt r = Format.pp_print_string fmt (role_to_string r)
-let pp_partition fmt p = Format.pp_print_string fmt (partition_to_string p)

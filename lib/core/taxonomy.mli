@@ -51,5 +51,3 @@ val role_to_string : role -> string
 val role_of_string : string -> role
 val partition_to_string : partition -> string
 val partition_of_string : string -> partition
-val pp_role : Format.formatter -> role -> unit
-val pp_partition : Format.formatter -> partition -> unit

@@ -154,9 +154,3 @@ let impl t =
 
 let assignments t = State_table.fold t.table ~init:[] ~f:(fun acc e -> (e.key, e.value) :: acc)
 let assignment_count t = State_table.size t.table
-
-let set_backends t backends =
-  if backends = [] then invalid_arg "Load_balancer.set_backends: no backends";
-  t.backends <- Array.of_list backends;
-  Config_tree.set (Mb_base.config t.base) [ "backends" ]
-    (List.map (fun a -> Json.String (Addr.to_string a)) backends)

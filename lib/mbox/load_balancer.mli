@@ -50,6 +50,3 @@ val backend_codec : Openmb_net.Addr.t Openmb_wire.Codec.t
 val backend_load : t -> (Openmb_net.Addr.t * int) list
 (** Current connection count per backend. *)
 
-val set_backends : t -> Openmb_net.Addr.t list -> unit
-(** Reconfigure the backend pool (existing assignments are kept — the
-    paper's R3 post-migration reconfiguration). *)

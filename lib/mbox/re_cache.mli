@@ -45,9 +45,6 @@ val read_run : t -> offset:int -> len:int -> int array option
 val in_window : t -> int -> bool
 (** Whether an absolute offset is within the current window. *)
 
-val resident_tokens : t -> int
-(** Number of tokens currently resident. *)
-
 val clone : t -> t
 (** Deep copy (the encoder's internal cache clone on [NumCaches]
     growth). *)

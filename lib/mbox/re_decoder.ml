@@ -48,7 +48,6 @@ let ring t cid =
 
 let cache t = ring t t.id
 let cache_id t = t.id
-let set_cache_id t id = t.id <- id
 
 let shim_expanded_bytes segments =
   List.fold_left

@@ -45,9 +45,6 @@ val cache : t -> Re_cache.t
 
 val cache_id : t -> int
 
-val set_cache_id : t -> int -> unit
-(** Point this decoder at a different encoder-side cache index. *)
-
 val decoded_bytes : t -> int
 (** Shim-expanded bytes successfully reconstructed. *)
 

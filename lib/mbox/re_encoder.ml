@@ -272,8 +272,3 @@ let impl t =
   }
 
 let encoded_bytes t = Array.fold_left (fun acc c -> acc + c.ctx_encoded_bytes) 0 t.ctxs
-
-let encoded_bytes_for t i =
-  if i < 0 || i >= Array.length t.ctxs then
-    invalid_arg "Re_encoder.encoded_bytes_for: bad index";
-  t.ctxs.(i).ctx_encoded_bytes

@@ -53,6 +53,3 @@ val cache : t -> int -> Re_cache.t
 val encoded_bytes : t -> int
 (** Total payload bytes replaced by shims (the paper's "encoded
     bytes"). *)
-
-val encoded_bytes_for : t -> int -> int
-(** Same, for one cache. *)

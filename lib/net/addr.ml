@@ -55,4 +55,3 @@ let host_in_prefix p i =
   of_int (p.base + i)
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
-let pp_prefix fmt p = Format.pp_print_string fmt (prefix_to_string p)

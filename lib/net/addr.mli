@@ -58,4 +58,3 @@ val host_in_prefix : prefix -> int -> t
     [Invalid_argument] if [i] exceeds the prefix capacity. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_prefix : Format.formatter -> prefix -> unit

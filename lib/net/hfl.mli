@@ -80,10 +80,6 @@ val to_tuple : t -> Five_tuple.t option
     dimensions).  Inverse of [key_of_tuple full_granularity], up to
     constraint order. *)
 
-val field_compare : field -> field -> int
-(** Total order on constraints: dimension first, then value.  Sorting
-    by it yields the canonical form used by {!equal}. *)
-
 val equal : t -> t -> bool
 (** Equality up to constraint order. *)
 

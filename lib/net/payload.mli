@@ -32,10 +32,6 @@ val tokens : t -> int array
 val token_count : t -> int
 (** Number of tokens. *)
 
-val get_token : t -> int -> int
-(** [get_token p i] is token [i]; raises [Invalid_argument] when out of
-    range. *)
-
 val size_bytes : t -> int
 (** Total payload size in bytes. *)
 

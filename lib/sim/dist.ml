@@ -140,8 +140,6 @@ let spec_of_string s =
     | _ -> fail ())
   | _ -> fail ()
 
-let pp_spec fmt s = Format.pp_print_string fmt (spec_to_string s)
-
 let weighted_index g ~weights =
   let total = Array.fold_left ( +. ) 0.0 weights in
   assert (total > 0.0);

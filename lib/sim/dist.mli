@@ -69,5 +69,3 @@ val spec_to_string : spec -> string
 val spec_of_string : string -> spec
 (** Inverse of {!spec_to_string}; raises [Failure] on malformed input.
     [spec_of_string (spec_to_string s) = s] for every [s]. *)
-
-val pp_spec : Format.formatter -> spec -> unit

@@ -339,8 +339,6 @@ let plan_to_string p =
           p.partitions))
     (String.concat "," (List.map crash_to_string p.crashes))
 
-let pp_plan fmt p = Format.pp_print_string fmt (plan_to_string p)
-
 let parse_fail what s =
   failwith (Printf.sprintf "Faults.plan_of_string: bad %s in %S" what s)
 

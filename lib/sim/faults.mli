@@ -65,8 +65,6 @@ type link_profile = { fwd : dir_profile; rev : dir_profile }
 val clean_dir : dir_profile
 (** All-zero profile: every message delivered exactly once, on time. *)
 
-val clean_link : link_profile
-
 val symmetric : dir_profile -> link_profile
 (** Same profile both ways (streams still independent). *)
 
@@ -185,5 +183,3 @@ val plan_to_string : plan -> string
 val plan_of_string : string -> plan
 (** Inverse of {!plan_to_string}; raises [Failure] on malformed
     input. *)
-
-val pp_plan : Format.formatter -> plan -> unit

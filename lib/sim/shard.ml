@@ -2,8 +2,7 @@
 
    Outbox records store the callback and its arguments as [Obj.t], the
    same closure-free convention as the engine's pooled cells: the typed
-   [post]/[post2] signatures are the only writers and [inject] casts
-   back under the matching arity.  Outboxes are plain lists kept in
+   [post] signature is the only writer and [inject] casts back.  Outboxes are plain lists kept in
    reverse posting order — cross-shard messages are the rare path, a
    few per epoch against thousands of shard-local events.
 
@@ -15,10 +14,8 @@
 type omsg = {
   m_at : Time.t;
   m_seq : int;
-  m_k : int; (* arity: 1 or 2 *)
   m_f : Obj.t;
   m_x : Obj.t;
-  m_y : Obj.t;
 }
 
 type t = {
@@ -31,8 +28,6 @@ type t = {
   mutable next_seq : int;
   mutable posted : int;
 }
-
-let obj_unit = Obj.repr ()
 
 let create ?slot_us ?span_capacity ~id ~shards ~prng () =
   let tel = Telemetry.create ?span_capacity () in
@@ -58,24 +53,19 @@ let check_dst t dst =
   if dst < 0 || dst >= t.s_shards then
     invalid_arg (Printf.sprintf "Shard.post: destination %d out of range" dst)
 
-let enqueue t ~dst ~at ~k ~f ~x ~y =
+let enqueue t ~dst ~at ~f ~x =
   check_dst t dst;
   if Time.compare at (Engine.now t.s_engine) < 0 then
     invalid_arg "Shard.post: time is in the past";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.posted <- t.posted + 1;
-  t.out.(dst) <- { m_at = at; m_seq = seq; m_k = k; m_f = f; m_x = x; m_y = y } :: t.out.(dst)
+  t.out.(dst) <- { m_at = at; m_seq = seq; m_f = f; m_x = x } :: t.out.(dst)
 
 let post : 'a. t -> dst:int -> at:Time.t -> ('a -> unit) -> 'a -> unit =
  fun t ~dst ~at f x ->
   if dst = t.s_id then Engine.call_at t.s_engine at f x
-  else enqueue t ~dst ~at ~k:1 ~f:(Obj.repr f) ~x:(Obj.repr x) ~y:obj_unit
-
-let post2 : 'a 'b. t -> dst:int -> at:Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit =
- fun t ~dst ~at f x y ->
-  if dst = t.s_id then Engine.call2_at t.s_engine at f x y
-  else enqueue t ~dst ~at ~k:2 ~f:(Obj.repr f) ~x:(Obj.repr x) ~y:(Obj.repr y)
+  else enqueue t ~dst ~at ~f:(Obj.repr f) ~x:(Obj.repr x)
 
 type route = { route : 'a. at:Time.t -> ('a -> unit) -> 'a -> unit }
 
@@ -89,9 +79,4 @@ let drain t ~dst =
   t.out.(dst) <- [];
   List.rev msgs
 
-let inject t ~at m =
-  if m.m_k = 1 then Engine.call_at t.s_engine at (Obj.obj m.m_f : Obj.t -> unit) m.m_x
-  else
-    Engine.call2_at t.s_engine at
-      (Obj.obj m.m_f : Obj.t -> Obj.t -> unit)
-      m.m_x m.m_y
+let inject t ~at m = Engine.call_at t.s_engine at (Obj.obj m.m_f : Obj.t -> unit) m.m_x

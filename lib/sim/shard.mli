@@ -48,9 +48,6 @@ val post : t -> dst:int -> at:Time.t -> ('a -> unit) -> 'a -> unit
     Raises [Invalid_argument] if [at] is in the local past or [dst] is
     out of range. *)
 
-val post2 : t -> dst:int -> at:Time.t -> ('a -> 'b -> unit) -> 'a -> 'b -> unit
-(** Two-argument analogue of {!post}. *)
-
 type route = { route : 'a. at:Time.t -> ('a -> unit) -> 'a -> unit }
 (** A polymorphic posting function toward one fixed destination shard —
     the hook components like {!Channel} and the controller take to make

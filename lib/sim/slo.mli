@@ -85,12 +85,6 @@ val burn_rate : t -> string -> float
 (** Worst-window burn rate of the named objective at its last
     evaluation (0 if unknown or never evaluated). *)
 
-val status_cell : t -> string -> string
-(** Dashboard cell for a {e series} name: ["ok"], ["burn r=X"], or
-    ["BREACH"] across the objectives judging that series; ["-"] when
-    no objective does.  Shaped for {!Timeseries.pp_dash}'s [status]
-    argument. *)
-
 val pp_dash : ?width:int -> Format.formatter -> t -> unit
 (** {!Timeseries.pp_dash} of the underlying series with this tracker's
     SLO status column, followed by one line per logged breach. *)

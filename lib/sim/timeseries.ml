@@ -206,8 +206,6 @@ let ticks = total
 let retained t = if t.total < t.cap then t.total else t.cap
 let period t = t.period
 let n_series t = t.n
-let series_name t i = t.series.(i).sr_name
-let series_mode t i = t.series.(i).sr_mode
 
 let index t name =
   let rec go i = if i >= t.n then -1 else if String.equal t.series.(i).sr_name name then i else go (i + 1) in

@@ -102,12 +102,8 @@ val retained : t -> int
 
 val period : t -> Time.t
 val n_series : t -> int
-val series_name : t -> int -> string
-
 val index : t -> string -> int
 (** Series index of [name], or [-1]. *)
-
-val series_mode : t -> int -> mode
 
 val raw_get : t -> series:int -> int -> float
 (** Raw sample at absolute index [k]; raises [Invalid_argument] outside

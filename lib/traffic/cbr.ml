@@ -26,8 +26,6 @@ let default_params =
     dst_port = 80;
   }
 
-let flows_hfl p = [ Hfl.Src_ip p.clients ]
-
 let generate ?(ids = Trace.Id_gen.create ()) p =
   let prng = Prng.create ~seed:p.seed in
   let tuples =

@@ -26,5 +26,3 @@ val generate : ?ids:Trace.Id_gen.gen -> params -> Trace.t
     data packets are dealt round-robin across flows at the aggregate
     rate.  No FINs — flows stay alive for the whole run. *)
 
-val flows_hfl : params -> Openmb_net.Hfl.t
-(** HFL covering all generated flows (the clients prefix). *)

@@ -19,10 +19,7 @@ val generate : ?ids:Trace.Id_gen.gen -> params -> Trace.t
     them all active); each carries a handful of packets spread over its
     duration. *)
 
-val duration_distribution : (float * float) array
-(** The empirical flow-duration CDF the generator samples —
-    [(seconds, cumulative probability)] control points with
-    [P(d > 1500 s) ≈ 0.09]. *)
-
 val sample_duration : Openmb_sim.Prng.t -> float
-(** One draw from {!duration_distribution}. *)
+(** One draw from the empirical flow-duration CDF the generator
+    samples: mostly short flows with a long tail, [P(d > 1500 s) ≈
+    0.09]. *)
