@@ -910,7 +910,7 @@ let test_re_undecodable_recorded () =
 (* Off a timeline an MB logs nothing: an IDS alert and an RE
    undecodable packet add no trace row (and no "pkt" row either).  On
    one, the same run logs them. *)
-let test_no_rows_off_timeline () =
+let test_nothing_logged_off_timeline () =
   let run timeline =
     let telemetry = Telemetry.create ~timeline () in
     let ids = Ids.create (Engine.create ()) ~telemetry ~name:"bro1" () in
@@ -2176,7 +2176,6 @@ let () =
           Alcotest.test_case "wire shrink" `Quick test_re_encoder_shrinks_wire_bytes;
           Alcotest.test_case "implicit desync on loss" `Quick test_re_implicit_desync_on_loss;
           Alcotest.test_case "undecodable packet recorded" `Quick test_re_undecodable_recorded;
-          Alcotest.test_case "no rows off a timeline" `Quick test_no_rows_off_timeline;
           Alcotest.test_case "explicit survives literal loss" `Quick
             test_re_explicit_survives_literal_loss;
           Alcotest.test_case "decoder clone via chunks" `Quick test_re_decoder_clone_via_chunks;
@@ -2186,6 +2185,8 @@ let () =
             test_re_encoder_num_caches_clone_and_flows;
         ]
         @ qcheck [ prop_re_lossless_path_decodes ] );
+      ( "timeline",
+        [ Alcotest.test_case "nothing logged when off" `Quick test_nothing_logged_off_timeline ] );
       ( "nat",
         [
           Alcotest.test_case "translation roundtrip" `Quick test_nat_translation_roundtrip;
