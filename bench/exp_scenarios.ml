@@ -18,7 +18,7 @@ let bench_ctrl = { Controller.default_config with quiescence = Time.ms 250.0 }
 
 let fig7 () =
   Util.banner "Figure 7: MB actions during the scale-up scenario";
-  let scenario = Scenario.create ~ctrl_config:bench_ctrl () in
+  let scenario = Scenario.create ~ctrl_config:bench_ctrl ~with_recorder:true () in
   let engine = Scenario.engine scenario in
   let telemetry = Scenario.telemetry scenario in
   let m1 = Monitor.create engine ~telemetry ~name:"prads1" () in

@@ -14,7 +14,7 @@ type t = {
 }
 
 let create ?ctrl_config ?faults ?telemetry ?(install_delay = Time.ms 10.0)
-    ?(with_recorder = true) () =
+    ?(with_recorder = false) () =
   let tel =
     match telemetry with Some tel -> tel | None -> Telemetry.create ~timeline:with_recorder ()
   in

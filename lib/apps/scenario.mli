@@ -27,9 +27,12 @@ val create :
     is shared by every component the scenario wires — engine, fault
     injector, controller, switch and agents — so registry counters
     aggregate deployment-wide and controller/agent trace spans link up.
-    A fresh instance keeps a timeline when [with_recorder] (default
-    true): the controller, the agents and the control applications then
-    log their activity into its trace ({!Openmb_sim.Telemetry.timeline}).
+    A fresh instance keeps a timeline only when [with_recorder] is true
+    (default false): the controller, the agents and the control
+    applications then log their activity into its trace
+    ({!Openmb_sim.Telemetry.timeline}), one row per op, forwarded event
+    and retry for the whole run.  Without it the trace stays empty, so a
+    long run keeps nothing that grows with its length.
     Middlebox bases are built by the caller: pass {!telemetry} to their
     [create] to include data-path metrics and, on a timeline, their
     packet and event instants. *)

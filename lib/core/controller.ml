@@ -78,9 +78,6 @@ type pending_op = {
 type conn = {
   agent : Mb_agent.t;
   to_mb : Message.to_mb Channel.t;
-  framing : Openmb_wire.Framing.t;
-      (* Negotiated when the channel was set up; sizes every message on
-         this connection. *)
   mutable next_op : int;
   mutable next_seq : int;
       (* Sequence numbers stamped on mutating requests so the agent can
@@ -88,45 +85,20 @@ type conn = {
   pending : (int, pending_op) Hashtbl.t;
 }
 
-type transfer_kind = T_move | T_clone | T_merge
-
+(* The shell's side of one move, clone or merge: what its I/O needs.
+   Every decision lives in its [Transfer.t]. *)
 type transfer = {
   t_id : int;
   t_span : Telemetry.Trace.span;
-  kind : transfer_kind;
   src : string;
   dst : string;
   hfl : Hfl.t;
   started : Time.t;
-  mutable open_gets : int;
-  mutable pending_puts : int;
-  (* Windowed batching pipeline: streamed chunks queue here until a
-     size-bounded Put_batch is cut; at most [put_window] batches are in
-     flight at once.  Each queued or in-flight chunk is counted in
-     [pending_puts] and marked in [putting] from the moment it is
-     received — identical bookkeeping to the per-chunk path. *)
-  queued : Chunk.t Queue.t;
-  mutable queued_bytes : int;
-  mutable inflight_batches : int;
-  mutable returned : bool;
-  mutable chunks : int;
-  mutable bytes : int;
   mutable events_fwd : int;
-  acked : (Hfl.t, unit) Hashtbl.t;
-  putting : (Hfl.t, int) Hashtbl.t;
-      (* Outstanding put count per key: a flow with both a supporting
-         and a reporting chunk is only [acked] — and its buffered
-         events only flushed — once every chunk under the key has been
-         acknowledged. *)
-  buffered : (Hfl.t, Event.t Queue.t) Hashtbl.t;
-  mutable buffered_count : int;
-  mutable last_event : Time.t;
-  put_started : (Hfl.t, Time.t) Hashtbl.t;
-      (* First time a chunk for the key was received from the get
-         stream; the gap to the key's completing ack is the per-flow
-         serialization window (the paper's Fig. 7 metric). *)
   on_done : (move_result, Errors.t) result -> unit;
 }
+
+type active = { tr : transfer; m : Transfer.t }
 
 type subscription = {
   sub_mb : string;
@@ -141,7 +113,7 @@ type t = {
   faults : Faults.t option;
   tel : Telemetry.t;
   mbs : (string, conn) Hashtbl.t;
-  mutable transfers : transfer list;
+  mutable transfers : active list;
   mutable next_transfer : int;
   mutable subscriptions : subscription list;
   mutable cpu_free_at : Time.t;
@@ -170,6 +142,11 @@ type t = {
 }
 
 let create engine ?(config = default_config) ?faults ?telemetry () =
+  (* A window of no batches never sends a queued chunk, and no op times
+     out while chunks wait in the queue: the transfer would hang. *)
+  if config.put_window < 1 then invalid_arg "Controller.create: put_window must be at least 1";
+  if config.batch_chunks < 1 then
+    invalid_arg "Controller.create: batch_chunks must be at least 1";
   (* Without a shared instance the controller keeps a private one, so
      the counter accessors below stay per-controller either way. *)
   let tel = match telemetry with Some tel -> tel | None -> Telemetry.create () in
@@ -250,7 +227,7 @@ let backoff_delay t attempts =
 
 let transmit t conn op tid req =
   let msg = { Message.op; tid; req } in
-  let bytes = Message.request_wire_bytes ~framing:conn.framing msg in
+  let bytes = Message.request_wire_bytes ~framing:t.cfg.framing msg in
   cpu t bytes (fun () -> Channel.send conn.to_mb ~bytes msg)
 
 (* One timer chain per op: each firing either re-arms (activity since),
@@ -338,57 +315,20 @@ let fail_async t err on_done =
 (* Event handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-key bookkeeping is keyed by the HFL value itself, under the
-   polymorphic hash and structural equality: equal exactly when the
-   keys' text forms are, constraint order included (unlike
-   [Hfl.equal]), and nothing is rendered per chunk.  Shared state and
-   whole clone/merge transfers are keyed [Hfl.any]. *)
-let transfer_key_id transfer key =
-  match transfer.kind with T_move -> key | T_clone | T_merge -> Hfl.any
-
-let forward_reprocess t transfer ev =
+let forward_reprocess t tr ev =
   if not t.cfg.forward_events then Telemetry.incr t.c_evt_dropped
   else
   match ev with
   | Event.Reprocess { key; packet } -> (
-    match find_conn t transfer.dst with
+    match find_conn t tr.dst with
     | None -> Telemetry.incr t.c_evt_dropped
     | Some dst_conn ->
-      transfer.events_fwd <- transfer.events_fwd + 1;
+      tr.events_fwd <- tr.events_fwd + 1;
       Telemetry.incr t.c_evt_fwd;
       record t ~kind:"event-fwd"
-        ~detail:(fun () ->
-          Printf.sprintf "%s->%s %s" transfer.src transfer.dst (Event.describe ev));
+        ~detail:(fun () -> Printf.sprintf "%s->%s %s" tr.src tr.dst (Event.describe ev));
       op_send_ignore t dst_conn (Message.Reprocess_packet { key; packet }))
   | Event.Introspect _ -> ()
-
-let buffer_event t transfer key ev =
-  let id = transfer_key_id transfer key in
-  let q =
-    match Hashtbl.find_opt transfer.buffered id with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.replace transfer.buffered id q;
-      q
-  in
-  Queue.push ev q;
-  transfer.buffered_count <- transfer.buffered_count + 1;
-  let total =
-    List.fold_left (fun acc tr -> acc + tr.buffered_count) 0 t.transfers
-  in
-  Telemetry.set_gauge t.g_buf total
-
-let flush_buffered t transfer id =
-  match Hashtbl.find_opt transfer.buffered id with
-  | None -> ()
-  | Some q ->
-    Hashtbl.remove transfer.buffered id;
-    Queue.iter
-      (fun ev ->
-        transfer.buffered_count <- transfer.buffered_count - 1;
-        forward_reprocess t transfer ev)
-      q
 
 let handle_reprocess_event t src_name ev key =
   (* Route to the transfer whose source raised it and whose scope
@@ -397,37 +337,18 @@ let handle_reprocess_event t src_name ev key =
      transfer covering the key, falling back to a concurrent
      clone/merge (which replays every packet).  Most-recent transfer
      wins on a remaining tie. *)
-  let is_shared_event = key = Hfl.any in
-  let move_match tr =
-    String.equal tr.src src_name
-    && (match tr.kind with T_move -> true | T_clone | T_merge -> false)
-    && Hfl.subsumes tr.hfl key
+  let move_match { tr; m } =
+    String.equal tr.src src_name && Transfer.kind m = Transfer.Move && Hfl.subsumes tr.hfl key
   in
-  let shared_match tr =
-    String.equal tr.src src_name
-    && match tr.kind with T_clone | T_merge -> true | T_move -> false
-  in
+  let shared_match { tr; m } = String.equal tr.src src_name && Transfer.kind m <> Transfer.Move in
   let found =
-    if is_shared_event then List.find_opt shared_match t.transfers
-    else
-      match List.find_opt move_match t.transfers with
-      | Some tr -> Some tr
-      | None -> List.find_opt shared_match t.transfers
+    match if key = Hfl.any then None else List.find_opt move_match t.transfers with
+    | Some a -> Some a
+    | None -> List.find_opt shared_match t.transfers
   in
   match found with
   | None -> Telemetry.incr t.c_evt_dropped
-  | Some transfer ->
-    transfer.last_event <- Engine.now t.engine;
-    let id = transfer_key_id transfer key in
-    (* Forward once the destination holds the state the event applies
-       to: either its puts have all been acknowledged, or the source's
-       export stream has ended without a chunk for this key — the flow
-       started mid-move and exists only through its replayed packets. *)
-    let ready =
-      Hashtbl.mem transfer.acked id
-      || (transfer.open_gets = 0 && not (Hashtbl.mem transfer.putting id))
-    in
-    if ready then forward_reprocess t transfer ev else buffer_event t transfer key ev
+  | Some { m; _ } -> Transfer.event m ~now:(Engine.now t.engine) key ev
 
 let handle_introspect_event t src_name ev =
   match ev with
@@ -473,14 +394,13 @@ type remote = {
   agent_faults : Faults.t option;
 }
 
-let connect t ?framing ?remote ?(id_base = 0) ?(arm_faults = true) agent =
+let connect t ?remote ?(id_base = 0) ?(arm_faults = true) agent =
   let name = Mb_agent.name agent in
   if Hashtbl.mem t.mbs name then
     failwith (Printf.sprintf "Controller.connect: duplicate MB name %s" name);
-  (* The framing is negotiated once per MB connection — the config
-     default unless this MB asked for an override — and sizes every
-     message on its three channels. *)
-  let framing = Option.value framing ~default:t.cfg.framing in
+  (* The config's framing sizes every message on the MB's three
+     channels. *)
+  let framing = t.cfg.framing in
   (* Control-plane direction mapping: the op channel is the link's
      forward direction, replies and events travel the reverse one. *)
   let faulted inst tag dir =
@@ -529,28 +449,20 @@ let connect t ?framing ?remote ?(id_base = 0) ?(arm_faults = true) agent =
      [arm_faults = false] skips arming entirely — a replica re-adopting
      an agent after failover must not double-schedule the plan's
      crashes. *)
-  (if not arm_faults then ()
-   else
-  match remote with
-  | Some { agent_faults = Some f; _ } ->
-    Faults.arm_crashes f ~name
-      ~on_crash:(fun () -> Mb_agent.crash agent)
-      ~on_restart:(fun () -> Mb_agent.restart agent)
-  | Some ({ agent_faults = None; _ } as r) -> (
-    match t.faults with
-    | None -> ()
-    | Some f ->
-      let route k = r.to_agent.Shard.route ~at:(Engine.now t.engine) k () in
-      Faults.arm_crashes f ~name
-        ~on_crash:(fun () -> route (fun () -> Mb_agent.crash agent))
-        ~on_restart:(fun () -> route (fun () -> Mb_agent.restart agent)))
-  | None -> (
-    match t.faults with
-    | None -> ()
-    | Some f ->
-      Faults.arm_crashes f ~name
-        ~on_crash:(fun () -> Mb_agent.crash agent)
-        ~on_restart:(fun () -> Mb_agent.restart agent)));
+  let plan, on_agent =
+    match remote with
+    | Some { agent_faults = Some f; _ } -> (Some f, fun k -> k ())
+    | Some ({ agent_faults = None; _ } as r) ->
+      (t.faults, fun k -> r.to_agent.Shard.route ~at:(Engine.now t.engine) k ())
+    | None -> (t.faults, fun k -> k ())
+  in
+  if arm_faults then
+    Option.iter
+      (fun f ->
+        Faults.arm_crashes f ~name
+          ~on_crash:(fun () -> on_agent (fun () -> Mb_agent.crash agent))
+          ~on_restart:(fun () -> on_agent (fun () -> Mb_agent.restart agent)))
+      plan;
   (* [id_base] offsets this connection's op and sequence counters.  An
      agent's dedup caches survive a controller failover (the agent did
      not crash), so a successor controller must start numbering above
@@ -560,7 +472,6 @@ let connect t ?framing ?remote ?(id_base = 0) ?(arm_faults = true) agent =
     {
       agent;
       to_mb;
-      framing;
       next_op = id_base;
       next_seq = id_base;
       pending = Hashtbl.create 16;
@@ -575,7 +486,8 @@ let disconnect t name =
   | None -> ());
   Hashtbl.remove t.mbs name;
   t.transfers <-
-    List.filter (fun tr -> not (String.equal tr.src name || String.equal tr.dst name))
+    List.filter
+      (fun { tr; _ } -> not (String.equal tr.src name || String.equal tr.dst name))
       t.transfers
 
 (* ------------------------------------------------------------------ *)
@@ -597,6 +509,15 @@ let read_config t ~src ~key ~on_done =
           | Message.Stats_reply _ | Message.Batch_ack _ ->
             on_done (Error (Errors.Op_failed "unexpected reply to getConfig")));
           `Done))
+
+(* A callback for [n] ops: [on_done] fires once, after the last one
+   reports, with the first error if any. *)
+let join n on_done =
+  let remaining = ref n and failed = ref None in
+  fun res ->
+    (match res with Error e when !failed = None -> failed := Some e | Error _ | Ok () -> ());
+    decr remaining;
+    if !remaining = 0 then on_done (match !failed with Some e -> Error e | None -> Ok ())
 
 let expect_ack on_done reply =
   (match reply with
@@ -628,22 +549,9 @@ let abort_perflow t ~mb ~key ~on_done =
 
 let delete_perflow t ~mb ~key ~on_done =
   with_conn t mb on_done (fun conn ->
-      let remaining = ref 2 in
-      let failed = ref None in
-      let leg reply =
-        (match reply with
-        | Message.Ack -> ()
-        | Message.Op_error e -> if !failed = None then failed := Some e
-        | Message.State_chunk _ | Message.End_of_state _ | Message.Config_values _
-        | Message.Stats_reply _ | Message.Batch_ack _ ->
-          if !failed = None then failed := Some (Errors.Op_failed "unexpected reply"));
-        decr remaining;
-        if !remaining = 0 then
-          on_done (match !failed with Some e -> Error e | None -> Ok ());
-        `Done
-      in
-      op_send t conn (Message.Del_support_perflow key) leg;
-      op_send t conn (Message.Del_report_perflow key) leg)
+      let leg = join 2 on_done in
+      op_send t conn (Message.Del_support_perflow key) (expect_ack leg);
+      op_send t conn (Message.Del_report_perflow key) (expect_ack leg))
 
 let stats t ~src ~key ~on_done =
   with_conn t src on_done (fun conn ->
@@ -688,331 +596,117 @@ let subscribe_introspection t ?expires_after ~mb ~codes ~key ~handler () =
 (* cloneConfig (§5): a composition of readConfig and writeConfig that
    duplicates a configuration subtree onto another instance. *)
 let clone_config t ~src ~dst ~key ~on_done =
-  read_config t ~src ~key ~on_done:(fun res ->
-      match res with
-      | Error e -> on_done (Error e)
-      | Ok entries ->
-        let total = List.length entries in
-        if total = 0 then on_done (Ok 0)
-        else begin
-          let remaining = ref total in
-          let failed = ref None in
-          List.iter
-            (fun (entry : Config_tree.entry) ->
-              write_config t ~dst ~key:entry.path ~values:entry.values
-                ~on_done:(fun res ->
-                  (match res with
-                  | Error e when !failed = None -> failed := Some e
-                  | Error _ | Ok () -> ());
-                  decr remaining;
-                  if !remaining = 0 then
-                    match !failed with
-                    | Some e -> on_done (Error e)
-                    | None -> on_done (Ok total)))
-            entries
-        end)
+  read_config t ~src ~key ~on_done:(function
+    | Error e -> on_done (Error e)
+    | Ok [] -> on_done (Ok 0)
+    | Ok entries ->
+      let total = List.length entries in
+      let written = join total (fun res -> on_done (Result.map (fun () -> total) res)) in
+      List.iter
+        (fun (entry : Config_tree.entry) ->
+          write_config t ~dst ~key:entry.path ~values:entry.values ~on_done:written)
+        entries)
 
 (* ------------------------------------------------------------------ *)
 (* Transfers: move / clone / merge                                     *)
 (* ------------------------------------------------------------------ *)
 
-let finalize_transfer t transfer =
-  t.transfers <- List.filter (fun tr -> tr.t_id <> transfer.t_id) t.transfers;
-  record t ~kind:"transfer-final"
-    ~detail:(fun () -> Printf.sprintf "#%d %s->%s" transfer.t_id transfer.src transfer.dst);
-  match transfer.kind with
-  | T_move -> (
-    (* Deferred delete of the moved state at the source (Fig. 5). *)
-    match find_conn t transfer.src with
-    | None -> ()
-    | Some src_conn ->
-      op_send_ignore t src_conn (Message.Del_support_perflow transfer.hfl);
-      op_send_ignore t src_conn (Message.Del_report_perflow transfer.hfl))
-  | T_clone | T_merge -> ()
+let remove_transfer t tr = t.transfers <- List.filter (fun a -> a.tr.t_id <> tr.t_id) t.transfers
 
-let rec schedule_quiescence_check t transfer =
-  let due = Time.(transfer.last_event + t.cfg.quiescence) in
-  let delay = Time.(due - Engine.now t.engine) in
-  (* Clamp to a positive minimum: floating-point rounding can make
-     [due - now] collapse to zero while [now - last_event] still
-     compares below the quiescence threshold, which would re-arm the
-     check at the same instant forever. *)
-  let delay = Time.max delay (Time.ms 1.0) in
-  ignore
-    (Engine.schedule_after t.engine delay (fun () ->
-         if (not t.fenced) && List.exists (fun tr -> tr.t_id = transfer.t_id) t.transfers
-         then begin
-           let idle = Time.(Engine.now t.engine - transfer.last_event) in
-           if Time.compare idle t.cfg.quiescence >= 0 then finalize_transfer t transfer
-           else schedule_quiescence_check t transfer
-         end))
+let to_src t tr req =
+  match find_conn t tr.src with None -> () | Some conn -> op_send_ignore t conn req
 
-let maybe_return t transfer =
-  if (not transfer.returned) && transfer.open_gets = 0 && transfer.pending_puts = 0 then begin
-    transfer.returned <- true;
-    Telemetry.span_end t.tel ~now:(Engine.now t.engine) transfer.t_span;
-    Telemetry.observe t.h_transfer
-      Time.(to_seconds (Engine.now t.engine - transfer.started));
-    (* Any still-buffered events belong to flows that started mid-move
-       (no chunk was ever exported for them): replay them now, in
-       order — the destination rebuilds their state from scratch. *)
-    let ids = Hashtbl.fold (fun id _ acc -> id :: acc) transfer.buffered [] in
-    List.iter (flush_buffered t transfer) ids;
-    transfer.last_event <- Engine.now t.engine;
-    record t ~kind:"transfer-done"
-      ~detail:
-        (fun () -> Printf.sprintf "#%d %s->%s chunks=%d" transfer.t_id transfer.src transfer.dst
-           transfer.chunks);
-    transfer.on_done
-      (Ok
-         {
-           chunks_moved = transfer.chunks;
-           bytes_moved = transfer.bytes;
-           events_forwarded = transfer.events_fwd;
-           duration = Time.(Engine.now t.engine - transfer.started);
-         });
-    schedule_quiescence_check t transfer
-  end
-
-(* Transactional rollback (the paper's move/clone are all-or-nothing
-   from the caller's perspective): on any mid-transfer failure the
-   source keeps its state — buffered re-process events flush back to
-   it, and an [Abort_perflow] clears the moved marks its exports left
-   behind so the state is re-exportable.  The destination may retain
-   already-installed copies; the source stays authoritative and no
-   delete is ever issued.  The caller sees [Error (Move_aborted _)]
-   naming the underlying cause. *)
-let abort_transfer t transfer err =
-  if not transfer.returned then begin
-    transfer.returned <- true;
-    t.transfers <- List.filter (fun tr -> tr.t_id <> transfer.t_id) t.transfers;
-    Telemetry.incr t.c_aborted;
-    Telemetry.span_end t.tel ~now:(Engine.now t.engine) transfer.t_span;
-    (match find_conn t transfer.src with
-    | None ->
-      Hashtbl.iter
-        (fun _ q -> Telemetry.add t.c_evt_dropped (Queue.length q))
-        transfer.buffered
-    | Some src_conn ->
-      Hashtbl.iter
-        (fun _ q ->
-          Queue.iter
-            (fun ev ->
-              match ev with
-              | Event.Reprocess { key; packet } ->
-                Telemetry.incr t.c_evt_returned;
-                op_send_ignore t src_conn (Message.Reprocess_packet { key; packet })
-              | Event.Introspect _ -> ())
-            q)
-        transfer.buffered;
-      match transfer.kind with
-      | T_move -> op_send_ignore t src_conn (Message.Abort_perflow transfer.hfl)
-      | T_clone | T_merge -> ());
-    Hashtbl.reset transfer.buffered;
-    transfer.buffered_count <- 0;
-    record t ~kind:"transfer-abort"
-      ~detail:
-        (fun () -> Printf.sprintf "#%d %s->%s: %s" transfer.t_id transfer.src transfer.dst
-           (Errors.to_string err));
-    let err =
-      match err with
-      | Errors.Move_aborted _ -> err
-      | e -> Errors.Move_aborted (Errors.to_string e)
-    in
-    transfer.on_done (Error err)
-  end
-
-let chunk_key_id (chunk : Chunk.t) =
-  match chunk.partition with Taxonomy.Per_flow -> chunk.key | Taxonomy.Shared -> Hfl.any
-
-(* Track a chunk the moment it is received from the get stream: it is
-   now this transfer's responsibility, events on its key must buffer
-   until the destination acknowledges it. *)
-let track_chunk t transfer (chunk : Chunk.t) =
-  transfer.pending_puts <- transfer.pending_puts + 1;
-  transfer.chunks <- transfer.chunks + 1;
-  transfer.bytes <- transfer.bytes + Chunk.size_bytes chunk;
-  let id = chunk_key_id chunk in
-  if not (Hashtbl.mem transfer.put_started id) then
-    Hashtbl.replace transfer.put_started id (Engine.now t.engine);
-  let n = try Hashtbl.find transfer.putting id with Not_found -> 0 in
-  Hashtbl.replace transfer.putting id (n + 1)
-
-(* The per-key bookkeeping one acknowledged chunk performs; the batched
-   path runs it once per chunk, in batch order, so reprocess-event
-   buffering and flushing behave exactly as under sequential acks.  A
-   key becomes [acked] — and its buffered events flush — only when its
-   last outstanding chunk is acknowledged, so a flow with both
-   supporting and reporting state never sees events forwarded after
-   half its state landed. *)
-let ack_chunk t transfer key_id =
-  transfer.pending_puts <- transfer.pending_puts - 1;
-  let n = try Hashtbl.find transfer.putting key_id with Not_found -> 1 in
-  if n <= 1 then begin
-    Hashtbl.remove transfer.putting key_id;
-    Hashtbl.replace transfer.acked key_id ();
-    (* Every chunk under the key is installed: the key's serialization
-       window — first export to last ack — closes here. *)
-    (match Hashtbl.find_opt transfer.put_started key_id with
-    | Some started ->
-      Hashtbl.remove transfer.put_started key_id;
-      Telemetry.observe t.h_serial Time.(to_seconds (Engine.now t.engine - started))
-    | None -> ());
-    flush_buffered t transfer key_id
-  end
-  else Hashtbl.replace transfer.putting key_id (n - 1)
-
-(* Issue a put for a streamed chunk and track its acknowledgement —
-   the legacy one-message-per-chunk path, kept for [batch_chunks <= 1]
-   (and as the semantic reference the equivalence property test holds
-   the batched pipeline to). *)
-let issue_put t transfer dst_conn (chunk : Chunk.t) =
-  let seq = alloc_seq dst_conn in
-  let req =
-    match (chunk.role, chunk.partition) with
-    | Taxonomy.Supporting, Taxonomy.Per_flow -> Message.Put_support_perflow { seq; chunk }
-    | Taxonomy.Supporting, Taxonomy.Shared -> Message.Put_support_shared { seq; chunk }
-    | Taxonomy.Reporting, Taxonomy.Per_flow -> Message.Put_report_perflow { seq; chunk }
-    | Taxonomy.Reporting, Taxonomy.Shared -> Message.Put_report_shared { seq; chunk }
-    | Taxonomy.Configuring, (Taxonomy.Per_flow | Taxonomy.Shared) ->
-      (* Configuration state never travels as chunks. *)
-      Message.Put_support_shared { seq; chunk }
-  in
-  track_chunk t transfer chunk;
-  let key_id = chunk_key_id chunk in
-  op_send t dst_conn req (fun reply ->
-      (match reply with
-      | Message.Ack ->
-        ack_chunk t transfer key_id;
-        maybe_return t transfer
-      | Message.Op_error e -> abort_transfer t transfer e
-      | Message.State_chunk _ | Message.End_of_state _ | Message.Config_values _
-      | Message.Stats_reply _ | Message.Batch_ack _ ->
-        abort_transfer t transfer (Errors.Op_failed "unexpected reply to put"));
-      `Done)
-
-(* Cut one size-bounded batch off the head of the queue, preserving
-   stream order. *)
-let next_batch t transfer =
-  let batch = ref [] and n = ref 0 and bytes = ref 0 in
-  while
-    (not (Queue.is_empty transfer.queued))
-    && !n < t.cfg.batch_chunks
-    && (!n = 0 || !bytes < t.cfg.batch_bytes)
-  do
-    let c = Queue.pop transfer.queued in
-    transfer.queued_bytes <- transfer.queued_bytes - Chunk.size_bytes c;
-    batch := c :: !batch;
-    incr n;
-    bytes := !bytes + Chunk.size_bytes c
-  done;
-  List.rev !batch
-
-(* Drain the queue into Put_batch messages while the send window has
-   room.  A batch is cut when enough chunks or bytes have accumulated,
-   or unconditionally once every get stream has ended (the flush of the
-   final partial batch).  Acks re-enter here to refill the window. *)
-let rec pump t transfer dst_conn =
-  let ready_to_cut () =
-    (not transfer.returned)
-    && (not (Queue.is_empty transfer.queued))
-    && transfer.inflight_batches < t.cfg.put_window
-    && (Queue.length transfer.queued >= t.cfg.batch_chunks
-       || transfer.queued_bytes >= t.cfg.batch_bytes
-       || transfer.open_gets = 0)
-  in
-  if ready_to_cut () then begin
-    let batch = next_batch t transfer in
-    transfer.inflight_batches <- transfer.inflight_batches + 1;
-    Telemetry.set_gauge t.g_window transfer.inflight_batches;
+(* Carry out one action of a transfer's machine, in the order the
+   machine emits them.  [dst_conn] is the destination's connection as
+   of the transfer's start. *)
+let act t tr dst_conn m action =
+  match action with
+  | Transfer.Put_batch chunks ->
+    Telemetry.set_gauge t.g_window (Transfer.inflight m);
     op_send t dst_conn
-      (Message.Put_batch { seq = alloc_seq dst_conn; chunks = batch })
+      (Message.Put_batch { seq = alloc_seq dst_conn; chunks })
       (fun reply ->
-        transfer.inflight_batches <- transfer.inflight_batches - 1;
-        Telemetry.set_gauge t.g_window transfer.inflight_batches;
+        (* The batch is out of the window before its acks run. *)
+        Telemetry.set_gauge t.g_window (Transfer.inflight m - 1);
         (match reply with
         | Message.Batch_ack { seq = _; count = _; errors } ->
-          (* Acknowledge the batch's chunks in order up to the first
-             failure — exactly what N sequential acks would do. *)
-          (try
-             List.iteri
-               (fun idx chunk ->
-                 match List.assoc_opt idx errors with
-                 | Some e ->
-                   abort_transfer t transfer e;
-                   raise Exit
-                 | None -> ack_chunk t transfer (chunk_key_id chunk))
-               batch
-           with Exit -> ());
-          maybe_return t transfer;
-          pump t transfer dst_conn
-        | Message.Op_error e -> abort_transfer t transfer e
+          Transfer.batch_acked m ~now:(Engine.now t.engine) chunks errors
+        | Message.Op_error e -> Transfer.batch_failed m e
         | Message.Ack | Message.State_chunk _ | Message.End_of_state _
         | Message.Config_values _ | Message.Stats_reply _ ->
-          abort_transfer t transfer (Errors.Op_failed "unexpected reply to putBatch"));
-        `Done);
-    pump t transfer dst_conn
-  end
+          Transfer.batch_failed m (Errors.Op_failed "unexpected reply to putBatch"));
+        `Done)
+  | Transfer.Forward ev -> forward_reprocess t tr ev
+  | Transfer.Buffered ->
+    Telemetry.set_gauge t.g_buf
+      (List.fold_left (fun acc a -> acc + Transfer.buffered a.m) 0 t.transfers)
+  | Transfer.Serial_window started ->
+    Telemetry.observe t.h_serial Time.(to_seconds (Engine.now t.engine - started))
+  | Transfer.Return ev -> (
+    match find_conn t tr.src with
+    | None -> Telemetry.incr t.c_evt_dropped
+    | Some src_conn -> (
+      match ev with
+      | Event.Reprocess { key; packet } ->
+        Telemetry.incr t.c_evt_returned;
+        op_send_ignore t src_conn (Message.Reprocess_packet { key; packet })
+      | Event.Introspect _ -> ()))
+  | Transfer.Abort_perflow -> to_src t tr (Message.Abort_perflow tr.hfl)
+  | Transfer.Abort err ->
+    (* The caller sees [Error (Move_aborted _)] naming the underlying
+       cause. *)
+    remove_transfer t tr;
+    Telemetry.incr t.c_aborted;
+    Telemetry.span_end t.tel ~now:(Engine.now t.engine) tr.t_span;
+    record t ~kind:"transfer-abort"
+      ~detail:(fun () ->
+        Printf.sprintf "#%d %s->%s: %s" tr.t_id tr.src tr.dst (Errors.to_string err));
+    tr.on_done
+      (Error (match err with Errors.Move_aborted _ -> err | e -> Errors.Move_aborted (Errors.to_string e)))
+  | Transfer.Complete ->
+    let now = Engine.now t.engine in
+    Telemetry.span_end t.tel ~now tr.t_span;
+    Telemetry.observe t.h_transfer Time.(to_seconds (now - tr.started));
+    record t ~kind:"transfer-done"
+      ~detail:(fun () ->
+        Printf.sprintf "#%d %s->%s chunks=%d" tr.t_id tr.src tr.dst (Transfer.chunks m));
+    tr.on_done
+      (Ok
+         {
+           chunks_moved = Transfer.chunks m;
+           bytes_moved = Transfer.bytes m;
+           events_forwarded = tr.events_fwd;
+           duration = Time.(now - tr.started);
+         })
+  | Transfer.Arm_quiescence delay ->
+    ignore
+      (Engine.schedule_after t.engine delay (fun () ->
+           if (not t.fenced) && List.exists (fun a -> a.tr.t_id = tr.t_id) t.transfers then
+             Transfer.quiesce m ~now:(Engine.now t.engine)))
+  | Transfer.Finish ->
+    remove_transfer t tr;
+    record t ~kind:"transfer-final"
+      ~detail:(fun () -> Printf.sprintf "#%d %s->%s" tr.t_id tr.src tr.dst)
+  | Transfer.Delete ->
+    (* Deferred delete of the moved state at the source (Fig. 5). *)
+    to_src t tr (Message.Del_support_perflow tr.hfl);
+    to_src t tr (Message.Del_report_perflow tr.hfl)
 
-let enqueue_chunk t transfer dst_conn chunk =
-  track_chunk t transfer chunk;
-  Queue.push chunk transfer.queued;
-  transfer.queued_bytes <- transfer.queued_bytes + Chunk.size_bytes chunk;
-  pump t transfer dst_conn
-
-(* Handler for one of the source-side get streams of a transfer.  Each
-   stream keeps its own accounting so losses, duplicates and reorder on
-   the reply channel are detected rather than silently corrupting the
-   move: duplicated chunks are dropped, and the stream only closes once
-   the [End_of_state] count has been reconciled against the chunks
-   actually received — a missing chunk keeps the op open until its
-   timeout aborts the transfer. *)
-let get_stream_handler t transfer dst_conn =
-  let seen = Hashtbl.create 16 in
-  let received = ref 0 in
-  let announced = ref (-1) in
-  let close () =
-    transfer.open_gets <- transfer.open_gets - 1;
-    if t.cfg.batch_chunks > 1 then pump t transfer dst_conn;
-    maybe_return t transfer
-  in
-  fun reply ->
-    if transfer.returned then `Done
-    else
-      match reply with
-      | Message.State_chunk chunk ->
-        let id = chunk_key_id chunk in
-        if Hashtbl.mem seen id then `Keep
-        else begin
-          Hashtbl.replace seen id ();
-          incr received;
-          if t.cfg.batch_chunks <= 1 then issue_put t transfer dst_conn chunk
-          else enqueue_chunk t transfer dst_conn chunk;
-          if !announced >= 0 && !received >= !announced then begin
-            close ();
-            `Done
-          end
-          else `Keep
-        end
-      | Message.End_of_state { count } ->
-        if !received >= count then begin
-          close ();
-          `Done
-        end
-        else begin
-          (* Chunks overtaken by the end marker are still in flight:
-             keep the op open until they arrive (or its timeout aborts
-             the transfer). *)
-          announced := count;
-          `Keep
-        end
-      | Message.Op_error e ->
-        abort_transfer t transfer e;
-        `Done
-      | Message.Ack | Message.Config_values _ | Message.Stats_reply _
-      | Message.Batch_ack _ ->
-        abort_transfer t transfer (Errors.Op_failed "unexpected reply to get");
-        `Done
+(* Handler for get [stream] of a transfer: the machine drops duplicates
+   and reconciles the [End_of_state] count; [`Done] once it closed the
+   stream. *)
+let get_stream_handler t m stream reply =
+  match reply with
+  | Message.State_chunk chunk ->
+    if Transfer.chunk m ~stream ~now:(Engine.now t.engine) chunk then `Done else `Keep
+  | Message.End_of_state { count } ->
+    if Transfer.end_of_state m ~stream ~now:(Engine.now t.engine) count then `Done else `Keep
+  | Message.Op_error e ->
+    Transfer.fail m e;
+    `Done
+  | Message.Ack | Message.Config_values _ | Message.Stats_reply _ | Message.Batch_ack _ ->
+    Transfer.fail m (Errors.Op_failed "unexpected reply to get");
+    `Done
 
 let start_transfer t ~kind ~src ~dst ~hfl ~gets ~on_done =
   match (find_conn t src, find_conn t dst) with
@@ -1032,71 +726,63 @@ let start_transfer t ~kind ~src ~dst ~hfl ~gets ~on_done =
       | Error e -> fail_async t e on_done
       | Ok () ->
         let kind_name =
-          match kind with T_move -> "move" | T_clone -> "clone" | T_merge -> "merge"
+          match kind with
+          | Transfer.Move -> "move"
+          | Transfer.Clone -> "clone"
+          | Transfer.Merge -> "merge"
         in
-        let transfer =
+        let now = Engine.now t.engine in
+        let tr =
           {
             t_id = t.next_transfer;
             t_span =
-              Telemetry.span_begin t.tel ~now:(Engine.now t.engine) ~actor:"controller"
-                ~name:kind_name
+              Telemetry.span_begin t.tel ~now ~actor:"controller" ~name:kind_name
                 ~op:(Telemetry.next_op_id t.tel)
                 ~a0:t.next_transfer ();
-            kind;
             src;
             dst;
             hfl;
-            started = Engine.now t.engine;
-            open_gets = List.length gets;
-            pending_puts = 0;
-            queued = Queue.create ();
-            queued_bytes = 0;
-            inflight_batches = 0;
-            returned = false;
-            chunks = 0;
-            bytes = 0;
+            started = now;
             events_fwd = 0;
-            acked = Hashtbl.create 64;
-            putting = Hashtbl.create 64;
-            buffered = Hashtbl.create 16;
-            buffered_count = 0;
-            last_event = Engine.now t.engine;
-            put_started = Hashtbl.create 64;
             on_done;
           }
         in
+        let m =
+          Transfer.create ~kind ~gets:(List.length gets) ~batch_chunks:t.cfg.batch_chunks
+            ~batch_bytes:t.cfg.batch_bytes ~put_window:t.cfg.put_window
+            ~quiescence:t.cfg.quiescence ~now ~emit:(act t tr dst_conn)
+        in
         t.next_transfer <- t.next_transfer + 1;
-        t.transfers <- transfer :: t.transfers;
+        t.transfers <- { tr; m } :: t.transfers;
         record t ~kind:"transfer-start"
           ~detail:
-            (fun () -> Printf.sprintf "#%d %s %s->%s %s" transfer.t_id kind_name src dst
+            (fun () -> Printf.sprintf "#%d %s %s->%s %s" tr.t_id kind_name src dst
                (Hfl.to_string hfl));
         (* Gets are retryable, and retransmission doubles as the stream's
            ARQ: the agent replays a completed op's cached replies under
            the same op number (re-delivering chunks lost on the reply
-           channel; the handler's dedup absorbs the repeats), drops the
+           channel; the machine's dedup absorbs the repeats), drops the
            duplicate while the op is still executing, and only re-executes
            when the original request never arrived — in which case nothing
            was exported and a fresh export is sound.  The unsound case, an
            agent restart wiping the replay cache mid-transfer, is refused
            at the source (moved marks present → error → abort). *)
-        List.iter
-          (fun req ->
-            op_send t src_conn req (get_stream_handler t transfer dst_conn))
+        List.iteri
+          (fun stream req -> op_send t src_conn req (get_stream_handler t m stream))
           gets
     end
 
 let move_internal t ~src ~dst ~key ~on_done =
-  start_transfer t ~kind:T_move ~src ~dst ~hfl:key
+  start_transfer t ~kind:Transfer.Move ~src ~dst ~hfl:key
     ~gets:[ Message.Get_support_perflow key; Message.Get_report_perflow key ]
     ~on_done
 
 let clone_support t ~src ~dst ~on_done =
-  start_transfer t ~kind:T_clone ~src ~dst ~hfl:Hfl.any
+  start_transfer t ~kind:Transfer.Clone ~src ~dst ~hfl:Hfl.any
     ~gets:[ Message.Get_support_shared ] ~on_done
 
 let merge_internal t ~src ~dst ~on_done =
-  start_transfer t ~kind:T_merge ~src ~dst ~hfl:Hfl.any
+  start_transfer t ~kind:Transfer.Merge ~src ~dst ~hfl:Hfl.any
     ~gets:[ Message.Get_support_shared; Message.Get_report_shared ]
     ~on_done
 

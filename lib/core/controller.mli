@@ -35,22 +35,21 @@ type config = {
           the event ablation bench disables it to demonstrate the lost
           state updates). *)
   framing : Openmb_wire.Framing.t;
-      (** Wire framing negotiated with MBs at connect time ([Json]
-          unless a {!connect} override says otherwise); determines
+      (** Wire framing of every controller–MB connection; determines
           message sizes and hence channel transfer costs. *)
   batch_chunks : int;
       (** Maximum chunks coalesced into one [putBatch] message during a
-          transfer.  [<= 1] disables batching and issues one put per
-          chunk (the original pipeline, kept as the semantic
-          reference). *)
+          transfer; at least 1.  A batch of one is still a [putBatch]:
+          every chunk travels the same path. *)
   batch_bytes : int;
       (** Byte bound on a batch: a batch is cut early once its chunks
           reach this size, so a few large chunks don't ride in one
           oversized message. *)
   put_window : int;
       (** Maximum [putBatch] messages in flight to the destination at
-          once; acks refill the window.  Batching and windowing change
-          only message timing, never the per-key ack bookkeeping. *)
+          once; acks refill the window; at least 1.  Batching and
+          windowing change only message timing, never the per-key ack
+          bookkeeping. *)
   request_timeout : Openmb_sim.Time.t;
       (** Base idle timeout on a southbound op: if no reply activity is
           seen for this long, the op is retried (if idempotent) or
@@ -82,7 +81,11 @@ val create :
   ?telemetry:Openmb_sim.Telemetry.t ->
   unit ->
   t
-(** [faults], when given, subjects every controller–MB channel to the
+(** Raises [Invalid_argument] when [config.put_window] or
+    [config.batch_chunks] is below 1: with no batch allowed in flight,
+    or none cut, a transfer would wait forever on chunks no op owns.
+
+    [faults], when given, subjects every controller–MB channel to the
     fault plan's link profile (named ["<mb>/op"], ["<mb>/reply"],
     ["<mb>/event"]) and arms the plan's scheduled MB crashes at
     {!connect} time.
@@ -119,16 +122,14 @@ type remote = {
 
 val connect :
   t ->
-  ?framing:Openmb_wire.Framing.t ->
   ?remote:remote ->
   ?id_base:int ->
   ?arm_faults:bool ->
   Mb_agent.t ->
   unit
 (** Establish the op and event connections to an MB agent and register
-    it under its impl name.  Raises [Failure] on duplicate names.
-    [framing] overrides the config's wire framing for this MB's
-    channels.
+    it under its impl name.  Raises [Failure] on duplicate names.  The
+    config's [framing] sizes every message on its channels.
 
     [id_base] (default 0) offsets the connection's op and sequence
     counters.  A successor controller re-adopting an agent after a

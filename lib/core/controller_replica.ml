@@ -92,7 +92,7 @@ type t = {
   cfg : config;
   faults : Faults.t option;
   tel : Telemetry.t;
-  mutable agents : (Mb_agent.t * Openmb_wire.Framing.t option) list;
+  mutable agents : Mb_agent.t list;
   a : member;
   b : member;
   mutable epoch : int;
@@ -453,8 +453,7 @@ let rec promote t m =
      twice. *)
   let id_base = t.epoch lsl 40 in
   List.iter
-    (fun (agent, framing) ->
-      Controller.connect ctrl ?framing ~id_base ~arm_faults:false agent)
+    (fun agent -> Controller.connect ctrl ~id_base ~arm_faults:false agent)
     (List.rev t.agents);
   (* Recovery, in log order.  First re-issue the deferred deletes of
      recently completed moves — the old leader may have died between a
@@ -603,12 +602,11 @@ let create engine ?(config = default_config) ?faults ?telemetry
   arm_detector t t.b;
   t
 
-let connect t ?framing agent =
-  t.agents <- (agent, framing) :: t.agents;
+let connect t agent =
+  t.agents <- agent :: t.agents;
   match leader_member t with
   | Some { ctrl = Some ctrl; _ } ->
-    Controller.connect ctrl ?framing ~id_base:(t.epoch lsl 40) ~arm_faults:true
-      agent
+    Controller.connect ctrl ~id_base:(t.epoch lsl 40) ~arm_faults:true agent
   | _ -> failwith "Controller_replica.connect: no live leader"
 
 let move t ~src ~dst ~key ~on_done =

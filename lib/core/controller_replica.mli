@@ -78,9 +78,10 @@ val create :
     (plan name ["replica/log"]: log stream on the forward direction,
     acks on the reverse) suffer the plan's impairments.  The pair keeps
     heartbeat / detector timers armed until {!stop}, so drive the
-    engine with [Engine.run ~until]. *)
+    engine with [Engine.run ~until].  The leader is a {!Controller.create},
+    so a [ctrl] config it rejects raises [Invalid_argument] here. *)
 
-val connect : t -> ?framing:Openmb_wire.Framing.t -> Mb_agent.t -> unit
+val connect : t -> Mb_agent.t -> unit
 (** Adopt an agent: connects it to the current leader and remembers it
     for re-adoption at every takeover.  Raises [Failure] if no leader
     is live. *)

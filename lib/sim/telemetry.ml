@@ -489,11 +489,6 @@ let rec merge a b =
 
 let merge_all = List.fold_left merge []
 
-module Registry = struct
-  let merge = merge
-  let merge_all = merge_all
-end
-
 let pp_ns fmt v =
   if v < 1e-6 then Format.fprintf fmt "%4.0fns" (v *. 1e9)
   else if v < 1e-3 then Format.fprintf fmt "%4.1fus" (v *. 1e6)

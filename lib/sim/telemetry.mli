@@ -185,13 +185,6 @@ val merge : snapshot -> snapshot -> snapshot
 val merge_all : snapshot list -> snapshot
 (** Left fold of {!merge}; the empty list yields an empty snapshot. *)
 
-module Registry : sig
-  (** Alias namespace for registry-level operations on snapshots. *)
-
-  val merge : snapshot -> snapshot -> snapshot
-  val merge_all : snapshot list -> snapshot
-end
-
 val pp : Format.formatter -> t -> unit
 (** The current state as an aligned table: counters, gauges, then
     histograms with count/p50/p90/p99/max. *)

@@ -32,7 +32,7 @@
       shifts them.
 
     - {b Mergeable across shards.}  {!snapshot}s combine like
-      {!Telemetry.Registry.merge}: series match by name and merge
+      {!Telemetry.merge}: series match by name and merge
       pointwise over the overlap of their absolute sample ranges,
       according to each series' {!mode}. *)
 

@@ -207,6 +207,46 @@ let test_scaling_no_over_or_under_reporting () =
   Alcotest.(check int) "deprecated instance left no records behind" 0
     (Monitor.tracked_flows m2)
 
+(* A scenario built with the defaults keeps no timeline: through a
+   scale-up under live traffic, with both monitors on the scenario's
+   telemetry, its trace stays a bounded span ring and no component logs
+   a timeline instant into it. *)
+let test_default_scenario_keeps_no_timeline () =
+  let trace =
+    Openmb_traffic.Cloud_trace.generate
+      { small_cloud with n_scanners = 0; n_http_flows = 10; n_other_flows = 5; duration = 6.0 }
+  in
+  let scenario = Scenario.create ~ctrl_config:fast_ctrl () in
+  let engine = Scenario.engine scenario in
+  let telemetry = Scenario.telemetry scenario in
+  let m1 = Monitor.create engine ~telemetry ~name:"prads1" () in
+  let m2 = Monitor.create engine ~telemetry ~name:"prads2" () in
+  Scenario.attach_mb scenario ~port:"mb1" ~receive:(Monitor.receive m1)
+    ~base:(Monitor.base m1) ~impl:(Monitor.impl m1);
+  Scenario.attach_mb scenario ~port:"mb2" ~receive:(Monitor.receive m2)
+    ~base:(Monitor.base m2) ~impl:(Monitor.impl m2);
+  Scenario.install_default_route scenario ~port:"mb1";
+  Scenario.inject scenario trace ~into:(Switch.receive (Scenario.switch scenario));
+  let up = ref None in
+  Scenario.at scenario (Time.seconds 2.0) (fun () ->
+      Scale.scale_up scenario ~existing:"prads1" ~fresh:"prads2"
+        ~rebalance:[ Hfl.Src_ip (Addr.prefix_of_string "10.0.0.0/17") ]
+        ~also_route:[ [ Hfl.Dst_ip (Addr.prefix_of_string "10.0.0.0/17") ] ]
+        ~dst_port:"mb2"
+        ~on_done:(fun r -> up := Some r)
+        ());
+  Scenario.run scenario;
+  (match !up with
+  | Some u ->
+    Alcotest.(check bool) "the scale-up moved state" true
+      (u.Scale.move.Controller.chunks_moved > 0)
+  | None -> Alcotest.fail "scale-up never completed");
+  let tr = Telemetry.trace telemetry in
+  Alcotest.(check bool) "no timeline" false (Telemetry.timeline telemetry);
+  Alcotest.(check bool) "the span ring stays bounded" true (Telemetry.Trace.length tr <= 4096);
+  Alcotest.(check int) "no controller instant logged" (-1)
+    (Telemetry.Trace.lookup_id tr "transfer-start")
+
 (* ------------------------------------------------------------------ *)
 (* RE live migration (§6.1)                                            *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +543,8 @@ let () =
         [
           Alcotest.test_case "no over/under reporting" `Slow
             test_scaling_no_over_or_under_reporting;
+          Alcotest.test_case "default scenario keeps no timeline" `Quick
+            test_default_scenario_keeps_no_timeline;
         ] );
       ("re", [ Alcotest.test_case "live migration all decodable" `Slow
                  test_re_migration_all_decodable ]);

@@ -1102,12 +1102,36 @@ let test_duplicate_connect_rejected () =
     (fun () ->
       Controller.connect ctrl (Mb_agent.create engine ~impl:(Openmb_apps.Dummy_mb.impl mb) ()))
 
+(* With no batch allowed in flight, or none cut, a move never sends a
+   queued chunk, and no op owns the queue, so no timeout fires: such a
+   config is refused up front, by a controller and by a replicated
+   pair's leader. *)
+let test_unfinishable_config_rejected () =
+  let engine = Engine.create () in
+  let rejects what create =
+    match create () with
+    | _ -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (what, config) ->
+      rejects what (fun () -> ignore (Controller.create engine ~config ()));
+      rejects ("a replicated " ^ what) (fun () ->
+          ignore
+            (Controller_replica.create engine
+               ~config:{ Controller_replica.default_config with ctrl = config }
+               ())))
+    [
+      ("put_window = 0", { test_config with put_window = 0 });
+      ("batch_chunks = 0", { test_config with batch_chunks = 0 });
+    ]
+
 let test_move_under_binary_framing () =
   (* The negotiated framing only changes byte accounting on the
      simulated channels; a move must produce identical functional
      results under either, and binary framing must not inflate the
      bytes transferred. *)
-  let run ?framing_override config_framing =
+  let run config_framing =
     let engine = Engine.create () in
     let ctrl =
       Controller.create engine
@@ -1118,8 +1142,7 @@ let test_move_under_binary_framing () =
     let dst = Openmb_apps.Dummy_mb.create engine ~name:"dst" () in
     Openmb_apps.Dummy_mb.populate src ~n:20;
     Controller.connect ctrl (Mb_agent.create engine ~impl:(Openmb_apps.Dummy_mb.impl src) ());
-    Controller.connect ctrl ?framing:framing_override
-      (Mb_agent.create engine ~impl:(Openmb_apps.Dummy_mb.impl dst) ());
+    Controller.connect ctrl (Mb_agent.create engine ~impl:(Openmb_apps.Dummy_mb.impl dst) ());
     let result = ref None in
     Controller.move_internal ctrl ~src:"src" ~dst:"dst" ~key:Hfl.any ~on_done:(fun res ->
         result := Some res);
@@ -1140,11 +1163,7 @@ let test_move_under_binary_framing () =
   (* Smaller messages on the simulated channels: the move returns
      sooner under binary framing. *)
   Alcotest.(check bool) "binary move is faster" true
-    (Time.to_seconds dur_bin < Time.to_seconds dur_json);
-  (* A per-connection override on one MB must coexist with JSON peers. *)
-  let moved_m, _, dm, sm = run ~framing_override:Framing.Binary Framing.Json in
-  Alcotest.(check (pair int int)) "mixed framing same accounting" moved_j moved_m;
-  Alcotest.(check (pair int int)) "mixed framing same occupancy" (dj, sj) (dm, sm)
+    (Time.to_seconds dur_bin < Time.to_seconds dur_json)
 
 (* Protocol-level property: an arbitrary sequence of moves between
    three MBs neither loses nor duplicates state — every chunk ends up
@@ -1184,12 +1203,13 @@ let prop_moves_conserve_state =
       let counts = Array.map Openmb_apps.Dummy_mb.chunk_count mbs in
       Array.fold_left ( + ) 0 counts = n_chunks)
 
-(* The batched transfer pipeline must be observationally equivalent to
-   the per-chunk reference path ([batch_chunks <= 1]): same destination
-   state tables, same chunk/byte accounting, the same per-key replay
-   order for forwarded re-process events, and the same number of
-   replays at the destination — under random scenario shapes with
-   packets arriving mid-move. *)
+(* Batching and windowing change only message timing: a transfer cut
+   into batches under a window must be observationally equivalent to
+   the reference, batches of one chunk in a window of one — same
+   destination state tables, same chunk/byte accounting, the same
+   per-key replay order for forwarded re-process events, and the same
+   number of replays at the destination — under random scenario shapes
+   with packets arriving mid-move. *)
 type transfer_trace = {
   tr_chunks : int;
   tr_bytes : int;
@@ -1266,7 +1286,7 @@ let run_move_scenario ?(timeline = true) ~batch_chunks ~batch_bytes ~put_window 
   | None -> Alcotest.fail "move did not return"
 
 let prop_batched_transfer_equivalent =
-  QCheck2.Test.make ~name:"batched transfer equals per-chunk transfer" ~count:30
+  QCheck2.Test.make ~name:"batched transfer equals batches of one in a window of one" ~count:30
     QCheck2.Gen.(
       pair
         (quad (int_range 1 40) (int_range 0 10) (int_range 2 10) (int_range 1 6))
@@ -1380,6 +1400,8 @@ let () =
           Alcotest.test_case "move empty key range" `Quick test_move_empty_key_range;
           Alcotest.test_case "buffered peak tracked" `Quick test_buffered_peak_tracked;
           Alcotest.test_case "duplicate connect" `Quick test_duplicate_connect_rejected;
+          Alcotest.test_case "unfinishable config rejected" `Quick
+            test_unfinishable_config_rejected;
           Alcotest.test_case "move under binary framing" `Quick
             test_move_under_binary_framing;
           Alcotest.test_case "event-fwd off a timeline" `Quick test_event_fwd_off_timeline;

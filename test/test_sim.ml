@@ -1270,7 +1270,7 @@ let test_registry_merge () =
         Telemetry.observe (Telemetry.histogram tel "lat") 4.0;
         Telemetry.observe (Telemetry.histogram tel "lat") 2.0)
   in
-  let m = Telemetry.Registry.merge a b in
+  let m = Telemetry.merge a b in
   Alcotest.(check (option int)) "counters sum" (Some 12) (Telemetry.snap_counter m "ops");
   Alcotest.(check (option int)) "disjoint names survive" (Some 3)
     (Telemetry.snap_counter m "only_a");
@@ -1288,7 +1288,7 @@ let test_registry_merge () =
        "Telemetry.merge: \"x\" is a counter on one side and a histogram on the other")
     (fun () ->
       ignore
-        (Telemetry.Registry.merge
+        (Telemetry.merge
            (mk (fun tel -> Telemetry.incr (Telemetry.counter tel "x")))
            (mk (fun tel -> Telemetry.observe (Telemetry.histogram tel "x") 1.0))))
 
@@ -1328,8 +1328,8 @@ let prop_merge_associative =
         (gen_tel_ops ~gauges:true))
     (fun (xa, xb, xc) ->
       let a = snap_of_ops xa and b = snap_of_ops xb and c = snap_of_ops xc in
-      Telemetry.Registry.merge (Telemetry.Registry.merge a b) c
-      = Telemetry.Registry.merge a (Telemetry.Registry.merge b c))
+      Telemetry.merge (Telemetry.merge a b) c
+      = Telemetry.merge a (Telemetry.merge b c))
 
 let prop_merge_commutative =
   (* Gauges are last-writer by design, so commutativity is only claimed
@@ -1339,7 +1339,7 @@ let prop_merge_commutative =
     QCheck2.Gen.(pair (gen_tel_ops ~gauges:false) (gen_tel_ops ~gauges:false))
     (fun (xa, xb) ->
       let a = snap_of_ops xa and b = snap_of_ops xb in
-      Telemetry.Registry.merge a b = Telemetry.Registry.merge b a)
+      Telemetry.merge a b = Telemetry.merge b a)
 
 let prop_merge_quantile_sandwich =
   (* A merged histogram's quantile can't escape the envelope of the
@@ -1355,7 +1355,7 @@ let prop_merge_quantile_sandwich =
     (fun (va, vb, q) ->
       let snap vs = snap_of_ops (List.map (fun v -> Hobs (0, v)) vs) in
       let a = snap va and b = snap vb in
-      let m = Telemetry.Registry.merge a b in
+      let m = Telemetry.merge a b in
       let quant s =
         match Telemetry.snap_hist_quantile s "h0" q with
         | Some v -> v
@@ -1690,8 +1690,8 @@ let prop_merge_associative_after_reset =
     QCheck2.Gen.(triple gen_tel_ops_rr gen_tel_ops_rr gen_tel_ops_rr)
     (fun (xa, xb, xc) ->
       let a = snap_of_ops_rr xa and b = snap_of_ops_rr xb and c = snap_of_ops_rr xc in
-      Telemetry.Registry.merge (Telemetry.Registry.merge a b) c
-      = Telemetry.Registry.merge a (Telemetry.Registry.merge b c))
+      Telemetry.merge (Telemetry.merge a b) c
+      = Telemetry.merge a (Telemetry.merge b c))
 
 (* ------------------------------------------------------------------ *)
 (* Timeseries                                                          *)
