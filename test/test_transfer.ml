@@ -40,7 +40,6 @@ let tick = 1.0
 type scenario = {
   kind : Transfer.kind;
   streams : Chunk.t array array;  (** Per get, in stream order. *)
-  events : (Hfl.t * Event.t) array;
   batch_chunks : int;
   put_window : int;
 }
@@ -49,9 +48,7 @@ let key_a = Hfl.of_string "nw_src=10.0.0.1/32"
 let key_b = Hfl.of_string "nw_src=10.0.0.2/32"
 let key_c = Hfl.of_string "nw_src=10.0.0.3/32"
 
-let chunk role partition key =
-  let key = match partition with Taxonomy.Per_flow -> key | Taxonomy.Shared -> Hfl.any in
-  { Chunk.mb_kind = "dummy"; role; partition; key; cipher = "sealed" }
+let chunk role partition key = { Chunk.mb_kind = "dummy"; role; partition; key; cipher = "sealed" }
 
 let event id key =
   let packet =
@@ -312,7 +309,7 @@ let fresh sc plan =
       fault = plan <> Seen;
       batches = [];
       n_batches = 0;
-      evs = Array.make (Array.length sc.events) Unsent;
+      evs = Array.make (Array.length events) Unsent;
       feeding = -1;
       last_event = 0.0;
       streamed = Array.make k false;
@@ -424,7 +421,7 @@ let step w m input =
     (batch w b).landed <- true;
     Transfer.batch_failed m (Errors.Timeout "putBatch")
   | Ev e ->
-    let key, ev = w.sc.events.(e) in
+    let key, ev = events.(e) in
     w.evs.(e) <- Claimed;
     w.feeding <- e;
     w.last_event <- w.now;
@@ -501,7 +498,7 @@ let run_scope name kind streams =
   let total =
     List.fold_left
       (fun acc (batch_chunks, put_window) ->
-        let sc = { kind; streams; events; batch_chunks; put_window } in
+        let sc = { kind; streams; batch_chunks; put_window } in
         List.fold_left
           (fun acc plan ->
             match explore sc plan with
