@@ -6,7 +6,9 @@
     destination, tracks put acknowledgements, buffers re-process events
     until the state they apply to has been installed at the
     destination, and issues the deferred deletes once events quiesce
-    (Figure 5).
+    (Figure 5).  Those decisions are {!Transfer}'s; the controller is
+    its I/O shell, turning the machine's actions into channel sends,
+    engine timers, spans and counters.
 
     All controller work passes through a single simulated CPU, so
     concurrent operations contend — reproducing the linear scaling of
