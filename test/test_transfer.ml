@@ -264,7 +264,8 @@ let on_action w m (a : Transfer.action) =
     w.timer <- Some (w.now +. delay)
   | Transfer.Finish ->
     if w.finished then violate w "finished twice";
-    if not (full_quiescence w) then violate w "finished before a full quiescence period";
+    if not (full_quiescence w) then
+      violate w "guarantee 3: quiescence ended before a full period without events";
     w.finished <- true
   | Transfer.Delete ->
     if w.sc.kind <> Transfer.Move then violate w "a delete for a clone or merge";
@@ -446,7 +447,8 @@ let check_end w =
 (* Every path, depth first.  The stack holds each choice point's inputs
    and the one taken, deepest first; a path replays the stack into a
    fresh machine, then takes first choices to the end.  Returns the
-   number of paths. *)
+   number of paths, not counting those on which a lost ack's batch was
+   never put: they repeat fault-free paths. *)
 let explore sc plan =
   let paths = ref 0 in
   let rec run stack =
@@ -462,7 +464,7 @@ let explore sc plan =
         extend ((inputs, 0) :: stack)
     in
     let stack = extend stack in
-    incr paths;
+    (match plan with Lost_ack b when w.n_batches <= b -> () | _ -> incr paths);
     let rec backtrack = function
       | [] -> None
       | (inputs, i) :: rest ->
