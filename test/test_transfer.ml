@@ -514,11 +514,15 @@ let run_scope name kind streams =
   explored := (name, total) :: !explored
 
 (* Three chunks over both gets; key A has a supporting and a reporting
-   chunk, key B only a supporting one, key C (the second event's) none. *)
+   chunk, key B only a supporting one, key C (the second event's) none.
+   Then one chunk with an empty second get, and nothing to move: an
+   end marker counting no chunk closes its get at once. *)
 let test_move () =
   run_scope "move" Transfer.Move
     [| [| sup Taxonomy.Per_flow key_a; sup Taxonomy.Per_flow key_b |];
-       [| rep Taxonomy.Per_flow key_a |] |]
+       [| rep Taxonomy.Per_flow key_a |] |];
+  run_scope "one-chunk move" Transfer.Move [| [| sup Taxonomy.Per_flow key_a |]; [||] |];
+  run_scope "empty move" Transfer.Move [| [||]; [||] |]
 
 let test_clone () =
   run_scope "clone" Transfer.Clone [| [| sup Taxonomy.Shared Hfl.any |] |]
