@@ -55,13 +55,16 @@ type counters = {
   dedup_hits : int;
 }
 
-(* A handler consumes successive replies to one op; [`Done] removes it. *)
-type handler = Message.reply -> [ `Keep | `Done ]
+(* A handler consumes successive replies to one op, each with the time
+   it was received; [`Done] removes it. *)
+type handler = now:Time.t -> Message.reply -> [ `Keep | `Done ]
 
 (* One in-flight southbound request.  [po_last_activity] is refreshed
    by every reply on the op, so a streaming get stays alive as long as
    chunks keep arriving; the timeout chain measures idleness against
-   it.  Only idempotent requests are retried. *)
+   it.  It keeps the receive time's box, which the receive path holds
+   anyway, so refreshing it allocates nothing.  Only idempotent
+   requests are retried. *)
 type pending_op = {
   po_req : Message.request;
   po_handler : handler;
@@ -116,7 +119,9 @@ type t = {
   mutable transfers : active list;
   mutable next_transfer : int;
   mutable subscriptions : subscription list;
-  mutable cpu_free_at : Time.t;
+  (* A one-element float array, as the engine's clock is: each charge
+     stores a newly computed time, which a float field would box. *)
+  cpu_free_at : float array;
   (* A fenced controller is a dead leader: its lease has expired and a
      replica has taken over.  Every CPU dispatch — sends, receives,
      timeout retries, quiescence finalization — is gated on this flag,
@@ -159,7 +164,7 @@ let create engine ?(config = default_config) ?faults ?telemetry () =
     transfers = [];
     next_transfer = 0;
     subscriptions = [];
-    cpu_free_at = Time.zero;
+    cpu_free_at = [| Time.zero |];
     fenced = false;
     c_msgs = Telemetry.counter tel "controller.msgs";
     c_evt_fwd = Telemetry.counter tel "controller.evt_forwarded";
@@ -184,20 +189,26 @@ let record t ~kind ~detail =
     Telemetry.instant t.tel ~now:(Engine.now t.engine) ~actor:"controller" ~name:kind
       ~detail:(detail ()) ()
 
-(* Charge the (serial) controller CPU for a message of [bytes] bytes,
-   then run [k].  Concurrent operations contend here, which is what
-   makes simultaneous moves slow each other down (Fig. 10b). *)
+(* Charge the (serial) controller CPU for a message of [bytes] bytes;
+   the work ends at [cpu_free_at.(0)].  Concurrent operations contend
+   here, which is what makes simultaneous moves slow each other down
+   (Fig. 10b). *)
+let charge t bytes =
+  let cost =
+    Time.(t.cfg.cpu_fixed + seconds (to_seconds t.cfg.cpu_per_byte *. float_of_int bytes))
+  in
+  let now = Engine.now t.engine and free = t.cpu_free_at.(0) in
+  let start = if now > free then now else free in
+  t.cpu_free_at.(0) <- Time.(start + cost);
+  Telemetry.incr t.c_msgs
+
+(* Charge, then run [k].  The continuation re-checks the fence: a
+   takeover between dispatch and execution must still silence this
+   instance. *)
 let cpu t bytes k =
   if not t.fenced then begin
-    let cost =
-      Time.(t.cfg.cpu_fixed + seconds (to_seconds t.cfg.cpu_per_byte *. float_of_int bytes))
-    in
-    let start = Time.max (Engine.now t.engine) t.cpu_free_at in
-    t.cpu_free_at <- Time.(start + cost);
-    Telemetry.incr t.c_msgs;
-    (* The continuation re-checks the fence: a takeover between dispatch
-       and execution must still silence this instance. *)
-    Engine.call_at t.engine t.cpu_free_at (fun () -> if not t.fenced then k ()) ()
+    charge t bytes;
+    Engine.call_at t.engine t.cpu_free_at.(0) (fun () -> if not t.fenced then k ()) ()
   end
 
 let fence t =
@@ -269,7 +280,7 @@ let rec check_timeout t conn op po () =
       record t ~kind:"op-timeout"
         ~detail:(fun () -> Printf.sprintf "op=%d %s" op (Message.describe_request po.po_req));
       ignore
-        (po.po_handler
+        (po.po_handler ~now
            (Message.Op_error (Errors.Timeout (Message.describe_request po.po_req))))
     end
   end
@@ -306,7 +317,7 @@ let op_send ?(retryable = true) t conn req handler =
 
 (* Fire-and-forget request (deferred deletes, event forwarding). *)
 let op_send_ignore t conn req =
-  op_send t conn req (fun _ -> `Done)
+  op_send t conn req (fun ~now:_ _ -> `Done)
 
 let fail_async t err on_done =
   ignore (Engine.schedule_after t.engine Time.zero (fun () -> on_done (Error err)))
@@ -363,6 +374,14 @@ let handle_introspect_event t src_name ev =
       t.subscriptions
   | Event.Reprocess _ -> ()
 
+(* The buffered-events gauge follows the total over live transfers,
+   set wherever it may change: an event buffered, a flush (the
+   [Forward]s of buffered events), an abort or a dropped connection
+   (their transfers leave the list). *)
+let sync_buffered t =
+  Telemetry.set_gauge t.g_buf
+    (List.fold_left (fun acc a -> acc + Transfer.buffered a.m) 0 t.transfers)
+
 (* ------------------------------------------------------------------ *)
 (* Connection management                                               *)
 (* ------------------------------------------------------------------ *)
@@ -376,17 +395,24 @@ let dispatch_from_mb t mb_name msg =
     match find_conn t mb_name with
     | None -> ()
     | Some conn -> (
-      match Hashtbl.find_opt conn.pending op with
-      | None -> ()
-      | Some po -> (
+      match Hashtbl.find conn.pending op with
+      | exception Not_found -> ()
+      | po -> (
         let now = Engine.now t.engine in
         po.po_last_activity <- now;
-        match po.po_handler reply with
+        match po.po_handler ~now reply with
         | `Keep -> ()
         | `Done ->
           Hashtbl.remove conn.pending op;
           Telemetry.span_end t.tel ~now po.po_span;
           Telemetry.observe t.h_op Time.(to_seconds (now - po.po_started)))))
+
+(* One MB's receiving end, bound once at [connect]: a delivered message
+   is charged and scheduled with [receive] and this record, so receiving
+   builds no closure. *)
+type inbox = { ctl : t; mb_name : string }
+
+let receive ib msg = if not ib.ctl.fenced then dispatch_from_mb ib.ctl ib.mb_name msg
 
 type remote = {
   to_agent : Shard.route;
@@ -408,9 +434,13 @@ let connect t ?remote ?(id_base = 0) ?(arm_faults = true) agent =
     | None -> None
     | Some f -> Some (Faults.link f ~dir ~name:(name ^ "/" ^ tag) ())
   in
+  let inbox = { ctl = t; mb_name = name } in
   let deliver msg =
     (* Receiving costs controller CPU proportional to message size. *)
-    cpu t (Message.reply_wire_bytes ~framing msg) (fun () -> dispatch_from_mb t name msg)
+    if not t.fenced then begin
+      charge t (Message.reply_wire_bytes ~framing msg);
+      Engine.call2_at t.engine t.cpu_free_at.(0) receive inbox msg
+    end
   in
   (* Up-channels (MB → controller) are driven by the agent's sends, so
      with a remote agent they must live on the agent's engine, draw from
@@ -488,7 +518,8 @@ let disconnect t name =
   t.transfers <-
     List.filter
       (fun { tr; _ } -> not (String.equal tr.src name || String.equal tr.dst name))
-      t.transfers
+      t.transfers;
+  sync_buffered t
 
 (* ------------------------------------------------------------------ *)
 (* Simple northbound operations                                        *)
@@ -501,7 +532,7 @@ let with_conn t name on_err k =
 
 let read_config t ~src ~key ~on_done =
   with_conn t src on_done (fun conn ->
-      op_send t conn (Message.Get_config key) (fun reply ->
+      op_send t conn (Message.Get_config key) (fun ~now:_ reply ->
           (match reply with
           | Message.Config_values entries -> on_done (Ok entries)
           | Message.Op_error e -> on_done (Error e)
@@ -519,7 +550,7 @@ let join n on_done =
     decr remaining;
     if !remaining = 0 then on_done (match !failed with Some e -> Error e | None -> Ok ())
 
-let expect_ack on_done reply =
+let expect_ack on_done ~now:_ reply =
   (match reply with
   | Message.Ack -> on_done (Ok ())
   | Message.Op_error e -> on_done (Error e)
@@ -555,7 +586,7 @@ let delete_perflow t ~mb ~key ~on_done =
 
 let stats t ~src ~key ~on_done =
   with_conn t src on_done (fun conn ->
-      op_send t conn (Message.Get_stats key) (fun reply ->
+      op_send t conn (Message.Get_stats key) (fun ~now:_ reply ->
           (match reply with
           | Message.Stats_reply s -> on_done (Ok s)
           | Message.Op_error e -> on_done (Error e)
@@ -625,23 +656,22 @@ let act t tr dst_conn m action =
     Telemetry.set_gauge t.g_window (Transfer.inflight m);
     op_send t dst_conn
       (Message.Put_batch { seq = alloc_seq dst_conn; chunks })
-      (fun reply ->
+      (fun ~now reply ->
         (* The batch is out of the window before its acks run. *)
         Telemetry.set_gauge t.g_window (Transfer.inflight m - 1);
         (match reply with
         | Message.Batch_ack { seq = _; count = _; errors } ->
-          Transfer.batch_acked m ~now:(Engine.now t.engine) chunks errors
+          Transfer.batch_acked m ~now chunks errors
         | Message.Op_error e -> Transfer.batch_failed m e
         | Message.Ack | Message.State_chunk _ | Message.End_of_state _
         | Message.Config_values _ | Message.Stats_reply _ ->
           Transfer.batch_failed m (Errors.Op_failed "unexpected reply to putBatch"));
         `Done)
-  | Transfer.Forward ev -> forward_reprocess t tr ev
-  | Transfer.Buffered ->
-    Telemetry.set_gauge t.g_buf
-      (List.fold_left (fun acc a -> acc + Transfer.buffered a.m) 0 t.transfers)
-  | Transfer.Serial_window started ->
-    Telemetry.observe t.h_serial Time.(to_seconds (Engine.now t.engine - started))
+  | Transfer.Forward ev ->
+    forward_reprocess t tr ev;
+    sync_buffered t
+  | Transfer.Buffered -> sync_buffered t
+  | Transfer.Serial_window window -> Telemetry.observe t.h_serial (Time.to_seconds window)
   | Transfer.Return ev -> (
     match find_conn t tr.src with
     | None -> Telemetry.incr t.c_evt_dropped
@@ -656,6 +686,7 @@ let act t tr dst_conn m action =
     (* The caller sees [Error (Move_aborted _)] naming the underlying
        cause. *)
     remove_transfer t tr;
+    sync_buffered t;
     Telemetry.incr t.c_aborted;
     Telemetry.span_end t.tel ~now:(Engine.now t.engine) tr.t_span;
     record t ~kind:"transfer-abort"
@@ -695,12 +726,11 @@ let act t tr dst_conn m action =
 (* Handler for get [stream] of a transfer: the machine drops duplicates
    and reconciles the [End_of_state] count; [`Done] once it closed the
    stream. *)
-let get_stream_handler t m stream reply =
+let get_stream_handler m stream ~now reply =
   match reply with
-  | Message.State_chunk chunk ->
-    if Transfer.chunk m ~stream ~now:(Engine.now t.engine) chunk then `Done else `Keep
+  | Message.State_chunk chunk -> if Transfer.chunk m ~stream ~now chunk then `Done else `Keep
   | Message.End_of_state { count } ->
-    if Transfer.end_of_state m ~stream ~now:(Engine.now t.engine) count then `Done else `Keep
+    if Transfer.end_of_state m ~stream ~now count then `Done else `Keep
   | Message.Op_error e ->
     Transfer.fail m e;
     `Done
@@ -768,7 +798,7 @@ let start_transfer t ~kind ~src ~dst ~hfl ~gets ~on_done =
            agent restart wiping the replay cache mid-transfer, is refused
            at the source (moved marks present → error → abort). *)
         List.iteri
-          (fun stream req -> op_send t src_conn req (get_stream_handler t m stream))
+          (fun stream req -> op_send t src_conn req (get_stream_handler m stream))
           gets
     end
 

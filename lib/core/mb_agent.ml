@@ -14,16 +14,18 @@ type t = {
   filter : Event.Filter.t;
   mutable send_reply : Message.from_mb -> unit;
   mutable send_event : Message.from_mb -> unit;
-  mutable cpu_free_at : Time.t;
+  (* The control thread's clock: a one-element float array, as the
+     engine's clock is, so advancing it boxes nothing. *)
+  cpu_free_at : float array;
   mutable active_ops : int;
   mutable events_raised : int;
   (* Crash model: a crash abandons everything in flight on the control
-     thread (epoch bump suppresses scheduled continuations) and wipes
-     the volatile dedup caches; durable configuration and the MB's own
-     state tables survive.  While down, requests and raised events are
-     dropped on the floor. *)
+     thread (a new incarnation, so the continuations scheduled under
+     the old one do nothing) and wipes the volatile dedup caches;
+     durable configuration and the MB's own state tables survive.
+     While down, requests and raised events are dropped on the floor. *)
   mutable crashed : bool;
-  mutable epoch : int;
+  mutable incarnation : incarnation;
   (* Fencing token: op ids encode the issuing controller's replication
      epoch in their high bits (id_base = epoch lsl 40), and epochs only
      grow.  Once any op from epoch [e] is seen, ops from epochs < e are
@@ -45,6 +47,10 @@ type t = {
   ops : Message.reply list Openmb_net.Flat_table.t;
   applied_seq : Message.reply Openmb_net.Flat_table.t;
 }
+
+(* What a scheduled control-thread step carries besides its own
+   argument: it runs only if its agent has not crashed since. *)
+and incarnation = { agent : t }
 
 (* Int-keyed probes into the flat cores: the id is word [pa], [pb] is 0.
    Op ids and sequence numbers are non-negative, as the mixer needs. *)
@@ -76,7 +82,7 @@ let create engine ?telemetry ~impl () =
     | Some tel -> Telemetry.histogram tel name
     | None -> Telemetry.null_histogram
   in
-  let t =
+  let rec t =
     {
       engine;
       tel = telemetry;
@@ -89,11 +95,11 @@ let create engine ?telemetry ~impl () =
       filter = Event.Filter.create ();
       send_reply = not_attached;
       send_event = not_attached;
-      cpu_free_at = Time.zero;
+      cpu_free_at = [| Time.zero |];
       active_ops = 0;
       events_raised = 0;
       crashed = false;
-      epoch = 0;
+      incarnation = { agent = t };
       ctrl_epoch = 0;
       ops = Openmb_net.Flat_table.create ~capacity:64 ();
       applied_seq = Openmb_net.Flat_table.create ~capacity:64 ();
@@ -128,10 +134,10 @@ let is_crashed t = t.crashed
 let crash t =
   if not t.crashed then begin
     t.crashed <- true;
-    t.epoch <- t.epoch + 1;
+    t.incarnation <- { agent = t };
     t.active_ops <- 0;
     t.impl.set_op_active false;
-    t.cpu_free_at <- Engine.now t.engine;
+    t.cpu_free_at.(0) <- Engine.now t.engine;
     Openmb_net.Flat_table.clear t.ops;
     Openmb_net.Flat_table.clear t.applied_seq;
     Openmb_net.Flat_table.clear t.op_spans;
@@ -142,46 +148,9 @@ let crash t =
 let restart t =
   if t.crashed then begin
     t.crashed <- false;
-    t.cpu_free_at <- Engine.now t.engine;
+    t.cpu_free_at.(0) <- Engine.now t.engine;
     record t ~kind:"restart" ~detail:(fun () -> "")
   end
-
-(* Charge [cost] of serial control-thread CPU, then run [k].  The MB
-   keeps processing packets meanwhile (its data path is separate); the
-   impl is told an op is active so it can apply the 2% slowdown.  A
-   crash between scheduling and execution abandons [k]. *)
-let exec t cost k =
-  let epoch = t.epoch in
-  let start = Time.max (Engine.now t.engine) t.cpu_free_at in
-  t.cpu_free_at <- Time.(start + cost);
-  t.active_ops <- t.active_ops + 1;
-  if t.active_ops = 1 then t.impl.set_op_active true;
-  Engine.call_at t.engine t.cpu_free_at
-    (fun () ->
-      if t.epoch = epoch then begin
-        k ();
-        t.active_ops <- t.active_ops - 1;
-        if t.active_ops = 0 then t.impl.set_op_active false
-      end)
-    ()
-
-let chunk_serialize_cost (cost : Southbound.cost_model) chunk =
-  Time.(
-    cost.serialize_per_chunk
-    + seconds
-        (to_seconds cost.serialize_per_byte *. float_of_int (Chunk.size_bytes chunk)))
-
-let chunk_deserialize_cost (cost : Southbound.cost_model) chunk =
-  Time.(
-    cost.deserialize_per_chunk
-    + seconds
-        (to_seconds cost.deserialize_per_byte *. float_of_int (Chunk.size_bytes chunk)))
-
-let scan_cost t =
-  Time.seconds
-    (Time.to_seconds t.impl.cost.scan_per_entry *. float_of_int (t.impl.table_entries ()))
-
-let config_op_cost = Time.us 200.0
 
 let send_reply_raw t op reply = t.send_reply (Message.Reply { op; reply })
 
@@ -207,11 +176,95 @@ let end_op_span t op =
     | Some tel -> Telemetry.span_end tel ~now:(Engine.now t.engine) span
     | None -> ())
 
-let reply t op reply =
+(* Record [reply] in the op's replay cache and send [msg], which carries
+   it. *)
+let send_reply t op reply msg =
   let prev = match ft_find t.ops op with Some l -> l | None -> [] in
   ft_replace t.ops op (reply :: prev);
-  send_reply_raw t op reply;
+  t.send_reply msg;
   if reply_is_terminal reply then end_op_span t op
+
+(* Charge [cost] of serial control-thread CPU; the step runs at
+   [cpu_free_at.(0)].  The MB keeps processing packets meanwhile (its
+   data path is separate); the impl is told an op is active so it can
+   apply the 2% slowdown. *)
+let charge t cost =
+  let now = Engine.now t.engine and free = t.cpu_free_at.(0) in
+  let start = if now > free then now else free in
+  t.cpu_free_at.(0) <- Time.(start + cost);
+  t.active_ops <- t.active_ops + 1;
+  if t.active_ops = 1 then t.impl.set_op_active true
+
+let step_done t =
+  t.active_ops <- t.active_ops - 1;
+  if t.active_ops = 0 then t.impl.set_op_active false
+
+(* A step's engine event carries its incarnation and its own argument
+   ([call2_at]), so scheduling one builds no closure.  A crash between
+   scheduling and execution abandons the step: the agent has moved on
+   to a new incarnation. *)
+let run inc k =
+  let t = inc.agent in
+  if t.incarnation == inc then begin
+    k ();
+    step_done t
+  end
+
+let send inc msg =
+  let t = inc.agent in
+  if t.incarnation == inc then begin
+    (match msg with
+    | Message.Reply { op; reply } -> send_reply t op reply msg
+    | Message.Event_msg _ -> invalid_arg "Mb_agent.send: events leave through send_event");
+    step_done t
+  end
+
+(* Charge [cost], then run [k]. *)
+let exec t cost k =
+  charge t cost;
+  Engine.call2_at t.engine t.cpu_free_at.(0) run t.incarnation k
+
+(* Charge [cost], then send the reply [msg]: a streamed chunk is
+   scheduled as its message, with no continuation built for it. *)
+let exec_send t cost msg =
+  charge t cost;
+  Engine.call2_at t.engine t.cpu_free_at.(0) send t.incarnation msg
+
+let chunk_serialize_cost (cost : Southbound.cost_model) chunk =
+  Time.(
+    cost.serialize_per_chunk
+    + seconds
+        (to_seconds cost.serialize_per_byte *. float_of_int (Chunk.size_bytes chunk)))
+
+let chunk_deserialize_cost (cost : Southbound.cost_model) chunk =
+  Time.(
+    cost.deserialize_per_chunk
+    + seconds
+        (to_seconds cost.deserialize_per_byte *. float_of_int (Chunk.size_bytes chunk)))
+
+(* A put batch's deserialization: the sum of its chunks' costs, each
+   observed.  A loop over local refs, which stay unboxed: a float passed
+   from call to call would be boxed at each chunk. *)
+let batch_cost t chunks =
+  let sum = ref Time.zero and rest = ref chunks in
+  while !rest != [] do
+    match !rest with
+    | [] -> ()
+    | c :: tl ->
+      let dc = chunk_deserialize_cost t.impl.cost c in
+      Telemetry.observe t.h_apply (Time.to_seconds dc);
+      sum := Time.(!sum + dc);
+      rest := tl
+  done;
+  !sum
+
+let scan_cost t =
+  Time.seconds
+    (Time.to_seconds t.impl.cost.scan_per_entry *. float_of_int (t.impl.table_entries ()))
+
+let config_op_cost = Time.us 200.0
+
+let reply t op r = send_reply t op r (Message.Reply { op; reply = r })
 
 let reply_result t op = function
   | Ok () -> reply t op Message.Ack
@@ -232,7 +285,7 @@ let handle_get t op ~what (fetch : unit -> (Chunk.t list, Errors.t) result) =
           (fun chunk ->
             let cost = chunk_serialize_cost t.impl.cost chunk in
             Telemetry.observe t.h_serialize (Time.to_seconds cost);
-            exec t cost (fun () -> reply t op (Message.State_chunk chunk)))
+            exec_send t cost (Message.Reply { op; reply = Message.State_chunk chunk }))
           chunks;
         exec t Time.zero (fun () ->
             record t ~kind:"get-end"
@@ -339,14 +392,7 @@ let execute t op req =
        same as N individual puts — but the control-thread round trip,
        the reply and the controller-side ack processing are paid
        once. *)
-    let cost =
-      List.fold_left
-        (fun acc c ->
-          let dc = chunk_deserialize_cost i.cost c in
-          Telemetry.observe t.h_apply (Time.to_seconds dc);
-          Time.(acc + dc))
-        Time.zero chunks
-    in
+    let cost = batch_cost t chunks in
     exec t cost (fun () ->
         let count = List.length chunks in
         let errors = ref [] in

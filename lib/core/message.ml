@@ -49,7 +49,8 @@ let addr =
 let proto = Codec.enum Packet.proto_to_string [ Packet.Tcp; Udp; Icmp ]
 
 (* A header-field list is its text form in JSON and a list of tagged
-   fields in binary. *)
+   fields in binary.  The text needs no escapes, so its JSON size is its
+   counted length and the quotes: sizing renders nothing. *)
 let hfl =
   let open Codec in
   let prefix =
@@ -69,7 +70,9 @@ let hfl =
     |> case 4 "proto" (obj1 "value" proto) (fun v -> Hfl.Proto v)
     |> variant
   in
-  split ~json:(conv Hfl.to_string Hfl.of_string string) ~binary:(list (obj hfl_field))
+  split
+    ~json:(json_size_by (fun h -> Hfl.text_length h + 2) (conv Hfl.to_string Hfl.of_string string))
+    ~binary:(list (obj hfl_field))
 
 let path = Codec.(conv Config_tree.path_to_string Config_tree.path_of_string string)
 
@@ -291,6 +294,19 @@ let entry =
     |> field "key" path (fun e -> e.Config_tree.path)
     |> field "values" (list json) (fun e -> e.Config_tree.values))
 
+(* A batch ack is its own payload, read field by field, so encoding or
+   sizing one builds no tuple: a move sizes one per put batch. *)
+let batch_ack =
+  let open Codec in
+  let get f = function
+    | Batch_ack { seq; count; errors } -> f seq count errors
+    | _ -> invalid_arg "batch_ack"
+  in
+  record (fun seq count errors -> Batch_ack { seq; count; errors })
+  |> field "seq" uvarint (get (fun seq _ _ -> seq))
+  |> field "count" uvarint (get (fun _ count _ -> count))
+  |> field "errors" (list (obj (obj2 "i" uvarint "error" error))) (get (fun _ _ errors -> errors))
+
 let reply_cases =
   let open Codec in
   union "type"
@@ -302,16 +318,14 @@ let reply_cases =
     | Config_values es -> config_values es
     | Stats_reply s -> stats_reply s
     | Op_error e -> op_error e
-    | Batch_ack { seq; count; errors } -> batch_ack (seq, count, errors)))
+    | Batch_ack _ as r -> batch_ack r))
   |> case 0 "stateChunk" (obj1 "chunk" chunk) (fun c -> State_chunk c)
   |> case 1 "endOfState" (obj1 "count" uvarint) (fun count -> End_of_state { count })
   |> case 2 "ack" (record ()) (fun () -> Ack)
   |> case 3 "configValues" (obj1 "entries" (list entry)) (fun es -> Config_values es)
   |> case 4 "stats" (obj1 "stats" stats) (fun s -> Stats_reply s)
   |> case 5 "error" (obj1 "error" error) (fun e -> Op_error e)
-  |> case 6 "batchAck"
-       (obj3 "seq" uvarint "count" uvarint "errors" (list (obj (obj2 "i" uvarint "error" error))))
-       (fun (seq, count, errors) -> Batch_ack { seq; count; errors })
+  |> case 6 "batchAck" batch_ack Fun.id
 
 let event =
   let open Codec in
@@ -326,16 +340,23 @@ let event =
     |> variant)
 
 (* A reply's JSON tag is the reply's own name, next to its op id; an
-   event is tagged "event" and nested. *)
+   event is tagged "event" and nested.  A reply is its own payload, as a
+   batch ack is. *)
 let from_mb =
   let open Codec in
+  let get f = function
+    | Reply { op; reply } -> f op reply
+    | Event_msg _ -> invalid_arg "from_mb"
+  in
   obj
     (union "type" (fun Select.[ reply_; event_ ] -> Dispatch (function
-       | Reply { op; reply } -> reply_ (op, reply)
+       | Reply _ as m -> reply_ m
        | Event_msg ev -> event_ ev))
     |> untagged 0
-         (record (fun op r -> (op, r)) |> field "op" uvarint fst |> splice (variant reply_cases) snd)
-         (fun (op, reply) -> Reply { op; reply })
+         (record (fun op reply -> Reply { op; reply })
+         |> field "op" uvarint (get (fun op _ -> op))
+         |> splice (variant reply_cases) (get (fun _ reply -> reply)))
+         Fun.id
     |> case 1 "event" (obj1 "event" event) (fun ev -> Event_msg ev)
     |> variant)
 
@@ -359,7 +380,9 @@ let from_mb_of_wire s = Codec.decode from_mb s
    (op id, type tag, punctuation) plus the opaque body and its key.
    Events add their own framing to the envelope.  A key is charged its
    text length, [Hfl.text_length], which is exact and renders nothing:
-   a move sizes every chunk it carries, twice on the reply path. *)
+   a move sizes every chunk it carries, twice on the reply path.  The
+   exact sizes are [Codec.json_size]'s, counted from the descriptions
+   above: no message is encoded to be measured. *)
 let frame_prefix = 4
 let json_overhead = 48
 let event_framing = 32
@@ -388,7 +411,7 @@ let request_wire_bytes ?(framing = Framing.Json) m =
     | Del_support_perflow _ | Get_support_shared | Get_report_perflow _
     | Del_report_perflow _ | Get_report_shared | Get_stats _ | Enable_events _
     | Disable_events _ | Abort_perflow _ ->
-      String.length (request_to_wire m))
+      Codec.json_size to_mb m)
 
 let reply_wire_bytes ?(framing = Framing.Json) m =
   match framing with
@@ -408,7 +431,7 @@ let reply_wire_bytes ?(framing = Framing.Json) m =
             End_of_state _ | Ack | Config_values _ | Stats_reply _ | Op_error _ | Batch_ack _;
           _;
         } ->
-      String.length (from_mb_to_wire m))
+      Codec.json_size from_mb m)
 
 (* ------------------------------------------------------------------ *)
 (* Descriptions                                                        *)

@@ -92,6 +92,10 @@ val proto : Openmb_net.Packet.proto Openmb_wire.Codec.t  (** ["tcp"], ["udp"], [
 
 val hfl : Openmb_net.Hfl.t Openmb_wire.Codec.t  (** {!Openmb_net.Hfl.to_string} in JSON. *)
 
+val to_mb : to_mb Openmb_wire.Codec.t
+val from_mb : from_mb Openmb_wire.Codec.t
+(** The two envelopes, which the wire strings below encode and decode. *)
+
 (** {1 Wire strings}
 
     A binary body starts with a [0x42] tag byte and a JSON text with
@@ -108,10 +112,13 @@ val from_mb_of_wire : string -> from_mb
 val request_wire_bytes : ?framing:Openmb_wire.Framing.t -> to_mb -> int
 (** Bytes the simulated channel charges for the message.  Binary: the
     exact encoding plus its frame's 4-byte length prefix.  JSON: the
-    exact text, except the calibrated estimate for state- and
-    packet-bearing messages described above. *)
+    exact text's length, counted from the description without encoding
+    it, except the calibrated estimate for state- and packet-bearing
+    messages described above.  Sizing a move's or an event's messages
+    allocates nothing. *)
 
 val reply_wire_bytes : ?framing:Openmb_wire.Framing.t -> from_mb -> int
+(** As {!request_wire_bytes}, for replies and events. *)
 
 val request_name : request -> string
 (** The constructor's wire name (["getSupportPerflow"], …) as a static

@@ -31,7 +31,8 @@ type key = {
   mutable started : Time.t;
       (* First receipt since [putting] was last 0; the gap to the key's
          completing ack is the per-flow serialization window (the
-         paper's Fig. 7 metric). *)
+         paper's Fig. 7 metric).  It holds the receive time the shell
+         passed in, already boxed, so setting it allocates nothing. *)
 }
 
 type t = {
@@ -151,7 +152,7 @@ let fail t err =
    its last outstanding chunk is acknowledged, so a flow with both
    supporting and reporting state never sees events forwarded after
    half its state landed. *)
-let ack t id =
+let ack t ~now id =
   t.pending_puts <- t.pending_puts - 1;
   let k = Hashtbl.find t.keys id in
   if k.putting > 1 then k.putting <- k.putting - 1
@@ -159,19 +160,19 @@ let ack t id =
     k.putting <- 0;
     (* Every chunk under the key is installed: the key's serialization
        window — first export to last ack — closes here. *)
-    t.emit t (Serial_window k.started);
+    t.emit t (Serial_window Time.(now - k.started));
     flush t id
   end
 
 (* Cut one size-bounded batch off the head of the queue, preserving
-   stream order. *)
-let rec next_batch t n bytes batch =
-  if Queue.is_empty t.queued || n >= t.batch_chunks || (n > 0 && bytes >= t.batch_bytes) then
-    List.rev batch
+   stream order: built front to back, so no list is reversed.  The
+   recursion is at most [batch_chunks] deep. *)
+let rec next_batch t n bytes =
+  if Queue.is_empty t.queued || n >= t.batch_chunks || (n > 0 && bytes >= t.batch_bytes) then []
   else begin
     let c = Queue.pop t.queued in
     t.queued_bytes <- t.queued_bytes - Chunk.size_bytes c;
-    next_batch t (n + 1) (bytes + Chunk.size_bytes c) (c :: batch)
+    c :: next_batch t (n + 1) (bytes + Chunk.size_bytes c)
   end
 
 (* Drain the queue into batches while the send window has room.  A
@@ -187,7 +188,7 @@ let rec pump t =
        || t.queued_bytes >= t.batch_bytes
        || t.open_gets = 0)
   then begin
-    let batch = next_batch t 0 0 [] in
+    let batch = next_batch t 0 0 in
     t.inflight <- t.inflight + 1;
     t.emit t (Put_batch batch);
     pump t
@@ -255,20 +256,20 @@ let end_of_state t ~stream ~now count =
     false
   end
 
-let rec ack_batch t idx errors = function
+let rec ack_batch t ~now idx errors = function
   | [] -> ()
   | c :: rest -> (
     match List.assoc_opt idx errors with
     | Some e -> fail t e
     | None ->
-      ack t (chunk_key c);
-      ack_batch t (idx + 1) errors rest)
+      ack t ~now (chunk_key c);
+      ack_batch t ~now (idx + 1) errors rest)
 
 let batch_acked t ~now batch errors =
   t.inflight <- t.inflight - 1;
   (* Acknowledge the batch's chunks in order up to the first failure —
      exactly what N sequential acks would do. *)
-  ack_batch t 0 errors batch;
+  ack_batch t ~now 0 errors batch;
   maybe_return t ~now;
   pump t
 

@@ -28,7 +28,8 @@ type action =
   | Buffered  (** An event was buffered: {!buffered} rose by one. *)
   | Serial_window of Openmb_sim.Time.t
       (** A key's last outstanding chunk was acknowledged; its
-          serialization window opened at this time (first receipt). *)
+          serialization window, from first receipt to this ack, lasted
+          this long. *)
   | Return of Event.t  (** Return a buffered event to the source (abort). *)
   | Abort_perflow  (** Clear the source's moved marks (an aborted move). *)
   | Abort of Errors.t

@@ -7,7 +7,9 @@ type 'a t = {
      [call_at]; [Some via] reroutes execution (the cross-shard path). *)
   via : (at:Time.t -> ('a -> unit) -> 'a -> unit) option;
   faults : Faults.link option;
-  mutable free_at : Time.t;
+  (* When the pipe is next free: a one-element float array, as the
+     engine's clock is, so setting it boxes nothing. *)
+  free_at : float array;
   mutable bytes_sent : int;
   mutable messages_sent : int;
   (* Registry-wide delivery counters across every channel sharing the
@@ -31,7 +33,7 @@ let create engine ?faults ?telemetry ?via ~latency ~bytes_per_sec ~deliver () =
     deliver;
     via;
     faults;
-    free_at = Time.zero;
+    free_at = [| Time.zero |];
     bytes_sent = 0;
     messages_sent = 0;
     tel_msgs;
@@ -43,10 +45,11 @@ let create engine ?faults ?telemetry ?via ~latency ~bytes_per_sec ~deliver () =
    (which delivers a whole [Packet_batch] as one message) shares the
    same serialization clock as scalar sends on the same channel. *)
 let reserve ch ~bytes =
-  let start = Time.max (Engine.now ch.engine) ch.free_at in
+  let now = Engine.now ch.engine and free = ch.free_at.(0) in
+  let start = if now > free then now else free in
   let transfer = Time.seconds (float_of_int bytes /. ch.bytes_per_sec) in
   let done_sending = Time.(start + transfer) in
-  ch.free_at <- done_sending;
+  ch.free_at.(0) <- done_sending;
   ch.bytes_sent <- ch.bytes_sent + bytes;
   ch.messages_sent <- ch.messages_sent + 1;
   Telemetry.incr ch.tel_msgs;

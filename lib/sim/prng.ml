@@ -22,25 +22,31 @@ let split g = { state = mix (bits64 g) }
 (* The stream of [create ~seed] consumed LSB-first, so eight stream
    bytes are one [bits64] output read little-endian.  The state is a
    local [int64] the compiler keeps unboxed, where [bits64] boxes its
-   result and the stored state on every step. *)
-let xor_stream ~seed buf =
+   result and the stored state on every step.  [src] is only read, so a
+   string may stand in for it. *)
+let xor_blocks ~seed src dst n =
   let state = ref (mix (Int64.of_int seed)) in
-  let n = Bytes.length buf in
   let blocks = n / 8 in
   for b = 0 to blocks - 1 do
     state := Int64.add !state golden_gamma;
     let off = b * 8 in
-    Bytes.set_int64_le buf off (Int64.logxor (Bytes.get_int64_le buf off) (mix !state))
+    Bytes.set_int64_le dst off (Int64.logxor (Bytes.get_int64_le src off) (mix !state))
   done;
   if n land 7 <> 0 then begin
     state := Int64.add !state golden_gamma;
     let block = ref (mix !state) in
     for i = blocks * 8 to n - 1 do
-      Bytes.set buf i
-        (Char.unsafe_chr (Char.code (Bytes.get buf i) lxor (Int64.to_int !block land 0xFF)));
+      Bytes.set dst i
+        (Char.unsafe_chr (Char.code (Bytes.get src i) lxor (Int64.to_int !block land 0xFF)));
       block := Int64.shift_right_logical !block 8
     done
   end
+
+let xor_stream ~seed buf = xor_blocks ~seed buf buf (Bytes.length buf)
+
+let xor_into ~seed src dst =
+  if Bytes.length dst < String.length src then invalid_arg "Prng.xor_into: destination too short";
+  xor_blocks ~seed (Bytes.unsafe_of_string src) dst (String.length src)
 
 let int g bound =
   assert (bound > 0);

@@ -25,6 +25,12 @@ val xor_stream : seed:int -> Bytes.t -> unit
     little-endian, the last one cut to [buf]'s length.  Allocates
     nothing. *)
 
+val xor_into : seed:int -> string -> Bytes.t -> unit
+(** [xor_into ~seed src dst] writes [src] XORed with the same stream
+    into the first [String.length src] bytes of [dst]: {!xor_stream} of
+    a copy of [src], in one pass and without the copy.  Raises
+    [Invalid_argument] if [dst] is shorter than [src]. *)
+
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  [bound] must be
     positive. *)

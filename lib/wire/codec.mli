@@ -1,11 +1,11 @@
 (** Wire descriptions with two framings.
 
     A ['a t] describes once how a value travels on the wire; the JSON
-    and binary encoders and decoders and the exact binary size are all
-    derived from it.  JSON writes an object's fields by name in
-    description order, a union's tag field first; binary writes the
-    same fields in the same order without names, a union's one-byte tag
-    first.
+    and binary encoders and decoders and the exact JSON and binary
+    sizes are all derived from it.  JSON writes an object's fields by
+    name in description order, a union's tag field first; binary writes
+    the same fields in the same order without names, a union's one-byte
+    tag first.
 
     Decoders raise {!Binary.Decode_error}, and nothing else, on
     malformed input under either framing: wrong JSON shapes, unknown
@@ -55,6 +55,11 @@ val conv : ('a -> 'b) -> ('b -> 'a) -> 'b t -> 'a t
 
 val split : json:'a t -> binary:'a t -> 'a t
 (** A value whose two forms differ in shape. *)
+
+val json_size_by : ('a -> int) -> 'a t -> 'a t
+(** [json_size_by len c] is [c] whose JSON size is [len v], for a value
+    whose text [c] would render to measure; [len v] must equal
+    [json_size c v]. *)
 
 val json_null : 'a -> 'a t -> 'a t
 (** [json_null v c] is [c] except that JSON writes [v] as [null]. *)
@@ -150,6 +155,12 @@ val encode : Framing.t -> 'a t -> 'a -> string
 
 val decode : 'a t -> string -> 'a
 (** Either framing, told apart by the first byte. *)
+
+val json_size : 'a t -> 'a -> int
+(** [String.length (encode Json c v)], counted without building the
+    text or a {!Json.t}.  Allocation-free where the value holds no
+    float, no [conv] whose [encode] allocates and no [case2] payload
+    (which is paired up to be sized). *)
 
 val binary_size : 'a t -> 'a -> int
 (** [String.length (encode Binary c v)], without building the bytes. *)

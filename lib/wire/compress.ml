@@ -132,30 +132,32 @@ let default_workspace = Domain.DLS.new_key create_workspace
 
 let compress input = compress_with (Domain.DLS.get default_workspace) input
 
-let compressed_size s =
+let compress_scratch input =
   let ws = Domain.DLS.get default_workspace in
-  compress_to ws s;
-  Buffer.length ws.out
+  compress_to ws input;
+  ws.out
 
-(* Length of the text that the token groups from [pos] decode to.
+let compressed_size s = Buffer.length (compress_scratch s)
+
+(* Length of the text that the token groups in [pos, n) decode to.
    Raises on a back-reference cut off by the end of the input. *)
-let rec decoded_length input pos acc =
-  if pos >= String.length input then acc
-  else group_length input (Char.code input.[pos]) 0 (pos + 1) acc
+let rec decoded_length input n pos acc =
+  if pos >= n then acc
+  else group_length input n (Char.code input.[pos]) 0 (pos + 1) acc
 
-and group_length input flags k pos acc =
-  if k = 8 || pos >= String.length input then decoded_length input pos acc
-  else if flags land (1 lsl k) = 0 then group_length input flags (k + 1) (pos + 1) (acc + 1)
-  else if pos + 1 >= String.length input then invalid_arg "Compress.decompress: truncated input"
+and group_length input n flags k pos acc =
+  if k = 8 || pos >= n then decoded_length input n pos acc
+  else if flags land (1 lsl k) = 0 then group_length input n flags (k + 1) (pos + 1) (acc + 1)
+  else if pos + 1 >= n then invalid_arg "Compress.decompress: truncated input"
   else
-    group_length input flags (k + 1) (pos + 2)
+    group_length input n flags (k + 1) (pos + 2)
       (acc + (Char.code input.[pos + 1] land 0xF) + min_match)
 
 (* Sized first, then decoded into a string of exactly that length: one
    allocation per call. *)
-let decompress_from input ~pos =
-  let n = String.length input in
-  let out = Bytes.create (decoded_length input pos 0) in
+let decompress_sub input ~pos ~stop:n =
+  if pos < 0 || n > String.length input then invalid_arg "Compress.decompress_sub";
+  let out = Bytes.create (decoded_length input n pos 0) in
   let pos = ref pos and o = ref 0 in
   while !pos < n do
     let flags = Char.code input.[!pos] in
@@ -182,6 +184,7 @@ let decompress_from input ~pos =
   done;
   Bytes.unsafe_to_string out
 
+let decompress_from input ~pos = decompress_sub input ~pos ~stop:(String.length input)
 let decompress input = decompress_from input ~pos:0
 
 let ratio s =

@@ -38,6 +38,17 @@ val decompress_from : string -> pos:int -> string
 (** [decompress_from s ~pos] is [decompress] of the suffix of [s] from
     byte [pos], read in place. *)
 
+val decompress_sub : string -> pos:int -> stop:int -> string
+(** [decompress_sub s ~pos ~stop] is [decompress] of the bytes of [s]
+    in [\[pos, stop)], read in place.  Raises [Invalid_argument] as
+    {!decompress} does, and if [stop] is past the end of [s]. *)
+
+val compress_scratch : string -> Buffer.t
+(** [compress_scratch s] encodes [s] with the calling domain's own
+    workspace and returns the workspace's output buffer, which holds
+    {!compress}[ s] until the domain's next compression: copy out what
+    must outlive that. *)
+
 val compressed_size : string -> int
 (** [compressed_size s] is [String.length (compress s)] without
     materializing the output string. *)

@@ -31,9 +31,13 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The primitive [Printf] formats floats with, called with the same
+   formats: the same bytes, without building a format closure. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_literal f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+  else format_float "%.17g" f
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -101,7 +105,44 @@ let to_string_pretty j =
   write_pretty buf 0 j;
   Buffer.contents buf
 
-let wire_size j = String.length (to_string j)
+(* Lengths of the compact text, counted without writing it: a string's
+   escapes, an int's digits and sign.  Only a float formats its literal
+   to measure it. *)
+let char_length c =
+  match c with
+  | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' -> 2
+  | c when Char.code c < 0x20 -> 6
+  | _ -> 1
+
+let rec escaped_from s i acc =
+  if i = String.length s then acc
+  else escaped_from s (i + 1) (acc + char_length (String.unsafe_get s i))
+
+let string_length s = escaped_from s 0 2
+
+let rec digits m k = if m > -10 then k else digits (m / 10) (k + 1)
+
+(* Counted on the non-positive side, where [min_int] has a magnitude. *)
+let int_length i = if i < 0 then digits i 2 else digits (-i) 1
+let float_length f = String.length (float_literal f)
+
+let rec wire_size = function
+  | Null -> 4
+  | Bool b -> if b then 4 else 5
+  | Int i -> int_length i
+  | Float f -> float_length f
+  | String s -> string_length s
+  | List [] | Assoc [] -> 2
+  | List items -> 1 + items_size items 0
+  | Assoc fields -> 1 + fields_size fields 0
+
+(* Each item with the comma or bracket after it. *)
+and items_size l acc = match l with [] -> acc | j :: rest -> items_size rest (acc + wire_size j + 1)
+
+and fields_size l acc =
+  match l with
+  | [] -> acc
+  | (k, v) :: rest -> fields_size rest (acc + string_length k + 1 + wire_size v + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

@@ -35,7 +35,18 @@ val of_string : string -> t
     trailing garbage. *)
 
 val wire_size : t -> int
-(** Byte length of {!to_string}; used for simulated transfer costs. *)
+(** Byte length of {!to_string}, counted without writing the text:
+    allocation-free unless [t] holds a float, whose literal is
+    formatted to measure it.  Used for simulated transfer costs. *)
+
+val string_length : string -> int
+(** Byte length of a string's escaped, quoted literal. *)
+
+val int_length : int -> int
+(** Byte length of an int's literal. *)
+
+val float_length : float -> int
+(** Byte length of a float's literal (formats it). *)
 
 (** {1 Accessors}
 

@@ -989,6 +989,103 @@ let prop_damaged_from_mb =
   prop_damaged_frames "damaged reply/event frames: Decode_error or a fixed point" gen_from_mb
     Message.from_mb_of_wire (fun ~framing m -> Message.from_mb_to_wire ~framing m)
 
+(* The counted JSON size is the encoder's length on any message: the
+   generated ones above, and messages whose config values, error texts,
+   codes and event infos are wild — quotes, backslashes, control bytes
+   and UTF-8 in strings and member names, ints at both ends of the
+   range and negative, floats, nested objects. *)
+let gen_wild_text =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 6)
+         (oneofl
+            [ "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\b"; "\012"; "\000"; "\031"; "\127"; "a"; "é"; "€"; "\xf0\x9f\x98\x80" ])))
+
+let gen_wild_json =
+  QCheck2.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) (oneof [ int; int_range (-1000) (-1); oneofl [ 0; max_int; min_int ] ]);
+                 map (fun f -> Json.Float f) (oneof [ float; oneofl [ 0.0; -0.0; 1e15; -1e15; 123.0; 0.1 ] ]);
+                 map (fun s -> Json.String s) gen_wild_text;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map (fun l -> Json.List l) (list_size (int_bound 3) (self (n - 1)));
+                 map (fun l -> Json.Assoc l) (list_size (int_bound 3) (pair gen_wild_text (self (n - 1))));
+               ]))
+
+let gen_wild_to_mb =
+  QCheck2.Gen.(
+    let path = list_size (int_range 1 3) gen_wild_text in
+    let req =
+      oneof
+        [
+          map2 (fun p vs -> Message.Set_config (p, vs)) path (list_size (int_bound 3) gen_wild_json);
+          map (fun p -> Message.Get_config p) path;
+          map2 (fun codes key -> Message.Enable_events { codes; key })
+            (list_size (int_bound 3) gen_wild_text) gen_hfl;
+          map (fun codes -> Message.Disable_events { codes }) (list_size (int_bound 3) gen_wild_text);
+        ]
+    in
+    oneof
+      [
+        gen_to_mb;
+        map3 (fun op tid req -> { Message.op; tid; req }) (oneofl [ 0; max_int ]) (oneofl [ 0; 1; max_int ]) req;
+      ])
+
+let gen_wild_from_mb =
+  QCheck2.Gen.(
+    let error = map (fun s -> Errors.Op_failed s) gen_wild_text in
+    let entry =
+      map2 (fun path values -> { Config_tree.path; values })
+        (list_size (int_range 1 3) gen_wild_text)
+        (list_size (int_bound 3) gen_wild_json)
+    in
+    let reply =
+      oneof
+        [
+          map (fun es -> Message.Config_values es) (list_size (int_bound 3) entry);
+          map (fun e -> Message.Op_error e) error;
+          map3
+            (fun seq count errors -> Message.Batch_ack { seq; count; errors })
+            (oneofl [ 0; max_int ]) nat
+            (list_size (int_bound 3) (pair nat error));
+          map (fun count -> Message.End_of_state { count }) (oneofl [ 0; 9; 10; max_int ]);
+        ]
+    in
+    oneof
+      [
+        gen_from_mb;
+        map2 (fun op reply -> Message.Reply { op; reply }) (oneofl [ 0; max_int ]) reply;
+        map3
+          (fun code key info -> Message.Event_msg (Event.Introspect { code; key; info }))
+          gen_wild_text gen_hfl gen_wild_json;
+      ])
+
+let prop_json_size_requests =
+  QCheck2.Test.make ~name:"json_size is the encoded length of any request" ~count:1000
+    gen_wild_to_mb (fun m ->
+      Openmb_wire.Codec.json_size Message.to_mb m = String.length (Message.request_to_wire m))
+
+let prop_json_size_from_mb =
+  QCheck2.Test.make ~name:"json_size is the encoded length of any reply or event" ~count:1000
+    gen_wild_from_mb (fun m ->
+      Openmb_wire.Codec.json_size Message.from_mb m = String.length (Message.from_mb_to_wire m))
+
+let prop_json_wire_size =
+  QCheck2.Test.make ~name:"Json.wire_size is the length of the text" ~count:1000 gen_wild_json
+    (fun j -> Json.wire_size j = String.length (Json.to_string j))
+
 (* ------------------------------------------------------------------ *)
 (* Link faults against batch members                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1173,5 +1270,8 @@ let () =
                prop_seq_reply_roundtrip;
                prop_damaged_requests;
                prop_damaged_from_mb;
+               prop_json_size_requests;
+               prop_json_size_from_mb;
+               prop_json_wire_size;
              ] );
     ]

@@ -167,6 +167,54 @@ let prop_chunk_roundtrip =
       in
       Chunk.unseal ~mb_kind:kind c = Ok plain)
 
+(* Minor words per call of [f], after a first call that may set up
+   per-domain scratch state. *)
+let alloc_per_call f =
+  f ();
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* Words of a string of [n] bytes: its header and its padded bytes. *)
+let string_words n = (n / 8) + 2
+
+(* A seal allocates only the sealed string and the chunk record (6
+   words), an unseal only the plaintext and its [Ok] (2): the
+   compressor's output is sealed from its workspace, the ciphertext
+   decrypted into per-domain scratch, and the vendor seed hashed once
+   per kind.  Copying the compressed body first, or decrypting a copy
+   of the ciphertext, allocates the chunk once more; rebuilding the
+   seed string costs 4 words a call for this kind. *)
+let test_chunk_seal_unseal_budget () =
+  let plain = String.init 200 (fun i -> Char.chr (Char.code 'a' + (i mod 7))) in
+  let key = Hfl.of_string "nw_src=10.1.2.3/32,tp_src=1234" in
+  let seal () =
+    Chunk.seal ~mb_kind:"dummy" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow ~key ~plain
+  in
+  let check what words budget =
+    if words > float_of_int budget then
+      Alcotest.failf "%s allocates %.1f minor words, budget %d" what words budget
+  in
+  Fun.protect
+    ~finally:(fun () -> Chunk.compression_enabled := false)
+    (fun () ->
+      List.iter
+        (fun compressed ->
+          Chunk.compression_enabled := compressed;
+          let what = if compressed then "compressed" else "raw" in
+          let c = seal () in
+          Alcotest.(check bool) (what ^ " body") compressed (Chunk.size_bytes c < String.length plain);
+          check (what ^ " seal")
+            (alloc_per_call (fun () -> ignore (Sys.opaque_identity (seal ()))))
+            (string_words (Chunk.size_bytes c) + 6);
+          check (what ^ " unseal")
+            (alloc_per_call (fun () -> ignore (Sys.opaque_identity (Chunk.unseal ~mb_kind:"dummy" c))))
+            (string_words (String.length plain) + 2))
+        [ true; false ])
+
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +440,80 @@ let test_message_event_roundtrips () =
   List.iter
     (fun ev -> roundtrip_from_mb ("event roundtrip: " ^ Event.describe ev) (Message.Event_msg ev))
     (all_events ())
+
+(* The counted JSON size is the encoder's length on every message of
+   the wire pin's corpus, traced and untraced. *)
+let test_json_size_is_encoded_length () =
+  List.iter
+    (fun tid ->
+      List.iter
+        (fun req ->
+          let m = { Message.op = 11; tid; req } in
+          Alcotest.(check int) (Message.describe_request req)
+            (String.length (Message.request_to_wire m))
+            (Codec.json_size Message.to_mb m))
+        (all_requests ()))
+    [ 0; 123_456_789 ];
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "reply or event"
+        (String.length (Message.from_mb_to_wire m))
+        (Codec.json_size Message.from_mb m))
+    (List.map (fun reply -> Message.Reply { op = 3; reply }) (all_replies ())
+    @ List.map (fun ev -> Message.Event_msg ev) (all_events ()))
+
+(* Sizing each JSON message a move or a re-process event sends
+   allocates nothing: state- and packet-bearing messages are charged by
+   arithmetic, the rest counted from their descriptions.  Encoding one
+   to measure it costs 87 (an ack) to 142 words (a batch ack). *)
+let test_move_message_sizing_allocates_nothing () =
+  let key = Hfl.of_string "nw_src=10.1.2.3/32,tp_src=1234" in
+  let chunk =
+    Chunk.seal ~mb_kind:"dummy" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow ~key
+      ~plain:"state"
+  in
+  let packet = mk_packet () in
+  let check what f =
+    let words = alloc_per_call (fun () -> ignore (Sys.opaque_identity (f ()))) in
+    if words > 0.0 then Alcotest.failf "sizing %s allocates %.1f minor words" what words
+  in
+  List.iter
+    (fun tid ->
+      List.iter
+        (fun req ->
+          let m = { Message.op = 7; tid; req } in
+          check (Message.describe_request req) (fun () -> Message.request_wire_bytes m))
+        [
+          Message.Get_support_perflow key;
+          Message.Get_report_perflow key;
+          Message.Put_batch { seq = 3; chunks = [ chunk; chunk ] };
+          Message.Del_support_perflow key;
+          Message.Del_report_perflow key;
+          Message.Abort_perflow key;
+          Message.Reprocess_packet { key; packet };
+        ])
+    [ 0; 123_456_789 ];
+  List.iter
+    (fun reply ->
+      let m = Message.Reply { op = 7; reply } in
+      check (Message.describe_reply reply) (fun () -> Message.reply_wire_bytes m))
+    [
+      Message.State_chunk chunk;
+      Message.End_of_state { count = 1000 };
+      Message.Ack;
+      Message.Batch_ack { seq = 4; count = 16; errors = [] };
+      Message.Batch_ack { seq = 5; count = 16; errors = [ (3, Errors.Bad_chunk "mac") ] };
+      Message.Op_error (Errors.Timeout "op=3 putBatch");
+    ];
+  List.iter
+    (fun ev ->
+      let m = Message.Event_msg ev in
+      check (Event.describe ev) (fun () -> Message.reply_wire_bytes m))
+    [
+      Event.Reprocess { key; packet };
+      Event.Introspect
+        { code = "nat.new_mapping"; key; info = Json.Assoc [ ("ext_port", Json.Int 4242) ] };
+    ]
 
 let test_message_wire_bytes_chunked () =
   let chunk =
@@ -1093,6 +1215,26 @@ let test_buffered_peak_tracked () =
     (Controller.events_forwarded r.ctrl)
     (Openmb_apps.Dummy_mb.reprocessed r.dst)
 
+(* The buffered-events gauge falls back with the buffers: once the move
+   has completed under events, it reads 0, and its peak is the 58 the
+   same seedless run always reached.  A gauge set only when an event is
+   buffered is left at 26 here, the level before the last flush. *)
+let test_buffered_gauge_drains () =
+  let r = make_rig ~src_chunks:100 () in
+  Openmb_apps.Dummy_mb.start_events r.src ~rate_pps:5000.0;
+  let result = ref None in
+  Controller.move_internal r.ctrl ~src:"src" ~dst:"dst" ~key:Hfl.any ~on_done:(fun res ->
+      result := Some res;
+      ignore
+        (Engine.schedule_after r.engine (Time.ms 5.0) (fun () ->
+             Openmb_apps.Dummy_mb.stop_events r.src)));
+  Engine.run r.engine;
+  (match !result with Some (Ok _) -> () | _ -> Alcotest.fail "move failed");
+  let g = Telemetry.gauge (Controller.telemetry r.ctrl) "controller.evt_buffered" in
+  Alcotest.(check int) "nothing buffered, gauge at 0" 0 (Telemetry.gauge_value g);
+  Alcotest.(check int) "peak unchanged" 58 (Controller.events_buffered_peak r.ctrl);
+  Alcotest.(check int) "no transfers left" 0 (Controller.active_transfers r.ctrl)
+
 let test_duplicate_connect_rejected () =
   let engine = Engine.create () in
   let ctrl = Controller.create engine ~config:test_config () in
@@ -1345,6 +1487,7 @@ let () =
           Alcotest.test_case "opacity" `Quick test_chunk_opacity;
           Alcotest.test_case "compression" `Quick test_chunk_compression;
           Alcotest.test_case "compress and seal pinning" `Quick test_compress_seal_pinning;
+          Alcotest.test_case "seal and unseal budgets" `Quick test_chunk_seal_unseal_budget;
         ]
         @ qcheck [ prop_chunk_roundtrip ] );
       ( "event",
@@ -1359,6 +1502,10 @@ let () =
           Alcotest.test_case "reply roundtrips" `Quick test_message_reply_roundtrips;
           Alcotest.test_case "event roundtrips" `Quick test_message_event_roundtrips;
           Alcotest.test_case "chunk wire bytes" `Quick test_message_wire_bytes_chunked;
+          Alcotest.test_case "json size is the encoded length" `Quick
+            test_json_size_is_encoded_length;
+          Alcotest.test_case "move message sizing allocates nothing" `Quick
+            test_move_message_sizing_allocates_nothing;
           Alcotest.test_case "wire pinning" `Quick test_message_wire_pinning;
           Alcotest.test_case "request codec equivalence" `Quick
             test_request_codec_equivalence;
@@ -1399,6 +1546,7 @@ let () =
           Alcotest.test_case "corrupt chunk rejected" `Quick test_corrupt_chunk_rejected;
           Alcotest.test_case "move empty key range" `Quick test_move_empty_key_range;
           Alcotest.test_case "buffered peak tracked" `Quick test_buffered_peak_tracked;
+          Alcotest.test_case "buffered gauge drains" `Quick test_buffered_gauge_drains;
           Alcotest.test_case "duplicate connect" `Quick test_duplicate_connect_rejected;
           Alcotest.test_case "unfinishable config rejected" `Quick
             test_unfinishable_config_rejected;

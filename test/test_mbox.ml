@@ -1365,10 +1365,12 @@ let test_budget_nat_monitor_b1 () =
 (* A 1,000-chunk move between two dummy MBs, compressed and JSON-framed
    (the default framing), counted end to end per chunk: get, seal and
    compress, message sizing, channels, controller bookkeeping, put and
-   the deferred delete.  260 words measured.  The budget leaves less
+   the deferred delete.  140.7 words measured.  The budget leaves less
    than one key render's worth of slack: rendering a key with Printf
    once more per chunk (+161 words — a string-keyed controller table,
-   or a charge sized by [String.length (Hfl.to_string key)]) fails it. *)
+   or a charge sized by [String.length (Hfl.to_string key)]) fails it,
+   and so does decrypting a copy of each chunk to unseal it (161.4
+   words), or encoding the control replies to size them (158.9). *)
 let test_budget_move () =
   let n = 1_000 in
   let engine = Engine.create () in
@@ -1393,8 +1395,26 @@ let test_budget_move () =
   in
   Alcotest.(check int) "every chunk moved" n !moved;
   Alcotest.(check int) "source emptied" 0 (Openmb_apps.Dummy_mb.chunk_count src);
-  if words > 300.0 then
-    Alcotest.failf "a move allocates %.2f minor words/chunk, budget 300" words
+  if words > 150.0 then
+    Alcotest.failf "a move allocates %.2f minor words/chunk, budget 150" words
+
+(* One monitor flow record encoded as JSON: the tree, the text and two
+   float literals; 131 words measured.  Formatting each float through
+   [Printf] costs 52 words more. *)
+let test_budget_flow_record_encode () =
+  let r =
+    { Monitor.fr_first = 0.125; fr_last = 1.5; fr_pkts = 12; fr_bytes = 3400; fr_service = "http" }
+  in
+  let encode () = ignore (Sys.opaque_identity (Codec.encode Framing.Json Monitor.flow_record_codec r)) in
+  encode ();
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    encode ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  if words > 140.0 then
+    Alcotest.failf "a flow record encode allocates %.1f minor words, budget 140" words
 
 (* One long flow of 8-token data packets into an IDS, one packet per
    call, counted over everything (batch, engine, analysis).  A packet
@@ -1785,6 +1805,58 @@ let read_lines path =
       List.rev acc
   in
   go []
+
+(* Every state value the pinned fleet exports, its firewall rules and its
+   NAT announcements: the counted JSON size of the value read back is
+   its encoder's length, and the counted size of the exported text's
+   JSON tree is the text's length.  (A NAT mapping reads back with its
+   idle timer reset, so its text and its re-encoding differ.) *)
+let test_state_json_sizes () =
+  let impls, infos = pin_fleet () in
+  let sized what c text =
+    Alcotest.(check int) what (String.length text) (Json.wire_size (Json.of_string text));
+    let v = Codec.decode c text in
+    Alcotest.(check int) what (String.length (Codec.encode Framing.Json c v)) (Codec.json_size c v)
+  in
+  let chunks (impl : Southbound.impl) get = match get impl with Ok l -> l | Error _ -> [] in
+  let check_chunks name (impl : Southbound.impl) cls c cs =
+    List.iter
+      (fun (ch : Chunk.t) ->
+        match Chunk.unseal ~mb_kind:impl.kind ch with
+        | Ok plain -> sized (Printf.sprintf "%s %s %s" name cls (Hfl.to_string ch.key)) c plain
+        | Error e -> Alcotest.failf "%s unseal: %s" name (Errors.to_string e))
+      cs
+  in
+  let perflow (i : Southbound.impl) = chunks i (fun i -> i.get_support_perflow Hfl.any) in
+  let report (i : Southbound.impl) = chunks i (fun i -> i.get_report_perflow Hfl.any) in
+  let shared get (i : Southbound.impl) =
+    chunks i (fun i -> Result.map Option.to_list (get i))
+  in
+  let support_shared = shared (fun (i : Southbound.impl) -> i.get_support_shared ()) in
+  let report_shared = shared (fun (i : Southbound.impl) -> i.get_report_shared ()) in
+  let impl name = List.assoc name impls in
+  check_chunks "nat" (impl "nat") "support" Nat.mapping_codec (perflow (impl "nat"));
+  check_chunks "monitor" (impl "monitor") "report" Monitor.flow_record_codec (report (impl "monitor"));
+  check_chunks "monitor" (impl "monitor") "shared-report" Monitor.totals_codec
+    (report_shared (impl "monitor"));
+  check_chunks "firewall" (impl "firewall") "support" Firewall.verdict_codec
+    (perflow (impl "firewall"));
+  check_chunks "firewall" (impl "firewall") "shared-report" Firewall.counters_codec
+    (report_shared (impl "firewall"));
+  check_chunks "ids" (impl "ids") "support" Ids.conn_codec (perflow (impl "ids"));
+  check_chunks "ids" (impl "ids") "shared-support" Ids.scan_codec (support_shared (impl "ids"));
+  check_chunks "lb" (impl "lb") "support" Load_balancer.backend_codec (perflow (impl "lb"));
+  (match (impl "firewall").get_config [ "rules" ] with
+  | Ok entries ->
+    List.iter
+      (fun (e : Config_tree.entry) ->
+        List.iter (fun v -> sized "firewall rule" Firewall.rule_codec (Json.to_string v)) e.values)
+      entries
+  | Error e -> Alcotest.failf "firewall rules: %s" (Errors.to_string e));
+  List.iter
+    (fun info ->
+      Alcotest.(check int) "nat.new_mapping" (String.length (Json.to_string info)) (Json.wire_size info))
+    infos
 
 let test_state_pinning () =
   let actual = state_pin_lines () in
@@ -2209,6 +2281,7 @@ let () =
             test_budget_monitor_new_flows;
           Alcotest.test_case "nat+monitor batch size 1" `Quick test_budget_nat_monitor_b1;
           Alcotest.test_case "move 1k chunks, compressed JSON" `Quick test_budget_move;
+          Alcotest.test_case "monitor flow record encode" `Quick test_budget_flow_record_encode;
           Alcotest.test_case "ids receive, one long flow" `Quick test_budget_ids_long_flow;
           Alcotest.test_case "ids connection record decode" `Quick test_budget_ids_conn_decode;
         ] );
@@ -2232,6 +2305,7 @@ let () =
       ( "mb_state",
         [
           Alcotest.test_case "chunk bodies pinned" `Quick test_state_pinning;
+          Alcotest.test_case "state json sizes" `Quick test_state_json_sizes;
           Alcotest.test_case "malformed state rejected" `Quick test_malformed_state_rejected;
         ]
         @ qcheck gen_state_props );

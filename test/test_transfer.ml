@@ -225,8 +225,8 @@ let on_action w m (a : Transfer.action) =
     if w.feeding < 0 || w.evs.(w.feeding) <> Claimed then violate w "a buffer with no event fed";
     if w.completed <> None then violate w "an event was buffered after completion";
     w.evs.(w.feeding) <- Buffered
-  | Transfer.Serial_window started ->
-    if started > w.now then violate w "a serialization window opened in the future"
+  | Transfer.Serial_window window ->
+    if window < 0.0 then violate w "a serialization window opened in the future"
   | Transfer.Return ev ->
     let e = event_id ev in
     if w.evs.(e) <> Buffered then violate w "guarantee 2: event %d returned but not buffered" e;
