@@ -36,7 +36,14 @@
    reporting recovery time and controller retries and appending the row
    to BENCH_micro.json under the "failover-faults" label:
 
-     dune exec bench/main.exe -- failover --faults 42 *)
+     dune exec bench/main.exe -- failover --faults 42
+
+   --pair-summary PARENT.json CHANGE.json BENCHMARK.json summarizes the
+   two result sets of a bench/pairs.sh run instead: per workload and
+   end-to-end metric, each side's quartiles over the pairs, the change
+   of the medians and how many pairs the change won:
+
+     dune exec bench/main.exe -- --pair-summary parent.json change.json BENCHMARK.json *)
 
 let experiments : (string * string * (unit -> unit)) list =
   [
@@ -193,6 +200,11 @@ let () =
         strip rest
       | "--min-events-per-sec" :: _ ->
         Printf.eprintf "usage: scale --min-events-per-sec RATE\n";
+        exit 2
+      | "--pair-summary" :: parent :: change :: bench :: _ ->
+        exit (Pair_summary.run parent change bench)
+      | "--pair-summary" :: _ ->
+        Printf.eprintf "usage: --pair-summary PARENT.json CHANGE.json BENCHMARK.json\n";
         exit 2
       | "--require-labels" :: file :: labels :: _ ->
         (* A label check replaces the run: verify the result file holds

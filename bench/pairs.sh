@@ -12,7 +12,13 @@
 # one run in each tree, the parent first in even pairs and the change
 # first in odd ones, appending every run to parent.json or change.json
 # in a fresh temporary directory.  SECONDS defaults to BENCHMARK.json's
-# run_seconds.  It then runs the change tree's
+# run_seconds.  It then builds and runs the change tree's
+#
+#   bench/main.exe --pair-summary parent.json change.json BENCHMARK.json
+#
+# which prints, per workload and end-to-end metric, each side's
+# p25/p50/p75 over the pairs, the change of the medians in percent and
+# how many of the pairs the change won, and last the change tree's
 #
 #   benchmark/main.exe compare parent.json change.json
 #
@@ -59,5 +65,8 @@ for w in $workloads; do
   done
   echo "pairs: $w done"
 done
+(cd "$change" && dune build --root . --cache=disabled --display=quiet ./bench/main.exe)
+"$change/_build/default/bench/main.exe" --pair-summary "$out/parent.json" "$out/change.json" "$bench"
+echo
 exec "$change/_build/default/benchmark/main.exe" compare "$out/parent.json" "$out/change.json" \
   --bench "$bench"
