@@ -67,29 +67,24 @@ let get_put_times kind ~chunks =
   Mb_agent.handle_request agent_a
     { Message.op = 1; tid = 0; req = Message.Get_report_perflow Hfl.any };
   Engine.run engine;
-  (* Puts: issue every chunk back-to-back and time until the last
-     acknowledgement. *)
+  (* Puts: issue every chunk back-to-back, each a batch of one, and
+     time until the last acknowledgement. *)
   let acks = ref 0 in
   let put_end = ref Time.zero in
   let n_puts = List.length !chunks_out in
   Mb_agent.set_uplinks agent_b
     ~send_reply:(fun msg ->
       match msg with
-      | Message.Reply { reply = Message.Ack; _ } ->
+      | Message.Reply { reply = Message.Batch_ack _; _ } ->
         incr acks;
         if !acks = n_puts then put_end := Engine.now engine
       | Message.Reply _ | Message.Event_msg _ -> ())
     ~send_event:(fun _ -> ());
   let put_start = Engine.now engine in
   List.iteri
-    (fun i (c : Chunk.t) ->
-      let req =
-        match c.role with
-        | Taxonomy.Supporting -> Message.Put_support_perflow { seq = i; chunk = c }
-        | Taxonomy.Reporting | Taxonomy.Configuring ->
-          Message.Put_report_perflow { seq = i; chunk = c }
-      in
-      Mb_agent.handle_request agent_b { Message.op = i; tid = 0; req })
+    (fun i c ->
+      Mb_agent.handle_request agent_b
+        { Message.op = i; tid = 0; req = Message.Put_batch { seq = i; chunks = [ c ] } })
     !chunks_out;
   Engine.run engine;
   ( Time.to_seconds Time.(!get_end - !get_start) *. 1e3,

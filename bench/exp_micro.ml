@@ -122,7 +122,7 @@ let json_codec () =
   ( "json.parse (protocol message)",
     loop (fun () -> ignore (Openmb_wire.Json.of_string text)) )
 
-let put_chunk_msg () =
+let put_batch_msg () =
   let chunk =
     Openmb_core.Chunk.seal ~mb_kind:"bro" ~role:Openmb_core.Taxonomy.Supporting
       ~partition:Openmb_core.Taxonomy.Per_flow
@@ -132,18 +132,18 @@ let put_chunk_msg () =
   {
     Openmb_core.Message.op = 42;
     tid = 0;
-    req = Openmb_core.Message.Put_support_perflow { seq = 42; chunk };
+    req = Openmb_core.Message.Put_batch { seq = 42; chunks = [ chunk ] };
   }
 
 let message_encode_json () =
-  let msg = put_chunk_msg () in
-  ( "message.encode (put chunk, json)",
+  let msg = put_batch_msg () in
+  ( "message.encode (putBatch of 1, json)",
     loop (fun () ->
         ignore (Openmb_core.Message.request_to_wire ~framing:Openmb_wire.Framing.Json msg)) )
 
 let message_encode_binary () =
-  let msg = put_chunk_msg () in
-  ( "message.encode (put chunk, binary)",
+  let msg = put_batch_msg () in
+  ( "message.encode (putBatch of 1, binary)",
     loop (fun () ->
         ignore (Openmb_core.Message.request_to_wire ~framing:Openmb_wire.Framing.Binary msg))
   )

@@ -42,8 +42,8 @@ type t = {
      duplicates of an in-flight op are dropped (the running execution
      will answer), and accumulates the op's replies so duplicated
      deliveries of a completed op replay instead of re-executing.
-     [applied_seq] maps mutation sequence numbers to their final reply
-     so retried puts are idempotent even across op ids. *)
+     [applied_seq] maps put sequence numbers to their batch ack so
+     retried puts are idempotent even across op ids. *)
   ops : Message.reply list Openmb_net.Flat_table.t;
   applied_seq : Message.reply Openmb_net.Flat_table.t;
 }
@@ -309,17 +309,6 @@ let handle_get_shared t op ~what (fetch : unit -> (Chunk.t option, Errors.t) res
             record t ~kind:"get-end" ~detail:(fun () -> what ^ " count=1");
             reply t op (Message.End_of_state { count = 1 })))
 
-let handle_put t op ~what ~seq chunk (store : Chunk.t -> (unit, Errors.t) result) =
-  let cost = chunk_deserialize_cost t.impl.cost chunk in
-  Telemetry.observe t.h_apply (Time.to_seconds cost);
-  exec t cost (fun () ->
-      record t ~kind:"put" ~detail:(fun () -> what);
-      let r =
-        match store chunk with Ok () -> Message.Ack | Error e -> Message.Op_error e
-      in
-      ft_replace t.applied_seq seq r;
-      reply t op r)
-
 let handle_del t op (remove : unit -> (int, Errors.t) result) =
   exec t (scan_cost t) (fun () ->
       match remove () with
@@ -329,12 +318,7 @@ let handle_del t op (remove : unit -> (int, Errors.t) result) =
       | Error e -> reply t op (Message.Op_error e))
 
 let seq_of_request = function
-  | Message.Put_support_perflow { seq; _ }
-  | Message.Put_support_shared { seq; _ }
-  | Message.Put_report_perflow { seq; _ }
-  | Message.Put_report_shared { seq; _ }
-  | Message.Put_batch { seq; _ } ->
-    Some seq
+  | Message.Put_batch { seq; _ } -> Some seq
   | Message.Get_config _ | Message.Set_config _ | Message.Del_config _
   | Message.Get_support_perflow _ | Message.Del_support_perflow _
   | Message.Get_support_shared | Message.Get_report_perflow _
@@ -359,26 +343,18 @@ let execute t op req =
     handle_get t op
       ~what:(fun () -> "support " ^ Openmb_net.Hfl.to_string hfl)
       (fun () -> i.get_support_perflow hfl)
-  | Message.Put_support_perflow { seq; chunk } ->
-    handle_put t op ~what:"support" ~seq chunk i.put_support_perflow
   | Message.Del_support_perflow hfl ->
     handle_del t op (fun () -> i.del_support_perflow hfl)
   | Message.Get_support_shared ->
     handle_get_shared t op ~what:"support-shared" i.get_support_shared
-  | Message.Put_support_shared { seq; chunk } ->
-    handle_put t op ~what:"support-shared" ~seq chunk i.put_support_shared
   | Message.Get_report_perflow hfl ->
     handle_get t op
       ~what:(fun () -> "report " ^ Openmb_net.Hfl.to_string hfl)
       (fun () -> i.get_report_perflow hfl)
-  | Message.Put_report_perflow { seq; chunk } ->
-    handle_put t op ~what:"report" ~seq chunk i.put_report_perflow
   | Message.Del_report_perflow hfl ->
     handle_del t op (fun () -> i.del_report_perflow hfl)
   | Message.Get_report_shared ->
     handle_get_shared t op ~what:"report-shared" i.get_report_shared
-  | Message.Put_report_shared { seq; chunk } ->
-    handle_put t op ~what:"report-shared" ~seq chunk i.put_report_shared
   | Message.Get_stats hfl ->
     exec t config_op_cost (fun () -> reply t op (Message.Stats_reply (i.stats hfl)))
   | Message.Enable_events { codes; key } ->
@@ -388,10 +364,9 @@ let execute t op req =
     Event.Filter.disable t.filter ~codes;
     reply t op Message.Ack
   | Message.Put_batch { seq; chunks } ->
-    (* Deserialization cost is the sum over the batch — the work is the
-       same as N individual puts — but the control-thread round trip,
-       the reply and the controller-side ack processing are paid
-       once. *)
+    (* Deserialization cost is the sum over the batch — one per-role
+       put per chunk — but the control-thread round trip, the reply and
+       the controller-side ack processing are paid once. *)
     let cost = batch_cost t chunks in
     exec t cost (fun () ->
         let count = List.length chunks in

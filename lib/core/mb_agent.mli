@@ -55,9 +55,9 @@ val handle_request : t -> Message.to_mb -> unit
 (** Entry point for requests arriving from the controller.  Requests
     are executed at most once: duplicated deliveries of a completed op
     replay its recorded replies, duplicates of a running op are
-    dropped, and sequence-numbered mutations ([Put_*], [Put_batch])
-    replay their original outcome even when retried under a fresh op
-    id.  While {!crash}ed, requests are silently dropped. *)
+    dropped, and a sequence-numbered put ([Put_batch]) replays its
+    original outcome even when retried under a fresh op id.  While
+    {!crash}ed, requests are silently dropped. *)
 
 (** {1 Crash model}
 

@@ -8,15 +8,11 @@ type request =
   | Set_config of Config_tree.path * Json.t list
   | Del_config of Config_tree.path
   | Get_support_perflow of Hfl.t
-  | Put_support_perflow of { seq : int; chunk : Chunk.t }
   | Del_support_perflow of Hfl.t
   | Get_support_shared
-  | Put_support_shared of { seq : int; chunk : Chunk.t }
   | Get_report_perflow of Hfl.t
-  | Put_report_perflow of { seq : int; chunk : Chunk.t }
   | Del_report_perflow of Hfl.t
   | Get_report_shared
-  | Put_report_shared of { seq : int; chunk : Chunk.t }
   | Get_stats of Hfl.t
   | Enable_events of { codes : string list; key : Hfl.t }
   | Disable_events of { codes : string list }
@@ -177,31 +173,28 @@ let packet =
     |> field "app" app (fun p -> p.Packet.app)
     |> field "body" body (fun p -> p.Packet.body))
 
+(* Binary tags 4, 7, 9 and 12 stay unused: they were the single-chunk
+   puts', and renumbering would move every later request's bytes. *)
 let request_cases =
   let open Codec in
   let key c = obj1 "key" c in
-  let put = obj2 "seq" uvarint "chunk" chunk in
   union "type"
     (fun
       Select.
         [
-          get_config; set_config; del_config; get_sp; put_sp; del_sp; get_ss; put_ss; get_rp;
-          put_rp; del_rp; get_rs; put_rs; get_stats; enable; disable; reprocess; put_batch; abort;
+          get_config; set_config; del_config; get_sp; del_sp; get_ss; get_rp; del_rp; get_rs;
+          get_stats; enable; disable; reprocess; put_batch; abort;
         ]
     -> Dispatch (function
     | Get_config p -> get_config p
     | Set_config (p, vs) -> set_config p vs
     | Del_config p -> del_config p
     | Get_support_perflow h -> get_sp h
-    | Put_support_perflow { seq; chunk } -> put_sp seq chunk
     | Del_support_perflow h -> del_sp h
     | Get_support_shared -> get_ss ()
-    | Put_support_shared { seq; chunk } -> put_ss seq chunk
     | Get_report_perflow h -> get_rp h
-    | Put_report_perflow { seq; chunk } -> put_rp seq chunk
     | Del_report_perflow h -> del_rp h
     | Get_report_shared -> get_rs ()
-    | Put_report_shared { seq; chunk } -> put_rs seq chunk
     | Get_stats h -> get_stats h
     | Enable_events { codes; key } -> enable codes key
     | Disable_events { codes } -> disable codes
@@ -212,15 +205,11 @@ let request_cases =
   |> case2 1 "setConfig" (obj2 "key" path "values" (list json)) (fun p vs -> Set_config (p, vs))
   |> case 2 "delConfig" (key path) (fun p -> Del_config p)
   |> case 3 "getSupportPerflow" (key hfl) (fun h -> Get_support_perflow h)
-  |> case2 4 "putSupportPerflow" put (fun seq chunk -> Put_support_perflow { seq; chunk })
   |> case 5 "delSupportPerflow" (key hfl) (fun h -> Del_support_perflow h)
   |> case 6 "getSupportShared" (record ()) (fun () -> Get_support_shared)
-  |> case2 7 "putSupportShared" put (fun seq chunk -> Put_support_shared { seq; chunk })
   |> case 8 "getReportPerflow" (key hfl) (fun h -> Get_report_perflow h)
-  |> case2 9 "putReportPerflow" put (fun seq chunk -> Put_report_perflow { seq; chunk })
   |> case 10 "delReportPerflow" (key hfl) (fun h -> Del_report_perflow h)
   |> case 11 "getReportShared" (record ()) (fun () -> Get_report_shared)
-  |> case2 12 "putReportShared" put (fun seq chunk -> Put_report_shared { seq; chunk })
   |> case 13 "getStats" (key hfl) (fun h -> Get_stats h)
   |> case2 14 "enableEvents" (obj2 "codes" (list string) "key" hfl) (fun codes key ->
          Enable_events { codes; key })
@@ -395,15 +384,9 @@ let request_wire_bytes ?(framing = Framing.Json) m =
   | Framing.Binary -> frame_prefix + Codec.binary_size to_mb m
   | Framing.Json -> (
     match m.req with
-    | Put_support_perflow { chunk = c; _ }
-    | Put_support_shared { chunk = c; _ }
-    | Put_report_perflow { chunk = c; _ }
-    | Put_report_shared { chunk = c; _ } ->
-      chunk_charge c
     | Put_batch { chunks; _ } ->
-      (* One message envelope plus, per chunk, the chunk object's own
-         punctuation — sized like a single put so batching N chunks
-         saves exactly N-1 envelopes on the simulated channel. *)
+      (* One message envelope plus each chunk's charge, the one its
+         [stateChunk] reply paid on the way out. *)
       List.fold_left (fun acc c -> acc + chunk_charge c) json_overhead chunks
     | Reprocess_packet { key; packet } ->
       json_overhead + Packet.wire_bytes packet + Hfl.text_length key
@@ -448,11 +431,6 @@ let describe_request req =
     | Get_support_perflow h | Del_support_perflow h | Get_report_perflow h
     | Del_report_perflow h | Get_stats h | Abort_perflow h ->
       Hfl.to_string h
-    | Put_support_perflow { chunk = c; _ }
-    | Put_support_shared { chunk = c; _ }
-    | Put_report_perflow { chunk = c; _ }
-    | Put_report_shared { chunk = c; _ } ->
-      Chunk.describe c
     | Get_support_shared | Get_report_shared -> ""
     | Enable_events { codes; _ } | Disable_events { codes } -> String.concat "," codes
     | Reprocess_packet { packet; _ } -> Packet.flow_label packet

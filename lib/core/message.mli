@@ -12,7 +12,7 @@
     Transfer costs on the simulated channels come from
     {!request_wire_bytes}/{!reply_wire_bytes}.  Binary sizes are exact.
     JSON sizes are exact except for state- and packet-bearing messages
-    (puts, [putBatch], [stateChunk], re-process messages and events),
+    ([putBatch], [stateChunk], re-process messages and events),
     which are charged the prototype's calibrated estimate: a 48-byte
     envelope plus the opaque body and its key, and 32 bytes more for
     an event.  That estimate is the cost model behind Figs 8 and 10;
@@ -26,15 +26,11 @@ type request =
   | Set_config of Config_tree.path * Openmb_wire.Json.t list
   | Del_config of Config_tree.path
   | Get_support_perflow of Openmb_net.Hfl.t
-  | Put_support_perflow of { seq : int; chunk : Chunk.t }
   | Del_support_perflow of Openmb_net.Hfl.t
   | Get_support_shared
-  | Put_support_shared of { seq : int; chunk : Chunk.t }
   | Get_report_perflow of Openmb_net.Hfl.t
-  | Put_report_perflow of { seq : int; chunk : Chunk.t }
   | Del_report_perflow of Openmb_net.Hfl.t
   | Get_report_shared
-  | Put_report_shared of { seq : int; chunk : Chunk.t }
   | Get_stats of Openmb_net.Hfl.t
   | Enable_events of { codes : string list; key : Openmb_net.Hfl.t }
   | Disable_events of { codes : string list }
@@ -42,22 +38,24 @@ type request =
       (** Controller forwarding a re-process event to the destination
           MB. *)
   | Put_batch of { seq : int; chunks : Chunk.t list }
-      (** Several state chunks installed with one message and one
-          coalesced {!Batch_ack}: the controller's transfer pipeline
-          batches streamed chunks instead of paying one put/ack round
-          trip each.  Chunks self-describe their role and partition, so
-          a batch may mix supporting and reporting state. *)
+      (** State chunks installed with one message and one coalesced
+          {!Batch_ack}, and the protocol's only put: the controller's
+          transfer pipeline batches streamed chunks instead of paying
+          one put/ack round trip each, and a single chunk travels as a
+          batch of one.  Chunks self-describe their role and partition,
+          so a batch may mix supporting and reporting state; the agent
+          installs each through the per-role put they select
+          ({!Southbound.put_chunk}). *)
   | Abort_perflow of Openmb_net.Hfl.t
       (** Roll back an in-progress per-flow export: un-mark the
           exported-but-not-deleted entries matching the key so a later
           transfer can export them again.  Sent by the controller when
           a transactional move aborts. *)
 
-(** Mutating requests that may be retried ([Put_*], {!Put_batch})
-    carry a connection-scoped sequence number [seq]; the agent applies
-    each sequence number at most once and replays the original reply
-    for duplicates, making retries and duplicated deliveries
-    idempotent. *)
+(** {!Put_batch} carries a connection-scoped sequence number [seq];
+    the agent applies each sequence number at most once and replays the
+    original reply for duplicates, making retries and duplicated
+    deliveries of a put idempotent. *)
 
 type reply =
   | State_chunk of Chunk.t  (** One streamed piece of state during a get. *)

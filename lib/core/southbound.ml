@@ -69,8 +69,9 @@ let put_chunk impl (chunk : Chunk.t) =
   | Taxonomy.Reporting, Taxonomy.Per_flow -> impl.put_report_perflow chunk
   | Taxonomy.Reporting, Taxonomy.Shared -> impl.put_report_shared chunk
   | Taxonomy.Configuring, (Taxonomy.Per_flow | Taxonomy.Shared) ->
-    (* Configuration state never travels as chunks; mirror the
-       controller's single-put mapping. *)
+    (* Configuration state never travels as chunks: a chunk that
+       claims it is handed to the shared supporting put, the one that
+       installs whole-MB state. *)
     impl.put_support_shared chunk
 
 let default_cost =

@@ -110,8 +110,8 @@ val check_granularity : impl -> Openmb_net.Hfl.t -> (unit, Errors.t) result
 
 val put_chunk : impl -> Chunk.t -> (unit, Errors.t) result
 (** Apply one chunk via the put operation selected by its role and
-    partition — the dispatch used when a [putBatch] installs a mixed
-    batch in one shot. *)
+    partition — how a [putBatch], the protocol's only put, reaches the
+    four per-role puts above. *)
 
 val default_cost : cost_model
 (** Neutral cost model for tests: 100 µs per packet, 2% op slowdown,

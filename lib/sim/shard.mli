@@ -7,7 +7,7 @@
     registry — is touched only by the domain currently running that
     shard, so shard-local work needs no synchronisation at all.
 
-    Cross-shard traffic goes through {!post}/{!post2}: the message is
+    Cross-shard traffic goes through {!post}: the message is
     appended to the source shard's outbox for the destination and is
     exchanged at the next {e epoch barrier}, where the coordinator
     merges every destination's incoming messages in deterministic

@@ -665,10 +665,6 @@ let gen_seq_request =
     let* seq = int_range 0 0xFFFFFF in
     oneof
       [
-        (let* chunk = gen_chunk in
-         return (Message.Put_support_perflow { seq; chunk }));
-        (let* chunk = gen_chunk in
-         return (Message.Put_report_perflow { seq; chunk }));
         (let* chunks = list_size (int_range 0 6) gen_chunk in
          return (Message.Put_batch { seq; chunks }));
         (let* idx = int_range 0 400 in
@@ -833,15 +829,11 @@ let gen_request =
         map2 (fun p vs -> Message.Set_config (p, vs)) path (list_size (int_bound 3) gen_json);
         map (fun p -> Message.Del_config p) path;
         map (fun h -> Message.Get_support_perflow h) gen_hfl;
-        map2 (fun seq chunk -> Message.Put_support_perflow { seq; chunk }) seq gen_chunk;
         map (fun h -> Message.Del_support_perflow h) gen_hfl;
         return Message.Get_support_shared;
-        map2 (fun seq chunk -> Message.Put_support_shared { seq; chunk }) seq gen_chunk;
         map (fun h -> Message.Get_report_perflow h) gen_hfl;
-        map2 (fun seq chunk -> Message.Put_report_perflow { seq; chunk }) seq gen_chunk;
         map (fun h -> Message.Del_report_perflow h) gen_hfl;
         return Message.Get_report_shared;
-        map2 (fun seq chunk -> Message.Put_report_shared { seq; chunk }) seq gen_chunk;
         map (fun h -> Message.Get_stats h) gen_hfl;
         map2 (fun codes key -> Message.Enable_events { codes; key }) (list_size (int_bound 3) gen_text) gen_hfl;
         map (fun codes -> Message.Disable_events { codes }) (list_size (int_bound 3) gen_text);
@@ -920,7 +912,7 @@ let gen_from_mb =
    the one its JSON frame carries. *)
 let test_generators_reach_every_constructor () =
   let rand = Random.State.make [| 0x5EED |] in
-  let requests = Hashtbl.create 19 and from_mb = Hashtbl.create 9 in
+  let requests = Hashtbl.create 15 and from_mb = Hashtbl.create 9 in
   for _ = 1 to 2000 do
     let m = QCheck2.Gen.generate1 ~rand gen_to_mb in
     let name = Message.request_name m.req in
@@ -934,7 +926,7 @@ let test_generators_reach_every_constructor () =
       | Message.Event_msg ev -> first_word (Event.describe ev))
       ()
   done;
-  Alcotest.(check int) "all 19 requests" 19 (Hashtbl.length requests);
+  Alcotest.(check int) "all 15 requests" 15 (Hashtbl.length requests);
   Alcotest.(check int) "all 7 replies and 2 events" 9 (Hashtbl.length from_mb)
 
 (* A frame damaged in transit — truncated, bit-flipped, or replaced by

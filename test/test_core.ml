@@ -304,33 +304,37 @@ let all_requests () =
     Message.Get_support_perflow key;
     Message.Get_support_perflow
       (Hfl.of_string "nw_dst=1.1.1.0/24,tp_src=99,proto=udp,nw_src=0.0.0.0/0");
-    Message.Put_support_perflow { seq = 0; chunk = chunk "bro" };
-    Message.Put_support_perflow
+    Message.Put_batch { seq = 0; chunks = [ chunk "bro" ] };
+    Message.Put_batch
       {
         seq = 9;
-        chunk =
-          Chunk.seal ~mb_kind:"bro" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
-            ~key ~plain:"some\nbinary\x01payload";
+        chunks =
+          [
+            Chunk.seal ~mb_kind:"bro" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
+              ~key ~plain:"some\nbinary\x01payload";
+          ];
       };
     Message.Del_support_perflow key;
     Message.Get_support_shared;
-    Message.Put_support_shared { seq = 123456; chunk = chunk "re-encoder" };
-    Message.Put_support_shared
+    Message.Put_batch { seq = 123456; chunks = [ chunk "re-encoder" ] };
+    Message.Put_batch
       {
         seq = 10;
-        chunk =
-          Chunk.seal ~mb_kind:"re-decoder" ~role:Taxonomy.Configuring
-            ~partition:Taxonomy.Shared ~key:Hfl.any ~plain:"cache";
+        chunks =
+          [
+            Chunk.seal ~mb_kind:"re-decoder" ~role:Taxonomy.Configuring
+              ~partition:Taxonomy.Shared ~key:Hfl.any ~plain:"cache";
+          ];
       };
     Message.Put_batch { seq = 7; chunks = [ chunk "bro"; chunk "bro"; chunk "bro" ] };
     Message.Put_batch { seq = 8; chunks = [] };
     Message.Abort_perflow key;
     Message.Abort_perflow Hfl.any;
     Message.Get_report_perflow key;
-    Message.Put_report_perflow { seq = 1; chunk = chunk "prads" };
+    Message.Put_batch { seq = 1; chunks = [ chunk "prads" ] };
     Message.Del_report_perflow Hfl.any;
     Message.Get_report_shared;
-    Message.Put_report_shared { seq = 2; chunk = chunk "prads" };
+    Message.Put_batch { seq = 2; chunks = [ chunk "prads" ] };
     Message.Get_stats key;
     Message.Enable_events { codes = [ "nat.new"; "lb.assign" ]; key };
     Message.Disable_events { codes = [] };
@@ -515,12 +519,35 @@ let test_move_message_sizing_allocates_nothing () =
         { code = "nat.new_mapping"; key; info = Json.Assoc [ ("ext_port", Json.Int 4242) ] };
     ]
 
+(* The wire pin covers every kind of message: dropping the corpus's
+   last entry of a kind fails here, not silently in the golden.  Replies
+   and events are named by their describe label's first word, as the
+   chaos generators' coverage check names them. *)
+let test_corpus_names_every_kind () =
+  let names name xs = List.sort_uniq compare (List.map name xs) in
+  let first_word s = List.hd (String.split_on_char ' ' s) in
+  Alcotest.(check (list string)) "every request"
+    (List.sort compare
+       [
+         "getConfig"; "setConfig"; "delConfig"; "getSupportPerflow"; "delSupportPerflow";
+         "getSupportShared"; "getReportPerflow"; "delReportPerflow"; "getReportShared";
+         "getStats"; "enableEvents"; "disableEvents"; "reprocessPacket"; "putBatch";
+         "abortPerflow";
+       ])
+    (names Message.request_name (all_requests ()));
+  Alcotest.(check (list string)) "every reply"
+    (List.sort compare
+       [ "stateChunk"; "endOfState"; "ack"; "configValues"; "stats"; "error"; "batchAck" ])
+    (names (fun r -> first_word (Message.describe_reply r)) (all_replies ()));
+  Alcotest.(check (list string)) "every event" [ "introspect"; "reprocess" ]
+    (names (fun ev -> first_word (Event.describe ev)) (all_events ()))
+
 let test_message_wire_bytes_chunked () =
   let chunk =
     Chunk.seal ~mb_kind:"bro" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow
       ~key:Hfl.any ~plain:(String.make 1000 'x')
   in
-  let msg = { Message.op = 0; tid = 0; req = Message.Put_support_perflow { seq = 0; chunk } } in
+  let msg = { Message.op = 0; tid = 0; req = Message.Put_batch { seq = 0; chunks = [ chunk ] } } in
   Alcotest.(check bool) "wire size covers chunk body" true
     (Message.request_wire_bytes msg >= 1000)
 
@@ -731,7 +758,13 @@ let test_binary_decode_rejects_garbage () =
       { Message.op = 1; tid = 0; req = Message.Get_support_shared }
   in
   fails (String.sub bin 0 (String.length bin - 1));
-  fails (bin ^ "\x00")
+  fails (bin ^ "\x00");
+  (* The retired single-chunk puts' tags and names are errors, never
+     another message. *)
+  List.iter (fun tag -> fails (Printf.sprintf "\x42\x01\x00%c" (Char.chr tag))) [ 4; 7; 9; 12 ];
+  List.iter
+    (fun name -> fails (Printf.sprintf {|{"op":1,"type":"%s","seq":0}|} name))
+    [ "putSupportPerflow"; "putSupportShared"; "putReportPerflow"; "putReportShared" ]
 
 (* Malformed frames that escaped as other exceptions before both
    framings shared one decoder: a count taken off the wire as an
@@ -1235,6 +1268,57 @@ let test_buffered_gauge_drains () =
   Alcotest.(check int) "peak unchanged" 58 (Controller.events_buffered_peak r.ctrl);
   Alcotest.(check int) "no transfers left" 0 (Controller.active_transfers r.ctrl)
 
+(* The agent applies a put's sequence number at most once: a one-chunk
+   batch delivered twice under its op id, then once more under a fresh
+   op id (a controller's retry), installs the chunk once, and every
+   delivery is answered with the batch ack recorded the first time. *)
+let test_agent_put_at_most_once () =
+  let engine = Engine.create () in
+  let tel = Telemetry.create () in
+  let src = Openmb_apps.Dummy_mb.create engine ~name:"src" () in
+  Openmb_apps.Dummy_mb.populate src ~n:1;
+  let chunk =
+    match (Openmb_apps.Dummy_mb.impl src).Southbound.get_support_perflow Hfl.any with
+    | Ok [ c ] -> c
+    | _ -> Alcotest.fail "expected one chunk"
+  in
+  let dst = Openmb_apps.Dummy_mb.create engine ~name:"dst" () in
+  let impl = Openmb_apps.Dummy_mb.impl dst in
+  let applied = ref 0 in
+  let counting c =
+    incr applied;
+    impl.Southbound.put_support_perflow c
+  in
+  let agent =
+    Mb_agent.create engine ~telemetry:tel
+      ~impl:{ impl with Southbound.put_support_perflow = counting } ()
+  in
+  let replies = ref [] in
+  Mb_agent.set_uplinks agent
+    ~send_reply:(function
+      | Message.Reply { op; reply } -> replies := (op, reply) :: !replies
+      | Message.Event_msg _ -> ())
+    ~send_event:ignore;
+  let deliver op =
+    Mb_agent.handle_request agent
+      { Message.op; tid = 0; req = Message.Put_batch { seq = 5; chunks = [ chunk ] } };
+    Engine.run engine
+  in
+  deliver 1;
+  let table = Openmb_apps.Dummy_mb.support_entries dst in
+  Alcotest.(check int) "first delivery installs the chunk" 1 (List.length table);
+  deliver 1;
+  deliver 2;
+  Alcotest.(check int) "applied once" 1 !applied;
+  let ack = Message.Batch_ack { seq = 5; count = 1; errors = [] } in
+  Alcotest.(check (list (pair int string))) "every delivery answered with the recorded ack"
+    (List.map (fun op -> (op, Message.describe_reply ack)) [ 1; 1; 2 ])
+    (List.rev_map (fun (op, r) -> (op, Message.describe_reply r)) !replies);
+  Alcotest.(check (list (pair string string))) "table unchanged after the first delivery"
+    table (Openmb_apps.Dummy_mb.support_entries dst);
+  Alcotest.(check int) "mb.dedup_hits" 2
+    (Telemetry.counter_value (Telemetry.counter tel "mb.dedup_hits"))
+
 let test_duplicate_connect_rejected () =
   let engine = Engine.create () in
   let ctrl = Controller.create engine ~config:test_config () in
@@ -1507,6 +1591,7 @@ let () =
           Alcotest.test_case "move message sizing allocates nothing" `Quick
             test_move_message_sizing_allocates_nothing;
           Alcotest.test_case "wire pinning" `Quick test_message_wire_pinning;
+          Alcotest.test_case "wire corpus names every kind" `Quick test_corpus_names_every_kind;
           Alcotest.test_case "request codec equivalence" `Quick
             test_request_codec_equivalence;
           Alcotest.test_case "reply codec equivalence" `Quick test_reply_codec_equivalence;
@@ -1517,6 +1602,8 @@ let () =
           Alcotest.test_case "binary request decode allocation" `Quick
             test_binary_request_decode_allocation;
         ] );
+      ( "agent",
+        [ Alcotest.test_case "put applied at most once" `Quick test_agent_put_at_most_once ] );
       ( "controller",
         [
           Alcotest.test_case "move all" `Quick test_move_internal_basic;

@@ -51,13 +51,13 @@ let soak_flows = env_int "SOAK_FLOWS" 48
 let settle = Time.seconds 600.0
 let est_horizon = Time.seconds (float_of_int soak_rounds *. 800.0)
 
-(* Op-layer patience: idempotent ops (puts, deletes, aborts) must
-   survive the longest clamped outage (120 s) on retries alone, while
-   non-retryable gets still fail fast and roll the move back to the
-   replica layer.  The base timeout must clear the clamped jitter tail
-   (pareto draws reach 20 s) with room to spare: a 2 s timeout turns
-   every get into a coin flip against the jitter distribution and a
-   move into dozens of backoff-capped re-runs. *)
+(* Op-layer patience: every op (gets, puts, deletes, aborts) is
+   retried and must survive the longest clamped outage (120 s) on
+   retries alone; an op that runs out of them fails its move, which
+   rolls back to the replica layer.  The base timeout must clear the
+   clamped jitter tail (pareto draws reach 20 s) with room to spare: a
+   2 s timeout turns every get into a coin flip against the jitter
+   distribution and a move into dozens of backoff-capped re-runs. *)
 let soak_ctrl_config =
   {
     Controller.default_config with
