@@ -215,7 +215,7 @@ let snapshot () =
 
 let splitmerge () =
   Util.banner "Section 8.1.2: Split/Merge halt-and-buffer move";
-  let r = Baseline_splitmerge.run ~n_chunks:1000 ~rate_pps:1000.0 () in
+  let r = Baseline_splitmerge.run ~n_chunks:1000 ~rate_pps:1000.0 in
   Util.row "  halt duration          : %.0f ms\n" (r.Baseline_splitmerge.move_duration *. 1e3);
   Util.row "  packets buffered       : %d\n" r.Baseline_splitmerge.buffered_packets;
   Util.row "  avg added latency      : %.0f ms\n"
@@ -363,7 +363,7 @@ let table2 () =
       ~trace_params:{ Openmb_traffic.University_dc.default_params with n_flows = 500 }
       ~reroute_at:60.0 ()
   in
-  let sm = Baseline_splitmerge.run ~n_chunks:1000 ~rate_pps:1000.0 () in
+  let sm = Baseline_splitmerge.run ~n_chunks:1000 ~rate_pps:1000.0 in
   Util.row "  %-26s %-10s %-12s %-10s\n" "" "Scale up" "Scale down" "Migration";
   Util.row "  %-26s %-10s %-12s %-10s\n" "SDMBN (OpenMB)"
     (if sdmbn_ok then "yes" else "issues")

@@ -7,8 +7,12 @@ type report = {
   max_added_latency : float;
 }
 
-let run ~n_chunks ~rate_pps ?(per_chunk_move = Time.us 244.0)
-    ?(per_packet = Time.us 800.0) () =
+(* Split/Merge moves a chunk by direct reference in 0.244 ms, and the
+   destination, an IDS, serves a packet in 0.8 ms. *)
+let per_chunk_move = Time.us 244.0
+let per_packet = Time.us 800.0
+
+let run ~n_chunks ~rate_pps =
   let engine = Engine.create () in
   let halt_duration = Time.to_seconds per_chunk_move *. float_of_int n_chunks in
   let service = Time.to_seconds per_packet in

@@ -17,17 +17,9 @@ type report = {
   max_added_latency : float;
 }
 
-val run :
-  n_chunks:int ->
-  rate_pps:float ->
-  ?per_chunk_move:Openmb_sim.Time.t ->
-  ?per_packet:Openmb_sim.Time.t ->
-  unit ->
-  report
+val run : n_chunks:int -> rate_pps:float -> report
 (** Simulate a Split/Merge move of [n_chunks] records while traffic
-    arrives at [rate_pps]: traffic halts for
-    [n_chunks × per_chunk_move] (default 0.244 ms each — Split/Merge
-    moves state by direct reference, no linear scan), then the buffered
-    packets drain through the destination at [per_packet] service time
-    (default the IDS's 0.8 ms) while live traffic continues to
-    arrive. *)
+    arrives at [rate_pps]: traffic halts for 0.244 ms per chunk
+    (Split/Merge moves state by direct reference, no linear scan), then
+    the buffered packets drain through the destination at the IDS's
+    0.8 ms service time while live traffic continues to arrive. *)

@@ -63,12 +63,11 @@ type handler = now:Time.t -> Message.reply -> [ `Keep | `Done ]
    by every reply on the op, so a streaming get stays alive as long as
    chunks keep arriving; the timeout chain measures idleness against
    it.  It keeps the receive time's box, which the receive path holds
-   anyway, so refreshing it allocates nothing.  Only idempotent
-   requests are retried. *)
+   anyway, so refreshing it allocates nothing.  Every request is
+   retried: the agent answers a duplicate from its caches. *)
 type pending_op = {
   po_req : Message.request;
   po_handler : handler;
-  po_retryable : bool;
   po_tid : int;
       (* Causality id stamped on the wire message; the agent tags its
          spans with it, linking both sides of the op in a trace. *)
@@ -242,7 +241,7 @@ let transmit t conn op tid req =
   cpu t bytes (fun () -> Channel.send conn.to_mb ~bytes msg)
 
 (* One timer chain per op: each firing either re-arms (activity since),
-   retransmits and re-arms (idle, retryable, attempts left), or fails
+   retransmits and re-arms (idle, attempts left), or fails
    the op with [Errors.Timeout].  Exactly one check event is
    outstanding per pending op; resolution (reply or disconnect) ends
    the chain at its next firing. *)
@@ -253,7 +252,7 @@ let rec check_timeout t conn op po () =
     let now = Engine.now t.engine in
     if Time.compare now due < 0 then
       ignore (Engine.schedule_at t.engine due (check_timeout t conn op po))
-    else if po.po_retryable && po.po_attempts < t.cfg.max_retries then begin
+    else if po.po_attempts < t.cfg.max_retries then begin
       po.po_attempts <- po.po_attempts + 1;
       po.po_last_activity <- now;
       Telemetry.incr t.c_retries;
@@ -286,7 +285,7 @@ let rec check_timeout t conn op po () =
   end
 
 (* Send [req] to [conn], registering [handler] for its replies. *)
-let op_send ?(retryable = true) t conn req handler =
+let op_send t conn req handler =
   let op = conn.next_op in
   conn.next_op <- op + 1;
   let now = Engine.now t.engine in
@@ -299,7 +298,6 @@ let op_send ?(retryable = true) t conn req handler =
     {
       po_req = req;
       po_handler = handler;
-      po_retryable = retryable;
       po_tid = tid;
       po_span = span;
       po_started = now;

@@ -553,8 +553,7 @@ and ensure_heartbeat t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let create engine ?(config = default_config) ?faults ?telemetry
-    ?(names = ("ctrl-a", "ctrl-b")) () =
+let create engine ?(config = default_config) ?faults ?telemetry () =
   let tel =
     match telemetry with Some tel -> tel | None -> Telemetry.create ()
   in
@@ -565,8 +564,8 @@ let create engine ?(config = default_config) ?faults ?telemetry
       faults;
       tel;
       agents = [];
-      a = mk_member (fst names);
-      b = mk_member (snd names);
+      a = mk_member "ctrl-a";
+      b = mk_member "ctrl-b";
       epoch = 0;
       next_lsn = 0;
       inflight = Hashtbl.create 32;

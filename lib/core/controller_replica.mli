@@ -69,17 +69,16 @@ val create :
   ?config:config ->
   ?faults:Openmb_sim.Faults.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
-  ?names:string * string ->
   unit ->
   t
-(** Create the pair ([names] defaults to [("ctrl-a", "ctrl-b")]); the
-    first member starts as leader, the second as warm standby.  With
-    [?faults], both the controller–MB channels and the replication link
-    (plan name ["replica/log"]: log stream on the forward direction,
-    acks on the reverse) suffer the plan's impairments.  The pair keeps
-    heartbeat / detector timers armed until {!stop}, so drive the
-    engine with [Engine.run ~until].  The leader is a {!Controller.create},
-    so a [ctrl] config it rejects raises [Invalid_argument] here. *)
+(** Create the pair, ["ctrl-a"] and ["ctrl-b"]; the first member starts
+    as leader, the second as warm standby.  With [?faults], both the
+    controller–MB channels and the replication link (plan name
+    ["replica/log"]: log stream on the forward direction, acks on the
+    reverse) suffer the plan's impairments.  The pair keeps heartbeat /
+    detector timers armed until {!stop}, so drive the engine with
+    [Engine.run ~until].  The leader is a {!Controller.create}, so a
+    [ctrl] config it rejects raises [Invalid_argument] here. *)
 
 val connect : t -> Mb_agent.t -> unit
 (** Adopt an agent: connects it to the current leader and remembers it

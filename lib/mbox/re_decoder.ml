@@ -144,9 +144,9 @@ let decode t (p : Packet.t) ~side_effects =
     end
 
 let create engine ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
-    ?(mode = Re_encoder.Explicit) ?(cache_id = 0) ~name () =
+    ?(mode = Re_encoder.Explicit) ~name () =
   let base = Mb_base.create engine ?telemetry ~name ~kind:"re-decoder" ~cost () in
-  Config_tree.set (Mb_base.config base) [ "CacheId" ] [ Json.Int cache_id ];
+  Config_tree.set (Mb_base.config base) [ "CacheId" ] [ Json.Int 0 ];
   Config_tree.set (Mb_base.config base) [ "SyncEvents" ] [ Json.Bool true ];
   let t =
     {
@@ -154,7 +154,7 @@ let create engine ?telemetry ?(cost = default_cost) ?(capacity_tokens = 65536)
       mode;
       rings = Hashtbl.create 4;
       capacity = capacity_tokens;
-      id = cache_id;
+      id = 0;
       cloned = false;
       decoded_bytes = 0;
       undecodable_bytes = 0;

@@ -11,7 +11,7 @@
     OpenMB integration: the cache is shared supporting state.
     [getSupportShared] exports it (and marks it cloned, so each
     subsequent cache update raises a re-process event);
-    [putSupportShared] installs a received cache.  Setting the
+    a [putBatch] carrying it installs a received cache.  Setting the
     ["SyncEvents"] config key to [false] stops the post-clone event
     stream once the control application has finished the migration. *)
 
@@ -23,12 +23,11 @@ val create :
   ?cost:Openmb_core.Southbound.cost_model ->
   ?capacity_tokens:int ->
   ?mode:Re_encoder.mode ->
-  ?cache_id:int ->
   name:string ->
   unit ->
   t
-(** [cache_id] (default 0) must match the encoder-side cache index this
-    decoder serves. *)
+(** A decoder serving the encoder's cache 0; the ["CacheId"] config key
+    selects another encoder-side cache index. *)
 
 val default_cost : Openmb_core.Southbound.cost_model
 

@@ -13,9 +13,10 @@ type t = {
   mutable bytes : int;
 }
 
-let create engine ?faults ?(latency = Time.us 50.0) ?(bandwidth_bps = 1e9) ~name
-    ~dst () =
-  let bytes_per_sec = bandwidth_bps /. 8.0 in
+(* 1 Gbit/s, in bytes. *)
+let bytes_per_sec = 1e9 /. 8.0
+
+let create engine ?faults ?(latency = Time.us 50.0) ~name ~dst () =
   {
     name;
     engine;

@@ -17,14 +17,13 @@ val create :
   Openmb_sim.Engine.t ->
   ?faults:Openmb_sim.Faults.link ->
   ?latency:Openmb_sim.Time.t ->
-  ?bandwidth_bps:float ->
   name:string ->
   dst:(Packet.t -> unit) ->
   unit ->
   t
-(** [create engine ~name ~dst ()] is a link delivering to [dst].
-    [latency] defaults to 50 µs (one LAN hop); [bandwidth_bps] to
-    1 Gbit/s, matching the paper's testbed NICs.  With [?faults], each
+(** [create engine ~name ~dst ()] is a 1 Gbit/s link, matching the
+    paper's testbed NICs, delivering to [dst].  [latency] defaults to
+    50 µs (one LAN hop).  With [?faults], each
     batch member consults the fault stream individually (drop /
     duplicate / delay per packet) — drops are compacted out, delayed
     members and duplicate copies split off as 1-member deliveries. *)

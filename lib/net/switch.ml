@@ -3,7 +3,6 @@ open Openmb_sim
 type t = {
   engine : Engine.t;
   name : string;
-  switching_delay : Time.t;
   table : Flow_table.t;
   ports : (string, Link.t) Hashtbl.t;
   mutable miss_handler : (Packet.t -> unit) option;
@@ -18,7 +17,9 @@ type t = {
   mutable actions : Flow_table.action option array;  (* classification scratch *)
 }
 
-let create engine ?(switching_delay = Time.us 10.0) ?telemetry ~name () =
+let switching_delay = Time.us 10.0
+
+let create engine ?telemetry ~name () =
   let c n =
     match telemetry with
     | Some tel -> Telemetry.counter tel n
@@ -27,7 +28,6 @@ let create engine ?(switching_delay = Time.us 10.0) ?telemetry ~name () =
   {
     engine;
     name;
-    switching_delay;
     table = Flow_table.create ();
     ports = Hashtbl.create 8;
     miss_handler = None;
@@ -123,7 +123,7 @@ let receive_batch t b =
   t.received <- t.received + n;
   Telemetry.add t.c_recv n;
   Telemetry.observe_count t.h_occ n;
-  Engine.call2_after t.engine t.switching_delay forward_batch_now t b
+  Engine.call2_after t.engine switching_delay forward_batch_now t b
 
 let receive t p = receive_batch t (Packet_batch.singleton t.pool p)
 

@@ -9,13 +9,12 @@ type t
 
 val create :
   Openmb_sim.Engine.t ->
-  ?switching_delay:Openmb_sim.Time.t ->
   ?telemetry:Openmb_sim.Telemetry.t ->
   name:string ->
   unit ->
   t
 (** [create engine ~name ()] is a switch with an empty flow table and
-    no ports.  [switching_delay] defaults to 10 µs.  With [telemetry],
+    no ports, forwarding after a 10 µs switching delay.  With [telemetry],
     the switch mirrors its packet counters into the shared
     ["switch.received"] / ["switch.dropped"] / ["switch.to_controller"]
     registry counters (aggregated across switches sharing the

@@ -3,7 +3,6 @@
    it allocates freely. *)
 
 type t = {
-  span_tail : int;
   mutable telemetry : Telemetry.t option;
   mutable timeseries : Timeseries.t option;
   mutable slo : Slo.t option;
@@ -12,9 +11,11 @@ type t = {
   mutable dumps : int;
 }
 
-let create ?(span_tail = 256) ?telemetry ?timeseries ?slo ?fault_plan () =
-  let span_tail = if span_tail < 1 then 1 else span_tail in
-  { span_tail; telemetry; timeseries; slo; fault_plan; last = None; dumps = 0 }
+(* The most recent spans a bundle carries. *)
+let span_tail = 256
+
+let create ?telemetry ?timeseries ?slo ?fault_plan () =
+  { telemetry; timeseries; slo; fault_plan; last = None; dumps = 0 }
 
 (* Last [n] spans of the trace ring, oldest-first, as JSON objects.
    fold walks oldest-first, so collect into a small ring and replay. *)
@@ -71,7 +72,7 @@ let dump t ~now ~reason =
   | None -> Buffer.add_string buf "null");
   Buffer.add_string buf ",\"span_tail\":";
   (match t.telemetry with
-  | Some tel -> span_tail_json buf tel t.span_tail
+  | Some tel -> span_tail_json buf tel span_tail
   | None -> Buffer.add_string buf "null");
   Buffer.add_char buf '}';
   let bundle = Buffer.contents buf in

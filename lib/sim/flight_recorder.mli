@@ -9,16 +9,14 @@
 type t
 
 val create :
-  ?span_tail:int ->
   ?telemetry:Telemetry.t ->
   ?timeseries:Timeseries.t ->
   ?slo:Slo.t ->
   ?fault_plan:string ->
   unit ->
   t
-(** All sections optional — absent sources render as JSON [null].
-    [span_tail] (default 256) bounds the number of most-recent spans
-    included. *)
+(** All sections optional — absent sources render as JSON [null].  The
+    span tail holds the 256 most recent spans. *)
 
 val dump : t -> now:Time.t -> reason:string -> string
 (** Render the bundle:

@@ -206,8 +206,8 @@ let status_cell t series =
   else if !burn > 0.0 then Printf.sprintf "burn r=%.2f" !burn
   else "ok"
 
-let pp_dash ?width fmt t =
-  Timeseries.pp_dash ?width ~status:(status_cell t) fmt t.ts;
+let pp_dash fmt t =
+  Timeseries.pp_dash ~status:(status_cell t) fmt t.ts;
   if t.count > 0 then begin
     Format.fprintf fmt "breaches (%d):@." t.count;
     List.iter

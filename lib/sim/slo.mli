@@ -85,7 +85,7 @@ val burn_rate : t -> string -> float
 (** Worst-window burn rate of the named objective at its last
     evaluation (0 if unknown or never evaluated). *)
 
-val pp_dash : ?width:int -> Format.formatter -> t -> unit
+val pp_dash : Format.formatter -> t -> unit
 (** {!Timeseries.pp_dash} of the underlying series with this tracker's
     SLO status column, followed by one line per logged breach. *)
 

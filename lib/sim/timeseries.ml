@@ -437,7 +437,10 @@ let human v =
   else if a >= 1.0 || a = 0.0 then Printf.sprintf "%.2f" v
   else Printf.sprintf "%.4f" v
 
-let pp_dash ?(width = 48) ?status fmt t =
+(* Raw samples per sparkline. *)
+let dash_width = 48
+
+let pp_dash ?status fmt t =
   let namew =
     let w = ref 10 in
     for i = 0 to t.n - 1 do
@@ -446,11 +449,12 @@ let pp_dash ?(width = 48) ?status fmt t =
     done;
     !w
   in
-  Format.fprintf fmt "%-*s %-*s %10s %10s %10s%s@." namew "series" width "history" "last" "min" "max"
+  Format.fprintf fmt "%-*s %-*s %10s %10s %10s%s@." namew "series" dash_width "history" "last"
+    "min" "max"
     (match status with None -> "" | Some _ -> "  slo");
   for i = 0 to t.n - 1 do
-    let buf = Buffer.create (width * 3) in
-    sparkline buf t i width;
+    let buf = Buffer.create (dash_width * 3) in
+    sparkline buf t i dash_width;
     let ret = retained t in
     let last, lo, hi =
       if ret = 0 then (0.0, 0.0, 0.0)

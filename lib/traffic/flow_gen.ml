@@ -37,7 +37,7 @@ let mk ~ids ~ts ~tuple:(tup : Five_tuple.t) ?(flags = Packet.no_flags) ?(app = P
     ~proto:t.proto ()
 
 let tcp_flow ~ids ~prng ~tuple ~start ~duration ~data_packets
-    ?(content = empty_content) ?(http = []) ?(close = true) () =
+    ?(content = empty_content) ?(http = []) () =
   let handshake_gap = 0.001 in
   let syn = mk ~ids ~ts:start ~tuple ~flags:Packet.syn_flags ~reverse:false () in
   let synack =
@@ -67,12 +67,8 @@ let tcp_flow ~ids ~prng ~tuple ~start ~duration ~data_packets
           ~body:(Packet.Raw (content.payload_for i))
           ~reverse ())
   in
-  let fin =
-    if close then
-      [ mk ~ids ~ts:(start +. duration) ~tuple ~flags:Packet.fin_flags ~reverse:false () ]
-    else []
-  in
-  (syn :: synack :: data) @ fin
+  let fin = mk ~ids ~ts:(start +. duration) ~tuple ~flags:Packet.fin_flags ~reverse:false () in
+  (syn :: synack :: data) @ [ fin ]
 
 let udp_flow ~ids ~prng ~tuple ~start ~duration ~data_packets ?(content = empty_content)
     () =

@@ -27,12 +27,10 @@ val tcp_flow :
   data_packets:int ->
   ?content:content ->
   ?http:(string * string) list ->
-  ?close:bool ->
   unit ->
   Openmb_net.Packet.t list
 (** A full TCP flow: SYN, SYN-ACK, [data_packets] data packets
-    alternating originator/responder, and (when [close], the default)
-    FIN.  With [http] = [(host, uri); ...], transactions are spread
+    alternating originator/responder, and FIN.  With [http] = [(host, uri); ...], transactions are spread
     over the flow: each request is marked [Http_request] on an
     originator packet and answered by an [Http_response] on the next
     responder packet.  Timestamps are uniform over

@@ -523,7 +523,7 @@ let test_baseline_re_migration_fails () =
     > 0.9 *. float_of_int r.Baseline_config_routing.encoded_bytes)
 
 let test_baseline_splitmerge_latency () =
-  let r = Baseline_splitmerge.run ~n_chunks:1000 ~rate_pps:1000.0 () in
+  let r = Baseline_splitmerge.run ~n_chunks:1000 ~rate_pps:1000.0 in
   Alcotest.(check int) "buffered about rate x halt" 244 r.Baseline_splitmerge.buffered_packets;
   Alcotest.(check bool) "hundreds of ms of added latency" true
     (r.Baseline_splitmerge.avg_added_latency > 0.15);
