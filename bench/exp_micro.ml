@@ -104,24 +104,6 @@ let state_table_insert () =
         incr i;
         Openmb_mbox.State_table.insert t ~key:k !i) )
 
-let json_codec () =
-  let text =
-    Openmb_wire.Json.to_string
-      (Openmb_wire.Json.Assoc
-         [
-           ("op", Openmb_wire.Json.Int 42);
-           ("type", Openmb_wire.Json.String "putSupportPerflow");
-           ( "chunk",
-             Openmb_wire.Json.Assoc
-               [
-                 ("key", Openmb_wire.Json.String "nw_src=10.0.0.1/32,tp_src=1234");
-                 ("cipher", Openmb_wire.Json.String (String.make 200 'x'));
-               ] );
-         ])
-  in
-  ( "json.parse (protocol message)",
-    loop (fun () -> ignore (Openmb_wire.Json.of_string text)) )
-
 let put_batch_msg () =
   let chunk =
     Openmb_core.Chunk.seal ~mb_kind:"bro" ~role:Openmb_core.Taxonomy.Supporting
@@ -134,6 +116,12 @@ let put_batch_msg () =
     tid = 0;
     req = Openmb_core.Message.Put_batch { seq = 42; chunks = [ chunk ] };
   }
+
+(* The text of a one-chunk putBatch, the request a move's put sends. *)
+let json_codec () =
+  let text = Openmb_core.Message.request_to_wire (put_batch_msg ()) in
+  ( "json.parse (protocol message)",
+    loop (fun () -> ignore (Openmb_wire.Json.of_string text)) )
 
 let message_encode_json () =
   let msg = put_batch_msg () in

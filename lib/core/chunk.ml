@@ -99,6 +99,12 @@ let unseal ~mb_kind t =
 
 let size_bytes t = String.length t.cipher
 
+(* [seal]'s rule: the compressed body when it is smaller. *)
+let sealed_size plain =
+  let n = String.length plain in
+  let body = if !compression_enabled then min n (Openmb_wire.Compress.compressed_size plain) else n in
+  magic_len + 1 + body
+
 let describe t =
   Printf.sprintf "%s/%s %s (%dB)"
     (Taxonomy.role_to_string t.role)

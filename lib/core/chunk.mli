@@ -44,6 +44,10 @@ val unseal : mb_kind:string -> t -> (string, Errors.t) result
 val size_bytes : t -> int
 (** Wire size of the chunk body (ciphertext length). *)
 
+val sealed_size : string -> int
+(** [sealed_size plain] is the {!size_bytes} of [plain] sealed now,
+    counted without compressing into a buffer or encrypting. *)
+
 val describe : t -> string
 (** One-line ["supporting/per-flow nw_src=... (1234B)"] summary — all
     the controller is allowed to know. *)

@@ -317,11 +317,13 @@ let latch p =
   if State_table.fold p.table ~init:false ~f:(fun acc e -> acc || e.State_table.moved) then
     p.suspect <- true
 
+(* The bytes the entries' chunks would take, counted from their
+   plaintexts: nothing is sealed to be measured. *)
 let count p hfl =
   let n = ref 0 and bytes = ref 0 in
   State_table.iter_matching p.table hfl (fun e ->
       incr n;
-      bytes := !bytes + Chunk.size_bytes (seal_entry p e));
+      bytes := !bytes + Chunk.sealed_size (p.encode e.value));
   (!n, !bytes)
 
 (* ------------------------------------------------------------------ *)

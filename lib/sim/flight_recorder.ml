@@ -3,10 +3,10 @@
    it allocates freely. *)
 
 type t = {
-  mutable telemetry : Telemetry.t option;
-  mutable timeseries : Timeseries.t option;
-  mutable slo : Slo.t option;
-  mutable fault_plan : string option;
+  telemetry : Telemetry.t option;
+  timeseries : Timeseries.t option;
+  slo : Slo.t option;
+  fault_plan : string option;
   mutable last : string option;
   mutable dumps : int;
 }

@@ -440,7 +440,7 @@ let human v =
 (* Raw samples per sparkline. *)
 let dash_width = 48
 
-let pp_dash ?status fmt t =
+let pp_dash ~status fmt t =
   let namew =
     let w = ref 10 in
     for i = 0 to t.n - 1 do
@@ -449,9 +449,8 @@ let pp_dash ?status fmt t =
     done;
     !w
   in
-  Format.fprintf fmt "%-*s %-*s %10s %10s %10s%s@." namew "series" dash_width "history" "last"
-    "min" "max"
-    (match status with None -> "" | Some _ -> "  slo");
+  Format.fprintf fmt "%-*s %-*s %10s %10s %10s  slo@." namew "series" dash_width "history" "last"
+    "min" "max";
   for i = 0 to t.n - 1 do
     let buf = Buffer.create (dash_width * 3) in
     sparkline buf t i dash_width;
@@ -468,7 +467,7 @@ let pp_dash ?status fmt t =
         (raw_get t ~series:i (t.total - 1), !lo, !hi)
       end
     in
-    Format.fprintf fmt "%-*s %s %10s %10s %10s%s@." namew t.series.(i).sr_name (Buffer.contents buf)
+    Format.fprintf fmt "%-*s %s %10s %10s %10s  %s@." namew t.series.(i).sr_name (Buffer.contents buf)
       (human last) (human lo) (human hi)
-      (match status with None -> "" | Some f -> "  " ^ f t.series.(i).sr_name)
+      (status t.series.(i).sr_name)
   done

@@ -152,7 +152,7 @@ val to_json : snapshot -> string
     [{"period_s":p,"series":{NAME:{"mode":m,"total":n,"first":k,
     "raw":[...],"rollups":[{"factor":10,"first":b,"min":[...],...}]}}}] *)
 
-val pp_dash : ?status:(string -> string) -> Format.formatter -> t -> unit
+val pp_dash : status:(string -> string) -> Format.formatter -> t -> unit
 (** Terminal dashboard: one sparkline row per series (last 48 raw
     samples) with last/min/max columns, plus the [status] cell per
-    series when given (the SLO column — {!Slo.pp_dash} supplies it). *)
+    series (the SLO column — {!Slo.pp_dash} supplies it). *)

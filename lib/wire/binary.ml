@@ -2,23 +2,12 @@ exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
-type sink = Bytes_to of Buffer.t | Count of int ref
+type sink = Buffer.t
 
-let buffer_sink buf = Bytes_to buf
-
-let counting_sink () =
-  let n = ref 0 in
-  (Count n, fun () -> !n)
-
-let put_char k c = match k with Bytes_to b -> Buffer.add_char b c | Count n -> incr n
-
-let put_string k s =
-  match k with Bytes_to b -> Buffer.add_string b s | Count n -> n := !n + String.length s
-
-let u8 k v = put_char k (Char.unsafe_chr (v land 0xFF))
-
-let u16 k v = match k with Bytes_to b -> Buffer.add_uint16_be b (v land 0xFFFF) | Count n -> n := !n + 2
-let u32 k v = match k with Bytes_to b -> Buffer.add_int32_be b (Int32.of_int v) | Count n -> n := !n + 4
+let buffer_sink buf = buf
+let u8 k v = Buffer.add_char k (Char.unsafe_chr (v land 0xFF))
+let u16 k v = Buffer.add_uint16_be k (v land 0xFFFF)
+let u32 k v = Buffer.add_int32_be k (Int32.of_int v)
 
 (* Base-128 emitter over the raw (two's-complement) bit pattern; [lsr]
    makes the loop terminate for any int. *)
@@ -29,19 +18,27 @@ let rec base128 k v =
     base128 k (v lsr 7)
   end
 
+let rec base128_size v = if v land lnot 0x7F = 0 then 1 else 1 + base128_size (v lsr 7)
+
 let uvarint k v =
   if v < 0 then invalid_arg "Binary.uvarint: negative";
   base128 k v
 
-(* Zigzag over OCaml's 63-bit int: sign bit is bit 62. *)
-let varint k v = base128 k ((v lsl 1) lxor (v asr 62))
+let uvarint_size v =
+  if v < 0 then invalid_arg "Binary.uvarint: negative";
+  base128_size v
 
-let f64 k v =
-  match k with Bytes_to b -> Buffer.add_int64_be b (Int64.bits_of_float v) | Count n -> n := !n + 8
+(* Zigzag over OCaml's 63-bit int: sign bit is bit 62. *)
+let zigzag v = (v lsl 1) lxor (v asr 62)
+let varint k v = base128 k (zigzag v)
+let varint_size v = base128_size (zigzag v)
+let f64 k v = Buffer.add_int64_be k (Int64.bits_of_float v)
 
 let str k s =
   uvarint k (String.length s);
-  put_string k s
+  Buffer.add_string k s
+
+let str_size s = uvarint_size (String.length s) + String.length s
 
 type reader = { src : string; mutable pos : int }
 

@@ -7,6 +7,13 @@
     the same fields in the same order without names, a union's one-byte
     tag first.
 
+    The JSON encoder and decoder work on text directly: no {!Json.t} is
+    built between a value and its text.  The text is byte for byte
+    {!Json.to_string} of {!to_json}, and decoding reads what {!of_json}
+    of {!Json.of_string} reads, with the same lexer: an object's
+    members in any order, the first of two members of one name, other
+    members checked and skipped, and an absent member read as [null].
+
     Decoders raise {!Binary.Decode_error}, and nothing else, on
     malformed input under either framing: wrong JSON shapes, unknown
     tags, truncated or trailing bytes, counts larger than the bytes
@@ -140,7 +147,8 @@ val splice_after_tag :
   'h obj -> ('r -> 'h) -> 'a obj -> ('r -> 'a) -> ('r, 'h -> 'a -> 'k) fields -> ('r, 'k) fields
 (** [splice_after_tag h _ u _] splices union [u] with [h]'s fields:
     JSON writes them right after [u]'s tag field, binary right before
-    its tag byte. *)
+    its tag byte.  [u] is a {!variant} whose cases all carry a tag; a
+    [u] that is no union raises [Invalid_argument]. *)
 
 (** {1 Framings} *)
 
@@ -151,10 +159,14 @@ val of_json : 'a t -> Json.t -> 'a
 (** Raises {!Binary.Decode_error} as {!decode} does. *)
 
 val encode : Framing.t -> 'a t -> 'a -> string
-(** JSON text, or a binary body behind a [0x42] tag byte. *)
+(** JSON text, or a binary body behind a [0x42] tag byte.  Written into
+    the calling domain's scratch buffer, so only the result string is
+    allocated for the text itself. *)
 
 val decode : 'a t -> string -> 'a
-(** Either framing, told apart by the first byte. *)
+(** Either framing, told apart by the first byte.  JSON is read in
+    place: each object's members are indexed once in the calling
+    domain's scratch state. *)
 
 val json_size : 'a t -> 'a -> int
 (** [String.length (encode Json c v)], counted without building the
@@ -163,4 +175,6 @@ val json_size : 'a t -> 'a -> int
     (which is paired up to be sized). *)
 
 val binary_size : 'a t -> 'a -> int
-(** [String.length (encode Binary c v)], without building the bytes. *)
+(** [String.length (encode Binary c v)], counted from the description
+    as {!json_size} is: allocation-free where the value holds no [conv]
+    whose [encode] allocates and no [case2] payload. *)

@@ -1079,6 +1079,206 @@ let prop_json_wire_size =
     (fun j -> Json.wire_size j = String.length (Json.to_string j))
 
 (* ------------------------------------------------------------------ *)
+(* JSON text read and written straight from the descriptions           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every description in the repository, with values to try it on: the
+   messages, each MB's per-flow state, and the shared totals, counters
+   and scan table. *)
+type described = Described : string * 'a Codec.t * 'a QCheck2.Gen.t -> described
+type sample = Sample : string * 'a Codec.t * 'a -> sample
+
+let descriptions =
+  [
+    Described ("request", Message.to_mb, gen_wild_to_mb);
+    Described ("reply or event", Message.from_mb, gen_wild_from_mb);
+    Described ("monitor flow record", Monitor.flow_record_codec, State_gen.flow_record);
+    Described ("monitor totals", Monitor.totals_codec, State_gen.totals);
+    Described ("IDS connection", Ids.conn_codec, State_gen.conn);
+    Described ("IDS scan table", Ids.scan_codec, State_gen.scan);
+    Described ("NAT mapping", Nat.mapping_codec, State_gen.mapping);
+    Described ("NAT announcement", Nat.announcement_codec nat_external, State_gen.mapping);
+    Described ("LB backend", Load_balancer.backend_codec, State_gen.addr);
+    Described ("firewall verdict", Firewall.verdict_codec, State_gen.verdict);
+    Described ("firewall counters", Firewall.counters_codec, State_gen.counters);
+    Described ("firewall rule", Firewall.rule_codec, State_gen.rule);
+  ]
+
+let gen_sample =
+  QCheck2.Gen.(
+    oneofl descriptions >>= fun (Described (name, c, gen)) -> map (fun v -> Sample (name, c, v)) gen)
+
+(* Ten times the chaos iterations: 1,000 cases in the routine suite. *)
+let codec_count = 10 * chaos_iters
+
+let prop_text_writer =
+  QCheck2.Test.make ~name:"the JSON writer writes the tree's text" ~count:codec_count
+    ~print:(fun (Sample (name, c, v)) -> name ^ ": " ^ Json.to_string (Codec.to_json c v))
+    gen_sample
+    (fun (Sample (_, c, v)) ->
+      String.equal (Codec.encode Framing.Json c v) (Json.to_string (Codec.to_json c v)))
+
+(* A text derived from a valid one: its tree, with members moved,
+   repeated, added, nulled or dropped, and raw text where a member's
+   value should be. *)
+type node = Leaf of Json.t | Obj of (string * node) list | Arr of node list | Raw of string
+
+let rec node_of = function
+  | Json.Assoc fields -> Obj (List.map (fun (k, v) -> (k, node_of v)) fields)
+  | Json.List items -> Arr (List.map node_of items)
+  | j -> Leaf j
+
+let pick rs l = List.nth l (Random.State.int rs (List.length l))
+
+(* Values the reference parser rejects, where no field may read them. *)
+let bad_values = [ "1e400"; "1-2"; "-"; "01.5.5"; {|"\x"|}; {|"\ud800"|}; {|"\u12G4"|}; {|"\ud800\u0041"|} ]
+
+let unknown_names = [ "zz"; "x-extra"; ""; "op2"; "t y p e"; "\xc3\xa9" ]
+let other_values = [ Json.Null; Json.Int 0; Json.Int 7; Json.Int (-1); Json.Float 2.5; Json.String "s"; Json.Bool true; Json.List []; Json.Assoc [] ]
+
+let shuffle rs l =
+  List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rs, x)) l))
+
+let insert_at rs l x =
+  let i = Random.State.int rs (List.length l + 1) in
+  List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+let change_at rs l f =
+  let i = Random.State.int rs (List.length l) in
+  List.concat (List.mapi (fun j m -> if j = i then f m else [ m ]) l)
+
+type edit = Keep | Permute | Duplicate | Unknown | Bad_unknown | Null | Drop
+
+(* [edit] applied to the [k]th object in pre-order; with [permute],
+   every object's members shuffled too. *)
+let rec mutate rs ~edit ~permute k node =
+  match node with
+  | Leaf _ | Raw _ -> node
+  | Arr items -> Arr (List.map (mutate rs ~edit ~permute k) items)
+  | Obj fields ->
+    let here = !k = 0 in
+    decr k;
+    let fields = List.map (fun (name, v) -> (name, mutate rs ~edit ~permute k v)) fields in
+    let fields = if permute then shuffle rs fields else fields in
+    let fields =
+      match (if here then edit else Keep) with
+      | Keep | Permute -> fields
+      | Duplicate when fields <> [] ->
+        let name, v = List.nth fields (Random.State.int rs (List.length fields)) in
+        let v' = if Random.State.bool rs then v else Leaf (pick rs other_values) in
+        insert_at rs fields (name, v')
+      | Unknown -> insert_at rs fields (pick rs unknown_names, Leaf (pick rs other_values))
+      | Bad_unknown -> insert_at rs fields (pick rs unknown_names, Raw (pick rs bad_values))
+      | Null when fields <> [] -> change_at rs fields (fun (name, _) -> [ (name, Leaf Json.Null) ])
+      | Drop when fields <> [] -> change_at rs fields (fun _ -> [])
+      | Duplicate | Null | Drop -> fields
+    in
+    Obj fields
+
+let rec objects = function
+  | Leaf _ | Raw _ -> 0
+  | Arr items -> List.fold_left (fun n v -> n + objects v) 0 items
+  | Obj fields -> List.fold_left (fun n (_, v) -> n + objects v) 1 fields
+
+(* Whitespace between tokens, and strings (member names, tags, enum
+   names) with \u escapes. *)
+let render rs ~ws ~escape node =
+  let buf = Buffer.create 256 in
+  let space () =
+    if ws && Random.State.int rs 3 = 0 then Buffer.add_string buf (pick rs [ " "; "\n"; "\t"; "\r\n  " ])
+  in
+  let text k =
+    if escape && Random.State.bool rs then begin
+      Buffer.add_char buf '"';
+      String.iter
+        (fun c ->
+          if Char.code c < 0x20 || c = '"' || c = '\\' || (Char.code c < 0x80 && Random.State.bool rs)
+          then Printf.bprintf buf "\\u%04x" (Char.code c)
+          else Buffer.add_char buf c)
+        k;
+      Buffer.add_char buf '"'
+    end
+    else Json.add_string buf k
+  in
+  let rec go = function
+    | Leaf (Json.String s) -> text s
+    | Leaf j -> Json.write buf j
+    | Raw s -> Buffer.add_string buf s
+    | Arr items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          space ();
+          go v;
+          space ())
+        items;
+      Buffer.add_char buf ']'
+    | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          space ();
+          text k;
+          space ();
+          Buffer.add_char buf ':';
+          space ();
+          go v;
+          space ())
+        fields;
+      Buffer.add_char buf '}'
+  in
+  space ();
+  go node;
+  space ();
+  Buffer.contents buf
+
+let damage_text rs s =
+  match Random.State.int rs 6 with
+  | 0 when s <> "" -> String.sub s 0 (Random.State.int rs (String.length s))
+  | 1 when s <> "" ->
+    let b = Bytes.of_string s in
+    for _ = 0 to Random.State.int rs 2 do
+      let i = Random.State.int rs (Bytes.length b) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rs 8)))
+    done;
+    Bytes.to_string b
+  | _ -> s
+
+let derived_text c v seed =
+  let rs = Random.State.make [| seed |] in
+  let tree = node_of (Codec.to_json c v) in
+  let edit = pick rs [ Keep; Permute; Duplicate; Duplicate; Unknown; Bad_unknown; Null; Drop ] in
+  let tree =
+    mutate rs ~edit ~permute:(edit = Permute || Random.State.int rs 4 = 0)
+      (ref (Random.State.int rs (max 1 (objects tree))))
+      tree
+  in
+  let s = render rs ~ws:(Random.State.bool rs) ~escape:(Random.State.bool rs) tree in
+  if Random.State.int rs 3 = 0 then damage_text rs s else s
+
+(* The reference: the tree parser, then the tree reader, failing as
+   [decode] does. *)
+let read_tree c s =
+  match Json.of_string s with
+  | j -> Codec.of_json c j
+  | exception Json.Parse_error m -> raise (Binary.Decode_error m)
+
+let outcome read = match read () with v -> Ok v | exception Binary.Decode_error _ -> Error ()
+
+let prop_text_reader =
+  QCheck2.Test.make ~name:"decode reads derived texts as the tree reader does" ~count:codec_count
+    ~print:(fun (Sample (name, c, v), seed) -> name ^ ": " ^ derived_text c v seed)
+    QCheck2.Gen.(pair gen_sample int)
+    (fun (Sample (_, c, v), seed) ->
+      let s = derived_text c v seed in
+      (* A first byte 'B' selects the binary framing, which the tree
+         reader does not have. *)
+      (String.length s > 0 && s.[0] = 'B')
+      || outcome (fun () -> Codec.decode c s) = outcome (fun () -> read_tree c s))
+
+(* ------------------------------------------------------------------ *)
 (* Link faults against batch members                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1265,5 +1465,7 @@ let () =
                prop_json_size_requests;
                prop_json_size_from_mb;
                prop_json_wire_size;
+               prop_text_writer;
+               prop_text_reader;
              ] );
     ]
