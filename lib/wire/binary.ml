@@ -18,27 +18,17 @@ let rec base128 k v =
     base128 k (v lsr 7)
   end
 
-let rec base128_size v = if v land lnot 0x7F = 0 then 1 else 1 + base128_size (v lsr 7)
-
 let uvarint k v =
   if v < 0 then invalid_arg "Binary.uvarint: negative";
   base128 k v
 
-let uvarint_size v =
-  if v < 0 then invalid_arg "Binary.uvarint: negative";
-  base128_size v
-
 (* Zigzag over OCaml's 63-bit int: sign bit is bit 62. *)
-let zigzag v = (v lsl 1) lxor (v asr 62)
-let varint k v = base128 k (zigzag v)
-let varint_size v = base128_size (zigzag v)
+let varint k v = base128 k ((v lsl 1) lxor (v asr 62))
 let f64 k v = Buffer.add_int64_be k (Int64.bits_of_float v)
 
 let str k s =
   uvarint k (String.length s);
   Buffer.add_string k s
-
-let str_size s = uvarint_size (String.length s) + String.length s
 
 type reader = { src : string; mutable pos : int }
 

@@ -2,8 +2,7 @@
 
     Building blocks of the binary protocol framing: big-endian fixed
     ints, LEB128 varints (zigzag for signed values), IEEE-754 doubles
-    and length-prefixed strings.  The [_size] functions count what the
-    writers of the same name write, without writing it. *)
+    and length-prefixed strings. *)
 
 exception Decode_error of string
 (** Raised by every [get_*] on malformed or truncated input. *)
@@ -23,21 +22,14 @@ val u32 : sink -> int -> unit
 val uvarint : sink -> int -> unit
 (** LEB128; raises [Invalid_argument] on negative input. *)
 
-val uvarint_size : int -> int
-(** Raises [Invalid_argument] on negative input, as {!uvarint} does. *)
-
 val varint : sink -> int -> unit
 (** Zigzag LEB128 for signed values. *)
-
-val varint_size : int -> int
 
 val f64 : sink -> float -> unit
 (** IEEE-754 bits, big-endian; exact round-trip. *)
 
 val str : sink -> string -> unit
 (** [uvarint] length followed by the bytes. *)
-
-val str_size : string -> int
 
 type reader = { src : string; mutable pos : int }
 

@@ -20,7 +20,6 @@ type 'a t = {
   write : Binary.sink -> 'a -> unit;
   read : Binary.reader -> 'a;
   size : 'a -> int;  (* [String.length (Json.to_string (to_json v))], counted *)
-  bsize : 'a -> int;  (* the bytes [write] writes, counted *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -29,7 +28,7 @@ type 'a t = {
 
 let at_number r = match Json.Lexer.peek r.lx with Some ('-' | '0' .. '9') -> true | _ -> false
 
-let int what lo hi write read bsize =
+let int what lo hi write read =
   let of_json = function Json.Int v when v >= lo && v <= hi -> v | j -> mismatch what j in
   let scan r =
     let lx = r.lx in
@@ -37,13 +36,13 @@ let int what lo hi write read bsize =
     else unexpected r what
   in
   { to_json = (fun v -> Json.Int v); of_json; print = Json.add_int; scan; write; read;
-    size = Json.int_length; bsize }
+    size = Json.int_length }
 
-let u8 = int "u8" 0 0xFF Binary.u8 Binary.get_u8 (fun _ -> 1)
-let u16 = int "u16" 0 0xFFFF Binary.u16 Binary.get_u16 (fun _ -> 2)
-let u32 = int "u32" 0 0xFFFF_FFFF Binary.u32 Binary.get_u32 (fun _ -> 4)
-let uvarint = int "uvarint" 0 max_int Binary.uvarint Binary.get_uvarint Binary.uvarint_size
-let varint = int "varint" min_int max_int Binary.varint Binary.get_varint Binary.varint_size
+let u8 = int "u8" 0 0xFF Binary.u8 Binary.get_u8
+let u16 = int "u16" 0 0xFFFF Binary.u16 Binary.get_u16
+let u32 = int "u32" 0 0xFFFF_FFFF Binary.u32 Binary.get_u32
+let uvarint = int "uvarint" 0 max_int Binary.uvarint Binary.get_uvarint
+let varint = int "varint" min_int max_int Binary.varint Binary.get_varint
 
 let float =
   let of_json = function Json.Float v -> v | Json.Int v -> float_of_int v | j -> mismatch "a number" j in
@@ -53,7 +52,7 @@ let float =
     else Json.Lexer.float r.lx
   in
   { to_json = (fun v -> Json.Float v); of_json; print = (fun b v -> Buffer.add_string b (Json.float_literal v));
-    scan; write = Binary.f64; read = Binary.get_f64; size = Json.float_length; bsize = (fun _ -> 8) }
+    scan; write = Binary.f64; read = Binary.get_f64; size = Json.float_length }
 
 let bool =
   let read r = match Binary.get_u8 r with 0 -> false | 1 -> true | n -> fail "Codec: bool %d" n in
@@ -66,7 +65,7 @@ let bool =
   in
   { to_json = (fun b -> Json.Bool b); of_json; print = (fun k b -> Buffer.add_string k (if b then "true" else "false"));
     scan; write = (fun k b -> Binary.u8 k (Bool.to_int b)); read;
-    size = (fun b -> if b then 4 else 5); bsize = (fun _ -> 1) }
+    size = (fun b -> if b then 4 else 5) }
 
 let string =
   let of_json = function Json.String s -> s | j -> mismatch "a string" j in
@@ -78,7 +77,7 @@ let string =
     | _ -> unexpected r "a string"
   in
   { to_json = (fun s -> Json.String s); of_json; print = Json.add_string; scan; write = Binary.str;
-    read = Binary.get_str; size = Json.string_length; bsize = Binary.str_size }
+    read = Binary.get_str; size = Json.string_length }
 
 (* Every item takes at least one byte, so a count beyond the bytes left
    is malformed input, not an allocation size. *)
@@ -93,9 +92,6 @@ let write_list item k l =
   Binary.uvarint k (List.length l);
   write_items item k l
 
-let rec sum size acc = function [] -> acc | x :: rest -> sum size (acc + size x) rest
-let list_size size l = Binary.uvarint_size (List.length l) + sum size 0 l
-
 let rec write_json k = function
   | Json.Null -> Binary.u8 k 0
   | Json.Bool b -> Binary.u8 k 1; Binary.u8 k (Bool.to_int b)
@@ -106,17 +102,6 @@ let rec write_json k = function
   | Json.Assoc fields ->
     Binary.u8 k 6;
     write_list (fun k (name, v) -> Binary.str k name; write_json k v) k fields
-
-let rec json_bsize = function
-  | Json.Null -> 1
-  | Json.Bool _ -> 2
-  | Json.Int v -> 1 + Binary.varint_size v
-  | Json.Float _ -> 9
-  | Json.String s -> 1 + Binary.str_size s
-  | Json.List items -> 1 + list_size json_bsize items
-  | Json.Assoc fields -> 1 + list_size field_bsize fields
-
-and field_bsize (name, v) = Binary.str_size name + json_bsize v
 
 let rec read_json r =
   match Binary.get_u8 r with
@@ -131,7 +116,7 @@ let rec read_json r =
 
 let json =
   { to_json = Fun.id; of_json = Fun.id; print = Json.write; scan = (fun r -> Json.Lexer.value r.lx);
-    write = write_json; read = read_json; size = Json.wire_size; bsize = json_bsize }
+    write = write_json; read = read_json; size = Json.wire_size }
 
 (* ------------------------------------------------------------------ *)
 (* Combinators                                                         *)
@@ -165,46 +150,17 @@ let print_list c b = function
     print_items c b rest;
     Buffer.add_char b ']'
 
-(* After an item: a comma and whitespace before the next, or the end. *)
-let more r close =
-  let lx = r.lx in
-  Json.Lexer.skip_ws lx;
-  match Json.Lexer.peek lx with
-  | Some ',' ->
-    Json.Lexer.advance lx;
-    Json.Lexer.skip_ws lx;
-    true
-  | Some c when c = close ->
-    Json.Lexer.advance lx;
-    false
-  | _ -> Json.Lexer.fail lx (Printf.sprintf "expected ',' or '%c'" close)
-
 let[@tail_mod_cons] rec scan_items c r =
   let v = c.scan r in
-  if more r ']' then v :: scan_items c r else [ v ]
+  if Json.Lexer.more r.lx ']' then v :: scan_items c r else [ v ]
 
-(* At an opening bracket or brace, then whitespace: whether the
-   sequence has items. *)
-let opens r opening closing what =
-  let lx = r.lx in
-  match Json.Lexer.peek lx with
-  | Some c when c = opening -> (
-    Json.Lexer.advance lx;
-    Json.Lexer.skip_ws lx;
-    match Json.Lexer.peek lx with
-    | Some c when c = closing ->
-      Json.Lexer.advance lx;
-      false
-    | _ -> true)
-  | _ -> unexpected r what
-
-let scan_list c r = if opens r '[' ']' "an array" then scan_items c r else []
+let scan_list c r = if Json.Lexer.opens r.lx '[' ']' then scan_items c r else []
 
 let list c =
   let of_json = function Json.List l -> List.map c.of_json l | j -> mismatch "an array" j in
   { to_json = (fun l -> Json.List (List.map c.to_json l)); of_json; print = print_list c;
     scan = scan_list c; write = write_list c.write; read = read_list c.read;
-    size = (fun l -> enclosed (items_size c 0 l)); bsize = list_size c.bsize }
+    size = (fun l -> enclosed (items_size c 0 l)) }
 
 let print_member c b (name, v) =
   Json.add_string b name;
@@ -234,9 +190,9 @@ let[@tail_mod_cons] rec scan_members c r =
   Json.Lexer.expect lx ':';
   Json.Lexer.skip_ws lx;
   let v = c.scan r in
-  if more r '}' then (name, v) :: scan_members c r else [ (name, v) ]
+  if Json.Lexer.more lx '}' then (name, v) :: scan_members c r else [ (name, v) ]
 
-let scan_assoc c r = if opens r '{' '}' "an object" then scan_members c r else []
+let scan_assoc c r = if Json.Lexer.opens r.lx '{' '}' then scan_members c r else []
 
 let assoc c =
   let member (name, v) = (name, c.to_json v) and of_member (name, j) = (name, c.of_json j) in
@@ -245,16 +201,15 @@ let assoc c =
   let read r = let name = Binary.get_str r in (name, c.read r) in
   { to_json = (fun l -> Json.Assoc (List.map member l)); of_json; print = print_assoc c;
     scan = scan_assoc c; write = write_list write; read = read_list read;
-    size = (fun l -> enclosed (members_size c 0 l));
-    bsize = list_size (fun (name, v) -> Binary.str_size name + c.bsize v) }
+    size = (fun l -> enclosed (members_size c 0 l)) }
 
 let conv encode decode c =
   { to_json = (fun v -> c.to_json (encode v)); of_json = (fun j -> decode (c.of_json j));
     print = (fun b v -> c.print b (encode v)); scan = (fun r -> decode (c.scan r));
     write = (fun k v -> c.write k (encode v)); read = (fun r -> decode (c.read r));
-    size = (fun v -> c.size (encode v)); bsize = (fun v -> c.bsize (encode v)) }
+    size = (fun v -> c.size (encode v)) }
 
-let split ~json ~binary = { json with write = binary.write; read = binary.read; bsize = binary.bsize }
+let split ~json ~binary = { json with write = binary.write; read = binary.read }
 let json_size_by size c = { c with size }
 
 let json_null v c =
@@ -296,8 +251,7 @@ let enum name values =
       c.scan r
     | i -> values.(i)
   in
-  { c with scan; write = (fun k v -> Binary.u8 k (index v 0)); read = (fun r -> values.(Binary.get_u8 r));
-           bsize = (fun _ -> 1) }
+  { c with scan; write = (fun k v -> Binary.u8 k (index v 0)); read = (fun r -> values.(Binary.get_u8 r)) }
 
 (* ------------------------------------------------------------------ *)
 (* Objects                                                             *)
@@ -321,7 +275,6 @@ type ('r, 'k) fields = {
   put : Binary.sink -> 'r -> unit;
   take : Binary.reader -> 'k;
   measure : 'r -> int;
-  bmeasure : 'r -> int;
 }
 
 type 'r obj = ('r, 'r) fields
@@ -331,8 +284,7 @@ let no_members _ _ _ = ()
 
 let record make =
   { emit = (fun _ rest -> rest); parse = (fun _ -> make); print_tag = no_members; print = no_members;
-    scan = (fun _ _ -> make); put = nothing; take = (fun _ -> make); measure = (fun _ -> 0);
-    bmeasure = (fun _ -> 0) }
+    scan = (fun _ _ -> make); put = nothing; take = (fun _ -> make); measure = (fun _ -> 0) }
 
 (* An object's members, its tag first. *)
 let print_obj o b start v =
@@ -351,8 +303,7 @@ let splice (o : 'a obj) get f =
     scan = (fun r fr -> let make = f.scan r fr in make (o.scan r fr));
     put = (if fput == nothing then fun k v -> oput k (get v) else fun k v -> fput k v; oput k (get v));
     take = (fun r -> let make = f.take r in make (o.take r));
-    measure = (fun v -> f.measure v + o.measure (get v));
-    bmeasure = (fun v -> f.bmeasure v + o.bmeasure (get v)) }
+    measure = (fun v -> f.measure v + o.measure (get v)) }
 
 (* A field lookup that allocates nothing; an absent field reads as [null]. *)
 let rec member name = function
@@ -389,7 +340,6 @@ let push r x =
 
 let rec index_from r frame =
   let lx = r.lx in
-  Json.Lexer.skip_ws lx;
   let name = lx.pos in
   Json.Lexer.skip_string lx;
   Json.Lexer.skip_ws lx;
@@ -401,13 +351,13 @@ let rec index_from r frame =
   push r value;
   push r 0;
   r.members.(frame) <- r.members.(frame) + 1;
-  if more r '}' then index_from r frame
+  if Json.Lexer.more lx '}' then index_from r frame
 
 (* At an object's brace: its frame, with the lexer past the object. *)
 let index_members r =
   let frame = r.top in
   push r 0;
-  if opens r '{' '}' "an object" then index_from r frame;
+  if Json.Lexer.opens r.lx '{' '}' then index_from r frame;
   frame
 
 let entry frame i = frame + 1 + (3 * i)
@@ -469,7 +419,7 @@ let obj1 name c =
     print_tag = no_members;
     print = (fun b s v -> separate b s; Buffer.add_string b text; c.print b v);
     scan = (fun r fr -> read_member r fr name c);
-    put = c.write; take = c.read; measure = (fun v -> n + c.size v); bmeasure = c.bsize }
+    put = c.write; take = c.read; measure = (fun v -> n + c.size v) }
 
 let field name c get = splice (obj1 name c) get
 
@@ -497,8 +447,7 @@ let obj2 n1 c1 n2 c2 =
     scan = (fun r fr -> let a = read_member r fr n1 c1 in (a, read_member r fr n2 c2));
     put = (fun k (a, b) -> c1.write k a; c2.write k b);
     take = (fun r -> let a = c1.read r in (a, c2.read r));
-    measure = (fun (a, b) -> s1 + c1.size a + s2 + c2.size b);
-    bmeasure = (fun (a, b) -> c1.bsize a + c2.bsize b) }
+    measure = (fun (a, b) -> s1 + c1.size a + s2 + c2.size b) }
 
 let obj3 n1 c1 n2 c2 n3 c3 =
   record (fun a b c -> (a, b, c))
@@ -514,8 +463,7 @@ let obj o =
         Buffer.add_char b '{';
         print_obj o b (Buffer.length b) v;
         Buffer.add_char b '}');
-    scan = scan_obj o; write = o.put; read = o.take; size = (fun v -> enclosed (o.measure v));
-    bsize = o.bmeasure }
+    scan = scan_obj o; write = o.put; read = o.take; size = (fun v -> enclosed (o.measure v)) }
 
 (* ------------------------------------------------------------------ *)
 (* Tagged unions                                                       *)
@@ -543,12 +491,11 @@ end
 (* The destructor gets one selector per case, all at once, and returns
    the match as a closure over them (the constructor keeps OCaml from
    fusing the two into one function that re-reads the list on every
-   call).  It is fed four selector lists: [select]'s build the
+   call).  It is fed three selector lists: [select]'s build the
    payload-carrying [Value], [classify]'s return a preallocated [Case],
-   so naming a value allocates nothing, and [measure]'s and
-   [bmeasure]'s size the payload, in JSON and in binary, where the
-   destructor hands it over and return the [Case], so sizing a value
-   allocates nothing either. *)
+   so naming a value allocates nothing, and [measure]'s size the
+   payload where the destructor hands it over and return the [Case], so
+   sizing a value allocates nothing either. *)
 type 'a dispatch = Dispatch of ('a -> 'a selected) [@@unboxed]
 
 type ('a, 'all, 'rest) cases = {
@@ -558,18 +505,19 @@ type ('a, 'all, 'rest) cases = {
   select : 'rest Select.t -> 'all Select.t;
   classify : 'rest Select.t -> 'all Select.t;
   measure : 'rest Select.t -> 'all Select.t;
-  bmeasure : 'rest Select.t -> 'all Select.t;
+  mutable classifier : ('a -> 'a selected) option;  (* [classify]'s dispatch, once built *)
 }
 
 let union union_tag destruct =
   { union_tag; all = []; destruct; select = Fun.id; classify = Fun.id; measure = Fun.id;
-    bmeasure = Fun.id }
+    classifier = None }
 
-let add_case c sel name size bsize u =
-  { u with all = Any c :: u.all; select = (fun rest -> u.select Select.(sel :: rest));
-           classify = (fun rest -> u.classify Select.(name :: rest));
-           measure = (fun rest -> u.measure Select.(size :: rest));
-           bmeasure = (fun rest -> u.bmeasure Select.(bsize :: rest)) }
+(* Each step keeps only the selector lists, not the step before it. *)
+let add_case c sel name size u =
+  let select = u.select and classify = u.classify and measure = u.measure in
+  { u with all = Any c :: u.all; select = (fun rest -> select Select.(sel :: rest));
+           classify = (fun rest -> classify Select.(name :: rest));
+           measure = (fun rest -> measure Select.(size :: rest)) }
 
 (* A measuring selector has only a [Case] to return, so it leaves the
    size it counted in this cell, and the union reads it back as soon as
@@ -591,7 +539,6 @@ let case tag name body make u =
   let only = Case c and n = tag_size u name in
   add_case c (fun x -> Value (c, x)) (fun _ -> only)
     (fun x -> Domain.DLS.get measured := n + body.measure x; only)
-    (fun x -> Domain.DLS.get measured := 1 + body.bmeasure x; only)
     u
 
 (* Sizing a two-part payload pairs it up for the body. *)
@@ -600,7 +547,6 @@ let case2 tag name body make u =
   let only = Case c and n = tag_size u name in
   add_case c (fun a b -> Value (c, (a, b))) (fun _ _ -> only)
     (fun a b -> Domain.DLS.get measured := n + body.measure (a, b); only)
-    (fun a b -> Domain.DLS.get measured := 1 + body.bmeasure (a, b); only)
     u
 
 let untagged tag body make u =
@@ -608,11 +554,20 @@ let untagged tag body make u =
   let only = Case c in
   add_case c (fun x -> Value (c, x)) (fun _ -> only)
     (fun x -> Domain.DLS.get measured := body.measure x; only)
-    (fun x -> Domain.DLS.get measured := 1 + body.bmeasure x; only)
     u
 
+(* One [classify] dispatch per union, shared by [case_name] and
+   [variant]. *)
+let classifier u =
+  match u.classifier with
+  | Some classify -> classify
+  | None ->
+    let (Dispatch classify) = u.destruct (u.classify Select.[]) in
+    u.classifier <- Some classify;
+    classify
+
 let case_name u =
-  let (Dispatch classify) = u.destruct (u.classify Select.[]) in
+  let classify = classifier u in
   fun v -> match classify v with Case c -> c.name | Value (c, _) -> c.name
 
 let bare_case () = invalid_arg "Codec: a union selector returned no payload"
@@ -623,9 +578,8 @@ let bare_case () = invalid_arg "Codec: a union selector returned no payload"
    wins, as it does in [all]. *)
 let variant u =
   let (Dispatch select) = u.destruct (u.select Select.[]) in
-  let (Dispatch classify) = u.destruct (u.classify Select.[]) in
+  let classify = classifier u in
   let (Dispatch measure) = u.destruct (u.measure Select.[]) in
-  let (Dispatch bmeasure) = u.destruct (u.bmeasure Select.[]) in
   let untagged = List.find_opt (fun (Any c) -> c.tag_field = None) u.all in
   let tagged = Array.of_list (List.filter (fun (Any c) -> c.tag_field <> None) u.all) in
   let names = Array.map (fun (Any c) -> c.name) tagged in
@@ -685,11 +639,6 @@ let variant u =
       (fun v ->
         match measure v with
         | Case _ -> !(Domain.DLS.get measured)
-        | Value _ -> bare_case ());
-    bmeasure =
-      (fun v ->
-        match bmeasure v with
-        | Case _ -> !(Domain.DLS.get measured)
         | Value _ -> bare_case ()) }
 
 (* JSON writes [h]'s members after [u]'s tag member; [u] must be a
@@ -714,8 +663,7 @@ let splice_after_tag (h : 'h obj) hget (u : 'a obj) uget f =
     scan = (fun r fr -> let make = f.scan r fr in let hv = h.scan r fr in make hv (u.scan r fr));
     put = (fun k v -> f.put k v; h.put k (hget v); u.put k (uget v));
     take = (fun r -> let make = f.take r in let hv = h.take r in make hv (u.take r));
-    measure = (fun v -> f.measure v + h.measure (hget v) + u.measure (uget v));
-    bmeasure = (fun v -> f.bmeasure v + h.bmeasure (hget v) + u.bmeasure (uget v)) }
+    measure = (fun v -> f.measure v + h.measure (hget v) + u.measure (uget v)) }
 
 (* ------------------------------------------------------------------ *)
 (* Framings                                                            *)
@@ -742,12 +690,13 @@ let write_framed (framing : Framing.t) (c : _ t) b v =
     Buffer.add_char b binary_tag;
     c.write (Binary.buffer_sink b) v
 
-let encode framing c v =
+(* [v] written into the domain's scratch buffer, and [result] of it. *)
+let written framing c v result =
   let w = Domain.DLS.get scratch in
   if w.writing then begin
     let b = Buffer.create 256 in
     write_framed framing c b v;
-    Buffer.contents b
+    result b
   end
   else begin
     w.writing <- true;
@@ -755,11 +704,13 @@ let encode framing c v =
     match write_framed framing c w.text v with
     | () ->
       w.writing <- false;
-      Buffer.contents w.text
+      result w.text
     | exception e ->
       w.writing <- false;
       raise e
   end
+
+let encode framing c v = written framing c v Buffer.contents
 
 let to_json c v = c.to_json v
 
@@ -804,4 +755,4 @@ let decode c s =
   with Invalid_argument m | Failure m | Json.Parse_error m -> raise (Binary.Decode_error m)
 
 let json_size c v = c.size v
-let binary_size c v = 1 + c.bsize v
+let binary_size c v = written Binary c v Buffer.length

@@ -175,6 +175,6 @@ val json_size : 'a t -> 'a -> int
     (which is paired up to be sized). *)
 
 val binary_size : 'a t -> 'a -> int
-(** [String.length (encode Binary c v)], counted from the description
-    as {!json_size} is: allocation-free where the value holds no [conv]
-    whose [encode] allocates and no [case2] payload. *)
+(** [String.length (encode Binary c v)]: the bytes are written into the
+    calling domain's scratch buffer, as {!encode} writes them, and
+    counted there instead of being copied out. *)

@@ -232,6 +232,31 @@ module Lexer = struct
     skip_ws lx;
     if lx.pos <> String.length lx.src then fail lx "trailing garbage"
 
+  (* An array or object: its opening bracket and the whitespace after
+     it, then whether it has items (an empty one is read whole). *)
+  let opens lx opening closing =
+    expect lx opening;
+    skip_ws lx;
+    match peek lx with
+    | Some c when c = closing ->
+      advance lx;
+      false
+    | _ -> true
+
+  (* After an item: a comma and the whitespace after it when another
+     item follows, or the closing bracket. *)
+  let more lx closing =
+    skip_ws lx;
+    match peek lx with
+    | Some ',' ->
+      advance lx;
+      skip_ws lx;
+      true
+    | Some c when c = closing ->
+      advance lx;
+      false
+    | _ -> fail lx (Printf.sprintf "expected ',' or '%c'" closing)
+
   let hex_digit c =
     match c with
     | '0' .. '9' -> Char.code c - 48
@@ -414,56 +439,21 @@ module Lexer = struct
     | Some ('-' | '0' .. '9') -> if number lx then Int lx.int_value else Float (float lx)
     | Some c -> fail lx (Printf.sprintf "unexpected character '%c'" c)
 
-  and list lx =
-    expect lx '[';
-    skip_ws lx;
-    if peek lx = Some ']' then begin
-      advance lx;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = value lx in
-        skip_ws lx;
-        match peek lx with
-        | Some ',' ->
-          advance lx;
-          items (v :: acc)
-        | Some ']' ->
-          advance lx;
-          List (List.rev (v :: acc))
-        | _ -> fail lx "expected ',' or ']'"
-      in
-      items []
-    end
+  and list lx = List (if opens lx '[' ']' then items lx else [])
 
-  and assoc lx =
-    expect lx '{';
+  and[@tail_mod_cons] items lx =
+    let v = value lx in
+    if more lx ']' then v :: items lx else [ v ]
+
+  and assoc lx = Assoc (if opens lx '{' '}' then fields lx else [])
+
+  and[@tail_mod_cons] fields lx =
+    string lx;
+    let k = Buffer.contents lx.text in
     skip_ws lx;
-    if peek lx = Some '}' then begin
-      advance lx;
-      Assoc []
-    end
-    else begin
-      let rec fields acc =
-        skip_ws lx;
-        string lx;
-        let k = Buffer.contents lx.text in
-        skip_ws lx;
-        expect lx ':';
-        let v = value lx in
-        skip_ws lx;
-        match peek lx with
-        | Some ',' ->
-          advance lx;
-          fields ((k, v) :: acc)
-        | Some '}' ->
-          advance lx;
-          Assoc (List.rev ((k, v) :: acc))
-        | _ -> fail lx "expected ',' or '}'"
-      in
-      fields []
-    end
+    expect lx ':';
+    let v = value lx in
+    if more lx '}' then (k, v) :: fields lx else [ (k, v) ]
 
   (* The structure of a value, without decoding its strings or numbers:
      [value] checks the rest where a reader needs it. *)
@@ -474,14 +464,8 @@ module Lexer = struct
     | Some 't' -> literal lx "true"
     | Some 'f' -> literal lx "false"
     | Some '"' -> skip_string lx
-    | Some '[' ->
-      advance lx;
-      skip_ws lx;
-      if peek lx = Some ']' then advance lx else skip_items lx ']'
-    | Some '{' ->
-      advance lx;
-      skip_ws lx;
-      if peek lx = Some '}' then advance lx else skip_items lx '}'
+    | Some '[' -> if opens lx '[' ']' then skip_items lx ']'
+    | Some '{' -> if opens lx '{' '}' then skip_items lx '}'
     | Some ('-' | '0' .. '9') -> skip_number lx
     | Some c -> fail lx (Printf.sprintf "unexpected character '%c'" c)
 
@@ -501,23 +485,16 @@ module Lexer = struct
         advance lx;
         skip_string_body lx
 
-  (* Items up to [close]: values, or members when [close] is ['}']. *)
-  and skip_items lx close =
-    skip_ws lx;
-    if close = '}' then begin
+  (* Items up to [closing]: values, or members when it is ['}']. *)
+  and skip_items lx closing =
+    if closing = '}' then begin
       skip_string lx;
       skip_ws lx;
       expect lx ':';
       skip_ws lx
     end;
     skip lx;
-    skip_ws lx;
-    match peek lx with
-    | Some ',' ->
-      advance lx;
-      skip_items lx close
-    | Some c when c = close -> advance lx
-    | _ -> fail lx (Printf.sprintf "expected ',' or '%c'" close)
+    if more lx closing then skip_items lx closing
 end
 
 let of_string s =

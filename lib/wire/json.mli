@@ -97,6 +97,15 @@ module Lexer : sig
   val finish : t -> unit
   (** Whitespace, then the end of the text: no trailing garbage. *)
 
+  val opens : t -> char -> char -> bool
+  (** [opens lx opening closing] reads the [opening] bracket at [pos]
+      and the whitespace after it: [true] when an item follows, [false]
+      when [closing] does (and is read). *)
+
+  val more : t -> char -> bool
+  (** After an item: whitespace, then [true] past a comma and the
+      whitespace after it, [false] past the [closing] bracket. *)
+
   val string : t -> unit
   (** Decode the string token at [pos] into [text]. *)
 

@@ -1111,12 +1111,14 @@ let gen_sample =
 (* Ten times the chaos iterations: 1,000 cases in the routine suite. *)
 let codec_count = 10 * chaos_iters
 
+(* Binary sizing rides along: every description, at random widths. *)
 let prop_text_writer =
   QCheck2.Test.make ~name:"the JSON writer writes the tree's text" ~count:codec_count
     ~print:(fun (Sample (name, c, v)) -> name ^ ": " ^ Json.to_string (Codec.to_json c v))
     gen_sample
     (fun (Sample (_, c, v)) ->
-      String.equal (Codec.encode Framing.Json c v) (Json.to_string (Codec.to_json c v)))
+      String.equal (Codec.encode Framing.Json c v) (Json.to_string (Codec.to_json c v))
+      && Codec.binary_size c v = String.length (Codec.encode Framing.Binary c v))
 
 (* A text derived from a valid one: its tree, with members moved,
    repeated, added, nulled or dropped, and raw text where a member's

@@ -519,48 +519,6 @@ let test_move_message_sizing_allocates_nothing () =
         { code = "nat.new_mapping"; key; info = Json.Assoc [ ("ext_port", Json.Int 4242) ] };
     ]
 
-(* Binary sizes are counted from the descriptions too, unions through
-   measuring selectors: sizing a move's get, delete and abort requests
-   and its replies under binary framing allocates nothing.  A counting
-   sink and payload-carrying union cases read 20 words for a
-   getSupportPerflow and 17 for an ack.  (A putBatch pairs its payload
-   to size it.) *)
-let test_binary_message_sizing_allocates_nothing () =
-  let key = Hfl.of_string "nw_src=10.1.2.3/32,tp_src=1234" in
-  let chunk =
-    Chunk.seal ~mb_kind:"dummy" ~role:Taxonomy.Supporting ~partition:Taxonomy.Per_flow ~key
-      ~plain:"state"
-  in
-  let check what f =
-    let words = alloc_per_call (fun () -> ignore (Sys.opaque_identity (f ()))) in
-    if words > 0.0 then Alcotest.failf "binary sizing %s allocates %.1f minor words" what words
-  in
-  List.iter
-    (fun req ->
-      let m = { Message.op = 7; tid = 123_456_789; req } in
-      check (Message.describe_request req) (fun () ->
-          Message.request_wire_bytes ~framing:Framing.Binary m))
-    [
-      Message.Get_support_perflow key;
-      Message.Get_report_perflow key;
-      Message.Del_support_perflow key;
-      Message.Del_report_perflow key;
-      Message.Abort_perflow key;
-    ];
-  List.iter
-    (fun reply ->
-      let m = Message.Reply { op = 7; reply } in
-      check (Message.describe_reply reply) (fun () ->
-          Message.reply_wire_bytes ~framing:Framing.Binary m))
-    [
-      Message.State_chunk chunk;
-      Message.End_of_state { count = 1000 };
-      Message.Ack;
-      Message.Batch_ack { seq = 4; count = 16; errors = [] };
-      Message.Batch_ack { seq = 5; count = 16; errors = [ (3, Errors.Bad_chunk "mac") ] };
-      Message.Op_error (Errors.Timeout "op=3 putBatch");
-    ]
-
 (* The wire pin covers every kind of message: dropping the corpus's
    last entry of a kind fails here, not silently in the golden.  Replies
    and events are named by their describe label's first word, as the
@@ -1632,8 +1590,6 @@ let () =
             test_json_size_is_encoded_length;
           Alcotest.test_case "move message sizing allocates nothing" `Quick
             test_move_message_sizing_allocates_nothing;
-          Alcotest.test_case "binary message sizing allocates nothing" `Quick
-            test_binary_message_sizing_allocates_nothing;
           Alcotest.test_case "wire pinning" `Quick test_message_wire_pinning;
           Alcotest.test_case "wire corpus names every kind" `Quick test_corpus_names_every_kind;
           Alcotest.test_case "request codec equivalence" `Quick
