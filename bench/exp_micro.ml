@@ -151,6 +151,48 @@ let lzss () =
   ( "compress.lzss (400B json)",
     loop (fun () -> ignore (Openmb_wire.Compress.compress payload)) )
 
+(* The 1,000 per-flow chunk values a move-1k transfer carries (about
+   197 bytes each), cycled through one per op: the LZSS rows below time
+   the compressor and decoder on the state a move compresses, not on one
+   string. *)
+let move_chunks () =
+  let engine = Openmb_sim.Engine.create () in
+  let src = Openmb_apps.Dummy_mb.create engine ~name:"src" () in
+  Openmb_apps.Dummy_mb.populate src ~n:1000;
+  Array.of_list (List.map snd (Openmb_apps.Dummy_mb.support_entries src))
+
+let cycling values op =
+  let i = ref 0 in
+  loop (fun () ->
+      op values.(!i);
+      i := if !i = Array.length values - 1 then 0 else !i + 1)
+
+let lzss_move_chunk () =
+  ( "compress.lzss (move chunk)",
+    cycling (move_chunks ()) (fun v -> ignore (Openmb_wire.Compress.compress v)) )
+
+let lzss_decompress_move_chunk () =
+  ( "compress.decompress (move chunk)",
+    cycling
+      (Array.map Openmb_wire.Compress.compress (move_chunks ()))
+      (fun c -> ignore (Openmb_wire.Compress.decompress c)) )
+
+(* Sealed as a compressed move seals them: the unseal decrypts and
+   decompresses. *)
+let chunk_unseal_compressed () =
+  let saved = !Openmb_core.Chunk.compression_enabled in
+  Openmb_core.Chunk.compression_enabled := true;
+  let chunks =
+    Array.map
+      (fun plain ->
+        Openmb_core.Chunk.seal ~mb_kind:"dummy" ~role:Openmb_core.Taxonomy.Supporting
+          ~partition:Openmb_core.Taxonomy.Per_flow ~key:Hfl.any ~plain)
+      (move_chunks ())
+  in
+  Openmb_core.Chunk.compression_enabled := saved;
+  ( "chunk.unseal (compressed)",
+    cycling chunks (fun c -> ignore (Openmb_core.Chunk.unseal ~mb_kind:"dummy" c)) )
+
 let re_encode () =
   let engine = Openmb_sim.Engine.create () in
   let enc = Openmb_mbox.Re_encoder.create engine ~name:"enc" () in
@@ -421,11 +463,16 @@ let regression_threshold = ref 0.20
    baseline. *)
 let alloc_regressed ~before ~after = after > before *. 1.01 && after -. before >= 1.0
 
+(* A row whose allocation fell as far the other way is stale: it could
+   grow back to its baseline and still pass, so it is named for
+   re-recording, without failing the comparison. *)
+let alloc_stale ~before ~after = after < before *. 0.99 && before -. after >= 1.0
+
 (* Diff two result files; returns the number of failures — ns/op
    regressions beyond the threshold, allocation regressions, and rows
    that vanished from the after file (a gone row means the gate silently
    stopped measuring something, which must fail as loudly as a
-   slowdown). *)
+   slowdown).  Stale rows are marked and counted, not failed. *)
 let compare_results before_path after_path =
   let regression_threshold = !regression_threshold in
   let before = load_results before_path and after = load_results after_path in
@@ -434,7 +481,7 @@ let compare_results before_path after_path =
   Util.row "  %-36s %12s %12s %9s %10s %10s\n" "benchmark" "before(ns)" "after(ns)" "delta"
     "before(w)" "after(w)";
   let words = function Some w -> Printf.sprintf "%.1f" w | None -> "-" in
-  let regressions = ref 0 and allocs = ref 0 and gone = ref 0 in
+  let regressions = ref 0 and allocs = ref 0 and stale = ref 0 and gone = ref 0 in
   List.iter
     (fun (name, (b, bw)) ->
       match List.assoc_opt name after with
@@ -444,17 +491,20 @@ let compare_results before_path after_path =
       | Some (a, aw) ->
         let delta = (a -. b) /. b in
         let slow = delta > regression_threshold in
-        let alloc =
+        let alloc, stale_row =
           match (bw, aw) with
-          | Some before, Some after -> alloc_regressed ~before ~after
-          | _ -> false
+          | Some before, Some after ->
+            (alloc_regressed ~before ~after, alloc_stale ~before ~after)
+          | _ -> (false, false)
         in
         if slow then incr regressions;
         if alloc then incr allocs;
-        Util.row "  %-36s %12.1f %12.1f %+8.1f%% %10s %10s%s%s\n" name b a (delta *. 100.0)
+        if stale_row then incr stale;
+        Util.row "  %-36s %12.1f %12.1f %+8.1f%% %10s %10s%s%s%s\n" name b a (delta *. 100.0)
           (words bw) (words aw)
           (if slow then "  REGRESSION" else "")
-          (if alloc then "  ALLOC" else ""))
+          (if alloc then "  ALLOC" else "")
+          (if stale_row then "  STALE" else ""))
     before;
   List.iter
     (fun (name, (a, aw)) ->
@@ -469,6 +519,11 @@ let compare_results before_path after_path =
     Printf.printf
       "  FAIL: %d benchmark(s) allocate more than 1%% and 1 minor word/op above baseline\n"
       !allocs;
+  if !stale > 0 then
+    Printf.printf
+      "  %d benchmark(s) STALE: allocating more than 1%% and 1 minor word/op below \
+       baseline, re-record them\n"
+      !stale;
   if !gone > 0 then
     Printf.printf
       "  FAIL: %d benchmark(s) present before are missing after — the gate is no \
@@ -540,6 +595,9 @@ let tests () =
     message_encode_binary;
     chunk_seal;
     lzss;
+    lzss_move_chunk;
+    lzss_decompress_move_chunk;
+    chunk_unseal_compressed;
     re_encode;
     hfl_match;
     engine_dense_timers ~telemetry:false;

@@ -131,7 +131,8 @@ let process_packet t p ~side_effects =
     | Some _ | None -> ()
   else t.reprocessed <- t.reprocessed + 1
 
-let shared_bytes = function None -> 0 | Some s -> String.length s
+(* What a shared get exports: nothing, or the value sealed. *)
+let shared_bytes = function None -> 0 | Some s -> Chunk.sealed_size s
 
 let impl t =
   let default = Mb_base.default_impl t.base ~support:t.support_pf ~report:t.report_pf () in

@@ -46,15 +46,15 @@ let seal_plain ~mb_kind plain =
 (* Compress-then-encrypt: the XOR keystream destroys redundancy, so any
    compression must happen on the plaintext.  A flag byte after the
    magic records whether the body is compressed.  The compressor's
-   output is sealed from its workspace, not copied out first. *)
+   output is copied from its workspace straight into the sealed bytes,
+   not into a string first. *)
 let seal ~mb_kind ~role ~partition ~key ~plain =
   let cipher =
     if !compression_enabled then begin
-      let out = Openmb_wire.Compress.compress_scratch plain in
-      let n = Buffer.length out in
+      let n = Openmb_wire.Compress.compressed_size plain in
       if n < String.length plain then begin
         let buf = framed ~flag:'C' n in
-        Buffer.blit out 0 buf (magic_len + 1) n;
+        Openmb_wire.Compress.blit_compressed buf (magic_len + 1);
         sealed ~mb_kind buf
       end
       else seal_plain ~mb_kind plain

@@ -161,7 +161,7 @@ let impl t =
           t.denied <- t.denied + denied);
     stats =
       (fun hfl ->
-        { (default.stats hfl) with shared_report_bytes = String.length (encode_counters ()) });
+        { (default.stats hfl) with shared_report_bytes = Chunk.sealed_size (encode_counters ()) });
   }
 
 let allowed t = t.allowed

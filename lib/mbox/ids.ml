@@ -393,7 +393,7 @@ let impl t =
         ~decode:(Codec.decode scan_codec) (fun _ entries -> merge_scan t.scan entries);
     stats =
       (fun hfl ->
-        { (default.stats hfl) with shared_support_bytes = String.length (encode_scan ()) });
+        { (default.stats hfl) with shared_support_bytes = Chunk.sealed_size (encode_scan ()) });
   }
 
 (* ------------------------------------------------------------------ *)

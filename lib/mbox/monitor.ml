@@ -217,7 +217,7 @@ let impl t =
             ~udp:o.tot_udp ~icmp:o.tot_icmp ~new_flows:o.tot_new_flows);
     stats =
       (fun hfl ->
-        { (default.stats hfl) with shared_report_bytes = String.length (encode_totals ()) });
+        { (default.stats hfl) with shared_report_bytes = Chunk.sealed_size (encode_totals ()) });
   }
 
 (* A copy: the live block changes under every batch. *)

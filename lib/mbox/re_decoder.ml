@@ -207,7 +207,7 @@ let impl t =
       (fun _ ->
         {
           Southbound.empty_stats with
-          shared_support_bytes = String.length (Re_cache.serialize (cache t));
+          shared_support_bytes = Chunk.sealed_size (Re_cache.serialize (cache t));
         });
   }
 

@@ -267,7 +267,7 @@ let impl t =
       (fun _ ->
         {
           Southbound.empty_stats with
-          shared_support_bytes = String.length (serialize_all t);
+          shared_support_bytes = Chunk.sealed_size (serialize_all t);
         });
   }
 

@@ -5,30 +5,54 @@
     500-chunk move from 110 ms to 70 ms.  This module provides a real
     (self-contained) LZSS compressor so the compression bench measures
     an actual ratio on actual serialized state rather than assuming
-    one. *)
+    one.
+
+    The format is groups of 8 tokens, each group led by a flag byte; a
+    token is a literal byte or a two-byte back-reference (a 12-bit
+    offset into a 4 KiB window, a 4-bit length of 3 to 18).  The match
+    rule is part of the contract, so equal inputs give equal bytes
+    whatever the implementation: at each position the encoder takes the
+    longest match among the 32 most recent earlier positions inside the
+    window that share the position's 15-bit hash of its next three
+    bytes, capped at 18 bytes and at the input's end, the most recent
+    one on a tie, and emits a literal when no match reaches 3 bytes. *)
 
 type workspace
 (** Reusable compressor scratch state: the 32 K-entry hash-chain head
     array, the window-sized chain links and the output buffer.  A
     workspace makes repeated calls allocation-free apart from the
-    result string — resetting between inputs is O(1) (an epoch bump),
-    not a 32 K-word clear — which is what lets a 1000-chunk transfer
-    compress every chunk without re-paying the table setup.  One
-    workspace serves one call at a time: domains compressing at once
-    each need their own. *)
+    result string: chain positions are offset by a base that each call
+    advances, so a new input starts with no clearing.  One workspace
+    serves one call at a time: domains compressing at once each need
+    their own. *)
 
 val create_workspace : unit -> workspace
 
 val compress_with : workspace -> string -> string
 (** [compress_with ws s] is {!compress}[ s] computed with [ws]'s
-    scratch state.  The output is byte-for-byte identical to a fresh
-    workspace's (prior inputs never leak into the encoding), so either
-    side of a transfer may reuse or not reuse workspaces freely. *)
+    scratch state, and returned as a fresh string: what [ws] holds is
+    rewritten by its next call.  The output is byte-for-byte identical
+    to a fresh workspace's (prior inputs never leak into the encoding),
+    so either side of a transfer may reuse or not reuse workspaces
+    freely. *)
 
 val compress : string -> string
-(** [compress s] is an LZSS encoding of [s], using the calling domain's
-    own internal workspace.  Worst case it is slightly larger than the
-    input (one flag bit per literal byte). *)
+(** [compress s] is an LZSS encoding of [s], computed in the calling
+    domain's own workspace and returned as a fresh string.  Worst case
+    it is slightly larger than the input (one flag bit per literal
+    byte). *)
+
+val compressed_size : string -> int
+(** [compressed_size s] is [String.length (compress s)].  It encodes [s]
+    into the calling domain's own workspace and leaves the encoding
+    there, without copying it out, until the domain's next compression
+    ({!compress}, {!compressed_size} or {!ratio}). *)
+
+val blit_compressed : Bytes.t -> int -> unit
+(** [blit_compressed dst pos] copies the encoding the calling domain's
+    last {!compressed_size} left in its workspace into [dst] at [pos]:
+    [compressed_size s] bytes of {!compress}[ s].  Raises
+    [Invalid_argument] if they do not fit. *)
 
 val decompress : string -> string
 (** Inverse of {!compress}.  Raises [Invalid_argument] on input that
@@ -41,17 +65,10 @@ val decompress_from : string -> pos:int -> string
 val decompress_sub : string -> pos:int -> stop:int -> string
 (** [decompress_sub s ~pos ~stop] is [decompress] of the bytes of [s]
     in [\[pos, stop)], read in place.  Raises [Invalid_argument] as
-    {!decompress} does, and if [stop] is past the end of [s]. *)
-
-val compress_scratch : string -> Buffer.t
-(** [compress_scratch s] encodes [s] with the calling domain's own
-    workspace and returns the workspace's output buffer, which holds
-    {!compress}[ s] until the domain's next compression: copy out what
-    must outlive that. *)
-
-val compressed_size : string -> int
-(** [compressed_size s] is [String.length (compress s)] without
-    materializing the output string. *)
+    {!decompress} does, and if [stop] is past the end of [s].  Every
+    decompression decodes into the calling domain's own output scratch,
+    which is not a compressor's, and returns a fresh copy: nothing it
+    returns is overwritten later. *)
 
 val ratio : string -> float
 (** [ratio s] is [1 - compressed_size s / length s]: the fraction of

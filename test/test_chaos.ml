@@ -1281,6 +1281,137 @@ let prop_text_reader =
       || outcome (fun () -> Codec.decode c s) = outcome (fun () -> read_tree c s))
 
 (* ------------------------------------------------------------------ *)
+(* LZSS against its frozen reference                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* An input built from [seed], in one of three shapes over an alphabet
+   of 1 to 256 symbols: random bytes (long chains of hash collisions at
+   the small end, few matches at the large); a unit of 1 to 40 bytes
+   repeated; and text that copies earlier stretches of 18 to 80 bytes,
+   so matches reach [max_match] and run on.  One input in four is 4 to
+   20 KiB long, so chains cross the 4 KiB window, and some of its copies
+   come from just inside or just outside it. *)
+let lzss_input seed =
+  let rng = Random.State.make [| seed |] in
+  let int = Random.State.int rng in
+  let alphabet = 1 + int 256 in
+  let byte _ = Char.chr (int alphabet) in
+  let long = int 4 = 0 in
+  let n = if long then 4096 + int ((16 * 1024) + 1) else int 3073 in
+  match int 3 with
+  | 0 -> String.init n byte
+  | 1 ->
+    let unit_ = String.init (1 + int 40) byte in
+    String.init n (fun i -> unit_.[i mod String.length unit_])
+  | _ ->
+    let b = Buffer.create n in
+    while Buffer.length b < n do
+      let have = Buffer.length b in
+      if have >= 18 && int 2 = 0 then begin
+        let from = if have > 4200 && int 3 = 0 then have - 4090 - int 12 else int have in
+        for j = 0 to 17 + int 63 do
+          Buffer.add_char b (Buffer.nth b (from + j))
+        done
+      end
+      else Buffer.add_string b (String.init (1 + int 24) byte)
+    done;
+    Buffer.sub b 0 n
+
+let show_prefix s =
+  Printf.sprintf "%d bytes %S" (String.length s) (String.sub s 0 (Int.min 80 (String.length s)))
+
+(* One workspace reused by every case, so each input meets the chains
+   of the ones before it. *)
+let lzss_workspace = Compress.create_workspace ()
+
+let prop_lzss_compress =
+  QCheck2.Test.make ~name:"LZSS compresses byte for byte as the reference" ~count:codec_count
+    ~print:(fun seed -> Printf.sprintf "seed %d: %s" seed (show_prefix (lzss_input seed)))
+    QCheck2.Gen.int
+    (fun seed ->
+      let s = lzss_input seed in
+      let expected = Compress_ref.compress s in
+      let blitted = Bytes.create (Compress.compressed_size s) in
+      Compress.blit_compressed blitted 0;
+      String.equal (Compress.compress_with lzss_workspace s) expected
+      && String.equal (Compress.compress s) expected
+      && String.equal (Bytes.unsafe_to_string blitted) expected
+      && String.equal (Compress.decompress expected) s)
+
+(* Tokens made by hand: random flags, literals, and back-references
+   that mostly overlap the bytes they write (offset below the length),
+   now and then reaching before the output's start. *)
+let lzss_tokens int =
+  let b = Buffer.create 64 and o = ref 0 in
+  for _ = 0 to int 6 do
+    let flags = int 256 in
+    Buffer.add_char b (Char.chr flags);
+    for k = 0 to 7 do
+      if flags land (1 lsl k) = 0 then begin
+        Buffer.add_char b (Char.chr (int 256));
+        incr o
+      end
+      else begin
+        let len = 3 + int 16 in
+        let off = if int 8 = 0 then 1 + int 4095 else 1 + int (Int.max 1 (Int.min !o (len - 1))) in
+        Buffer.add_char b (Char.chr (off lsr 4));
+        Buffer.add_char b (Char.chr (((off land 0xF) lsl 4) lor (len - 3)));
+        o := !o + len
+      end
+    done
+  done;
+  Buffer.contents b
+
+(* A stream built from [seed] and the window [pos, stop) to decode:
+   arbitrary bytes, a valid stream cut short or with bits flipped, or
+   hand-made tokens; read whole, inside a longer string, or through any
+   window, out-of-range ones included. *)
+let lzss_stream seed =
+  let rng = Random.State.make [| seed |] in
+  let int = Random.State.int rng in
+  let bytes n = String.init n (fun _ -> Char.chr (int 256)) in
+  let valid () = Compress_ref.compress (lzss_input seed) in
+  let stream =
+    match int 4 with
+    | 0 -> bytes (int 64)
+    | 1 ->
+      let c = valid () in
+      String.sub c 0 (int (String.length c + 1))
+    | 2 ->
+      let c = Bytes.of_string (valid ()) in
+      if Bytes.length c > 0 then
+        for _ = 0 to int 4 do
+          let i = int (Bytes.length c) in
+          Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor (1 lsl int 8)))
+        done;
+      Bytes.to_string c
+    | _ -> lzss_tokens int
+  in
+  match int 3 with
+  | 0 -> (stream, 0, String.length stream)
+  | 1 ->
+    let before = bytes (int 16) in
+    let pos = String.length before in
+    (before ^ stream ^ bytes (int 16), pos, pos + String.length stream)
+  | _ ->
+    let s = bytes (int 16) ^ stream in
+    (s, int (String.length s + 3) - 1, int (String.length s + 3) - 1)
+
+let prop_lzss_decompress =
+  QCheck2.Test.make ~name:"LZSS decodes as the reference, or raises where it does"
+    ~count:codec_count
+    ~print:(fun seed ->
+      let s, pos, stop = lzss_stream seed in
+      Printf.sprintf "seed %d: pos %d stop %d, %s" seed pos stop (show_prefix s))
+    QCheck2.Gen.int
+    (fun seed ->
+      let s, pos, stop = lzss_stream seed in
+      let outcome decode =
+        match decode s ~pos ~stop with d -> Ok d | exception Invalid_argument _ -> Error ()
+      in
+      outcome Compress.decompress_sub = outcome Compress_ref.decompress_sub)
+
+(* ------------------------------------------------------------------ *)
 (* Link faults against batch members                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1470,4 +1601,5 @@ let () =
                prop_text_writer;
                prop_text_reader;
              ] );
+      ("lzss", qcheck [ prop_lzss_compress; prop_lzss_decompress ]);
     ]

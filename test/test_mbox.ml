@@ -1911,27 +1911,53 @@ let test_state_json_sizes () =
       Alcotest.(check int) "nat.new_mapping" (String.length (Json.to_string info)) (Json.wire_size info))
     infos
 
-(* The per-flow bytes [stats] reports, counted from each entry's
-   plaintext, are the summed sizes of the chunks a get then exports,
+(* The bytes [stats] reports, per-flow and shared, counted from
+   plaintexts, are the summed sizes of the chunks a get then exports,
    with compression on (where some chunks shrink and some do not) and
-   off. *)
+   off.  Besides the pinned fleet: an RE encoder and decoder, whose
+   caches are shared supporting state, and a dummy MB with shared
+   supporting state and none of the reporting kind. *)
 let test_stats_bytes_are_exported_bytes () =
   let check compress =
     Chunk.compression_enabled := compress;
     let impls, _ = pin_fleet () in
+    let engine = Engine.create () in
+    let enc = Re_encoder.create engine ~name:"enc" () in
+    Mb_base.set_egress (Re_encoder.base enc) ignore;
+    send_via engine enc ~id:1 ~ts:0.0 (Array.init 16 (fun i -> 100 + i));
+    run_all engine;
+    let dummy = Openmb_apps.Dummy_mb.create engine ~name:"dummy" () in
+    Openmb_apps.Dummy_mb.populate dummy ~n:8;
+    Openmb_apps.Dummy_mb.set_shared_support dummy (String.concat "," (List.init 40 string_of_int));
+    let impls =
+      impls
+      @ [
+          ("re encoder", Re_encoder.impl enc);
+          ("re decoder", Re_decoder.impl (Re_decoder.create engine ~name:"dec" ()));
+          ("dummy", Openmb_apps.Dummy_mb.impl dummy);
+        ]
+    in
     List.iter
       (fun (name, (impl : Southbound.impl)) ->
         let s = impl.stats Hfl.any in
+        let fail e = Alcotest.failf "%s get: %s" name (Errors.to_string e) in
         let exported get =
           match get Hfl.any with
           | Ok chunks -> List.fold_left (fun n c -> n + Chunk.size_bytes c) 0 chunks
-          | Error e -> Alcotest.failf "%s get: %s" name (Errors.to_string e)
+          | Error e -> fail e
+        in
+        let shared get =
+          match get () with Ok (Some c) -> Chunk.size_bytes c | Ok None -> 0 | Error e -> fail e
         in
         let what = Printf.sprintf "%s, compression %b" name compress in
         Alcotest.(check int) (what ^ ": supporting bytes")
           (exported impl.get_support_perflow) s.perflow_support_bytes;
         Alcotest.(check int) (what ^ ": reporting bytes")
           (exported impl.get_report_perflow) s.perflow_report_bytes;
+        Alcotest.(check int) (what ^ ": shared supporting bytes")
+          (shared impl.get_support_shared) s.shared_support_bytes;
+        Alcotest.(check int) (what ^ ": shared reporting bytes")
+          (shared impl.get_report_shared) s.shared_report_bytes;
         impl.abort_perflow Hfl.any)
       impls
   in
