@@ -151,10 +151,10 @@ let lzss () =
   ( "compress.lzss (400B json)",
     loop (fun () -> ignore (Openmb_wire.Compress.compress payload)) )
 
-(* The 1,000 per-flow chunk values a move-1k transfer carries (about
-   197 bytes each), cycled through one per op: the LZSS rows below time
-   the compressor and decoder on the state a move compresses, not on one
-   string. *)
+(* The 1,000 per-flow chunk values a 1k-flow dummy move carries (about
+   197 bytes each, the shape the benchmark's move-1k seeds), cycled
+   through one per op: the LZSS rows below time the compressor and
+   decoder on the state a move compresses, not on one string. *)
 let move_chunks () =
   let engine = Openmb_sim.Engine.create () in
   let src = Openmb_apps.Dummy_mb.create engine ~name:"src" () in
